@@ -197,6 +197,11 @@ def test_vectorized_crypto_smoke(benchmark):
         "wall_seconds": float(elapsed),
     })
 
-    # Wall-clock guard: one iteration at the gated population plus the
-    # small-n identity runs must stay far from CI-timeout territory.
-    assert elapsed < 240.0, f"crypto smoke took {elapsed:.0f}s (cap 240s)"
+    # Wall-clock guard: measured + 50 %.  Pure python: the slowest of four
+    # head runs on the 2-core reference VM was 2.06 s (PR 12; the parent
+    # commit took 2.16 s there, 3.74 s when PR 8 recorded it).  The gmpy2
+    # leg runs 10⁵ participants and has never been measured in this
+    # container, so it is capped by what pure python needs for that
+    # population (12.2 s in BENCH_population_scaling_crypto.json + 50 %).
+    cap = 20.0 if GMPY2 else 3.0
+    assert elapsed < cap, f"crypto smoke took {elapsed:.1f}s (cap {cap:.0f}s)"

@@ -163,7 +163,6 @@ def compare_scalar_batched_costs(
     rng: random.Random | None = None,
     fractional_bits: int = 24,
     max_abs_value: float = 1000.0,
-    window_bits: int = 6,
 ) -> dict:
     """Measure the computation-step local cost on both ciphertext planes.
 
@@ -196,7 +195,8 @@ def compare_scalar_batched_costs(
     )
 
     start = time.perf_counter()
-    encryptor = FastEncryptor(public, rng, window_bits=window_bits)
+    uses = 2 * repetitions * packed.packed_length(count)
+    encryptor = FastEncryptor(public, rng, expected_uses=uses)
     precompute_seconds = time.perf_counter() - start
     batched_backend = SerialBackend(encryptor)
 

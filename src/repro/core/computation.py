@@ -471,10 +471,11 @@ class VectorizedCryptoComputationStep:
         del shares
         packed = self.packed
         width = packed.packed_length(dims) + 1  # payload stripes + tracker
-        flat_plaintexts: list[int] = []
-        for node in range(population):
-            flat_plaintexts.extend(packed.pack(body[node]))
-            flat_plaintexts.append(1)  # tracker E(1): the coefficient total
+        flat_plaintexts = [
+            plaintext
+            for stripes in packed.pack(body)
+            for plaintext in (*stripes, 1)  # tracker E(1): the coefficient total
+        ]
         del body
         started = time.perf_counter()
         ciphertexts = self.backend.encrypt_batch(

@@ -194,34 +194,19 @@ class ChiaroscuroRun:
             # terms=1 / population=1 because means and noise are summed in
             # clear on the fixed-point grid before the single packed
             # encryption, and C already *is* the whole coefficient total.
-            cycles = 2 * params.exchanges
-            slices = []
-            for iteration in range(1, params.max_iterations + 1):
-                try:
-                    slices.append(strategy.epsilon_for(iteration))
-                except BudgetExhausted:
-                    break
-            min_epsilon = min(slices) if slices else params.epsilon
-            noise_bound = 60.0 * dataset.joint_sensitivity / min_epsilon
             self.packed = PackedCodec.plan(
                 keypair.public,
                 fractional_bits=self.fractional_bits,
-                max_abs_value=max(abs(dataset.dmin), abs(dataset.dmax))
-                + noise_bound,
+                max_abs_value=self._max_slot_value(),
                 population=1,
-                exchanges=cycles,
+                exchanges=2 * params.exchanges,
                 terms=1,
             )
             self.codec = None
             self.plane = None
             self.participants = []
-            with bigint.use_backend(self.bigint_backend):
-                self.encryptor = FastEncryptor(keypair.public, self.crypto_rng)
-            self.backend = create_backend(
-                params.crypto_backend,
-                workers=params.backend_workers,
-                encryptor=self.encryptor,
-            )
+            dims = params.k * (dataset.n + 1)
+            self._build_backend(self.packed.packed_length(dims) + 1)
             if self.fault_plan is not None:
                 self.fault_plan.bind_run(self)
             return
@@ -257,47 +242,34 @@ class ChiaroscuroRun:
             exchanges=worst_exchanges,
         )
 
-        # Batched ciphertext plane: amortized randomizers (fixed-base table
-        # built once per run), a swappable evaluation backend, and — when
-        # the plaintext space has room for it — slot packing.  Unlike the
-        # scalar plane (which wraps benignly into its huge margin), a
-        # packed slot must hold every *individual* encoded value, noise
-        # shares included — and their Laplace scale is ε-dependent, blowing
-        # past any fixed multiple of the sensitivity once the per-iteration
-        # budget slice gets small.  Size the slot from the worst slice's
-        # scale with an exponential-tail quantile (P[|share| > 60λ] ~ e⁻⁶⁰
-        # per element: never in practice), falling back to scalar when the
-        # resulting slot no longer fits the plaintext.
-        with bigint.use_backend(self.bigint_backend):
-            self.encryptor = FastEncryptor(keypair.public, self.crypto_rng)
-        self.backend = create_backend(
-            params.crypto_backend,
-            workers=params.backend_workers,
-            encryptor=self.encryptor,
-        )
-        self.plane = ScalarPlane(keypair.public, self.codec, self.backend)
+        # Batched ciphertext plane: slot packing when the plaintext space
+        # has room for it, amortized randomizers (fixed-base table built
+        # once per run, sized for the run's encryption count), and a
+        # swappable evaluation backend.  Unlike the scalar plane (which
+        # wraps benignly into its huge margin), a packed slot must hold
+        # every *individual* encoded value, noise shares included (see
+        # _max_slot_value); when the resulting slot no longer fits the
+        # plaintext the run stays on the scalar plane.
+        dims = params.k * (dataset.n + 1)
+        packed = None
         if params.use_packing:
-            slices = []
-            for iteration in range(1, params.max_iterations + 1):
-                try:
-                    slices.append(strategy.epsilon_for(iteration))
-                except BudgetExhausted:
-                    break
-            min_epsilon = min(slices) if slices else params.epsilon
-            noise_bound = 60.0 * dataset.joint_sensitivity / min_epsilon
             try:
                 packed = PackedCodec.plan(
                     keypair.public,
                     fractional_bits=self.codec.fractional_bits,
-                    max_abs_value=max(abs(dataset.dmin), abs(dataset.dmax))
-                    + noise_bound,
+                    max_abs_value=self._max_slot_value(),
                     population=population,
                     exchanges=worst_exchanges,
                     terms=2,  # means + noise are the biased vectors summed
                 )
-                self.plane = PackedPlane(keypair.public, packed, self.backend)
             except ValueError:
-                pass  # no room for even one slot — stay on the scalar plane
+                pass  # no room for even one slot
+        # Per node and iteration: a means and a noise vector (+ one tracker).
+        self._build_backend(2 * packed.packed_length(dims) + 1 if packed else 2 * dims)
+        if packed:
+            self.plane = PackedPlane(keypair.public, packed, self.backend)
+        else:
+            self.plane = ScalarPlane(keypair.public, self.codec, self.backend)
 
         self.participants = [
             Participant(
@@ -311,6 +283,42 @@ class ChiaroscuroRun:
         ]
         if self.fault_plan is not None:
             self.fault_plan.bind_run(self)
+
+    def _max_slot_value(self) -> float:
+        """Largest magnitude one packed slot must hold: a data value plus a
+        noise share.  The Laplace scale is ε-dependent, blowing past any
+        fixed multiple of the sensitivity once the per-iteration budget
+        slice gets small — so the bound is the worst slice's scale at an
+        exponential-tail quantile (P[|share| > 60λ] ~ e⁻⁶⁰ per element:
+        never in practice)."""
+        slices = []
+        for iteration in range(1, self.params.max_iterations + 1):
+            try:
+                slices.append(self.strategy.epsilon_for(iteration))
+            except BudgetExhausted:
+                break
+        min_epsilon = min(slices) if slices else self.params.epsilon
+        dataset = self.dataset
+        return (
+            max(abs(dataset.dmin), abs(dataset.dmax))
+            + 60.0 * dataset.joint_sensitivity / min_epsilon
+        )
+
+    def _build_backend(self, ciphertexts_per_node: int) -> None:
+        """The run's table-backed encryptor behind the configured execution
+        backend.  The run knows how many encryptions it can ask for at most
+        (every device, every iteration), which is what sizes the table."""
+        params = self.params
+        uses = self.dataset.t * ciphertexts_per_node * params.max_iterations
+        with bigint.use_backend(self.bigint_backend):
+            self.encryptor = FastEncryptor(
+                self.keypair.public, self.crypto_rng, expected_uses=uses
+            )
+        self.backend = create_backend(
+            params.crypto_backend,
+            workers=params.backend_workers,
+            encryptor=self.encryptor,
+        )
 
     def smoothing_plan(self) -> tuple[int, bool]:
         """(window, applies) for this run — shared by both substrates."""

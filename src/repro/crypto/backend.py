@@ -11,16 +11,17 @@ touching protocol code:
   GIL).
 
 **Determinism.** Reproducibility across backends is a hard requirement
-(the protocol seeds everything).  Randomness is therefore *derived per
-item, not per worker*: the caller's ``rng`` emits one 128-bit seed per
-plaintext **before** dispatch, and each encryption builds its own
-``random.Random(seed)`` from that seed.  Worker count, chunking, and
-scheduling order then cannot change any ciphertext — the serial and
-process-pool backends produce bit-identical batches from the same master
-RNG state.  Partial decryption is deterministic to begin with.
-(Note the seed derivation caps each randomizer's entropy at 128 bits —
-below the raw randomizer space but in line with the short-exponent
-security model :class:`FastEncryptor` already assumes.)
+(the protocol seeds everything).  Randomness is therefore *one stream,
+drawn before dispatch*: the caller's ``rng`` emits a batch's whole
+randomness up front (:func:`~repro.crypto.damgard_jurik.draw_randomness` —
+with a :class:`FastEncryptor`, a single ``getrandbits`` blob of full-width
+odd randomizer exponents; without, one raw randomizer per item), and the
+arithmetic that consumes it (:func:`~repro.crypto.damgard_jurik.
+encrypt_drawn`) is a pure function of (plaintexts, drawn slice).  Worker
+count, chunking, and scheduling order then cannot change any ciphertext —
+the serial and process-pool backends, and :func:`repro.crypto.damgard_jurik.
+encrypt_batch`, produce bit-identical batches from the same master RNG
+state.  Partial decryption is deterministic to begin with.
 
 Backends are selected by name through :func:`create_backend`, which is the
 hook :class:`repro.core.ChiaroscuroParams` plugs into (``crypto_backend``
@@ -34,7 +35,12 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 
 from . import bigint
-from .damgard_jurik import FastEncryptor, encrypt
+from .damgard_jurik import (
+    FastEncryptor,
+    draw_randomness,
+    encrypt_batch,
+    encrypt_drawn,
+)
 from .keys import KeyShare, PublicKey, ThresholdContext
 
 __all__ = [
@@ -42,28 +48,7 @@ __all__ = [
     "SerialBackend",
     "ProcessPoolBackend",
     "create_backend",
-    "derive_item_seeds",
 ]
-
-_SEED_BITS = 128
-
-
-def derive_item_seeds(rng: random.Random, count: int) -> list[int]:
-    """One 128-bit seed per batch item, drawn from the master RNG in order."""
-    return [rng.getrandbits(_SEED_BITS) for _ in range(count)]
-
-
-def _encrypt_item(
-    public: PublicKey,
-    encryptor: FastEncryptor | None,
-    plaintext: int,
-    seed: int,
-) -> int:
-    """Encrypt one item from its derived seed (shared by all backends)."""
-    item_rng = random.Random(seed)
-    if encryptor is not None:
-        return encryptor.encrypt(plaintext, item_rng)
-    return encrypt(public, plaintext, rng=item_rng)
 
 
 def _partial_decrypt_exponent(context: ThresholdContext, share: KeyShare) -> int:
@@ -76,7 +61,7 @@ def _partial_decrypt_exponent(context: ThresholdContext, share: KeyShare) -> int
 # pool initializer, together with the parent's resolved bigint backend name
 # (workers must re-select it — the selection is process-global state, and a
 # spec/CLI choice made in the parent would otherwise be invisible to them).
-# Chunks then carry only plaintexts and seeds.
+# Chunks then carry only plaintexts and their slice of the drawn randomness.
 
 _WORKER_ENCRYPTOR: FastEncryptor | None = None
 
@@ -94,21 +79,17 @@ def _init_worker(encryptor: FastEncryptor | None, bigint_backend: str) -> None:
         encryptor.warm()
 
 
-def _encrypt_chunk(public: PublicKey, items: list[tuple[int, int]]) -> list[int]:
-    return [
-        _encrypt_item(public, _WORKER_ENCRYPTOR, plaintext, seed)
-        for plaintext, seed in items
-    ]
+def _encrypt_chunk(
+    public: PublicKey, plaintexts: list[int], drawn: bytes | list[int]
+) -> list[int]:
+    return encrypt_drawn(public, plaintexts, drawn, _WORKER_ENCRYPTOR)
 
 
 def _pow_chunk(exponent: int, modulus: int, chunk: list[int]) -> list[int]:
     return bigint.powmod_batch(chunk, exponent, modulus)
 
 
-def _mulmod_chunk(
-    modulus: int, chunk: tuple[list[int], list[int]]
-) -> list[int]:
-    lefts, rights = chunk
+def _mulmod_chunk(modulus: int, lefts: list[int], rights: list[int]) -> list[int]:
     return bigint.mulmod_pairwise(lefts, rights, modulus)
 
 
@@ -157,11 +138,7 @@ class SerialBackend(CryptoBackend):
     def encrypt_batch(
         self, public: PublicKey, plaintexts: list[int], rng: random.Random
     ) -> list[int]:
-        seeds = derive_item_seeds(rng, len(plaintexts))
-        return [
-            _encrypt_item(public, self.encryptor, m, seed)
-            for m, seed in zip(plaintexts, seeds)
-        ]
+        return encrypt_batch(public, plaintexts, rng, self.encryptor)
 
     def partial_decrypt_batch(
         self, context: ThresholdContext, share: KeyShare, ciphertexts: list[int]
@@ -199,7 +176,7 @@ class ProcessPoolBackend(CryptoBackend):
     ) -> None:
         self.max_workers = max_workers or (os.cpu_count() or 1)
         self.encryptor = encryptor
-        self.min_batch = min_batch
+        self.min_batch = max(1, min_batch)  # an empty batch never reaches the pool
         self._executor: ProcessPoolExecutor | None = None
         self._serial = SerialBackend(encryptor)
 
@@ -212,25 +189,35 @@ class ProcessPoolBackend(CryptoBackend):
             )
         return self._executor
 
-    def _chunks(self, items: list) -> list[list]:
-        per_chunk = max(1, -(-len(items) // (4 * self.max_workers)))
-        return [items[i : i + per_chunk] for i in range(0, len(items), per_chunk)]
+    def _map(self, fn, fixed: tuple, *columns) -> list[int]:
+        """``fn(*fixed, *chunk)`` over aligned chunks of ``columns``, pooled,
+        results concatenated in order.  Columns are sliced per *item*; one
+        holding several elements per item (the exponent byte blob) is cut
+        at the matching multiples."""
+        count = len(columns[0])
+        per_chunk = max(1, -(-count // (4 * self.max_workers)))
+        starts = range(0, count, per_chunk)
+
+        def cut(column):
+            stride = len(column) // count
+            return [column[i * stride : (i + per_chunk) * stride] for i in starts]
+
+        out: list[int] = []
+        for part in self._pool().map(
+            fn, *([value] * len(starts) for value in fixed), *map(cut, columns)
+        ):
+            out.extend(part)
+        return out
 
     def encrypt_batch(
         self, public: PublicKey, plaintexts: list[int], rng: random.Random
     ) -> list[int]:
-        # Seeds are derived up front either way, so falling back to the
+        # Randomness is drawn up front either way, so falling back to the
         # serial path for small batches cannot change the output.
         if len(plaintexts) < self.min_batch:
             return self._serial.encrypt_batch(public, plaintexts, rng)
-        seeds = derive_item_seeds(rng, len(plaintexts))
-        chunks = self._chunks(list(zip(plaintexts, seeds)))
-        out: list[int] = []
-        for chunk_result in self._pool().map(
-            _encrypt_chunk, [public] * len(chunks), chunks
-        ):
-            out.extend(chunk_result)
-        return out
+        drawn = draw_randomness(public, len(plaintexts), rng, self.encryptor)
+        return self._map(_encrypt_chunk, (public,), list(plaintexts), drawn)
 
     def partial_decrypt_batch(
         self, context: ThresholdContext, share: KeyShare, ciphertexts: list[int]
@@ -238,27 +225,16 @@ class ProcessPoolBackend(CryptoBackend):
         if len(ciphertexts) < self.min_batch:
             return self._serial.partial_decrypt_batch(context, share, ciphertexts)
         exponent = _partial_decrypt_exponent(context, share)
-        n_s1 = context.public.n_s1
-        chunks = self._chunks(list(ciphertexts))
-        out: list[int] = []
-        for chunk_result in self._pool().map(
-            _pow_chunk, [exponent] * len(chunks), [n_s1] * len(chunks), chunks
-        ):
-            out.extend(chunk_result)
-        return out
+        return self._map(
+            _pow_chunk, (exponent, context.public.n_s1), list(ciphertexts)
+        )
 
     def pow_batch(
         self, bases: list[int], exponent: int, modulus: int
     ) -> list[int]:
         if len(bases) < self.min_batch:
             return self._serial.pow_batch(bases, exponent, modulus)
-        chunks = self._chunks(list(bases))
-        out: list[int] = []
-        for chunk_result in self._pool().map(
-            _pow_chunk, [exponent] * len(chunks), [modulus] * len(chunks), chunks
-        ):
-            out.extend(chunk_result)
-        return out
+        return self._map(_pow_chunk, (exponent, modulus), list(bases))
 
     def mulmod_batch(
         self, lefts: list[int], rights: list[int], modulus: int
@@ -266,25 +242,9 @@ class ProcessPoolBackend(CryptoBackend):
         # Per-element work is one multiply — far cheaper than a powmod —
         # so sharding only pays beyond a much larger floor (pickling two
         # ciphertexts per element is the dominant dispatch cost).
-        if len(lefts) < max(self.min_batch, 512):
+        if len(lefts) < max(self.min_batch, 512) or len(lefts) != len(rights):
             return self._serial.mulmod_batch(lefts, rights, modulus)
-        pair_chunks = [
-            (chunk, rights[i : i + len(chunk)])
-            for chunk, i in self._chunks_with_offsets(list(lefts))
-        ]
-        out: list[int] = []
-        for chunk_result in self._pool().map(
-            _mulmod_chunk, [modulus] * len(pair_chunks), pair_chunks
-        ):
-            out.extend(chunk_result)
-        return out
-
-    def _chunks_with_offsets(self, items: list) -> list[tuple[list, int]]:
-        per_chunk = max(1, -(-len(items) // (4 * self.max_workers)))
-        return [
-            (items[i : i + per_chunk], i)
-            for i in range(0, len(items), per_chunk)
-        ]
+        return self._map(_mulmod_chunk, (modulus,), list(lefts), list(rights))
 
     def close(self) -> None:
         if self._executor is not None:

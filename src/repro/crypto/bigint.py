@@ -48,10 +48,12 @@ shapes the protocol actually exhibits:
 * :func:`mulmod_pairwise` — elementwise products ``a_i·b_i mod m`` over
   two equally long vectors, the homomorphic-add shape of a whole gossip
   exchange round (every pair's ciphertext vectors merge at once);
+* :func:`fixed_base_pow_batch` — one fixed base, many short exponents,
+  walked column-wise over a precomputed byte-digit table (the encryption-
+  randomizer shape: table rows are touched once per batch, not per item);
 * :func:`mulmod_reduce` — a product chain reduced modulo ``m``; part of
   the kernel's public surface for extensions (the built-in hot paths use
-  the shapes above, with the fixed-base table running its own native
-  accumulation loop).
+  the shapes above).
 
 All entry points accept and return plain Python ``int`` — native types
 (``mpz``) never leak to callers, so serialization, hashing and pickling
@@ -69,6 +71,7 @@ __all__ = [
     "BACKEND_ENV",
     "active_backend",
     "available_backends",
+    "fixed_base_pow_batch",
     "invert",
     "invert_batch",
     "multi_powmod",
@@ -297,6 +300,43 @@ def mulmod_pairwise(
         int(backend.to_native(a) * backend.to_native(b) % m)
         for a, b in zip(lefts, rights)
     ]
+
+
+def fixed_base_pow_batch(
+    rows: Sequence[Sequence], modulus, exponents: bytes, width: int
+) -> list[int]:
+    """Fixed-base powers from a digit table, one table row at a time.
+
+    ``rows[i][d]`` is ``base^(d · 2^(i·w))`` on the active backend's native
+    type, identity at ``d = 0``; ``w`` (read off the row length) divides 8,
+    so an exponent's digits are (fields of) its *bytes*.  ``exponents``
+    holds ``width``-byte little-endian exponents back to back: byte ``j`` of
+    every item is the strided slice ``exponents[j::width]``, split into
+    sub-byte digits by a C-level ``bytes.translate`` when ``w < 8``.  Each
+    row is walked once per batch by one list comprehension — no per-item
+    shift, mask or branch — at ``len(rows) − 1`` multiplies per item.
+    """
+    window_bits = len(rows[0]).bit_length() - 1
+    per_byte = 8 // window_bits
+    if per_byte * window_bits != 8 or len(rows) != width * per_byte:
+        raise ValueError("table rows do not tile `width` exponent bytes")
+    if len(exponents) % width:
+        raise ValueError(f"exponents must be {width} bytes apiece")
+    mask = (1 << window_bits) - 1
+    fields = [
+        bytes((b >> shift) & mask for b in range(256))
+        for shift in range(0, 8, window_bits)
+    ]
+    acc: list = []
+    for index, row in enumerate(rows):
+        digits = exponents[index // per_byte :: width]
+        if per_byte > 1:
+            digits = digits.translate(fields[index % per_byte])
+        if index:
+            acc = [a * row[d] % modulus for a, d in zip(acc, digits)]
+        else:
+            acc = [row[d] for d in digits]
+    return [int(a) for a in acc]
 
 
 def mulmod_reduce(values: Sequence[int], modulus: int) -> int:

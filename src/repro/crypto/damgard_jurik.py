@@ -15,19 +15,27 @@ Threshold decryption lives in :mod:`repro.crypto.threshold`.
 
 Cost profile (what the batched plane exploits):
 
-* ``g^a`` with ``g = 1 + n`` is a binomial expansion — ``s`` multiplications,
-  *not* a modexp, so it needs no precomputation table;
+* ``g^a`` with ``g = 1 + n`` is a binomial expansion — ``s`` multiplications
+  by per-key constants (:attr:`PublicKey.g_coefficients`; for ``s = 1`` it
+  is ``1 + a·n``), *not* a modexp;
 * the randomizer ``r^{n^s} mod n^{s+1}`` is the one genuine modexp per
   encryption and dominates the Fig. 5(a) "Encrypt" bar.
-  :class:`FastEncryptor` amortizes it with a fixed-base window table over a
+  :class:`FastEncryptor` amortizes it with a fixed-base digit table over a
   run-fixed base ``h = r₀^{n^s}`` (an encryption of zero): each fresh
   randomizer is ``h^t`` for a short random exponent ``t``, costing
-  ``ceil(bits(t)/w)`` multiplications instead of a ``bits(n^s)``-bit
-  square-and-multiply.  This is the classic Damgård–Jurik–Nielsen
-  precomputation trade: semantic security then additionally rests on the
-  hardness of discrete logs with short exponents in the randomizer
-  subgroup — a fine trade for a reproduction, and the plain per-ciphertext
-  path stays available (``randomizer=None``).
+  ``ceil(bits(t)/w) − 1`` multiplications instead of a ``bits(n^s)``-bit
+  square-and-multiply.  The window ``w ∈ {4, 8}`` is chosen from the number
+  of encryptions the table will serve (a ``2^w``-wide table only pays for
+  itself over a few hundred uses), and a batch is evaluated *column-wise*:
+  all exponents come out of the caller's ``rng`` as one byte blob, and each
+  table row is walked once per batch by a single list comprehension.
+  This is the classic Damgård–Jurik–Nielsen precomputation trade: semantic
+  security then additionally rests on the hardness of discrete logs with
+  short exponents in the randomizer subgroup — a fine trade for a
+  reproduction, and the plain per-ciphertext path stays available
+  (``encryptor=None``).  A batch's randomness is drawn *before* any
+  arithmetic (:func:`draw_randomness`) and consumed by a pure function
+  (:func:`encrypt_drawn`), so a backend may split the work any way it likes.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ __all__ = [
     "generate_keypair",
     "encrypt",
     "encrypt_batch",
+    "draw_randomness",
+    "encrypt_drawn",
     "decrypt",
     "homomorphic_add",
     "homomorphic_add_batch",
@@ -102,16 +112,24 @@ def powers_of_g(public: PublicKey, a: int) -> int:
     ``(1+n)^a = Σ_{i=0}^{s} C(a, i)·n^i (mod n^{s+1})`` — only ``s + 1``
     terms survive, making this dramatically cheaper than a modexp and the
     dominant reason Paillier-family encryption is practical on a device.
+    ``C(a, i)·n^i`` is the falling factorial ``a(a−1)…(a−i+1)`` times the
+    per-key constant ``n^i / i!``; for ``s = 1`` the loop is ``1 + a·n``.
     """
     n_s1 = public.n_s1
     a %= public.n_s
-    result = 1
-    binomial = 1  # C(a, i) mod n^{s+1}, built incrementally
-    for i in range(1, public.s + 1):
-        binomial = binomial * ((a - i + 1) % n_s1) % n_s1
-        binomial = binomial * modinv(i, n_s1) % n_s1
-        result = (result + binomial * bigint.powmod(public.n, i, n_s1)) % n_s1
-    return result
+    result = falling = 1
+    for i, coefficient in enumerate(public.g_coefficients):
+        falling = falling * (a - i) % n_s1
+        result += falling * coefficient
+    return result % n_s1
+
+
+def _random_unit(public: PublicKey, rng: random.Random) -> int:
+    """A uniform element of ``Z*_n`` — the raw randomizer ``r``."""
+    while True:
+        r = rng.randrange(1, public.n)
+        if gcd(r, public.n) == 1:
+            return r
 
 
 def encrypt(
@@ -127,11 +145,7 @@ def encrypt(
     """
     if randomizer is None:
         rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng
-        while True:
-            r = rng.randrange(1, public.n)
-            if gcd(r, public.n) == 1:
-                break
-        randomizer = bigint.powmod(r, public.n_s, public.n_s1)
+        randomizer = bigint.powmod(_random_unit(public, rng), public.n_s, public.n_s1)
     return powers_of_g(public, plaintext) * randomizer % public.n_s1
 
 
@@ -143,14 +157,8 @@ def encrypt_zero_pool(public: PublicKey, count: int, rng: random.Random) -> list
     this in idle time — the paper's Fig. 5(a) "Encrypt" cost is dominated by
     exactly this modexp.
     """
-    pool = []
-    for _ in range(count):
-        while True:
-            r = rng.randrange(1, public.n)
-            if gcd(r, public.n) == 1:
-                break
-        pool.append(bigint.powmod(r, public.n_s, public.n_s1))
-    return pool
+    units = [_random_unit(public, rng) for _ in range(count)]
+    return bigint.powmod_batch(units, public.n_s, public.n_s1)
 
 
 class FastEncryptor:
@@ -158,14 +166,16 @@ class FastEncryptor:
 
     The base ``h`` is itself a fresh encryption of zero drawn from ``rng`` at
     construction time; every randomizer afterwards is ``h^t`` with ``t`` a
-    fresh ``exponent_bits``-bit exponent, evaluated through a precomputed
+    fresh odd ``exponent_bits``-bit exponent, evaluated through a precomputed
     :class:`FixedBaseTable` (see the module docstring for the cost model and
     the security trade).  One instance is meant to live for a whole protocol
     run and be shared by every local encryption of that run.
 
-    The object is picklable (it is shipped once to each worker of the
-    process-pool backend), and :meth:`randomizer` is deterministic given the
-    caller's ``rng`` state — reproducibility across backends relies on that.
+    ``expected_uses`` — how many encryptions the run will ask for — sizes
+    the table: a ``w``-bit window costs ``⌈bits/w⌉·(2^w − 1)`` multiplies to
+    build and ``⌈bits/w⌉`` per use, so ``w = 8`` wins past ≈ 225 uses of a
+    256-bit exponent and ``w = 4`` below (the default: an unknown workload
+    gets the cheap table).  Picklable: shipped once to each pool worker.
     """
 
     def __init__(
@@ -173,17 +183,17 @@ class FastEncryptor:
         public: PublicKey,
         rng: random.Random,
         exponent_bits: int = 256,
-        window_bits: int = 6,
+        expected_uses: int = 0,
     ) -> None:
-        if exponent_bits < 64:
-            raise ValueError("exponent_bits must be >= 64")
+        if exponent_bits < 64 or exponent_bits % 8:
+            raise ValueError("exponent_bits must be a multiple of 8 and >= 64")
         self.public = public
         self.exponent_bits = exponent_bits
-        while True:
-            r0 = rng.randrange(1, public.n)
-            if gcd(r0, public.n) == 1:
-                break
-        h = bigint.powmod(r0, public.n_s, public.n_s1)
+        h = bigint.powmod(_random_unit(public, rng), public.n_s, public.n_s1)
+        window_bits = min(
+            (4, 8),
+            key=lambda w: -(-exponent_bits // w) * (expected_uses + (1 << w) - 1),
+        )
         self.table = FixedBaseTable(h, public.n_s1, exponent_bits, window_bits)
 
     def warm(self) -> "FastEncryptor":
@@ -196,17 +206,52 @@ class FastEncryptor:
         self.table.warm()
         return self
 
-    def randomizer(self, rng: random.Random) -> int:
-        """A fresh randomizer ``h^t mod n^{s+1}`` (an encryption of zero)."""
-        return self.table.pow(rng.getrandbits(self.exponent_bits) | 1)
+    def draw_exponents(self, rng: random.Random, count: int) -> bytes:
+        """``count`` fresh odd randomizer exponents as one little-endian
+        byte blob, ``exponent_bits / 8`` bytes apiece, from a single
+        ``getrandbits`` call (every item's lowest bit is forced to 1)."""
+        width = self.exponent_bits // 8
+        odd = int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+        bits = rng.getrandbits(self.exponent_bits * count) | odd
+        return bits.to_bytes(width * count, "little")
 
     def encrypt(self, plaintext: int, rng: random.Random) -> int:
         """Encrypt one plaintext with an amortized randomizer."""
-        return encrypt(self.public, plaintext, randomizer=self.randomizer(rng))
+        return encrypt_batch(self.public, [plaintext], rng, self)[0]
 
-    def encrypt_batch(self, plaintexts: list[int], rng: random.Random) -> list[int]:
-        """Encrypt a batch, drawing randomizer exponents from ``rng`` in order."""
-        return [self.encrypt(m, rng) for m in plaintexts]
+
+def draw_randomness(
+    public: PublicKey,
+    count: int,
+    rng: random.Random,
+    encryptor: FastEncryptor | None = None,
+) -> bytes | list[int]:
+    """All the randomness ``count`` encryptions need, drawn from ``rng`` now:
+    the ``encryptor``'s exponent blob, or one raw ``r ∈ Z*_n`` per item.
+    Either slices per item, so a backend can ship ranges of it."""
+    if encryptor is not None:
+        return encryptor.draw_exponents(rng, count)
+    return [_random_unit(public, rng) for _ in range(count)]
+
+
+def encrypt_drawn(
+    public: PublicKey,
+    plaintexts: list[int],
+    drawn: bytes | list[int],
+    encryptor: FastEncryptor | None = None,
+) -> list[int]:
+    """Encrypt ``plaintexts`` with the matching :func:`draw_randomness`
+    output — deterministic, so it may run in any process, in any split."""
+    if encryptor is not None:
+        randomizers = encryptor.table.pow_batch(drawn)
+    else:
+        randomizers = bigint.powmod_batch(drawn, public.n_s, public.n_s1)
+    if len(randomizers) != len(plaintexts):
+        raise ValueError("need one drawn randomizer per plaintext")
+    n_s1 = public.n_s1
+    return [
+        powers_of_g(public, m) * r % n_s1 for m, r in zip(plaintexts, randomizers)
+    ]
 
 
 def encrypt_batch(
@@ -217,16 +262,13 @@ def encrypt_batch(
 ) -> list[int]:
     """Encrypt a batch of plaintexts, through ``encryptor`` when given.
 
-    Convenience entry point drawing randomness directly from ``rng``.  The
-    backends in :mod:`repro.crypto.backend` use a different randomness
-    discipline (one derived seed per item, which is what makes them
-    bit-identical *to each other* across worker counts) — their output is
-    therefore **not** comparable to this function's for the same ``rng``.
+    Draws everything from ``rng`` up front, then encrypts — the same stream
+    discipline as the backends in :mod:`repro.crypto.backend`, whose output
+    for the same ``rng`` state is therefore bit-identical to this function's.
     """
-    if encryptor is not None:
-        rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng
-        return encryptor.encrypt_batch(list(plaintexts), rng)
-    return [encrypt(public, m, rng=rng) for m in plaintexts]
+    rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng
+    drawn = draw_randomness(public, len(plaintexts), rng, encryptor)
+    return encrypt_drawn(public, list(plaintexts), drawn, encryptor)
 
 
 def homomorphic_add(public: PublicKey, c1: int, c2: int) -> int:

@@ -224,39 +224,47 @@ class PackedCodec:
             raise ValueError("count must be >= 0")
         return -(-count // self.slots)
 
-    def encode_fixed(self, value: float) -> int:
-        """Signed fixed-point integer for one value (range-checked)."""
-        fixed = round(value * self.scale)
-        if abs(fixed) >= self.bias:
-            raise ValueError(
-                f"value {value} exceeds the slot capacity 2^{self.value_bits}"
-            )
-        return fixed
-
-    def pack(self, values) -> list[int]:
+    def pack(self, values) -> list:
         """Pack reals into plaintext residues, ``slots`` values apiece.
 
-        The last plaintext is padded with implicit zero-value slots (they
-        still carry the bias, which :meth:`unpack` never reads back).
+        ``values`` is one vector (→ its list of plaintexts) or a whole
+        ``(rows, dims)`` matrix (→ one such list per row, exactly
+        ``[pack(row) for row in values]``).  The matrix is quantized and
+        range-checked in one numpy pass, then each stripe is assembled
+        slot-column by slot-column across all rows.  The last plaintext of
+        a row is padded with zero-value slots (they still carry the bias,
+        which :meth:`unpack` never reads back).
         """
-        packed: list[int] = []
-        slot_bits = self.slot_bits
-        bias = self.bias
-        current = 0
-        filled = 0
-        for value in values:
-            current |= (self.encode_fixed(float(value)) + bias) << (filled * slot_bits)
-            filled += 1
-            if filled == self.slots:
-                packed.append(current)
-                current = 0
-                filled = 0
-        if filled:
-            while filled < self.slots:
-                current |= bias << (filled * slot_bits)
-                filled += 1
-            packed.append(current)
-        return packed
+        matrix = np.asarray(values, dtype=float)
+        single = matrix.ndim == 1
+        if single:
+            matrix = matrix[None, :]
+        fixed = np.rint(matrix * float(self.scale))  # half-even, as round()
+        bad = ~(np.abs(fixed) < self.bias)  # catches NaN/inf too
+        if bad.any():
+            raise ValueError(
+                f"value {matrix[bad][0]} exceeds the slot capacity "
+                f"2^{self.value_bits}"
+            )
+        rows, dims = fixed.shape
+        slots, slot_bits, bias = self.slots, self.slot_bits, self.bias
+        if self.value_bits < 62:  # biased slot values fit int64
+            columns = (fixed.astype(np.int64) + bias).T.tolist()
+        else:
+            columns = [[int(v) + bias for v in column] for column in fixed.T.tolist()]
+        columns += [[bias] * rows] * (-dims % slots)  # last-stripe padding
+        stripes = []
+        for first in range(0, len(columns), slots):
+            stripe = columns[first]
+            for slot in range(1, slots):
+                shift = slot * slot_bits
+                stripe = [
+                    acc | (value << shift)
+                    for acc, value in zip(stripe, columns[first + slot])
+                ]
+            stripes.append(stripe)
+        packed = [list(row) for row in zip(*stripes)] or [[] for _ in range(rows)]
+        return packed[0] if single else packed
 
     def unpack_integers(
         self, plaintexts: list[int], count: int, bias_multiplier: int = 1

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+from . import bigint
 
 __all__ = [
     "PublicKey",
@@ -28,6 +31,10 @@ class PublicKey:
     The plaintext space is ``Z_{n^s}`` and the ciphertext space ``Z*_{n^{s+1}}``.
     ``g`` is fixed to ``1 + n`` (the standard choice, which makes the
     exponentiation ``g^a`` a binomial expansion instead of a modexp).
+
+    Everything derived from ``n^s`` is a ``cached_property``: computed
+    once, kept in the instance ``__dict__`` and never a field — equality,
+    hashing and ``repr`` still see only ``(n, s)``, and pickling just works.
     """
 
     n: int
@@ -44,12 +51,12 @@ class PublicKey:
         """The generator ``1 + n``."""
         return self.n + 1
 
-    @property
+    @cached_property
     def n_s(self) -> int:
         """Plaintext modulus ``n^s``."""
         return self.n**self.s
 
-    @property
+    @cached_property
     def n_s1(self) -> int:
         """Ciphertext modulus ``n^{s+1}``."""
         return self.n ** (self.s + 1)
@@ -59,15 +66,26 @@ class PublicKey:
         """Bit length of the RSA modulus (the paper's "key size")."""
         return self.n.bit_length()
 
-    @property
+    @cached_property
     def plaintext_bits(self) -> int:
         """Usable plaintext capacity in bits (conservative)."""
         return self.n_s.bit_length() - 1
 
-    @property
+    @cached_property
     def ciphertext_bytes(self) -> int:
         """Wire size of one ciphertext, as used by the Fig. 5(b) bandwidth model."""
         return (self.n_s1.bit_length() + 7) // 8
+
+    @cached_property
+    def g_coefficients(self) -> tuple[int, ...]:
+        """``n^i / i! mod n^{s+1}`` for ``i = 1..s`` — the plaintext-
+        independent half of every term of ``(1+n)^a``'s binomial expansion
+        (``i ≤ s`` is far below both prime factors, so ``i!`` is a unit)."""
+        n_s1 = self.n_s1
+        return tuple(
+            self.n**i * bigint.invert(math.factorial(i), n_s1) % n_s1
+            for i in range(1, self.s + 1)
+        )
 
 
 @dataclass(frozen=True)

@@ -42,16 +42,17 @@ class FixedBaseTable:
     ``ceil(max_exponent_bits / window_bits)`` multiplications.
 
     The exponent is read in radix ``2^window_bits`` digits; for window ``i``
-    and digit ``j`` the table stores ``base^(j · 2^(i·w))``, so an
-    exponentiation is a product of one table entry per non-zero digit —
-    no squarings at all.  Precomputing the table costs roughly
-    ``windows · 2^w`` multiplications, which amortizes after a few dozen
-    exponentiations (a protocol run performs thousands: one randomizer per
-    ciphertext per iteration).
+    and digit ``j`` the table stores ``base^(j · 2^(i·w))`` (the identity at
+    ``j = 0``), so an exponentiation is a product of one table entry per
+    digit — no squarings at all.  Precomputing the table costs roughly
+    ``windows · 2^w`` multiplications, so the right window depends on how
+    many exponentiations it will serve (``FastEncryptor`` sizes it).
 
-    ``pow`` raises ``ValueError`` for exponents outside
-    ``[0, 2^max_exponent_bits)`` — callers size the table for their
-    exponent distribution up front.
+    :meth:`pow` takes any window and raises ``ValueError`` for exponents
+    outside ``[0, 2^max_exponent_bits)`` — callers size the table for their
+    exponent distribution up front.  :meth:`pow_batch` is the hot path: a
+    batch of byte-serialized exponents evaluated column-wise by
+    :func:`~repro.crypto.bigint.fixed_base_pow_batch`.
     """
 
     __slots__ = (
@@ -87,20 +88,18 @@ class FixedBaseTable:
         self.window_bits = window_bits
         self.max_exponent_bits = max_exponent_bits
         windows = -(-max_exponent_bits // window_bits)  # ceil division
-        digits = (1 << window_bits) - 1  # non-zero digits per window
         # Build on the active bigint backend's native representation and
         # keep both forms: plain ints for pickling/serialization, native
         # values as the evaluation cache.
         mod_native = bigint.to_native(modulus)
+        one = bigint.to_native(1)
         rows: list[list[int]] = []
         native_rows: list[list] = []
         b = bigint.to_native(self.base)  # base^(2^(i·w)) for window i
         for _ in range(windows):
-            row = [b]
-            acc = b
-            for _ in range(digits - 1):
-                acc = acc * b % mod_native
-                row.append(acc)
+            row = [one, b]
+            for _ in range((1 << window_bits) - 2):
+                row.append(row[-1] * b % mod_native)
             native_rows.append(row)
             rows.append([int(v) for v in row])
             # base^(2^((i+1)·w)) = (b^(2^w - 1)) · b = row[-1] · b
@@ -164,10 +163,23 @@ class FixedBaseTable:
         while exponent:
             digit = exponent & mask
             if digit:
-                result = result * rows[window][digit - 1] % modulus
+                result = result * rows[window][digit] % modulus
             exponent >>= self.window_bits
             window += 1
         return int(result % modulus)
+
+    def pow_batch(self, exponents: bytes) -> list[int]:
+        """``base^e mod modulus`` for every ``max_exponent_bits / 8``-byte
+        little-endian exponent serialized back to back in ``exponents``.
+        Needs a window that divides 8 and whole exponent bytes (``ValueError``
+        otherwise); the slot width is what bounds each exponent."""
+        if self.max_exponent_bits % 8:
+            raise ValueError("pow_batch needs max_exponent_bits to be a multiple of 8")
+        rows, modulus = self._native_rows()
+        return bigint.fixed_base_pow_batch(
+            rows, modulus, exponents, self.max_exponent_bits // 8
+        )
+
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,

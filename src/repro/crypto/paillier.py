@@ -73,13 +73,13 @@ def fast_encryptor(
     public: PublicKey,
     rng: random.Random,
     exponent_bits: int = 256,
-    window_bits: int = 6,
+    expected_uses: int = 0,
 ) -> "_dj.FastEncryptor":
     """Build a fixed-base-table encryptor for the ``s = 1`` scheme."""
     if public.s != 1:
         raise ValueError("paillier facade requires a public key with s = 1")
     return _dj.FastEncryptor(
-        public, rng, exponent_bits=exponent_bits, window_bits=window_bits
+        public, rng, exponent_bits=exponent_bits, expected_uses=expected_uses
     )
 
 

@@ -176,6 +176,26 @@ class TestProtocolBackendPlumbing:
         assert run.backend.max_workers == 2
         run.close()
 
+    @pytest.mark.parametrize("iterations, window_bits", [(1, 4), (2, 8)])
+    def test_table_window_sized_from_the_runs_encryption_count(
+        self, tiny_dataset, threshold_keypair_s2, iterations, window_bits
+    ):
+        """24 nodes × (2 vectors of 3 packed ciphertexts + 1 tracker) per
+        iteration: one iteration (168 uses) stays on the cheap w=4 table,
+        two (336) cross the ≈225-use break-even to w=8."""
+        params = ChiaroscuroParams(
+            k=2, max_iterations=iterations, exchanges=8, tau_fraction=0.13,
+            epsilon=1e6, expansion_s=2, use_smoothing=False, theta=0.0,
+        )
+        run = ChiaroscuroRun(
+            tiny_dataset, UniformFast(1e6, iterations), params,
+            np.array([[10.0, 10, 30, 30], [30, 30, 10, 10]]),
+            key_bits=256, seed=2, keypair=threshold_keypair_s2,
+        )
+        assert isinstance(run.plane, PackedPlane)
+        assert run.plane.packed_length(2 * 5) == 3
+        assert run.encryptor.table.window_bits == window_bits
+
     def test_packing_toggle(self, tiny_dataset, threshold_keypair_s2):
         base = dict(
             k=2, max_iterations=1, exchanges=8, tau_fraction=0.13,
@@ -197,8 +217,9 @@ class TestProtocolBackendPlumbing:
     def test_serial_and_process_runs_identical(
         self, tiny_dataset, threshold_keypair_s2
     ):
-        """Satellite: per-item RNG seeding makes protocol runs reproducible
-        across backends — centroids match exactly, not approximately."""
+        """Satellite: randomness drawn before dispatch makes protocol runs
+        reproducible across backends — centroids match exactly, not
+        approximately."""
         centroids = np.array([[10.0, 10, 30, 30], [30, 30, 10, 10]])
         results = {}
         for backend in ("serial", "process"):

@@ -2,8 +2,8 @@
 
 The contract under test: for the same master RNG state, every backend
 produces bit-identical ciphertext batches — worker count, chunking, and
-scheduling must not leak into results (randomness is derived per item
-before dispatch).
+scheduling must not leak into results (a batch's whole randomness is one
+stream drawn from the master RNG before dispatch).
 """
 
 import pickle
@@ -20,6 +20,7 @@ from repro.crypto import (
     create_backend,
     decrypt,
 )
+from repro.crypto.damgard_jurik import encrypt_batch
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +122,120 @@ class TestProcessPoolBackend:
         )
         pool.close()
         assert first == second
+
+
+class TestStreamDiscipline:
+    """One randomness stream, drawn before dispatch: the pool's chunking
+    (4 chunks per worker) and its in-process fallback below ``min_batch``
+    can land anywhere without moving a ciphertext bit."""
+
+    @pytest.mark.parametrize("table", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_serial_equals_process_across_chunk_edges(
+        self, threshold_keypair, workers, table
+    ):
+        public = threshold_keypair.public
+        encryptor = FastEncryptor(public, random.Random(31)) if table else None
+        serial = SerialBackend(encryptor)
+        pool = ProcessPoolBackend(workers, encryptor=encryptor, min_batch=8)
+        rng = random.Random(32)
+        try:
+            # 7/8/9 straddle min_batch; 4·workers ± 1 and 8·workers + 1
+            # straddle the chunk count and leave a ragged last chunk.
+            for size in (0, 1, 7, 8, 9, 4 * workers + 1, 8 * workers + 1, 37):
+                plaintexts = [rng.randrange(public.n_s) for _ in range(size)]
+                a = serial.encrypt_batch(public, plaintexts, random.Random(size))
+                b = pool.encrypt_batch(public, plaintexts, random.Random(size))
+                c = encrypt_batch(public, plaintexts, random.Random(size), encryptor)
+                assert a == b == c
+                assert [
+                    decrypt(threshold_keypair.private, ct) for ct in a
+                ] == plaintexts
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("expected_uses, window_bits", [(0, 4), (10_000, 8)])
+    def test_exponents_are_full_width_fresh_and_odd(
+        self, threshold_keypair, monkeypatch, expected_uses, window_bits
+    ):
+        public = threshold_keypair.public
+        encryptor = FastEncryptor(
+            public, random.Random(33), exponent_bits=128, expected_uses=expected_uses
+        )
+        assert encryptor.table.window_bits == window_bits
+        seen = []
+        real = FixedBaseTable.pow_batch
+        monkeypatch.setattr(
+            FixedBaseTable,
+            "pow_batch",
+            lambda table, blob: seen.append(blob) or real(table, blob),
+        )
+        plaintexts = list(range(40))
+        cts = SerialBackend(encryptor).encrypt_batch(
+            public, plaintexts, random.Random(34)
+        )
+        assert [decrypt(threshold_keypair.private, c) for c in cts] == plaintexts
+        (blob,) = seen  # the table is walked once for the whole batch
+        exponents = [
+            int.from_bytes(blob[i : i + 16], "little") for i in range(0, len(blob), 16)
+        ]
+        assert len(exponents) == len(plaintexts) == len(set(exponents))
+        assert all(e & 1 for e in exponents)
+        # the master stream verbatim, lowest bit forced: nothing shortened
+        stream = random.Random(34).getrandbits(128 * 40)
+        assert exponents == [
+            (stream >> (128 * i)) & ((1 << 128) - 1) | 1 for i in range(40)
+        ]
+        assert max(e.bit_length() for e in exponents) == 128
+
+    def test_scalar_encrypt_is_a_batch_of_one(self, threshold_keypair):
+        public = threshold_keypair.public
+        encryptor = FastEncryptor(public, random.Random(35))
+        assert [encryptor.encrypt(77, random.Random(36))] == encrypt_batch(
+            public, [77], random.Random(36), encryptor
+        )
+
+    def test_drawn_randomness_must_match_the_batch(self, threshold_keypair):
+        from repro.crypto.damgard_jurik import draw_randomness, encrypt_drawn
+
+        public = threshold_keypair.public
+        for encryptor in (None, FastEncryptor(public, random.Random(37))):
+            drawn = draw_randomness(public, 3, random.Random(38), encryptor)
+            with pytest.raises(ValueError, match="one drawn randomizer"):
+                encrypt_drawn(public, [1, 2], drawn, encryptor)
+
+
+class TestEncryptorSizing:
+    def test_exponent_bits_validated_not_truncated(self, threshold_keypair):
+        for bad in (63, 56, 100, 257):
+            with pytest.raises(ValueError, match="multiple of 8"):
+                FastEncryptor(
+                    threshold_keypair.public, random.Random(0), exponent_bits=bad
+                )
+
+    @pytest.mark.parametrize(
+        "uses, window_bits", [(0, 4), (224, 4), (226, 8), (12_240, 8)]
+    )
+    def test_window_follows_expected_uses(self, threshold_keypair, uses, window_bits):
+        """⌈bits/w⌉·(uses + 2^w − 1) is minimal: crossover ≈ 225 at 256 bits."""
+        encryptor = FastEncryptor(
+            threshold_keypair.public, random.Random(0), expected_uses=uses
+        )
+        assert encryptor.table.window_bits == window_bits
+
+    def test_window_is_not_a_public_parameter(self):
+        import inspect
+
+        from repro.analysis.costs import compare_scalar_batched_costs
+        from repro.crypto import paillier
+
+        for fn in (
+            FastEncryptor.__init__,
+            paillier.fast_encryptor,
+            compare_scalar_batched_costs,
+            create_backend,
+        ):
+            assert "window_bits" not in inspect.signature(fn).parameters
 
 
 def _worker_native_builds() -> int:

@@ -254,6 +254,17 @@ class TestCrossBackendIdentity:
         py, gm = self._both(lambda: table.pow(e))
         assert py == gm == pow(3, e, M)
 
+    @pytest.mark.parametrize("window_bits", [4, 8])
+    def test_columnar_table_walks_native_rows_identically(self, window_bits):
+        table = FixedBaseTable(3, M, 256, window_bits=window_bits)
+        blob = random.Random(51).randbytes(32 * 9)
+        exponents = [
+            int.from_bytes(blob[i : i + 32], "little") for i in range(0, len(blob), 32)
+        ]
+        py, gm = self._both(lambda: table.pow_batch(blob))
+        assert py == gm == [pow(3, e, M) for e in exponents]
+        assert all(type(v) is int for v in gm)
+
     def test_decrypt_crt_identical(self):
         private, _ = _random_key_material(60)
         c = encrypt(private.public, 123456789, rng=random.Random(61))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
+    PublicKey,
     decrypt,
     dlog_1_plus_n,
     encrypt,
@@ -111,6 +112,16 @@ class TestInternals:
     def test_powers_of_g_matches_pow_s2(self, keypair_s2):
         pub = keypair_s2.public
         for a in (0, 1, 2**200 + 5):
+            assert powers_of_g(pub, a) == pow(pub.g, a, pub.n_s1)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_powers_of_g_hoisted_constants_every_s(self, keypair128, s):
+        """One code path for every ``s``: falling factorials times the
+        per-key ``n^i / i!`` constants."""
+        pub = PublicKey(n=keypair128.public.n, s=s)
+        assert len(pub.g_coefficients) == s
+        assert pub.g_coefficients[0] == pub.n
+        for a in (0, 1, 2, s, pub.n - 1, pub.n + 1, 2**200 + 5, pub.n_s - 1, pub.n_s):
             assert powers_of_g(pub, a) == pow(pub.g, a, pub.n_s1)
 
     def test_dlog_inverts_powers(self, keypair_s2):

@@ -1,5 +1,6 @@
 """Tests for the signed fixed-point codec and the packed-slot codec."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,80 @@ class TestPackedRoundTrip:
         values = [3.5, -3.5]
         ints = packed.unpack_integers(packed.pack(values), 2)
         assert ints == [round(3.5 * packed.scale), -round(3.5 * packed.scale)]
+
+
+def _scalar_pack(codec, values):
+    """The pre-matrix reference: one value at a time, Python ``round``."""
+    packed, current, filled = [], 0, 0
+    for value in values:
+        fixed = round(float(value) * codec.scale)
+        assert abs(fixed) < codec.bias
+        current |= (fixed + codec.bias) << (filled * codec.slot_bits)
+        filled += 1
+        if filled == codec.slots:
+            packed.append(current)
+            current, filled = 0, 0
+    if filled:
+        for slot in range(filled, codec.slots):
+            current |= codec.bias << (slot * codec.slot_bits)
+        packed.append(current)
+    return packed
+
+
+class TestPackedMatrix:
+    """``pack(matrix)`` — one numpy quantization pass, stripes assembled
+    column-wise — is bit-identical to packing row by row, value by value."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])  # ragged / exact / padded
+    def test_matrix_equals_rowwise_scalar_reference(self, packed, extra):
+        rng = np.random.default_rng(extra + 7)
+        matrix = rng.uniform(-255.9, 255.9, size=(11, 2 * packed.slots + extra))
+        matrix[0] = np.round(matrix[0] * 4) / 4 + 0.5 / packed.scale  # exact ties
+        matrix[1, :] = -0.0
+        rows = packed.pack(matrix)
+        assert rows == [_scalar_pack(packed, row) for row in matrix]
+        assert rows == [packed.pack(row) for row in matrix]
+        assert rows == [packed.pack(list(row)) for row in matrix]
+        assert all(type(p) is int for row in rows for p in row)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        values=st.lists(
+            st.lists(
+                st.floats(min_value=-255.99, max_value=255.99, allow_nan=False),
+                min_size=5,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matrix_property(self, keypair128, values):
+        codec = PackedCodec(
+            keypair128.public, fractional_bits=16, value_bits=24, accumulation_bits=100
+        )  # 2 slots per plaintext: 5 values → a padded third stripe
+        assert codec.pack(np.array(values)) == [
+            _scalar_pack(codec, row) for row in values
+        ]
+
+    def test_wide_slots_take_the_python_int_path(self, keypair128):
+        codec = PackedCodec(
+            keypair128.public, fractional_bits=24, value_bits=70, accumulation_bits=8
+        )
+        matrix = np.array([[2.0**45 + 0.5, -(2.0**45), 1.25, 0.0]])
+        assert codec.pack(matrix) == [_scalar_pack(codec, matrix[0])]
+
+    def test_empty_shapes(self, packed):
+        assert packed.pack(np.empty((3, 0))) == [[], [], []]
+        assert packed.pack(np.empty((0, 4))) == []
+
+    @pytest.mark.parametrize("bad", [256.0, -256.0, float("nan"), float("inf")])
+    def test_one_over_range_cell_rejects_the_whole_matrix(self, packed, bad):
+        matrix = np.zeros((4, 3))
+        matrix[2, 1] = bad
+        with pytest.raises(ValueError, match="slot capacity"):
+            packed.pack(matrix)
+        assert packed.pack(np.full((1, 1), 255.99))  # just inside still packs
 
 
 class TestPackedAccumulation:

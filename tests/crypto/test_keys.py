@@ -1,6 +1,8 @@
 """Tests for key containers and the ciphertext-size accounting."""
 
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -27,6 +29,44 @@ class TestPublicKey:
         assert keypair128.public.ciphertext_bytes == expected
         assert 60 <= keypair128.public.ciphertext_bytes <= 66
 
+    def test_derived_moduli_computed_once_per_key(self):
+        """``n**s`` used to be recomputed on every property access (10⁵
+        times per vectorized-crypto run); now the first access caches it."""
+        pub = PublicKey(n=(1 << 127) - 1, s=2)
+        for name in ("n_s", "n_s1", "g_coefficients"):
+            assert getattr(pub, name) is getattr(pub, name)
+        assert pub.plaintext_bits == pub.n_s.bit_length() - 1
+        assert pub.ciphertext_bytes == (pub.n_s1.bit_length() + 7) // 8
+
+    def test_caching_keeps_the_dataclass_contract(self):
+        """Frozen, hashable, equal-by-fields, picklable — warm or cold."""
+        warm, cold = PublicKey(n=77, s=2), PublicKey(n=77, s=2)
+        warm.n_s, warm.n_s1, warm.plaintext_bits, warm.ciphertext_bytes
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            warm.n = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            warm.n_s = 5
+        assert warm == cold and hash(warm) == hash(cold)
+        assert {warm: 1}[cold] == 1
+        assert repr(warm) == repr(cold) == "PublicKey(n=77, s=2)"
+        assert warm != PublicKey(n=77, s=1)
+        for key in (warm, cold):
+            clone = pickle.loads(pickle.dumps(key))
+            assert clone == key and hash(clone) == hash(key)
+            assert clone.n_s1 == 77**3
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clone.s = 1
+        assert dataclasses.replace(warm, s=1).n_s == 77  # no stale cache
+
+    def test_key_survives_a_pool_worker_round_trip(self, keypair128):
+        from concurrent.futures import ProcessPoolExecutor
+
+        public = keypair128.public
+        public.n_s1  # ship it warm
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            echoed, n_s1 = pool.submit(_echo_key, public).result()
+        assert echoed == public and n_s1 == public.n**2
+
     def test_invalid_s(self):
         with pytest.raises(ValueError):
             PublicKey(n=77, s=0)
@@ -34,6 +74,10 @@ class TestPublicKey:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             PublicKey(n=2)
+
+
+def _echo_key(public):
+    return public, public.n_s1
 
 
 class TestThresholdContext:

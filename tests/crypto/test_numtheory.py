@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.crypto import bigint
 from repro.crypto.numtheory import (
     FixedBaseTable,
     crt_pair,
@@ -108,6 +111,90 @@ class TestFixedBaseTable:
             FixedBaseTable(3, 1009, 0)
         with pytest.raises(ValueError):
             FixedBaseTable(3, 1009, 8, window_bits=0)
+
+
+BACKENDS = [
+    pytest.param(
+        name,
+        marks=pytest.mark.skipif(
+            name not in bigint.available_backends(), reason=f"{name} not installed"
+        ),
+    )
+    for name in ("python", "gmpy2")
+]
+EDGE_EXPONENTS = [
+    0,
+    1,
+    (1 << 64) - 1,  # all-0xFF
+    0xAB00_0000_00CD_0001,  # interior zero bytes
+    0x0100_0000_0000_0000,  # only the top byte set
+    0x00FF_00FF_00FF_00FF,
+]
+
+
+def _blob(exponents, width=8):
+    return b"".join(e.to_bytes(width, "little") for e in exponents)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("window_bits", [4, 8])
+class TestColumnarTable:
+    """``pow_batch`` (byte-digit rows walked once per batch) is the same
+    function as ``bigint.powmod`` — for every exponent, at both windows the
+    encryptor picks, on both kernels."""
+
+    MODULUS = fixture_safe_primes(64, count=2)[0] * fixture_safe_primes(64, count=2)[1]
+
+    def test_edge_exponents(self, backend, window_bits):
+        with bigint.use_backend(backend):
+            table = FixedBaseTable(5, self.MODULUS, 64, window_bits=window_bits)
+            got = table.pow_batch(_blob(EDGE_EXPONENTS))
+            assert got == [bigint.powmod(5, e, self.MODULUS) for e in EDGE_EXPONENTS]
+            assert all(type(value) is int for value in got)  # no mpz leaks
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.integers(min_value=2, max_value=(1 << 127)),
+        exponents=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=(1 << 64) - 1),
+                st.sampled_from(EDGE_EXPONENTS),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_matches_powmod_property(self, backend, window_bits, base, exponents):
+        with bigint.use_backend(backend):
+            table = FixedBaseTable(base, self.MODULUS, 64, window_bits=window_bits)
+            assert table.pow_batch(_blob(exponents)) == [
+                bigint.powmod(base, e, self.MODULUS) for e in exponents
+            ]
+            assert [table.pow(e) for e in exponents] == table.pow_batch(
+                _blob(exponents)
+            )
+
+    def test_ragged_blob_rejected(self, backend, window_bits):
+        with bigint.use_backend(backend):
+            table = FixedBaseTable(5, self.MODULUS, 64, window_bits=window_bits)
+            with pytest.raises(ValueError, match="8 bytes apiece"):
+                table.pow_batch(bytes(12))
+            with pytest.raises(ValueError):
+                table.pow(1 << 64)  # the scalar range check is still there
+
+
+class TestColumnarTableShape:
+    def test_window_must_divide_eight(self):
+        with pytest.raises(ValueError, match="tile"):
+            FixedBaseTable(3, 1009, 16, window_bits=6).pow_batch(bytes(2))
+
+    def test_exponent_bits_must_fill_bytes(self):
+        with pytest.raises(ValueError, match="multiple of 8"):
+            FixedBaseTable(3, 1009, 12, window_bits=4).pow_batch(bytes(2))
+
+    def test_rows_carry_the_identity_at_digit_zero(self):
+        table = FixedBaseTable(3, 1009, 16, window_bits=4)
+        assert all(row[0] == 1 and len(row) == 16 for row in table._rows)
+        assert len(table._rows) == 4
 
 
 class TestModularArithmetic:

@@ -7,6 +7,11 @@ crypto is a transparent substrate, not a source of drift.  On top of
 that identity the plane must keep every capability the mock plane has:
 checkpoint/resume, fault injection, backend/kernel neutrality, and the
 ``crypto_ms`` telemetry split.
+
+Nothing here pins ciphertext *bits*: the batch-columnar encryption
+pipeline (one randomness stream drawn before dispatch, replacing one
+``Random(seed)`` per ciphertext) changed every ciphertext once, and every
+assertion below — all of them on decoded results — held unchanged.
 """
 
 from __future__ import annotations
@@ -118,6 +123,43 @@ class TestTelemetry:
         ]
         assert events
         assert all(e.crypto_ms is None for e in events)
+
+
+class TestBatchPipeline:
+    def test_one_pack_and_one_encrypt_batch_per_iteration(self, monkeypatch):
+        """The population's matrix is packed in one call and encrypted in
+        one batch per iteration, by a table sized for the run's whole count."""
+        from repro.crypto.backend import SerialBackend
+        from repro.crypto.damgard_jurik import FastEncryptor
+        from repro.crypto.encoding import PackedCodec
+
+        packs, batches, sized = [], [], []
+        real_pack, real_batch = PackedCodec.pack, SerialBackend.encrypt_batch
+        real_init = FastEncryptor.__init__
+
+        def pack(codec, values):
+            packs.append(values.shape)
+            return real_pack(codec, values)
+
+        def encrypt_batch(backend, public, plaintexts, rng):
+            batches.append(len(plaintexts))
+            return real_batch(backend, public, plaintexts, rng)
+
+        def init(encryptor, *args, **kwargs):
+            real_init(encryptor, *args, **kwargs)
+            sized.append((kwargs["expected_uses"], encryptor.table.window_bits))
+
+        monkeypatch.setattr(PackedCodec, "pack", pack)
+        monkeypatch.setattr(SerialBackend, "encrypt_batch", encrypt_batch)
+        monkeypatch.setattr(FastEncryptor, "__init__", init)
+        result = Experiment.from_spec(crypto_spec()).run()
+        assert result.iterations == 3
+        assert len(packs) == len(batches) == 3
+        assert all(shape[0] == 24 and len(shape) == 2 for shape in packs)
+        # Sized for all k centroids surviving every iteration (an upper
+        # bound: this run loses a cluster after the first).
+        assert sized == [(3 * batches[0], 8)]
+        assert sum(batches) <= 3 * batches[0]
 
 
 class TestCheckpointResume:
