@@ -21,14 +21,15 @@ Components:
   plane);
 * registries + ``@register_*`` decorators — datasets (``cer``, ``numed``,
   ``points2d``, ``timeseries``), initializers, budget strategies and
-  execution planes (``quality``, ``object``, ``vectorized``); new
-  scenarios are one registration away;
+  execution planes (``quality``, ``object``, ``vectorized``,
+  ``vectorized-crypto``); new scenarios are one registration away;
 * :class:`Experiment` — the facade: ``run()`` returns a
   ``ClusteringResult``; ``run_iter()`` streams
   :class:`~repro.api.events.RunEvent` objects for progress reporting and
   early stopping;
 * :class:`Checkpoint` / :class:`CheckpointStore` — per-iteration JSON
-  checkpoints; a killed quality/vectorized run resumes bit-identically.
+  checkpoints; a killed run on a checkpointing plane (all but ``object``)
+  resumes bit-identically.
 """
 
 from .checkpoint import Checkpoint, CheckpointStore, atomic_write_text

@@ -1,5 +1,5 @@
 """Built-in registry entries: the paper's datasets, initializers, budget
-strategies and the three execution planes.
+strategies and the four execution planes.
 
 Imported for its side effects by ``repro.api``; everything here goes
 through the same ``@register_*`` decorators a user extension would use,
@@ -197,7 +197,13 @@ class QualityPlane(ExecutionPlane):
 class _ProtocolPlane(ExecutionPlane):
     """Shared dispatch for the ``ChiaroscuroRun`` substrates."""
 
-    def _build_run(self, ctx: RunContext) -> ChiaroscuroRun:
+    def run_iter(
+        self,
+        ctx: RunContext,
+        resume: Checkpoint | None = None,
+        cycle_hook: Callable[[int, int], None] | None = None,
+    ) -> Iterator[PlaneStep]:
+        self._reject_resume(resume)
         run = ChiaroscuroRun(
             ctx.dataset,
             ctx.strategy,
@@ -206,18 +212,15 @@ class _ProtocolPlane(ExecutionPlane):
             key_bits=ctx.params.key_bits,
             seed=ctx.spec.seed,
             keypair=ctx.keypair,
+            cycle_hook=cycle_hook,
             fault_plan=ctx.fault_plan,
         )
         ctx.runtime = run  # exposed for diagnostics (e.g. wire-format demos)
-        return run
-
-    def _iterate(
-        self,
-        run: ChiaroscuroRun,
-        ctx: RunContext,
-        start: int,
-        snapshot: Callable[[], dict | None],
-    ) -> Iterator[PlaneStep]:
+        start = 1
+        if resume is not None:
+            run.noise_rng.bit_generator.state = resume.rng_state
+            run.initial_centroids = np.asarray(resume.centroids, dtype=float)
+            start = resume.iteration + 1
         for step in run.run_iter(churn=ctx.spec.churn, start_iteration=start):
             yield PlaneStep(
                 stats=step.stats,
@@ -226,7 +229,11 @@ class _ProtocolPlane(ExecutionPlane):
                 agreement=step.agreement,
                 exchanges_per_node=step.exchanges_per_node,
                 crypto_ms=step.crypto_ms,
-                rng_state=snapshot(),
+                rng_state=(
+                    run.noise_rng.bit_generator.state
+                    if self.supports_checkpoint
+                    else None
+                ),
             )
 
 
@@ -243,17 +250,6 @@ class ObjectPlane(_ProtocolPlane):
     supports_checkpoint = False
     uses_real_crypto = True
 
-    def run_iter(
-        self,
-        ctx: RunContext,
-        resume: Checkpoint | None = None,
-        cycle_hook: Callable[[int, int], None] | None = None,
-    ) -> Iterator[PlaneStep]:
-        self._reject_resume(resume)
-        run = self._build_run(ctx)
-        run.cycle_hook = cycle_hook
-        yield from self._iterate(run, ctx, start=1, snapshot=lambda: None)
-
 
 @register_plane("vectorized")
 class VectorizedPlane(_ProtocolPlane):
@@ -265,23 +261,6 @@ class VectorizedPlane(_ProtocolPlane):
     """
 
     supports_checkpoint = True
-
-    def run_iter(
-        self,
-        ctx: RunContext,
-        resume: Checkpoint | None = None,
-        cycle_hook: Callable[[int, int], None] | None = None,
-    ) -> Iterator[PlaneStep]:
-        run = self._build_run(ctx)
-        run.cycle_hook = cycle_hook
-        start = 1
-        if resume is not None:
-            run.noise_rng.bit_generator.state = resume.rng_state
-            run.initial_centroids = np.asarray(resume.centroids, dtype=float)
-            start = resume.iteration + 1
-        yield from self._iterate(
-            run, ctx, start=start, snapshot=lambda: run.noise_rng.bit_generator.state
-        )
 
 
 @register_plane("vectorized-crypto")
@@ -301,20 +280,3 @@ class VectorizedCryptoPlane(_ProtocolPlane):
 
     supports_checkpoint = True
     uses_real_crypto = True
-
-    def run_iter(
-        self,
-        ctx: RunContext,
-        resume: Checkpoint | None = None,
-        cycle_hook: Callable[[int, int], None] | None = None,
-    ) -> Iterator[PlaneStep]:
-        run = self._build_run(ctx)
-        run.cycle_hook = cycle_hook
-        start = 1
-        if resume is not None:
-            run.noise_rng.bit_generator.state = resume.rng_state
-            run.initial_centroids = np.asarray(resume.centroids, dtype=float)
-            start = resume.iteration + 1
-        yield from self._iterate(
-            run, ctx, start=start, snapshot=lambda: run.noise_rng.bit_generator.state
-        )

@@ -65,7 +65,7 @@ class IterationCompleted:
     active_series: int | None = None  # churn counter (quality plane)
     agreement: float | None = None  # epidemic spread (protocol planes)
     exchanges_per_node: float | None = None  # gossip counter (protocol planes)
-    crypto_ms: float | None = None  # ciphertext wall time (real-crypto planes)
+    crypto_ms: float | None = None  # timed crypto wall (vectorized-crypto only)
 
     @property
     def iteration(self) -> int:

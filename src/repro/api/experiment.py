@@ -78,8 +78,8 @@ def run_environment(spec: RunSpec) -> dict:
     ran.
     ``key_bits`` is the threshold-key modulus size on planes that build
     genuine ciphertexts (``ExecutionPlane.uses_real_crypto`` — the
-    ``object`` built-in); planes running no real crypto record
-    ``key_bits = 0``.
+    ``object`` and ``vectorized-crypto`` built-ins); planes running no
+    real crypto record ``key_bits = 0``.
     """
     requested = spec.params.bigint_backend
     return {
@@ -119,7 +119,7 @@ class PlaneStep:
     active_series: int | None = None
     agreement: float | None = None
     exchanges_per_node: float | None = None
-    crypto_ms: float | None = None  # real-ciphertext wall time (crypto planes)
+    crypto_ms: float | None = None  # timed crypto wall (vectorized-crypto only)
     rng_state: dict | None = None  # serializable; None = not checkpointable
 
 
@@ -294,9 +294,10 @@ class Experiment:
         checkpoint: Checkpoint | None = None
         if checkpoint_dir is not None:
             if not plane.supports_checkpoint:
+                capable = [k for k in PLANES if PLANES.get(k).supports_checkpoint]
                 raise ValueError(
                     f"plane {spec.plane!r} does not support checkpointing; "
-                    "drop checkpoint_dir or use the quality/vectorized plane"
+                    f"drop checkpoint_dir or use one of {capable}"
                 )
             store = CheckpointStore(checkpoint_dir)
             if resume:

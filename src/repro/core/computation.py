@@ -89,6 +89,9 @@ class ComputationStep:
     format.
     """
 
+    #: This step times none of its crypto (see ``ProtocolStep.crypto_ms``).
+    crypto_seconds: float | None = None
+
     def __init__(
         self,
         keypair: ThresholdKeypair,
@@ -215,34 +218,19 @@ class ComputationStep:
         return output
 
 
-class VectorizedComputationStep:
-    """Algorithm 3 over the struct-of-arrays plane (mock-homomorphic).
+class _ArrayComputationStep:
+    """Algorithm 3 over the struct-of-arrays engine, written once.
 
-    Executes the same four phases as :class:`ComputationStep` — epidemic
-    encrypted means, epidemic noise, min-id surplus correction, epidemic
-    decryption — but as whole-population array operations on the integer
-    plane (``E(a) = a``), which is what makes 10⁵–10⁶ participants
-    affordable.  Semantic deltas versus the object step, all documented and
-    all validated or bounded:
-
-    * means and noise are summed *before* the gossip instead of
-      homomorphically after it — EESum is linear, so the converged result
-      is identical (the object step itself relies on the same linearity
-      when it rides both vectors on one exchange stream);
-    * the cleartext counter ``ctr`` travels as one extra column of the
-      EESum matrix (push–pull averaging and Alg. 2's delayed division are
-      the same rule, App. C.2.1);
-    * the min-id dissemination gossips identifiers and resolves payloads by
-      identifier at decode time (exact — an identifier uniquely names its
-      proposal);
-    * the decryption phase models the share-collection latency
-      (:class:`VectorizedShareCollection`); the mock plane's "decryption"
-      itself is the identity.
-
-    Decoding every node at 10⁶ × k·(n+1) would be pure waste; the step
-    decodes the canonical node plus an ``agreement_sample`` of nodes so
-    :meth:`ComputationOutput.agreement` still measures the epidemic spread.
+    The pipeline — noise shares, fixed-point staging, the three epidemic
+    phases, the surplus-correction walk — is the same whatever carries the
+    payload; a carrier supplies two hooks: :meth:`_aggregate` (turn the
+    staged payload into the EESum protocol that gossips it) and
+    :meth:`_open` (read ``σ/ω`` back out of it for a node sample).
     """
+
+    #: Wall-clock seconds spent inside crypto batch calls; ``None`` on a
+    #: carrier that times nothing.
+    crypto_seconds: float | None = None
 
     def __init__(
         self,
@@ -263,6 +251,18 @@ class VectorizedComputationStep:
         self.noise_rng = noise_rng
         self.fractional_bits = fractional_bits
         self.agreement_sample = agreement_sample
+
+    def _aggregate(self, payload: np.ndarray):
+        """The EESum protocol (``exchange_pairs`` plus ``values`` / ``omega``
+        / ``count`` arrays, the counter in ``values[:, -1]``) over the staged
+        ``(population, dims + 1)`` payload, whose last column is the
+        cleartext counter.  The carrier owns the buffer from here on."""
+        raise NotImplementedError
+
+    def _open(self, eesum, sample: np.ndarray) -> dict[int, np.ndarray]:
+        """Node → its ``σ/ω`` estimate vector (``dims`` long), for as many
+        leading nodes of ``sample`` as the carrier decodes."""
+        raise NotImplementedError
 
     def run(
         self,
@@ -292,8 +292,9 @@ class VectorizedComputationStep:
         # independent encryptions, same round-half-even as
         # ``quantize_to_grid``) and summed up front; the counter rides as
         # one extra column.  Everything is staged in ONE preallocated
-        # (population, dims + 1) buffer handed to the EESum without a copy
-        # — the payload matrix is the dominant allocation at 10⁵–10⁶ nodes.
+        # (population, dims + 1) buffer handed to the carrier without a
+        # copy — the payload matrix is the dominant allocation at 10⁵–10⁶
+        # nodes.
         scale = float(1 << self.fractional_bits)
         payload = np.empty((population, dims + 1))
         body = payload[:, :dims]
@@ -305,7 +306,7 @@ class VectorizedComputationStep:
         body /= scale
         del shares
         payload[:, -1] = 1.0
-        eesum = VectorizedEESum(payload, copy=False)
+        eesum = self._aggregate(payload)
         del payload, body
         # One object-engine cycle yields ~2 exchange participations per node
         # (every online node initiates once and is contacted ~once); one
@@ -341,23 +342,26 @@ class VectorizedComputationStep:
         sample = np.flatnonzero(holders)[: self.agreement_sample]
         if len(sample) == 0:
             return output
+        opened = self._open(eesum, sample)
         # Correction payloads, materialized lazily per surviving identifier
         # (the winner's everywhere after a converged dissemination).  The
         # proposer of an identifier is resolved by a numpy scan — only one
         # or two distinct identifiers survive, so no per-node Python
-        # structure is ever built.
+        # structure is ever built.  The walk covers the whole sample, opened
+        # or not, so the noise_rng stream advances identically on every
+        # carrier.
         corrections: dict[int, np.ndarray] = {}
         stride = plan.series_length + 1
         for node in sample:
-            values = eesum.values[node, :-1] / eesum.omega[node]
             final_id = int(dissemination.ids[node])
-            if final_id != VectorizedMinId.NO_PROPOSAL:
-                if final_id not in corrections:
-                    proposer = int(np.flatnonzero(proposal_ids == final_id)[0])
-                    contributors = int(round(float(ctr_estimates[proposer])))
-                    corrections[final_id] = plan.correction(
-                        contributors, self.noise_rng
-                    )
+            if final_id != VectorizedMinId.NO_PROPOSAL and final_id not in corrections:
+                proposer = int(np.flatnonzero(proposal_ids == final_id)[0])
+                contributors = int(round(float(ctr_estimates[proposer])))
+                corrections[final_id] = plan.correction(contributors, self.noise_rng)
+            values = opened.get(int(node))
+            if values is None:
+                continue
+            if final_id in corrections:
                 values = values - corrections[final_id]
             grid = values.reshape(plan.k, stride)
             output.sums[int(node)] = grid[:, :-1]
@@ -365,7 +369,48 @@ class VectorizedComputationStep:
         return output
 
 
-class VectorizedCryptoComputationStep:
+class VectorizedComputationStep(_ArrayComputationStep):
+    """Algorithm 3 over the struct-of-arrays plane (mock-homomorphic).
+
+    Executes the same four phases as :class:`ComputationStep` — epidemic
+    encrypted means, epidemic noise, min-id surplus correction, epidemic
+    decryption — but as whole-population array operations on the integer
+    plane (``E(a) = a``), which is what makes 10⁵–10⁶ participants
+    affordable.  Semantic deltas versus the object step, all documented and
+    all validated or bounded:
+
+    * means and noise are summed *before* the gossip instead of
+      homomorphically after it — EESum is linear, so the converged result
+      is identical (the object step itself relies on the same linearity
+      when it rides both vectors on one exchange stream);
+    * the cleartext counter ``ctr`` travels as one extra column of the
+      EESum matrix (push–pull averaging and Alg. 2's delayed division are
+      the same rule, App. C.2.1);
+    * the min-id dissemination gossips identifiers and resolves payloads by
+      identifier at decode time (exact — an identifier uniquely names its
+      proposal);
+    * the decryption phase models the share-collection latency
+      (:class:`VectorizedShareCollection`); the mock plane's "decryption"
+      itself is the identity.
+
+    Decoding every node at 10⁶ × k·(n+1) would be pure waste; the step
+    decodes the canonical node plus an ``agreement_sample`` of nodes so
+    :meth:`ComputationOutput.agreement` still measures the epidemic spread.
+    """
+
+    def _aggregate(self, payload: np.ndarray) -> VectorizedEESum:
+        return VectorizedEESum(payload, copy=False)
+
+    def _open(
+        self, eesum: VectorizedEESum, sample: np.ndarray
+    ) -> dict[int, np.ndarray]:
+        return {
+            int(node): eesum.values[node, :-1] / eesum.omega[node]
+            for node in sample
+        }
+
+
+class VectorizedCryptoComputationStep(_ArrayComputationStep):
     """Algorithm 3 over the struct-of-arrays plane with *real* ciphertexts.
 
     The missing quadrant: the vectorized engine's scaling with the object
@@ -378,15 +423,14 @@ class VectorizedCryptoComputationStep:
     decryption of a decode sample, fused across the batch
     (:func:`~repro.crypto.threshold.combine_partial_decryptions_batch`).
 
-    **Mock parity.**  The step consumes ``noise_rng`` and the engine's RNG
-    in *exactly* the sequence :class:`VectorizedComputationStep` does, the
-    clear ω/ctr side mirrors the mock's float operations, and the decoded
+    **Mock parity.**  The pipeline — and with it the ``noise_rng`` and
+    engine-RNG consumption — is :class:`VectorizedComputationStep`'s own,
+    the clear ω/ctr side is the mock protocol itself, and the decoded
     integers divide back to the very dyadic floats the mock plane carries
     — so decoded per-iteration results are bit-identical to a mock run of
-    the same seed (pinned by the shadow-identity tests).  The correction
-    materialization walks the same ``agreement_sample`` window as the mock
-    (RNG parity); only the first ``decode_sample`` nodes of that window
-    pay real decryption.
+    the same seed (pinned by the shadow-identity tests).  Only the first
+    ``decode_sample`` nodes of the ``agreement_sample`` window pay real
+    decryption.
 
     **Keypair.**  Decryption uses the first ``threshold`` dealer shares
     (the committee).  Decoded plaintexts are keypair-independent, so a
@@ -411,72 +455,32 @@ class VectorizedCryptoComputationStep:
         agreement_sample: int = 64,
         decode_sample: int = 8,
     ) -> None:
-        if exchanges < 1:
-            raise ValueError("exchanges must be >= 1")
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
+        super().__init__(
+            noise_plan, exchanges, threshold, noise_rng, fractional_bits,
+            agreement_sample,
+        )
         if packed.fractional_bits != fractional_bits:
             raise ValueError(
                 "packed codec and step must agree on fractional_bits"
             )
         self.keypair = keypair
         self.packed = packed
-        self.noise_plan = noise_plan
-        self.exchanges = exchanges
-        self.threshold = threshold
         self.crypto_rng = crypto_rng
-        self.noise_rng = noise_rng
         self.backend = backend or SerialBackend()
-        self.fractional_bits = fractional_bits
-        self.agreement_sample = agreement_sample
         self.decode_sample = decode_sample
         self.crypto_seconds = 0.0
 
-    def run(
-        self,
-        engine: VectorizedGossipEngine,
-        mean_matrix: np.ndarray,
-    ) -> ComputationOutput:
-        """Execute the computation step for the whole population at once.
-
-        Same contract as :meth:`VectorizedComputationStep.run`; the
-        ``population × k·(n+1)`` cleartext matrix is quantized, packed and
-        encrypted here (Alg. 1 l.6 / Alg. 3 l.4 in one pass).
-        """
-        plan = self.noise_plan
-        population = engine.population
-        dims = plan.dimensions
-        if mean_matrix.shape != (population, dims):
-            raise ValueError(
-                f"mean_matrix must be {(population, dims)}, got {mean_matrix.shape}"
-            )
-
-        # --- local noise-share generation (Alg. 3 l.4) -------------------
-        shares = plan.draw_shares(self.noise_rng, population)
-
-        # --- quantize + pack + encrypt -----------------------------------
-        # Operation-for-operation the mock step's staging (means and noise
-        # quantized separately, summed on the fixed-point grid), so the
-        # floats — and hence the packed integers — match a mock run bit
-        # for bit.  The counter column stays cleartext (the object plane's
-        # EpidemicSum is cleartext too); CipherEESum carries it.
-        scale = float(1 << self.fractional_bits)
-        body = np.empty((population, dims))
-        np.multiply(mean_matrix, scale, out=body)
-        np.round(body, out=body)
-        shares *= scale
-        np.round(shares, out=shares)
-        body += shares
-        body /= scale
-        del shares
-        packed = self.packed
-        width = packed.packed_length(dims) + 1  # payload stripes + tracker
+    def _aggregate(self, payload: np.ndarray) -> CipherEESum:
+        """Pack and encrypt the staged rows (Alg. 1 l.6 / Alg. 3 l.4 in one
+        pass).  The counter column stays cleartext (the object plane's
+        EpidemicSum is cleartext too); CipherEESum carries its own."""
+        population, dims = payload.shape[0], payload.shape[1] - 1
+        width = self.packed.packed_length(dims) + 1  # payload stripes + tracker
         flat_plaintexts = [
             plaintext
-            for stripes in packed.pack(body)
+            for stripes in self.packed.pack(payload[:, :dims])
             for plaintext in (*stripes, 1)  # tracker E(1): the coefficient total
         ]
-        del body
         started = time.perf_counter()
         ciphertexts = self.backend.encrypt_batch(
             self.keypair.public, flat_plaintexts, self.crypto_rng
@@ -487,42 +491,10 @@ class VectorizedCryptoComputationStep:
             ciphertexts[i * width : (i + 1) * width] for i in range(population)
         ]
         del ciphertexts
+        return CipherEESum(self.keypair.public, rows, backend=self.backend)
 
-        # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------
-        eesum = CipherEESum(
-            self.keypair.public, rows, backend=self.backend
-        )
-        del rows
-        cycles = 2 * self.exchanges  # per-node exchange budget, as the mock
-        engine.run_cycles(cycles, eesum)
-
-        # --- epidemic noise correction (Alg. 3 l.6) ----------------------
-        holders = eesum.omega > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ctr_estimates = np.where(holders, eesum.ctr / eesum.omega, np.nan)
-        proposal_ids = np.full(
-            population, VectorizedMinId.NO_PROPOSAL, dtype=np.int64
-        )
-        n_holders = int(holders.sum())
-        if n_holders:
-            proposal_ids[holders] = engine.rng.integers(
-                0, 1 << 62, size=n_holders, dtype=np.int64
-            )
-        dissemination = VectorizedMinId(proposal_ids)
-        engine.run_cycles(cycles, dissemination)
-
-        # --- epidemic decryption collection (Alg. 3 l.8-10) ---------------
-        collection = VectorizedShareCollection(population, self.threshold)
-        for _ in range(10 * cycles):
-            engine.run_cycle(collection)
-            if collection.all_done():
-                break
-
-        # --- real threshold decryption of the decode sample ----------------
-        output = ComputationOutput(plan.k, plan.series_length)
-        sample = np.flatnonzero(holders)[: self.agreement_sample]
-        if len(sample) == 0:
-            return output
+    def _open(self, eesum: CipherEESum, sample: np.ndarray) -> dict[int, np.ndarray]:
+        """Real threshold decryption of the first ``decode_sample`` nodes."""
         decode_nodes = sample[: max(1, self.decode_sample)]
         context = self.keypair.context
         committee = self.keypair.shares[: context.threshold]
@@ -536,44 +508,20 @@ class VectorizedCryptoComputationStep:
         }
         plaintexts = combine_partial_decryptions_batch(context, partials)
         self.crypto_seconds += time.perf_counter() - started
+        self.crypto_seconds += eesum.crypto_seconds  # gossip is over by now
 
-        decoded: dict[int, np.ndarray] = {}
+        width = eesum.array.width
+        dims = self.noise_plan.dimensions
+        opened: dict[int, np.ndarray] = {}
         for slot, node in enumerate(decode_nodes):
             node_plain = plaintexts[slot * width : (slot + 1) * width]
             tracker = node_plain[-1]  # C = 2^count, exact
-            ints = packed.unpack_integers(
+            ints = self.packed.unpack_integers(
                 node_plain[:-1], dims, bias_multiplier=tracker
             )
             # V = σ·2^{count+f} exactly; int/int true division is correctly
             # rounded, so in the dyadic regime the floats are the mock's.
             shift = 1 << (int(eesum.count[node]) + self.fractional_bits)
             values = np.array([v / shift for v in ints], dtype=float)
-            decoded[int(node)] = values / eesum.omega[node]
-
-        # --- decode (Alg. 3 l.10-11) ---------------------------------------
-        # The correction walk covers the full mock-sized sample so the
-        # noise_rng stream advances identically whether or not a node was
-        # actually decrypted.
-        corrections: dict[int, np.ndarray] = {}
-        stride = plan.series_length + 1
-        for node in sample:
-            final_id = int(dissemination.ids[node])
-            correction = None
-            if final_id != VectorizedMinId.NO_PROPOSAL:
-                if final_id not in corrections:
-                    proposer = int(np.flatnonzero(proposal_ids == final_id)[0])
-                    contributors = int(round(float(ctr_estimates[proposer])))
-                    corrections[final_id] = plan.correction(
-                        contributors, self.noise_rng
-                    )
-                correction = corrections[final_id]
-            values = decoded.get(int(node))
-            if values is None:
-                continue
-            if correction is not None:
-                values = values - correction
-            grid = values.reshape(plan.k, stride)
-            output.sums[int(node)] = grid[:, :-1]
-            output.counts[int(node)] = grid[:, -1]
-        self.crypto_seconds += eesum.crypto_seconds
-        return output
+            opened[int(node)] = values / eesum.omega[node]
+        return opened

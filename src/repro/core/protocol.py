@@ -1,4 +1,4 @@
-"""The full Chiaroscuro execution sequence (Algorithm 1) — both substrates.
+"""The full Chiaroscuro execution sequence (Algorithm 1) — one loop, three substrates.
 
 This orchestrates the loop every participant runs:
 
@@ -7,8 +7,8 @@ This orchestrates the loop every participant runs:
         computation step  (Algorithm 3 — ComputationStep)
         convergence step  (local, cleartext)
 
-over one of two simulation substrates, selected by
-``ChiaroscuroParams.protocol_plane``:
+written once (:meth:`ChiaroscuroRun.run_iter`) over one of three
+simulation substrates, selected by ``ChiaroscuroParams.protocol_plane``:
 
 * ``"object"`` — the cycle-driven gossip engine with genuine Damgård–Jurik
   threshold cryptography.  The "strong proof of concept" plane: faithful
@@ -95,7 +95,9 @@ class ProtocolStep:
     exchanges_per_node: float
     #: Wall-clock milliseconds spent inside crypto batch calls this
     #: iteration (encryption, homomorphic gossip algebra, threshold
-    #: decryption).  ``None`` on planes that carry no real ciphertexts.
+    #: decryption).  Only the vectorized-crypto step times its crypto:
+    #: ``None`` on the mock plane (no ciphertexts) and on the object plane
+    #: (real ciphertexts, untimed).
     crypto_ms: float | None = None
 
 
@@ -148,23 +150,21 @@ class ChiaroscuroRun:
         # at the two seams below, so fault-free runs are bit-identical.
         self.fault_plan = fault_plan
 
+        # Defaults are the mock-homomorphic substrate's ("vectorized"): no
+        # key material, no per-device objects — the whole population lives
+        # in arrays.  The fixed-point grid matches the object plane's codec
+        # resolution so all planes quantize inputs identically.
+        self.keypair = keypair
+        self.fractional_bits = 24
+        self.codec = None
+        self.encryptor = None
+        self.backend = None
+        self.plane = None
+        self.participants = []
+
         population = dataset.t
         tau = params.tau_count(population)
-        if params.protocol_plane == "vectorized":
-            # Mock-homomorphic substrate: no key material, no per-device
-            # objects — the whole population lives in arrays.  The
-            # fixed-point grid matches the object plane's codec resolution
-            # so both planes quantize inputs identically.
-            self.keypair = keypair
-            self.fractional_bits = 24
-            self.codec = None
-            self.encryptor = None
-            self.backend = None
-            self.plane = None
-            self.participants = []
-            if self.fault_plan is not None:
-                self.fault_plan.bind_run(self)
-            return
+        dims = params.k * (dataset.n + 1)
         if params.protocol_plane == "vectorized-crypto":
             # Real packed Damgård–Jurik ciphertexts over the struct-of-
             # arrays engine.  Key material is committee-sized, not
@@ -174,18 +174,8 @@ class ChiaroscuroRun:
             # committee dealing the key changes nothing downstream.  The
             # epidemic share-collection protocol still runs against the
             # population's τ for latency parity with the mock plane.
-            self.fractional_bits = 24
             committee = min(population, 16)
-            if keypair is None:
-                with bigint.use_backend(self.bigint_backend):
-                    keypair = generate_threshold_keypair(
-                        key_bits,
-                        n_shares=committee,
-                        threshold=min(max(1, tau), committee),
-                        s=params.expansion_s,
-                        rng=self.crypto_rng,
-                    )
-            self.keypair = keypair
+            self._ensure_keypair(key_bits, committee, min(tau, committee))
             # On the pairing engine a node joins at most one (disjoint)
             # exchange per cycle, so its counter — and with it the packed
             # coefficient mass C = 2^count — is bounded by the cycle
@@ -195,32 +185,37 @@ class ChiaroscuroRun:
             # clear on the fixed-point grid before the single packed
             # encryption, and C already *is* the whole coefficient total.
             self.packed = PackedCodec.plan(
-                keypair.public,
+                self.keypair.public,
                 fractional_bits=self.fractional_bits,
                 max_abs_value=self._max_slot_value(),
                 population=1,
                 exchanges=2 * params.exchanges,
                 terms=1,
             )
-            self.codec = None
-            self.plane = None
-            self.participants = []
-            dims = params.k * (dataset.n + 1)
             self._build_backend(self.packed.packed_length(dims) + 1)
-            if self.fault_plan is not None:
-                self.fault_plan.bind_run(self)
-            return
-        if keypair is None:
+        elif params.protocol_plane == "object":
+            self._ensure_keypair(key_bits, population, tau)
+            self._init_participants(population, dims)
+        if self.fault_plan is not None:
+            self.fault_plan.bind_run(self)
+
+    def _ensure_keypair(self, key_bits: int, n_shares: int, threshold: int) -> None:
+        """Deal the run's threshold key unless the caller supplied one."""
+        if self.keypair is None:
             with bigint.use_backend(self.bigint_backend):
-                keypair = generate_threshold_keypair(
+                self.keypair = generate_threshold_keypair(
                     key_bits,
-                    n_shares=population,
-                    threshold=tau,
-                    s=params.expansion_s,
+                    n_shares=n_shares,
+                    threshold=threshold,
+                    s=self.params.expansion_s,
                     rng=self.crypto_rng,
                 )
-        self.keypair = keypair
 
+    def _init_participants(self, population: int, dims: int) -> None:
+        """The object plane's codec, ciphertext plane and per-device objects."""
+        params = self.params
+        dataset = self.dataset
+        public = self.keypair.public
         # Pick the fixed-point resolution, then prove the plaintext space
         # can absorb population sums × the delayed-division scaling.
         # The EESum exchange counter can *chain* within one cycle (a node
@@ -229,7 +224,7 @@ class ChiaroscuroRun:
         # bounds it with ≥1.6× margin and sizes both the scalar wrap check
         # and the packed slot headroom.  Undershooting is loud, not silent:
         # the PackedCodec decode gate raises on an excessive actual mass.
-        self.codec = FixedPointCodec(keypair.public, fractional_bits=24)
+        self.codec = FixedPointCodec(public, fractional_bits=self.fractional_bits)
         growth_per_cycle = 4 + max(1, population - 1).bit_length()
         worst_exchanges = params.exchanges * growth_per_cycle + 2
         max_abs = (
@@ -250,12 +245,11 @@ class ChiaroscuroRun:
         # every *individual* encoded value, noise shares included (see
         # _max_slot_value); when the resulting slot no longer fits the
         # plaintext the run stays on the scalar plane.
-        dims = params.k * (dataset.n + 1)
         packed = None
         if params.use_packing:
             try:
                 packed = PackedCodec.plan(
-                    keypair.public,
+                    public,
                     fractional_bits=self.codec.fractional_bits,
                     max_abs_value=self._max_slot_value(),
                     population=population,
@@ -267,22 +261,20 @@ class ChiaroscuroRun:
         # Per node and iteration: a means and a noise vector (+ one tracker).
         self._build_backend(2 * packed.packed_length(dims) + 1 if packed else 2 * dims)
         if packed:
-            self.plane = PackedPlane(keypair.public, packed, self.backend)
+            self.plane = PackedPlane(public, packed, self.backend)
         else:
-            self.plane = ScalarPlane(keypair.public, self.codec, self.backend)
+            self.plane = ScalarPlane(public, self.codec, self.backend)
 
         self.participants = [
             Participant(
                 node_id=i,
                 series=dataset.values[i],
-                public=keypair.public,
+                public=public,
                 codec=self.codec,
                 plane=self.plane,
             )
             for i in range(population)
         ]
-        if self.fault_plan is not None:
-            self.fault_plan.bind_run(self)
 
     def _max_slot_value(self) -> float:
         """Largest magnitude one packed slot must hold: a data value plus a
@@ -321,7 +313,7 @@ class ChiaroscuroRun:
         )
 
     def smoothing_plan(self) -> tuple[int, bool]:
-        """(window, applies) for this run — shared by both substrates."""
+        """(window, applies) for this run — shared by every substrate."""
         window = self.params.smoothing_window(self.dataset.n)
         return window, self.params.use_smoothing and 0 < window < self.dataset.n
 
@@ -350,286 +342,145 @@ class ChiaroscuroRun:
     def run_iter(
         self, churn: float = 0.0, start_iteration: int = 1
     ) -> Iterator[ProtocolStep]:
-        """Algorithm 1 as a generator of per-iteration steps (both planes).
+        """Algorithm 1 as a generator of per-iteration steps (every plane).
 
         Yields one :class:`ProtocolStep` per completed iteration — the
         streaming primitive for progress reporting, early stopping, and
-        (on the vectorized plane) checkpointing.  ``start_iteration``
+        (on the vectorized planes) checkpointing.  ``start_iteration``
         resumes mid-run: budget charges for the prefix are replayed
         (deterministic) and the caller is expected to have restored
-        ``initial_centroids`` and the RNG state from a checkpoint.  On the
-        object plane the backend is released when the generator finishes
-        or is closed.
+        ``initial_centroids`` and the RNG state from a checkpoint.  The
+        backend is released when the generator finishes or is closed.
         """
-        if self.params.protocol_plane == "vectorized":
-            yield from self._iter_vectorized(churn, start_iteration)
-        elif self.params.protocol_plane == "vectorized-crypto":
-            try:
-                yield from self._iter_vectorized_crypto(churn, start_iteration)
-            finally:
-                self.close()
-        else:
-            try:
-                yield from self._iter_object(churn, start_iteration)
-            finally:
-                self.close()
-
-    def _charged_accountant(self, start_iteration: int) -> PrivacyAccountant:
-        """An accountant with the resumed prefix already charged."""
+        params = self.params
+        dataset = self.dataset
         accountant = PrivacyAccountant(epsilon_budget=self.strategy.epsilon)
-        for iteration in range(1, start_iteration):
+        for iteration in range(1, start_iteration):  # the resumed prefix
             accountant.charge(self.strategy.epsilon_for(iteration))
-        return accountant
-
-    def _iter_object(self, churn: float, start_iteration: int) -> Iterator[ProtocolStep]:
-        params = self.params
-        dataset = self.dataset
-        accountant = self._charged_accountant(start_iteration)
         centroids = self.initial_centroids.copy()
         window, do_smooth = self.smoothing_plan()
         n_nu = params.noise_share_count(dataset.t)
 
-        for iteration in range(start_iteration, params.max_iterations + 1):
-            try:
-                epsilon_i = self.strategy.epsilon_for(iteration)
-                accountant.charge(epsilon_i)
-            except BudgetExhausted:
-                return
-
-            # The run's bigint kernel is active only while this iteration
-            # computes and is restored before every yield — interleaved
-            # generators of runs with different kernels never see each
-            # other's selection, and nothing leaks into later runs.
-            with bigint.use_backend(self.bigint_backend):
-                engine = GossipEngine(
-                    n_nodes=dataset.t,
-                    seed=self.seed + 1000 * iteration,
-                    view_size=params.view_size,
-                    churn=churn,
-                )
-                engine.on_cycle = self.cycle_hook
-                if self.fault_plan is not None:
-                    engine = self.fault_plan.wrap_engine(engine, iteration)
-
-                # Assignment step (local, per participant).
-                mean_vectors = {
-                    p.node_id: p.encrypted_means_vector(centroids, self.crypto_rng)
-                    for p in self.participants
-                }
-
-                # Computation step (Algorithm 3).
-                plan = NoisePlan(
-                    k=len(centroids),
-                    series_length=dataset.n,
-                    dmin=dataset.dmin,
-                    dmax=dataset.dmax,
-                    epsilon=epsilon_i,
-                    n_nu=n_nu,
-                )
-                step = ComputationStep(
-                    keypair=self.keypair,
-                    codec=self.codec,
-                    noise_plan=plan,
-                    exchanges=params.exchanges,
-                    crypto_rng=self.crypto_rng,
-                    noise_rng=self.noise_rng,
-                    plane=self.plane,
-                )
-                output = step.run(engine, mean_vectors)
-                if self.fault_plan is not None:
-                    output = self.fault_plan.observe_output(output, iteration)
-                if not output.sums:
+        try:
+            for iteration in range(start_iteration, params.max_iterations + 1):
+                try:
+                    epsilon_i = self.strategy.epsilon_for(iteration)
+                    accountant.charge(epsilon_i)
+                except BudgetExhausted:
                     return
 
-                advanced = self._advance_centroids(
-                    output, centroids, iteration, epsilon_i, do_smooth, window
+                # The run's bigint kernel is active only while this iteration
+                # computes and is restored before every yield — interleaved
+                # generators of runs with different kernels never see each
+                # other's selection, and nothing leaks into later runs.
+                with bigint.use_backend(self.bigint_backend):
+                    engine = self._new_engine(iteration, churn)
+                    means, labels = self._assign(centroids)
+
+                    # Computation step (Algorithm 3).
+                    plan = NoisePlan(
+                        k=len(centroids),
+                        series_length=dataset.n,
+                        dmin=dataset.dmin,
+                        dmax=dataset.dmax,
+                        epsilon=epsilon_i,
+                        n_nu=n_nu,
+                    )
+                    step = self._computation_step(plan)
+                    output = step.run(engine, means)
+                    del means
+                    if self.fault_plan is not None:
+                        output = self.fault_plan.observe_output(output, iteration)
+                    if not output.sums:
+                        return
+
+                    advanced = self._advance_centroids(
+                        output, centroids, iteration, epsilon_i, do_smooth, window,
+                        labels=labels,
+                    )
+                if advanced is None:
+                    return
+                stats, centroids, converged = advanced
+                seconds = step.crypto_seconds
+                yield ProtocolStep(
+                    stats=stats,
+                    centroids=centroids,
+                    converged=converged,
+                    agreement=output.agreement(),
+                    exchanges_per_node=engine.mean_exchanges_per_node,
+                    crypto_ms=None if seconds is None else seconds * 1000.0,
                 )
-            if advanced is None:
-                return
-            stats, centroids, converged = advanced
-            yield ProtocolStep(
-                stats=stats,
-                centroids=centroids,
-                converged=converged,
-                agreement=output.agreement(),
-                exchanges_per_node=engine.mean_exchanges_per_node,
+                if converged:
+                    return
+        finally:
+            self.close()
+
+    def _new_engine(self, iteration: int, churn: float):
+        """The iteration's gossip engine (own seed, so no shared RNG moves)."""
+        seed = self.seed + 1000 * iteration
+        if self.params.protocol_plane == "object":
+            engine = GossipEngine(
+                self.dataset.t, seed=seed, view_size=self.params.view_size, churn=churn
             )
-            if converged:
-                return
+        else:
+            engine = VectorizedGossipEngine(self.dataset.t, seed=seed, churn=churn)
+        engine.on_cycle = self.cycle_hook
+        if self.fault_plan is not None:
+            engine = self.fault_plan.wrap_engine(engine, iteration)
+        return engine
 
-    def _iter_vectorized(
-        self, churn: float, start_iteration: int
-    ) -> Iterator[ProtocolStep]:
-        """Algorithm 1 over the struct-of-arrays plane (10⁵–10⁶ participants)."""
-        params = self.params
-        dataset = self.dataset
-        accountant = self._charged_accountant(start_iteration)
-        centroids = self.initial_centroids.copy()
-        window, do_smooth = self.smoothing_plan()
-        n_nu = params.noise_share_count(dataset.t)
-        tau = params.tau_count(dataset.t)
-        stride = dataset.n + 1
+    def _assign(self, centroids: np.ndarray):
+        """Assignment step (Alg. 1 l.5-6): ``(means, labels)``.
 
-        for iteration in range(start_iteration, params.max_iterations + 1):
-            try:
-                epsilon_i = self.strategy.epsilon_for(iteration)
-                accountant.charge(epsilon_i)
-            except BudgetExhausted:
-                return
-
-            engine = VectorizedGossipEngine(
-                dataset.t, seed=self.seed + 1000 * iteration, churn=churn
-            )
-            engine.on_cycle = self.cycle_hook
-            if self.fault_plan is not None:
-                engine = self.fault_plan.wrap_engine(engine, iteration)
-
-            # Assignment step (Alg. 1 l.5-6), whole population at once: the
-            # t × k·(n+1) matrix whose row i carries series i in the
-            # assigned cluster's stripe and a count of 1 in its last slot.
-            k = len(centroids)
-            labels = assign_to_closest(dataset.values, centroids)
-            mean_matrix = np.zeros((dataset.t, k * stride))
-            rows = np.arange(dataset.t)
-            base = labels * stride
-            mean_matrix[rows[:, None], base[:, None] + np.arange(dataset.n)] = (
-                dataset.values
-            )
-            mean_matrix[rows, base + dataset.n] = 1.0
-
-            # Computation step (Algorithm 3) on the mock-homomorphic plane.
-            plan = NoisePlan(
-                k=k,
-                series_length=dataset.n,
-                dmin=dataset.dmin,
-                dmax=dataset.dmax,
-                epsilon=epsilon_i,
-                n_nu=n_nu,
-            )
-            step = VectorizedComputationStep(
-                noise_plan=plan,
-                exchanges=params.exchanges,
-                threshold=tau,
-                noise_rng=self.noise_rng,
-                fractional_bits=self.fractional_bits,
-            )
-            output = step.run(engine, mean_matrix)
-            del mean_matrix
-            if self.fault_plan is not None:
-                output = self.fault_plan.observe_output(output, iteration)
-            if not output.sums:
-                return
-
-            advanced = self._advance_centroids(
-                output, centroids, iteration, epsilon_i, do_smooth, window,
-                labels=labels,
-            )
-            if advanced is None:
-                return
-            stats, centroids, converged = advanced
-            yield ProtocolStep(
-                stats=stats,
-                centroids=centroids,
-                converged=converged,
-                agreement=output.agreement(),
-                exchanges_per_node=engine.mean_exchanges_per_node,
-            )
-            if converged:
-                return
-
-    def _iter_vectorized_crypto(
-        self, churn: float, start_iteration: int
-    ) -> Iterator[ProtocolStep]:
-        """Algorithm 1 over the struct-of-arrays plane with real ciphertexts.
-
-        Identical control flow to :meth:`_iter_vectorized` — same engine
-        seeds, same assignment-step matrix, same noise plan — with the
-        computation step swapped for the packed-Damgård–Jurik one.  Decoded
-        per-iteration centroids are bit-identical to a mock-plane run of
-        the same seed (the step mirrors the mock's RNG and float sequence
-        exactly); what changes is that every gossip exchange really does
-        carry ciphertexts, and ``crypto_ms`` reports what that cost.
+        Object plane: each participant encrypts its own vector (node id →
+        ciphertexts) and labels stay private — ``None``.  Array planes: the
+        t × k·(n+1) matrix whose row i carries series i in the assigned
+        cluster's stripe and a count of 1 in its last slot, plus the labels.
         """
-        params = self.params
+        if self.params.protocol_plane == "object":
+            return {
+                p.node_id: p.encrypted_means_vector(centroids, self.crypto_rng)
+                for p in self.participants
+            }, None
         dataset = self.dataset
-        accountant = self._charged_accountant(start_iteration)
-        centroids = self.initial_centroids.copy()
-        window, do_smooth = self.smoothing_plan()
-        n_nu = params.noise_share_count(dataset.t)
-        tau = params.tau_count(dataset.t)
         stride = dataset.n + 1
+        labels = assign_to_closest(dataset.values, centroids)
+        mean_matrix = np.zeros((dataset.t, len(centroids) * stride))
+        rows = np.arange(dataset.t)
+        base = labels * stride
+        mean_matrix[rows[:, None], base[:, None] + np.arange(dataset.n)] = (
+            dataset.values
+        )
+        mean_matrix[rows, base + dataset.n] = 1.0
+        return mean_matrix, labels
 
-        for iteration in range(start_iteration, params.max_iterations + 1):
-            try:
-                epsilon_i = self.strategy.epsilon_for(iteration)
-                accountant.charge(epsilon_i)
-            except BudgetExhausted:
-                return
-
-            with bigint.use_backend(self.bigint_backend):
-                engine = VectorizedGossipEngine(
-                    dataset.t, seed=self.seed + 1000 * iteration, churn=churn
-                )
-                engine.on_cycle = self.cycle_hook
-                if self.fault_plan is not None:
-                    engine = self.fault_plan.wrap_engine(engine, iteration)
-
-                # Assignment step (Alg. 1 l.5-6) — the mock plane's exact
-                # matrix construction, reused verbatim.
-                k = len(centroids)
-                labels = assign_to_closest(dataset.values, centroids)
-                mean_matrix = np.zeros((dataset.t, k * stride))
-                rows = np.arange(dataset.t)
-                base = labels * stride
-                mean_matrix[
-                    rows[:, None], base[:, None] + np.arange(dataset.n)
-                ] = dataset.values
-                mean_matrix[rows, base + dataset.n] = 1.0
-
-                # Computation step (Algorithm 3) with genuine crypto.
-                plan = NoisePlan(
-                    k=k,
-                    series_length=dataset.n,
-                    dmin=dataset.dmin,
-                    dmax=dataset.dmax,
-                    epsilon=epsilon_i,
-                    n_nu=n_nu,
-                )
-                step = VectorizedCryptoComputationStep(
-                    keypair=self.keypair,
-                    packed=self.packed,
-                    noise_plan=plan,
-                    exchanges=params.exchanges,
-                    threshold=tau,
-                    crypto_rng=self.crypto_rng,
-                    noise_rng=self.noise_rng,
-                    backend=self.backend,
-                    fractional_bits=self.fractional_bits,
-                )
-                output = step.run(engine, mean_matrix)
-                del mean_matrix
-                if self.fault_plan is not None:
-                    output = self.fault_plan.observe_output(output, iteration)
-                if not output.sums:
-                    return
-
-                advanced = self._advance_centroids(
-                    output, centroids, iteration, epsilon_i, do_smooth, window,
-                    labels=labels,
-                )
-            if advanced is None:
-                return
-            stats, centroids, converged = advanced
-            yield ProtocolStep(
-                stats=stats,
-                centroids=centroids,
-                converged=converged,
-                agreement=output.agreement(),
-                exchanges_per_node=engine.mean_exchanges_per_node,
-                crypto_ms=step.crypto_seconds * 1000.0,
+    def _computation_step(self, plan: NoisePlan):
+        """The plane's Algorithm 3 implementation for one iteration."""
+        params = self.params
+        common = dict(
+            noise_plan=plan, exchanges=params.exchanges, noise_rng=self.noise_rng
+        )
+        if params.protocol_plane == "object":
+            return ComputationStep(
+                keypair=self.keypair,
+                codec=self.codec,
+                crypto_rng=self.crypto_rng,
+                plane=self.plane,
+                **common,
             )
-            if converged:
-                return
+        common.update(
+            threshold=params.tau_count(self.dataset.t),
+            fractional_bits=self.fractional_bits,
+        )
+        if params.protocol_plane == "vectorized":
+            return VectorizedComputationStep(**common)
+        return VectorizedCryptoComputationStep(
+            keypair=self.keypair,
+            packed=self.packed,
+            crypto_rng=self.crypto_rng,
+            backend=self.backend,
+            **common,
+        )
 
     def _advance_centroids(
         self,
@@ -643,12 +494,12 @@ class ChiaroscuroRun:
     ) -> tuple[IterationStats, np.ndarray, bool] | None:
         """Canonical post-processing (every node does the same locally).
 
-        Shared by both substrates: decode the canonical node's perturbed
+        Shared by every substrate: decode the canonical node's perturbed
         means, drop lost clusters, smooth, measure the iteration's quality
         stats and apply the θ convergence test.  Returns ``(stats,
         next_centroids, converged)``, or ``None`` when every cluster was
         lost (the run ends without a recordable iteration).  ``labels``
-        lets the vectorized path reuse its assignment-step result instead
+        lets the array planes reuse their assignment-step result instead
         of recomputing the t × k argmin (the dominant cleartext cost at
         10⁵–10⁶ participants).
         """

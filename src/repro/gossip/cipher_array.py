@@ -22,12 +22,12 @@ Two layers:
   vectorized engine's protocol slot (it implements ``exchange_pairs``).
   The weight ω and the epidemic counter column stay cleartext (exactly as
   the object plane keeps ``EESumState.omega`` and its cleartext
-  ``EpidemicSum`` counter) and are updated with the *mock* plane's exact
-  normalized float operations, so a crypto run's clear side is
-  bit-identical to a mock run on the same pairing schedule — while the
-  ciphertext side is bit-identical to an object-plane :class:`~.EESum`
-  run with real :class:`~.HomomorphicOps` on that schedule (same ops, same
-  order, same integers).
+  ``EpidemicSum`` counter): they *are* a mock-plane
+  :class:`~.VectorizedEESum` stepped on the same pairs, so a crypto run's
+  clear side is bit-identical to a mock run on the same pairing schedule
+  by construction — while the ciphertext side is bit-identical to an
+  object-plane :class:`~.EESum` run with real :class:`~.HomomorphicOps`
+  on that schedule (same ops, same order, same integers).
 
 Crypto wall-time is accumulated in ``CipherArray.crypto_seconds`` so the
 computation step can report a per-iteration ``crypto_ms`` split.
@@ -42,6 +42,7 @@ import numpy as np
 
 from ..crypto.backend import CryptoBackend, SerialBackend
 from ..crypto.keys import PublicKey
+from .eesum import VectorizedEESum
 
 __all__ = ["CipherArray", "CipherEESum"]
 
@@ -134,11 +135,12 @@ class CipherArray:
 class CipherEESum:
     """Algorithm 2 over a :class:`CipherArray` (vectorized-engine protocol).
 
-    State per node: the ciphertext vector (in the array), the cleartext
-    weight ω and epidemic counter — both kept *normalized* (divisions
-    applied) exactly like :class:`~.VectorizedEESum` keeps them — and the
-    shared exchange counter ``count`` governing the delayed-division scale
-    of the ciphertexts (``E(σ·2^{count}·2^{fractional_bits})``).
+    State per node: the ciphertext vector (in the array) and the clear
+    side — a :class:`~.VectorizedEESum` over the one-column epidemic
+    counter matrix, whose ``values`` / ``omega`` / ``count`` arrays this
+    class exposes under the same names.  Its shared exchange counter
+    ``count`` governs the delayed-division scale of the ciphertexts
+    (``E(σ·2^{count}·2^{fractional_bits})``).
     """
 
     def __init__(
@@ -152,10 +154,14 @@ class CipherEESum:
         self.population = len(rows)
         if self.population < 2:
             raise ValueError("CipherEESum needs a population >= 2")
-        self.omega = np.zeros(self.population)
-        self.omega[weight_holder] = 1.0
-        self.ctr = np.ones(self.population)
-        self.count = np.zeros(self.population, dtype=np.int64)
+        self.clear = VectorizedEESum(
+            np.ones((self.population, 1)), weight_holder, copy=False
+        )
+        # The clear protocol updates its arrays in place: these stay views.
+        self.values = self.clear.values
+        self.ctr = self.values[:, 0]
+        self.omega = self.clear.omega
+        self.count = self.clear.count
 
     @property
     def crypto_seconds(self) -> float:
@@ -166,33 +172,20 @@ class CipherEESum:
 
         Ciphertext side: scale the lagging side of every uneven pair by
         its ``2^{|n_r − n_l|}`` (grouped shared-exponent batch), then merge
-        all pairs elementwise (one batch).  Clear side: the mock plane's
-        normalized update, operation for operation, so ω/ctr floats remain
-        bit-identical to a :class:`~.VectorizedEESum` run on the same
-        schedule.
+        all pairs elementwise (one batch).  Clear side: the mock protocol's
+        own exchange, which also advances the counters the next round's
+        gaps are read from.
         """
         left = np.asarray(left)
         right = np.asarray(right)
-        count_left = self.count[left]
-        count_right = self.count[right]
-        gaps = count_left - count_right
+        gaps = self.count[left] - self.count[right]
         lagging = np.where(gaps < 0, left, right)
         log2_factors = np.abs(gaps)
         uneven = log2_factors > 0
         if np.any(uneven):
             self.array.scale_rows(lagging[uneven], log2_factors[uneven])
         self.array.merge_pairs(left, right)
-        omega = (self.omega[left] + self.omega[right]) * 0.5
-        self.omega[left] = omega
-        self.omega[right] = omega
-        ctr = self.ctr[left]
-        ctr += self.ctr[right]
-        ctr *= 0.5
-        self.ctr[left] = ctr
-        self.ctr[right] = ctr
-        count = np.maximum(count_left, count_right) + 1
-        self.count[left] = count
-        self.count[right] = count
+        self.clear.exchange_pairs(left, right)
 
     # -------------------------------------------------- shadow comparison
 

@@ -1,14 +1,20 @@
 """Direct unit tests of the Algorithm 3 computation step."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import ComputationStep, NoisePlan
+from repro.core.computation import (
+    VectorizedComputationStep,
+    VectorizedCryptoComputationStep,
+)
 from repro.core.diptych import initialize_means
 from repro.crypto import FixedPointCodec
-from repro.gossip import GossipEngine
+from repro.crypto.encoding import PackedCodec
+from repro.gossip import GossipEngine, VectorizedGossipEngine
 
 
 @pytest.fixture()
@@ -66,3 +72,110 @@ class TestComputationStep:
     def test_noise_plan_dimensions_respected(self, tiny_setup):
         step, vectors, _ = tiny_setup
         assert all(len(v) == step.noise_plan.dimensions for v in vectors.values())
+
+
+# --------------------------------------------------------------------------
+# Array-plane carriers: one pipeline, so the mock and the real-ciphertext
+# step must agree step by step — not only at the end of a whole run.
+
+POPULATION = 16
+EXCHANGES = 6
+
+
+def _run_array_steps(keypair, churn, seed=3, decode_sample=8, **step_kwargs):
+    """The same seed through both carriers → (mock, cipher) run records
+    (``step``, ``output``, ``noise_rng``, ``engine``)."""
+    plan = NoisePlan(
+        k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=5.0, n_nu=POPULATION
+    )
+    data_rng = np.random.default_rng(seed)
+    mean_matrix = np.zeros((POPULATION, plan.dimensions))
+    labels = data_rng.integers(0, 2, size=POPULATION)
+    for node, label in enumerate(labels):
+        mean_matrix[node, label * 4 : label * 4 + 3] = data_rng.uniform(0, 30, 3)
+        mean_matrix[node, label * 4 + 3] = 1.0
+    packed = PackedCodec.plan(
+        keypair.public,
+        fractional_bits=24,
+        max_abs_value=1e4,
+        population=1,
+        exchanges=2 * EXCHANGES,
+        terms=1,
+    )
+    common = dict(
+        noise_plan=plan, exchanges=EXCHANGES, threshold=3, **step_kwargs
+    )
+    records = []
+    for build in (
+        lambda rng: VectorizedComputationStep(noise_rng=rng, **common),
+        lambda rng: VectorizedCryptoComputationStep(
+            keypair=keypair, packed=packed, crypto_rng=random.Random(seed),
+            noise_rng=rng, decode_sample=decode_sample, **common,
+        ),
+    ):
+        noise_rng = np.random.default_rng(seed + 1)
+        engine = VectorizedGossipEngine(POPULATION, seed=seed + 2, churn=churn)
+        step = build(noise_rng)
+        output = step.run(engine, mean_matrix.copy())
+        records.append(
+            SimpleNamespace(
+                step=step, output=output, noise_rng=noise_rng, engine=engine
+            )
+        )
+    return records
+
+
+def _assert_same_rng_states(mock, cipher):
+    for rng in (lambda run: run.noise_rng, lambda run: run.engine.rng):
+        assert rng(mock).bit_generator.state == rng(cipher).bit_generator.state
+    assert np.array_equal(mock.engine.exchanges, cipher.engine.exchanges)
+
+
+class TestArrayCarrierParity:
+    @pytest.mark.parametrize("churn", [0.0, 0.3])
+    def test_cipher_step_decodes_the_mock_steps_floats(
+        self, threshold_keypair, churn
+    ):
+        mock, cipher = _run_array_steps(threshold_keypair, churn, decode_sample=4)
+        mock_out, cipher_out = mock.output, cipher.output
+        # The cipher step pays decryption for the first decode_sample nodes
+        # of the window the mock decodes in full.
+        assert sorted(cipher_out.sums) == sorted(mock_out.sums)[:4]
+        for node in cipher_out.sums:
+            assert np.array_equal(cipher_out.sums[node], mock_out.sums[node])
+            assert np.array_equal(cipher_out.counts[node], mock_out.counts[node])
+        _assert_same_rng_states(mock, cipher)
+        assert mock.step.crypto_seconds is None
+        assert cipher.step.crypto_seconds > 0.0
+
+    def test_churn_so_high_nobody_gossips(self, threshold_keypair):
+        """No exchange ever happens: ω never leaves node 0, which decodes
+        its own noised payload — identically on both carriers."""
+        mock, cipher = _run_array_steps(threshold_keypair, churn=0.999)
+        assert list(mock.output.sums) == list(cipher.output.sums) == [0]
+        assert np.array_equal(mock.output.sums[0], cipher.output.sums[0])
+        assert np.array_equal(mock.output.counts[0], cipher.output.counts[0])
+        assert mock.engine.exchanges.sum() == 0
+        _assert_same_rng_states(mock, cipher)
+
+    def test_empty_sample_returns_an_empty_output(self, threshold_keypair):
+        """ω is conserved, so some node always holds weight; the empty
+        window is the way to the early return.  Neither carrier may open
+        anything or draw a correction on it."""
+        mock, cipher = _run_array_steps(
+            threshold_keypair, churn=0.3, agreement_sample=0
+        )
+        assert not mock.output.sums and not mock.output.counts
+        assert not cipher.output.sums and not cipher.output.counts
+        _assert_same_rng_states(mock, cipher)
+
+    def test_vectorized_steps_are_siblings(self):
+        """perf/spans.py wraps each class's ``run`` by name: were one step a
+        subclass of the other, the second wrapper would wrap the first and
+        every call would be counted twice."""
+        assert not issubclass(
+            VectorizedCryptoComputationStep, VectorizedComputationStep
+        )
+        assert not issubclass(
+            VectorizedComputationStep, VectorizedCryptoComputationStep
+        )

@@ -227,11 +227,9 @@ class TestEncryptorSizing:
         import inspect
 
         from repro.analysis.costs import compare_scalar_batched_costs
-        from repro.crypto import paillier
 
         for fn in (
             FastEncryptor.__init__,
-            paillier.fast_encryptor,
             compare_scalar_batched_costs,
             create_backend,
         ):

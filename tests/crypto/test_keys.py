@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.crypto import PublicKey, ThresholdContext
-from repro.crypto.paillier import decrypt, encrypt, generate_keypair
+from repro.crypto.damgard_jurik import decrypt, encrypt, generate_keypair
 
 
 class TestPublicKey:
@@ -90,11 +90,11 @@ class TestThresholdContext:
             ThresholdContext(public=keypair128.public, n_shares=2, threshold=3)
 
 
-class TestPaillierFacade:
-    def test_roundtrip(self, crypto_rng):
-        kp = generate_keypair(128, rng=crypto_rng)
-        assert decrypt(kp, encrypt(kp.public, 12345, rng=crypto_rng)) == 12345
+class TestPaillierSpecialCase:
+    """Plain Paillier is Damgård–Jurik at ``s = 1``."""
 
-    def test_facade_rejects_s2(self, keypair_s2, crypto_rng):
-        with pytest.raises(ValueError):
-            encrypt(keypair_s2.public, 1, rng=crypto_rng)
+    def test_roundtrip(self, crypto_rng):
+        kp = generate_keypair(128, s=1, rng=crypto_rng)
+        ciphertext = encrypt(kp.public, 12345, rng=crypto_rng)
+        assert ciphertext < kp.public.n**2
+        assert decrypt(kp, ciphertext) == 12345

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core import ChiaroscuroParams, ChiaroscuroRun
+from repro.crypto import bigint
 from repro.privacy import Greedy, UniformFast
+from repro.privacy.accountant import PrivacyAccountant
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +114,92 @@ class TestPerturbedRun:
         result, _ = run.run(churn=0.2)
         assert result.iterations >= 1
         assert len(result.centroids) >= 1
+
+
+PLANES = ("object", "vectorized", "vectorized-crypto")
+
+
+class _RaisingFaultPlan:
+    """The three seams ``ChiaroscuroRun`` calls, with an output observer
+    that fails the iteration from inside the ``use_backend`` block."""
+
+    def bind_run(self, run):
+        pass
+
+    def wrap_engine(self, engine, iteration):
+        return engine
+
+    def observe_output(self, output, iteration):
+        raise RuntimeError("observer failed")
+
+
+@pytest.mark.parametrize("plane", PLANES)
+class TestRunIterLifecycle:
+    """One Algorithm 1 loop: every plane releases its backend once on every
+    exit path, restores the bigint kernel, and replays the ε prefix."""
+
+    @pytest.fixture()
+    def make_run(
+        self, plane, toy_dataset, toy_initial_centroids, threshold_keypair_s2
+    ):
+        def build(fault_plan=None):
+            params = ChiaroscuroParams(
+                k=3, max_iterations=4, exchanges=8, tau_fraction=0.13,
+                epsilon=1e6, expansion_s=2 if plane == "object" else 1,
+                use_smoothing=False, theta=0.0, protocol_plane=plane,
+            )
+            run = ChiaroscuroRun(
+                toy_dataset, Greedy(1e6), params, toy_initial_centroids,
+                key_bits=256, seed=5,
+                keypair=threshold_keypair_s2 if plane == "object" else None,
+                fault_plan=fault_plan,
+            )
+            closes = []
+            release = run.close
+            run.close = lambda: (closes.append(1), release())
+            return run, closes
+
+        return build
+
+    def test_exhausting_the_generator_releases_once(self, make_run):
+        kernel = bigint.active_backend()
+        run, closes = make_run()
+        steps = list(run.run_iter())
+        assert [s.stats.iteration for s in steps] == [1, 2, 3, 4]
+        assert closes == [1]
+        assert bigint.active_backend() == kernel
+
+    def test_closing_after_one_step_releases_once(self, make_run):
+        kernel = bigint.active_backend()
+        run, closes = make_run()
+        steps = run.run_iter()
+        next(steps)
+        assert closes == []  # still running: the backend stays up
+        assert bigint.active_backend() == kernel  # restored before the yield
+        steps.close()
+        assert closes == [1]
+
+    def test_a_raising_step_releases_once(self, make_run):
+        kernel = bigint.active_backend()
+        run, closes = make_run(fault_plan=_RaisingFaultPlan())
+        with pytest.raises(RuntimeError, match="observer failed"):
+            next(run.run_iter())
+        assert closes == [1]
+        assert bigint.active_backend() == kernel
+
+    def test_resume_replays_the_epsilon_prefix(self, make_run, monkeypatch):
+        charged = []
+        charge = PrivacyAccountant.charge
+
+        def spy(self, epsilon, n_values=1):
+            charged.append(epsilon)
+            charge(self, epsilon, n_values)
+
+        monkeypatch.setattr(PrivacyAccountant, "charge", spy)
+        run, closes = make_run()
+        steps = list(run.run_iter(start_iteration=3))
+        schedule = Greedy(1e6).schedule(4)
+        assert charged == schedule  # same four charges on every plane
+        assert [s.stats.iteration for s in steps] == [3, 4]
+        assert [s.stats.epsilon_spent for s in steps] == schedule[2:]
+        assert closes == [1]
