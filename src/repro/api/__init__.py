@@ -47,7 +47,6 @@ from .experiment import (
     RESULT_SCHEMA,
     ExecutionPlane,
     Experiment,
-    PlaneStep,
     RunContext,
     run_environment,
     run_record,
@@ -82,7 +81,6 @@ __all__ = [
     "InitSpec",
     "IterationCompleted",
     "PLANES",
-    "PlaneStep",
     "RESULT_SCHEMA",
     "Registry",
     "RunAborted",

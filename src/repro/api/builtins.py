@@ -15,6 +15,7 @@ import numpy as np
 from ..clustering.init import kmeanspp_init, sample_init, uniform_init
 from ..core.perturbed_kmeans import PerturbationOptions, iter_perturbed_kmeans
 from ..core.protocol import ChiaroscuroRun
+from ..core.results import IterationRecord
 from ..datasets import (
     TimeSeriesSet,
     courbogen_like_centroids,
@@ -24,7 +25,7 @@ from ..datasets import (
 )
 from ..privacy.budget import Greedy, GreedyFloor, UniformFast
 from .checkpoint import Checkpoint
-from .experiment import ExecutionPlane, PlaneStep, RunContext
+from .experiment import ExecutionPlane, RunContext
 from .registry import (
     register_dataset,
     register_initializer,
@@ -159,7 +160,7 @@ class QualityPlane(ExecutionPlane):
         ctx: RunContext,
         resume: Checkpoint | None = None,
         cycle_hook: Callable[[int, int], None] | None = None,
-    ) -> Iterator[PlaneStep]:
+    ) -> Iterator[IterationRecord]:
         del cycle_hook  # no gossip engine on this plane
         spec, params = ctx.spec, ctx.params
         options = PerturbationOptions(
@@ -173,7 +174,7 @@ class QualityPlane(ExecutionPlane):
             rng.bit_generator.state = resume.rng_state
             centroids = np.asarray(resume.centroids, dtype=float)
             start = resume.iteration + 1
-        for step in iter_perturbed_kmeans(
+        yield from iter_perturbed_kmeans(
             ctx.dataset,
             centroids,
             ctx.strategy,
@@ -184,14 +185,7 @@ class QualityPlane(ExecutionPlane):
             churn=spec.churn,
             rng=rng,
             start_iteration=start,
-        ):
-            yield PlaneStep(
-                stats=step.stats,
-                centroids=step.centroids,
-                converged=step.converged,
-                active_series=step.active_series,
-                rng_state=rng.bit_generator.state,
-            )
+        )
 
 
 class _ProtocolPlane(ExecutionPlane):
@@ -202,7 +196,7 @@ class _ProtocolPlane(ExecutionPlane):
         ctx: RunContext,
         resume: Checkpoint | None = None,
         cycle_hook: Callable[[int, int], None] | None = None,
-    ) -> Iterator[PlaneStep]:
+    ) -> Iterator[IterationRecord]:
         self._reject_resume(resume)
         run = ChiaroscuroRun(
             ctx.dataset,
@@ -215,26 +209,15 @@ class _ProtocolPlane(ExecutionPlane):
             cycle_hook=cycle_hook,
             fault_plan=ctx.fault_plan,
         )
-        ctx.runtime = run  # exposed for diagnostics (e.g. wire-format demos)
+        # Exposed for diagnostics (e.g. wire-format demos) and for the
+        # facade's abort-time read of the run's ε ledger.
+        ctx.runtime = run
         start = 1
         if resume is not None:
             run.noise_rng.bit_generator.state = resume.rng_state
             run.initial_centroids = np.asarray(resume.centroids, dtype=float)
             start = resume.iteration + 1
-        for step in run.run_iter(churn=ctx.spec.churn, start_iteration=start):
-            yield PlaneStep(
-                stats=step.stats,
-                centroids=step.centroids,
-                converged=step.converged,
-                agreement=step.agreement,
-                exchanges_per_node=step.exchanges_per_node,
-                crypto_ms=step.crypto_ms,
-                rng_state=(
-                    run.noise_rng.bit_generator.state
-                    if self.supports_checkpoint
-                    else None
-                ),
-            )
+        yield from run.run_iter(churn=ctx.spec.churn, start_iteration=start)
 
 
 @register_plane("object")

@@ -54,6 +54,15 @@ class RunStarted:
     bigint_backend: str = "python"  # *resolved* arithmetic kernel, never "auto"
     key_bits: int = 0  # threshold-key modulus size (0 = no real crypto ran)
 
+    @property
+    def environment(self) -> dict:
+        """The ``environment`` block of the run record, as captured at run time."""
+        return {
+            "crypto_backend": self.crypto_backend,
+            "bigint_backend": self.bigint_backend,
+            "key_bits": self.key_bits,
+        }
+
 
 @dataclass(frozen=True)
 class IterationCompleted:

@@ -11,9 +11,10 @@ or, streaming with checkpointing:
 ``Experiment`` resolves the spec's registry keys (dataset, initializer,
 strategy, plane), builds the workload, and dispatches to the plane's
 runner.  Planes are :class:`ExecutionPlane` instances in the
-:data:`~repro.api.registry.PLANES` registry — the built-ins (``quality``,
-``object``, ``vectorized``) are registered by :mod:`repro.api.builtins`,
-and a new plane is one ``@register_plane`` away.
+:data:`~repro.api.registry.PLANES` registry — the four built-ins
+(``quality``, ``object``, ``vectorized``, ``vectorized-crypto``) are
+registered by :mod:`repro.api.builtins`, and a new plane is one
+``@register_plane`` away.
 
 Seed discipline (what makes checkpoint/resume bit-identical):
 
@@ -29,16 +30,14 @@ Seed discipline (what makes checkpoint/resume bit-identical):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
 from ..core.config import ChiaroscuroParams
-from ..core.perturbed_kmeans import PerturbationOptions, iter_perturbed_kmeans
+from ..core.results import ClusteringResult, IterationRecord, IterationStats
 from ..crypto import bigint
-from ..core.protocol import ChiaroscuroRun
-from ..core.results import ClusteringResult, IterationStats
 from ..datasets.timeseries import TimeSeriesSet
 from ..privacy.budget import BudgetStrategy
 from .checkpoint import Checkpoint, CheckpointStore
@@ -56,7 +55,6 @@ from .spec import RunSpec
 __all__ = [
     "Experiment",
     "ExecutionPlane",
-    "PlaneStep",
     "RunContext",
     "RESULT_SCHEMA",
     "run_environment",
@@ -109,20 +107,6 @@ class RunContext:
     fault_plan: Any = None  # FaultPlan when the spec declares faults
 
 
-@dataclass
-class PlaneStep:
-    """The plane-agnostic per-iteration record planes yield to the facade."""
-
-    stats: IterationStats
-    centroids: np.ndarray
-    converged: bool
-    active_series: int | None = None
-    agreement: float | None = None
-    exchanges_per_node: float | None = None
-    crypto_ms: float | None = None  # timed crypto wall (vectorized-crypto only)
-    rng_state: dict | None = None  # serializable; None = not checkpointable
-
-
 class ExecutionPlane:
     """Base class for registry-registered execution planes."""
 
@@ -142,7 +126,8 @@ class ExecutionPlane:
         ctx: RunContext,
         resume: Checkpoint | None = None,
         cycle_hook: Callable[[int, int], None] | None = None,
-    ) -> Iterator[PlaneStep]:
+    ) -> Iterator[IterationRecord]:
+        """Yield the loop's per-iteration records, unchanged."""
         raise NotImplementedError
 
     def _reject_resume(self, resume: Checkpoint | None) -> None:
@@ -151,6 +136,9 @@ class ExecutionPlane:
                 f"plane {self.key!r} does not support checkpoint/resume"
             )
 
+
+#: What ``IterationCompleted`` carries of the loop's ``IterationRecord``.
+_ITERATION_FACTS = tuple(f.name for f in fields(IterationCompleted))
 
 #: ``ChiaroscuroParams`` fields documented as result-neutral (bit-identical
 #: runs for the same seed): pure execution-speed knobs.
@@ -242,9 +230,7 @@ class Experiment:
 
     def smoothing_active(self) -> bool:
         """Whether the SMA post-step applies to this run (all planes agree)."""
-        n = self.context.dataset.n
-        window = self.spec.params.smoothing_window(n)
-        return self.spec.params.use_smoothing and 0 < window < n
+        return self.spec.params.smoothing_plan(self.context.dataset.n)[1]
 
     def label(self) -> str:
         """Paper-style label for the run (e.g. ``"G_SMA"``)."""
@@ -316,18 +302,13 @@ class Experiment:
             strategy=ctx.strategy.name,
             smoothing=self.smoothing_active(),
         )
-        epsilon_total = ctx.strategy.epsilon
-        spent = 0.0
         if checkpoint is not None:
             result.history = [
                 IterationStats.from_dict(s) for s in checkpoint.history
             ]
-            spent = checkpoint.epsilon_spent
-            final_centroids = np.asarray(checkpoint.centroids, dtype=float)
-        else:
-            final_centroids = ctx.initial_centroids
+            result.centroids = np.asarray(checkpoint.centroids, dtype=float)
+            result.converged = checkpoint.converged
 
-        environment = run_environment(spec)
         yield RunStarted(
             spec=spec,
             label=self.label(),
@@ -337,36 +318,25 @@ class Experiment:
             population=ctx.dataset.population,
             sum_sensitivity=ctx.dataset.sum_sensitivity,
             resumed_iteration=checkpoint.iteration if checkpoint else 0,
-            crypto_backend=environment["crypto_backend"],
-            bigint_backend=environment["bigint_backend"],
-            key_bits=environment["key_bits"],
+            **run_environment(spec),
         )
 
-        converged = checkpoint.converged if checkpoint is not None else False
-        steps: Iterator[PlaneStep] = (
+        steps: Iterator[IterationRecord] = (
             iter(())  # the checkpointed run already converged: nothing to do
-            if converged
+            if result.converged
             else plane.run_iter(ctx, resume=checkpoint, cycle_hook=cycle_hook)
         )
-        aborted: Any = None
+        aborted = False
         try:
             for step in steps:
-                result.history.append(step.stats)
-                spent += step.stats.epsilon_spent
-                final_centroids = step.centroids
-                converged = step.converged
+                result.absorb(step)
                 if fault_plan is not None:
                     # Detections raised during the iteration precede its
                     # completion event.
                     yield from fault_plan.drain_events()
+                # The event's fields are the record's, name for name.
                 yield IterationCompleted(
-                    stats=step.stats,
-                    epsilon_spent_total=spent,
-                    epsilon_remaining=max(0.0, epsilon_total - spent),
-                    active_series=step.active_series,
-                    agreement=step.agreement,
-                    exchanges_per_node=step.exchanges_per_node,
-                    crypto_ms=step.crypto_ms,
+                    **{name: getattr(step, name) for name in _ITERATION_FACTS}
                 )
                 if store is not None and step.rng_state is not None:
                     path = store.save(
@@ -374,8 +344,8 @@ class Experiment:
                             spec=spec.to_dict(),
                             plane=spec.plane,
                             iteration=step.stats.iteration,
-                            centroids=np.asarray(step.centroids).tolist(),
-                            epsilon_spent=spent,
+                            centroids=step.centroids.tolist(),
+                            epsilon_spent=step.epsilon_spent_total,
                             rng_state=step.rng_state,
                             history=[s.to_dict() for s in result.history],
                             converged=step.converged,
@@ -385,28 +355,25 @@ class Experiment:
                         iteration=step.stats.iteration, path=path
                     )
         except FaultAbort as abort:
-            aborted = abort
-            if fault_plan is not None:
-                yield from fault_plan.drain_events()
+            aborted = True
+            yield from fault_plan.drain_events()
             yield RunAborted(
                 iteration=abort.iteration,
                 fault=abort.fault,
                 reason=abort.reason,
-                # The accountant charges ε *before* an iteration runs, so
-                # the aborted iteration's slice is already spent — report
-                # it, never under-report.
-                epsilon_charged=spent + self._iteration_charge(abort.iteration),
+                # The loop's accountant charges ε *before* an iteration
+                # runs, so the aborted iteration's slice is already on the
+                # ledger — report it, never under-report.
+                epsilon_charged=ctx.runtime.accountant.spent,
             )
 
         if fault_plan is not None:
             # An iteration that ends the run without completing (lost
             # clusters, exhausted budget) may still have raised detections.
             yield from fault_plan.drain_events()
-        result.centroids = np.asarray(final_centroids, dtype=float)
-        result.converged = converged
         yield RunCompleted(
             result=result,
-            reason="aborted" if aborted is not None else self._reason(result),
+            reason="aborted" if aborted else self._reason(result),
         )
 
     def run(
@@ -424,15 +391,6 @@ class Experiment:
                 result = event.result
         assert result is not None  # run_iter always ends with RunCompleted
         return result
-
-    def _iteration_charge(self, iteration: int) -> float:
-        """The ε slice the strategy charged for ``iteration`` (0 if none)."""
-        from ..privacy.budget import BudgetExhausted
-
-        try:
-            return float(self.context.strategy.epsilon_for(iteration))
-        except BudgetExhausted:
-            return 0.0
 
     def _reason(self, result: ClusteringResult) -> str:
         if result.converged:

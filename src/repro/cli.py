@@ -326,7 +326,6 @@ def _cmd_cluster(args, out) -> int:
 
 def _run_cluster(args, spec, out) -> int:
     from .api import (
-        CheckpointSaved,
         Experiment,
         FaultDetected,
         IterationCompleted,
@@ -345,11 +344,7 @@ def _run_cluster(args, spec, out) -> int:
         checkpoint_dir=args.checkpoint_dir, resume=not args.no_resume
     ):
         if isinstance(event, RunStarted):
-            environment = {
-                "crypto_backend": event.crypto_backend,
-                "bigint_backend": event.bigint_backend,
-                "key_bits": event.key_bits,
-            }
+            environment = event.environment
             print(f"dataset={event.dataset_name} t={event.t} n={event.n} "
                   f"population={event.population:,} "
                   f"sensitivity={event.sum_sensitivity:.0f}", file=out)
@@ -369,8 +364,6 @@ def _run_cluster(args, spec, out) -> int:
             print(f"{stats.iteration:>4} {stats.pre_inertia:>12.2f} "
                   f"{stats.post_inertia:>13.2f} {stats.n_centroids:>11d} "
                   f"{stats.epsilon_spent:>9.4f} {exchanges}", file=out)
-        elif isinstance(event, CheckpointSaved):
-            pass  # noted in the summary; per-iteration chatter stays low
         elif isinstance(event, FaultDetected):
             print(f"fault detected: {event.fault} via {event.detector} "
                   f"(iteration {event.iteration}, "
@@ -472,29 +465,37 @@ def _cmd_submit(args, out) -> int:
 
 def _cmd_jobs(args, out) -> int:
     if args.db_path:
-        return _cmd_jobs_from_db(args, out)
-    from .service import JobStore
+        try:
+            rows = _job_rows_from_db(args.db_path)
+        except FileNotFoundError as exc:
+            print(f"error: {exc}", file=out)
+            return 2
+        where = f"ingested in {args.db_path}"
+    else:
+        from .service import JobStore
 
-    store = JobStore(args.root)
-    jobs = store.jobs()
+        store = JobStore(args.root)
+        rows = [job.to_dict() for job in store.jobs()]
+        where = f"in {store.root}"
     if args.state:
-        jobs = [job for job in jobs if job.state == args.state]
+        rows = [row for row in rows if row["state"] == args.state]
     if args.as_json:
-        print(json.dumps([job.to_dict() for job in jobs], indent=2), file=out)
+        print(json.dumps(rows, indent=2), file=out)
         return 0
-    if not jobs:
-        print(f"no jobs in {store.root}", file=out)
+    if not rows:
+        print(f"no jobs {where}", file=out)
         return 0
     print(f"{'job':<42} {'state':<10} {'plane':<11} {'strategy':<9} "
           f"{'attempts':>8}", file=out)
-    for job in jobs:
-        print(f"{job.job_id:<42} {job.state:<10} "
-              f"{job.spec.get('plane', '?'):<11} "
-              f"{job.spec.get('strategy', '?'):<9} {job.attempts:>8}", file=out)
+    for row in rows:
+        spec = row.get("spec", row)  # store rows nest plane/strategy there
+        print(f"{row['job_id']:<42} {row['state']:<10} "
+              f"{spec.get('plane') or '?':<11} "
+              f"{spec.get('strategy') or '?':<9} {row['attempts']:>8}", file=out)
     return 0
 
 
-def _cmd_jobs_from_db(args, out) -> int:
+def _job_rows_from_db(db_path: str) -> list[dict]:
     """``repro jobs --db``: job status from the warehouse, store offline.
 
     Sorted exactly like the store's listing — submit order
@@ -503,13 +504,9 @@ def _cmd_jobs_from_db(args, out) -> int:
     """
     from .warehouse import connect_readonly, run_query
 
+    con = connect_readonly(db_path)
     try:
-        con = connect_readonly(args.db_path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    try:
-        rows = run_query(
+        return run_query(
             con,
             "SELECT job_id, root, name, state, plane, strategy, "
             "submitted_at, started_at, finished_at, attempts, error "
@@ -517,21 +514,6 @@ def _cmd_jobs_from_db(args, out) -> int:
         )
     finally:
         con.close()
-    if args.state:
-        rows = [row for row in rows if row["state"] == args.state]
-    if args.as_json:
-        print(json.dumps(rows, indent=2), file=out)
-        return 0
-    if not rows:
-        print(f"no jobs ingested in {args.db_path}", file=out)
-        return 0
-    print(f"{'job':<42} {'state':<10} {'plane':<11} {'strategy':<9} "
-          f"{'attempts':>8}", file=out)
-    for row in rows:
-        print(f"{row['job_id']:<42} {row['state']:<10} "
-              f"{row['plane'] or '?':<11} "
-              f"{row['strategy'] or '?':<9} {row['attempts']:>8}", file=out)
-    return 0
 
 
 def _cmd_db(args, out) -> int:
@@ -547,10 +529,8 @@ def _cmd_db(args, out) -> int:
             return 2
         try:
             if args.follow:
-                import time as _time
-
                 deadline = (
-                    _time.monotonic() + args.max_seconds
+                    time.monotonic() + args.max_seconds
                     if args.max_seconds is not None
                     else None
                 )
@@ -560,7 +540,7 @@ def _cmd_db(args, out) -> int:
                         args.paths,
                         poll_interval=args.poll,
                         should_stop=(
-                            (lambda: _time.monotonic() >= deadline)
+                            (lambda: time.monotonic() >= deadline)
                             if deadline is not None
                             else None
                         ),
@@ -636,23 +616,18 @@ def _cmd_report(args, out) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=out)
         return 2
+    render, filters = {
+        "fig2": (warehouse.report_fig2, ("strategy",)),
+        "fig3": (warehouse.report_fig3, ("like",)),
+        "attacks": (warehouse.report_attacks, ()),
+        "latency": (warehouse.report_latency, ()),
+        "bench": (warehouse.report_bench, ("bench", "metric")),
+        "lint": (warehouse.report_lint, ("rule",)),
+    }[args.report_command]
     try:
-        if args.report_command == "fig2":
-            text = warehouse.report_fig2(
-                con, strategy=args.strategy, fmt=args.fmt
-            )
-        elif args.report_command == "fig3":
-            text = warehouse.report_fig3(con, like=args.like, fmt=args.fmt)
-        elif args.report_command == "attacks":
-            text = warehouse.report_attacks(con, fmt=args.fmt)
-        elif args.report_command == "latency":
-            text = warehouse.report_latency(con, fmt=args.fmt)
-        elif args.report_command == "lint":
-            text = warehouse.report_lint(con, rule=args.rule, fmt=args.fmt)
-        else:  # bench
-            text = warehouse.report_bench(
-                con, bench=args.bench, metric=args.metric, fmt=args.fmt
-            )
+        text = render(
+            con, fmt=args.fmt, **{name: getattr(args, name) for name in filters}
+        )
     finally:
         con.close()
     print(text, file=out)
@@ -684,6 +659,14 @@ def _render_detail(kind: str, record: dict) -> str:
             f"eps_total={r.get('epsilon_spent_total'):.4f}"
         ),
         "checkpoint_saved": lambda r: f"iteration={r.get('iteration')}",
+        "fault_detected": lambda r: (
+            f"fault={r.get('fault')} detector={r.get('detector')} "
+            f"iteration={r.get('iteration')}"
+        ),
+        "run_aborted": lambda r: (
+            f"iteration={r.get('iteration')} reason={r.get('reason')} "
+            f"epsilon_charged={r.get('epsilon_charged'):.4f}"
+        ),
         "run_completed": lambda r: (
             f"reason={r.get('reason')} iterations={r.get('iterations')}"
         ),
@@ -854,6 +837,3 @@ def main(argv: list[str] | None = None, out=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

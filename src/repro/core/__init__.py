@@ -12,15 +12,13 @@ from .participant import Participant
 from .perturbed_em import EMTrace, GaussianMixtureState, em_sensitivities, perturbed_em
 from .perturbed_kmeans import (
     PerturbationOptions,
-    QualityStep,
     iter_perturbed_kmeans,
     perturbed_kmeans,
-    resolve_smoothing_plan,
 )
-from .protocol import ChiaroscuroRun, DistributedTrace, ProtocolStep
+from .protocol import ChiaroscuroRun
 from .quality_monitor import QualityMonitor
-from .results import ClusteringResult, IterationStats
-from .smoothing import derive_sma_window, sma_smooth
+from .results import ClusteringResult, IterationRecord, IterationStats
+from .smoothing import derive_sma_window, sma_smooth, smoothing_plan
 from .verification import CrossCheckReport, DecryptionCrossCheck, DeviceRegistry
 
 __all__ = [
@@ -36,17 +34,15 @@ __all__ = [
     "DecryptionCrossCheck",
     "DeviceRegistry",
     "Diptych",
-    "DistributedTrace",
     "EMTrace",
     "EncryptedMean",
     "GaussianMixtureState",
+    "IterationRecord",
     "IterationStats",
     "NoisePlan",
     "Participant",
     "PerturbationOptions",
-    "ProtocolStep",
     "QualityMonitor",
-    "QualityStep",
     "derive_sma_window",
     "em_sensitivities",
     "encrypt_share_vector",
@@ -54,6 +50,6 @@ __all__ = [
     "iter_perturbed_kmeans",
     "perturbed_em",
     "perturbed_kmeans",
-    "resolve_smoothing_plan",
     "sma_smooth",
+    "smoothing_plan",
 ]

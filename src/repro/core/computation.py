@@ -89,7 +89,7 @@ class ComputationStep:
     format.
     """
 
-    #: This step times none of its crypto (see ``ProtocolStep.crypto_ms``).
+    #: This step times none of its crypto (see ``IterationRecord.crypto_ms``).
     crypto_seconds: float | None = None
 
     def __init__(

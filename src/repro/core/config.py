@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .smoothing import derive_sma_window
+from .smoothing import derive_sma_window, smoothing_plan
 
 __all__ = ["ChiaroscuroParams"]
 
@@ -140,3 +140,9 @@ class ChiaroscuroParams:
     def smoothing_window(self, series_length: int) -> int:
         """SMA window size ``w`` (even, so the ±w/2 span is symmetric)."""
         return derive_sma_window(series_length, self.smoothing_fraction)
+
+    def smoothing_plan(self, series_length: int) -> tuple[int, bool]:
+        """``(window, applies)`` for a series length, via the one gate."""
+        return smoothing_plan(
+            series_length, self.smoothing_window(series_length), self.use_smoothing
+        )

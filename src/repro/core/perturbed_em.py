@@ -30,7 +30,7 @@ import numpy as np
 
 from ..datasets.timeseries import TimeSeriesSet
 from ..privacy.accountant import PrivacyAccountant
-from ..privacy.budget import BudgetExhausted, BudgetStrategy
+from ..privacy.budget import BudgetStrategy
 
 __all__ = ["GaussianMixtureState", "EMTrace", "em_sensitivities", "perturbed_em"]
 
@@ -119,12 +119,7 @@ def perturbed_em(
     )
     trace = EMTrace()
 
-    for iteration in range(1, max_iterations + 1):
-        try:
-            epsilon_i = strategy.epsilon_for(iteration)
-            accountant.charge(epsilon_i)
-        except BudgetExhausted:
-            break
+    for _, epsilon_i in accountant.charged_schedule(strategy, max_iterations):
         eps_part = epsilon_i / 3.0  # sums, counts, scatters
 
         # E step (local per device; vectorized here).

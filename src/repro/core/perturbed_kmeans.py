@@ -41,19 +41,13 @@ from ..clustering.inertia import intra_inertia
 from ..clustering.kmeans import compute_means
 from ..datasets.timeseries import TimeSeriesSet
 from ..privacy.accountant import PrivacyAccountant
-from ..privacy.budget import BudgetExhausted, BudgetStrategy
+from ..privacy.budget import BudgetStrategy
 from ..privacy.laplace import sum_sensitivity
 from ..privacy.probabilistic import lemma2_noise_inflation, lemma2_scale
-from .results import ClusteringResult, IterationStats
-from .smoothing import derive_sma_window, sma_smooth
+from .results import ClusteringResult, IterationRecord, IterationStats
+from .smoothing import sma_smooth, smoothing_plan
 
-__all__ = [
-    "PerturbationOptions",
-    "QualityStep",
-    "iter_perturbed_kmeans",
-    "perturbed_kmeans",
-    "resolve_smoothing_plan",
-]
+__all__ = ["PerturbationOptions", "iter_perturbed_kmeans", "perturbed_kmeans"]
 
 
 @dataclass(frozen=True)
@@ -128,40 +122,6 @@ def _gossip_error(
     return values * (1.0 + rng.uniform(-e_max, e_max, size=values.shape))
 
 
-@dataclass
-class QualityStep:
-    """One completed quality-plane iteration, as yielded by the generator.
-
-    ``centroids`` are the *next* centroids (perturbed, possibly smoothed) —
-    the released output of the iteration; ``stats`` carries the paper's
-    per-iteration measurements; ``active_series`` counts the series that
-    survived the churn subsample (the whole dataset when churn is 0).
-    """
-
-    stats: IterationStats
-    centroids: np.ndarray
-    converged: bool
-    active_series: int
-
-
-def resolve_smoothing_plan(
-    series_length: int,
-    smoothing_window: int | None,
-    options: PerturbationOptions,
-) -> tuple[int, bool]:
-    """(window, applies) for a run — the single gate both entry points use.
-
-    A ``None`` window derives the Table 2 default (20 % of ``n``); smoothing
-    applies only when enabled *and* ``0 < window < n`` — the same guard the
-    protocol planes use (``ChiaroscuroParams.smoothing_window`` + bound
-    check), so the quality and distributed planes can never disagree on
-    whether a given series length is smoothable.
-    """
-    if smoothing_window is None:
-        smoothing_window = derive_sma_window(series_length)
-    return smoothing_window, options.smoothing and 0 < smoothing_window < series_length
-
-
 def iter_perturbed_kmeans(
     dataset: TimeSeriesSet,
     initial_centroids: np.ndarray,
@@ -173,14 +133,16 @@ def iter_perturbed_kmeans(
     churn: float = 0.0,
     rng: np.random.Generator | None = None,
     start_iteration: int = 1,
-) -> Iterator[QualityStep]:
+) -> Iterator[IterationRecord]:
     """The perturbed k-means loop as a generator of per-iteration steps.
 
     This is the streaming primitive underneath :func:`perturbed_kmeans`
-    (and the ``repro.api`` quality plane): one :class:`QualityStep` per
+    (and the ``repro.api`` quality plane): one :class:`IterationRecord` per
     completed iteration, so callers can report progress, stop early, or
-    checkpoint between iterations.  The generator returns (without a final
-    step) when the budget is exhausted or every cluster is lost.
+    checkpoint between iterations.  ``active_series`` counts the series
+    that survived the churn subsample (the whole dataset when churn is 0).
+    The generator returns (without a final step) when the budget is
+    exhausted or every cluster is lost.
 
     ``start_iteration`` supports checkpoint resume: budget charges for
     iterations ``1 .. start_iteration-1`` are replayed (deterministic, no
@@ -193,26 +155,20 @@ def iter_perturbed_kmeans(
     series_all = dataset.values
     scale_factor = float(dataset.population_scale)
 
-    smoothing_window, do_smooth = resolve_smoothing_plan(
-        dataset.n, smoothing_window, options
+    smoothing_window, do_smooth = smoothing_plan(
+        dataset.n, smoothing_window, options.smoothing
     )
 
     accountant = PrivacyAccountant(epsilon_budget=strategy.epsilon)
-    for iteration in range(1, start_iteration):  # replay a resumed prefix
-        accountant.charge(strategy.epsilon_for(iteration))
     inflation = (
         lemma2_noise_inflation(options.gossip_e_max) if options.gossip_e_max > 0 else 1.0
     )
 
     centroids = np.asarray(initial_centroids, dtype=float).copy()
 
-    for iteration in range(start_iteration, max_iterations + 1):
-        try:
-            epsilon_i = strategy.epsilon_for(iteration)
-            accountant.charge(epsilon_i)
-        except BudgetExhausted:
-            return
-
+    for iteration, epsilon_i in accountant.charged_schedule(
+        strategy, max_iterations, start_iteration
+    ):
         if churn > 0:
             keep = rng.random(len(series_all)) >= churn
             if not keep.any():
@@ -258,7 +214,7 @@ def iter_perturbed_kmeans(
             post_inertia=float(post_inertia),
             n_centroids=int(survive.sum()),
             epsilon_spent=epsilon_i,
-            centroids=perturbed.copy(),
+            centroids=perturbed,
         )
 
         converged = False
@@ -266,11 +222,13 @@ def iter_perturbed_kmeans(
             displacement = float(np.mean((perturbed - centroids) ** 2))
             converged = displacement < theta
 
-        yield QualityStep(
+        yield IterationRecord(
             stats=stats,
-            centroids=perturbed,
             converged=converged,
+            epsilon_spent_total=accountant.spent,
+            epsilon_remaining=accountant.remaining,
             active_series=len(series),
+            rng_state=rng.bit_generator.state,
         )
         if converged:
             return
@@ -300,17 +258,14 @@ def perturbed_kmeans(
     directly for streaming progress, early stopping, or checkpointing.
     """
     options = options or PerturbationOptions()
-    _, do_smooth = resolve_smoothing_plan(dataset.n, smoothing_window, options)
-
-    centroids = np.asarray(initial_centroids, dtype=float).copy()
     result = ClusteringResult(
-        centroids=centroids,
+        centroids=np.asarray(initial_centroids, dtype=float).copy(),
         strategy=strategy.name,
-        smoothing=do_smooth,
+        smoothing=smoothing_plan(dataset.n, smoothing_window, options.smoothing)[1],
     )
     for step in iter_perturbed_kmeans(
         dataset,
-        centroids,
+        result.centroids,
         strategy,
         max_iterations=max_iterations,
         theta=theta,
@@ -319,11 +274,7 @@ def perturbed_kmeans(
         churn=churn,
         rng=rng,
     ):
-        result.history.append(step.stats)
-        result.converged = step.converged
-        centroids = step.centroids
-
-    result.centroids = centroids
+        result.absorb(step)
     return result
 
 

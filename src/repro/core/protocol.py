@@ -32,14 +32,14 @@ simulation substrates, selected by ``ChiaroscuroParams.protocol_plane``:
 
 The run keeps one canonical trace (the smallest-id weighted node's view —
 all nodes agree up to the epidemic approximation error, which is recorded
-per iteration as ``agreement``) and enforces the iteration-capped
-termination criterion of Sec. 4.2.4 plus the budget strategy's own bound.
+per iteration as ``IterationRecord.agreement``) and enforces the
+iteration-capped termination criterion of Sec. 4.2.4 plus the budget
+strategy's own bound.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -55,7 +55,7 @@ from ..datasets.timeseries import TimeSeriesSet
 from ..gossip.engine import GossipEngine
 from ..gossip.vectorized_protocol import VectorizedGossipEngine
 from ..privacy.accountant import PrivacyAccountant
-from ..privacy.budget import BudgetExhausted, BudgetStrategy
+from ..privacy.budget import BudgetStrategy
 from .batching import PackedPlane, ScalarPlane
 from .computation import (
     ComputationStep,
@@ -65,40 +65,10 @@ from .computation import (
 from .config import ChiaroscuroParams
 from .noise import NoisePlan
 from .participant import Participant
-from .results import ClusteringResult, IterationStats
+from .results import ClusteringResult, IterationRecord, IterationStats
 from .smoothing import sma_smooth
 
-__all__ = ["ChiaroscuroRun", "DistributedTrace", "ProtocolStep"]
-
-
-@dataclass
-class DistributedTrace:
-    """Extra diagnostics only the distributed plane can produce."""
-
-    agreement: list[float] = field(default_factory=list)  # per-iteration spread
-    exchanges_per_node: list[float] = field(default_factory=list)
-
-
-@dataclass
-class ProtocolStep:
-    """One completed distributed iteration, as yielded by ``run_iter``.
-
-    ``centroids`` are the released (perturbed, smoothed, lost-cluster-
-    pruned) centroids of the iteration; ``agreement`` and
-    ``exchanges_per_node`` are the :class:`DistributedTrace` entries for it.
-    """
-
-    stats: IterationStats
-    centroids: np.ndarray
-    converged: bool
-    agreement: float
-    exchanges_per_node: float
-    #: Wall-clock milliseconds spent inside crypto batch calls this
-    #: iteration (encryption, homomorphic gossip algebra, threshold
-    #: decryption).  Only the vectorized-crypto step times its crypto:
-    #: ``None`` on the mock plane (no ciphertexts) and on the object plane
-    #: (real ciphertexts, untimed).
-    crypto_ms: float | None = None
+__all__ = ["ChiaroscuroRun"]
 
 
 class ChiaroscuroRun:
@@ -161,6 +131,8 @@ class ChiaroscuroRun:
         self.backend = None
         self.plane = None
         self.participants = []
+        #: The ε ledger of the current (or latest) ``run_iter``.
+        self.accountant = PrivacyAccountant(epsilon_budget=strategy.epsilon)
 
         population = dataset.t
         tau = params.tau_count(population)
@@ -283,17 +255,15 @@ class ChiaroscuroRun:
         slice gets small — so the bound is the worst slice's scale at an
         exponential-tail quantile (P[|share| > 60λ] ~ e⁻⁶⁰ per element:
         never in practice)."""
-        slices = []
-        for iteration in range(1, self.params.max_iterations + 1):
-            try:
-                slices.append(self.strategy.epsilon_for(iteration))
-            except BudgetExhausted:
-                break
-        min_epsilon = min(slices) if slices else self.params.epsilon
+        n_slices = self.params.max_iterations
+        bound = self.strategy.max_iterations()
+        if bound is not None:
+            n_slices = min(n_slices, bound)
         dataset = self.dataset
         return (
             max(abs(dataset.dmin), abs(dataset.dmax))
-            + 60.0 * dataset.joint_sensitivity / min_epsilon
+            + 60.0 * dataset.joint_sensitivity
+            / min(self.strategy.schedule(n_slices))
         )
 
     def _build_backend(self, ciphertexts_per_node: int) -> None:
@@ -312,39 +282,32 @@ class ChiaroscuroRun:
             encryptor=self.encryptor,
         )
 
-    def smoothing_plan(self) -> tuple[int, bool]:
-        """(window, applies) for this run — shared by every substrate."""
-        window = self.params.smoothing_window(self.dataset.n)
-        return window, self.params.use_smoothing and 0 < window < self.dataset.n
-
-    def run(self, churn: float = 0.0) -> tuple[ClusteringResult, DistributedTrace]:
-        """Execute Algorithm 1; returns the canonical trace plus diagnostics.
+    def run(
+        self, churn: float = 0.0
+    ) -> tuple[ClusteringResult, list[IterationRecord]]:
+        """Execute Algorithm 1; returns the canonical trace plus the
+        per-iteration records (``agreement``, ``exchanges_per_node``, …).
 
         Backend resources are released on every exit path; the run object
         stays reusable (a process-pool backend re-creates its executor
         lazily).  A thin driver over :meth:`run_iter`.
         """
-        _, do_smooth = self.smoothing_plan()
-        centroids = self.initial_centroids.copy()
         result = ClusteringResult(
-            centroids=centroids, strategy=self.strategy.name, smoothing=do_smooth
+            centroids=self.initial_centroids.copy(),
+            strategy=self.strategy.name,
+            smoothing=self.params.smoothing_plan(self.dataset.n)[1],
         )
-        trace = DistributedTrace()
-        for step in self.run_iter(churn):
-            result.history.append(step.stats)
-            trace.agreement.append(step.agreement)
-            trace.exchanges_per_node.append(step.exchanges_per_node)
-            result.converged = step.converged
-            centroids = step.centroids
-        result.centroids = centroids
-        return result, trace
+        steps = list(self.run_iter(churn))
+        for step in steps:
+            result.absorb(step)
+        return result, steps
 
     def run_iter(
         self, churn: float = 0.0, start_iteration: int = 1
-    ) -> Iterator[ProtocolStep]:
+    ) -> Iterator[IterationRecord]:
         """Algorithm 1 as a generator of per-iteration steps (every plane).
 
-        Yields one :class:`ProtocolStep` per completed iteration — the
+        Yields one :class:`IterationRecord` per completed iteration — the
         streaming primitive for progress reporting, early stopping, and
         (on the vectorized planes) checkpointing.  ``start_iteration``
         resumes mid-run: budget charges for the prefix are replayed
@@ -354,21 +317,17 @@ class ChiaroscuroRun:
         """
         params = self.params
         dataset = self.dataset
-        accountant = PrivacyAccountant(epsilon_budget=self.strategy.epsilon)
-        for iteration in range(1, start_iteration):  # the resumed prefix
-            accountant.charge(self.strategy.epsilon_for(iteration))
+        accountant = self.accountant = PrivacyAccountant(
+            epsilon_budget=self.strategy.epsilon
+        )
         centroids = self.initial_centroids.copy()
-        window, do_smooth = self.smoothing_plan()
+        window, do_smooth = params.smoothing_plan(dataset.n)
         n_nu = params.noise_share_count(dataset.t)
 
         try:
-            for iteration in range(start_iteration, params.max_iterations + 1):
-                try:
-                    epsilon_i = self.strategy.epsilon_for(iteration)
-                    accountant.charge(epsilon_i)
-                except BudgetExhausted:
-                    return
-
+            for iteration, epsilon_i in accountant.charged_schedule(
+                self.strategy, params.max_iterations, start_iteration
+            ):
                 # The run's bigint kernel is active only while this iteration
                 # computes and is restored before every yield — interleaved
                 # generators of runs with different kernels never see each
@@ -400,15 +359,18 @@ class ChiaroscuroRun:
                     )
                 if advanced is None:
                     return
-                stats, centroids, converged = advanced
+                stats, converged = advanced
+                centroids = stats.centroids
                 seconds = step.crypto_seconds
-                yield ProtocolStep(
+                yield IterationRecord(
                     stats=stats,
-                    centroids=centroids,
                     converged=converged,
+                    epsilon_spent_total=accountant.spent,
+                    epsilon_remaining=accountant.remaining,
                     agreement=output.agreement(),
                     exchanges_per_node=engine.mean_exchanges_per_node,
                     crypto_ms=None if seconds is None else seconds * 1000.0,
+                    rng_state=self.noise_rng.bit_generator.state,
                 )
                 if converged:
                     return
@@ -491,14 +453,15 @@ class ChiaroscuroRun:
         do_smooth: bool,
         window: int,
         labels: np.ndarray | None = None,
-    ) -> tuple[IterationStats, np.ndarray, bool] | None:
+    ) -> tuple[IterationStats, bool] | None:
         """Canonical post-processing (every node does the same locally).
 
         Shared by every substrate: decode the canonical node's perturbed
         means, drop lost clusters, smooth, measure the iteration's quality
         stats and apply the θ convergence test.  Returns ``(stats,
-        next_centroids, converged)``, or ``None`` when every cluster was
-        lost (the run ends without a recordable iteration).  ``labels``
+        converged)`` — ``stats.centroids`` are the next centroids — or
+        ``None`` when every cluster was lost (the run ends without a
+        recordable iteration).  ``labels``
         lets the array planes reuse their assignment-step result instead
         of recomputing the t × k argmin (the dominant cleartext cost at
         10⁵–10⁶ participants).
@@ -526,14 +489,14 @@ class ChiaroscuroRun:
             post_inertia=float(post),
             n_centroids=int(survive.sum()),
             epsilon_spent=epsilon_i,
-            centroids=perturbed.copy(),
+            centroids=perturbed,
         )
 
         converged = False
         if params.theta > 0 and perturbed.shape == centroids.shape:
             displacement = float(np.mean((perturbed - centroids) ** 2))
             converged = displacement < params.theta
-        return stats, perturbed, converged
+        return stats, converged
 
     def close(self) -> None:
         """Release backend resources (worker pools); the run can be reused —

@@ -10,6 +10,11 @@
 * ``n_centroids``   — surviving centroids after the lost-mean effect
   (Figs. 2c/2d);
 * ``epsilon_spent`` — the iteration's budget slice.
+
+``IterationRecord`` is the one per-iteration record both Algorithm 1 loops
+(``iter_perturbed_kmeans``, ``ChiaroscuroRun.run_iter``) yield; planes
+forward it unchanged and ``Experiment.run_iter`` turns it into the
+``IterationCompleted`` event and the ``Checkpoint``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["IterationStats", "ClusteringResult"]
+__all__ = ["IterationStats", "IterationRecord", "ClusteringResult"]
 
 
 @dataclass
@@ -56,6 +61,38 @@ class IterationStats:
 
 
 @dataclass
+class IterationRecord:
+    """One completed iteration, as yielded by either Algorithm 1 loop.
+
+    ``epsilon_spent_total`` / ``epsilon_remaining`` are read off the loop's
+    :class:`~repro.privacy.accountant.PrivacyAccountant` right after the
+    iteration's charge (resumed prefix included) — the single ε ledger.
+    Telemetry a loop does not produce stays ``None``: ``active_series`` is
+    the quality loop's churn-subsample size; ``agreement`` (epidemic
+    spread) and ``exchanges_per_node`` are the protocol loop's; ``crypto_ms``
+    is the wall time inside crypto batch calls, timed by the
+    vectorized-crypto step only.  ``rng_state`` is the bit-generator state
+    of the loop's one cross-iteration RNG after this iteration (what a
+    checkpoint restores).
+    """
+
+    stats: IterationStats
+    converged: bool
+    epsilon_spent_total: float
+    epsilon_remaining: float
+    active_series: int | None = None
+    agreement: float | None = None
+    exchanges_per_node: float | None = None
+    crypto_ms: float | None = None
+    rng_state: dict | None = None
+
+    @property
+    def centroids(self) -> np.ndarray:
+        """The released (perturbed, smoothed, lost-cluster-pruned) centroids."""
+        return self.stats.centroids
+
+
+@dataclass
 class ClusteringResult:
     """A full run: final centroids plus the per-iteration history."""
 
@@ -64,6 +101,12 @@ class ClusteringResult:
     converged: bool = False
     strategy: str = ""
     smoothing: bool = False
+
+    def absorb(self, step: IterationRecord) -> None:
+        """Fold one completed iteration into the run's trace."""
+        self.history.append(step.stats)
+        self.converged = step.converged
+        self.centroids = step.centroids
 
     @property
     def iterations(self) -> int:

@@ -21,7 +21,8 @@ Semantics shared by both planes:
 
 Determinism: proxies consume no engine RNG for fault decisions (injectors
 own named streams), so wrapping an engine and injecting *nothing* leaves
-the run bit-identical — pinned by ``tests/faults/test_bit_identity.py``.
+the run bit-identical — pinned by
+``tests/faults/test_fault_plane.py::test_empty_faults_block_is_bit_identical``.
 """
 
 from __future__ import annotations

@@ -10,6 +10,9 @@ callers can read off the global guarantee actually spent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
+
+from .budget import BudgetExhausted, BudgetStrategy
 
 __all__ = ["PrivacyAccountant", "BudgetOverrun"]
 
@@ -52,6 +55,30 @@ class PrivacyAccountant:
             )
         self.spent += epsilon
         self.releases += n_values
+
+    def charged_schedule(
+        self,
+        strategy: BudgetStrategy,
+        max_iterations: int,
+        start_iteration: int = 1,
+    ) -> Iterator[tuple[int, float]]:
+        """Algorithm 1's loop head: charge ``ε_i``, *then* yield ``(i, ε_i)``.
+
+        Iterations ``1 .. start_iteration − 1`` (the prefix of a resumed
+        run) are charged without being yielded, so ``spent`` is the same
+        left-to-right sum an uninterrupted run holds at that point.  The
+        schedule ends silently at ``max_iterations`` or at the strategy's
+        own bound (Sec. 4.2.4); a slice that would overspend the budget
+        still raises :class:`BudgetOverrun`.
+        """
+        for iteration in range(1, max_iterations + 1):
+            try:
+                epsilon_i = strategy.epsilon_for(iteration)
+            except BudgetExhausted:
+                return
+            self.charge(epsilon_i)
+            if iteration >= start_iteration:
+                yield iteration, epsilon_i
 
     @property
     def remaining(self) -> float:

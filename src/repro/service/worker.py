@@ -60,11 +60,7 @@ def execute_job(store: JobStore, job: Job) -> int:
         ):
             bus.publish(event)
             if isinstance(event, RunStarted):
-                environment = {
-                    "crypto_backend": event.crypto_backend,
-                    "bigint_backend": event.bigint_backend,
-                    "key_bits": event.key_bits,
-                }
+                environment = event.environment
             elif isinstance(event, RunCompleted):
                 result = event.result
     except Exception as exc:  # noqa: BLE001 - the job fails, not the server

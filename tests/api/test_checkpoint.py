@@ -17,8 +17,10 @@ from repro.api import (
     CheckpointSaved,
     CheckpointStore,
     Experiment,
+    IterationCompleted,
     RunCompleted,
     RunSpec,
+    event_to_dict,
 )
 
 
@@ -87,6 +89,34 @@ class TestKillAndResume:
 
         resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
         assert_bit_identical(resumed, uninterrupted)
+
+    @pytest.mark.parametrize("plane", ["quality", "vectorized"])
+    def test_resumed_iteration_events_equal_the_uninterrupted_tail(
+        self, tmp_path, plane
+    ):
+        """One ε ledger across resume: the wire form of every iteration a
+        resumed run completes — running total and remainder included, with
+        ``==`` — is what the uninterrupted run emitted for it."""
+
+        def iteration_wire(events):
+            wire = [
+                event_to_dict(e) for e in events
+                if isinstance(e, IterationCompleted)
+            ]
+            for record in wire:
+                del record["crypto_ms"]  # wall time, not a run fact
+            return wire
+
+        spec = spec_for(plane)
+        uninterrupted = iteration_wire(Experiment.from_spec(spec).run_iter())
+        assert [r["iteration"] for r in uninterrupted] == [1, 2, 3, 4, 5]
+
+        directory = str(tmp_path / plane)
+        run_interrupted(spec, directory, 2)
+        resumed = iteration_wire(
+            Experiment.from_spec(spec).run_iter(checkpoint_dir=directory)
+        )
+        assert resumed == uninterrupted[2:]
 
     def test_resume_with_churn_bit_identical(self, tmp_path):
         spec = spec_for("quality").replace(churn=0.25)

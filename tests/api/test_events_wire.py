@@ -9,6 +9,7 @@ silently dropped from the telemetry plane.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 import typing
@@ -26,7 +27,7 @@ from repro.api import (
     RunStarted,
     event_to_dict,
 )
-from repro.core.results import ClusteringResult, IterationStats
+from repro.core.results import ClusteringResult, IterationRecord, IterationStats
 from repro.service import append_ndjson, read_events
 from repro.warehouse import Ingester, connect
 
@@ -167,6 +168,22 @@ def test_iteration_completed_carries_crypto_ms():
         )
     )
     assert bare["crypto_ms"] is None
+
+
+def test_every_step_record_fact_reaches_the_wire():
+    """Adding a per-iteration fact is three edits — the record field, the
+    ``IterationCompleted`` field, the ``event_to_dict`` key — all under one
+    name.  Everything on the loop's record except the stats payload and the
+    two fields the facade consumes itself must show up in all three, and
+    the event holds nothing the record cannot fill (the facade copies by
+    name)."""
+    facts = {f.name for f in dataclasses.fields(IterationRecord)} - {
+        "stats", "converged", "rng_state",
+    }
+    event_fields = {f.name for f in dataclasses.fields(IterationCompleted)}
+    wire = event_to_dict(SAMPLES[IterationCompleted])
+    assert facts | {"stats"} == event_fields
+    assert facts <= set(wire)
 
 
 def test_non_event_rejected():

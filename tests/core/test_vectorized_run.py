@@ -31,14 +31,14 @@ def test_vectorized_plane_runs_full_loop(small_workload):
         tau_fraction=0.01,
     )
     run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=7)
-    result, trace = run.run()
+    result, steps = run.run()
 
     assert result.iterations >= 1
-    assert len(trace.agreement) == result.iterations
-    assert len(trace.exchanges_per_node) == result.iterations
+    assert len(steps) == result.iterations
+    assert all(step.agreement is not None for step in steps)
     # Every iteration ran the full epidemic pipeline: EESum + dissemination
     # + decryption collection all consume exchanges.
-    assert all(v > 2 * params.exchanges for v in trace.exchanges_per_node)
+    assert all(step.exchanges_per_node > 2 * params.exchanges for step in steps)
     # With this much signal and a concentrated budget, clusters survive.
     assert result.n_centroids_curve[0] >= 2
 
@@ -92,8 +92,8 @@ def test_vectorized_plane_under_churn(small_workload):
         tau_fraction=0.01,
     )
     run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=3)
-    result, trace = run.run(churn=0.25)
+    result, steps = run.run(churn=0.25)
     assert result.iterations >= 1
     # Churned cycles still deliver roughly (1 - churn) exchanges per node
     # per cycle; far more than half the exchange budget must materialize.
-    assert trace.exchanges_per_node[0] > params.exchanges
+    assert steps[0].exchanges_per_node > params.exchanges

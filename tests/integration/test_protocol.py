@@ -62,13 +62,14 @@ class TestCorrectness:
 
     def test_nodes_agree(self, near_exact_run):
         """All participants converge to (numerically) the same aggregates."""
-        _, trace = near_exact_run
-        assert all(a < 1e-3 for a in trace.agreement)
+        _, steps = near_exact_run
+        assert all(step.agreement < 1e-3 for step in steps)
 
     def test_exchange_accounting(self, near_exact_run, toy_params):
-        _, trace = near_exact_run
-        for per_node in trace.exchanges_per_node:
-            assert per_node >= toy_params.exchanges  # at least the EESum cycles
+        _, steps = near_exact_run
+        for step in steps:
+            # at least the EESum cycles
+            assert step.exchanges_per_node >= toy_params.exchanges
 
 
 class TestPerturbedRun:

@@ -327,6 +327,30 @@ class TestServiceCommands:
         assert len(lines) == 2
         assert "iteration_completed" in lines[0]
 
+    def test_tail_renders_fault_and_abort_details(self, tmp_path):
+        """A faulted job's feed says what fired and what the abort cost —
+        not a bare ``[job] fault_detected`` / ``[job] run_aborted``."""
+        root = str(tmp_path / "root")
+        from repro.service import JobStore, append_ndjson
+
+        store = JobStore(root)
+        append_ndjson(store.feed_path,
+                      {"type": "fault_detected", "job": "j1", "iteration": 2,
+                       "fault": "byzantine",
+                       "detector": "decryption-cross-check",
+                       "participants": [4], "detail": {}})
+        append_ndjson(store.feed_path,
+                      {"type": "run_aborted", "job": "j1", "iteration": 2,
+                       "fault": "byzantine", "reason": "cross-check failed",
+                       "epsilon_charged": 0.75})
+        out = io.StringIO()
+        assert main(["tail", "--root", root], out=out) == 0
+        detected, aborted = out.getvalue().strip().splitlines()
+        assert detected == ("[j1] fault_detected fault=byzantine "
+                            "detector=decryption-cross-check iteration=2")
+        assert aborted == ("[j1] run_aborted iteration=2 "
+                           "reason=cross-check failed epsilon_charged=0.7500")
+
     def test_serve_timeout_requires_drain(self, tmp_path):
         out = io.StringIO()
         code = main(["serve", "--root", str(tmp_path / "root"),
