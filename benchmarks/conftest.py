@@ -35,18 +35,32 @@ def record_report(name: str, title: str, lines: list[str]) -> None:
     (_OUT_DIR / f"{name}.txt").write_text(title + "\n" + "\n".join(lines) + "\n")
 
 
-def _git_rev(short: bool = True) -> str:
-    args = ["git", "rev-parse"] + (["--short"] if short else []) + ["HEAD"]
+def _git(*args: str) -> subprocess.CompletedProcess | None:
     try:
         return subprocess.run(
-            args,
+            ["git", *args],
             cwd=pathlib.Path(__file__).parent,
             capture_output=True,
             text=True,
             timeout=5,
-        ).stdout.strip() or "unknown"
+        )
     except (OSError, subprocess.SubprocessError):
+        return None
+
+
+def _git_rev(short: bool = True) -> str:
+    """HEAD, ``-dirty``-suffixed (short form only) when ``src/`` carries
+    uncommitted edits: a point measured before its commit exists must not
+    pass for a point of the parent revision."""
+    done = _git("rev-parse", *(["--short"] if short else []), "HEAD")
+    rev = done.stdout.strip() if done else ""
+    if not rev:
         return "unknown"
+    if short:
+        dirty = _git("diff", "--quiet", "HEAD", "--", ":/src")
+        if dirty is not None and dirty.returncode == 1:
+            rev += "-dirty"
+    return rev
 
 
 def record_json(name: str, data: dict) -> None:
@@ -64,10 +78,11 @@ def record_json(name: str, data: dict) -> None:
     _OUT_DIR.mkdir(exist_ok=True)
     now = time.time()
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(now))
+    git_rev = _git_rev()
     envelope = {
         "schema": "chiaroscuro-bench/v1",
         "bench": name,
-        "git_rev": _git_rev(),
+        "git_rev": git_rev,
         "python": sys.version.split()[0],
         "timestamp": timestamp,
         # The ordering block the warehouse's bench-trajectory view keys
@@ -75,7 +90,7 @@ def record_json(name: str, data: dict) -> None:
         # the full revision alongside the short one.  The legacy
         # top-level git_rev/timestamp stay for old readers.
         "provenance": {
-            "git_rev": _git_rev(),
+            "git_rev": git_rev,
             "git_rev_full": _git_rev(short=False),
             "timestamp": timestamp,
             "unix_time": round(now, 3),

@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-workers", type=int, default=4,
                        help="concurrent worker processes (default: 4)")
     serve.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
-                       help="scheduler poll interval (default: 0.2)")
+                       help="how often to look for new submissions; a "
+                            "finished job is reaped at once (default: 0.2)")
     serve.add_argument("--drain", action="store_true",
                        help="exit once the queue is empty instead of "
                             "serving forever")

@@ -10,8 +10,9 @@ own always-on gossip deployment:
   completed/failed``), one directory per job with its own checkpoint
   store, event log and run record;
 * :class:`Scheduler` — executes up to ``max_workers`` jobs concurrently,
-  one worker *process* per job (the crypto planes parallelize across
-  cores, and each job makes its own backend/bigint selection);
+  one worker *process* per job, forked from the warm scheduler (the crypto
+  planes parallelize across cores, and each job makes its own
+  backend/bigint selection);
 * the NDJSON event bus (:mod:`repro.service.bus`) — every job's
   ``RunStarted``/``IterationCompleted``/``CheckpointSaved``/``RunCompleted``
   stream multiplexed to per-job logs and one tailable combined feed;
@@ -27,10 +28,6 @@ Programmatic sweeps go through :func:`run_batch`::
     records = run_batch(specs, root="service-root", max_workers=4)
 """
 
-# NOTE: repro.service.worker is intentionally NOT imported here — it is
-# the module workers execute via ``python -m repro.service.worker``, and
-# importing it from the package __init__ would trip runpy's
-# found-in-sys.modules warning in every spawned worker.
 from .batch import load_specs, run_batch
 from .bus import EventBus, append_ndjson, next_seq, read_events, tail_events
 from .scheduler import Scheduler

@@ -54,10 +54,10 @@ def run_batch(
     )
     scheduler.recover()
     scheduler.drain(timeout=timeout)
+    # Only the submitted jobs are re-read, not the root's whole history.
     failed = [
-        job for job in store.jobs()
-        if job.job_id in {j.job_id for j in jobs}
-        and job.state != JobState.COMPLETED
+        job for job in (store.get(j.job_id) for j in jobs)
+        if job.state != JobState.COMPLETED
     ]
     if failed:
         details = "; ".join(f"{job.job_id}: {job.error}" for job in failed)

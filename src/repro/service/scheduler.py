@@ -5,34 +5,69 @@ The control loop is deliberately small — the durable truth lives in the
 
 1. **recover** at startup: flip crash-marked ``running`` jobs back to
    ``queued`` (their checkpoints make the re-run a resume);
-2. **launch**: claim queued jobs oldest-first and spawn one
-   ``repro.service.worker`` process each, up to ``max_workers``;
+2. **launch**: claim queued jobs oldest-first and fork one worker
+   process each (:func:`repro.service.worker.main`), up to ``max_workers``;
 3. **reap**: when a worker exits without having recorded an outcome
    (killed, OOM, segfault — ``job.json`` still says ``running``), either
    re-enqueue it for another attempt or fail it once ``max_attempts`` is
-   exhausted (a hard-crashing spec must not loop forever).
+   exhausted (a hard-crashing spec must not loop forever);
+4. **wait** on the workers' exit sentinels, so a finished job is reaped
+   and the next one launched at once; ``poll_interval`` is only the
+   timeout of that wait — the tick for noticing new submissions.
 
 SIGKILL-ing the whole server process group at any instant is therefore
 recoverable by construction: nothing in the loop holds state that is not
 re-derivable from the store at the next startup.
+
+Workers are *forks* of this process, which already holds the imported
+package (a fresh interpreter spent ~0.2 s importing it for ~12 ms of
+protocol work).  Still one OS process per job — same crash isolation, same
+``kill -9``/requeue/``max_attempts`` semantics — under three properties:
+
+* the child leaves through ``os._exit`` (multiprocessing's fork launcher):
+  no ``atexit`` hook or test-runner teardown inherited from the parent
+  ever runs in a worker;
+* results do not depend on inherited state: each worker makes its own
+  bigint/crypto-backend selection from the spec, and no module-global RNG
+  is consulted (the ``determinism-rng`` lint rule);
+* the scheduler process is single-threaded when it forks — ``repro
+  serve`` and ``run_batch`` are.
 """
 
 from __future__ import annotations
 
-import os
-import pathlib
-import subprocess
-import sys
+import multiprocessing
+import signal
 import time
+from multiprocessing.connection import wait
 
+# Imported here, once, because every job would otherwise import them
+# lazily in its own child (~20 ms per job): a fork repeats no import.
+import numpy.random  # noqa: F401
+from .. import faults  # noqa: F401
+from . import worker
 from .bus import EventBus
 from .store import Job, JobState, JobStore
 
 __all__ = ["Scheduler"]
 
 
+def _exit_reason(code: int) -> str:
+    """``exitcode`` in words; negative means killed by that signal."""
+    if code >= 0:
+        return f"exited with code {code}"
+    try:
+        return f"killed by {signal.Signals(-code).name}"
+    except ValueError:  # pragma: no cover - a signal without a name
+        return f"killed by signal {-code}"
+
+
 class Scheduler:
-    """Execute a :class:`JobStore`'s queue, ``max_workers`` jobs at a time."""
+    """Execute a :class:`JobStore`'s queue, ``max_workers`` jobs at a time.
+
+    ``max_workers`` is the number of concurrently forked worker processes;
+    construct and drive the scheduler from a single-threaded process.
+    """
 
     def __init__(
         self,
@@ -47,7 +82,7 @@ class Scheduler:
         self.max_workers = max_workers
         self.poll_interval = poll_interval
         self.max_attempts = max_attempts
-        self._workers: dict[str, subprocess.Popen] = {}
+        self._workers: dict[str, multiprocessing.Process] = {}
         # Jobs observed in a terminal state: never re-read (see step()).
         self._terminal: set[str] = set()
 
@@ -77,7 +112,11 @@ class Scheduler:
             if len(self._workers) >= self.max_workers:
                 break
             claimed = self.store.claim(job)
-            self._workers[claimed.job_id] = self._spawn(claimed)
+            proc = multiprocessing.get_context("fork").Process(
+                target=worker.main, args=(self.store, claimed)
+            )
+            proc.start()
+            self._workers[claimed.job_id] = proc
         return bool(self._workers) or bool(queued)
 
     def drain(self, timeout: float | None = None) -> list[Job]:
@@ -94,7 +133,7 @@ class Scheduler:
                 raise TimeoutError(
                     f"drain exceeded {timeout} s with jobs still pending"
                 )
-            time.sleep(self.poll_interval)
+            self._wait()
         return self.store.jobs()
 
     def run_forever(self) -> None:
@@ -102,20 +141,20 @@ class Scheduler:
         try:
             while True:
                 self.step()
-                time.sleep(self.poll_interval)
+                self._wait()
         finally:
             self.shutdown()
 
     def shutdown(self) -> None:
         """Terminate outstanding workers; their jobs recover on restart."""
         for proc in self._workers.values():
-            if proc.poll() is None:
-                proc.terminate()
+            proc.terminate()
         for proc in self._workers.values():
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
+            proc.join(timeout=5)
+            if proc.exitcode is None:  # pragma: no cover - stuck child
                 proc.kill()
+                proc.join()
+            proc.close()
         self._workers.clear()
 
     @property
@@ -124,58 +163,31 @@ class Scheduler:
 
     # ------------------------------------------------------------ internals
 
+    def _wait(self) -> None:
+        """Sleep until a worker exits, at most ``poll_interval``."""
+        wait(
+            [proc.sentinel for proc in self._workers.values()],
+            timeout=self.poll_interval,
+        )
+
     def _reap(self) -> None:
         for job_id, proc in list(self._workers.items()):
-            code = proc.poll()
+            code = proc.exitcode
             if code is None:
                 continue
             del self._workers[job_id]
+            proc.close()
             job = self.store.get(job_id)
             if job.state not in (JobState.COMPLETED, JobState.FAILED):
                 # The worker died without recording an outcome (signal,
                 # interpreter abort).  Its checkpoints are intact, so give
                 # the job another attempt unless it keeps crashing.
                 if job.attempts >= self.max_attempts:
-                    error = (
-                        f"worker exited with code {code} "
-                        f"({job.attempts} attempts)"
+                    # The worker published no terminal marker of its own.
+                    worker.fail_job(
+                        self.store,
+                        EventBus(self.store, job_id),
+                        f"worker {_exit_reason(code)} ({job.attempts} attempts)",
                     )
-                    self.store.update(
-                        job_id,
-                        state=JobState.FAILED,
-                        finished_at=time.time(),
-                        error=error,
-                    )
-                    # Terminal marker on the bus too: worker-side failures
-                    # publish job_failed themselves, but this worker died
-                    # without one — a tailing consumer must still see the
-                    # stream end.
-                    EventBus(self.store, job_id).publish_record({
-                        "type": "job_failed",
-                        "job": job_id,
-                        "ts": round(time.time(), 3),
-                        "error": error,
-                    })
                 else:
                     self.store.update(job_id, state=JobState.QUEUED)
-
-    def _spawn(self, job: Job) -> subprocess.Popen:
-        # Workers must import `repro` regardless of how the server itself
-        # was launched, so the package root rides on PYTHONPATH.
-        package_root = str(pathlib.Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH", "")
-        if package_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                package_root + (os.pathsep + existing if existing else "")
-            )
-        return subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.service.worker",
-                str(self.store.root),
-                job.job_id,
-            ],
-            env=env,
-        )

@@ -1,9 +1,10 @@
 """Worker: execute one claimed job in its own process.
 
-The scheduler spawns ``python -m repro.service.worker <root> <job_id>``
-per job, so concurrent jobs parallelize across cores (each process makes
-its own backend/bigint selection from the spec's params, exactly like an
-inline run) and a crashing experiment can never take the server down.
+The scheduler forks itself once per job and the child runs :func:`main`,
+so concurrent jobs parallelize across cores (each process makes its own
+backend/bigint selection from the spec's params, exactly like an inline
+run), a crashing experiment can never take the server down, and no job
+pays an interpreter start or an ``import repro``.
 
 The worker drives :meth:`repro.api.Experiment.run_iter` with the job's
 checkpoint directory, publishes every event to the NDJSON bus, writes the
@@ -19,7 +20,6 @@ from scratch, which is deterministic for a seeded spec anyway).
 from __future__ import annotations
 
 import json
-import sys
 import time
 import traceback
 
@@ -35,7 +35,21 @@ from ..api import (
 from .bus import EventBus
 from .store import Job, JobState, JobStore
 
-__all__ = ["execute_job", "main"]
+__all__ = ["execute_job", "fail_job", "main"]
+
+
+def fail_job(store: JobStore, bus: EventBus, error: str) -> None:
+    """Record a terminal failure: ``job.json``, then the bus marker a
+    tailing consumer needs to see the stream end."""
+    store.update(
+        bus.job_id, state=JobState.FAILED, finished_at=time.time(), error=error
+    )
+    bus.publish_record({
+        "type": "job_failed",
+        "job": bus.job_id,
+        "ts": round(time.time(), 3),
+        "error": error,
+    })
 
 
 def execute_job(store: JobStore, job: Job) -> int:
@@ -64,22 +78,8 @@ def execute_job(store: JobStore, job: Job) -> int:
             elif isinstance(event, RunCompleted):
                 result = event.result
     except Exception as exc:  # noqa: BLE001 - the job fails, not the server
-        error = f"{type(exc).__name__}: {exc}"
-        store.update(
-            job.job_id,
-            state=JobState.FAILED,
-            finished_at=time.time(),
-            error=error,
-        )
-        bus.publish_record(
-            {
-                "type": "job_failed",
-                "job": job.job_id,
-                "ts": round(time.time(), 3),
-                "error": error,
-            }
-        )
-        traceback.print_exc(file=sys.stderr)
+        fail_job(store, bus, f"{type(exc).__name__}: {exc}")
+        traceback.print_exc()
         return 1
 
     elapsed = time.perf_counter() - started
@@ -104,15 +104,6 @@ def execute_job(store: JobStore, job: Job) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if len(argv) != 2:
-        print("usage: python -m repro.service.worker <root> <job_id>",
-              file=sys.stderr)
-        return 2
-    store = JobStore(argv[0])
-    return execute_job(store, store.get(argv[1]))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def main(store: JobStore, job: Job) -> None:
+    """Entry of a forked worker: run ``job``, exit with its code."""
+    raise SystemExit(execute_job(store, job))

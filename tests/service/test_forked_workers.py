@@ -1,0 +1,198 @@
+"""Forked workers: what the scheduler promises about the processes it
+forks from itself — a finished job is reaped at once (not at the next
+poll tick), a killed worker is named and its job requeued, no child
+outlives ``drain``/``shutdown``, and nothing the parent process happens to
+hold (bigint selection, global RNG state) reaches a job's result.
+"""
+
+from __future__ import annotations
+
+import json
+import multiprocessing
+import os
+import random
+import signal
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pytest
+
+from _helpers import small_spec
+from repro.api import Experiment, RunSpec, run_record
+from repro.crypto import bigint
+from repro.crypto.backend import ProcessPoolBackend
+from repro.service import JobState, JobStore, Scheduler, read_events, run_batch
+
+DRAIN_TIMEOUT = 120.0
+
+
+def inline_result(spec: RunSpec) -> dict:
+    """The ``result`` block of the spec's record, run in this process."""
+    result = Experiment.from_spec(spec).run()
+    return json.loads(json.dumps(run_record(spec, result)["result"]))
+
+
+def crypto_spec(plane: str, participants: int, **params) -> RunSpec:
+    return RunSpec.from_dict({
+        "name": f"svc-test-{plane}",
+        "plane": plane,
+        "seed": 5,
+        "strategy": "UF2",
+        "dataset": {"kind": "points2d",
+                    "params": {"n_clusters": 2,
+                               "points_per_cluster": participants // 2,
+                               "duplications": 1}},
+        "init": {"kind": "sample"},
+        "params": {"k": 2, "max_iterations": 2, "exchanges": 8,
+                   "key_bits": 128, "tau_fraction": 0.2, "epsilon": 2000.0,
+                   "theta": 0.0, **params},
+    })
+
+
+def long_spec(seed: int) -> RunSpec:
+    """~1 s of work: still mid-run when the test reaches for its worker."""
+    return small_spec(seed, max_iterations=10, n_series=20_000)
+
+
+def kill_worker(scheduler: Scheduler, job_id: str) -> None:
+    proc = scheduler._workers[job_id]
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(10)
+
+
+class TestReaping:
+    def test_drain_wakes_on_worker_exit_not_on_the_poll_tick(self, tmp_path):
+        """Three jobs through one slot with a 5 s tick: sleeping the tick
+        between jobs would take 10 s+; waiting on the sentinels takes the
+        jobs' own time."""
+        store = JobStore(tmp_path / "root")
+        jobs = [store.submit(small_spec(seed)) for seed in range(3)]
+        scheduler = Scheduler(store, max_workers=1, poll_interval=5)
+        started = time.monotonic()
+        scheduler.drain(timeout=DRAIN_TIMEOUT)
+        assert time.monotonic() - started < 2.0
+        assert [store.get(job.job_id).state for job in jobs] == (
+            [JobState.COMPLETED] * 3
+        )
+
+    def test_no_child_outlives_drain_or_shutdown(self, tmp_path):
+        store = JobStore(tmp_path / "root")
+        store.submit(small_spec(1))
+        scheduler = Scheduler(store, max_workers=1, poll_interval=0.05)
+        scheduler.drain(timeout=DRAIN_TIMEOUT)
+        assert multiprocessing.active_children() == []
+
+        # A long job, shut down mid-flight: it stays a crash marker.
+        long_job = store.submit(long_spec(2))
+        assert scheduler.step()
+        worker_pid = scheduler._workers[long_job.job_id].pid
+        assert worker_pid != os.getpid()
+        scheduler.shutdown()
+        assert scheduler.active_jobs == []
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker_pid, 0)  # reaped, not a zombie
+        assert store.get(long_job.job_id).state == JobState.RUNNING
+
+
+class TestKilledWorker:
+    def test_sigkill_requeues_then_fails_with_the_signal_named(self, tmp_path):
+        store = JobStore(tmp_path / "root")
+        job = store.submit(long_spec(3))
+        scheduler = Scheduler(
+            store, max_workers=1, poll_interval=0.05, max_attempts=2
+        )
+        scheduler.step()
+        first_pid = scheduler._workers[job.job_id].pid
+        assert first_pid != os.getpid()
+        kill_worker(scheduler, job.job_id)
+
+        # One pass reaps the corpse, requeues the job and relaunches it.
+        scheduler.step()
+        relaunched = store.get(job.job_id)
+        assert (relaunched.state, relaunched.attempts) == (JobState.RUNNING, 2)
+        assert scheduler._workers[job.job_id].pid != first_pid
+        kill_worker(scheduler, job.job_id)
+
+        assert not scheduler.step()  # nothing left to do: it is terminal
+        failed = store.get(job.job_id)
+        assert failed.state == JobState.FAILED
+        assert failed.error == "worker killed by SIGKILL (2 attempts)"
+        assert failed.finished_at is not None
+        marker = read_events(store.events_path(job.job_id))[-1]
+        assert marker["type"] == "job_failed"
+        assert marker["error"] == failed.error
+
+        # The scheduler itself is unharmed: the next job runs normally.
+        good = store.submit(small_spec(4))
+        scheduler.drain(timeout=DRAIN_TIMEOUT)
+        assert store.get(good.job_id).state == JobState.COMPLETED
+        assert multiprocessing.active_children() == []
+
+
+class TestInheritedStateDoesNotLeak:
+    def test_records_equal_inline_runs_whatever_the_parent_holds(self, tmp_path):
+        """A fork inherits the caller's bigint selection and global RNG
+        states; each job still derives everything from its spec."""
+        specs = [
+            small_spec(6),
+            small_spec(7, plane="vectorized"),
+            crypto_spec("object", 12),
+        ]
+        expected = [inline_result(spec) for spec in specs]
+        random_state, numpy_state = random.getstate(), np.random.get_state()
+        try:
+            random.seed(12345)
+            np.random.seed(12345)
+            random.random(), np.random.random()
+            with bigint.use_backend("python"):
+                records = run_batch(
+                    specs, tmp_path / "root", max_workers=2,
+                    timeout=DRAIN_TIMEOUT,
+                )
+        finally:
+            random.setstate(random_state)
+            np.random.set_state(numpy_state)
+        assert [record["result"] for record in records] == expected
+
+    def test_process_crypto_backend_runs_under_a_forked_worker(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker is a plain (non-daemon) process, so a job may start
+        its own pool.  The patched ``_pool`` is inherited through the fork
+        and leaves a marker: the pool really was started in the child."""
+        marker = tmp_path / "pool-started"
+        real_pool = ProcessPoolBackend._pool
+
+        def marking_pool(self):
+            marker.write_text(str(os.getpid()))
+            return real_pool(self)
+
+        monkeypatch.setattr(ProcessPoolBackend, "_pool", marking_pool)
+        spec = crypto_spec(
+            "vectorized-crypto", 80, crypto_backend="process", backend_workers=2
+        )
+        [record] = run_batch(
+            [spec], tmp_path / "root", max_workers=1, timeout=DRAIN_TIMEOUT
+        )
+        assert record["environment"]["crypto_backend"] == "process"
+        assert int(marker.read_text()) != os.getpid()
+        serial = crypto_spec("vectorized-crypto", 80, crypto_backend="serial")
+        assert record["result"] == inline_result(serial)
+
+
+def test_scheduler_import_preloads_what_jobs_import_lazily():
+    """Imported once in the parent, so no forked worker repeats it."""
+    code = (
+        "import repro.service.scheduler, sys; "
+        "missing = {'numpy.random', 'repro.faults', 'repro.service.worker'}"
+        " - set(sys.modules); "
+        "sys.exit(f'not preloaded: {sorted(missing)}' if missing else 0)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ),
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,7 +1,7 @@
 """Scheduler: concurrent execution, failure isolation, bit-identity.
 
-These tests drive the real process-per-job path (the scheduler spawns
-``repro.service.worker`` subprocesses), just in-process from pytest via
+These tests drive the real process-per-job path (the scheduler forks one
+``repro.service.worker`` process per job), just in-process from pytest via
 ``drain()`` instead of ``repro serve``.
 """
 
@@ -15,7 +15,7 @@ from _helpers import small_spec
 from repro.api import Experiment, RunSpec, run_record
 from repro.service import JobState, JobStore, Scheduler, read_events, run_batch
 
-DRAIN_TIMEOUT = 300.0  # generous: CI boxes cold-start numpy per worker
+DRAIN_TIMEOUT = 300.0  # a hang guard, not a budget: a batch here takes < 1 s
 
 
 def json_round_trip(payload: dict) -> dict:

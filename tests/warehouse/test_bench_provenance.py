@@ -39,7 +39,8 @@ def test_record_json_envelope_has_provenance(bench_conftest, tmp_path):
     assert envelope["schema"] == "chiaroscuro-bench/v1"
     prov = envelope["provenance"]
     assert prov["git_rev"] == envelope["git_rev"]  # legacy key kept
-    assert prov["git_rev_full"].startswith(prov["git_rev"])
+    # (the short form says so when it was measured on uncommitted edits)
+    assert prov["git_rev_full"].startswith(prov["git_rev"].removesuffix("-dirty"))
     assert len(prov["git_rev_full"]) == 40
     assert isinstance(prov["unix_time"], float)
     assert prov["unix_time"] > 1_700_000_000  # a real epoch, not a stub

@@ -1,17 +1,19 @@
 """Acceptance: ``repro db ingest --follow`` tails a live fleet.
 
 Two angles: a deterministic simulated writer (events appended between
-follow cycles, torn tail included), and a real scheduler running a job
-in a worker process while ``follow_ingest`` streams its events in.
+follow cycles, torn tail included), and a real ``repro serve`` running a
+job in a worker process while ``follow_ingest`` streams its events in.
 """
 
 from __future__ import annotations
 
-import threading
+import os
+import subprocess
+import sys
 
 from _wh_helpers import tiny_spec
 from repro.api import RunSpec
-from repro.service import JobState, JobStore, append_ndjson, run_batch
+from repro.service import JobState, JobStore, append_ndjson
 from repro.warehouse import connect, follow_ingest, table_counts
 
 
@@ -75,16 +77,16 @@ class TestLiveFleet:
         })
         root = tmp_path / "svc"
         store = JobStore(root)
-        failures = []
-
-        def run():
-            try:
-                run_batch([spec], root, max_workers=1, timeout=120.0)
-            except Exception as exc:  # pragma: no cover - surfaced below
-                failures.append(exc)
-
-        runner = threading.Thread(target=run)
-        runner.start()
+        store.submit(spec)
+        # The server is its own process, as deployed: the scheduler forks
+        # its workers and must not share a process with other threads.
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--root", str(root),
+             "--max-workers", "1", "--poll", "0.05", "--drain",
+             "--timeout", "120"],
+            env=dict(os.environ),
+            stdout=subprocess.DEVNULL,
+        )
 
         con = connect(tmp_path / "wh.db")
         observations = []
@@ -96,17 +98,17 @@ class TestLiveFleet:
             )
 
         def done():
-            if runner.is_alive():
+            if server.poll() is None:
                 return False
-            # one final drain pass already ran after the thread exited
+            # one final drain pass already ran after the server exited
             return bool(observations) and observations[-1][0] == 0
 
         try:
             totals = follow_ingest(con, [root], poll_interval=0.05,
                                    should_stop=done, on_cycle=on_cycle)
         finally:
-            runner.join(timeout=120.0)
-        assert not failures, failures
+            exit_code = server.wait(timeout=120.0)
+        assert exit_code == 0
 
         # Events were ingested while the job was still running.
         live = [(n, state) for n, state in observations
