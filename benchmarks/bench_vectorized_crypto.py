@@ -93,7 +93,7 @@ def _run_frontier(population: int) -> dict:
     run = experiment.context.runtime  # the ChiaroscuroRun the plane built
     packed = run.packed
     dims = spec.params.k * (run.dataset.n + 1)
-    ciphertexts_per_node = packed.packed_length(dims) + 1  # + tracker
+    ciphertexts_per_node = packed.packed_length(dims)
     actual_population = run.dataset.t
     cycles = 2 * spec.params.exchanges
     # Exchange volume: each EESum cycle multiplies ~population/2 merged
@@ -113,8 +113,8 @@ def _run_frontier(population: int) -> dict:
             "slots_per_ciphertext": int(packed.slots),
             "slot_bits": int(packed.slot_bits),
             "ciphertexts_per_node": int(ciphertexts_per_node),
-            "unpacked_ciphertexts_per_node": int(dims + 1),
-            "amortization": float((dims + 1) / ciphertexts_per_node),
+            "unpacked_ciphertexts_per_node": int(dims),
+            "amortization": float(dims / ciphertexts_per_node),
         },
         "exchange_ciphertexts": int(exchange_ciphertexts),
         "us_per_exchanged_ciphertext": float(

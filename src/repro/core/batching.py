@@ -9,16 +9,16 @@ operations so the step can run over either representation:
 * :class:`ScalarPlane` — one ciphertext per value, the paper's layout and
   the seed implementation's behaviour;
 * :class:`PackedPlane` — :class:`repro.crypto.PackedCodec` slot packing,
-  one ciphertext per ``slots`` values, plus one extra **tracker**
-  ciphertext ``E(1)`` per participant.
+  one ciphertext per ``slots`` values.
 
-The tracker is what makes packed decoding exact: every element of an EESum
-vector accumulates contributions with the *same* public integer
-coefficients, so the decrypted tracker equals the coefficient total ``C``
-and the bias mass ``B·terms·C`` can be subtracted slot-wise (see the slot
-layout in :mod:`repro.crypto.encoding`).  Decoded outputs are therefore
-bit-identical to the scalar plane's — same signed fixed-point integers,
-same float divisions.
+Packed decoding is exact because the coefficient total is public: every
+element of an EESum vector accumulates contributions with the *same*
+integer coefficients, and Algorithm 2 keeps their total at ``C = 2^count``
+— ``count`` being the cleartext exchange counter that travels with the
+vector — so the bias mass ``B·terms·C`` can be subtracted slot-wise (see
+the slot layout in :mod:`repro.crypto.encoding`).  Decoded outputs are
+therefore bit-identical to the scalar plane's — same signed fixed-point
+integers, same float divisions.
 
 Both planes batch all bulk work through a :class:`repro.crypto.backend`
 backend (serial or process-pool).
@@ -42,29 +42,25 @@ class CiphertextPlane:
 
     public: PublicKey
     backend: CryptoBackend
-    #: extra ciphertexts appended once per participant vector (tracker).
-    tracker_length = 0
 
     def packed_length(self, dims: int) -> int:
-        """Ciphertexts carrying ``dims`` values (excluding any tracker)."""
+        """Ciphertexts carrying ``dims`` values."""
         raise NotImplementedError
 
     def encrypt_values(self, values, rng: random.Random) -> list[int]:
         """Encode and encrypt a vector of reals."""
         raise NotImplementedError
 
-    def tracker_ciphertexts(self, rng: random.Random) -> list[int]:
-        """Fresh tracker ciphertexts for one participant (may be empty)."""
-        return []
-
     def decode_sums(
-        self, plaintexts: list[int], dims: int, bias_terms: int = 2
+        self, plaintexts: list[int], dims: int, coefficient_total: int,
+        bias_terms: int = 2,
     ) -> np.ndarray:
-        """Decode decrypted plaintexts (payload + tracker) to ``dims`` reals.
+        """Decode decrypted plaintexts to ``dims`` reals.
 
-        ``bias_terms`` is how many biased vectors were homomorphically
-        summed element-wise before decryption (means + noise = 2); the
-        scalar plane ignores it.
+        ``coefficient_total`` is the EESum coefficient total ``C =
+        2^count`` of the decrypted vector and ``bias_terms`` how many
+        biased vectors were homomorphically summed element-wise before
+        decryption (means + noise = 2); the scalar plane ignores both.
         """
         raise NotImplementedError
 
@@ -90,7 +86,8 @@ class ScalarPlane(CiphertextPlane):
         return self.backend.encrypt_batch(self.public, plaintexts, rng)
 
     def decode_sums(
-        self, plaintexts: list[int], dims: int, bias_terms: int = 2
+        self, plaintexts: list[int], dims: int, coefficient_total: int,
+        bias_terms: int = 2,
     ) -> np.ndarray:
         if len(plaintexts) != dims:
             raise ValueError(f"expected {dims} plaintexts, got {len(plaintexts)}")
@@ -98,9 +95,7 @@ class ScalarPlane(CiphertextPlane):
 
 
 class PackedPlane(CiphertextPlane):
-    """Slot-packed ciphertexts plus one tracker ``E(1)`` per participant."""
-
-    tracker_length = 1
+    """Slot-packed ciphertexts, ``slots`` values apiece."""
 
     def __init__(
         self,
@@ -119,20 +114,17 @@ class PackedPlane(CiphertextPlane):
         plaintexts = self.packed.pack(np.asarray(values, dtype=float).ravel())
         return self.backend.encrypt_batch(self.public, plaintexts, rng)
 
-    def tracker_ciphertexts(self, rng: random.Random) -> list[int]:
-        return self.backend.encrypt_batch(self.public, [1], rng)
-
     def decode_sums(
-        self, plaintexts: list[int], dims: int, bias_terms: int = 2
+        self, plaintexts: list[int], dims: int, coefficient_total: int,
+        bias_terms: int = 2,
     ) -> np.ndarray:
-        if len(plaintexts) != self.packed_length(dims) + self.tracker_length:
+        if len(plaintexts) != self.packed_length(dims):
             raise ValueError(
-                f"expected {self.packed_length(dims)} payload plaintexts plus "
-                f"a tracker, got {len(plaintexts)}"
+                f"expected {self.packed_length(dims)} plaintexts, "
+                f"got {len(plaintexts)}"
             )
-        coefficient_total = plaintexts[-1]
         return np.array(
             self.packed.unpack(
-                plaintexts[:-1], dims, bias_multiplier=bias_terms * coefficient_total
+                plaintexts, dims, bias_multiplier=bias_terms * coefficient_total
             )
         )

@@ -142,15 +142,9 @@ class ComputationStep:
         # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------
         # Means and noise ride the same EESum instance so their delayed-
         # division scales stay aligned; the cleartext counter gossips on
-        # the same exchange stream.  On the packed plane one tracker
-        # ciphertext E(1) per node rides along too: it converges to the
-        # EESum coefficient total C, which exact unpacking needs.
-        combined = {
-            i: mean_vectors[i]
-            + noise_vectors[i]
-            + plane.tracker_ciphertexts(self.crypto_rng)
-            for i in node_ids
-        }
+        # the same exchange stream.  The EESum coefficient total exact
+        # unpacking needs is 2^count, read off the state's clear counter.
+        combined = {i: mean_vectors[i] + noise_vectors[i] for i in node_ids}
         eesum = EESum(public, combined)
         counter = EpidemicSum({i: np.array([1.0]) for i in node_ids})
         engine.setup(eesum, counter)
@@ -171,15 +165,14 @@ class ComputationStep:
 
         # --- encrypted perturbation (Alg. 3 l.7) --------------------------
         # Batched: one element-wise homomorphic add of the means half and
-        # the noise half; the tracker (if any) passes through untouched.
-        bundles: dict[int, tuple[list[int], int]] = {}
+        # the noise half; ω and the counter travel on in clear.
+        bundles: dict[int, tuple[list[int], int, int]] = {}
         for node in engine.nodes:
             state = eesum.state_of(node)
-            means_part = state.ciphertexts[:payload]
-            noise_part = state.ciphertexts[payload : 2 * payload]
-            tracker_part = state.ciphertexts[2 * payload :]
-            perturbed = homomorphic_add_batch(public, means_part, noise_part)
-            bundles[node.node_id] = (perturbed + tracker_part, state.omega)
+            perturbed = homomorphic_add_batch(
+                public, state.ciphertexts[:payload], state.ciphertexts[payload:]
+            )
+            bundles[node.node_id] = (perturbed, state.omega, state.count)
 
         # --- epidemic decryption (Alg. 3 l.8-10) ---------------------------
         key_shares = {
@@ -204,10 +197,10 @@ class ComputationStep:
                 # decrypted result — it reports nothing, exactly like the
                 # vectorized step's holders mask.
                 continue
-            plaintexts, omega = decryption.plaintexts_of(node)
+            plaintexts, omega, count = decryption.plaintexts_of(node)
             if omega <= 0:
                 continue
-            values = plane.decode_sums(plaintexts, dims, bias_terms=2)
+            values = plane.decode_sums(plaintexts, dims, 1 << count, bias_terms=2)
             values /= float(omega)  # σ/ω — the epidemic sum estimate
             correction_entry = dissemination.value_of(node)
             if correction_entry is not None:
@@ -475,11 +468,11 @@ class VectorizedCryptoComputationStep(_ArrayComputationStep):
         pass).  The counter column stays cleartext (the object plane's
         EpidemicSum is cleartext too); CipherEESum carries its own."""
         population, dims = payload.shape[0], payload.shape[1] - 1
-        width = self.packed.packed_length(dims) + 1  # payload stripes + tracker
+        width = self.packed.packed_length(dims)
         flat_plaintexts = [
             plaintext
             for stripes in self.packed.pack(payload[:, :dims])
-            for plaintext in (*stripes, 1)  # tracker E(1): the coefficient total
+            for plaintext in stripes
         ]
         started = time.perf_counter()
         ciphertexts = self.backend.encrypt_batch(
@@ -514,14 +507,14 @@ class VectorizedCryptoComputationStep(_ArrayComputationStep):
         dims = self.noise_plan.dimensions
         opened: dict[int, np.ndarray] = {}
         for slot, node in enumerate(decode_nodes):
-            node_plain = plaintexts[slot * width : (slot + 1) * width]
-            tracker = node_plain[-1]  # C = 2^count, exact
-            ints = self.packed.unpack_integers(
-                node_plain[:-1], dims, bias_multiplier=tracker
-            )
-            # V = σ·2^{count+f} exactly; int/int true division is correctly
-            # rounded, so in the dyadic regime the floats are the mock's.
-            shift = 1 << (int(eesum.count[node]) + self.fractional_bits)
+            # The coefficient total is C = 2^count (Alg. 2 doubles it on
+            # every exchange), so V = σ·2^{count+f} exactly; int/int true
+            # division is correctly rounded, so in the dyadic regime the
+            # floats are the mock's.
+            count = int(eesum.count[node])
+            row = plaintexts[slot * width : (slot + 1) * width]
+            ints = self.packed.unpack_integers(row, dims, bias_multiplier=1 << count)
+            shift = 1 << (count + self.fractional_bits)
             values = np.array([v / shift for v in ints], dtype=float)
             opened[int(node)] = values / eesum.omega[node]
         return opened

@@ -164,7 +164,7 @@ class ChiaroscuroRun:
                 exchanges=2 * params.exchanges,
                 terms=1,
             )
-            self._build_backend(self.packed.packed_length(dims) + 1)
+            self._build_backend(self.packed.packed_length(dims))
         elif params.protocol_plane == "object":
             self._ensure_keypair(key_bits, population, tau)
             self._init_participants(population, dims)
@@ -216,7 +216,9 @@ class ChiaroscuroRun:
         # wraps benignly into its huge margin), a packed slot must hold
         # every *individual* encoded value, noise shares included (see
         # _max_slot_value); when the resulting slot no longer fits the
-        # plaintext the run stays on the scalar plane.
+        # plaintext the run stays on the scalar plane.  population=1 as on
+        # the vectorized-crypto plane: a slot holds < 2·B·terms·C and
+        # C = 2^count already *is* the whole coefficient total.
         packed = None
         if params.use_packing:
             try:
@@ -224,14 +226,14 @@ class ChiaroscuroRun:
                     public,
                     fractional_bits=self.codec.fractional_bits,
                     max_abs_value=self._max_slot_value(),
-                    population=population,
+                    population=1,
                     exchanges=worst_exchanges,
                     terms=2,  # means + noise are the biased vectors summed
                 )
             except ValueError:
                 pass  # no room for even one slot
-        # Per node and iteration: a means and a noise vector (+ one tracker).
-        self._build_backend(2 * packed.packed_length(dims) + 1 if packed else 2 * dims)
+        # Per node and iteration: a means and a noise vector.
+        self._build_backend(2 * (packed.packed_length(dims) if packed else dims))
         if packed:
             self.plane = PackedPlane(public, packed, self.backend)
         else:

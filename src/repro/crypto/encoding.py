@@ -39,8 +39,9 @@ biased vectors, slot ``i`` holds
 and :meth:`PackedCodec.unpack` subtracts ``B · bias_multiplier`` with
 ``bias_multiplier = terms · C`` to recover the exact signed integer sum —
 bit-identical to what the scalar plane's residue would decode to.  The
-EESum protocols learn ``C`` by carrying one extra *tracker* ciphertext
-``E(1)`` through the same pipeline (see :mod:`repro.core.batching`).
+EESum protocols know ``C`` in clear: Algorithm 2 scales the lagging side
+and adds, so a vector's coefficient total is ``2^count`` for its cleartext
+exchange counter ``count`` (see :mod:`repro.core.batching`).
 
 ``accumulation_bits`` must bound ``log2`` of the worst-case accumulated
 coefficient mass ``terms · C_max`` — the caller supplies the exchange-
@@ -48,7 +49,7 @@ scaling exponent to :meth:`PackedCodec.plan` (the EESum counter chains
 within a gossip cycle, so the protocol layer sizes it from a measured
 per-cycle growth model, not from the cycle count alone).  As a backstop,
 :meth:`PackedCodec.unpack` re-checks the *actual* accumulated mass (known
-exactly at decode time via the tracker) against the slot capacity and
+exactly at decode time as ``2^count``) against the slot capacity and
 raises instead of returning silently corrupted values.
 """
 

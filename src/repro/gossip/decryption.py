@@ -49,10 +49,12 @@ _STATE = "eedec"
 
 @dataclass
 class DecryptionState:
-    """A node's decryption bundle: vector, weight, and per-element partials."""
+    """A node's decryption bundle: vector, weight, exchange counter (the
+    vector's EESum coefficient total is ``2^count``), per-element partials."""
 
     ciphertexts: list[int]
     omega: int
+    count: int
     partials: dict[int, list[int]] = field(default_factory=dict)  # share idx → vec
 
     @property
@@ -63,9 +65,11 @@ class DecryptionState:
 class EpidemicDecryption(GossipProtocol):
     """Real threshold decryption over the gossip stream.
 
-    ``bundles`` maps node id → (ciphertext vector, scaled weight ω); these
-    are the converged EESum outputs (estimates are equal across nodes up to
-    the gossip approximation error, so the replacement step is sound).
+    ``bundles`` maps node id → (ciphertext vector, scaled weight ω,
+    exchange counter); these are the converged EESum outputs (estimates are
+    equal across nodes up to the gossip approximation error, so the
+    replacement step is sound — the clear ω and counter are adopted with
+    the vector they describe).
     ``shares`` maps node id → its :class:`KeyShare`.
 
     Applying a key-share partially decrypts the node's *whole* vector — one
@@ -77,7 +81,7 @@ class EpidemicDecryption(GossipProtocol):
     def __init__(
         self,
         context: ThresholdContext,
-        bundles: dict[int, tuple[list[int], int]],
+        bundles: dict[int, tuple[list[int], int, int]],
         shares: dict[int, KeyShare],
         backend: CryptoBackend | None = None,
     ) -> None:
@@ -87,8 +91,8 @@ class EpidemicDecryption(GossipProtocol):
         self.backend = backend or SerialBackend()
 
     def setup(self, node: Node, rng: random.Random) -> None:
-        ciphertexts, omega = self.bundles[node.node_id]
-        state = DecryptionState(list(ciphertexts), omega)
+        ciphertexts, omega, count = self.bundles[node.node_id]
+        state = DecryptionState(list(ciphertexts), omega, count)
         self._apply_share(state, self.shares[node.node_id])
         node.state[_STATE] = state
 
@@ -111,6 +115,7 @@ class EpidemicDecryption(GossipProtocol):
             lag, lead = (a, b) if a.n_shares_applied < b.n_shares_applied else (b, a)
             lag.ciphertexts = list(lead.ciphertexts)
             lag.omega = lead.omega
+            lag.count = lead.count
             lag.partials = {idx: list(vec) for idx, vec in lead.partials.items()}
         self._apply_share(a, self.shares[contact.node_id])
         self._apply_share(b, self.shares[initiator.node_id])
@@ -122,8 +127,9 @@ class EpidemicDecryption(GossipProtocol):
     def all_done(self, nodes: list[Node]) -> bool:
         return all(self.is_done(node) for node in nodes)
 
-    def plaintexts_of(self, node: Node) -> tuple[list[int], int]:
-        """Combine the node's partials into plaintext residues (plus ω)."""
+    def plaintexts_of(self, node: Node) -> tuple[list[int], int, int]:
+        """Combine the node's partials into plaintext residues (plus ω and
+        the exchange counter of the vector they belong to)."""
         state = self.state_of(node)
         if state.n_shares_applied < self.context.threshold:
             raise RuntimeError("node has not collected enough key-shares yet")
@@ -131,7 +137,7 @@ class EpidemicDecryption(GossipProtocol):
         for element in range(len(state.ciphertexts)):
             partials = {idx: vec[element] for idx, vec in state.partials.items()}
             plaintexts.append(combine_partial_decryptions(self.context, partials))
-        return plaintexts, state.omega
+        return plaintexts, state.omega, state.count
 
 
 class TokenDecryption(GossipProtocol):

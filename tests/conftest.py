@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import generate_keypair, generate_threshold_keypair
+from repro.crypto.backend import SerialBackend
 from repro.datasets import TimeSeriesSet
 
 
@@ -38,6 +39,21 @@ def threshold_keypair_s2():
     return generate_threshold_keypair(
         256, n_shares=24, threshold=3, s=2, rng=random.Random(14)
     )
+
+
+@pytest.fixture()
+def counting_backend():
+    """A serial backend that counts the ``c^{2Δd_i}`` exponentiations
+    (``partials_computed``) threshold decryption asks of it."""
+
+    class CountingBackend(SerialBackend):
+        partials_computed = 0
+
+        def partial_decrypt_batch(self, context, share, ciphertexts):
+            self.partials_computed += len(ciphertexts)
+            return super().partial_decrypt_batch(context, share, ciphertexts)
+
+    return CountingBackend()
 
 
 @pytest.fixture()

@@ -4,7 +4,8 @@ backend plumbing through the full protocol.
 The two strong guarantees under test:
 
 * the packed plane decodes **bit-identically** to the scalar plane after a
-  real EESum accumulation (tracker-based bias subtraction is exact);
+  real EESum accumulation (bias subtraction with the clear coefficient
+  total ``2^count`` is exact);
 * a full protocol run is **reproducible across backends**: serial and
   process-pool executions with the same seed produce identical centroids.
 """
@@ -24,7 +25,15 @@ from repro.core import (
     ScalarPlane,
 )
 from repro.core.diptych import initialize_means
-from repro.crypto import FixedPointCodec, PackedCodec, decrypt
+from repro.crypto import (
+    FixedPointCodec,
+    PackedCodec,
+    combine_partial_decryptions,
+    decrypt,
+    encrypt,
+    generate_threshold_keypair,
+    partial_decrypt,
+)
 from repro.datasets import TimeSeriesSet
 from repro.gossip import GossipEngine
 from repro.gossip.eesum import EESum
@@ -65,43 +74,75 @@ class TestScalarPlane:
     def test_decode_sums_length_check(self, planes):
         scalar, _ = planes
         with pytest.raises(ValueError, match="expected 3 plaintexts"):
-            scalar.decode_sums([1, 2], 3)
+            scalar.decode_sums([1, 2], 3, coefficient_total=1)
 
 
 class TestPackedPlaneEquivalence:
-    def test_eesum_decodes_bit_identical_to_scalar(self, threshold_keypair, planes):
+    def test_eesum_decodes_bit_identical_to_scalar(
+        self, threshold_keypair, planes, tiny_dataset
+    ):
         """Run the same values through a real gossip EESum on both planes;
-        the decoded estimates must be equal as floats, not just close."""
+        the decoded estimates must be equal as floats, not just close.  The
+        packed plane decodes with the clear coefficient total ``2^count``
+        — on six hand-picked vectors and on the 24-node dataset's."""
         scalar, packed = planes
         private = threshold_keypair.private
         rng = random.Random(3)
-        values = {i: [float(i) + 0.5, -2.0 * i, 7.25] for i in range(6)}
+        cases = (
+            [[float(i) + 0.5, -2.0 * i, 7.25] for i in range(6)],
+            tiny_dataset.values.tolist(),
+        )
+        for values in cases:
+            population, dims = len(values), len(values[0])
+            estimates = {}
+            for name, plane in (("scalar", scalar), ("packed", packed)):
+                initial = {
+                    i: plane.encrypt_values(v, rng) for i, v in enumerate(values)
+                }
+                engine = GossipEngine(population, seed=11)
+                eesum = EESum(plane.public, initial)
+                engine.setup(eesum)
+                engine.run_cycles(8, eesum)
+                per_node = []
+                for node in engine.nodes:
+                    state = eesum.state_of(node)
+                    plaintexts = [decrypt(private, c) for c in state.ciphertexts]
+                    decoded = plane.decode_sums(
+                        plaintexts, dims, 1 << state.count, bias_terms=1
+                    )
+                    per_node.append(decoded / state.omega)
+                estimates[name] = per_node
 
-        estimates = {}
-        for name, plane in (("scalar", scalar), ("packed", packed)):
-            initial = {
-                i: plane.encrypt_values(v, rng) + plane.tracker_ciphertexts(rng)
-                for i, v in values.items()
+            for scalar_est, packed_est in zip(
+                estimates["scalar"], estimates["packed"]
+            ):
+                assert scalar_est.tolist() == packed_est.tolist()
+
+    def test_tracker_counts_coefficient_mass(self, threshold_keypair):
+        """The ciphertext the packed plane used to carry, kept as a witness:
+        an ``E(1)`` per node gossiped through a real EESum threshold-decrypts
+        to the coefficient total, and that total is ``1 << count`` — the
+        clear counter the plane now reads instead (the property over random
+        schedules is in ``tests/properties/test_coefficient_total.py``)."""
+        tk = threshold_keypair
+        rng = random.Random(4)
+        engine = GossipEngine(7, seed=12, churn=0.2)
+        ones = {i: [encrypt(tk.public, 1, rng=rng)] for i in range(7)}
+        eesum = EESum(tk.public, ones)
+        engine.setup(eesum)
+        engine.run_cycles(5, eesum)
+        counts = set()
+        for node in engine.nodes:
+            state = eesum.state_of(node)
+            (ciphertext,) = state.ciphertexts
+            partials = {
+                share.index: partial_decrypt(tk.context, share, ciphertext)
+                for share in tk.shares[:3]
             }
-            engine = GossipEngine(6, seed=11)
-            eesum = EESum(plane.public, initial)
-            engine.setup(eesum)
-            engine.run_cycles(8, eesum)
-            per_node = []
-            for node in engine.nodes:
-                state = eesum.state_of(node)
-                plaintexts = [decrypt(private, c) for c in state.ciphertexts]
-                decoded = plane.decode_sums(plaintexts, 3, bias_terms=1)
-                per_node.append(decoded / state.omega)
-            estimates[name] = per_node
-
-        for scalar_est, packed_est in zip(estimates["scalar"], estimates["packed"]):
-            assert scalar_est.tolist() == packed_est.tolist()
-
-    def test_tracker_counts_coefficient_mass(self, planes):
-        _, packed = planes
-        tracker = packed.tracker_ciphertexts(random.Random(4))
-        assert len(tracker) == packed.tracker_length == 1
+            total = combine_partial_decryptions(tk.context, partials)
+            assert total == 1 << state.count
+            counts.add(state.count)
+        assert len(counts) > 1  # churn left the counters unequal
 
     def test_packed_length(self, planes):
         _, packed = planes
@@ -152,6 +193,43 @@ class TestComputationStepPacked:
             assert np.allclose(means[1], [10.0, 20.0, 30.0], atol=0.3)
 
 
+class TestExponentiationsAreCounted:
+    """ROADMAP 3(a): threshold decryption is the object plane's cost, so the
+    number of partial decryptions is pinned, not guessed."""
+
+    def test_one_partial_per_ciphertext_at_tau_one(self, counting_backend):
+        """τ = 1 (the ``object_decrypt`` workload's regime): a node's own
+        share finishes its vector at setup, so an iteration costs exactly
+        ``nodes × packed_length(dims)`` exponentiations — no ciphertext
+        besides the payload is decrypted."""
+        nodes = 6
+        keypair = generate_threshold_keypair(
+            256, n_shares=nodes, threshold=1, s=2, rng=random.Random(21)
+        )
+        codec = FixedPointCodec(keypair.public, fractional_bits=20)
+        packed = PackedCodec(
+            keypair.public, fractional_bits=20, value_bits=28, accumulation_bits=90
+        )
+        plane = PackedPlane(keypair.public, packed, counting_backend)
+        plan = NoisePlan(
+            k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=1e9, n_nu=nodes
+        )
+        crypto_rng = random.Random(0)
+        vectors = {
+            i: plane.encrypt_values(np.full(plan.dimensions, float(i)), crypto_rng)
+            for i in range(nodes)
+        }
+        step = ComputationStep(
+            keypair=keypair, codec=codec, noise_plan=plan, exchanges=6,
+            crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1), plane=plane,
+        )
+        output = step.run(GossipEngine(nodes, seed=3), vectors)
+        assert len(output.sums) == nodes
+        assert counting_backend.partials_computed == nodes * plane.packed_length(
+            plan.dimensions
+        )
+
+
 @pytest.fixture(scope="module")
 def tiny_dataset():
     rng = np.random.default_rng(6)
@@ -180,9 +258,9 @@ class TestProtocolBackendPlumbing:
     def test_table_window_sized_from_the_runs_encryption_count(
         self, tiny_dataset, threshold_keypair_s2, iterations, window_bits
     ):
-        """24 nodes × (2 vectors of 3 packed ciphertexts + 1 tracker) per
-        iteration: one iteration (168 uses) stays on the cheap w=4 table,
-        two (336) cross the ≈225-use break-even to w=8."""
+        """24 nodes × 2 vectors of 3 packed ciphertexts per iteration: one
+        iteration (144 uses) stays on the cheap w=4 table, two (288) cross
+        the ≈225-use break-even to w=8."""
         params = ChiaroscuroParams(
             k=2, max_iterations=iterations, exchanges=8, tau_fraction=0.13,
             epsilon=1e6, expansion_s=2, use_smoothing=False, theta=0.0,

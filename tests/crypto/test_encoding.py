@@ -227,6 +227,26 @@ class TestPackedAccumulation:
         with pytest.raises(ValueError, match="coefficient mass"):
             packed.unpack(plaintexts, 1, bias_multiplier=1 << 13)
 
+    def test_gate_sits_exactly_at_the_slot_capacity(self, keypair128):
+        """With the EESum total ``C = 2^count`` the gate's quantity is
+        ``2·B·terms·2^count``: at equality with ``2^slot_bits`` the extreme
+        slots still decode exactly; one more doubling must raise."""
+        codec = PackedCodec(
+            keypair128.public, fractional_bits=16, value_bits=24, accumulation_bits=9
+        )
+        terms, count = 2, 8
+        assert 2 * codec.bias * terms << count == 1 << codec.slot_bits
+        extremes = [codec.bias - 1, 1 - codec.bias, 0]
+        packed_once = codec.pack([f / codec.scale for f in extremes])
+        summed = [terms * (p << count) for p in packed_once]
+        assert codec.unpack_integers(
+            summed, 3, bias_multiplier=terms << count
+        ) == [terms * (f << count) for f in extremes]
+        with pytest.raises(ValueError, match="coefficient mass"):
+            codec.unpack_integers(
+                [2 * p for p in summed], 3, bias_multiplier=terms << (count + 1)
+            )
+
     def test_extra_shift(self, packed):
         n_s = packed.public.n_s
         scaled = [(p * 8) % n_s for p in packed.pack([-5.5])]

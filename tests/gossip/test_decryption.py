@@ -4,18 +4,18 @@ import random
 
 import pytest
 
-from repro.crypto import encrypt
+from repro.crypto import PackedCodec, encrypt
 from repro.gossip import EpidemicDecryption, GossipEngine, TokenDecryption
 
 
 class TestEpidemicDecryption:
-    def _run(self, tk, values, population, cycles=30, seed=0):
+    def _run(self, tk, values, population, cycles=30, seed=0, backend=None):
         rng = random.Random(seed)
         ciphertexts = [encrypt(tk.public, v, rng=rng) for v in values]
-        bundles = {i: (list(ciphertexts), 1) for i in range(population)}
+        bundles = {i: (list(ciphertexts), 1, 0) for i in range(population)}
         shares = {i: tk.shares[i % len(tk.shares)] for i in range(population)}
         engine = GossipEngine(population, seed=seed)
-        protocol = EpidemicDecryption(tk.context, bundles, shares)
+        protocol = EpidemicDecryption(tk.context, bundles, shares, backend=backend)
         engine.setup(protocol)
         for _ in range(cycles):
             engine.run_cycle(protocol)
@@ -28,9 +28,9 @@ class TestEpidemicDecryption:
         engine, protocol = self._run(threshold_keypair, values, population=9)
         assert protocol.all_done(engine.nodes)
         for node in engine.nodes:
-            plaintexts, omega = protocol.plaintexts_of(node)
+            plaintexts, omega, count = protocol.plaintexts_of(node)
             assert plaintexts == values
-            assert omega == 1
+            assert (omega, count) == (1, 0)
 
     def test_own_share_applied_at_setup(self, threshold_keypair):
         engine, protocol = self._run(threshold_keypair, [5], population=9, cycles=0)
@@ -56,8 +56,59 @@ class TestEpidemicDecryption:
             threshold_keypair, [31415], population=20, cycles=40
         )
         assert protocol.all_done(engine.nodes)
-        plaintexts, _ = protocol.plaintexts_of(engine.nodes[13])
+        plaintexts, _, _ = protocol.plaintexts_of(engine.nodes[13])
         assert plaintexts == [31415]
+
+    def test_replacement_adopts_the_leaders_count(self, threshold_keypair):
+        """The exchange counter travels with the vector it scales: a laggard
+        that adopts a leader's bundle decodes with the *leader's* ``2^count``
+        (its own would subtract the wrong bias mass)."""
+        tk = threshold_keypair
+        packed = PackedCodec(
+            tk.public, fractional_bits=16, value_bits=24, accumulation_bits=10
+        )
+        rng = random.Random(6)
+        bundles = {}
+        for node, count in enumerate((3, 3, 5, 5)):
+            scaled = [p << count for p in packed.pack([node + 0.5, -7.25])]
+            ciphertexts = [encrypt(tk.public, p, rng=rng) for p in scaled]
+            bundles[node] = (ciphertexts, 1 << count, count)
+        shares = {i: tk.shares[i] for i in range(4)}
+        engine = GossipEngine(4, seed=6)
+        protocol = EpidemicDecryption(tk.context, bundles, shares)
+        engine.setup(protocol)
+        nodes = engine.nodes
+        protocol.exchange(nodes[0], nodes[1], rng)  # both now hold 2 shares
+        protocol.exchange(nodes[0], nodes[2], rng)  # 2 adopts 0's bundle
+        protocol.exchange(nodes[2], nodes[3], rng)  # 3 adopts it from 2
+        for node in (nodes[2], nodes[3]):
+            plaintexts, omega, count = protocol.plaintexts_of(node)
+            assert (omega, count) == (8, 3)
+            assert packed.unpack(
+                plaintexts, 2, bias_multiplier=1 << count, extra_shift=count
+            ) == [0.5, -7.25]
+
+    def test_partials_are_computed_once_and_never_past_tau(
+        self, threshold_keypair_s2, counting_backend
+    ):
+        """t = 12, τ = 3: replacement *shares* partials, so fewer are
+        computed than are present when the nodes decode; and a node at τ
+        costs nothing more, however long the gossip goes on."""
+        engine, protocol = self._run(
+            threshold_keypair_s2, [4, 5], population=12, seed=8,
+            backend=counting_backend,
+        )
+        assert protocol.all_done(engine.nodes)
+        present = sum(
+            len(vector)
+            for node in engine.nodes
+            for vector in protocol.state_of(node).partials.values()
+        )
+        assert present == 12 * 3 * 2
+        computed = counting_backend.partials_computed
+        assert 12 * 2 <= computed <= present  # own share at setup, then shared
+        engine.run_cycles(5, protocol)
+        assert counting_backend.partials_computed == computed
 
 
 class TestTokenPlane:

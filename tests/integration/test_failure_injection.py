@@ -114,7 +114,7 @@ class TestMalformedProtocolInputs:
         tk = threshold_keypair
         rng = random.Random(5)
         c = encrypt(tk.public, 9, rng=rng)
-        bundles = {i: ([c], 1) for i in range(6)}
+        bundles = {i: ([c], 1, 0) for i in range(6)}
         # Everyone holds the *same* two shares — below τ = 3 distinct.
         shares = {i: tk.shares[i % 2] for i in range(6)}
         engine = GossipEngine(6, seed=5)
