@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from ..crypto.backend import SerialBackend
 from ..crypto.damgard_jurik import (
@@ -117,26 +118,44 @@ def measure_crypto_costs(
     count = k * (series_length + 1)
     values = [rng.randrange(1 << 20) for _ in range(count)]
 
-    encrypt_times, add_times, decrypt_times = [], [], []
+    samples, _ = _time_step(
+        keypair,
+        repetitions,
+        lambda: [encrypt(public, v, rng=rng) for v in values],
+        _add_each,
+    )
+    return samples
+
+
+def _time_step(
+    keypair: ThresholdKeypair,
+    repetitions: int,
+    encrypt_set: Callable[[], list[int]],
+    add_sets: Callable[[PublicKey, list[int], list[int]], list[int]],
+) -> tuple[dict[str, CostSample], list[int]]:
+    """The one stopwatch loop: encrypt a set, add two, threshold-decrypt.
+
+    Returns the per-operation samples and the last repetition's decrypted
+    plaintexts (one per ciphertext of the added set).
+    """
+    times: dict[str, list[float]] = {"encrypt": [], "add": [], "decrypt": []}
     for _ in range(repetitions):
         start = time.perf_counter()
-        set_a = [encrypt(public, v, rng=rng) for v in values]
-        encrypt_times.append(time.perf_counter() - start)
-
-        set_b = [encrypt(public, v, rng=rng) for v in values]
+        set_a = encrypt_set()
+        times["encrypt"].append(time.perf_counter() - start)
+        set_b = encrypt_set()
         start = time.perf_counter()
-        added = [homomorphic_add(public, a, b) for a, b in zip(set_a, set_b)]
-        add_times.append(time.perf_counter() - start)
-
+        added = add_sets(keypair.public, set_a, set_b)
+        times["add"].append(time.perf_counter() - start)
         start = time.perf_counter()
-        _threshold_decrypt_all(keypair, added)
-        decrypt_times.append(time.perf_counter() - start)
+        plaintexts = _threshold_decrypt_all(keypair, added)
+        times["decrypt"].append(time.perf_counter() - start)
+    samples = {op: CostSample.from_times(t) for op, t in times.items()}
+    return samples, plaintexts
 
-    return {
-        "encrypt": CostSample.from_times(encrypt_times),
-        "add": CostSample.from_times(add_times),
-        "decrypt": CostSample.from_times(decrypt_times),
-    }
+
+def _add_each(public: PublicKey, set_a: list[int], set_b: list[int]) -> list[int]:
+    return [homomorphic_add(public, a, b) for a, b in zip(set_a, set_b)]
 
 
 def _threshold_decrypt_all(
@@ -200,46 +219,28 @@ def compare_scalar_batched_costs(
     precompute_seconds = time.perf_counter() - start
     batched_backend = SerialBackend(encryptor)
 
+    # Encoding (encode / pack) stays outside the timers on both planes.
+    encoded = [codec.encode(v) for v in values]
+    packed_plaintexts = packed.pack(values)
     results: dict[str, dict[str, CostSample]] = {}
-    decoded: dict[str, list[float]] = {}
-
-    # --- scalar plane (the seed implementation's layout) -----------------
-    times: dict[str, list[float]] = {"encrypt": [], "add": [], "decrypt": []}
-    for _ in range(repetitions):
-        plaintexts = [codec.encode(v) for v in values]
-        start = time.perf_counter()
-        set_a = [encrypt(public, m, rng=rng) for m in plaintexts]
-        times["encrypt"].append(time.perf_counter() - start)
-        set_b = [encrypt(public, m, rng=rng) for m in plaintexts]
-        start = time.perf_counter()
-        added = [homomorphic_add(public, a, b) for a, b in zip(set_a, set_b)]
-        times["add"].append(time.perf_counter() - start)
-        start = time.perf_counter()
-        residues = _threshold_decrypt_all(keypair, added)
-        times["decrypt"].append(time.perf_counter() - start)
-        decoded["scalar"] = [codec.decode(r) for r in residues]
-    results["scalar"] = {op: CostSample.from_times(t) for op, t in times.items()}
-    scalar_ciphertexts = count
-
-    # --- batched plane (packing + fixed-base randomizers) ----------------
-    times = {"encrypt": [], "add": [], "decrypt": []}
-    for _ in range(repetitions):
-        # Encoding (pack) stays outside the timer, mirroring the scalar
-        # loop where codec.encode runs before the clock starts.
-        packed_plaintexts = packed.pack(values)
-        start = time.perf_counter()
-        set_a = batched_backend.encrypt_batch(public, packed_plaintexts, rng)
-        times["encrypt"].append(time.perf_counter() - start)
-        set_b = batched_backend.encrypt_batch(public, packed_plaintexts, rng)
-        start = time.perf_counter()
-        added = homomorphic_add_batch(public, set_a, set_b)
-        times["add"].append(time.perf_counter() - start)
-        start = time.perf_counter()
-        plaintexts = _threshold_decrypt_all(keypair, added)
-        times["decrypt"].append(time.perf_counter() - start)
-        decoded["batched"] = packed.unpack(plaintexts, count, bias_multiplier=2)
-    results["batched"] = {op: CostSample.from_times(t) for op, t in times.items()}
-    batched_ciphertexts = len(added)
+    # scalar plane: the seed implementation's layout
+    results["scalar"], residues = _time_step(
+        keypair,
+        repetitions,
+        lambda: [encrypt(public, m, rng=rng) for m in encoded],
+        _add_each,
+    )
+    # batched plane: packing + fixed-base randomizers
+    results["batched"], plaintexts = _time_step(
+        keypair,
+        repetitions,
+        lambda: batched_backend.encrypt_batch(public, packed_plaintexts, rng),
+        homomorphic_add_batch,
+    )
+    decoded = {
+        "scalar": [codec.decode(r) for r in residues],
+        "batched": packed.unpack(plaintexts, count, bias_multiplier=2),
+    }
 
     totals = {
         plane: sum(sample.average for sample in samples.values())
@@ -251,8 +252,8 @@ def compare_scalar_batched_costs(
         "speedup": totals["scalar"] / totals["batched"],
         "identical": decoded["scalar"] == decoded["batched"],
         "slots": packed.slots,
-        "scalar_ciphertexts": scalar_ciphertexts,
-        "batched_ciphertexts": batched_ciphertexts,
+        "scalar_ciphertexts": len(residues),
+        "batched_ciphertexts": len(plaintexts),
         "precompute_seconds": precompute_seconds,
         "scalar_seconds": totals["scalar"],
         "batched_seconds": totals["batched"],

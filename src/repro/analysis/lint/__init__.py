@@ -6,8 +6,8 @@ injection strictly separated from protocol logic, every run event
 round-trippable through the NDJSON wire form, and every noise draw
 charged to ε.  This package makes those contracts *machine-checked*
 (the lightweight-formal-checking tradition): stdlib-``ast`` only, one
-parse per file shared by every rule, and a registry of rules mirroring
-the ``repro.api`` component-registry pattern.
+parse per file shared by every rule, and the rules in a
+``repro.api.registry.Registry`` like every other pluggable component.
 
 Layout
 ------

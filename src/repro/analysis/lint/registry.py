@@ -1,12 +1,9 @@
-"""The rule registry — ``repro.api.registry``'s pattern, mirrored.
+"""The rule registry — a :class:`repro.api.registry.Registry` of rules.
 
-Deliberately *mirrored*, not imported: the lint machinery itself uses
-nothing but the standard library, while ``repro.api`` pulls in numpy
-(and the whole builtin catalogue) at import time — a linter that needs
-the code it judges to be healthy can't lint a broken tree.  The shape
-is identical — a string-keyed registry populated
-by a decorator — so writing a rule feels exactly like registering a
-dataset or a plane:
+The same string-keyed registry every other pluggable component uses
+(``import repro.analysis.lint`` runs ``repro/__init__.py``, so
+``repro.api`` is loaded either way), populated by a decorator — writing
+a rule feels exactly like registering a dataset or a plane:
 
 >>> from repro.analysis.lint import LintRule, register_rule
 >>> @register_rule("my-invariant")
@@ -24,15 +21,13 @@ per-module rules iterate ``project.modules`` and whole-program rules
 
 from __future__ import annotations
 
-import re
-from typing import Any, Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
+from ...api.registry import Registry
 from .findings import Finding
 from .model import Project
 
 __all__ = ["LintRule", "RULES", "register_rule"]
-
-_KEY_RE = re.compile(r"^[a-z0-9][a-z0-9_\-]*$")
 
 
 class LintRule:
@@ -51,57 +46,9 @@ class LintRule:
         return doc.splitlines()[0] if doc else ""
 
 
-class _RuleRegistry:
-    """A named string → rule mapping with decorator registration."""
-
-    def __init__(self) -> None:
-        self._items: dict[str, LintRule] = {}
-
-    def register(self, key: str, obj: Any = None):
-        if not _KEY_RE.match(key):
-            raise ValueError(
-                f"invalid rule key {key!r}: use lowercase letters, digits, "
-                f"'-', '_'"
-            )
-        if obj is None:
-
-            def decorator(target: Any) -> Any:
-                self.register(key, target)
-                return target
-
-            return decorator
-        instance = obj() if isinstance(obj, type) else obj
-        instance.key = key
-        if key in self._items and type(self._items[key]) is not type(instance):
-            raise ValueError(f"lint rule {key!r} is already registered")
-        self._items[key] = instance
-        return obj
-
-    def get(self, key: str) -> LintRule:
-        try:
-            return self._items[key]
-        except KeyError:
-            raise KeyError(
-                f"unknown lint rule {key!r}; registered: "
-                f"{', '.join(self.keys())}"
-            ) from None
-
-    def keys(self) -> list[str]:
-        return sorted(self._items)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._items
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.keys())
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-RULES = _RuleRegistry()
+RULES = Registry("lint rule")
 
 
 def register_rule(key: str) -> Callable:
     """Decorator: register a :class:`LintRule` subclass under ``key``."""
-    return RULES.register(key)
+    return RULES.register_instance(key)

@@ -68,6 +68,18 @@ class Registry:
         self._items[key] = obj
         return obj
 
+    def register_instance(self, key: str) -> Callable:
+        """Decorator: register an instance of the decorated class under
+        ``key``, with the key injected as its ``key`` attribute."""
+
+        def decorator(target: Any) -> Any:
+            instance = target() if isinstance(target, type) else target
+            instance.key = key
+            self.register(key, instance)
+            return target
+
+        return decorator
+
     def get(self, key: str) -> Any:
         try:
             return self._items[key]
@@ -113,13 +125,7 @@ def register_strategy(key: str) -> Callable:
 def register_plane(key: str) -> Callable:
     """Decorator: register an :class:`ExecutionPlane` (class is instantiated)."""
 
-    def decorator(target: Any) -> Any:
-        instance = target() if isinstance(target, type) else target
-        instance.key = key
-        PLANES.register(key, instance)
-        return target
-
-    return decorator
+    return PLANES.register_instance(key)
 
 
 def resolve_strategy(name: str, params) -> Any:

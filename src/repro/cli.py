@@ -69,7 +69,15 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The repro CLI argument parser (exposed for testing)."""
+    """The repro CLI argument parser (exposed for testing).
+
+    Every leaf parser binds its handler (``set_defaults(handler=...)``),
+    so adding a subcommand is one ``add_parser`` block here plus its
+    ``_cmd_*`` function; ``repro report``'s leaves are generated from
+    :data:`repro.warehouse.REPORTS`.
+    """
+    from .warehouse import REPORTS
+
     parser = argparse.ArgumentParser(
         prog="repro", description="Chiaroscuro (SIGMOD 2015) reproduction CLI"
     )
@@ -77,10 +85,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"repro {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options several leaves share, defined once (argparse parent parsers).
+    root = argparse.ArgumentParser(add_help=False)
+    root.add_argument("--root", metavar="DIR", default="service-root",
+                      help="service root directory (default: service-root)")
+    db = argparse.ArgumentParser(add_help=False)
+    db.add_argument("--db", metavar="FILE", default="warehouse.db",
+                    dest="db_path",
+                    help="warehouse file (default: warehouse.db)")
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", dest="as_json",
+                         help="machine-readable output (one JSON document)")
 
     cluster = sub.add_parser(
         "cluster", help="run a clustering experiment on any execution plane"
     )
+    cluster.set_defaults(handler=_cmd_cluster)
     cluster.add_argument("--spec", metavar="PATH",
                          help="load a RunSpec JSON file; the spec-building flags "
                               "(--dataset/--series/.../--seed) are then ignored, "
@@ -119,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(chiaroscuro-run/v1: spec + history + timings)")
 
     plan = sub.add_parser("plan", help="Appendix B privacy/gossip plan")
+    plan.set_defaults(handler=_cmd_plan)
     plan.add_argument("--delta", type=float, default=0.995)
     plan.add_argument("--e-max", type=float, default=1e-12)
     plan.add_argument("--population", type=int, default=1_000_000)
@@ -126,10 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--length", type=int, default=24)
 
     serve = sub.add_parser(
-        "serve", help="run the experiment server over a service root"
+        "serve", help="run the experiment server over a service root",
+        parents=[root],
     )
-    serve.add_argument("--root", metavar="DIR", default="service-root",
-                       help="service root directory (default: service-root)")
+    serve.set_defaults(handler=_cmd_serve)
     serve.add_argument("--max-workers", type=int, default=4,
                        help="concurrent worker processes (default: 4)")
     serve.add_argument("--poll", type=float, default=0.2, metavar="SECONDS",
@@ -142,15 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="with --drain: give up after this many seconds")
 
     submit = sub.add_parser(
-        "submit", help="enqueue RunSpec JSON files (object or array per file)"
+        "submit", help="enqueue RunSpec JSON files (object or array per file)",
+        parents=[root],
     )
+    submit.set_defaults(handler=_cmd_submit)
     submit.add_argument("specs", nargs="+", metavar="SPEC",
                         help="spec files; each holds one spec object or a "
                              "JSON array of specs (a batch)")
-    submit.add_argument("--root", metavar="DIR", default="service-root")
 
-    jobs = sub.add_parser("jobs", help="list the service root's jobs")
-    jobs.add_argument("--root", metavar="DIR", default="service-root")
+    jobs = sub.add_parser("jobs", help="list the service root's jobs",
+                          parents=[root, as_json])
+    jobs.set_defaults(handler=_cmd_jobs)
     jobs.add_argument("--db", metavar="FILE", default=None, dest="db_path",
                       help="read job status from an ingested warehouse "
                            "instead of the store directory (for when the "
@@ -158,38 +181,35 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--state", choices=("queued", "running", "completed",
                                           "failed"),
                       default=None, help="only jobs in this state")
-    jobs.add_argument("--json", action="store_true", dest="as_json",
-                      help="machine-readable output (one JSON array)")
 
     tail = sub.add_parser(
-        "tail", help="print a job's event log (or the combined feed)"
+        "tail", help="print a job's event log (or the combined feed)",
+        parents=[root],
     )
+    tail.set_defaults(handler=_cmd_tail)
     tail.add_argument("job", nargs="?", default=None,
                       help="job id (omit for the combined feed)")
-    tail.add_argument("--root", metavar="DIR", default="service-root")
     tail.add_argument("--follow", action="store_true",
                       help="keep following appends (Ctrl-C to stop)")
     tail.add_argument("--raw", action="store_true",
                       help="print raw NDJSON records instead of the "
                            "rendered form")
 
-    db = sub.add_parser(
+    db_sub = sub.add_parser(
         "db", help="the run warehouse: ingest and query stored telemetry"
-    )
-    db_sub = db.add_subparsers(dest="db_command", required=True)
+    ).add_subparsers(dest="db_command", required=True)
     ingest = db_sub.add_parser(
         "ingest",
         help="incrementally ingest service roots, run records and "
-             "BENCH_*.json files (idempotent: re-ingesting is a no-op)",
+             "BENCH_*.json files (idempotent: re-ingesting is a no-op; "
+             "the warehouse file is created and migrated automatically)",
+        parents=[db],
     )
+    ingest.set_defaults(handler=_cmd_db_ingest)
     ingest.add_argument("paths", nargs="+", metavar="PATH",
                         help="a service root directory, a --json-out run "
                              "record, a BENCH_*.json file, or a directory "
                              "of them")
-    ingest.add_argument("--db", metavar="FILE", default="warehouse.db",
-                        dest="db_path", help="warehouse file (default: "
-                                             "warehouse.db; created and "
-                                             "migrated automatically)")
     ingest.add_argument("--follow", action="store_true",
                         help="live tailing mode: keep re-ingesting deltas "
                              "from a running fleet (Ctrl-C to stop)")
@@ -202,70 +222,35 @@ def build_parser() -> argparse.ArgumentParser:
                              "of waiting for Ctrl-C")
     query = db_sub.add_parser(
         "query", help="run read-only SQL against the warehouse "
-                      "(tables and v_* views)"
+                      "(tables and v_* views)",
+        parents=[db, as_json],
     )
+    query.set_defaults(handler=_cmd_db_query)
     query.add_argument("sql", metavar="SQL")
-    query.add_argument("--db", metavar="FILE", default="warehouse.db",
-                       dest="db_path")
-    query.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit rows as one JSON array")
-    db_stats = db_sub.add_parser(
-        "stats", help="row counts, sources and event-type coverage"
-    )
-    db_stats.add_argument("--db", metavar="FILE", default="warehouse.db",
-                          dest="db_path")
-    db_stats.add_argument("--json", action="store_true", dest="as_json")
+    db_sub.add_parser(
+        "stats", help="row counts, sources and event-type coverage",
+        parents=[db, as_json],
+    ).set_defaults(handler=_cmd_db_stats)
 
-    report = sub.add_parser(
+    report_sub = sub.add_parser(
         "report",
         help="render the paper's comparisons from the warehouse "
              "(no protocol re-run)",
-    )
-    report_sub = report.add_subparsers(dest="report_command", required=True)
-    rep_fig2 = report_sub.add_parser(
-        "fig2", help="inertia trajectories per strategy (Fig. 2)"
-    )
-    rep_fig2.add_argument("--strategy", default=None,
-                          help="only this budget strategy (e.g. G, UF6)")
-    rep_fig3 = report_sub.add_parser(
-        "fig3", help="quality per deployment vs. baseline "
-                     "(Fig. 3 / quality under attack)"
-    )
-    rep_fig3.add_argument("--like", default=None, metavar="PATTERN",
-                          help="only runs whose name matches this SQL "
-                               "LIKE pattern (e.g. 'attack-%%')")
-    rep_attacks = report_sub.add_parser(
-        "attacks", help="detector counts per fault class"
-    )
-    rep_latency = report_sub.add_parser(
-        "latency", help="per-plane iteration latency percentiles "
-                        "with the crypto_ms split"
-    )
-    rep_bench = report_sub.add_parser(
-        "bench", help="bench metric trajectory over git revisions"
-    )
-    rep_bench.add_argument("--bench", default=None,
-                           help="only this bench (e.g. fig3_attack_quality)")
-    rep_bench.add_argument("--metric", default=None, metavar="PATTERN",
-                           help="only metrics matching this SQL LIKE "
-                                "pattern")
-    rep_lint = report_sub.add_parser(
-        "lint", help="lint-finding trajectory over git revisions"
-    )
-    rep_lint.add_argument("--rule", default=None,
-                          help="only this lint rule (e.g. determinism-rng)")
-    for rep in (rep_fig2, rep_fig3, rep_attacks, rep_latency, rep_bench,
-                rep_lint):
-        rep.add_argument("--db", metavar="FILE", default="warehouse.db",
-                         dest="db_path")
-        rep.add_argument("--format", choices=("text", "markdown"),
-                         default="text", dest="fmt")
+    ).add_subparsers(dest="report_command", required=True)
+    for name, report in REPORTS.items():
+        leaf = report_sub.add_parser(name, help=report.help, parents=[db])
+        leaf.set_defaults(handler=_cmd_report, report=report)
+        for keyword, options in report.filters.items():
+            leaf.add_argument(f"--{keyword}", default=None, **options)
+        leaf.add_argument("--format", choices=("text", "markdown"),
+                          default="text", dest="fmt")
 
     lint = sub.add_parser(
         "lint",
         help="AST-based invariant analyzer (determinism, layering, "
              "ε-accounting contracts)",
     )
+    lint.set_defaults(handler=_cmd_lint)
     lint.add_argument("paths", nargs="*", default=["src"], metavar="PATH",
                       help="files or directories to lint (default: src)")
     lint.add_argument("--format", choices=("text", "json"), default="text",
@@ -291,6 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "baselined findings")
 
     costs = sub.add_parser("costs", help="Fig. 5 cost/bandwidth sheet")
+    costs.set_defaults(handler=_cmd_costs)
     costs.add_argument("--key-bits", type=int, default=1024)
     costs.add_argument("--k", type=int, default=50)
     costs.add_argument("--length", type=int, default=20)
@@ -464,20 +450,57 @@ def _cmd_submit(args, out) -> int:
     return 0
 
 
-def _cmd_jobs(args, out) -> int:
-    if args.db_path:
+def _reads_warehouse(body):
+    """Turn ``body(con, args, out)`` into a handler that opens the
+    warehouse at ``args.db_path`` read-only — a missing file is a clean
+    exit 2 — and closes it afterwards."""
+
+    def handler(args, out) -> int:
+        from .warehouse import connect_readonly
+
         try:
-            rows = _job_rows_from_db(args.db_path)
+            con = connect_readonly(args.db_path)
         except FileNotFoundError as exc:
             print(f"error: {exc}", file=out)
             return 2
-        where = f"ingested in {args.db_path}"
-    else:
-        from .service import JobStore
+        try:
+            return body(con, args, out)
+        finally:
+            con.close()
 
-        store = JobStore(args.root)
-        rows = [job.to_dict() for job in store.jobs()]
-        where = f"in {store.root}"
+    return handler
+
+
+def _cmd_jobs(args, out) -> int:
+    if args.db_path:
+        return _jobs_from_db(args, out)
+    from .service import JobStore
+
+    store = JobStore(args.root)
+    rows = [job.to_dict() for job in store.jobs()]
+    return _print_jobs(rows, f"in {store.root}", args, out)
+
+
+@_reads_warehouse
+def _jobs_from_db(con, args, out) -> int:
+    """``repro jobs --db``: job status from the warehouse, store offline.
+
+    Sorted exactly like the store's listing — submit order
+    (``submitted_at``, then ``job_id``) — so both surfaces agree
+    row-for-row on the same fleet.
+    """
+    from .warehouse import run_query
+
+    rows = run_query(
+        con,
+        "SELECT job_id, root, name, state, plane, strategy, "
+        "submitted_at, started_at, finished_at, attempts, error "
+        "FROM jobs ORDER BY COALESCE(submitted_at, 0), job_id",
+    )
+    return _print_jobs(rows, f"ingested in {args.db_path}", args, out)
+
+
+def _print_jobs(rows: list[dict], where: str, args, out) -> int:
     if args.state:
         rows = [row for row in rows if row["state"] == args.state]
     if args.as_json:
@@ -496,142 +519,98 @@ def _cmd_jobs(args, out) -> int:
     return 0
 
 
-def _job_rows_from_db(db_path: str) -> list[dict]:
-    """``repro jobs --db``: job status from the warehouse, store offline.
+def _cmd_db_ingest(args, out) -> int:
+    from . import warehouse
 
-    Sorted exactly like the store's listing — submit order
-    (``submitted_at``, then ``job_id``) — so both surfaces agree
-    row-for-row on the same fleet.
-    """
-    from .warehouse import connect_readonly, run_query
-
-    con = connect_readonly(db_path)
     try:
-        return run_query(
-            con,
-            "SELECT job_id, root, name, state, plane, strategy, "
-            "submitted_at, started_at, finished_at, attempts, error "
-            "FROM jobs ORDER BY COALESCE(submitted_at, 0), job_id",
-        )
+        con = warehouse.connect(args.db_path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
+    try:
+        if args.follow:
+            deadline = (
+                time.monotonic() + args.max_seconds
+                if args.max_seconds is not None
+                else None
+            )
+            totals = warehouse.follow_ingest(
+                con,
+                args.paths,
+                poll_interval=args.poll,
+                should_stop=(
+                    (lambda: time.monotonic() >= deadline)
+                    if deadline is not None
+                    else None
+                ),
+            )
+        else:
+            totals = warehouse.ingest_paths(con, args.paths)
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=out)
+        return 2
     finally:
         con.close()
+    new = {k: v for k, v in totals.items() if v}
+    summary = ", ".join(f"+{v} {k}" for k, v in new.items()) or "no new rows"
+    print(f"ingested into {args.db_path}: {summary}", file=out)
+    return 0
 
 
-def _cmd_db(args, out) -> int:
+@_reads_warehouse
+def _cmd_db_stats(con, args, out) -> int:
+    from . import warehouse
+
+    payload = warehouse.stats(con)
+    if args.as_json:
+        print(json.dumps(payload, indent=2), file=out)
+        return 0
+    print(f"warehouse {args.db_path} "
+          f"(schema v{payload['schema_version']})", file=out)
+    for table, count in payload["tables"].items():
+        print(f"  {table:<14} {count:>8}", file=out)
+    if payload["runs_by_source"]:
+        print("runs by source: " + ", ".join(
+            f"{source}={count}"
+            for source, count in payload["runs_by_source"].items()
+        ), file=out)
+    if payload["events_by_type"]:
+        print("events by type: " + ", ".join(
+            f"{kind}={count}"
+            for kind, count in payload["events_by_type"].items()
+        ), file=out)
+    return 0
+
+
+@_reads_warehouse
+def _cmd_db_query(con, args, out) -> int:
     import sqlite3
 
     from . import warehouse
 
-    if args.db_command == "ingest":
-        try:
-            con = warehouse.connect(args.db_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        try:
-            if args.follow:
-                deadline = (
-                    time.monotonic() + args.max_seconds
-                    if args.max_seconds is not None
-                    else None
-                )
-                try:
-                    totals = warehouse.follow_ingest(
-                        con,
-                        args.paths,
-                        poll_interval=args.poll,
-                        should_stop=(
-                            (lambda: time.monotonic() >= deadline)
-                            if deadline is not None
-                            else None
-                        ),
-                    )
-                except KeyboardInterrupt:
-                    totals = warehouse.table_counts(con)
-                    print("follow interrupted", file=out)
-            else:
-                totals = warehouse.ingest_paths(con, args.paths)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        finally:
-            con.close()
-        new = {k: v for k, v in totals.items() if v}
-        summary = ", ".join(f"+{v} {k}" for k, v in new.items()) or "no new rows"
-        print(f"ingested into {args.db_path}: {summary}", file=out)
-        return 0
-
     try:
-        con = warehouse.connect_readonly(args.db_path)
-    except FileNotFoundError as exc:
+        rows = warehouse.run_query(con, args.sql)
+    except sqlite3.Error as exc:
         print(f"error: {exc}", file=out)
         return 2
-    try:
-        if args.db_command == "stats":
-            payload = warehouse.stats(con)
-            if args.as_json:
-                print(json.dumps(payload, indent=2), file=out)
-                return 0
-            print(f"warehouse {args.db_path} "
-                  f"(schema v{payload['schema_version']})", file=out)
-            for table, count in payload["tables"].items():
-                print(f"  {table:<14} {count:>8}", file=out)
-            if payload["runs_by_source"]:
-                print("runs by source: " + ", ".join(
-                    f"{source}={count}"
-                    for source, count in payload["runs_by_source"].items()
-                ), file=out)
-            if payload["events_by_type"]:
-                print("events by type: " + ", ".join(
-                    f"{kind}={count}"
-                    for kind, count in payload["events_by_type"].items()
-                ), file=out)
-            return 0
-        # db query
-        try:
-            rows = warehouse.run_query(con, args.sql)
-        except sqlite3.Error as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-        if args.as_json:
-            print(warehouse.to_json(rows), file=out)
-            return 0
-        if not rows:
-            print("(no rows)", file=out)
-            return 0
-        headers = list(rows[0].keys())
-        table = [[("" if row[h] is None else str(row[h])) for h in headers]
-                 for row in rows]
-        for line in warehouse.render_table(headers, table):
-            print(line, file=out)
+    if args.as_json:
+        print(json.dumps(rows, indent=2, default=str), file=out)
         return 0
-    finally:
-        con.close()
+    if not rows:
+        print("(no rows)", file=out)
+        return 0
+    headers = list(rows[0].keys())
+    table = [[("" if row[h] is None else str(row[h])) for h in headers]
+             for row in rows]
+    for line in warehouse.render_table(headers, table):
+        print(line, file=out)
+    return 0
 
 
-def _cmd_report(args, out) -> int:
-    from . import warehouse
-
-    try:
-        con = warehouse.connect_readonly(args.db_path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    render, filters = {
-        "fig2": (warehouse.report_fig2, ("strategy",)),
-        "fig3": (warehouse.report_fig3, ("like",)),
-        "attacks": (warehouse.report_attacks, ()),
-        "latency": (warehouse.report_latency, ()),
-        "bench": (warehouse.report_bench, ("bench", "metric")),
-        "lint": (warehouse.report_lint, ("rule",)),
-    }[args.report_command]
-    try:
-        text = render(
-            con, fmt=args.fmt, **{name: getattr(args, name) for name in filters}
-        )
-    finally:
-        con.close()
-    print(text, file=out)
+@_reads_warehouse
+def _cmd_report(con, args, out) -> int:
+    filters = {name: getattr(args, name) for name in args.report.filters}
+    print(args.report.render(con, fmt=args.fmt, **filters), file=out)
     return 0
 
 
@@ -816,20 +795,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         parser.print_help(out)
         return 2
     args = parser.parse_args(argv)
-    handlers = {
-        "cluster": _cmd_cluster,
-        "plan": _cmd_plan,
-        "costs": _cmd_costs,
-        "serve": _cmd_serve,
-        "submit": _cmd_submit,
-        "jobs": _cmd_jobs,
-        "tail": _cmd_tail,
-        "db": _cmd_db,
-        "report": _cmd_report,
-        "lint": _cmd_lint,
-    }
     try:
-        return handlers[args.command](args, out)
+        return args.handler(args, out)
     except BrokenPipeError:
         # `repro report ... | head` closing the pipe early is a normal
         # exit, not a traceback.  Detach stdout so the interpreter's

@@ -128,7 +128,7 @@ class FaultInjector:
 
     Lifecycle per run: ``bind`` once (after key material exists), then per
     iteration ``begin_iteration``, per gossip cycle ``begin_cycle`` /
-    ``transform_pairs`` / exchange-level hooks, and ``observe_output`` once
+    ``transform_pairs`` / corruption hooks, and ``observe_output`` once
     the step's decoded reports exist.
     """
 
@@ -146,22 +146,17 @@ class FaultInjector:
     def begin_cycle(self, engine: Any, protocols: tuple, iteration: int) -> None:
         """Called before each gossip cycle with the active protocol set."""
 
-    def filter_exchange(
-        self, iteration: int, initiator_id: int, contact_id: int
-    ) -> str:
-        """Object-plane per-exchange verdict: ``deliver``/``drop``/
-        ``duplicate``, or ``delay:<cycles>``."""
-        return "deliver"
-
     def transform_pairs(
         self,
         iteration: int,
         left: np.ndarray,
         right: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[tuple[int, np.ndarray, np.ndarray]]]:
-        """Vectorized per-cycle verdict.
+        """The network-level verdict over a batch of scheduled exchanges.
 
-        Returns ``(keep_left, keep_right, extra_batches, delayed)`` where
+        The array planes pass a cycle's whole pairing, the object plane
+        each scheduled exchange as length-1 arrays.  Returns
+        ``(keep_left, keep_right, extra_batches, delayed)`` where
         ``extra_batches`` are delivered this cycle *in addition* (duplicated
         messages) and ``delayed`` entries are ``(cycles_from_now, l, r)``.
         """

@@ -109,7 +109,6 @@ class ByzantineInjector(FaultInjector):
         )
         self.node_ids: tuple[int, ...] = ()
         self.node_set: frozenset[int] = frozenset()
-        self.blocked: frozenset[int] = frozenset()
         self.plane = ""
         self._blocked_array = np.empty(0, dtype=np.int64)
         self._poisoned: set[int] = set()
@@ -163,7 +162,6 @@ class ByzantineInjector(FaultInjector):
                     rejected.append(device)
             else:
                 registry.enroll(device, registry.token_for(device))
-        self.blocked = frozenset(rejected)
         self._blocked_array = np.array(sorted(rejected), dtype=np.int64)
         if rejected:
             plan.detected(
@@ -201,15 +199,6 @@ class ByzantineInjector(FaultInjector):
             rows = [i for i in self.node_ids if i < len(values)]
             if rows and values.shape[1] > 1:
                 values[rows, :-1] = np.nan
-
-    def filter_exchange(
-        self, iteration: int, initiator_id: int, contact_id: int
-    ) -> str:
-        if self.blocked and (
-            initiator_id in self.blocked or contact_id in self.blocked
-        ):
-            return "drop"
-        return "deliver"
 
     def transform_pairs(self, iteration: int, left, right):
         if not len(self._blocked_array) or not len(left):

@@ -118,28 +118,21 @@ class FaultyObjectEngine:
     def _handle_exchange(
         self, initiator: Node, contact: Node, rng, protocols: tuple
     ) -> None:
-        copies = 1
-        delay = 0
+        # The one scheduled exchange is put to the same per-cycle hook the
+        # array planes use, as a length-1 pairing.
+        left = np.array([initiator.node_id])
+        right = np.array([contact.node_id])
+        copies = 0
         for injector in self._plan.injectors:
-            verdict = injector.filter_exchange(
-                self._iteration, initiator.node_id, contact.node_id
+            left, right, extras, delayed = injector.transform_pairs(
+                self._iteration, left, right
             )
-            if verdict == "deliver":
-                continue
-            if verdict == "drop":
-                return
-            if verdict == "duplicate":
-                copies += 1
-            elif verdict.startswith("delay:"):
-                delay = max(delay, int(verdict[6:]))
-            else:
-                raise ValueError(f"unknown exchange verdict {verdict!r}")
-        if delay:
-            self._delayed.append(
-                (self._engine.cycles + delay, initiator.node_id, contact.node_id)
-            )
-            return
-        for _ in range(copies):
+            copies += sum(len(extra_left) for extra_left, _ in extras)
+            for lag, d_left, _ in delayed:
+                self._delayed += [
+                    (self._engine.cycles + lag, initiator.node_id, contact.node_id)
+                ] * len(d_left)
+        for _ in range(len(left) + copies):
             self._deliver(initiator, contact, rng, protocols)
 
     def _deliver(

@@ -61,22 +61,6 @@ class NetworkInjector(FaultInjector):
         self.config = config
         self.rng = rng
 
-    # --------------------------------------------------------- object plane
-
-    def filter_exchange(
-        self, iteration: int, initiator_id: int, contact_id: int
-    ) -> str:
-        cfg = self.config
-        if cfg.loss and self.rng.random() < cfg.loss:
-            return "drop"
-        if cfg.delay and self.rng.random() < cfg.delay:
-            return f"delay:{int(self.rng.integers(1, cfg.max_delay + 1))}"
-        if cfg.duplicate and self.rng.random() < cfg.duplicate:
-            return "duplicate"
-        return "deliver"
-
-    # ----------------------------------------------------- vectorized plane
-
     def transform_pairs(self, iteration: int, left, right):
         cfg = self.config
         n = len(left)

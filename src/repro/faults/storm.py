@@ -87,15 +87,6 @@ class ChurnStormInjector(FaultInjector):
             )
         self._was_storming = storming
 
-    def filter_exchange(
-        self, iteration: int, initiator_id: int, contact_id: int
-    ) -> str:
-        if self._any_offline and (
-            self._offline[initiator_id] or self._offline[contact_id]
-        ):
-            return "drop"
-        return "deliver"
-
     def transform_pairs(self, iteration: int, left, right):
         if not self._any_offline or not len(left):
             return left, right, [], []

@@ -18,7 +18,8 @@ This package makes all of it *queryable*:
   curves, per-plane iteration-latency percentiles, detector counts, and
   the bench trajectory across git revisions;
 * :mod:`~repro.warehouse.report` — the table renderers behind
-  ``repro report fig2|fig3|attacks|bench``.
+  ``repro report fig2|fig3|attacks|latency|bench|lint``, listed once in
+  its ``REPORTS`` table.
 
 CLI: ``repro db ingest|query|stats`` and ``repro report …``::
 
@@ -42,6 +43,7 @@ from .analytics import (
 )
 from .ingest import Ingester, follow_ingest, ingest_paths, read_ndjson_from
 from .report import (
+    REPORTS,
     render_table,
     report_attacks,
     report_bench,
@@ -55,6 +57,7 @@ from .schema import MIGRATIONS, connect, connect_readonly, schema_version
 __all__ = [
     "Ingester",
     "MIGRATIONS",
+    "REPORTS",
     "bench_trajectory",
     "connect",
     "connect_readonly",

@@ -10,7 +10,6 @@ sums, lags and moving averages; Python only shapes the output.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 
 from .ingest import table_counts
@@ -26,7 +25,6 @@ __all__ = [
     "run_query",
     "stats",
     "table_counts",
-    "to_json",
 ]
 
 
@@ -357,7 +355,3 @@ def run_query(con: sqlite3.Connection, sql: str) -> list[dict]:
     if cursor.description is None:
         return []
     return _rows(cursor)
-
-
-def to_json(rows) -> str:
-    return json.dumps(rows, indent=2, default=str)

@@ -1,29 +1,34 @@
 """Incremental, idempotent ingestion of the repo's telemetry surfaces.
 
-Three source shapes feed the warehouse:
+Source shapes that feed the warehouse:
 
 * **service roots** (``repro serve``'s ``--root``): every ``jobs/<id>/``
   contributes its ``job.json`` (→ ``jobs``), ``events.ndjson``
   (→ ``events`` + ``detections``) and ``result.json`` (→ ``runs`` +
   ``iterations``).  The combined ``feed.ndjson`` is deliberately skipped —
   it multiplexes the same records the per-job logs already carry.
-* **standalone run records** (``repro cluster --json-out``): one
-  ``chiaroscuro-run/v1`` file → one ``runs`` row plus its history.
-* **root ``BENCH_*.json`` mirrors**: scalar metrics → ``bench_points``
-  (the cross-PR perf trajectory); any embedded ``chiaroscuro-run/v1``
-  runs → ``runs``/``iterations``; any ``summary`` detection aggregates →
-  ``detections``.
-* **lint reports** (``repro lint --format json``,
-  ``chiaroscuro-lint/v1``): one ``lint_findings`` row per finding, keyed
-  by the report's provenance plus the finding's content fingerprint —
-  the structural-quality trajectory next to the perf one.
+* **standalone JSON files**, dispatched on their ``schema`` field through
+  the :data:`SHAPES` table (adding a shape is one handler function and
+  its row there):
+
+  - ``chiaroscuro-run/v1`` (``repro cluster --json-out``): one ``runs``
+    row plus its history;
+  - ``chiaroscuro-bench/v1`` (root ``BENCH_*.json`` mirrors): scalar
+    metrics → ``bench_points`` (the cross-PR perf trajectory); any
+    embedded ``chiaroscuro-run/v1`` runs → ``runs``/``iterations``; any
+    ``summary`` detection aggregates → ``detections``;
+  - ``chiaroscuro-lint/v1`` (``repro lint --format json``): one
+    ``lint_findings`` row per finding, keyed by the report's provenance
+    plus the finding's content fingerprint — the structural-quality
+    trajectory next to the perf one.
 
 Ingestion is a *delta*, never a rescan (the Berkholz-style discipline of
 answering under updates): each NDJSON source keeps a byte-offset
 watermark in ``ingest_files`` and only bytes past it are read — and only
 up to the last complete line, so a torn tail from a SIGKILL mid-append
 stays pending until its newline arrives.  JSON sources keep a
-size+mtime fingerprint and are re-parsed only when it changes.  Every
+size+mtime fingerprint that is consulted *before* the file is opened: an
+unchanged file is not read, a changed one is parsed exactly once.  Every
 row insert is keyed stably (events by ``job:seq``, pre-``seq`` logs by
 the line's byte offset; JSON-derived rows by their source identity and
 upserted), so even a from-scratch re-read — watermarks dropped, same
@@ -41,6 +46,7 @@ from typing import Callable, Iterable
 
 __all__ = [
     "Ingester",
+    "SHAPES",
     "follow_ingest",
     "ingest_paths",
     "read_ndjson_from",
@@ -112,6 +118,22 @@ def _parse_iso(timestamp: str) -> float | None:
         return None
 
 
+def _provenance(envelope: dict) -> tuple[str, str, float | None]:
+    """``(git_rev, recorded_at, unix_time)`` of a bench or lint envelope.
+
+    Read from the ``provenance`` block, else from the top-level fields
+    envelopes carried before it existed; a missing ``unix_time`` is
+    parsed from the ISO timestamp.
+    """
+    provenance = envelope.get("provenance", {})
+    git_rev = provenance.get("git_rev") or envelope.get("git_rev", "")
+    recorded_at = provenance.get("timestamp") or envelope.get("timestamp", "")
+    unix_time = provenance.get("unix_time")
+    if unix_time is None:
+        unix_time = _parse_iso(recorded_at)
+    return git_rev, recorded_at, unix_time
+
+
 def _flatten_scalars(data, prefix: str = "") -> Iterable[tuple[str, float]]:
     """Dotted-path numeric leaves of a JSON tree, skipping run payloads."""
     if isinstance(data, dict):
@@ -137,69 +159,65 @@ class Ingester:
     # ------------------------------------------------------------ dispatch
 
     def ingest_path(self, path: str | pathlib.Path) -> None:
-        """Ingest whatever ``path`` is: service root, record, bench, log.
+        """Ingest whatever ``path`` is: service root, log, or shaped JSON.
 
         Directories holding a ``jobs/`` subdirectory are service roots;
-        any other directory is scanned for root ``BENCH_*.json`` mirrors
-        and standalone ``chiaroscuro-run/v1`` files.
+        any other directory is scanned for ``*.json`` files of a shape in
+        :data:`SHAPES` (``BENCH_*.json`` mirrors first), skipping the rest.
+        Commits once the path is in (the per-source methods below do not).
         """
         path = pathlib.Path(path)
-        if path.is_dir():
-            if (path / "jobs").is_dir():
-                self.ingest_service_root(path)
-                return
-            found = False
-            for child in sorted(path.glob("BENCH_*.json")):
-                self.ingest_bench_file(child)
-                found = True
-            for child in sorted(path.glob("*.json")):
-                if child.name.startswith("BENCH_"):
-                    continue
-                if self._is_run_record(child):
-                    self.ingest_run_record_file(child)
-                    found = True
-                elif self._is_lint(child):
-                    self.ingest_lint_file(child)
-                    found = True
-            if not found:
+        if (path / "jobs").is_dir():
+            self.ingest_service_root(path)
+        elif path.is_dir():
+            benches = sorted(path.glob("BENCH_*.json"))
+            others = sorted(set(path.glob("*.json")) - set(benches))
+            found = [
+                self._ingest_json_once(child, self._ingest_shaped)
+                for child in benches + others
+            ]
+            if not any(found):
                 raise ValueError(
                     f"{path}: not a service root (no jobs/) and no "
                     f"BENCH_*.json, run-record or lint-report files inside"
                 )
-            return
-        if not path.exists():
+        elif not path.exists():
             raise FileNotFoundError(str(path))
-        if path.suffix == ".ndjson":
+        elif path.suffix == ".ndjson":
             self.ingest_events_file(path, job_id=path.parent.name)
-        elif path.name.startswith("BENCH_") or self._is_bench(path):
-            self.ingest_bench_file(path)
-        elif self._is_run_record(path):
-            self.ingest_run_record_file(path)
-        elif self._is_lint(path):
-            self.ingest_lint_file(path)
-        else:
+        elif not self._ingest_json_once(path, self._ingest_shaped):
             raise ValueError(
                 f"{path}: unrecognized telemetry file (expected a service "
                 f"root, *.ndjson log, BENCH_*.json, chiaroscuro-run/v1 "
                 f"record, or chiaroscuro-lint/v1 report)"
             )
+        self.con.commit()
 
-    @staticmethod
-    def _peek_schema(path: pathlib.Path) -> str:
+    def _ingest_shaped(self, path: pathlib.Path) -> bool:
+        """Parse one standalone JSON file and hand it to its shape's handler.
+
+        Returns ``False`` for a file of no known shape.  A ``BENCH_*``
+        name is a claim to be a bench envelope, so anything else under
+        that name is an error rather than a skip.
+        """
+        named_bench = path.name.startswith("BENCH_")
         try:
             payload = json.loads(path.read_text())
         except (OSError, ValueError):
-            return ""
-        return payload.get("schema", "") if isinstance(payload, dict) else ""
-
-    def _is_run_record(self, path: pathlib.Path) -> bool:
-        return self._peek_schema(path) == "chiaroscuro-run/v1"
-
-    def _is_bench(self, path: pathlib.Path) -> bool:
-        return self._peek_schema(path) == "chiaroscuro-bench/v1"
-
-    def _is_lint(self, path: pathlib.Path) -> bool:
-        return self._peek_schema(path) == "chiaroscuro-lint/v1"
+            if named_bench:
+                raise
+            return False
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        if named_bench and schema != "chiaroscuro-bench/v1":
+            raise ValueError(
+                f"{path}: not a chiaroscuro-bench/v1 envelope "
+                f"(schema={schema!r})"
+            )
+        handler = SHAPES.get(schema) if isinstance(schema, str) else None
+        if handler is None:
+            return False
+        handler(self, path, payload)
+        return True
 
     # ------------------------------------------------------- service roots
 
@@ -220,26 +238,31 @@ class Ingester:
                     result_path,
                     lambda p: self._ingest_result_json(p, job_id),
                 )
-        self.con.commit()
 
     def _ingest_json_once(
-        self, path: pathlib.Path, handler: Callable[[pathlib.Path], None]
-    ) -> None:
-        """Run ``handler`` only when the file changed since last ingest."""
+        self, path: pathlib.Path, handler: Callable[[pathlib.Path], object]
+    ) -> bool:
+        """Run ``handler`` only when the file changed since last ingest.
+
+        Returns whether the file is ingested.  A handler that returns
+        ``False`` declined the file: no watermark is kept for it.
+        """
         fingerprint = _fingerprint(path)
         row = self.con.execute(
             "SELECT fingerprint FROM ingest_files WHERE path = ?",
             (str(path),),
         ).fetchone()
         if row is not None and row[0] == fingerprint:
-            return
-        handler(path)
+            return True
+        if handler(path) is False:
+            return False
         self.con.execute(
             "INSERT OR REPLACE INTO ingest_files "
             "(path, kind, byte_offset, fingerprint, ingested_at) "
             "VALUES (?, 'json', 0, ?, ?)",
             (str(path), fingerprint, time.time()),
         )
+        return True
 
     def _ingest_job_json(self, path: pathlib.Path, root: pathlib.Path) -> None:
         record = json.loads(path.read_text())
@@ -348,17 +371,10 @@ class Ingester:
 
     # ---------------------------------------------------------- run records
 
-    def ingest_run_record_file(self, path: str | pathlib.Path) -> None:
-        path = pathlib.Path(path)
-        self._ingest_json_once(
-            path,
-            lambda p: self._upsert_run(
-                json.loads(p.read_text()),
-                run_key=f"record:{p.resolve()}",
-                source="record",
-            ),
+    def _ingest_run_record(self, path: pathlib.Path, record: dict) -> None:
+        self._upsert_run(
+            record, run_key=f"record:{path.resolve()}", source="record"
         )
-        self.con.commit()
 
     def _upsert_run(
         self,
@@ -438,24 +454,8 @@ class Ingester:
 
     # ------------------------------------------------------------ lint runs
 
-    def ingest_lint_file(self, path: str | pathlib.Path) -> None:
-        path = pathlib.Path(path)
-        self._ingest_json_once(path, self._ingest_lint)
-        self.con.commit()
-
-    def _ingest_lint(self, path: pathlib.Path) -> None:
-        envelope = json.loads(path.read_text())
-        if envelope.get("schema") != "chiaroscuro-lint/v1":
-            raise ValueError(
-                f"{path}: not a chiaroscuro-lint/v1 envelope "
-                f"(schema={envelope.get('schema')!r})"
-            )
-        provenance = envelope.get("provenance", {})
-        git_rev = provenance.get("git_rev", "")
-        recorded_at = provenance.get("timestamp", "")
-        unix_time = provenance.get("unix_time")
-        if unix_time is None:
-            unix_time = _parse_iso(recorded_at)
+    def _ingest_lint(self, path: pathlib.Path, envelope: dict) -> None:
+        git_rev, recorded_at, unix_time = _provenance(envelope)
         # One report = one (git_rev, timestamp) identity; re-ingesting the
         # same file (or a byte-identical copy elsewhere) lands on the same
         # primary keys and stays a no-op.
@@ -487,27 +487,9 @@ class Ingester:
 
     # -------------------------------------------------------------- benches
 
-    def ingest_bench_file(self, path: str | pathlib.Path) -> None:
-        path = pathlib.Path(path)
-        self._ingest_json_once(path, self._ingest_bench)
-        self.con.commit()
-
-    def _ingest_bench(self, path: pathlib.Path) -> None:
-        envelope = json.loads(path.read_text())
-        if envelope.get("schema") != "chiaroscuro-bench/v1":
-            raise ValueError(
-                f"{path}: not a chiaroscuro-bench/v1 envelope "
-                f"(schema={envelope.get('schema')!r})"
-            )
+    def _ingest_bench(self, path: pathlib.Path, envelope: dict) -> None:
         bench = envelope.get("bench") or path.stem.replace("BENCH_", "")
-        provenance = envelope.get("provenance", {})
-        git_rev = provenance.get("git_rev") or envelope.get("git_rev", "")
-        recorded_at = (
-            provenance.get("timestamp") or envelope.get("timestamp", "")
-        )
-        unix_time = provenance.get("unix_time")
-        if unix_time is None:
-            unix_time = _parse_iso(recorded_at)
+        git_rev, recorded_at, unix_time = _provenance(envelope)
         data = envelope.get("data", {})
 
         for metric, value in _flatten_scalars(data):
@@ -617,6 +599,16 @@ class Ingester:
         return matches[0] if len(matches) == 1 else None
 
 
+#: Standalone JSON telemetry shapes: ``schema`` field →
+#: ``handler(ingester, path, payload)``, called once per changed file
+#: with the parsed payload.
+SHAPES: dict[str, Callable[[Ingester, pathlib.Path, dict], None]] = {
+    "chiaroscuro-bench/v1": Ingester._ingest_bench,
+    "chiaroscuro-run/v1": Ingester._ingest_run_record,
+    "chiaroscuro-lint/v1": Ingester._ingest_lint,
+}
+
+
 def ingest_paths(
     con: sqlite3.Connection, paths: Iterable[str | pathlib.Path]
 ) -> dict[str, int]:
@@ -625,7 +617,6 @@ def ingest_paths(
     ingester = Ingester(con)
     for path in paths:
         ingester.ingest_path(path)
-    con.commit()
     after = table_counts(con)
     return {table: after[table] - before[table] for table in after}
 
@@ -642,17 +633,22 @@ def follow_ingest(
     Each cycle is exactly one :func:`ingest_paths` delta (so a running
     ``repro serve`` fleet's events stream in as their newlines land);
     ``on_cycle`` observes every cycle's new-row counts and
-    ``should_stop`` is consulted *between* cycles.  Returns the total
-    new rows across all cycles.
+    ``should_stop`` is consulted *between* cycles.  Ctrl-C is the other
+    stop request.  Either way returns the total new rows across all
+    completed cycles.
     """
     paths = list(paths)
     totals: dict[str, int] = {}
-    while True:
-        delta = ingest_paths(con, paths)
-        for table, count in delta.items():
-            totals[table] = totals.get(table, 0) + count
-        if on_cycle is not None:
-            on_cycle(delta)
-        if should_stop is not None and should_stop():
-            return totals
-        time.sleep(poll_interval)
+    try:
+        while True:
+            delta = ingest_paths(con, paths)
+            for table, count in delta.items():
+                totals[table] = totals.get(table, 0) + count
+            if on_cycle is not None:
+                on_cycle(delta)
+            if should_stop is not None and should_stop():
+                break
+            time.sleep(poll_interval)
+    except KeyboardInterrupt:
+        pass
+    return totals

@@ -4,16 +4,21 @@ The ``repro report`` surface: each ``report_*`` function pulls one
 analytics shape and returns a printable string, so the CLI (and the CI
 smoke job grepping its output) get stable, diffable tables without a
 plotting dependency — the same spirit as the benchmark suite's
-``record_report`` text renditions.
+``record_report`` text renditions.  :data:`REPORTS` at the bottom is the
+one list of them: the CLI generates ``repro report <name>`` and its
+filter flags from it, so adding a report is a renderer plus its row.
 """
 
 from __future__ import annotations
 
 import sqlite3
+from typing import Callable, NamedTuple
 
 from . import analytics
 
 __all__ = [
+    "REPORTS",
+    "Report",
     "render_table",
     "report_attacks",
     "report_bench",
@@ -229,3 +234,46 @@ def report_lint(
         table,
         fmt,
     ))
+
+
+class Report(NamedTuple):
+    """One ``repro report`` leaf: renderer, help line, filter flags."""
+
+    render: Callable[..., str]
+    help: str
+    #: keyword of ``render`` → argparse options of the ``--<keyword>``
+    #: flag that sets it (every filter is an optional string)
+    filters: dict[str, dict[str, str]] = {}
+
+
+REPORTS: dict[str, Report] = {
+    "fig2": Report(
+        report_fig2,
+        "inertia trajectories per strategy (Fig. 2)",
+        {"strategy": {"help": "only this budget strategy (e.g. G, UF6)"}},
+    ),
+    "fig3": Report(
+        report_fig3,
+        "quality per deployment vs. baseline (Fig. 3 / quality under attack)",
+        {"like": {"metavar": "PATTERN",
+                  "help": "only runs whose name matches this SQL LIKE "
+                          "pattern (e.g. 'attack-%%')"}},
+    ),
+    "attacks": Report(report_attacks, "detector counts per fault class"),
+    "latency": Report(
+        report_latency,
+        "per-plane iteration latency percentiles with the crypto_ms split",
+    ),
+    "bench": Report(
+        report_bench,
+        "bench metric trajectory over git revisions",
+        {"bench": {"help": "only this bench (e.g. fig3_attack_quality)"},
+         "metric": {"metavar": "PATTERN",
+                    "help": "only metrics matching this SQL LIKE pattern"}},
+    ),
+    "lint": Report(
+        report_lint,
+        "lint-finding trajectory over git revisions",
+        {"rule": {"help": "only this lint rule (e.g. determinism-rng)"}},
+    ),
+}

@@ -271,3 +271,66 @@ class TestCollusion:
         assert detail["collusions"] == 12
         assert detail["empirical_decryption"] is None  # no key material
         assert detail["unknown_noise_fraction"] == pytest.approx(0.5)
+
+
+
+def test_object_proxy_applies_the_network_policy_exchange_by_exchange():
+    """The object proxy puts each scheduled exchange to ``transform_pairs``
+    as a length-1 pairing: every verdict becomes exactly the deliveries it
+    stands for, and the verdicts occur at the configured rates."""
+    from collections import Counter
+
+    from repro.faults.base import fault_rng
+    from repro.faults.engines import FaultyObjectEngine
+    from repro.faults.network import NetworkFault, NetworkInjector
+    from repro.faults.plan import FaultPlan
+    from repro.gossip import GossipEngine
+
+    config = NetworkFault(loss=0.2, duplicate=0.25, delay=0.3, max_delay=3)
+    verdicts = Counter()
+    expected = Counter()  # (delivery cycle, initiator, contact) -> copies
+
+    class Recording(NetworkInjector):
+        def transform_pairs(self, iteration, left, right):
+            verdict = super().transform_pairs(iteration, left, right)
+            kept, _, extras, delayed = verdict
+            pair = (int(left[0]), int(right[0]))
+            if delayed:
+                ((lag, _, _),) = delayed
+                verdicts["delayed"] += 1
+                expected[(engine.cycles + lag, *pair)] += 1
+            elif len(kept):
+                verdicts["duplicated" if extras else "delivered"] += 1
+                expected[(engine.cycles, *pair)] += 2 if extras else 1
+            else:
+                verdicts["dropped"] += 1
+            return verdict
+
+    class Deliveries:
+        def __init__(self):
+            self.seen = Counter()
+
+        def exchange(self, initiator, contact, rng):
+            self.seen[(engine.cycles, initiator.node_id, contact.node_id)] += 1
+
+    injector = Recording(config, fault_rng(4, "network", 0))
+    plan = FaultPlan([("network", config)], seed=4)
+    plan.injectors = [injector]
+    engine = FaultyObjectEngine(GossipEngine(100, seed=4), plan, iteration=1)
+    protocol = Deliveries()
+    scheduled = engine.run_cycles(40, protocol)
+    judged = Counter(verdicts)
+    injector.config = NetworkFault()  # calm network: the late messages land
+    engine.run_cycles(config.max_delay, protocol)
+    assert protocol.seen == expected
+
+    assert scheduled == sum(judged.values()) == 4000
+    rates = {
+        "dropped": config.loss,
+        "delayed": (1 - config.loss) * config.delay,
+        "duplicated": (1 - config.loss) * (1 - config.delay) * config.duplicate,
+    }
+    rates["delivered"] = 1 - sum(rates.values())
+    for verdict, rate in rates.items():
+        sigma = (scheduled * rate * (1 - rate)) ** 0.5
+        assert abs(judged[verdict] - scheduled * rate) < 4.5 * sigma, verdict
