@@ -33,6 +33,11 @@ row insert is keyed stably (events by ``job:seq``, pre-``seq`` logs by
 the line's byte offset; JSON-derived rows by their source identity and
 upserted), so even a from-scratch re-read — watermarks dropped, same
 files — converges to identical row counts.
+
+One idiom throughout: *a handler builds rows, the ingester writes them*
+with one ``executemany`` per table.  Event logs go through it in bounded
+blocks (:func:`_read_blocks`, the one NDJSON reader), each line parsed
+once and stored as written.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import json
 import pathlib
 import sqlite3
 import time
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "Ingester",
@@ -74,34 +79,82 @@ def table_counts(con: sqlite3.Connection) -> dict[str, int]:
     }
 
 
+#: Bytes per read of an NDJSON log.  One block's complete lines are
+#: parsed and written as one batch, so this bounds what an ingest pass
+#: holds in memory whatever the log's length: ~250 event lines, past
+#: which larger batches bought no speed and cost resident memory.
+BLOCK_BYTES = 1 << 16
+
+_COMPACT = (",", ":")  # the separators `append_ndjson` writes with
+
+
+def _read_blocks(
+    path: pathlib.Path, offset: int
+) -> Iterator[tuple[int, list[tuple[int, str, dict]]]]:
+    """The one NDJSON reader: ``(watermark, records)`` per block read.
+
+    ``records`` are the ``(line_offset, line, record)`` of the block's
+    complete lines past ``offset`` that hold a JSON object, each parsed
+    exactly once; ``watermark`` is the offset just past the block's last
+    complete line.  The rules every consumer inherits:
+
+    * lines end at ``b"\n"`` only (``bytes.splitlines`` would also break
+      on a bare ``\r``), and an incomplete tail (no newline yet — a
+      writer is mid-append or was killed there) is never yielded: it
+      stays pending for the next pass, the same torn-tail discipline as
+      :func:`repro.service.bus.tail_events`;
+    * a complete line that is not UTF-8 JSON, or not an object, is
+      skipped but still advances the watermark (it will never become
+      decodable);
+    * ``line`` is the text as written, which is what ``events.payload``
+      stores.  Only a line carrying a non-finite constant (``NaN``,
+      ``±Infinity`` — Python writes them, sqlite's JSON functions reject
+      them) is re-serialised, with ``null`` in their place.
+    """
+    nonfinite: list[str] = []  # the constants the current line carried
+    decode = json.JSONDecoder(parse_constant=nonfinite.append).decode
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        fh.seek(offset)
+        tail = b""
+        while block := fh.read(BLOCK_BYTES):
+            lines = (tail + block).split(b"\n")
+            tail = lines.pop()
+            records = []
+            for raw in lines:
+                line_offset = offset
+                offset += len(raw) + 1
+                nonfinite.clear()
+                try:
+                    line = raw.decode()
+                    record = decode(line)
+                except ValueError:
+                    continue
+                if not isinstance(record, dict):
+                    continue
+                if nonfinite:
+                    line = json.dumps(record, separators=_COMPACT)
+                records.append((line_offset, line, record))
+            if lines:
+                yield offset, records
+
+
 def read_ndjson_from(
     path: pathlib.Path, offset: int
 ) -> tuple[list[tuple[int, dict]], int]:
     """Decodable ``(line_offset, record)`` pairs past ``offset``.
 
     Returns the pairs plus the new watermark: the offset just past the
-    last *complete* line.  An incomplete tail (no newline yet — a writer
-    is mid-append or was killed there) is left for the next pass, the
-    same torn-tail discipline as :func:`repro.service.bus.tail_events`.
-    Undecodable complete lines are skipped but still advance the
-    watermark (they will never become decodable).
+    last *complete* line (see :func:`_read_blocks` for what is skipped
+    and what stays pending).
     """
-    records: list[tuple[int, dict]] = []
-    if not path.exists():
-        return records, offset
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        while True:
-            line_offset = fh.tell()
-            line = fh.readline()
-            if not line or not line.endswith(b"\n"):
-                return records, line_offset
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                records.append((line_offset, record))
+    pairs: list[tuple[int, dict]] = []
+    for offset, records in _read_blocks(path, offset):
+        pairs += [(line_offset, record) for line_offset, _, record in records]
+    return pairs, offset
 
 
 def _fingerprint(path: pathlib.Path) -> str:
@@ -148,6 +201,45 @@ def _flatten_scalars(data, prefix: str = "") -> Iterable[tuple[str, float]]:
         yield prefix.rstrip("."), 1.0 if data else 0.0
     elif isinstance(data, (int, float)):
         yield prefix.rstrip("."), float(data)
+
+
+def _event_rows(
+    records: list[tuple[int, str, dict]], default_job: str
+) -> tuple[list[tuple], list[tuple], list[tuple]]:
+    """One block of log records as ``events`` rows, ``detections`` rows
+    and the ``(job_id,)`` of every ``run_aborted`` among them."""
+    events, detections, aborted = [], [], []
+    for line_offset, line, record in records:
+        job_id = str(record.get("job") or default_job or "?")
+        seq = record.get("seq")
+        # Stable key: the bus's monotonic per-job seq when present; for
+        # pre-seq logs the line's byte offset in its file is just as
+        # stable across re-reads (logs are append-only).
+        if type(seq) is int:  # not bool
+            event_key = f"{job_id}:{seq}"
+        else:
+            seq, event_key = None, f"{job_id}:@{line_offset}"
+        kind = str(record.get("type", "?"))
+        iteration = record.get("iteration")
+        if not isinstance(iteration, int):
+            iteration = None
+        events.append(
+            (event_key, job_id, seq, record.get("ts"), kind, iteration, line)
+        )
+        if kind == "fault_detected":
+            detections.append((
+                event_key,
+                f"job:{job_id}",
+                job_id,
+                iteration,
+                record.get("fault", ""),
+                record.get("detector", ""),
+                len(record.get("participants") or []),
+                json.dumps(record.get("detail") or {}, separators=_COMPACT),
+            ))
+        elif kind == "run_aborted":
+            aborted.append((job_id,))
+    return events, detections, aborted
 
 
 class Ingester:
@@ -297,76 +389,43 @@ class Ingester:
     def ingest_events_file(
         self, path: str | pathlib.Path, job_id: str = ""
     ) -> None:
-        """Consume new complete lines of one NDJSON log past its watermark."""
+        """Consume new complete lines of one NDJSON log past its watermark.
+
+        Each block of the log becomes one ``executemany`` per table, in
+        the transaction that advances the watermark.
+        """
         path = pathlib.Path(path)
         row = self.con.execute(
             "SELECT byte_offset FROM ingest_files WHERE path = ?",
             (str(path),),
         ).fetchone()
-        offset = int(row[0]) if row is not None else 0
-        records, new_offset = read_ndjson_from(path, offset)
-        for line_offset, record in records:
-            self._ingest_event(record, job_id, line_offset)
-        if new_offset != offset or row is None:
+        offset = watermark = int(row[0]) if row is not None else 0
+        for watermark, records in _read_blocks(path, offset):
+            events, detections, aborted = _event_rows(records, job_id)
+            self.con.executemany(
+                "INSERT OR IGNORE INTO events "
+                "(event_key, job_id, seq, ts, type, iteration, payload) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                events,
+            )
+            self.con.executemany(
+                "INSERT OR IGNORE INTO detections (detection_key, run_key, "
+                "job_id, iteration, fault, detector, participants, count, "
+                "detail) VALUES (?, ?, ?, ?, ?, ?, ?, 1, ?)",
+                detections,
+            )
+            # Order-independent abort marking: the run row may not exist
+            # yet (result.json lands after the events); _upsert_run does
+            # the reverse lookup for that case.
+            self.con.executemany(
+                "UPDATE runs SET aborted = 1 WHERE job_id = ?", aborted
+            )
+        if watermark != offset or row is None:
             self.con.execute(
                 "INSERT OR REPLACE INTO ingest_files "
                 "(path, kind, byte_offset, fingerprint, ingested_at) "
                 "VALUES (?, 'ndjson', ?, '', ?)",
-                (str(path), new_offset, time.time()),
-            )
-
-    def _ingest_event(
-        self, record: dict, default_job: str, line_offset: int
-    ) -> None:
-        job_id = str(record.get("job") or default_job or "?")
-        seq = record.get("seq")
-        seq = int(seq) if isinstance(seq, int) and not isinstance(seq, bool) else None
-        # Stable key: the bus's monotonic per-job seq when present; for
-        # pre-seq logs the line's byte offset in its file is just as
-        # stable across re-reads (logs are append-only).
-        event_key = (
-            f"{job_id}:{seq}" if seq is not None else f"{job_id}:@{line_offset}"
-        )
-        kind = str(record.get("type", "?"))
-        iteration = record.get("iteration")
-        self.con.execute(
-            "INSERT OR IGNORE INTO events "
-            "(event_key, job_id, seq, ts, type, iteration, payload) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                event_key,
-                job_id,
-                seq,
-                record.get("ts"),
-                kind,
-                iteration if isinstance(iteration, int) else None,
-                json.dumps(record, separators=(",", ":")),
-            ),
-        )
-        if kind == "fault_detected":
-            participants = record.get("participants") or []
-            self.con.execute(
-                "INSERT OR IGNORE INTO detections (detection_key, run_key, "
-                "job_id, iteration, fault, detector, participants, count, "
-                "detail) VALUES (?, ?, ?, ?, ?, ?, ?, 1, ?)",
-                (
-                    event_key,
-                    f"job:{job_id}",
-                    job_id,
-                    iteration if isinstance(iteration, int) else None,
-                    record.get("fault", ""),
-                    record.get("detector", ""),
-                    len(participants),
-                    json.dumps(record.get("detail") or {},
-                               separators=(",", ":")),
-                ),
-            )
-        elif kind == "run_aborted":
-            # Order-independent abort marking: the run row may not exist
-            # yet (result.json lands after the events); _upsert_run does
-            # the reverse lookup for that case.
-            self.con.execute(
-                "UPDATE runs SET aborted = 1 WHERE job_id = ?", (job_id,)
+                (str(path), watermark, time.time()),
             )
 
     # ---------------------------------------------------------- run records
@@ -460,30 +519,32 @@ class Ingester:
         # same file (or a byte-identical copy elsewhere) lands on the same
         # primary keys and stays a no-op.
         report_key = f"{git_rev}@{recorded_at}"
+        rows = []
         for finding in envelope.get("findings", []):
             if not isinstance(finding, dict) or not finding.get("fingerprint"):
                 continue
             line = finding.get("line")
-            self.con.execute(
-                "INSERT OR REPLACE INTO lint_findings (report_key, "
-                "fingerprint, git_rev, recorded_at, unix_time, rule, path, "
-                "line, status, message, snippet, justification) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    report_key,
-                    str(finding["fingerprint"]),
-                    git_rev,
-                    recorded_at,
-                    unix_time,
-                    str(finding.get("rule", "")),
-                    str(finding.get("path", "")),
-                    int(line) if isinstance(line, int) else 0,
-                    str(finding.get("status", "new")),
-                    str(finding.get("message", "")),
-                    str(finding.get("snippet", "")),
-                    str(finding.get("justification", "")),
-                ),
-            )
+            rows.append((
+                report_key,
+                str(finding["fingerprint"]),
+                git_rev,
+                recorded_at,
+                unix_time,
+                str(finding.get("rule", "")),
+                str(finding.get("path", "")),
+                int(line) if isinstance(line, int) else 0,
+                str(finding.get("status", "new")),
+                str(finding.get("message", "")),
+                str(finding.get("snippet", "")),
+                str(finding.get("justification", "")),
+            ))
+        self.con.executemany(
+            "INSERT OR REPLACE INTO lint_findings (report_key, "
+            "fingerprint, git_rev, recorded_at, unix_time, rule, path, "
+            "line, status, message, snippet, justification) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            rows,
+        )
 
     # -------------------------------------------------------------- benches
 
@@ -492,13 +553,15 @@ class Ingester:
         git_rev, recorded_at, unix_time = _provenance(envelope)
         data = envelope.get("data", {})
 
-        for metric, value in _flatten_scalars(data):
-            self.con.execute(
-                "INSERT OR REPLACE INTO bench_points "
-                "(bench, git_rev, recorded_at, unix_time, metric, value) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (bench, git_rev, recorded_at, unix_time, metric, value),
-            )
+        self.con.executemany(
+            "INSERT OR REPLACE INTO bench_points "
+            "(bench, git_rev, recorded_at, unix_time, metric, value) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            [
+                (bench, git_rev, recorded_at, unix_time, metric, value)
+                for metric, value in _flatten_scalars(data)
+            ],
+        )
 
         runs = data.get("runs") if isinstance(data, dict) else None
         run_keys_by_name: dict[str, str] = {}
@@ -540,6 +603,7 @@ class Ingester:
         detector it lists; the first listed detector carries the count
         remainder so ``SUM(count)`` reproduces the entry's total exactly.
         """
+        rows, aborted = [], []
         for deployment, entry in summary.items():
             if not isinstance(entry, dict):
                 continue
@@ -551,33 +615,33 @@ class Ingester:
                 deployment, run_keys_by_name
             )
             if entry.get("aborted") and run_key:
-                self.con.execute(
-                    "UPDATE runs SET aborted = 1 WHERE run_key = ?",
-                    (run_key,),
-                )
+                aborted.append((run_key,))
             fault = deployment
             for suffix in ("-mild", "-severe"):
                 if fault.endswith(suffix):
                     fault = fault[: -len(suffix)]
-            detail = json.dumps(
-                entry.get("audit") or {}, separators=(",", ":")
-            )
+            detail = json.dumps(entry.get("audit") or {}, separators=_COMPACT)
             remainder = detections - (len(detectors) - 1)
-            for position, detector in enumerate(detectors):
-                self.con.execute(
-                    "INSERT OR REPLACE INTO detections (detection_key, "
-                    "run_key, job_id, iteration, fault, detector, "
-                    "participants, count, detail) "
-                    "VALUES (?, ?, NULL, NULL, ?, ?, 0, ?, ?)",
-                    (
-                        f"bench:{bench}:{git_rev}:{deployment}:{detector}",
-                        run_key,
-                        fault,
-                        detector,
-                        remainder if position == 0 else 1,
-                        detail,
-                    ),
+            rows += [
+                (
+                    f"bench:{bench}:{git_rev}:{deployment}:{detector}",
+                    run_key,
+                    fault,
+                    detector,
+                    remainder if position == 0 else 1,
+                    detail,
                 )
+                for position, detector in enumerate(detectors)
+            ]
+        self.con.executemany(
+            "UPDATE runs SET aborted = 1 WHERE run_key = ?", aborted
+        )
+        self.con.executemany(
+            "INSERT OR REPLACE INTO detections (detection_key, run_key, "
+            "job_id, iteration, fault, detector, participants, count, "
+            "detail) VALUES (?, ?, NULL, NULL, ?, ?, 0, ?, ?)",
+            rows,
+        )
 
     @staticmethod
     def _match_summary_run(

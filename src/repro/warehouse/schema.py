@@ -130,7 +130,7 @@ CREATE TABLE events (
     ts        REAL,
     type      TEXT NOT NULL,
     iteration INTEGER,
-    payload   TEXT NOT NULL      -- the full NDJSON record, verbatim
+    payload   TEXT NOT NULL      -- the NDJSON line as written (NaN/±Infinity → null)
 );
 CREATE INDEX idx_events_job ON events (job_id, type);
 
