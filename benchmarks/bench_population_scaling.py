@@ -12,14 +12,22 @@ measures the protocol plane's scaling directly:
 2. **scaling** — vectorized per-cycle wall-times at 10⁴ → 10⁶ nodes;
 3. **full loop** — a complete Chiaroscuro run (assignment → EESum →
    noise → dissemination → collection → smoothing → convergence) with
-   ``protocol_plane="vectorized"`` at 10⁵ participants.
+   ``protocol_plane="vectorized"`` at 10⁵ participants (k = 10, n = 20),
+   and one iteration at 10⁶ (k = 10, n = 2 — the paper's Fig. 3(b)/4
+   population), each with its seconds per iteration and its peak RSS.
 
 All three land in ``out/BENCH_population_scaling.json``.
-``test_population_smoke`` is the CI subset with a wall-clock guard.
+``test_population_smoke`` is the CI subset with a wall-clock and a
+peak-memory guard.
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
+import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -69,12 +77,16 @@ def _object_seconds_per_exchange(population: int, cycles: int = 3) -> float:
 def _vectorized_seconds_per_exchange(population: int, cycles: int = 10) -> float:
     """Same protocol composition on the struct-of-arrays plane."""
     rng = np.random.default_rng(0)
-    values = np.concatenate(
-        [rng.uniform(-4.0, 4.0, size=(population, DIMS)), np.ones((population, 1))],
-        axis=1,
-    )
+    # One allocation, quantized in place and handed over without a copy: at
+    # 10⁶ nodes the matrix is 1.7 GB and the bench must not hold three.
+    values = rng.uniform(-4.0, 4.0, size=(population, DIMS + 1))
+    values *= 1 << FRACTIONAL_BITS
+    np.round(values, out=values)
+    values /= 1 << FRACTIONAL_BITS
+    values[:, -1] = 1.0
     engine = VectorizedGossipEngine(population, seed=1)
-    eesum = VectorizedEESum(values, quantize_bits=FRACTIONAL_BITS)
+    eesum = VectorizedEESum(values, copy=False)
+    del values
     dissemination = VectorizedMinId(
         rng.integers(0, 1 << 62, population).astype(np.int64)
     )
@@ -99,25 +111,57 @@ if "population-sim" not in DATASETS:  # idempotent under pytest re-imports
         )
 
 
-def _full_run_spec(population: int, max_iterations: int, exchanges: int) -> RunSpec:
+def _full_run_spec(
+    population: int, max_iterations: int, exchanges: int, series_length: int
+) -> RunSpec:
     return RunSpec.from_dict({
         "name": f"population-scaling-{population}",
         "plane": "vectorized",
         "seed": 0,
         "strategy": "G",
         "dataset": {"kind": "population-sim",
-                    "params": {"population": population, "seed": 3}},
+                    "params": {"population": population,
+                               "series_length": series_length, "seed": 3}},
         "init": {"kind": "uniform", "params": {"seed": 3}},
         "params": {"k": K, "max_iterations": max_iterations,
                    "exchanges": exchanges, "epsilon": 0.69},
     })
 
 
-def _full_run(population: int, max_iterations: int, exchanges: int) -> dict:
-    """A complete vectorized-plane Chiaroscuro run via the API facade."""
+def _full_run(
+    population: int,
+    max_iterations: int,
+    exchanges: int,
+    series_length: int = SERIES_LENGTH,
+) -> dict:
+    """A complete vectorized-plane Chiaroscuro run via the API facade.
+
+    Runs in a fresh interpreter: ``peak_rss_mb`` is ``ru_maxrss``, a
+    process-lifetime high-water mark, and must be this run's own.  (A child
+    starts from its parent's mark, so call this before the bench process
+    itself has built anything large.)
+    """
+    code = (
+        "import json, bench_population_scaling as bench; "
+        "print(json.dumps(bench._full_run_here("
+        f"{population}, {max_iterations}, {exchanges}, {series_length})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=pathlib.Path(__file__).parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _full_run_here(
+    population: int, max_iterations: int, exchanges: int, series_length: int
+) -> dict:
     from repro.api import IterationCompleted, RunCompleted
 
-    spec = _full_run_spec(population, max_iterations, exchanges)
+    spec = _full_run_spec(population, max_iterations, exchanges, series_length)
     exchanges_per_node = []
     result = None
     start = time.perf_counter()
@@ -130,11 +174,13 @@ def _full_run(population: int, max_iterations: int, exchanges: int) -> dict:
     return {
         "population": population,
         "k": K,
-        "series_length": SERIES_LENGTH,
+        "series_length": series_length,
         "exchanges": exchanges,
         "iterations_completed": result.iterations,
         "seconds_total": float(elapsed),
         "seconds_per_iteration": float(elapsed / max(result.iterations, 1)),
+        # Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "pre_inertia": [float(v) for v in result.pre_inertia_curve],
         "n_centroids": [int(v) for v in result.n_centroids_curve],
         "mean_exchanges_per_node": exchanges_per_node,
@@ -146,7 +192,12 @@ def _full_run(population: int, max_iterations: int, exchanges: int) -> dict:
 
 def test_population_scaling_speedup(benchmark):
     """Acceptance: ≥ 50× per-exchange over the object engine at 10⁴ nodes,
-    plus a full Chiaroscuro loop at 10⁵ participants."""
+    plus a full Chiaroscuro loop at 10⁵ and one iteration at 10⁶
+    participants."""
+    # The full runs first: their children inherit this process's RSS mark.
+    full = _full_run(100_000, max_iterations=2, exchanges=15)
+    full_1m = _full_run(1_000_000, max_iterations=1, exchanges=15, series_length=2)
+
     benchmark.pedantic(
         lambda: _vectorized_seconds_per_exchange(10_000, cycles=3),
         rounds=1,
@@ -159,8 +210,6 @@ def test_population_scaling_speedup(benchmark):
     }
     speedup = object_cost[10_000] / vectorized_cost[10_000]
 
-    full = _full_run(100_000, max_iterations=2, exchanges=15)
-
     rows = [
         f"{'plane':<14}{'population':>12}{'us/exchange':>14}",
         *(
@@ -172,10 +221,13 @@ def test_population_scaling_speedup(benchmark):
             for p, c in sorted(vectorized_cost.items())
         ),
         f"per-exchange speedup at 10^4 nodes: {speedup:.0f}x (floor: 50x)",
-        (
-            f"full vectorized run at 10^5: {full['iterations_completed']} iterations "
-            f"in {full['seconds_total']:.1f} s "
-            f"({full['seconds_per_iteration']:.1f} s/iteration)"
+        *(
+            f"full vectorized run at {run['population']:.0e} "
+            f"(n = {run['series_length']}): {run['iterations_completed']} "
+            f"iterations in {run['seconds_total']:.1f} s "
+            f"({run['seconds_per_iteration']:.1f} s/iteration), "
+            f"peak RSS {run['peak_rss_mb']:.0f} MB"
+            for run in (full, full_1m)
         ),
     ]
     record_report(
@@ -185,7 +237,7 @@ def test_population_scaling_speedup(benchmark):
     )
     record_runs(
         "population_scaling",
-        [full.pop("run_record")],
+        [full.pop("run_record"), full_1m.pop("run_record")],
         extra={
             "dims": DIMS,
             "object_seconds_per_exchange": {
@@ -196,12 +248,14 @@ def test_population_scaling_speedup(benchmark):
             },
             "speedup_at_10k": float(speedup),
             "full_run_100k": full,
+            "full_run_1m": full_1m,
         },
     )
 
     assert speedup >= 50.0, f"vectorized plane speedup {speedup:.0f}x < 50x"
-    assert full["iterations_completed"] >= 1
-    assert full["n_centroids"][0] >= 1
+    for run in (full, full_1m):
+        assert run["iterations_completed"] >= 1
+        assert run["n_centroids"][0] >= 1
 
 
 #: Ascending populations attempted by the vectorized-crypto sweep; a
@@ -294,12 +348,16 @@ def test_vectorized_crypto_population_sweep(benchmark):
     )
 
 
+PEAK_RSS_CAP_MB = 1.25 * 291.0
+
+
 def test_population_smoke(benchmark):
-    """CI smoke: 10⁵ nodes × a few full-protocol cycles + a one-iteration
-    Chiaroscuro loop, wall-clock-guarded so regressions fail loudly."""
+    """CI smoke: a one-iteration Chiaroscuro loop + a few full-protocol
+    cycles at 10⁵ nodes, wall-clock- and peak-memory-guarded so regressions
+    fail loudly."""
     start = time.perf_counter()
-    per_exchange = _vectorized_seconds_per_exchange(100_000, cycles=3)
     full = _full_run(100_000, max_iterations=1, exchanges=10)
+    per_exchange = _vectorized_seconds_per_exchange(100_000, cycles=3)
     elapsed = time.perf_counter() - start
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
@@ -317,3 +375,10 @@ def test_population_smoke(benchmark):
     # Wall-clock guard: 10^5 nodes must stay comfortably interactive; a
     # regression to object-engine-like scaling would blow far past this.
     assert elapsed < 120.0, f"large-population smoke took {elapsed:.0f}s (cap 120s)"
+    # Peak-memory guard: the run measures 291 MB, 169 MB of it the one
+    # 10⁵ × 211 payload matrix; the cap is that + 25 %, so a second matrix
+    # of that size anywhere in the iteration (four of them: 711 MB) fails.
+    assert full["peak_rss_mb"] < PEAK_RSS_CAP_MB, (
+        f"10^5-node iteration peaked at {full['peak_rss_mb']:.0f} MB "
+        f"(cap {PEAK_RSS_CAP_MB:.0f} MB)"
+    )

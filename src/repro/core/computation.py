@@ -30,6 +30,7 @@ import time
 
 import numpy as np
 
+from ..blocks import row_blocks
 from ..crypto.backend import CryptoBackend, SerialBackend
 from ..crypto.damgard_jurik import homomorphic_add_batch
 from ..crypto.encoding import FixedPointCodec, PackedCodec
@@ -219,6 +220,10 @@ class _ArrayComputationStep:
     payload; a carrier supplies two hooks: :meth:`_aggregate` (turn the
     staged payload into the EESum protocol that gossips it) and
     :meth:`_open` (read ``σ/ω`` back out of it for a node sample).
+
+    The working set of a step is one ``(population, dims + 1)`` payload
+    plus O(block) (:mod:`repro.blocks`): shares are drawn into the payload,
+    the assignment is added into it, the gossip merges it in place.
     """
 
     #: Wall-clock seconds spent inside crypto batch calls; ``None`` on a
@@ -257,47 +262,80 @@ class _ArrayComputationStep:
         leading nodes of ``sample`` as the carrier decodes."""
         raise NotImplementedError
 
+    def _add_means(
+        self, body: np.ndarray, labels: np.ndarray, series: np.ndarray
+    ) -> None:
+        """Turn the noise shares in ``body`` into the gossiped values.
+
+        Means and noise are quantized separately (matching the two
+        independent encryptions, same round-half-even as
+        ``quantize_to_grid``) and summed on the grid: every entry ends as
+        ``(round(mean·2^f) + round(share·2^f)) / 2^f`` — bit for bit what
+        the dense ``population × dims`` means matrix would give, which is
+        never built.  A participant's means are its own ``n + 1`` entries
+        (its series and a count of 1 in its cluster's stripe); everywhere
+        else the mean is ``+0.0``, which only matters to a share that
+        rounded to ``−0.0``.  Row blocks keep the five passes in cache.
+        """
+        scale = float(1 << self.fractional_bits)
+        stride = series.shape[1] + 1
+        stripe = np.arange(stride)
+        for rows in row_blocks(len(body), body.shape[1] * body.itemsize):
+            block = body[rows]
+            block *= scale
+            np.round(block, out=block)
+            means = np.empty((len(block), stride))
+            np.multiply(series[rows], scale, out=means[:, :-1])
+            np.round(means[:, :-1], out=means[:, :-1])
+            means[:, -1] = scale  # the count of 1, on the grid
+            own = (
+                np.arange(len(block))[:, None],
+                labels[rows, None] * stride + stripe,
+            )
+            means += block[own]  # while the share's zero still has its sign
+            block += 0.0  # mean +0.0 everywhere else: −0.0 shares become +0.0
+            block[own] = means
+            block /= scale
+
     def run(
         self,
         engine: VectorizedGossipEngine,
-        mean_matrix: np.ndarray,
+        labels: np.ndarray,
+        series: np.ndarray,
     ) -> ComputationOutput:
         """Execute the computation step for the whole population at once.
 
-        ``mean_matrix`` is the ``population × k·(n+1)`` cleartext Diptych
-        initialization (Alg. 1 l.6): each row is one participant's flattened
-        means vector.  It is quantized to the fixed-point grid here, exactly
-        as encryption would quantize it.
+        ``labels`` and ``series`` are the cleartext Diptych initialization
+        (Alg. 1 l.6) in its sparse form: participant ``i``'s flattened
+        ``k·(n+1)`` means vector carries ``series[i]`` and a count of 1 in
+        cluster ``labels[i]``'s stripe and zeros everywhere else.  It is
+        quantized to the fixed-point grid here, exactly as encryption would
+        quantize it.
         """
         plan = self.noise_plan
         population = engine.population
         dims = plan.dimensions
-        if mean_matrix.shape != (population, dims):
+        if series.shape != (population, plan.series_length):
             raise ValueError(
-                f"mean_matrix must be {(population, dims)}, got {mean_matrix.shape}"
+                f"series must be {(population, plan.series_length)}, "
+                f"got {series.shape}"
             )
+        if labels.shape != (population,):
+            raise ValueError(f"labels must be {(population,)}, got {labels.shape}")
 
-        # --- local noise-share generation (Alg. 3 l.4) -------------------
-        shares = plan.draw_shares(self.noise_rng, population)
-
-        # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------
-        # Means and noise are quantized separately (matching the two
-        # independent encryptions, same round-half-even as
-        # ``quantize_to_grid``) and summed up front; the counter rides as
-        # one extra column.  Everything is staged in ONE preallocated
-        # (population, dims + 1) buffer handed to the carrier without a
-        # copy — the payload matrix is the dominant allocation at 10⁵–10⁶
-        # nodes.
-        scale = float(1 << self.fractional_bits)
+        # Everything up to the gossip is staged in ONE preallocated
+        # (population, dims + 1) buffer — value columns plus the cleartext
+        # counter — handed to the carrier without a copy: the payload
+        # matrix is the dominant allocation at 10⁵–10⁶ nodes, and nothing
+        # else of its size exists during the step.
         payload = np.empty((population, dims + 1))
         body = payload[:, :dims]
-        np.multiply(mean_matrix, scale, out=body)
-        np.round(body, out=body)
-        shares *= scale
-        np.round(shares, out=shares)
-        body += shares
-        body /= scale
-        del shares
+
+        # --- local noise-share generation (Alg. 3 l.4) -------------------
+        plan.draw_shares(self.noise_rng, population, out=body)
+
+        # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------
+        self._add_means(body, labels, series)
         payload[:, -1] = 1.0
         eesum = self._aggregate(payload)
         del payload, body

@@ -58,13 +58,18 @@ class NoisePlan:
         """One participant's noise-share vector (Def. 5), length ``dimensions``."""
         return gen_noise_share(self.n_nu, self.scale, rng, size=self.dimensions)
 
-    def draw_shares(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def draw_shares(
+        self, rng: np.random.Generator, count: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """All ``count`` participants' share vectors in one batch draw.
 
         The vectorized plane's entry point: a single ``(count, dimensions)``
-        Gamma-difference sample instead of ``count`` per-participant draws.
+        Gamma-difference sample instead of ``count`` per-participant draws,
+        written into ``out`` (and returned) when the caller has the buffer.
         """
-        return gen_noise_shares(count, self.n_nu, self.scale, rng, self.dimensions)
+        return gen_noise_shares(
+            count, self.n_nu, self.scale, rng, self.dimensions, out=out
+        )
 
     def correction(self, contributors: int, rng: np.random.Generator) -> np.ndarray:
         """The surplus-correction proposal for an observed contributor count."""

@@ -336,7 +336,7 @@ class ChiaroscuroRun:
                 # other's selection, and nothing leaks into later runs.
                 with bigint.use_backend(self.bigint_backend):
                     engine = self._new_engine(iteration, churn)
-                    means, labels = self._assign(centroids)
+                    assigned, labels = self._assign(centroids)
 
                     # Computation step (Algorithm 3).
                     plan = NoisePlan(
@@ -348,8 +348,8 @@ class ChiaroscuroRun:
                         n_nu=n_nu,
                     )
                     step = self._computation_step(plan)
-                    output = step.run(engine, means)
-                    del means
+                    output = step.run(engine, *assigned)
+                    del assigned
                     if self.fault_plan is not None:
                         output = self.fault_plan.observe_output(output, iteration)
                     if not output.sums:
@@ -394,29 +394,22 @@ class ChiaroscuroRun:
         return engine
 
     def _assign(self, centroids: np.ndarray):
-        """Assignment step (Alg. 1 l.5-6): ``(means, labels)``.
+        """Assignment step (Alg. 1 l.5-6): ``(step arguments, labels)``.
 
-        Object plane: each participant encrypts its own vector (node id →
-        ciphertexts) and labels stay private — ``None``.  Array planes: the
-        t × k·(n+1) matrix whose row i carries series i in the assigned
-        cluster's stripe and a count of 1 in its last slot, plus the labels.
+        Object plane: each participant encrypts its own means vector (node
+        id → ciphertexts) and labels stay private — ``None``.  Array planes:
+        the labels are the assignment; the step writes series i and a count
+        of 1 into the assigned cluster's stripe of row i straight into its
+        payload buffer, so the t × k·(n+1) means matrix is never built.
         """
         if self.params.protocol_plane == "object":
-            return {
+            vectors = {
                 p.node_id: p.encrypted_means_vector(centroids, self.crypto_rng)
                 for p in self.participants
-            }, None
-        dataset = self.dataset
-        stride = dataset.n + 1
-        labels = assign_to_closest(dataset.values, centroids)
-        mean_matrix = np.zeros((dataset.t, len(centroids) * stride))
-        rows = np.arange(dataset.t)
-        base = labels * stride
-        mean_matrix[rows[:, None], base[:, None] + np.arange(dataset.n)] = (
-            dataset.values
-        )
-        mean_matrix[rows, base + dataset.n] = 1.0
-        return mean_matrix, labels
+            }
+            return (vectors,), None
+        labels = assign_to_closest(self.dataset.values, centroids)
+        return (labels, self.dataset.values), labels
 
     def _computation_step(self, plan: NoisePlan):
         """The plane's Algorithm 3 implementation for one iteration."""

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..blocks import block_rows, row_blocks
 from ..crypto.damgard_jurik import homomorphic_add, homomorphic_scalar_mul
 from ..crypto.encoding import quantize_to_grid
 from ..crypto.keys import PublicKey
@@ -204,32 +205,52 @@ class VectorizedEESum:
         self.omega = np.zeros(self.population)
         self.omega[weight_holder] = 1.0
         self.count = np.zeros(self.population, dtype=np.int64)
+        # The two sides of one exchange block, reused by every cycle.
+        self._sides = np.empty(
+            (2, block_rows(self.dims * values.itemsize), self.dims)
+        )
 
     def exchange_pairs(self, left: np.ndarray, right: np.ndarray) -> None:
         """One batch of disjoint pairwise exchanges (Alg. 2 l.1-7).
 
         ``left``/``right`` must be disjoint index arrays (each node appears
         at most once across both) — the vectorized analogue of a set of
-        simultaneous point-to-point exchanges.
+        simultaneous point-to-point exchanges.  The pairing is walked in
+        cache-sized blocks: the arithmetic per element is that of
+        ``(values[left] + values[right]) * 0.5`` on the whole batch, but no
+        pairs × dims temporary ever exists.
         """
-        merged = self.values[left]
-        merged += self.values[right]
-        merged *= 0.5
-        self.values[left] = merged
-        self.values[right] = merged
-        omega = (self.omega[left] + self.omega[right]) * 0.5
-        self.omega[left] = omega
-        self.omega[right] = omega
-        count = np.maximum(self.count[left], self.count[right]) + 1
-        self.count[left] = count
-        self.count[right] = count
+        values = self.values
+        side_l, side_r = self._sides
+        for pairs in row_blocks(len(left), self.dims * values.itemsize):
+            l, r = left[pairs], right[pairs]
+            # mode="wrap" is the unbuffered gather (``raise`` stages ``out``
+            # through a copy); it reads negative indices the way the
+            # scatters below do, and those still raise on a node that does
+            # not exist.
+            merged = np.take(values, l, axis=0, out=side_l[: len(l)], mode="wrap")
+            other = np.take(values, r, axis=0, out=side_r[: len(r)], mode="wrap")
+            merged += other
+            merged *= 0.5
+            values[l] = merged
+            values[r] = merged
+        for pairs in row_blocks(len(left), self.omega.itemsize):
+            l, r = left[pairs], right[pairs]
+            omega = (self.omega[l] + self.omega[r]) * 0.5
+            self.omega[l] = omega
+            self.omega[r] = omega
+            count = np.maximum(self.count[l], self.count[r]) + 1
+            self.count[l] = count
+            self.count[r] = count
 
     def estimates(self, nodes: np.ndarray | None = None) -> np.ndarray:
         """Per-node sum estimates ``σ/ω`` (rows of NaN where ω is still 0)."""
         values = self.values if nodes is None else self.values[nodes]
         omega = self.omega if nodes is None else self.omega[nodes]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(omega[:, None] > 0, values / omega[:, None], np.nan)
+        weights = omega[:, None]
+        estimates = np.full(values.shape, np.nan)
+        np.divide(values, weights, out=estimates, where=weights > 0)
+        return estimates
 
     def scaled_state(self, node: int, fractional_bits: int = 0) -> tuple[list[int], int]:
         """The node's object-plane integers ``(v·2^{count+f}, ω·2^count)``.

@@ -18,7 +18,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..blocks import row_blocks
+
 __all__ = ["gen_noise_share", "gen_noise_shares", "surplus_correction", "sum_of_shares"]
+
+
+def _gamma_shape(n_shares: int, scale: float) -> float:
+    """The Gamma shape ``1/n_ν`` of one noise-share, arguments validated."""
+    if n_shares < 1:
+        raise ValueError("n_shares must be >= 1")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    return 1.0 / n_shares
 
 
 def gen_noise_share(
@@ -30,14 +41,11 @@ def gen_noise_share(
     i.i.d.; summing ``n_shares`` independent such elements is exactly
     ``Laplace(0, scale)``.
     """
-    if n_shares < 1:
-        raise ValueError("n_shares must be >= 1")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    shape = 1.0 / n_shares
+    shape = _gamma_shape(n_shares, scale)
     g1 = rng.gamma(shape, scale, size=size)
     g2 = rng.gamma(shape, scale, size=size)
-    return g1 - g2
+    g1 -= g2
+    return g1
 
 
 def gen_noise_shares(
@@ -46,13 +54,33 @@ def gen_noise_shares(
     scale: float,
     rng: np.random.Generator,
     dimensions: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample the shares of ``n_participants`` nodes, each ``dimensions``-wide.
 
-    Returns an array of shape ``(n_participants, dimensions)``; column sums
-    over any ``n_shares`` rows are Laplace-distributed.
+    Returns an array of shape ``(n_participants, dimensions)`` — ``out``
+    itself when given (any float view of that shape, strided or not);
+    column sums over any ``n_shares`` rows are Laplace-distributed.
+
+    The matrix is filled in row blocks, every ``G1`` first and then every
+    ``G2`` subtracted in place: the values, and the state ``rng`` is left
+    in, are those of ``gen_noise_share(..., size=(n_participants,
+    dimensions))`` — a Gamma matrix is sampled element by element in row
+    order — while the only temporary is one block.
     """
-    return gen_noise_share(n_shares, scale, rng, size=(n_participants, dimensions))
+    shape = _gamma_shape(n_shares, scale)
+    if out is None:
+        out = np.empty((n_participants, dimensions))
+    elif out.shape != (n_participants, dimensions):
+        raise ValueError(
+            f"out must be {(n_participants, dimensions)}, got {out.shape}"
+        )
+    blocks = [out[rows] for rows in row_blocks(n_participants, dimensions * out.itemsize)]
+    for block in blocks:
+        block[...] = rng.gamma(shape, scale, size=block.shape)
+    for block in blocks:
+        block -= rng.gamma(shape, scale, size=block.shape)
+    return out
 
 
 def sum_of_shares(shares: np.ndarray) -> np.ndarray:

@@ -89,11 +89,8 @@ def _run_array_steps(keypair, churn, seed=3, decode_sample=8, **step_kwargs):
         k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=5.0, n_nu=POPULATION
     )
     data_rng = np.random.default_rng(seed)
-    mean_matrix = np.zeros((POPULATION, plan.dimensions))
     labels = data_rng.integers(0, 2, size=POPULATION)
-    for node, label in enumerate(labels):
-        mean_matrix[node, label * 4 : label * 4 + 3] = data_rng.uniform(0, 30, 3)
-        mean_matrix[node, label * 4 + 3] = 1.0
+    series = np.array([data_rng.uniform(0, 30, 3) for _ in labels])
     packed = PackedCodec.plan(
         keypair.public,
         fractional_bits=24,
@@ -116,7 +113,7 @@ def _run_array_steps(keypair, churn, seed=3, decode_sample=8, **step_kwargs):
         noise_rng = np.random.default_rng(seed + 1)
         engine = VectorizedGossipEngine(POPULATION, seed=seed + 2, churn=churn)
         step = build(noise_rng)
-        output = step.run(engine, mean_matrix.copy())
+        output = step.run(engine, labels, series)
         records.append(
             SimpleNamespace(
                 step=step, output=output, noise_rng=noise_rng, engine=engine
