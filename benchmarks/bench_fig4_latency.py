@@ -20,7 +20,6 @@ from repro.gossip import (
     VectorizedGossipEngine,
     VectorizedShareCollection,
     dissemination_cycles,
-    fit_linear,
     messages_to_reach_error,
 )
 
@@ -94,7 +93,7 @@ def test_fig4b_epidemic_decryption_latency(benchmark):
     # limit; messages scale with the *absolute* threshold count τ·pop, so
     # fit on the largest live population and predict 1M at each fraction.
     taus_live = [max(1, round(f * DEC_POPULATIONS[-1])) for f in TAU_FRACTIONS]
-    fit = fit_linear(taus_live, measured[DEC_POPULATIONS[-1]])
+    fit = np.poly1d(np.polyfit(taus_live, measured[DEC_POPULATIONS[-1]], 1))
 
     rows = [
         f"{'tau fraction':>14}"
@@ -103,11 +102,11 @@ def test_fig4b_epidemic_decryption_latency(benchmark):
     ]
     for i, tau_fraction in enumerate(TAU_FRACTIONS):
         cells = [f"  {measured[p][i]:<14.1f}" for p in DEC_POPULATIONS]
-        cells.append(f"  {fit.predict(round(tau_fraction * 1_000_000)):<14.1f}")
+        cells.append(f"  {fit(round(tau_fraction * 1_000_000)):<14.1f}")
         rows.append(f"{tau_fraction:>14}" + "".join(cells))
     rows.append(
         f"realistic case tau=0.01% of 1M (100 shares): "
-        f"{fit.predict(100):.0f} messages/peer (paper: order of the hundred)"
+        f"{fit(100):.0f} messages/peer (paper: order of the hundred)"
     )
     record_report(
         "fig4b_decryption_latency",
@@ -123,7 +122,7 @@ def test_fig4b_epidemic_decryption_latency(benchmark):
             "messages_per_peer": {
                 str(p): [float(v) for v in series] for p, series in measured.items()
             },
-            "fit_1m_realistic_tau100": float(fit.predict(100)),
+            "fit_1m_realistic_tau100": float(fit(100)),
         },
     )
 
@@ -132,15 +131,15 @@ def test_fig4b_epidemic_decryption_latency(benchmark):
         series = measured[population]
         assert series[0] < series[-1]
         taus = [max(1, round(f * population)) for f in TAU_FRACTIONS]
-        fit = fit_linear(taus, series)
+        fit = np.poly1d(np.polyfit(taus, series, 1))
         # Linear fit explains the curve: mid-point prediction within 50 %.
-        mid = fit.predict(taus[2])
+        mid = fit(taus[2])
         assert mid == pytest.approx(series[2], rel=0.5)
     # The paper's realistic case: τ = 0.01 % of 1M = 100 shares → messages
     # on the order of the hundred (predict from the 4K-pop linear fit).
     taus_4k = [max(1, round(f * 4_000)) for f in TAU_FRACTIONS]
-    fit = fit_linear(taus_4k, measured[4_000])
-    realistic = fit.predict(100)
+    fit = np.poly1d(np.polyfit(taus_4k, measured[4_000], 1))
+    realistic = fit(100)
     assert 20 <= realistic <= 500
 
 

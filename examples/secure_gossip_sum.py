@@ -90,7 +90,8 @@ def main() -> None:
     init = experiment.context.initial_centroids
     sample = run.participants[0].encrypted_means_vector(init, run.crypto_rng)
     print(f"\none device exports {len(sample)} ciphertexts per iteration "
-          f"(k·(n+1) = 3·7), each ≈ {keypair.public.ciphertext_bytes} bytes; "
+          f"(k·(n+1) = 3·7 values, {run.packed.slots} to a ciphertext), "
+          f"each ≈ {keypair.public.ciphertext_bytes} bytes; "
           f"first ciphertext begins {str(sample[0])[:24]}…")
 
     analysis = CollusionAnalysis(

@@ -10,21 +10,22 @@ Subpackages
     ``Experiment`` facade with streaming run events, and
     checkpoint/resume.  The canonical way to define and run experiments.
 ``repro.core``
-    The paper's contribution: the Diptych data structure, the full
-    gossip-distributed execution sequence (Algorithms 1-3) with real
+    The paper's contribution: the full gossip-distributed execution
+    sequence (Algorithms 1-3) over the Diptych's two panels — cleartext
+    differentially-private centroids, packed encrypted means — with real
     threshold Damgård–Jurik cryptography, budget-concentration strategies
     and mean smoothing, plus the perturbed centralized k-means quality
     plane used by the paper's own evaluation.
 ``repro.crypto``
     Damgård–Jurik generalized Paillier with non-interactive threshold
-    decryption, Shamir sharing, and fixed-point encoding.
+    decryption, Shamir sharing, and fixed-point / packed-slot encoding.
 ``repro.privacy``
     Laplace mechanism, divisible noise-shares, budget strategies, the
     (ε, δ)-probabilistic machinery of Appendix B, collusion analysis.
 ``repro.gossip``
-    Cycle-driven gossip simulator (Peersim substitution), Newscast views,
-    cleartext and encrypted epidemic sums, min-id dissemination, epidemic
-    threshold decryption, churn, and a vectorized 10⁶-node plane.
+    Cycle-driven gossip simulator (Peersim substitution), cleartext and
+    encrypted epidemic sums, min-id dissemination, epidemic threshold
+    decryption, churn, and a vectorized 10⁶-node plane.
 ``repro.clustering``
     Lloyd k-means baseline, inertia metrics, init strategies, DTW extension.
 ``repro.datasets``
@@ -53,7 +54,6 @@ from .core import (
     ChiaroscuroParams,
     ChiaroscuroRun,
     ClusteringResult,
-    Diptych,
     perturbed_kmeans,
 )
 from .privacy import Greedy, GreedyFloor, UniformFast
@@ -64,7 +64,6 @@ __all__ = [
     "ChiaroscuroParams",
     "ChiaroscuroRun",
     "ClusteringResult",
-    "Diptych",
     "Experiment",
     "Greedy",
     "GreedyFloor",

@@ -141,9 +141,11 @@ class ExecutionPlane:
 _ITERATION_FACTS = tuple(f.name for f in fields(IterationCompleted))
 
 #: ``ChiaroscuroParams`` fields documented as result-neutral (bit-identical
-#: runs for the same seed): pure execution-speed knobs.
+#: runs for the same seed): pure execution-speed knobs — and the retired
+#: ``use_packing``, which older checkpoints' spec dicts still carry and
+#: which never had an effect on a checkpointable plane.
 _RESULT_NEUTRAL_PARAMS = frozenset(
-    {"bigint_backend", "crypto_backend", "backend_workers"}
+    {"bigint_backend", "crypto_backend", "backend_workers", "use_packing"}
 )
 
 

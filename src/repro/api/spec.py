@@ -242,6 +242,14 @@ class RunSpec:
         params_dict = dict(d.get("params", {}))
         if plane in PROTOCOL_PLANES:
             params_dict["protocol_plane"] = plane
+        # Retired knob: job stores and checkpoints written while it existed
+        # carry its default; packing is the only ciphertext layout now.
+        if params_dict.pop("use_packing", True) is not True:
+            raise ValueError(
+                "params.use_packing was removed: real-crypto planes always "
+                "pack (the one-ciphertext-per-value layout is gone) — drop "
+                "the key"
+            )
         try:
             params = ChiaroscuroParams(**params_dict)
         except TypeError as exc:

@@ -1,13 +1,11 @@
-"""Chiaroscuro core: the Diptych structure, the full distributed execution
-sequence (Algorithms 1-3) with real threshold cryptography, and the
-perturbed centralized k-means quality plane.
+"""Chiaroscuro core: the full distributed execution sequence (Algorithms
+1-3) with real threshold cryptography, and the perturbed centralized
+k-means quality plane.
 """
 
-from .batching import CiphertextPlane, PackedPlane, ScalarPlane
 from .computation import ComputationOutput, ComputationStep
 from .config import ChiaroscuroParams
-from .diptych import Diptych, EncryptedMean, initialize_means
-from .noise import NoisePlan, encrypt_share_vector
+from .noise import NoisePlan
 from .participant import Participant
 from .perturbed_em import EMTrace, GaussianMixtureState, em_sensitivities, perturbed_em
 from .perturbed_kmeans import (
@@ -24,18 +22,13 @@ from .verification import CrossCheckReport, DecryptionCrossCheck, DeviceRegistry
 __all__ = [
     "ChiaroscuroParams",
     "ChiaroscuroRun",
-    "CiphertextPlane",
-    "PackedPlane",
-    "ScalarPlane",
     "ClusteringResult",
     "ComputationOutput",
     "ComputationStep",
     "CrossCheckReport",
     "DecryptionCrossCheck",
     "DeviceRegistry",
-    "Diptych",
     "EMTrace",
-    "EncryptedMean",
     "GaussianMixtureState",
     "IterationRecord",
     "IterationStats",
@@ -45,8 +38,6 @@ __all__ = [
     "QualityMonitor",
     "derive_sma_window",
     "em_sensitivities",
-    "encrypt_share_vector",
-    "initialize_means",
     "iter_perturbed_kmeans",
     "perturbed_em",
     "perturbed_kmeans",

@@ -33,7 +33,7 @@ import numpy as np
 from ..blocks import row_blocks
 from ..crypto.backend import CryptoBackend, SerialBackend
 from ..crypto.damgard_jurik import homomorphic_add_batch
-from ..crypto.encoding import FixedPointCodec, PackedCodec
+from ..crypto.encoding import PackedCodec
 from ..crypto.threshold import ThresholdKeypair, combine_partial_decryptions_batch
 from ..gossip.aggregation import EpidemicSum
 from ..gossip.cipher_array import CipherEESum
@@ -42,7 +42,6 @@ from ..gossip.dissemination import MinIdDissemination, VectorizedMinId
 from ..gossip.eesum import EESum, VectorizedEESum
 from ..gossip.engine import GossipEngine
 from ..gossip.vectorized_protocol import VectorizedGossipEngine
-from .batching import CiphertextPlane, ScalarPlane
 from .noise import NoisePlan
 
 __all__ = [
@@ -81,13 +80,10 @@ class ComputationOutput:
 class ComputationStep:
     """Algorithm 3, parameterized by the crypto material and epidemic knobs.
 
-    ``plane`` selects the ciphertext representation (scalar vs packed —
-    see :mod:`repro.core.batching`); every bulk crypto operation goes
-    through the plane's backend as a batch.  The supplied ``mean_vectors``
-    must be laid out by the *same* plane (``Participant`` takes one).
-    When ``plane`` is omitted a scalar plane over ``codec`` is built,
-    preserving the seed implementation's one-ciphertext-per-value wire
-    format.
+    Ciphertexts are laid out by ``packed`` (the slot layout of
+    :mod:`repro.crypto.encoding`) and every bulk crypto operation goes
+    through ``backend`` as a batch.  The supplied ``mean_vectors`` must be
+    laid out by the *same* codec (``Participant`` takes one).
     """
 
     #: This step times none of its crypto (see ``IterationRecord.crypto_ms``).
@@ -96,26 +92,20 @@ class ComputationStep:
     def __init__(
         self,
         keypair: ThresholdKeypair,
-        codec: FixedPointCodec,
+        packed: PackedCodec,
         noise_plan: NoisePlan,
         exchanges: int,
         crypto_rng: random.Random,
         noise_rng: np.random.Generator,
-        plane: CiphertextPlane | None = None,
         backend: CryptoBackend | None = None,
     ) -> None:
         self.keypair = keypair
-        self.codec = codec
+        self.packed = packed
         self.noise_plan = noise_plan
         self.exchanges = exchanges
         self.crypto_rng = crypto_rng
         self.noise_rng = noise_rng
-        if plane is not None and backend is not None:
-            raise ValueError(
-                "pass either plane or backend, not both — a plane carries "
-                "its own backend"
-            )
-        self.plane = plane or ScalarPlane(keypair.public, codec, backend)
+        self.backend = backend or SerialBackend()
 
     def run(
         self,
@@ -125,19 +115,21 @@ class ComputationStep:
         """Execute the computation step for every node of ``engine``.
 
         ``mean_vectors`` maps node id → flattened encrypted means (the
-        Alg. 1 l.6 initialization): ``k·(n+1)`` ciphertexts on the scalar
-        plane, ``packed_length(k·(n+1))`` on the packed plane.
+        Alg. 1 l.6 initialization): ``packed_length(k·(n+1))`` ciphertexts.
         """
         public = self.keypair.public
-        plane = self.plane
+        packed = self.packed
         node_ids = [node.node_id for node in engine.nodes]
         dims = self.noise_plan.dimensions
-        payload = plane.packed_length(dims)
+        payload = packed.packed_length(dims)
 
         # --- local noise-share generation (Alg. 3 l.4) -------------------
         shares = {i: self.noise_plan.draw_share(self.noise_rng) for i in node_ids}
         noise_vectors = {
-            i: plane.encrypt_values(shares[i], self.crypto_rng) for i in node_ids
+            i: self.backend.encrypt_batch(
+                public, packed.pack(shares[i]), self.crypto_rng
+            )
+            for i in node_ids
         }
 
         # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------
@@ -180,7 +172,7 @@ class ComputationStep:
             i: self.keypair.shares[i % len(self.keypair.shares)] for i in node_ids
         }
         decryption = EpidemicDecryption(
-            self.keypair.context, bundles, key_shares, backend=plane.backend
+            self.keypair.context, bundles, key_shares, backend=self.backend
         )
         engine.setup(decryption)
         for _ in range(10 * self.exchanges):
@@ -201,7 +193,10 @@ class ComputationStep:
             plaintexts, omega, count = decryption.plaintexts_of(node)
             if omega <= 0:
                 continue
-            values = plane.decode_sums(plaintexts, dims, 1 << count, bias_terms=2)
+            # Bias mass: two biased vectors (means + noise) × C = 2^count.
+            values = np.array(
+                packed.unpack(plaintexts, dims, bias_multiplier=2 << count)
+            )
             values /= float(omega)  # σ/ω — the epidemic sum estimate
             correction_entry = dissemination.value_of(node)
             if correction_entry is not None:

@@ -38,15 +38,9 @@ class ChiaroscuroParams:
     kernel (``"auto"`` | ``"python"`` | ``"gmpy2"``, see
     :mod:`repro.crypto.bigint` — ``"auto"`` keeps the process's active
     kernel, which the ``REPRO_BIGINT_BACKEND`` env var seeds at import
-    time, defaulting to gmpy2-if-installed);
-    ``use_packing`` switches the computation step to the slot-packed
-    ciphertext plane when the plaintext space allows it.  Backend choice —
-    execution *and* bigint — is fully result-neutral (bit-identical runs
-    for the same seed).  Plane choice is result-neutral at the decode level — a packed
-    accumulation decodes to exactly the scalar plane's integers — but a
-    full protocol run consumes the crypto RNG differently per plane
-    (fewer ciphertexts → fewer seeds), so seeded runs are reproducible
-    *per plane*, not across planes.
+    time, defaulting to gmpy2-if-installed).  Backend choice — execution
+    *and* bigint — is fully result-neutral (bit-identical runs for the same
+    seed).
 
     ``protocol_plane`` selects the *simulation substrate* for the whole
     run: ``"object"`` is the cycle-driven engine with genuine Damgård–Jurik
@@ -56,8 +50,8 @@ class ChiaroscuroParams:
     10⁵–10⁶ participants).  The vectorized plane skips key generation and
     carries the integers real ciphertexts would decrypt to — decoded
     results are validated against the object plane by shadow execution
-    (``tests/gossip``); like the packing knob, RNG consumption differs per
-    plane, so seeded runs are reproducible per plane.
+    (``tests/gossip``); RNG consumption differs per plane, so seeded runs
+    are reproducible per plane.
     ``"vectorized-crypto"`` is the struct-of-arrays engine carrying *real*
     packed Damgård–Jurik ciphertexts, each round's homomorphic work fused
     into bigint batches: decoded per-iteration centroids are bit-identical
@@ -93,7 +87,6 @@ class ChiaroscuroParams:
     crypto_backend: str = "serial"
     backend_workers: int = 0  # 0 = one worker per CPU
     bigint_backend: str = "auto"  # modular-arithmetic kernel (crypto.bigint)
-    use_packing: bool = True
     protocol_plane: str = "object"
 
     def __post_init__(self) -> None:

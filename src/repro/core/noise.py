@@ -9,23 +9,18 @@ min-identifier correction (Lemma 3 guarantees the surplus itself never
 endangers privacy).
 
 This module packages the per-participant arithmetic: scale computation for
-an iteration's budget slice, share generation, encryption, and the
-correction proposal.
+an iteration's budget slice, share generation, and the correction proposal
+(the computation step packs and encrypts the shares).
 """
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
-from ..crypto.damgard_jurik import encrypt
-from ..crypto.encoding import FixedPointCodec
-from ..crypto.keys import PublicKey
 from ..privacy.laplace import joint_sensitivity
 from ..privacy.noise_shares import gen_noise_share, gen_noise_shares, surplus_correction
 
-__all__ = ["NoisePlan", "encrypt_share_vector"]
+__all__ = ["NoisePlan"]
 
 
 class NoisePlan:
@@ -77,26 +72,3 @@ class NoisePlan:
             contributors, self.n_nu, self.scale, rng, self.dimensions
         )
 
-
-def encrypt_share_vector(
-    public: PublicKey,
-    codec: FixedPointCodec,
-    share: np.ndarray,
-    rng: random.Random,
-    randomizers: list[int] | None = None,
-) -> list[int]:
-    """Encode and encrypt a noise-share vector, one ciphertext per value.
-
-    This is the scalar-plane reference path (kept for tests and the cost
-    baseline); the computation step itself now routes noise encryption
-    through its :class:`repro.core.batching.CiphertextPlane`, which batches
-    the work over a backend and may pack several values per ciphertext.
-    """
-    pool = iter(randomizers) if randomizers is not None else None
-    ciphertexts = []
-    for value in np.asarray(share, dtype=float):
-        randomizer = next(pool) if pool is not None else None
-        ciphertexts.append(
-            encrypt(public, codec.encode(float(value)), rng=rng, randomizer=randomizer)
-        )
-    return ciphertexts

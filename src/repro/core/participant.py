@@ -10,15 +10,13 @@ the protocol orchestrator stays readable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..clustering.distance import pairwise_sq_euclidean
-from ..crypto.encoding import FixedPointCodec
-from ..crypto.keys import PublicKey
-from .batching import CiphertextPlane
-from .diptych import initialize_means
+from ..crypto.backend import CryptoBackend, SerialBackend
+from ..crypto.encoding import PackedCodec
 
 __all__ = ["Participant"]
 
@@ -27,17 +25,14 @@ __all__ = ["Participant"]
 class Participant:
     """One device: its series, its node id, and its crypto handles.
 
-    ``plane`` (optional) switches the means initialization to the batched
-    ciphertext plane: the flattened ``k·(n+1)`` value vector is encoded,
-    packed, and encrypted as one batch.  Without it the per-ciphertext
-    Diptych path of :func:`repro.core.diptych.initialize_means` is used.
+    The flattened ``k·(n+1)`` means vector is packed by ``packed`` (which
+    carries the public key) and encrypted as one batch through ``backend``.
     """
 
     node_id: int
     series: np.ndarray
-    public: PublicKey
-    codec: FixedPointCodec
-    plane: CiphertextPlane | None = None
+    packed: PackedCodec
+    backend: CryptoBackend = field(default_factory=SerialBackend)
 
     def closest_centroid(self, centroids: np.ndarray) -> int:
         """Assignment step: index of the closest cleartext centroid."""
@@ -59,13 +54,7 @@ class Participant:
     ) -> list[int]:
         """Alg. 1 l.5-6: assign locally, return the flattened encrypted means."""
         assigned = self.closest_centroid(centroids)
-        k = len(centroids)
-        if self.plane is not None:
-            return self.plane.encrypt_values(self.means_value_vector(assigned, k), rng)
-        means = initialize_means(
-            self.public, self.codec, self.series, assigned, k, rng
+        values = self.means_value_vector(assigned, len(centroids))
+        return self.backend.encrypt_batch(
+            self.packed.public, self.packed.pack(values), rng
         )
-        flat: list[int] = []
-        for mean in means:
-            flat.extend(mean.as_vector())
-        return flat

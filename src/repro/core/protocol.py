@@ -49,14 +49,13 @@ from ..clustering.inertia import intra_inertia
 from ..crypto import bigint
 from ..crypto.backend import create_backend
 from ..crypto.damgard_jurik import FastEncryptor
-from ..crypto.encoding import FixedPointCodec, PackedCodec
+from ..crypto.encoding import PackedCodec
 from ..crypto.threshold import ThresholdKeypair, generate_threshold_keypair
 from ..datasets.timeseries import TimeSeriesSet
 from ..gossip.engine import GossipEngine
 from ..gossip.vectorized_protocol import VectorizedGossipEngine
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import BudgetStrategy
-from .batching import PackedPlane, ScalarPlane
 from .computation import (
     ComputationStep,
     VectorizedComputationStep,
@@ -75,9 +74,10 @@ class ChiaroscuroRun:
     """One full protocol execution over a (small) population of devices.
 
     ``key_bits`` defaults to a test-friendly 256 bits; the Fig. 5 cost
-    benches use 1024.  The Damgård–Jurik expansion ``s`` is picked
-    automatically so the plaintext space survives the worst-case EESum
-    scaling (see ``FixedPointCodec.check_capacity``).
+    benches use 1024.  The Damgård–Jurik expansion ``s`` is
+    ``params.expansion_s``; a real-crypto run whose plaintext space cannot
+    hold one packed slot at the worst-case EESum scaling is refused at
+    construction (``PackedCodec.plan`` raises ``ValueError``).
     """
 
     def __init__(
@@ -126,10 +126,9 @@ class ChiaroscuroRun:
         # resolution so all planes quantize inputs identically.
         self.keypair = keypair
         self.fractional_bits = 24
-        self.codec = None
+        self.packed = None
         self.encryptor = None
         self.backend = None
-        self.plane = None
         self.participants = []
         #: The ε ledger of the current (or latest) ``run_iter``.
         self.accountant = PrivacyAccountant(epsilon_budget=strategy.epsilon)
@@ -153,21 +152,29 @@ class ChiaroscuroRun:
             # coefficient mass C = 2^count — is bounded by the cycle
             # count: accumulation headroom is cycles + safety bits, far
             # tighter than the object engine's chaining growth model.
-            # terms=1 / population=1 because means and noise are summed in
-            # clear on the fixed-point grid before the single packed
-            # encryption, and C already *is* the whole coefficient total.
-            self.packed = PackedCodec.plan(
-                self.keypair.public,
-                fractional_bits=self.fractional_bits,
-                max_abs_value=self._max_slot_value(),
-                population=1,
-                exchanges=2 * params.exchanges,
-                terms=1,
-            )
+            # terms=1 because means and noise are summed in clear on the
+            # fixed-point grid before the single packed encryption.
+            self.packed = self._plan_packed(exchanges=2 * params.exchanges, terms=1)
             self._build_backend(self.packed.packed_length(dims))
         elif params.protocol_plane == "object":
             self._ensure_keypair(key_bits, population, tau)
-            self._init_participants(population, dims)
+            # The EESum exchange counter can *chain* within one cycle (a
+            # node that just advanced is contacted again), so the max count
+            # grows by roughly 2 + 0.8·log2(t) per cycle empirically;
+            # 4 + ceil(log2 t) bounds it with ≥1.6× margin.  Undershooting
+            # is loud, not silent: the PackedCodec decode gate raises on an
+            # excessive actual mass.  terms=2: means + noise are the biased
+            # vectors summed homomorphically before decryption.
+            growth_per_cycle = 4 + max(1, population - 1).bit_length()
+            self.packed = self._plan_packed(
+                exchanges=params.exchanges * growth_per_cycle + 2, terms=2
+            )
+            # Per node and iteration: a means and a noise vector.
+            self._build_backend(2 * self.packed.packed_length(dims))
+            self.participants = [
+                Participant(i, dataset.values[i], self.packed, self.backend)
+                for i in range(population)
+            ]
         if self.fault_plan is not None:
             self.fault_plan.bind_run(self)
 
@@ -183,72 +190,22 @@ class ChiaroscuroRun:
                     rng=self.crypto_rng,
                 )
 
-    def _init_participants(self, population: int, dims: int) -> None:
-        """The object plane's codec, ciphertext plane and per-device objects."""
-        params = self.params
-        dataset = self.dataset
-        public = self.keypair.public
-        # Pick the fixed-point resolution, then prove the plaintext space
-        # can absorb population sums × the delayed-division scaling.
-        # The EESum exchange counter can *chain* within one cycle (a node
-        # that just advanced is contacted again), so the max count grows by
-        # roughly 2 + 0.8·log2(t) per cycle empirically; 4 + ceil(log2 t)
-        # bounds it with ≥1.6× margin and sizes both the scalar wrap check
-        # and the packed slot headroom.  Undershooting is loud, not silent:
-        # the PackedCodec decode gate raises on an excessive actual mass.
-        self.codec = FixedPointCodec(public, fractional_bits=self.fractional_bits)
-        growth_per_cycle = 4 + max(1, population - 1).bit_length()
-        worst_exchanges = params.exchanges * growth_per_cycle + 2
-        max_abs = (
-            max(abs(dataset.dmin), abs(dataset.dmax))
-            + 10.0 * dataset.joint_sensitivity  # headroom for noise shares
+    def _plan_packed(self, exchanges: int, terms: int) -> PackedCodec:
+        """The run's one ciphertext layout, sized for ``2^exchanges`` of
+        delayed-division scaling over ``terms`` homomorphically summed
+        vectors — or ``ValueError`` when the key's plaintext space has no
+        room for even one such slot.  A slot must hold every *individual*
+        encoded value, noise shares included (see :meth:`_max_slot_value`);
+        population=1 because a slot holds < 2·B·terms·C and C = 2^count
+        already *is* the whole coefficient total."""
+        return PackedCodec.plan(
+            self.keypair.public,
+            fractional_bits=self.fractional_bits,
+            max_abs_value=self._max_slot_value(),
+            population=1,
+            exchanges=exchanges,
+            terms=terms,
         )
-        self.codec.check_capacity(
-            max_abs_value=max_abs,
-            population=population,
-            exchanges=worst_exchanges,
-        )
-
-        # Batched ciphertext plane: slot packing when the plaintext space
-        # has room for it, amortized randomizers (fixed-base table built
-        # once per run, sized for the run's encryption count), and a
-        # swappable evaluation backend.  Unlike the scalar plane (which
-        # wraps benignly into its huge margin), a packed slot must hold
-        # every *individual* encoded value, noise shares included (see
-        # _max_slot_value); when the resulting slot no longer fits the
-        # plaintext the run stays on the scalar plane.  population=1 as on
-        # the vectorized-crypto plane: a slot holds < 2·B·terms·C and
-        # C = 2^count already *is* the whole coefficient total.
-        packed = None
-        if params.use_packing:
-            try:
-                packed = PackedCodec.plan(
-                    public,
-                    fractional_bits=self.codec.fractional_bits,
-                    max_abs_value=self._max_slot_value(),
-                    population=1,
-                    exchanges=worst_exchanges,
-                    terms=2,  # means + noise are the biased vectors summed
-                )
-            except ValueError:
-                pass  # no room for even one slot
-        # Per node and iteration: a means and a noise vector.
-        self._build_backend(2 * (packed.packed_length(dims) if packed else dims))
-        if packed:
-            self.plane = PackedPlane(public, packed, self.backend)
-        else:
-            self.plane = ScalarPlane(public, self.codec, self.backend)
-
-        self.participants = [
-            Participant(
-                node_id=i,
-                series=dataset.values[i],
-                public=public,
-                codec=self.codec,
-                plane=self.plane,
-            )
-            for i in range(population)
-        ]
 
     def _max_slot_value(self) -> float:
         """Largest magnitude one packed slot must hold: a data value plus a
@@ -417,27 +374,21 @@ class ChiaroscuroRun:
         common = dict(
             noise_plan=plan, exchanges=params.exchanges, noise_rng=self.noise_rng
         )
+        crypto = dict(
+            keypair=self.keypair,
+            packed=self.packed,
+            crypto_rng=self.crypto_rng,
+            backend=self.backend,
+        )
         if params.protocol_plane == "object":
-            return ComputationStep(
-                keypair=self.keypair,
-                codec=self.codec,
-                crypto_rng=self.crypto_rng,
-                plane=self.plane,
-                **common,
-            )
+            return ComputationStep(**crypto, **common)
         common.update(
             threshold=params.tau_count(self.dataset.t),
             fractional_bits=self.fractional_bits,
         )
         if params.protocol_plane == "vectorized":
             return VectorizedComputationStep(**common)
-        return VectorizedCryptoComputationStep(
-            keypair=self.keypair,
-            packed=self.packed,
-            crypto_rng=self.crypto_rng,
-            backend=self.backend,
-            **common,
-        )
+        return VectorizedCryptoComputationStep(**crypto, **common)
 
     def _advance_centroids(
         self,

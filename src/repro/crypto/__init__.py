@@ -41,14 +41,6 @@ from .damgard_jurik import (
 from .encoding import FixedPointCodec, PackedCodec, quantize_to_grid
 from .numtheory import FixedBaseTable
 from .keys import KeyShare, PrivateKey, PublicKey, ThresholdContext
-from .serialization import (
-    ciphertext_from_bytes,
-    ciphertext_to_bytes,
-    means_payload_from_bytes,
-    means_payload_to_bytes,
-    public_key_from_bytes,
-    public_key_to_bytes,
-)
 from .shamir import lagrange_at_zero, reconstruct_at_zero, share_secret
 from .threshold import (
     ThresholdKeypair,
@@ -73,8 +65,6 @@ __all__ = [
     "SerialBackend",
     "ThresholdContext",
     "ThresholdKeypair",
-    "ciphertext_from_bytes",
-    "ciphertext_to_bytes",
     "combine_partial_decryptions",
     "combine_partial_decryptions_batch",
     "create_backend",
@@ -89,12 +79,8 @@ __all__ = [
     "homomorphic_add_batch",
     "homomorphic_scalar_mul",
     "lagrange_at_zero",
-    "means_payload_from_bytes",
-    "means_payload_to_bytes",
     "partial_decrypt",
     "powers_of_g",
-    "public_key_from_bytes",
-    "public_key_to_bytes",
     "reconstruct_at_zero",
     "share_secret",
 ]

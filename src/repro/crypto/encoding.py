@@ -38,10 +38,16 @@ biased vectors, slot ``i`` holds
 
 and :meth:`PackedCodec.unpack` subtracts ``B · bias_multiplier`` with
 ``bias_multiplier = terms · C`` to recover the exact signed integer sum —
-bit-identical to what the scalar plane's residue would decode to.  The
-EESum protocols know ``C`` in clear: Algorithm 2 scales the lagging side
-and adds, so a vector's coefficient total is ``2^count`` for its cleartext
-exchange counter ``count`` (see :mod:`repro.core.batching`).
+bit-identical to what a one-value-per-ciphertext :class:`FixedPointCodec`
+residue would decode to.  The EESum protocols know ``C`` in clear:
+Algorithm 2 scales the lagging side and adds, so a vector's coefficient
+total is ``2^count`` for its cleartext exchange counter ``count``.
+
+This is the one ciphertext layout of both real-crypto planes:
+``PackedCodec.plan`` → :meth:`~PackedCodec.pack` → ``encrypt_batch`` →
+gossip → threshold decryption → :meth:`~PackedCodec.unpack`.
+:class:`FixedPointCodec` stays as the scalar reference encoding (the
+Fig. 5 scalar-vs-batched cost sheet and the bit-identity tests).
 
 ``accumulation_bits`` must bound ``log2`` of the worst-case accumulated
 coefficient mass ``terms · C_max`` — the caller supplies the exchange-
@@ -81,9 +87,8 @@ class FixedPointCodec:
     """Encode/decode reals as fixed-point residues of ``Z_{n^s}``.
 
     ``fractional_bits`` controls resolution (default 2⁻³² ≈ 2.3e-10).
-    The magnitude growth the plaintext space must absorb before wrap-around
-    (population sums plus the EESum delayed-division scaling) is checked at
-    protocol-setup time by :meth:`check_capacity`.
+    A residue wraps silently once a sum outgrows ``n^s / 2``; the protocol
+    planes run on :class:`PackedCodec`, whose slots refuse instead.
     """
 
     public: PublicKey
@@ -111,31 +116,6 @@ class FixedPointCodec:
         if residue > n_s // 2:
             residue -= n_s
         return residue / float(self.scale) / float(1 << extra_shift)
-
-    def check_capacity(
-        self,
-        max_abs_value: float,
-        population: int,
-        exchanges: int,
-    ) -> None:
-        """Raise if a population-wide sum scaled by ``2^exchanges`` could wrap.
-
-        The worst-case plaintext magnitude in Chiaroscuro is
-        ``population · max_abs_value · 2^fractional_bits · 2^exchanges``
-        (all series summed into one cluster, fully scaled by the delayed
-        divisions); it must stay below ``n^s / 2`` to keep the signed
-        decoding unambiguous.
-        """
-        bound = (
-            int(max_abs_value * self.scale + 1) * population * (1 << exchanges)
-        )
-        if 2 * bound >= self.public.n_s:
-            raise ValueError(
-                "plaintext space too small: raise the key size or the "
-                "Damgård–Jurik expansion s, or lower fractional_bits "
-                f"(needed ~{bound.bit_length()} bits, "
-                f"have {self.public.n_s.bit_length() - 1})"
-            )
 
 
 @dataclass(frozen=True)
@@ -200,7 +180,7 @@ class PackedCodec:
         terms: int = 2,
         safety_bits: int = 2,
     ) -> "PackedCodec":
-        """Size a codec for a protocol run (mirrors ``check_capacity``).
+        """Size a codec for a protocol run.
 
         ``max_abs_value`` bounds a single encoded value, ``population`` the
         number of contributors, ``exchanges`` the worst-case delayed-division
@@ -288,8 +268,7 @@ class PackedCodec:
             raise ValueError(
                 "accumulated coefficient mass exceeds the packed slot "
                 f"capacity (need {(2 * self.bias * bias_multiplier).bit_length()}"
-                f" bits, slot has {self.slot_bits}): raise accumulation_bits "
-                "or fall back to the scalar plane"
+                f" bits, slot has {self.slot_bits}): raise accumulation_bits"
             )
         mask = (1 << self.slot_bits) - 1
         offset = self.bias * bias_multiplier

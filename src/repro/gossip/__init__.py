@@ -1,7 +1,7 @@
 """Gossip substrate: cycle-driven engine (the Peersim substitution),
-Newscast peer sampling, cleartext and encrypted epidemic sums, min-id
-dissemination, epidemic threshold decryption, churn models, and the
-vectorized large-population plane.
+cleartext and encrypted epidemic sums, min-id dissemination, epidemic
+threshold decryption, churn models, and the vectorized large-population
+plane.
 """
 
 from .aggregation import EpidemicSum
@@ -21,8 +21,6 @@ from .eesum import (
     VectorizedEESum,
 )
 from .engine import GossipEngine, Node
-from .metrics import LatencyFit, fit_linear, fit_logarithmic
-from .peer_sampling import NewscastView
 from .vectorized import (
     PushPullSumSimulator,
     SumErrorTrace,
@@ -42,10 +40,8 @@ __all__ = [
     "EpidemicSum",
     "GossipEngine",
     "HomomorphicOps",
-    "LatencyFit",
     "MinIdDissemination",
     "MockHomomorphicOps",
-    "NewscastView",
     "Node",
     "PushPullSumSimulator",
     "SumErrorTrace",
@@ -55,8 +51,6 @@ __all__ = [
     "VectorizedMinId",
     "VectorizedShareCollection",
     "dissemination_cycles",
-    "fit_linear",
-    "fit_logarithmic",
     "messages_to_reach_error",
     "random_pairing",
     "simulate_sum_error",

@@ -59,12 +59,12 @@ class MockHomomorphicOps:
 
     Addition and scalar multiplication act directly on the plaintext
     integers, so a protocol run carries exactly the integers a real run's
-    ciphertexts would decrypt to (no modular wrap — the capacity check of
-    :meth:`repro.crypto.encoding.FixedPointCodec.check_capacity` guarantees
-    real runs never wrap either).  This is what lets the object engine
-    execute full EESum semantics at populations where big-int modexps are
-    unaffordable, and what the vectorized plane's equivalence tests compare
-    against.
+    ciphertexts would decrypt to (no modular wrap — the slot headroom of
+    :meth:`repro.crypto.encoding.PackedCodec.plan`, re-checked at unpack,
+    guarantees real runs never wrap either).  This is what lets the object
+    engine execute full EESum semantics at populations where big-int modexps
+    are unaffordable, and what the vectorized plane's equivalence tests
+    compare against.
     """
 
     def add(self, c1: int, c2: int) -> int:

@@ -50,9 +50,7 @@ class GossipEngine:
 
     ``view_size`` bounds the per-cycle candidate set the initiator draws its
     contact from (a fresh uniform sample each cycle — the standard
-    approximation of a converged Newscast view; the explicit view-maintenance
-    protocol lives in :mod:`repro.gossip.peer_sampling` and is validated to
-    mix indistinguishably in the tests).
+    approximation of a converged Newscast view).
     """
 
     def __init__(

@@ -30,8 +30,20 @@ __all__ = ["EventBus", "append_ndjson", "next_seq", "read_events", "tail_events"
 
 
 def append_ndjson(path: str | pathlib.Path, record: dict) -> None:
-    """Append one JSON object as a single atomic ``O_APPEND`` write."""
-    data = (json.dumps(record, separators=(",", ":")) + "\n").encode()
+    """Append one JSON object as a single atomic ``O_APPEND`` write.
+
+    The line is strict JSON: a non-finite float (an ``agreement`` of NaN
+    after a degenerate decode) is written as ``null`` — Python's bare
+    ``NaN``/``Infinity`` are rejected by ``jq`` and sqlite's JSON functions.
+    """
+    compact = (",", ":")
+    try:
+        text = json.dumps(record, separators=compact, allow_nan=False)
+    except ValueError:  # a non-finite float: re-read it the way ingest does
+        lenient = json.dumps(record, separators=compact)
+        strict = json.loads(lenient, parse_constant=lambda constant: None)
+        text = json.dumps(strict, separators=compact, allow_nan=False)
+    data = (text + "\n").encode()
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         os.write(fd, data)

@@ -1,18 +1,20 @@
 """Render warehouse analytics as text or markdown tables.
 
-The ``repro report`` surface: each ``report_*`` function pulls one
-analytics shape and returns a printable string, so the CLI (and the CI
-smoke job grepping its output) get stable, diffable tables without a
-plotting dependency — the same spirit as the benchmark suite's
-``record_report`` text renditions.  :data:`REPORTS` at the bottom is the
-one list of them: the CLI generates ``repro report <name>`` and its
-filter flags from it, so adding a report is a renderer plus its row.
+The ``repro report`` surface: a report is a row of :data:`REPORTS` — the
+analytics shape it fetches, what to say when that is empty, and one
+``(header, key-or-callable, digits)`` spec per column — rendered by the one
+:meth:`Report.render`, so the CLI (and the CI smoke job grepping its
+output) get stable, diffable tables without a plotting dependency — the
+same spirit as the benchmark suite's ``record_report`` text renditions.
+The CLI generates ``repro report <name>`` and its filter flags from the
+table, so adding a report is adding its row.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import analytics
 
@@ -68,212 +70,149 @@ def render_table(
     return lines
 
 
-def report_fig2(
-    con: sqlite3.Connection, strategy: str | None = None, fmt: str = "text"
-) -> str:
-    """Fig. 2: mean inertia trajectory per strategy over iterations."""
-    rows = analytics.fig2_trajectories(con, strategy=strategy)
-    if not rows:
-        return "no iterations ingested — run `repro db ingest` first"
-    table = [
-        [
-            row["strategy"],
-            str(row["iteration"]),
-            str(row["runs"]),
-            _fmt(row["pre_inertia"]),
-            _fmt(row["pre_inertia_sma3"]),
-            _fmt(row["post_inertia"]),
-            _fmt(row["epsilon_spent_total"], 4),
-        ]
-        for row in rows
-    ]
-    return "\n".join(render_table(
-        ["strategy", "iter", "runs", "pre-inertia", "sma3",
-         "post-inertia", "eps-total"],
-        table,
-        fmt,
-    ))
+@dataclass(frozen=True)
+class Report:
+    """One ``repro report`` leaf, as data."""
 
-
-def report_fig3(
-    con: sqlite3.Connection, like: str | None = None, fmt: str = "text"
-) -> str:
-    """Fig. 3: per-deployment final quality vs. the baseline run."""
-    rows = analytics.fig3_quality(con, like=like)
-    if not rows:
-        return "no runs ingested — run `repro db ingest` first"
-    table = []
-    for row in rows:
-        flags = " ABORTED" if row["aborted"] else ""
-        table.append(
-            [
-                row["name"] or row["run_key"],
-                row["plane"],
-                row["strategy"],
-                _fmt(row["churn"]),
-                _fmt(row["final_pre_inertia"], 1),
-                _fmt(row["vs_baseline"]),
-                str(row["iterations"]),
-                str(row["detections"]),
-                (row["detectors"] or "-") + flags,
-            ]
-        )
-    return "\n".join(render_table(
-        ["deployment", "plane", "strategy", "churn", "final pre-inertia",
-         "vs base", "iters", "detections", "detectors"],
-        table,
-        fmt,
-    ))
-
-
-def report_latency(con: sqlite3.Connection, fmt: str = "text") -> str:
-    """Per-plane iteration-latency percentiles with the crypto split.
-
-    The ``crypto-share`` column separates protocol time from bigint
-    time on planes that report ``crypto_ms`` (the real-ciphertext
-    planes); planes without the field show ``-``.
-    """
-    rows = analytics.latency_percentiles(con)
-    if not rows:
-        return "no iteration events ingested — run `repro db ingest` first"
-    table = [
-        [
-            row["plane"],
-            str(row["iterations"]),
-            _fmt(row["p50"], 3),
-            _fmt(row["p90"], 3),
-            _fmt(row["p99"], 3),
-            _fmt(row["max"], 3),
-            _fmt(row["crypto_mean"], 3),
-            _fmt(row["crypto_share"]),
-        ]
-        for row in rows
-    ]
-    return "\n".join(render_table(
-        ["plane", "iters", "p50", "p90", "p99", "max",
-         "crypto-mean", "crypto-share"],
-        table,
-        fmt,
-    ))
-
-
-def report_attacks(con: sqlite3.Connection, fmt: str = "text") -> str:
-    """Detector counts per fault class — the countermeasure scoreboard."""
-    rows = analytics.detector_counts(con)
-    if not rows:
-        return "no detections ingested"
-    table = [
-        [
-            row["fault"] or "-",
-            row["detector"] or "-",
-            str(row["detections"]),
-            str(row["runs"]),
-        ]
-        for row in rows
-    ]
-    return "\n".join(render_table(
-        ["fault", "detector", "detections", "runs"], table, fmt
-    ))
-
-
-def report_bench(
-    con: sqlite3.Connection,
-    bench: str | None = None,
-    metric: str | None = None,
-    fmt: str = "text",
-) -> str:
-    """Bench trajectory over git revisions: latest value vs. previous."""
-    rows = analytics.bench_trajectory(con, bench=bench, metric=metric)
-    if not rows:
-        return "no bench points ingested — ingest the BENCH_*.json files"
-    table = [
-        [
-            row["bench"],
-            row["metric"],
-            row["git_rev"],
-            _fmt(row["value"], 4),
-            _fmt(row["prev_value"], 4),
-            _fmt(row["delta"], 4),
-            str(row["points"]),
-        ]
-        for row in rows
-    ]
-    return "\n".join(render_table(
-        ["bench", "metric", "rev", "value", "prev", "delta", "points"],
-        table,
-        fmt,
-    ))
-
-
-def report_lint(
-    con: sqlite3.Connection, rule: str | None = None, fmt: str = "text"
-) -> str:
-    """Lint-finding trajectory: per-rule counts at the latest report."""
-    rows = analytics.lint_trajectory(con, rule=rule)
-    if not rows:
-        return (
-            "no lint findings ingested — ingest a "
-            "`repro lint --format json` report"
-        )
-    table = [
-        [
-            row["rule"],
-            row["git_rev"],
-            str(row["findings"]),
-            str(row["new"]),
-            str(row["suppressed"]),
-            str(row["baselined"]),
-            _fmt(row["delta"], 0),
-            str(row["points"]),
-        ]
-        for row in rows
-    ]
-    return "\n".join(render_table(
-        ["rule", "rev", "findings", "new", "suppressed", "baselined",
-         "delta", "reports"],
-        table,
-        fmt,
-    ))
-
-
-class Report(NamedTuple):
-    """One ``repro report`` leaf: renderer, help line, filter flags."""
-
-    render: Callable[..., str]
+    #: ``fetch(con, **filters)`` → the rows, one dict each
+    fetch: Callable[..., list[dict]]
+    #: what to print instead of a table when there are no rows
+    empty: str
+    #: per column: header, row key (or a callable of the row) and, where a
+    #: float wants other than ``_fmt``'s two, its digits
+    columns: tuple[tuple, ...]
     help: str
-    #: keyword of ``render`` → argparse options of the ``--<keyword>``
+    #: keyword of ``fetch`` → argparse options of the ``--<keyword>``
     #: flag that sets it (every filter is an optional string)
-    filters: dict[str, dict[str, str]] = {}
+    filters: dict[str, dict[str, str]] = field(default_factory=dict)
+
+    def render(
+        self, con: sqlite3.Connection, fmt: str = "text", **filters: str | None
+    ) -> str:
+        rows = self.fetch(con, **filters)
+        if not rows:
+            return self.empty
+        table = [
+            [
+                _fmt(key(row) if callable(key) else row[key], *digits)
+                for _, key, *digits in self.columns
+            ]
+            for row in rows
+        ]
+        headers = [column[0] for column in self.columns]
+        return "\n".join(render_table(headers, table, fmt))
 
 
 REPORTS: dict[str, Report] = {
+    # Fig. 2: mean inertia trajectory per strategy over iterations.
     "fig2": Report(
-        report_fig2,
+        analytics.fig2_trajectories,
+        "no iterations ingested — run `repro db ingest` first",
+        (
+            ("strategy", "strategy"),
+            ("iter", "iteration"),
+            ("runs", "runs"),
+            ("pre-inertia", "pre_inertia"),
+            ("sma3", "pre_inertia_sma3"),
+            ("post-inertia", "post_inertia"),
+            ("eps-total", "epsilon_spent_total", 4),
+        ),
         "inertia trajectories per strategy (Fig. 2)",
         {"strategy": {"help": "only this budget strategy (e.g. G, UF6)"}},
     ),
+    # Fig. 3: per-deployment final quality vs. the baseline run.
     "fig3": Report(
-        report_fig3,
+        analytics.fig3_quality,
+        "no runs ingested — run `repro db ingest` first",
+        (
+            ("deployment", lambda row: row["name"] or row["run_key"]),
+            ("plane", "plane"),
+            ("strategy", "strategy"),
+            ("churn", "churn"),
+            ("final pre-inertia", "final_pre_inertia", 1),
+            ("vs base", "vs_baseline"),
+            ("iters", "iterations"),
+            ("detections", "detections"),
+            ("detectors", lambda row: (row["detectors"] or "-")
+             + (" ABORTED" if row["aborted"] else "")),
+        ),
         "quality per deployment vs. baseline (Fig. 3 / quality under attack)",
         {"like": {"metavar": "PATTERN",
                   "help": "only runs whose name matches this SQL LIKE "
                           "pattern (e.g. 'attack-%%')"}},
     ),
-    "attacks": Report(report_attacks, "detector counts per fault class"),
+    # Detector counts per fault class — the countermeasure scoreboard.
+    "attacks": Report(
+        analytics.detector_counts,
+        "no detections ingested",
+        (
+            ("fault", lambda row: row["fault"] or "-"),
+            ("detector", lambda row: row["detector"] or "-"),
+            ("detections", "detections"),
+            ("runs", "runs"),
+        ),
+        "detector counts per fault class",
+    ),
+    # Per-plane iteration-latency percentiles.  The crypto-share column
+    # separates protocol time from bigint time on planes that report
+    # ``crypto_ms`` (the real-ciphertext planes); planes without the field
+    # show ``-``.
     "latency": Report(
-        report_latency,
+        analytics.latency_percentiles,
+        "no iteration events ingested — run `repro db ingest` first",
+        (
+            ("plane", "plane"),
+            ("iters", "iterations"),
+            ("p50", "p50", 3),
+            ("p90", "p90", 3),
+            ("p99", "p99", 3),
+            ("max", "max", 3),
+            ("crypto-mean", "crypto_mean", 3),
+            ("crypto-share", "crypto_share"),
+        ),
         "per-plane iteration latency percentiles with the crypto_ms split",
     ),
+    # Bench trajectory over git revisions: latest value vs. previous.
     "bench": Report(
-        report_bench,
+        analytics.bench_trajectory,
+        "no bench points ingested — ingest the BENCH_*.json files",
+        (
+            ("bench", "bench"),
+            ("metric", "metric"),
+            ("rev", "git_rev"),
+            ("value", "value", 4),
+            ("prev", "prev_value", 4),
+            ("delta", "delta", 4),
+            ("points", "points"),
+        ),
         "bench metric trajectory over git revisions",
         {"bench": {"help": "only this bench (e.g. fig3_attack_quality)"},
          "metric": {"metavar": "PATTERN",
                     "help": "only metrics matching this SQL LIKE pattern"}},
     ),
+    # Lint-finding trajectory: per-rule counts at the latest report.
     "lint": Report(
-        report_lint,
+        analytics.lint_trajectory,
+        "no lint findings ingested — ingest a "
+        "`repro lint --format json` report",
+        (
+            ("rule", "rule"),
+            ("rev", "git_rev"),
+            ("findings", "findings"),
+            ("new", "new"),
+            ("suppressed", "suppressed"),
+            ("baselined", "baselined"),
+            ("delta", "delta", 0),
+            ("reports", "points"),
+        ),
         "lint-finding trajectory over git revisions",
         {"rule": {"help": "only this lint rule (e.g. determinism-rng)"}},
     ),
 }
+
+report_fig2 = REPORTS["fig2"].render
+report_fig3 = REPORTS["fig3"].render
+report_attacks = REPORTS["attacks"].render
+report_latency = REPORTS["latency"].render
+report_bench = REPORTS["bench"].render
+report_lint = REPORTS["lint"].render

@@ -196,6 +196,22 @@ class TestCheckpointHygiene:
         resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
         assert_bit_identical(resumed, Experiment.from_spec(spec).run())
 
+    def test_resume_checkpoint_carrying_the_retired_use_packing_key(self, tmp_path):
+        """Checkpoints written before the knob was removed carry
+        ``"use_packing": true`` in their spec; it never had an effect on a
+        checkpointable plane, so they keep resuming."""
+        import json
+
+        spec = spec_for("vectorized")
+        directory = str(tmp_path / "retired-knob")
+        run_interrupted(spec, directory, 2)
+        path = max(CheckpointStore(directory).directory.glob("checkpoint_*.json"))
+        payload = json.loads(path.read_text())
+        payload["spec"]["params"]["use_packing"] = True
+        path.write_text(json.dumps(payload))
+        resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
+        assert_bit_identical(resumed, Experiment.from_spec(spec).run())
+
     def test_no_resume_flag_restarts(self, tmp_path):
         spec = spec_for("quality")
         directory = str(tmp_path / "restart")

@@ -127,6 +127,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="params"):
             RunSpec.from_dict(spec_dict(params={"k": 5, "warp_speed": 9}))
 
+    def test_retired_use_packing_key(self):
+        """Stored specs written while the knob existed carry its default and
+        keep loading; asking for the removed scalar layout is refused."""
+        stored = RunSpec.from_dict(spec_dict(params={"k": 5, "use_packing": True}))
+        assert stored == RunSpec.from_dict(spec_dict(params={"k": 5}))
+        assert "use_packing" not in stored.to_dict()["params"]
+        with pytest.raises(ValueError, match="use_packing was removed"):
+            RunSpec.from_dict(spec_dict(params={"k": 5, "use_packing": False}))
+
     def test_churn_range(self):
         with pytest.raises(ValueError, match="churn"):
             RunSpec.from_dict(spec_dict(churn=1.0))

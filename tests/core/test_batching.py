@@ -1,11 +1,12 @@
-"""Tests for the batched ciphertext planes (scalar vs packed) and the
+"""Tests for the packed ciphertext layout through the object step and the
 backend plumbing through the full protocol.
 
 The two strong guarantees under test:
 
-* the packed plane decodes **bit-identically** to the scalar plane after a
-  real EESum accumulation (bias subtraction with the clear coefficient
-  total ``2^count`` is exact);
+* packed ciphertexts decode **bit-identically** to the scalar reference
+  encoding (``FixedPointCodec``, one ciphertext per value) after a real
+  EESum accumulation (bias subtraction with the clear coefficient total
+  ``2^count`` is exact);
 * a full protocol run is **reproducible across backends**: serial and
   process-pool executions with the same seed produce identical centroids.
 """
@@ -20,74 +21,60 @@ from repro.core import (
     ChiaroscuroRun,
     ComputationStep,
     NoisePlan,
-    PackedPlane,
     Participant,
-    ScalarPlane,
 )
-from repro.core.diptych import initialize_means
 from repro.crypto import (
     FixedPointCodec,
     PackedCodec,
     combine_partial_decryptions,
     decrypt,
     encrypt,
+    encrypt_batch,
     generate_threshold_keypair,
     partial_decrypt,
 )
 from repro.datasets import TimeSeriesSet
 from repro.gossip import GossipEngine
 from repro.gossip.eesum import EESum
-from repro.privacy import UniformFast
+from repro.privacy import Greedy, UniformFast
 
 
 @pytest.fixture()
-def planes(threshold_keypair):
+def codecs(threshold_keypair):
+    """The scalar reference encoding and a packed codec on the same grid."""
     public = threshold_keypair.public
     codec = FixedPointCodec(public, fractional_bits=16)
     packed = PackedCodec(
         public, fractional_bits=16, value_bits=24, accumulation_bits=40
     )
-    return ScalarPlane(public, codec), PackedPlane(public, packed)
-
-
-class TestScalarPlane:
-    def test_matches_diptych_initialization(self, threshold_keypair):
-        """Participant + ScalarPlane encodes exactly what initialize_means does."""
-        public = threshold_keypair.public
-        codec = FixedPointCodec(public, fractional_bits=16)
-        series = np.array([1.5, -2.0, 3.25])
-        participant = Participant(
-            node_id=0, series=series, public=public, codec=codec,
-            plane=ScalarPlane(public, codec),
-        )
-        centroids = np.array([[1.0, -2.0, 3.0], [50.0, 50.0, 50.0]])
-        vector = participant.encrypted_means_vector(centroids, random.Random(0))
-
-        means = initialize_means(public, codec, series, 0, 2, random.Random(1))
-        legacy = [c for mean in means for c in mean.as_vector()]
-        assert len(vector) == len(legacy) == 8
-        private = threshold_keypair.private
-        assert [decrypt(private, c) for c in vector] == [
-            decrypt(private, c) for c in legacy
-        ]
-
-    def test_decode_sums_length_check(self, planes):
-        scalar, _ = planes
-        with pytest.raises(ValueError, match="expected 3 plaintexts"):
-            scalar.decode_sums([1, 2], 3, coefficient_total=1)
+    return codec, packed
 
 
 class TestPackedPlaneEquivalence:
     def test_eesum_decodes_bit_identical_to_scalar(
-        self, threshold_keypair, planes, tiny_dataset
+        self, threshold_keypair, codecs, tiny_dataset
     ):
-        """Run the same values through a real gossip EESum on both planes;
+        """Run the same values through a real gossip EESum in both layouts;
         the decoded estimates must be equal as floats, not just close.  The
-        packed plane decodes with the clear coefficient total ``2^count``
+        packed layout decodes with the clear coefficient total ``2^count``
         — on six hand-picked vectors and on the 24-node dataset's."""
-        scalar, packed = planes
-        private = threshold_keypair.private
+        codec, packed = codecs
+        public, private = threshold_keypair.public, threshold_keypair.private
         rng = random.Random(3)
+        layouts = {
+            "scalar": (
+                lambda v: [codec.encode(float(x)) for x in v],
+                lambda plaintexts, dims, count: [
+                    codec.decode(p) for p in plaintexts
+                ],
+            ),
+            "packed": (
+                packed.pack,
+                lambda plaintexts, dims, count: packed.unpack(
+                    plaintexts, dims, bias_multiplier=1 << count
+                ),
+            ),
+        }
         cases = (
             [[float(i) + 0.5, -2.0 * i, 7.25] for i in range(6)],
             tiny_dataset.values.tolist(),
@@ -95,21 +82,20 @@ class TestPackedPlaneEquivalence:
         for values in cases:
             population, dims = len(values), len(values[0])
             estimates = {}
-            for name, plane in (("scalar", scalar), ("packed", packed)):
+            for name, (encode, decode) in layouts.items():
                 initial = {
-                    i: plane.encrypt_values(v, rng) for i, v in enumerate(values)
+                    i: encrypt_batch(public, encode(v), rng)
+                    for i, v in enumerate(values)
                 }
                 engine = GossipEngine(population, seed=11)
-                eesum = EESum(plane.public, initial)
+                eesum = EESum(public, initial)
                 engine.setup(eesum)
                 engine.run_cycles(8, eesum)
                 per_node = []
                 for node in engine.nodes:
                     state = eesum.state_of(node)
                     plaintexts = [decrypt(private, c) for c in state.ciphertexts]
-                    decoded = plane.decode_sums(
-                        plaintexts, dims, 1 << state.count, bias_terms=1
-                    )
+                    decoded = np.array(decode(plaintexts, dims, state.count))
                     per_node.append(decoded / state.omega)
                 estimates[name] = per_node
 
@@ -144,44 +130,38 @@ class TestPackedPlaneEquivalence:
             counts.add(state.count)
         assert len(counts) > 1  # churn left the counters unequal
 
-    def test_packed_length(self, planes):
-        _, packed = planes
-        assert packed.packed_length(packed.packed.slots) == 1
-        assert packed.packed_length(packed.packed.slots + 1) == 2
+    def test_packed_length(self, codecs):
+        _, packed = codecs
+        assert packed.packed_length(packed.slots) == 1
+        assert packed.packed_length(packed.slots + 1) == 2
 
 
 class TestComputationStepPacked:
     def test_sums_and_counts_match_truth(self, threshold_keypair_s2):
-        """The Alg. 3 step over the packed plane recovers the true per-cluster
-        sums and counts (negligible noise)."""
+        """The Alg. 3 step recovers the true per-cluster sums and counts
+        (negligible noise)."""
         keypair = threshold_keypair_s2
-        codec = FixedPointCodec(keypair.public, fractional_bits=20)
         packed = PackedCodec(
             keypair.public, fractional_bits=20, value_bits=28, accumulation_bits=90
         )
-        plane = PackedPlane(keypair.public, packed)
         crypto_rng = random.Random(0)
         series = np.array(
             [[1.0, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3],
              [10, 20, 30], [10, 20, 30], [10, 20, 30], [10, 20, 30]]
         )
-        assignments = [0, 0, 0, 0, 1, 1, 1, 1]
-        vectors = {}
-        for node, (row, cluster) in enumerate(zip(series, assignments)):
-            participant = Participant(
-                node_id=node, series=row, public=keypair.public,
-                codec=codec, plane=plane,
+        centroids = np.array([[1.0, 2, 3], [10, 20, 30]])
+        vectors = {
+            node: Participant(node, row, packed).encrypted_means_vector(
+                centroids, crypto_rng
             )
-            vectors[node] = participant.plane.encrypt_values(
-                participant.means_value_vector(cluster, 2), crypto_rng
-            )
+            for node, row in enumerate(series)
+        }
         plan = NoisePlan(
             k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=1e9, n_nu=8
         )
         step = ComputationStep(
-            keypair=keypair, codec=codec, noise_plan=plan, exchanges=15,
+            keypair=keypair, packed=packed, noise_plan=plan, exchanges=15,
             crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1),
-            plane=plane,
         )
         output = step.run(GossipEngine(8, seed=8), vectors)
         assert set(output.sums) == set(range(8))
@@ -206,26 +186,29 @@ class TestExponentiationsAreCounted:
         keypair = generate_threshold_keypair(
             256, n_shares=nodes, threshold=1, s=2, rng=random.Random(21)
         )
-        codec = FixedPointCodec(keypair.public, fractional_bits=20)
         packed = PackedCodec(
             keypair.public, fractional_bits=20, value_bits=28, accumulation_bits=90
         )
-        plane = PackedPlane(keypair.public, packed, counting_backend)
         plan = NoisePlan(
             k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=1e9, n_nu=nodes
         )
         crypto_rng = random.Random(0)
         vectors = {
-            i: plane.encrypt_values(np.full(plan.dimensions, float(i)), crypto_rng)
+            i: encrypt_batch(
+                keypair.public,
+                packed.pack(np.full(plan.dimensions, float(i))),
+                crypto_rng,
+            )
             for i in range(nodes)
         }
         step = ComputationStep(
-            keypair=keypair, codec=codec, noise_plan=plan, exchanges=6,
-            crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1), plane=plane,
+            keypair=keypair, packed=packed, noise_plan=plan, exchanges=6,
+            crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1),
+            backend=counting_backend,
         )
         output = step.run(GossipEngine(nodes, seed=3), vectors)
         assert len(output.sums) == nodes
-        assert counting_backend.partials_computed == nodes * plane.packed_length(
+        assert counting_backend.partials_computed == nodes * packed.packed_length(
             plan.dimensions
         )
 
@@ -270,27 +253,39 @@ class TestProtocolBackendPlumbing:
             np.array([[10.0, 10, 30, 30], [30, 30, 10, 10]]),
             key_bits=256, seed=2, keypair=threshold_keypair_s2,
         )
-        assert isinstance(run.plane, PackedPlane)
-        assert run.plane.packed_length(2 * 5) == 3
+        assert run.packed.packed_length(2 * 5) == 3
         assert run.encryptor.table.window_bits == window_bits
 
-    def test_packing_toggle(self, tiny_dataset, threshold_keypair_s2):
-        base = dict(
-            k=2, max_iterations=1, exchanges=8, tau_fraction=0.13,
-            epsilon=1e6, expansion_s=2, use_smoothing=False, theta=0.0,
-        )
-        centroids = np.array([[10.0, 10, 30, 30], [30, 30, 10, 10]])
-        packed_run = ChiaroscuroRun(
-            tiny_dataset, UniformFast(1e6, 1), ChiaroscuroParams(**base),
-            centroids, key_bits=256, seed=2, keypair=threshold_keypair_s2,
-        )
-        scalar_run = ChiaroscuroRun(
-            tiny_dataset, UniformFast(1e6, 1),
-            ChiaroscuroParams(**base, use_packing=False),
-            centroids, key_bits=256, seed=2, keypair=threshold_keypair_s2,
-        )
-        assert isinstance(packed_run.plane, PackedPlane)
-        assert isinstance(scalar_run.plane, ScalarPlane)
+    @pytest.mark.parametrize(
+        "strategy, last_fit",
+        [(Greedy(0.69), 24), (UniformFast(0.69, 5), 25)],
+        ids=["G", "UF5"],
+    )
+    def test_refusal_boundary(
+        self, tiny_dataset, threshold_keypair, strategy, last_fit
+    ):
+        """9 devices on a 256-bit s=1 key, 10 iterations: the accumulation
+        headroom grows 8 bits per exchange, so there is a last ``n_e`` whose
+        single slot still fits the 255-bit plaintext — and the next one is
+        refused at construction, naming the way out (the smaller worst ε
+        slice of GREEDY costs it one exchange).  No other ciphertext layout
+        takes over past the boundary."""
+        nine = TimeSeriesSet(tiny_dataset.values[:9], dmin=0.0, dmax=60.0)
+
+        def build(exchanges):
+            params = ChiaroscuroParams(
+                k=2, max_iterations=10, exchanges=exchanges, tau_fraction=0.3,
+                epsilon=0.69, use_smoothing=False,
+            )
+            return ChiaroscuroRun(
+                nine, strategy, params, nine.values[:2], keypair=threshold_keypair
+            )
+
+        packed = build(last_fit).packed
+        assert packed.slots == 1
+        assert packed.slot_bits + 8 > threshold_keypair.public.plaintext_bits
+        with pytest.raises(ValueError, match="key size or the expansion s"):
+            build(last_fit + 1)
 
     def test_serial_and_process_runs_identical(
         self, tiny_dataset, threshold_keypair_s2

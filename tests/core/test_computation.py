@@ -6,13 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.core import ComputationStep, NoisePlan
+from repro.core import ComputationStep, NoisePlan, Participant
 from repro.core.computation import (
     VectorizedComputationStep,
     VectorizedCryptoComputationStep,
 )
-from repro.core.diptych import initialize_means
-from repro.crypto import FixedPointCodec
 from repro.crypto.encoding import PackedCodec
 from repro.gossip import GossipEngine, VectorizedGossipEngine
 
@@ -21,25 +19,30 @@ from repro.gossip import GossipEngine, VectorizedGossipEngine
 def tiny_setup(threshold_keypair_s2):
     """8 nodes, k = 2, series length 3, negligible noise."""
     keypair = threshold_keypair_s2
-    codec = FixedPointCodec(keypair.public, fractional_bits=20)
+    # Sized the way ChiaroscuroRun sizes the object plane: 15 exchanges of
+    # chaining growth 4 + ⌈log2 8⌉ = 7 per cycle, means + noise summed before
+    # unpacking; data ≤ 30 plus a negligible noise share (ε = 1e9).
+    packed = PackedCodec.plan(
+        keypair.public, fractional_bits=20, max_abs_value=31.0,
+        population=1, exchanges=15 * 7 + 2, terms=2,
+    )
     crypto_rng = random.Random(0)
     series = np.array(
         [[1.0, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3],
          [10, 20, 30], [10, 20, 30], [10, 20, 30], [10, 20, 30]]
     )
-    assignments = [0, 0, 0, 0, 1, 1, 1, 1]
-    vectors = {}
-    for node, (row, cluster) in enumerate(zip(series, assignments)):
-        means = initialize_means(keypair.public, codec, row, cluster, 2, crypto_rng)
-        flat = []
-        for mean in means:
-            flat.extend(mean.as_vector())
-        vectors[node] = flat
+    centroids = np.array([[1.0, 2, 3], [10, 20, 30]])
+    vectors = {
+        node: Participant(node, row, packed).encrypted_means_vector(
+            centroids, crypto_rng
+        )
+        for node, row in enumerate(series)
+    }
     plan = NoisePlan(
         k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=1e9, n_nu=8
     )
     step = ComputationStep(
-        keypair=keypair, codec=codec, noise_plan=plan, exchanges=15,
+        keypair=keypair, packed=packed, noise_plan=plan, exchanges=15,
         crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1),
     )
     return step, vectors, series
@@ -71,7 +74,9 @@ class TestComputationStep:
 
     def test_noise_plan_dimensions_respected(self, tiny_setup):
         step, vectors, _ = tiny_setup
-        assert all(len(v) == step.noise_plan.dimensions for v in vectors.values())
+        payload = step.packed.packed_length(step.noise_plan.dimensions)
+        assert 1 < payload < step.noise_plan.dimensions
+        assert all(len(v) == payload for v in vectors.values())
 
 
 # --------------------------------------------------------------------------

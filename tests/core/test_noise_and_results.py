@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import NoisePlan, Participant, encrypt_share_vector
+from repro.core import NoisePlan, Participant
 from repro.core.results import ClusteringResult, IterationStats
-from repro.crypto import FixedPointCodec, decrypt
+from repro.crypto import PackedCodec, decrypt
 
 
 class TestNoisePlan:
@@ -47,38 +47,32 @@ class TestNoisePlan:
         with pytest.raises(ValueError):
             NoisePlan(k=1, series_length=2, dmin=0, dmax=1, epsilon=1.0, n_nu=0)
 
-    def test_encrypt_share_vector_roundtrip(self, keypair128):
-        codec = FixedPointCodec(keypair128.public, fractional_bits=20)
-        share = np.array([1.25, -3.5, 0.0])
-        ciphertexts = encrypt_share_vector(
-            keypair128.public, codec, share, random.Random(0)
-        )
-        decoded = [codec.decode(decrypt(keypair128, c)) for c in ciphertexts]
-        assert decoded == pytest.approx([1.25, -3.5, 0.0], abs=1e-5)
+
+@pytest.fixture()
+def packed(keypair128):
+    return PackedCodec(
+        keypair128.public, fractional_bits=16, value_bits=24, accumulation_bits=12
+    )
 
 
 class TestParticipant:
-    def test_closest_centroid(self, keypair128):
-        codec = FixedPointCodec(keypair128.public, fractional_bits=16)
-        participant = Participant(
-            node_id=0,
-            series=np.array([10.0, 10.0]),
-            public=keypair128.public,
-            codec=codec,
-        )
+    def test_closest_centroid(self, packed):
+        participant = Participant(0, np.array([10.0, 10.0]), packed)
         centroids = np.array([[0.0, 0.0], [9.0, 11.0], [30.0, 30.0]])
         assert participant.closest_centroid(centroids) == 1
 
-    def test_encrypted_means_vector_length(self, keypair128):
-        codec = FixedPointCodec(keypair128.public, fractional_bits=16)
-        participant = Participant(
-            node_id=0, series=np.array([1.0, 2.0, 3.0]),
-            public=keypair128.public, codec=codec,
-        )
-        vector = participant.encrypted_means_vector(
-            np.zeros((4, 3)), random.Random(0)
-        )
-        assert len(vector) == 4 * (3 + 1)
+    def test_encrypted_means_vector_length(self, keypair128, packed):
+        """``packed_length(k·(n+1))`` ciphertexts that decrypt to the series
+        and a count of 1 in the assigned stripe, zeros elsewhere."""
+        participant = Participant(0, np.array([1.0, 2.0, 3.0]), packed)
+        centroids = np.array([[9.0, 9, 9], [1, 2, 2], [5, 5, 5], [0, 0, 0]])
+        vector = participant.encrypted_means_vector(centroids, random.Random(0))
+        dims = 4 * (3 + 1)
+        assert packed.slots < dims  # more than one ciphertext
+        assert len(vector) == packed.packed_length(dims)
+        plaintexts = [decrypt(keypair128, c) for c in vector]
+        expected = [0.0] * 4 + [1.0, 2.0, 3.0, 1.0] + [0.0] * 8
+        assert packed.unpack(plaintexts, dims) == expected
 
 
 class TestResultContainers:

@@ -59,18 +59,15 @@ class TestAdditivity:
 
 
 class TestCapacity:
-    def test_capacity_ok(self, keypair128):
-        codec = FixedPointCodec(keypair128.public, fractional_bits=24)
-        codec.check_capacity(max_abs_value=100.0, population=1000, exchanges=40)
-
-    def test_capacity_overflow_detected(self, keypair128):
-        codec = FixedPointCodec(keypair128.public, fractional_bits=48)
-        with pytest.raises(ValueError, match="plaintext space too small"):
-            codec.check_capacity(max_abs_value=1e9, population=10**9, exchanges=200)
-
-    def test_s2_extends_capacity(self, keypair_s2):
-        codec = FixedPointCodec(keypair_s2.public, fractional_bits=48)
-        codec.check_capacity(max_abs_value=1e9, population=10**9, exchanges=200)
+    def test_s2_extends_capacity(self, keypair128, keypair_s2):
+        """The refusal names its remedies, and the expansion ``s`` is one:
+        a slot the s=1 plaintext cannot hold plans at s=2."""
+        sizing = dict(
+            fractional_bits=48, max_abs_value=1e9, population=1, exchanges=200
+        )
+        with pytest.raises(ValueError, match="key size or the expansion s"):
+            PackedCodec.plan(keypair128.public, **sizing)
+        assert PackedCodec.plan(keypair_s2.public, **sizing).slots == 1
 
 
 @pytest.fixture()
@@ -115,6 +112,11 @@ class TestPackedRoundTrip:
     def test_value_exceeding_slot_raises(self, packed):
         with pytest.raises(ValueError, match="slot capacity"):
             packed.pack([300.0])  # |f| = 300·2^16 ≥ 2^24
+
+    def test_too_few_plaintexts_rejected(self, packed):
+        plaintexts = packed.pack([1.0] * (packed.slots + 1))
+        with pytest.raises(ValueError, match="not enough plaintexts"):
+            packed.unpack(plaintexts[:1], packed.slots + 1)
 
     def test_unpack_integers_exact(self, packed):
         values = [3.5, -3.5]

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import DecryptionCrossCheck, DeviceRegistry
 from repro.crypto import (
-    FixedPointCodec,
+    PackedCodec,
     combine_partial_decryptions,
     encrypt,
     partial_decrypt,
@@ -128,8 +128,8 @@ class TestMalformedProtocolInputs:
     def test_codec_capacity_guard_trips_before_overflow(self, keypair128):
         """The protocol refuses configurations whose EESum scaling could
         silently wrap the plaintext space."""
-        codec = FixedPointCodec(keypair128.public, fractional_bits=40)
-        with pytest.raises(ValueError):
-            codec.check_capacity(
-                max_abs_value=1e6, population=10**7, exchanges=220
+        with pytest.raises(ValueError, match="plaintext space too small"):
+            PackedCodec.plan(
+                keypair128.public, fractional_bits=40, max_abs_value=1e6,
+                population=1, exchanges=220,
             )

@@ -12,50 +12,51 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import ChiaroscuroParams, Diptych, NoisePlan, Participant
-from repro.core.noise import encrypt_share_vector
-from repro.crypto import FixedPointCodec, decrypt
+from repro.core import ChiaroscuroParams, NoisePlan, Participant
+from repro.crypto import FixedPointCodec, PackedCodec, decrypt, encrypt_batch
 from repro.gossip import EESum, GossipEngine
 
 
-class TestDiptychTrichotomy:
-    def test_every_exported_field_classified(self):
-        diptych = Diptych(centroids=np.zeros((2, 3)))
-        classes = diptych.exported_fields()
-        assert set(classes.values()) <= {"dp", "encrypted", "independent"}
-        # Nothing cleartext-and-data-dependent may appear.
-        assert "series" not in classes
+@pytest.fixture()
+def packed(keypair128):
+    return PackedCodec(
+        keypair128.public, fractional_bits=16, value_bits=24, accumulation_bits=12
+    )
 
 
 class TestCiphertextIndistinguishability:
-    def test_assigned_and_unassigned_slots_look_alike(self, keypair128):
+    def test_assigned_and_unassigned_slots_look_alike(self, keypair128, packed):
         """An observer of the encrypted means must not tell which cluster a
         participant's series went to: ciphertext *sizes* and value ranges
-        are identical across slots (semantic security provides the rest —
-        the scheme is probabilistic, tested in crypto/)."""
-        codec = FixedPointCodec(keypair128.public, fractional_bits=16)
-        participant = Participant(
-            node_id=0, series=np.array([42.0, 17.0]),
-            public=keypair128.public, codec=codec,
-        )
+        are identical across the packed vector, whichever stripe holds the
+        series (semantic security provides the rest — the scheme is
+        probabilistic, tested in crypto/)."""
+        participant = Participant(0, np.array([42.0, 17.0]), packed)
         rng = random.Random(0)
-        vector = participant.encrypted_means_vector(np.zeros((3, 2)), rng)
+        centroids = np.zeros((3, 2))
+        vector = participant.encrypted_means_vector(centroids, rng)
+        assert len(vector) == packed.packed_length(3 * 3) > 1
         n_s1 = keypair128.public.n_s1
         assert all(0 < c < n_s1 for c in vector)
         # Re-encrypting yields entirely different ciphertexts (probabilistic).
-        vector2 = participant.encrypted_means_vector(np.zeros((3, 2)), rng)
+        vector2 = participant.encrypted_means_vector(centroids, rng)
         assert all(a != b for a, b in zip(vector, vector2))
+        # Assigned elsewhere: same count, same range.
+        centroids[0] = 1e3
+        moved = participant.encrypted_means_vector(centroids, rng)
+        assert len(moved) == len(vector)
+        assert all(0 < c < n_s1 for c in moved)
 
-    def test_noise_shares_travel_encrypted(self, keypair128):
-        codec = FixedPointCodec(keypair128.public, fractional_bits=16)
+    def test_noise_shares_travel_encrypted(self, keypair128, packed):
         plan = NoisePlan(k=2, series_length=3, dmin=0, dmax=10, epsilon=1.0, n_nu=10)
         share = plan.draw_share(np.random.default_rng(0))
-        ciphertexts = encrypt_share_vector(
-            keypair128.public, codec, share, random.Random(1)
+        ciphertexts = encrypt_batch(
+            keypair128.public, packed.pack(share), random.Random(1)
         )
         # What goes on the wire is the ciphertext, never the share itself.
         assert all(isinstance(c, int) for c in ciphertexts)
-        decoded = np.array([codec.decode(decrypt(keypair128, c)) for c in ciphertexts])
+        plaintexts = [decrypt(keypair128, c) for c in ciphertexts]
+        decoded = np.array(packed.unpack(plaintexts, plan.dimensions))
         assert np.allclose(decoded, share, atol=1e-4)
 
 

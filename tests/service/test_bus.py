@@ -71,6 +71,23 @@ class TestNdjson:
             append_ndjson(path, {"i": i})
         assert [r["i"] for r in read_events(path)] == list(range(5))
 
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        """The log is strict JSON — what ``jq`` and sqlite's JSON functions
+        accept — so a NaN agreement never reaches it as a bare ``NaN``."""
+        path = tmp_path / "log.ndjson"
+        nan, inf = float("nan"), float("inf")
+        append_ndjson(
+            path, {"agreement": nan, "nested": [1.5, inf, {"low": -inf}], "ok": 2.0}
+        )
+
+        def refuse(constant):
+            raise AssertionError(f"bare {constant} in the log")
+
+        (line,) = path.read_text().splitlines()
+        assert json.loads(line, parse_constant=refuse) == {
+            "agreement": None, "nested": [1.5, None, {"low": None}], "ok": 2.0,
+        }
+
     def test_read_tolerates_torn_tail(self, tmp_path):
         path = tmp_path / "log.ndjson"
         append_ndjson(path, {"ok": 1})

@@ -100,7 +100,8 @@ def dump_tables(con) -> dict[str, list[tuple]]:
 
 
 def bus_line(record: dict) -> bytes:
-    """The bytes ``append_ndjson`` writes for ``record``."""
+    """The bytes ``append_ndjson`` writes for ``record`` (for a non-finite
+    float: wrote, until PR 21)."""
     return (json.dumps(record, separators=(",", ":")) + "\n").encode()
 
 
@@ -285,18 +286,22 @@ class TestPayloadIsTheLineAsWritten:
         assert text == "é"
 
     def test_non_finite_constant_becomes_null(self, tmp_path):
-        """Permitted difference 2 (a bug at the parent): ``append_ndjson``
-        writes ``NaN`` for a non-finite float, sqlite's JSON functions
-        reject it, and one such event used to take ``report latency``
-        down for the whole warehouse.  Only that line is re-serialised."""
+        """Permitted difference 2 (a bug at the parent): until PR 21
+        ``append_ndjson`` wrote ``NaN`` for a non-finite float, sqlite's
+        JSON functions reject it, and one such event used to take ``report
+        latency`` down for the whole warehouse.  Logs written back then are
+        still on disk (written here the way that bus wrote them); only
+        that line is re-serialised."""
         path = tmp_path / "job-a" / "events.ndjson"
         path.parent.mkdir()
-        for seq in range(4):
-            append_ndjson(path, {
+        path.write_bytes(b"".join(
+            bus_line({
                 "type": "iteration_completed", "seq": seq, "ts": 10.0 + seq,
                 "iteration": seq, "crypto_ms": 3.0,
                 "agreement": float("nan") if seq == 2 else 0.9,
             })
+            for seq in range(4)
+        ))
         assert b'"agreement":NaN' in path.read_bytes()
         con = connect(":memory:")
         assert ingest_paths(con, [path])["events"] == 4
