@@ -12,7 +12,7 @@ measures the protocol plane's scaling directly:
 2. **scaling** — vectorized per-cycle wall-times at 10⁴ → 10⁶ nodes;
 3. **full loop** — a complete Chiaroscuro run (assignment → EESum →
    noise → dissemination → collection → smoothing → convergence) with
-   ``protocol_plane="vectorized"`` at 10⁵ participants (k = 10, n = 20),
+   ``plane="vectorized"`` at 10⁵ participants (k = 10, n = 20),
    and one iteration at 10⁶ (k = 10, n = 2 — the paper's Fig. 3(b)/4
    population), each with its seconds per iteration and its peak RSS.
 

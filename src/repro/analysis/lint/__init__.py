@@ -2,8 +2,7 @@
 
 Eight PRs of growth rest on invariants that exist only by convention:
 bit-identical outputs across bigint kernels and crypto backends, fault
-injection strictly separated from protocol logic, every run event
-round-trippable through the NDJSON wire form, and every noise draw
+injection strictly separated from protocol logic, and every noise draw
 charged to ε.  This package makes those contracts *machine-checked*
 (the lightweight-formal-checking tradition): stdlib-``ast`` only, one
 parse per file shared by every rule, and the rules in a
@@ -18,8 +17,8 @@ Layout
   content-based fingerprint (line-number independent);
 * :mod:`~repro.analysis.lint.registry`  — ``RULES``/``@register_rule``;
 * :mod:`~repro.analysis.lint.rules`     — the shipped invariants
-  (determinism, bigint purity, layering, event-wire sync, registry
-  hygiene, ε-accounting);
+  (determinism, bigint purity, layering, registry hygiene,
+  ε-accounting);
 * :mod:`~repro.analysis.lint.engine`    — ``run_lint``: drive every
   rule over a project, apply suppressions and the baseline;
 * :mod:`~repro.analysis.lint.baseline`  — the committed baseline file

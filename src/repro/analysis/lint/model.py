@@ -2,8 +2,8 @@
 
 One :class:`Module` is built per file — source, AST, inferred package
 path, resolved imports, alias map, ``TYPE_CHECKING`` line spans and
-suppression comments — and a :class:`Project` holds them all, so eight
-rules cost one parse, not eight.
+suppression comments — and a :class:`Project` holds them all, so seven
+rules cost one parse, not seven.
 
 Package inference walks ``__init__.py`` parents (``src/repro/core/x.py``
 → ``repro.core.x``).  Fixture files — test snippets that must masquerade
@@ -147,8 +147,8 @@ class Project:
     """All modules under the linted paths, parsed once.
 
     ``by_package`` maps dotted module paths to modules (fixture
-    directives included), so whole-project rules (layering, event-wire
-    sync) look peers up without re-walking the filesystem.
+    directives included), so whole-project rules (layering) look peers
+    up without re-walking the filesystem.
     """
 
     def __init__(self, modules: list[Module]) -> None:

@@ -16,7 +16,7 @@ A rule is a class with a ``check(project) -> Iterable[Finding]`` method;
 ``key`` is injected at registration.  Rules see the whole
 :class:`~repro.analysis.lint.model.Project` (single-parse modules), so
 per-module rules iterate ``project.modules`` and whole-program rules
-(layering, event-wire sync) can look peers up in ``project.by_package``.
+(layering) can look peers up in ``project.by_package``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Built-in lint rules — importing this package registers all of them.
 
-Eight rules guard the repo's structural invariants (plus the reserved
+Seven rules guard the repo's structural invariants (plus the reserved
 ``suppression`` meta-rule the engine reports directly):
 
 == ======================== ==========================================
@@ -9,9 +9,8 @@ Eight rules guard the repo's structural invariants (plus the reserved
 3  bigint-purity            bigint arithmetic only via crypto.bigint
 4  layering-dag             foundation never imports orchestration
 5  fault-seams              faults use the two documented seams only
-6  event-wire-sync          RunEvent fields all reach event_to_dict
-7  registry-hygiene         registered components documented + frozen
-8  epsilon-accounting       noise draws reference the budget flow
+6  registry-hygiene         registered components documented + frozen
+7  epsilon-accounting       noise draws reference the budget flow
 == ======================== ==========================================
 """
 
@@ -21,7 +20,6 @@ from . import (  # noqa: F401  (imported for rule registration)
     bigint_purity,
     determinism,
     epsilon,
-    events,
     hygiene,
     layering,
 )
@@ -30,7 +28,6 @@ __all__ = [
     "bigint_purity",
     "determinism",
     "epsilon",
-    "events",
     "hygiene",
     "layering",
 ]

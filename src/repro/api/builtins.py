@@ -208,6 +208,7 @@ class _ProtocolPlane(ExecutionPlane):
             keypair=ctx.keypair,
             cycle_hook=cycle_hook,
             fault_plan=ctx.fault_plan,
+            plane=self.key,
         )
         # Exposed for diagnostics (e.g. wire-format demos) and for the
         # facade's abort-time read of the run's ε ledger.

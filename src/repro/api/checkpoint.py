@@ -116,19 +116,8 @@ class Checkpoint:
     converged: bool = False  # θ-test fired at this iteration: do not resume past it
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format": "chiaroscuro-checkpoint/v1",
-                "spec": self.spec,
-                "plane": self.plane,
-                "iteration": self.iteration,
-                "centroids": self.centroids,
-                "epsilon_spent": self.epsilon_spent,
-                "rng_state": self.rng_state,
-                "history": self.history,
-                "converged": self.converged,
-            }
-        )
+        """The format tag, then every field under its own name, in order."""
+        return json.dumps({"format": "chiaroscuro-checkpoint/v1", **vars(self)})
 
     @classmethod
     def from_json(cls, text: str) -> "Checkpoint":

@@ -13,16 +13,23 @@ before the final ``RunCompleted`` (whose reason is then ``"aborted"``).
 
 A consumer may stop iterating at any point (early stopping); generators
 clean up behind it, and any checkpoints already written remain resumable.
+
+The record is the event: ``IterationCompleted`` is the loop's own
+:class:`~repro.core.results.IterationRecord`, yielded as is.  The wire form
+(:func:`event_to_dict`) is read off each event's dataclass fields, so a new
+fact is one new field; ``field(metadata={"wire": False})`` keeps a field off
+the wire and ``{"wire": "<key>"}`` sends it under another key.
 """
 
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import TYPE_CHECKING, Any, Iterator, Union
+
+from ..core.results import ClusteringResult, IterationRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..core.results import ClusteringResult, IterationStats
     from .spec import RunSpec
 
 __all__ = [
@@ -41,10 +48,10 @@ __all__ = [
 class RunStarted:
     """Emitted once, before the first iteration (or after a resume)."""
 
-    # repro-lint: allow=event-wire-sync -- heavyweight payload lives in the job record, not the wire form
-    spec: "RunSpec"
+    # heavyweight payload: lives in the job record, not on every event line
+    spec: "RunSpec" = field(metadata={"wire": False})
     label: str  # paper-style strategy label, e.g. "G_SMA"
-    dataset_name: str
+    dataset_name: str = field(metadata={"wire": "dataset"})
     t: int  # stored series / participants
     n: int  # series length
     population: int  # effective individuals (t × population_scale)
@@ -64,25 +71,9 @@ class RunStarted:
         }
 
 
-@dataclass(frozen=True)
-class IterationCompleted:
-    """One finished iteration: the paper's stats plus run-level counters."""
-
-    stats: "IterationStats"
-    epsilon_spent_total: float
-    epsilon_remaining: float
-    active_series: int | None = None  # churn counter (quality plane)
-    agreement: float | None = None  # epidemic spread (protocol planes)
-    exchanges_per_node: float | None = None  # gossip counter (protocol planes)
-    crypto_ms: float | None = None  # timed crypto wall (vectorized-crypto only)
-
-    @property
-    def iteration(self) -> int:
-        return self.stats.iteration
-
-    @property
-    def n_centroids(self) -> int:
-        return self.stats.n_centroids
+#: One finished iteration — the paper's stats plus run-level counters — is
+#: the record the Algorithm 1 loop yielded, under the name consumers match.
+IterationCompleted = IterationRecord
 
 
 @dataclass(frozen=True)
@@ -138,92 +129,65 @@ class RunAborted:
 class RunCompleted:
     """Emitted once; carries the final result (and reason the loop ended)."""
 
-    result: "ClusteringResult"
+    # heavyweight payload: lives in the run record; its summary is the
+    # three derived fields below
+    result: ClusteringResult = field(metadata={"wire": False})
     reason: str  # "converged" | "budget" | "iterations" | "clusters-lost" | "aborted"
+    iterations: int = field(init=False)
+    converged: bool = field(init=False)
+    n_centroids: int = field(init=False)  # of the last iteration; 0 when none ran
+
+    def __post_init__(self) -> None:
+        history = self.result.history
+        object.__setattr__(self, "iterations", self.result.iterations)
+        object.__setattr__(self, "converged", self.result.converged)
+        object.__setattr__(
+            self, "n_centroids", history[-1].n_centroids if history else 0
+        )
 
 
-RunEvent = Union[
-    RunStarted,
-    IterationCompleted,
-    CheckpointSaved,
-    FaultDetected,
-    RunAborted,
-    RunCompleted,
-]
+#: Event class → its ``"type"`` tag on the wire; the keys are the union.
+EVENT_TAGS = {
+    RunStarted: "run_started",
+    IterationCompleted: "iteration_completed",
+    CheckpointSaved: "checkpoint_saved",
+    FaultDetected: "fault_detected",
+    RunAborted: "run_aborted",
+    RunCompleted: "run_completed",
+}
+
+RunEvent = Union[tuple(EVENT_TAGS)]
+
+
+def _wire_items(obj: Any) -> Iterator[tuple[str, Any]]:
+    """``(key, value)`` per on-wire field, in declaration order; a nested
+    dataclass (``stats``) contributes its own fields in place."""
+    for f in fields(obj):
+        key = f.metadata.get("wire", f.name)
+        if key is False:
+            continue
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _wire_items(value)
+        elif isinstance(value, pathlib.PurePath):
+            yield key, str(value)
+        else:
+            yield key, list(value) if isinstance(value, tuple) else value
 
 
 def event_to_dict(event: RunEvent) -> dict:
     """Flatten a run event to a JSON-ready dict with a ``"type"`` tag.
 
     This is the wire form of the event stream — what the service appends
-    to its NDJSON logs and what any future push transport would send.  The
-    heavyweight payloads stay out: ``RunStarted.spec`` lives in the job
-    record and ``RunCompleted.result`` in the run record, so event lines
+    to its NDJSON logs and what any future push transport would send:
+    the tag, then every on-wire field under its own name.  The
+    heavyweight payloads stay out (``RunStarted.spec`` lives in the job
+    record and ``RunCompleted.result`` in the run record), so event lines
     stay one-screen greppable.
     """
-    if isinstance(event, RunStarted):
-        return {
-            "type": "run_started",
-            "label": event.label,
-            "dataset": event.dataset_name,
-            "t": event.t,
-            "n": event.n,
-            "population": event.population,
-            "sum_sensitivity": event.sum_sensitivity,
-            "resumed_iteration": event.resumed_iteration,
-            "crypto_backend": event.crypto_backend,
-            "bigint_backend": event.bigint_backend,
-            "key_bits": event.key_bits,
-        }
-    if isinstance(event, IterationCompleted):
-        stats = event.stats
-        return {
-            "type": "iteration_completed",
-            "iteration": stats.iteration,
-            "pre_inertia": stats.pre_inertia,
-            "post_inertia": stats.post_inertia,
-            "n_centroids": stats.n_centroids,
-            "epsilon_spent": stats.epsilon_spent,
-            "epsilon_spent_total": event.epsilon_spent_total,
-            "epsilon_remaining": event.epsilon_remaining,
-            "active_series": event.active_series,
-            "agreement": event.agreement,
-            "exchanges_per_node": event.exchanges_per_node,
-            "crypto_ms": event.crypto_ms,
-        }
-    if isinstance(event, CheckpointSaved):
-        return {
-            "type": "checkpoint_saved",
-            "iteration": event.iteration,
-            "path": str(event.path),
-        }
-    if isinstance(event, FaultDetected):
-        return {
-            "type": "fault_detected",
-            "iteration": event.iteration,
-            "fault": event.fault,
-            "detector": event.detector,
-            "participants": list(event.participants),
-            "detail": dict(event.detail),
-        }
-    if isinstance(event, RunAborted):
-        return {
-            "type": "run_aborted",
-            "iteration": event.iteration,
-            "fault": event.fault,
-            "reason": event.reason,
-            "epsilon_charged": event.epsilon_charged,
-        }
-    if isinstance(event, RunCompleted):
-        return {
-            "type": "run_completed",
-            "reason": event.reason,
-            "iterations": event.result.iterations,
-            "converged": event.result.converged,
-            "n_centroids": (
-                event.result.history[-1].n_centroids
-                if event.result.history
-                else 0
-            ),
-        }
-    raise TypeError(f"not a run event: {type(event).__name__}")
+    tag = EVENT_TAGS.get(type(event))
+    if tag is None:
+        raise TypeError(f"not a run event: {type(event).__name__}")
+    wire = {"type": tag}
+    wire.update(_wire_items(event))
+    return wire

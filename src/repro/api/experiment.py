@@ -30,7 +30,7 @@ Seed discipline (what makes checkpoint/resume bit-identical):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -43,7 +43,6 @@ from ..privacy.budget import BudgetStrategy
 from .checkpoint import Checkpoint, CheckpointStore
 from .events import (
     CheckpointSaved,
-    IterationCompleted,
     RunAborted,
     RunCompleted,
     RunEvent,
@@ -137,16 +136,15 @@ class ExecutionPlane:
             )
 
 
-#: What ``IterationCompleted`` carries of the loop's ``IterationRecord``.
-_ITERATION_FACTS = tuple(f.name for f in fields(IterationCompleted))
-
-#: ``ChiaroscuroParams`` fields documented as result-neutral (bit-identical
-#: runs for the same seed): pure execution-speed knobs — and the retired
-#: ``use_packing``, which older checkpoints' spec dicts still carry and
-#: which never had an effect on a checkpointable plane.
-_RESULT_NEUTRAL_PARAMS = frozenset(
-    {"bigint_backend", "crypto_backend", "backend_workers", "use_packing"}
-)
+#: ``params`` keys :func:`_spec_identity` ignores: the result-neutral
+#: execution knobs, then keys retired since older checkpoints were written —
+#: ``use_packing`` never had an effect on a checkpointable plane;
+#: ``protocol_plane`` and ``budget_strategy`` restated the spec's ``plane``
+#: and ``strategy``, which are compared.
+_RESULT_NEUTRAL_PARAMS = frozenset({
+    "bigint_backend", "crypto_backend", "backend_workers",
+    "use_packing", "protocol_plane", "budget_strategy",
+})
 
 
 def _spec_identity(spec_dict: dict) -> dict:
@@ -249,6 +247,10 @@ class Experiment:
     ) -> Iterator[RunEvent]:
         """Execute the spec, yielding typed :class:`RunEvent` objects.
 
+        The record is the event: each ``IterationCompleted`` is the very
+        :class:`~repro.core.results.IterationRecord` the plane's loop
+        yielded, passed on as is.
+
         With ``checkpoint_dir``, a :class:`Checkpoint` is written after
         every iteration (on planes that support it) and, when ``resume``
         is true and the directory already holds a checkpoint *of the same
@@ -336,10 +338,7 @@ class Experiment:
                     # Detections raised during the iteration precede its
                     # completion event.
                     yield from fault_plan.drain_events()
-                # The event's fields are the record's, name for name.
-                yield IterationCompleted(
-                    **{name: getattr(step, name) for name in _ITERATION_FACTS}
-                )
+                yield step  # the record is the IterationCompleted event
                 if store is not None and step.rng_state is not None:
                     path = store.save(
                         Checkpoint(

@@ -18,18 +18,15 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, Self
 
 import numpy as np
 
 from ..core.config import ChiaroscuroParams
+from ..core.protocol import PROTOCOL_PLANES  # the planes a fault block may run on
 from .registry import DATASETS, INITIALIZERS, PLANES, resolve_strategy
 
-__all__ = ["DatasetSpec", "FaultSpec", "InitSpec", "RunSpec"]
-
-#: Planes that execute through ``ChiaroscuroRun`` and therefore must agree
-#: with ``ChiaroscuroParams.protocol_plane``.
-PROTOCOL_PLANES = ("object", "vectorized", "vectorized-crypto")
+__all__ = ["DatasetSpec", "FaultSpec", "InitSpec", "RunSpec", "jsonify"]
 
 #: Default initializer per built-in dataset kind (used by ``from_cli_args``).
 DEFAULT_INITIALIZERS = {
@@ -40,85 +37,62 @@ DEFAULT_INITIALIZERS = {
 }
 
 
-def _jsonify(value: Any) -> Any:
-    """Normalize to plain JSON types so spec equality survives round-trips."""
+def jsonify(value: Any) -> Any:
+    """Normalize to plain JSON types, so spec equality survives round-trips
+    (and fault evidence reaches the wire as JSON); anything else raises."""
     if isinstance(value, Mapping):
-        return {str(k): _jsonify(v) for k, v in value.items()}
+        return {str(k): jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+        return [jsonify(v) for v in value]
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, (str, bool, int, float)) or value is None:
         return value
-    raise TypeError(f"spec parameter of unsupported type {type(value).__name__}")
+    raise TypeError(f"no JSON form for a value of type {type(value).__name__}")
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
+class _Block:
+    """A registry ``kind`` plus the kwargs its registered builder takes."""
+
+    kind: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", jsonify(self.params))
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "params": dict(self.params)}
+
+    @classmethod
+    def from_dict(cls, d: Mapping) -> Self:
+        return cls(kind=d["kind"], params=dict(d.get("params", {})))
+
+
+class DatasetSpec(_Block):
     """Which workload to build: a registry kind plus generator kwargs.
 
     ``params`` may carry its own ``"seed"``; otherwise the run seed is
     used, so sweeps can pin the dataset while varying run randomness.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _jsonify(self.params))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "DatasetSpec":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
-
-
-@dataclass(frozen=True)
-class InitSpec:
+class InitSpec(_Block):
     """How to draw the k initial centroids (``k`` itself lives in params.k).
 
     Like datasets, ``params`` may pin its own ``"seed"``.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _jsonify(self.params))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "InitSpec":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
-
-
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(_Block):
     """One declared fault: a fault-registry kind plus its config params.
 
     ``params`` are the constructor kwargs of the registered fault-config
     dataclass (e.g. ``{"loss": 0.2}`` for ``kind="network"``); they are
     validated at spec construction by instantiating the config.
     """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _jsonify(self.params))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "FaultSpec":
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
 
 
 @dataclass(frozen=True)
@@ -144,7 +118,7 @@ class RunSpec:
     dataset: DatasetSpec
     init: InitSpec
     params: ChiaroscuroParams = field(default_factory=ChiaroscuroParams)
-    strategy: str = ""
+    strategy: str = "G"
     seed: int = 0
     plane: str = "quality"
     churn: float = 0.0
@@ -153,7 +127,7 @@ class RunSpec:
     faults: tuple = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "options", _jsonify(self.options))
+        object.__setattr__(self, "options", jsonify(self.options))
         faults = tuple(
             f if isinstance(f, FaultSpec) else FaultSpec.from_dict(f)
             for f in self.faults
@@ -176,8 +150,6 @@ class RunSpec:
                     build_fault(fault.kind, fault.params)
                 except KeyError as exc:
                     raise ValueError(str(exc)) from None
-        if not self.strategy:
-            object.__setattr__(self, "strategy", self.params.budget_strategy)
         if not 0 <= self.churn < 1:
             raise ValueError("churn must be in [0, 1)")
         if self.plane not in PLANES:
@@ -208,12 +180,6 @@ class RunSpec:
                 f"keys declared by registered planes: "
                 f"{', '.join(sorted(known_options)) or '(none)'}"
             )
-        if self.plane in PROTOCOL_PLANES and self.params.protocol_plane != self.plane:
-            raise ValueError(
-                f"plane={self.plane!r} requires params.protocol_plane={self.plane!r} "
-                f"(got {self.params.protocol_plane!r}); build the spec via "
-                "from_dict/with_plane, which reconcile the two"
-            )
 
     # ------------------------------------------------------------------ io
 
@@ -238,12 +204,15 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunSpec":
-        plane = d.get("plane", "quality")
         params_dict = dict(d.get("params", {}))
-        if plane in PROTOCOL_PLANES:
-            params_dict["protocol_plane"] = plane
-        # Retired knob: job stores and checkpoints written while it existed
-        # carry its default; packing is the only ciphertext layout now.
+        # Retired keys, which job stores, checkpoints and committed BENCH
+        # files written while they existed still carry.  The plane and the
+        # strategy are the spec's own fields now: a stored protocol_plane is
+        # dropped, a stored budget_strategy speaks only where "strategy" is
+        # absent (it was that default's source).
+        params_dict.pop("protocol_plane", None)
+        stored_strategy = params_dict.pop("budget_strategy", "G")
+        # Packing is the only ciphertext layout; stored specs carry True.
         if params_dict.pop("use_packing", True) is not True:
             raise ValueError(
                 "params.use_packing was removed: real-crypto planes always "
@@ -258,15 +227,13 @@ class RunSpec:
             dataset=DatasetSpec.from_dict(d["dataset"]),
             init=InitSpec.from_dict(d["init"]),
             params=params,
-            strategy=d.get("strategy", "") or params.budget_strategy,
+            strategy=d.get("strategy") or stored_strategy,
             seed=int(d.get("seed", 0)),
-            plane=plane,
+            plane=d.get("plane", "quality"),
             churn=float(d.get("churn", 0.0)),
             options=dict(d.get("options", {})),
             name=d.get("name", ""),
-            faults=tuple(
-                FaultSpec.from_dict(f) for f in d.get("faults", ())
-            ),
+            faults=d.get("faults", ()),  # __post_init__ builds the blocks
         )
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -289,9 +256,7 @@ class RunSpec:
 
     def with_plane(self, plane: str) -> "RunSpec":
         """The same experiment on a different plane (the three-plane pivot)."""
-        d = self.to_dict()
-        d["plane"] = plane
-        return RunSpec.from_dict(d)
+        return self.replace(plane=plane)
 
     def replace(self, **changes) -> "RunSpec":
         """``dataclasses.replace`` with re-validation."""
@@ -307,19 +272,15 @@ class RunSpec:
         the full iteration budget) — pass a spec file for convergence-test
         runs.
         """
-        plane = getattr(args, "plane", None) or "quality"
-        params_dict = dict(
+        params = ChiaroscuroParams(
             k=args.k,
             epsilon=args.epsilon,
             max_iterations=args.iterations,
-            budget_strategy=args.strategy.upper(),
             use_smoothing=not args.no_smoothing,
             key_bits=args.key_bits,
             bigint_backend=getattr(args, "bigint_backend", None) or "auto",
             theta=0.0,
         )
-        if plane in PROTOCOL_PLANES:
-            params_dict["protocol_plane"] = plane
         dataset_params: dict[str, Any] = {}
         if args.dataset in ("cer", "numed"):
             dataset_params = {"n_series": args.series, "population_scale": args.scale}
@@ -330,9 +291,9 @@ class RunSpec:
         return cls(
             dataset=DatasetSpec(kind=args.dataset, params=dataset_params),
             init=InitSpec(kind=DEFAULT_INITIALIZERS.get(args.dataset, "sample")),
-            params=ChiaroscuroParams(**params_dict),
+            params=params,
             strategy=args.strategy.upper(),
             seed=args.seed,
-            plane=plane,
+            plane=getattr(args, "plane", None) or "quality",
             churn=args.churn,
         )

@@ -42,21 +42,9 @@ class ChiaroscuroParams:
     *and* bigint — is fully result-neutral (bit-identical runs for the same
     seed).
 
-    ``protocol_plane`` selects the *simulation substrate* for the whole
-    run: ``"object"`` is the cycle-driven engine with genuine Damgård–Jurik
-    ciphertexts (faithful, tens-to-hundreds of devices); ``"vectorized"``
-    is the struct-of-arrays engine over the mock-homomorphic integer plane
-    (full Algorithm 2/EpiDis/collection semantics as array operations,
-    10⁵–10⁶ participants).  The vectorized plane skips key generation and
-    carries the integers real ciphertexts would decrypt to — decoded
-    results are validated against the object plane by shadow execution
-    (``tests/gossip``); RNG consumption differs per plane, so seeded runs
-    are reproducible per plane.
-    ``"vectorized-crypto"`` is the struct-of-arrays engine carrying *real*
-    packed Damgård–Jurik ciphertexts, each round's homomorphic work fused
-    into bigint batches: decoded per-iteration centroids are bit-identical
-    to a ``"vectorized"`` run of the same seed, while every exchange pays
-    genuine ciphertext algebra (reported as ``crypto_ms`` telemetry).
+    Not on this sheet, because each is named once elsewhere: the simulation
+    substrate (``ChiaroscuroRun(plane=)`` / ``RunSpec.plane``) and the
+    budget strategy (``RunSpec.strategy``).
     """
 
     # k-means
@@ -77,17 +65,15 @@ class ChiaroscuroParams:
     noise_share_fraction: float = 1.0  # n_ν = 100 % of the population
 
     # quality heuristics (Sec. 5)
-    budget_strategy: str = "G"
     floor_size: int = 4
     uf_iterations: int = 5
     smoothing_fraction: float = 0.2  # SMA window = 20 % of series length
     use_smoothing: bool = True
 
-    # execution (batched crypto plane + simulation substrate)
+    # execution (batched crypto plane)
     crypto_backend: str = "serial"
     backend_workers: int = 0  # 0 = one worker per CPU
     bigint_backend: str = "auto"  # modular-arithmetic kernel (crypto.bigint)
-    protocol_plane: str = "object"
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -116,11 +102,6 @@ class ChiaroscuroParams:
             )
         if self.backend_workers < 0:
             raise ValueError("backend_workers must be >= 0 (0 = one per CPU)")
-        if self.protocol_plane not in ("object", "vectorized", "vectorized-crypto"):
-            raise ValueError(
-                "protocol_plane must be 'object', 'vectorized' or "
-                "'vectorized-crypto'"
-            )
 
     def tau_count(self, population: int) -> int:
         """Absolute key-share threshold τ for a given population size."""

@@ -8,7 +8,7 @@ This orchestrates the loop every participant runs:
         convergence step  (local, cleartext)
 
 written once (:meth:`ChiaroscuroRun.run_iter`) over one of three
-simulation substrates, selected by ``ChiaroscuroParams.protocol_plane``:
+simulation substrates, selected by ``ChiaroscuroRun(..., plane=)``:
 
 * ``"object"`` — the cycle-driven gossip engine with genuine Damgård–Jurik
   threshold cryptography.  The "strong proof of concept" plane: faithful
@@ -67,7 +67,10 @@ from .participant import Participant
 from .results import ClusteringResult, IterationRecord, IterationStats
 from .smoothing import sma_smooth
 
-__all__ = ["ChiaroscuroRun"]
+__all__ = ["ChiaroscuroRun", "PROTOCOL_PLANES"]
+
+#: The simulation substrates ``ChiaroscuroRun`` can execute over.
+PROTOCOL_PLANES = ("object", "vectorized", "vectorized-crypto")
 
 
 class ChiaroscuroRun:
@@ -77,7 +80,8 @@ class ChiaroscuroRun:
     benches use 1024.  The Damgård–Jurik expansion ``s`` is
     ``params.expansion_s``; a real-crypto run whose plaintext space cannot
     hold one packed slot at the worst-case EESum scaling is refused at
-    construction (``PackedCodec.plan`` raises ``ValueError``).
+    construction (``PackedCodec.plan`` raises ``ValueError``).  ``plane``
+    is the substrate, one of :data:`PROTOCOL_PLANES` (module docstring).
     """
 
     def __init__(
@@ -91,7 +95,13 @@ class ChiaroscuroRun:
         keypair: ThresholdKeypair | None = None,
         cycle_hook: Callable[[int, int], None] | None = None,
         fault_plan=None,
+        plane: str = "object",
     ) -> None:
+        if plane not in PROTOCOL_PLANES:
+            raise ValueError(
+                f"plane must be one of {', '.join(map(repr, PROTOCOL_PLANES))}"
+            )
+        self.plane = plane
         self.dataset = dataset
         self.strategy = strategy
         self.params = params
@@ -136,7 +146,7 @@ class ChiaroscuroRun:
         population = dataset.t
         tau = params.tau_count(population)
         dims = params.k * (dataset.n + 1)
-        if params.protocol_plane == "vectorized-crypto":
+        if plane == "vectorized-crypto":
             # Real packed Damgård–Jurik ciphertexts over the struct-of-
             # arrays engine.  Key material is committee-sized, not
             # population-sized: Shoup combination carries Δ = n_shares! in
@@ -156,7 +166,7 @@ class ChiaroscuroRun:
             # fixed-point grid before the single packed encryption.
             self.packed = self._plan_packed(exchanges=2 * params.exchanges, terms=1)
             self._build_backend(self.packed.packed_length(dims))
-        elif params.protocol_plane == "object":
+        elif plane == "object":
             self._ensure_keypair(key_bits, population, tau)
             # The EESum exchange counter can *chain* within one cycle (a
             # node that just advanced is contacted again), so the max count
@@ -339,7 +349,7 @@ class ChiaroscuroRun:
     def _new_engine(self, iteration: int, churn: float):
         """The iteration's gossip engine (own seed, so no shared RNG moves)."""
         seed = self.seed + 1000 * iteration
-        if self.params.protocol_plane == "object":
+        if self.plane == "object":
             engine = GossipEngine(
                 self.dataset.t, seed=seed, view_size=self.params.view_size, churn=churn
             )
@@ -359,7 +369,7 @@ class ChiaroscuroRun:
         of 1 into the assigned cluster's stripe of row i straight into its
         payload buffer, so the t × k·(n+1) means matrix is never built.
         """
-        if self.params.protocol_plane == "object":
+        if self.plane == "object":
             vectors = {
                 p.node_id: p.encrypted_means_vector(centroids, self.crypto_rng)
                 for p in self.participants
@@ -380,13 +390,13 @@ class ChiaroscuroRun:
             crypto_rng=self.crypto_rng,
             backend=self.backend,
         )
-        if params.protocol_plane == "object":
+        if self.plane == "object":
             return ComputationStep(**crypto, **common)
         common.update(
             threshold=params.tau_count(self.dataset.t),
             fractional_bits=self.fractional_bits,
         )
-        if params.protocol_plane == "vectorized":
+        if self.plane == "vectorized":
             return VectorizedComputationStep(**common)
         return VectorizedCryptoComputationStep(**crypto, **common)
 

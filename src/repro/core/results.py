@@ -12,9 +12,12 @@
 * ``epsilon_spent`` — the iteration's budget slice.
 
 ``IterationRecord`` is the one per-iteration record both Algorithm 1 loops
-(``iter_perturbed_kmeans``, ``ChiaroscuroRun.run_iter``) yield; planes
-forward it unchanged and ``Experiment.run_iter`` turns it into the
-``IterationCompleted`` event and the ``Checkpoint``.
+(``iter_perturbed_kmeans``, ``ChiaroscuroRun.run_iter``) yield.  The record
+is the event: planes forward it unchanged, ``Experiment.run_iter`` yields it
+as is (``repro.api.IterationCompleted`` is this class) and writes the
+``Checkpoint`` from it, and ``event_to_dict`` reads the wire form off its
+fields — so a new per-iteration fact is one new field here.  A field
+declared with ``metadata={"wire": False}`` stays off the wire.
 """
 
 from __future__ import annotations
@@ -35,18 +38,13 @@ class IterationStats:
     post_inertia: float
     n_centroids: int
     epsilon_spent: float
-    centroids: np.ndarray
+    # off the wire (k × n floats a line): the run record and checkpoints carry them
+    centroids: np.ndarray = field(metadata={"wire": False})
 
     def to_dict(self) -> dict:
-        """JSON-ready dict; exact float round-trip (``float`` ↔ JSON)."""
-        return {
-            "iteration": self.iteration,
-            "pre_inertia": self.pre_inertia,
-            "post_inertia": self.post_inertia,
-            "n_centroids": self.n_centroids,
-            "epsilon_spent": self.epsilon_spent,
-            "centroids": self.centroids.tolist(),
-        }
+        """JSON-ready dict of every field, in order; exact float round-trip
+        (``float`` ↔ JSON)."""
+        return {**vars(self), "centroids": self.centroids.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "IterationStats":
@@ -77,19 +75,29 @@ class IterationRecord:
     """
 
     stats: IterationStats
-    converged: bool
     epsilon_spent_total: float
     epsilon_remaining: float
+    # the run's outcome, told once by RunCompleted (and kept by the checkpoint)
+    converged: bool = field(default=False, metadata={"wire": False})
     active_series: int | None = None
     agreement: float | None = None
     exchanges_per_node: float | None = None
     crypto_ms: float | None = None
-    rng_state: dict | None = None
+    # resume state, two 128-bit integers: only a checkpoint has a use for it
+    rng_state: dict | None = field(default=None, metadata={"wire": False})
 
     @property
     def centroids(self) -> np.ndarray:
         """The released (perturbed, smoothed, lost-cluster-pruned) centroids."""
         return self.stats.centroids
+
+    @property
+    def iteration(self) -> int:
+        return self.stats.iteration
+
+    @property
+    def n_centroids(self) -> int:
+        return self.stats.n_centroids
 
 
 @dataclass

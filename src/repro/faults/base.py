@@ -112,7 +112,7 @@ class RunBinding:
 
     def __init__(self, run: Any) -> None:
         self.population: int = run.dataset.t
-        self.plane: str = run.params.protocol_plane
+        self.plane: str = run.plane
         self.threshold: int = run.params.tau_count(self.population)
         self.n_noise_shares: int = run.params.noise_share_count(self.population)
         self.seed: int = run.seed

@@ -18,28 +18,14 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-import numpy as np
-
 from ..api.events import FaultDetected
+from ..api.spec import jsonify
 from ..gossip.engine import GossipEngine
 from ..gossip.vectorized_protocol import VectorizedGossipEngine
 from .base import FaultAbort, RunBinding, build_fault, fault_rng
 from .engines import FaultyObjectEngine, FaultyVectorizedEngine
 
 __all__ = ["FaultPlan"]
-
-
-def _plain(value: Any) -> Any:
-    """Coerce detector evidence to JSON-ready plain types for the wire."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
 
 
 class FaultPlan:
@@ -121,7 +107,7 @@ class FaultPlan:
                 fault=fault,
                 detector=detector,
                 participants=tuple(int(p) for p in participants),
-                detail=_plain(detail),
+                detail=jsonify(detail),
             )
         )
 

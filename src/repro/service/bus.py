@@ -8,9 +8,8 @@ POSIX guarantee that concurrent appenders never interleave within a line
 is what makes the combined feed safe without any locking.
 
 Readers are tolerant by construction: a SIGKILL can truncate the last
-line mid-byte, so :func:`read_events` silently drops undecodable lines
-(the job's durable state lives in ``job.json``/checkpoints, never in the
-logs).
+line mid-byte, so every reader goes through :func:`_object_lines` (the
+job's durable state lives in ``job.json``/checkpoints, never in the logs).
 """
 
 from __future__ import annotations
@@ -51,19 +50,43 @@ def append_ndjson(path: str | pathlib.Path, record: dict) -> None:
         os.close(fd)
 
 
-def read_events(path: str | pathlib.Path) -> list[dict]:
-    """All decodable records in an NDJSON file (missing file = empty)."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return []
-    records = []
-    with open(path, "rb") as fh:
+def _object_lines(
+    path: str | pathlib.Path, offset: int = 0
+) -> Iterator[tuple[int, dict]]:
+    """The one reader: ``(end_offset, record)`` for every complete line past
+    ``offset`` that holds a JSON object.
+
+    The rules every reader below inherits (the warehouse's block reader,
+    ``warehouse.ingest._read_blocks``, keeps the same ones):
+
+    * a line ends at ``b"\n"``; an incomplete tail (a writer is mid-append
+      or was killed there) is never yielded — it stays pending until its
+      newline arrives;
+    * a complete line that is not UTF-8 JSON, or not an object (a torn
+      write glued to the next append, a foreign writer), is skipped;
+    * a missing file has no lines.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        fh.seek(offset)
         for line in fh:
+            if not line.endswith(b"\n"):
+                return
+            offset += len(line)
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except ValueError:
-                continue  # torn tail from a kill mid-append
-    return records
+                continue
+            if isinstance(record, dict):
+                yield offset, record
+
+
+def read_events(path: str | pathlib.Path) -> list[dict]:
+    """All records in an NDJSON file (missing file = empty)."""
+    return [record for _, record in _object_lines(path)]
 
 
 def tail_events(
@@ -75,24 +98,12 @@ def tail_events(
     """Yield records from an NDJSON file, optionally following appends.
 
     With ``follow``, keeps polling for new complete lines until
-    ``should_stop()`` turns true (a partial final line is left pending
-    until its newline arrives).
+    ``should_stop()`` turns true.
     """
-    path = pathlib.Path(path)
     offset = 0
     while True:
-        if path.exists():
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                while True:
-                    line = fh.readline()
-                    if not line.endswith(b"\n"):
-                        break  # incomplete tail: re-read next poll
-                    offset = fh.tell()
-                    try:
-                        yield json.loads(line)
-                    except ValueError:
-                        continue
+        for offset, record in _object_lines(path, offset):
+            yield record
         if not follow or (should_stop is not None and should_stop()):
             return
         time.sleep(poll_interval)
@@ -103,28 +114,22 @@ def next_seq(path: str | pathlib.Path) -> int:
 
     Resumes continue the numbering: the successor of the highest ``seq``
     already on disk, or — for logs written before ``seq`` existed — the
-    count of complete lines, so old and new records never collide.
-    Torn tails and undecodable lines are skipped, consistent with
-    :func:`read_events`.
+    count of complete lines (skipped ones too), so old and new records
+    never collide.  A torn tail's ``seq`` was never durably published.
     """
-    path = pathlib.Path(path)
-    if not path.exists():
+    highest = max(
+        (
+            record["seq"] for _, record in _object_lines(path)
+            if type(record.get("seq")) is int  # not a bool, which is an int
+        ),
+        default=-1,
+    )
+    if highest >= 0:
+        return highest + 1
+    try:
+        return pathlib.Path(path).read_bytes().count(b"\n")
+    except FileNotFoundError:
         return 0
-    highest = -1
-    lines = 0
-    with open(path, "rb") as fh:
-        for line in fh:
-            if not line.endswith(b"\n"):
-                break  # torn tail: its seq was never durably published
-            lines += 1
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            seq = record.get("seq") if isinstance(record, dict) else None
-            if isinstance(seq, int) and not isinstance(seq, bool):
-                highest = max(highest, seq)
-    return highest + 1 if highest >= 0 else lines
 
 
 class EventBus:

@@ -50,12 +50,6 @@ CASES = [
         [FIXTURES / "layering" / "good_seams.py"],
     ),
     (
-        "event-wire-sync",
-        FIXTURES / "events" / "bad_events.py",
-        2,
-        [FIXTURES / "events" / "good_events.py"],
-    ),
-    (
         "registry-hygiene",
         FIXTURES / "hygiene" / "bad_hygiene.py",
         2,
@@ -107,8 +101,8 @@ class TestSuppressionFlow:
 
 
 class TestRegistry:
-    def test_all_eight_rules_registered(self):
-        assert len(RULES) == 8
+    def test_all_seven_rules_registered(self):
+        assert len(RULES) == 7
 
     def test_every_rule_has_a_description(self):
         for key in RULES:

@@ -165,6 +165,16 @@ class TestCheckpointHygiene:
         with pytest.raises(ValueError, match="different spec"):
             Experiment.from_spec(other).run(checkpoint_dir=directory)
 
+    def test_resume_under_a_spec_that_pivoted_away_and_back(self, tmp_path):
+        """A plane pivot leaves no trace: the round-tripped spec is the spec
+        that wrote the checkpoint (it used to be refused as "different")."""
+        spec = spec_for("quality")
+        directory = str(tmp_path / "pivot")
+        run_interrupted(spec, directory, 2)
+        back = spec.with_plane("vectorized").with_plane("quality")
+        resumed = Experiment.from_spec(back).run(checkpoint_dir=directory)
+        assert_bit_identical(resumed, Experiment.from_spec(spec).run())
+
     def test_resume_under_different_bigint_backend(self, tmp_path):
         """The kernel is a result-neutral speed knob: switching it between
         interruption and resume must not trip the spec-identity check, and

@@ -79,7 +79,7 @@ class TestFacadeEquivalence:
         context = Experiment.from_spec(spec).context
         run = ChiaroscuroRun(
             context.dataset, context.strategy, spec.params,
-            context.initial_centroids, seed=spec.seed,
+            context.initial_centroids, seed=spec.seed, plane=spec.plane,
         )
         direct, _ = run.run()
         assert via_api.iterations == direct.iterations
@@ -152,8 +152,7 @@ class TestEvents:
         spec = quality_spec(plane="object",
                             params={"k": 4, "max_iterations": 5,
                                     "epsilon": 0.69, "theta": 0.0,
-                                    "key_bits": 256,
-                                    "protocol_plane": "object"})
+                                    "key_bits": 256})
         assert run_environment(spec)["key_bits"] == 256
 
     def test_early_stop_by_breaking(self):

@@ -89,21 +89,21 @@ class TestPlanePivot:
     def test_same_spec_modulo_plane(self):
         base = RunSpec.from_dict(spec_dict())
         vectorized = base.with_plane("vectorized")
-        assert vectorized.params.protocol_plane == "vectorized"
-        # everything but the plane/protocol_plane fields is unchanged
+        assert vectorized.plane == "vectorized"
+        # everything but the plane field is unchanged
         a, b = base.to_dict(), vectorized.to_dict()
-        a["plane"] = b["plane"] = "X"
-        a["params"]["protocol_plane"] = b["params"]["protocol_plane"] = "X"
+        del a["plane"], b["plane"]
         assert a == b
 
-    def test_inconsistent_protocol_plane_rejected(self):
-        with pytest.raises(ValueError, match="protocol_plane"):
-            RunSpec(
-                dataset=DatasetSpec("cer"),
-                init=InitSpec("courbogen"),
-                params=ChiaroscuroParams(protocol_plane="object"),
-                plane="vectorized",
-            )
+    @pytest.mark.parametrize("there", sorted(PLANES))
+    @pytest.mark.parametrize("home", sorted(PLANES))
+    def test_pivot_round_trips(self, home, there):
+        """The plane is one field, so pivoting away and back is the identity
+        (it was not while ``params.protocol_plane`` rode along: a quality
+        spec came back carrying the plane it had visited)."""
+        spec = RunSpec.from_dict(spec_dict(plane=home))
+        assert spec.with_plane(there).with_plane(home) == spec
+        assert spec.replace(plane=there) == spec.with_plane(there)
 
 
 class TestValidation:
@@ -153,10 +153,30 @@ class TestValidation:
         assert spec.options == {"sensitivity_mode": "joint"}
 
     def test_default_strategy_from_params(self):
+        """Stored specs: a ``params.budget_strategy`` written while the key
+        existed still names the strategy of a spec that has no other."""
         d = spec_dict()
         del d["strategy"]
         d["params"]["budget_strategy"] = "GF"
         assert RunSpec.from_dict(d).strategy == "GF"
+        del d["params"]["budget_strategy"]
+        assert RunSpec.from_dict(d).strategy == "G"
+
+    def test_retired_plane_and_strategy_keys(self):
+        """The plane and the strategy are named once, on the spec.  Stored
+        specs carry both retired ``params`` keys: they load, lose to the
+        spec's own fields where the two disagreed, and are not re-emitted."""
+        stored = RunSpec.from_dict(spec_dict(
+            plane="vectorized", strategy="UF3",
+            params={"k": 5, "protocol_plane": "object", "budget_strategy": "G"},
+        ))
+        assert stored == RunSpec.from_dict(
+            spec_dict(plane="vectorized", strategy="UF3", params={"k": 5})
+        )
+        assert (stored.plane, stored.strategy) == ("vectorized", "UF3")
+        assert not {"protocol_plane", "budget_strategy"} & set(stored.to_dict()["params"])
+        with pytest.raises(TypeError):
+            ChiaroscuroParams(protocol_plane="object")
 
 
 class TestFromCliArgs:
@@ -189,7 +209,6 @@ class TestFromCliArgs:
         assert spec.churn == 0.2
         assert spec.seed == 11
         assert spec.plane == "vectorized"
-        assert spec.params.protocol_plane == "vectorized"
 
     def test_timeseries_needs_spec_file(self):
         with pytest.raises(ValueError, match="--spec"):

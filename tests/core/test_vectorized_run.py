@@ -27,10 +27,10 @@ def small_workload():
 def test_vectorized_plane_runs_full_loop(small_workload):
     data, init = small_workload
     params = ChiaroscuroParams(
-        k=3, max_iterations=4, exchanges=12, protocol_plane="vectorized",
+        k=3, max_iterations=4, exchanges=12,
         tau_fraction=0.01,
     )
-    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=7)
+    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=7, plane="vectorized")
     result, steps = run.run()
 
     assert result.iterations >= 1
@@ -46,10 +46,10 @@ def test_vectorized_plane_runs_full_loop(small_workload):
 def test_vectorized_plane_respects_budget_and_smoothing_flags(small_workload):
     data, init = small_workload
     params = ChiaroscuroParams(
-        k=3, max_iterations=3, exchanges=10, protocol_plane="vectorized",
+        k=3, max_iterations=3, exchanges=10,
         use_smoothing=False, tau_fraction=0.01,
     )
-    run = ChiaroscuroRun(data, Greedy(0.5), params, init, seed=9)
+    run = ChiaroscuroRun(data, Greedy(0.5), params, init, seed=9, plane="vectorized")
     result, _ = run.run()
     assert result.smoothing is False
     assert sum(s.epsilon_spent for s in result.history) <= 0.5 + 1e-9
@@ -58,12 +58,12 @@ def test_vectorized_plane_respects_budget_and_smoothing_flags(small_workload):
 def test_vectorized_plane_is_seed_reproducible(small_workload):
     data, init = small_workload
     params = ChiaroscuroParams(
-        k=3, max_iterations=2, exchanges=10, protocol_plane="vectorized",
+        k=3, max_iterations=2, exchanges=10,
         tau_fraction=0.01,
     )
     results = []
     for _ in range(2):
-        run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=11)
+        run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=11, plane="vectorized")
         result, _ = run.run()
         results.append(result)
     assert results[0].iterations == results[1].iterations
@@ -73,25 +73,26 @@ def test_vectorized_plane_is_seed_reproducible(small_workload):
 
 def test_vectorized_plane_skips_key_material(small_workload):
     data, init = small_workload
-    params = ChiaroscuroParams(k=3, protocol_plane="vectorized")
-    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=1)
+    params = ChiaroscuroParams(k=3)
+    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=1, plane="vectorized")
     assert run.keypair is None
     assert run.participants == []
     run.close()  # must be a no-op without a backend
 
 
-def test_invalid_plane_rejected():
-    with pytest.raises(ValueError):
-        ChiaroscuroParams(protocol_plane="gpu")
+def test_invalid_plane_rejected(small_workload):
+    data, init = small_workload
+    with pytest.raises(ValueError, match="plane must be one of"):
+        ChiaroscuroRun(data, Greedy(0.69), ChiaroscuroParams(k=3), init, plane="gpu")
 
 
 def test_vectorized_plane_under_churn(small_workload):
     data, init = small_workload
     params = ChiaroscuroParams(
-        k=3, max_iterations=2, exchanges=14, protocol_plane="vectorized",
+        k=3, max_iterations=2, exchanges=14,
         tau_fraction=0.01,
     )
-    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=3)
+    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=3, plane="vectorized")
     result, steps = run.run(churn=0.25)
     assert result.iterations >= 1
     # Churned cycles still deliver roughly (1 - churn) exchanges per node

@@ -147,13 +147,13 @@ class TestRunIterLifecycle:
             params = ChiaroscuroParams(
                 k=3, max_iterations=4, exchanges=8, tau_fraction=0.13,
                 epsilon=1e6, expansion_s=2 if plane == "object" else 1,
-                use_smoothing=False, theta=0.0, protocol_plane=plane,
+                use_smoothing=False, theta=0.0,
             )
             run = ChiaroscuroRun(
                 toy_dataset, Greedy(1e6), params, toy_initial_centroids,
                 key_bits=256, seed=5,
                 keypair=threshold_keypair_s2 if plane == "object" else None,
-                fault_plan=fault_plan,
+                fault_plan=fault_plan, plane=plane,
             )
             closes = []
             release = run.close

@@ -193,9 +193,9 @@ class TestPlaneWiring:
 
     def test_with_plane_pivot_reconciles_params(self):
         spec = crypto_spec().with_plane("vectorized")
-        assert spec.params.protocol_plane == "vectorized"
+        assert spec.plane == "vectorized"
+        assert spec.params == crypto_spec().params  # nothing to reconcile
         back = spec.with_plane("vectorized-crypto")
-        assert back.params.protocol_plane == "vectorized-crypto"
         assert back == crypto_spec()
 
     def test_faults_accepted_and_run(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import pathlib
 
@@ -15,12 +16,14 @@ from repro.api import (
     event_to_dict,
 )
 from _helpers import small_spec
+from repro.cli import main as cli_main
 from repro.service import (
     EventBus,
     JobStore,
     append_ndjson,
     next_seq,
     read_events,
+    tail_events,
 )
 
 
@@ -97,6 +100,76 @@ class TestNdjson:
 
     def test_read_missing_file_is_empty(self, tmp_path):
         assert read_events(tmp_path / "absent.ndjson") == []
+
+
+#: What a killed or shared log really holds between its records: a scalar,
+#: an array, a blank line, invalid UTF-8 — and a tail without its newline.
+HOSTILE_LOG = (
+    b'{"type":"run_started","job":"j","seq":0}\n'
+    b"3\n"
+    b"[1]\n"
+    b"\n"
+    b"\xff\xfe{\n"
+    b'{"type":"job_completed","job":"j","wall_seconds":1.0,"seq":1}\n'
+    b'{"type":"iteration_completed","job":"j","seq":2'
+)
+
+
+class TestOneReader:
+    """``read_events``, ``tail_events`` and ``next_seq`` agree on what a
+    record is: a complete line holding a JSON object."""
+
+    def test_readers_return_the_object_lines_only(self, tmp_path):
+        path = tmp_path / "events.ndjson"
+        path.write_bytes(HOSTILE_LOG)
+        records = read_events(path)
+        assert [r["seq"] for r in records] == [0, 1]
+        assert list(tail_events(path)) == records
+        assert next_seq(path) == 2  # the torn tail's seq was never published
+
+    def test_follow_picks_up_the_tail_once_its_newline_arrives(self, tmp_path):
+        path = tmp_path / "events.ndjson"
+        path.write_bytes(HOSTILE_LOG)
+        polls = []
+
+        def finish_the_line_then_stop():
+            polls.append(1)
+            if len(polls) == 1:
+                with open(path, "ab") as fh:
+                    fh.write(b"}\n")
+                return False
+            return True
+
+        records = list(tail_events(
+            path, follow=True, poll_interval=0.0,
+            should_stop=finish_the_line_then_stop,
+        ))
+        assert [r["seq"] for r in records] == [0, 1, 2]
+
+    def test_pre_seq_logs_count_every_complete_line(self, tmp_path):
+        """Numbering after a log written before ``seq`` existed starts past
+        *all* its complete lines, skipped ones included — what offset-keyed
+        history needs to never collide with seq-keyed future."""
+        path = tmp_path / "events.ndjson"
+        path.write_bytes(b'{"type":"run_started"}\n3\n\xff\n\n{"torn":')
+        assert next_seq(path) == 4
+        assert read_events(path) == [{"type": "run_started"}]
+
+    @pytest.mark.parametrize("raw", [False, True], ids=["rendered", "raw"])
+    def test_repro_tail_prints_the_object_lines_and_exits_zero(self, tmp_path, raw):
+        """``repro tail`` used to die on a feed line holding ``3``
+        (``'int' object has no attribute 'get'``)."""
+        store = JobStore(tmp_path)
+        store.feed_path.write_bytes(HOSTILE_LOG)
+        out = io.StringIO()
+        argv = ["tail", "--root", str(tmp_path)] + (["--raw"] if raw else [])
+        assert cli_main(argv, out=out) == 0
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 2
+        if raw:
+            assert [json.loads(line)["seq"] for line in lines] == [0, 1]
+        else:
+            assert "run_started" in lines[0] and "job_completed" in lines[1]
 
 
 class TestEventBus:
