@@ -5,12 +5,10 @@
     variants are submitted as one batch to the experiment service and
     executed concurrently (one worker process per churn rate), so this
     bench doubles as the service's sweep-workload exercise;
-(b) relative error of the epidemic (encrypted-equivalent) sum after 100
-    messages per participant, populations 1K → 1M, per-exchange churn
-    {0.1, 0.25, 0.5}, all-ones data — twice: once on the cleartext
-    push–pull simulator (the historical plane) and once on the
-    full-protocol struct-of-arrays engine running Algorithm 2's exact
-    delayed-division semantics (counters, ω-weights) at 10⁵–10⁶ nodes.
+(b) relative error of the epidemic encrypted sum after 100 messages per
+    participant, populations 1K → 1M, per-exchange churn {0.1, 0.25, 0.5},
+    all-ones data, on the struct-of-arrays engine running Algorithm 2's
+    exact delayed-division semantics (counters, ω-weights).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 from conftest import record_json, record_report, record_runs
 from repro.api import Experiment, RunSpec
 from repro.core.results import ClusteringResult
-from repro.gossip import PushPullSumSimulator, VectorizedEESum, VectorizedGossipEngine
+from repro.gossip import VectorizedEESum, VectorizedGossipEngine
 from repro.service import run_batch
 
 ITERATIONS = 10
@@ -94,11 +92,20 @@ def test_fig3a_churn_quality(benchmark, tmp_path):
 
 
 def test_fig3b_churn_sum_error(benchmark):
+    """Fig 3(b) on :class:`VectorizedEESum` — Algorithm 2's delayed-division
+    semantics with shared counters and ω-weights.  The paper's claim
+    (≲ 0.1 % relative error after 100 messages per participant even at 50 %
+    churn) must hold on the exact protocol."""
+
     def run_config(population, churn, seed=0):
-        sim = PushPullSumSimulator(population, churn=churn, seed=seed)
-        while sim.mean_messages_per_node < 100.0:
-            sim.run_cycle()
-        return sim.max_relative_error()
+        engine = VectorizedGossipEngine(population, seed=seed, churn=churn)
+        protocol = VectorizedEESum(np.ones((population, 1)))
+        while engine.mean_exchanges_per_node < 100.0:
+            engine.run_cycle(protocol)
+        estimates = protocol.estimates()[:, 0]
+        if np.isnan(estimates).any():
+            return float("inf")
+        return float(np.abs(estimates - population).max() / population)
 
     benchmark.pedantic(lambda: run_config(10_000, 0.25), rounds=1, iterations=1)
 
@@ -119,6 +126,7 @@ def test_fig3b_churn_sum_error(benchmark):
     record_json(
         "fig3b_churn_sum_error",
         {
+            "plane": "vectorized-full-protocol",
             "populations": list(POPULATIONS),
             "errors": {f"{p},{c}": float(e) for (p, c), e in errors.items()},
         },
@@ -128,53 +136,3 @@ def test_fig3b_churn_sum_error(benchmark):
     assert all(e < 1e-3 for e in errors.values())
     # Higher churn → larger error at fixed message budget (tendency).
     assert errors[(100_000, 0.5)] > errors[(100_000, 0.1)]
-
-
-def test_fig3b_full_protocol_churn(benchmark):
-    """Fig 3(b), large-population mode: the *full-protocol* plane.
-
-    Same sweep as the cleartext simulator, but through
-    :class:`VectorizedEESum` — Algorithm 2's delayed-division semantics with
-    shared counters and ω-weights — on the struct-of-arrays engine at
-    10⁵–10⁶ nodes.  The paper's claim (≲ 0.1 % relative error after 100
-    messages per participant even at 50 % churn) must hold on the exact
-    protocol, not just its cleartext approximation.
-    """
-    populations = (100_000, 1_000_000)
-
-    def run_config(population, churn, seed=0):
-        engine = VectorizedGossipEngine(population, seed=seed, churn=churn)
-        protocol = VectorizedEESum(np.ones((population, 1)))
-        while engine.mean_exchanges_per_node < 100.0:
-            engine.run_cycle(protocol)
-        estimates = protocol.estimates()[:, 0]
-        if np.isnan(estimates).any():
-            return float("inf")
-        return float(np.abs(estimates - population).max() / population)
-
-    benchmark.pedantic(lambda: run_config(100_000, 0.25), rounds=1, iterations=1)
-
-    rows = [f"{'population':>12}" + "".join(f"  churn={c:<10}" for c in CHURNS_SUM)]
-    errors = {}
-    for population in populations:
-        cells = []
-        for churn in CHURNS_SUM:
-            error = run_config(population, churn)
-            errors[(population, churn)] = error
-            cells.append(f"  {error:<16.3e}")
-        rows.append(f"{population:>12}" + "".join(cells))
-    record_report(
-        "fig3b_full_protocol_churn",
-        "Fig 3(b) full-protocol plane: EESum relative error, 100 messages/participant",
-        rows,
-    )
-    record_json(
-        "fig3b_full_protocol_churn",
-        {
-            "plane": "vectorized-full-protocol",
-            "populations": list(populations),
-            "errors": {f"{p},{c}": float(e) for (p, c), e in errors.items()},
-        },
-    )
-
-    assert all(e < 1e-3 for e in errors.values())

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import record_json, record_report
+from repro.analysis import dissemination_cycles, messages_to_reach_error
 from repro.gossip import (
     GossipEngine,
     TokenDecryption,
     VectorizedGossipEngine,
     VectorizedShareCollection,
-    dissemination_cycles,
-    messages_to_reach_error,
 )
 
 SUM_POPULATIONS = (1_000, 10_000, 100_000, 1_000_000)

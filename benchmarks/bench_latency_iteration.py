@@ -14,9 +14,15 @@ import random
 import pytest
 
 from conftest import record_json, record_report
-from repro.analysis import LatencyInputs, LocalCostModel, iteration_latency, measure_crypto_costs
+from repro.analysis import (
+    LatencyInputs,
+    LocalCostModel,
+    dissemination_cycles,
+    iteration_latency,
+    measure_crypto_costs,
+    messages_to_reach_error,
+)
 from repro.crypto import generate_threshold_keypair
-from repro.gossip import dissemination_cycles, messages_to_reach_error
 
 
 def test_iteration_latency_composition(benchmark):

@@ -1,5 +1,6 @@
-"""Evaluation helpers: local cost/bandwidth accounting (Fig. 5) and the
-per-iteration latency composition (Sec. 6.3.2).
+"""Evaluation helpers: local cost/bandwidth accounting (Fig. 5), the gossip
+latency measurements (Fig. 4(a)) and the per-iteration latency composition
+(Sec. 6.3.2).
 """
 
 from .costs import (
@@ -9,7 +10,13 @@ from .costs import (
     means_set_bytes,
     measure_crypto_costs,
 )
-from .latency import IterationLatency, LatencyInputs, iteration_latency
+from .latency import (
+    IterationLatency,
+    LatencyInputs,
+    dissemination_cycles,
+    iteration_latency,
+    messages_to_reach_error,
+)
 
 __all__ = [
     "CostSample",
@@ -17,7 +24,9 @@ __all__ = [
     "LatencyInputs",
     "LocalCostModel",
     "compare_scalar_batched_costs",
+    "dissemination_cycles",
     "iteration_latency",
     "means_set_bytes",
     "measure_crypto_costs",
+    "messages_to_reach_error",
 ]

@@ -65,10 +65,6 @@ class LocalCostModel:
     series_length: int
 
     @property
-    def ciphertexts_per_set(self) -> int:
-        return self.k * (self.series_length + 1)
-
-    @property
     def transfer_bytes(self) -> int:
         """One means-set transfer (the Fig. 5(b) bar)."""
         return means_set_bytes(self.public, self.k, self.series_length)

@@ -23,7 +23,7 @@ from ..datasets import (
     generate_numed,
     generate_points2d,
 )
-from ..privacy.budget import Greedy, GreedyFloor, UniformFast
+from ..privacy.budget import BudgetStrategy, strategy_from_name
 from .checkpoint import Checkpoint
 from .experiment import ExecutionPlane, RunContext
 from .registry import (
@@ -120,25 +120,15 @@ def _init_matrix(dataset: TimeSeriesSet, k: int, rng, *, values) -> np.ndarray:
 # -------------------------------------------------------------- strategies
 
 
-@register_strategy("G")
-def _strategy_greedy(params, label: str) -> Greedy:
-    """Greedy: each iteration takes half the remaining budget (Sec. 5.2)."""
-    del label
-    return Greedy(params.epsilon)
+def _paper_strategy(params, label: str) -> BudgetStrategy:
+    """The paper's labels (Sec. 5.2), parsed by the one parser."""
+    return strategy_from_name(
+        label, params.epsilon, params.floor_size, params.uf_iterations
+    )
 
 
-@register_strategy("GF")
-def _strategy_greedy_floor(params, label: str) -> GreedyFloor:
-    """Greedy with a floor: halve the remainder, never below the floor slice."""
-    del label
-    return GreedyFloor(params.epsilon, floor_size=params.floor_size)
-
-
-@register_strategy("UF")
-def _strategy_uniform_fast(params, label: str) -> UniformFast:
-    """Uniform-fast: split the budget evenly over a fixed iteration count."""
-    n_iterations = int(label[2:]) if len(label) > 2 else params.uf_iterations
-    return UniformFast(params.epsilon, n_iterations=n_iterations)
+for _label in ("G", "GF", "UF"):
+    register_strategy(_label)(_paper_strategy)
 
 
 # ------------------------------------------------------------------ planes

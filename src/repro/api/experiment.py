@@ -140,10 +140,10 @@ class ExecutionPlane:
 #: execution knobs, then keys retired since older checkpoints were written —
 #: ``use_packing`` never had an effect on a checkpointable plane;
 #: ``protocol_plane`` and ``budget_strategy`` restated the spec's ``plane``
-#: and ``strategy``, which are compared.
+#: and ``strategy``, which are compared; nothing ever read ``delta``.
 _RESULT_NEUTRAL_PARAMS = frozenset({
     "bigint_backend", "crypto_backend", "backend_workers",
-    "use_packing", "protocol_plane", "budget_strategy",
+    "use_packing", "protocol_plane", "budget_strategy", "delta",
 })
 
 

@@ -131,14 +131,14 @@ def register_plane(key: str) -> Callable:
 def resolve_strategy(name: str, params) -> Any:
     """Build a budget strategy from its spec label.
 
-    Exact registry keys win (``"G"``, ``"GF"``, ``"UF"``); the paper's
-    parameterized ``"UF<n>"`` labels (``UF5``, ``UF10``, …) resolve through
-    the ``"UF"`` factory, which reads the bound out of the label.
+    Exact registry keys win (``"G"``, ``"GF"``, ``"UF"``); any other
+    ``"UF…"`` label goes to the ``"UF"`` factory, which reads the bound out
+    of the label (``UF5``, ``UF10``, …) or rejects it.
     """
     label = name.upper()
     if label in STRATEGIES:
         return STRATEGIES.get(label)(params, label)
-    if re.fullmatch(r"UF\d+", label) and "UF" in STRATEGIES:
+    if label.startswith("UF") and "UF" in STRATEGIES:
         return STRATEGIES.get("UF")(params, label)
     raise KeyError(
         f"unknown budget strategy {name!r}; registered: "

@@ -209,8 +209,10 @@ class RunSpec:
         # files written while they existed still carry.  The plane and the
         # strategy are the spec's own fields now: a stored protocol_plane is
         # dropped, a stored budget_strategy speaks only where "strategy" is
-        # absent (it was that default's source).
+        # absent (it was that default's source); a stored delta was read by
+        # nothing.
         params_dict.pop("protocol_plane", None)
+        params_dict.pop("delta", None)
         stored_strategy = params_dict.pop("budget_strategy", "G")
         # Packing is the only ciphertext layout; stored specs carry True.
         if params_dict.pop("use_packing", True) is not True:

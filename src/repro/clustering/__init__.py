@@ -4,7 +4,6 @@
 
 from .distance import assign_to_closest, pairwise_sq_euclidean, squared_euclidean
 from .dtw import (
-    dba_mean,
     dtw_assign,
     dtw_assign_reference,
     dtw_distance,
@@ -12,8 +11,8 @@ from .dtw import (
     dtw_path,
     lb_keogh,
 )
-from .inertia import dataset_inertia, inertia_report, inter_inertia, intra_inertia
-from .init import kmeanspp_init, sample_init, template_init, uniform_init
+from .inertia import dataset_inertia, inter_inertia, intra_inertia
+from .init import kmeanspp_init, sample_init, uniform_init
 from .kmeans import KMeansTrace, compute_means, lloyd_kmeans
 
 __all__ = [
@@ -21,13 +20,11 @@ __all__ = [
     "assign_to_closest",
     "compute_means",
     "dataset_inertia",
-    "dba_mean",
     "dtw_assign",
     "dtw_assign_reference",
     "dtw_distance",
     "dtw_pairwise",
     "dtw_path",
-    "inertia_report",
     "inter_inertia",
     "intra_inertia",
     "kmeanspp_init",
@@ -36,6 +33,5 @@ __all__ = [
     "pairwise_sq_euclidean",
     "sample_init",
     "squared_euclidean",
-    "template_init",
     "uniform_init",
 ]

@@ -1,4 +1,4 @@
-"""Dynamic Time Warping distance and DTW-barycenter averaging (extension).
+"""Dynamic Time Warping distance and assignment (extension).
 
 The paper clusters with Euclidean distance, but its conclusion points at
 richer iterative analytics over time-series as future work; DTW is the
@@ -9,8 +9,6 @@ targets.  We provide:
   Sakoe–Chiba band (window) for the usual linear-time approximation;
 * :func:`dtw_pairwise` — all ``t × k`` series↔centroid distances as one
   batched anti-diagonal (wavefront) DP, no Python-level per-cell loops;
-* :func:`dba_mean` — DTW Barycenter Averaging (Petitjean-style), the DTW
-  analogue of the k-means computation step;
 * :func:`dtw_assign` — assignment step under DTW (batched), with an
   LB_Keogh pruning fast path: candidate centroids whose :func:`lb_keogh`
   lower bound already exceeds the best exact distance so far are never
@@ -40,7 +38,6 @@ __all__ = [
     "dtw_pairwise",
     "dtw_assign",
     "dtw_assign_reference",
-    "dba_mean",
     "lb_keogh",
 ]
 
@@ -387,30 +384,3 @@ def dtw_assign_reference(
                 best, best_d = c_idx, d
         labels[idx] = best
     return labels
-
-
-def dba_mean(
-    series: np.ndarray,
-    initial: np.ndarray,
-    iterations: int = 5,
-    window: int | None = None,
-) -> np.ndarray:
-    """DTW Barycenter Averaging: the mean under warping alignment.
-
-    Each pass aligns every series to the current barycenter and averages
-    the values mapped onto each barycenter coordinate.
-    """
-    series = np.asarray(series, dtype=float)
-    barycenter = np.asarray(initial, dtype=float).copy()
-    if len(series) == 0:
-        return barycenter
-    for _ in range(iterations):
-        sums = np.zeros_like(barycenter)
-        counts = np.zeros(len(barycenter))
-        for s in series:
-            for i, j in dtw_path(barycenter, s, window):
-                sums[i] += s[j]
-                counts[i] += 1
-        mask = counts > 0
-        barycenter[mask] = sums[mask] / counts[mask]
-    return barycenter

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["intra_inertia", "inter_inertia", "dataset_inertia", "inertia_report"]
+__all__ = ["intra_inertia", "inter_inertia", "dataset_inertia"]
 
 
 def _validate(series: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> None:
@@ -55,14 +55,3 @@ def dataset_inertia(series: np.ndarray) -> float:
     series = np.asarray(series, dtype=float)
     diff = series - series.mean(axis=0)
     return float(np.einsum("ij,ij->", diff, diff) / len(series))
-
-
-def inertia_report(
-    series: np.ndarray, centroids: np.ndarray, labels: np.ndarray
-) -> dict[str, float]:
-    """All three Definition 1 quantities in one pass-friendly dict."""
-    return {
-        "intra": intra_inertia(series, centroids, labels),
-        "inter": inter_inertia(series, centroids, labels),
-        "dataset": dataset_inertia(series),
-    }

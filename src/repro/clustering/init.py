@@ -2,25 +2,23 @@
 
 The paper seeds NUMED runs with uniform random picks *from* the dataset and
 CER runs with synthetic profiles from EDF's CourboGen generator (raw series
-cannot be used as centroids for privacy reasons).  We mirror both:
+cannot be used as centroids for privacy reasons).  We mirror both — the
+CER style is the dataset's own generator,
+``repro.datasets.cer.courbogen_like_centroids``:
 
 * :func:`sample_init`   — random distinct series (NUMED style);
 * :func:`uniform_init`  — uniform random vectors in the value range;
-* :func:`template_init` — synthetic profile templates supplied by a dataset
-  generator (CER / CourboGen style); see ``repro.datasets.cer``.
 * :func:`kmeanspp_init` — k-means++ (not in the paper; provided as the
   standard strong baseline for ablations).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .distance import pairwise_sq_euclidean
 
-__all__ = ["sample_init", "uniform_init", "template_init", "kmeanspp_init"]
+__all__ = ["sample_init", "uniform_init", "kmeanspp_init"]
 
 
 def sample_init(series: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -43,20 +41,6 @@ def uniform_init(
     if dmax <= dmin:
         raise ValueError("need dmin < dmax")
     return rng.uniform(dmin, dmax, size=(k, length))
-
-
-def template_init(
-    k: int, generator: Callable[[int, np.random.Generator], np.ndarray], rng: np.random.Generator
-) -> np.ndarray:
-    """Ask a dataset-specific template ``generator(k, rng)`` for centroids.
-
-    This is the CourboGen substitution point: CER-like experiments pass
-    ``repro.datasets.cer.courbogen_like_centroids``.
-    """
-    centroids = np.asarray(generator(k, rng), dtype=float)
-    if centroids.shape[0] != k:
-        raise ValueError("template generator returned the wrong number of centroids")
-    return centroids
 
 
 def kmeanspp_init(series: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

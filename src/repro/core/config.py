@@ -28,8 +28,8 @@ class ChiaroscuroParams:
 
     Crypto/privacy block: key size, key-share threshold ``tau`` (fraction of
     the population), privacy level ``epsilon`` (Table 2 uses ln 2 ≈ 0.69),
-    ``delta``, and the noise-share count ``n_nu`` as a fraction of the
-    population (Table 2: 100%).
+    and the noise-share count ``n_nu`` as a fraction of the population
+    (Table 2: 100%).
 
     Execution block (implementation, not paper): ``crypto_backend`` selects
     how ciphertext batches are evaluated (``"serial"`` in-process or
@@ -43,8 +43,9 @@ class ChiaroscuroParams:
     seed).
 
     Not on this sheet, because each is named once elsewhere: the simulation
-    substrate (``ChiaroscuroRun(plane=)`` / ``RunSpec.plane``) and the
-    budget strategy (``RunSpec.strategy``).
+    substrate (``ChiaroscuroRun(plane=)`` / ``RunSpec.plane``), the budget
+    strategy (``RunSpec.strategy``), and the probabilistic-relaxation δ,
+    which only :class:`repro.privacy.GossipPrivacyPlan` computes with.
     """
 
     # k-means
@@ -61,7 +62,6 @@ class ChiaroscuroParams:
     expansion_s: int = 1
     tau_fraction: float = 0.0001  # Table 2 realistic case: 0.01 %
     epsilon: float = 0.69
-    delta: float = 0.995
     noise_share_fraction: float = 1.0  # n_ν = 100 % of the population
 
     # quality heuristics (Sec. 5)
@@ -88,8 +88,6 @@ class ChiaroscuroParams:
             raise ValueError("tau_fraction must be in (0, 1]")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not 0 < self.delta <= 1:
-            raise ValueError("delta must be in (0, 1]")
         if not 0 < self.noise_share_fraction <= 1:
             raise ValueError("noise_share_fraction must be in (0, 1]")
         if not 0 <= self.smoothing_fraction < 1:

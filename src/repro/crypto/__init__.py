@@ -31,7 +31,6 @@ from .damgard_jurik import (
     dlog_1_plus_n,
     encrypt,
     encrypt_batch,
-    encrypt_zero_pool,
     generate_keypair,
     homomorphic_add,
     homomorphic_add_batch,
@@ -72,7 +71,6 @@ __all__ = [
     "dlog_1_plus_n",
     "encrypt",
     "encrypt_batch",
-    "encrypt_zero_pool",
     "generate_keypair",
     "generate_threshold_keypair",
     "homomorphic_add",

@@ -50,10 +50,7 @@ shapes the protocol actually exhibits:
   exchange round (every pair's ciphertext vectors merge at once);
 * :func:`fixed_base_pow_batch` — one fixed base, many short exponents,
   walked column-wise over a precomputed byte-digit table (the encryption-
-  randomizer shape: table rows are touched once per batch, not per item);
-* :func:`mulmod_reduce` — a product chain reduced modulo ``m``; part of
-  the kernel's public surface for extensions (the built-in hot paths use
-  the shapes above).
+  randomizer shape: table rows are touched once per batch, not per item).
 
 All entry points accept and return plain Python ``int`` — native types
 (``mpz``) never leak to callers, so serialization, hashing and pickling
@@ -76,7 +73,6 @@ __all__ = [
     "invert_batch",
     "multi_powmod",
     "mulmod_pairwise",
-    "mulmod_reduce",
     "powmod",
     "powmod_batch",
     "resolve_backend",
@@ -337,16 +333,6 @@ def fixed_base_pow_batch(
         else:
             acc = [row[d] for d in digits]
     return [int(a) for a in acc]
-
-
-def mulmod_reduce(values: Sequence[int], modulus: int) -> int:
-    """The product ``∏ values mod modulus`` (empty product is ``1 % m``)."""
-    backend = _ACTIVE
-    m = backend.to_native(modulus)
-    acc = backend.to_native(1)
-    for v in values:
-        acc = acc * v % m
-    return int(acc % m)
 
 
 #: Bases per Straus group: each group precomputes ``2^G − 1`` subset

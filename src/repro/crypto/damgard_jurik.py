@@ -66,7 +66,6 @@ __all__ = [
     "homomorphic_add",
     "homomorphic_add_batch",
     "homomorphic_scalar_mul",
-    "encrypt_zero_pool",
     "powers_of_g",
     "dlog_1_plus_n",
 ]
@@ -140,25 +139,13 @@ def encrypt(
 ) -> int:
     """Encrypt ``plaintext ∈ Z_{n^s}`` under ``public``.
 
-    ``randomizer`` may be a pre-computed ``r^{n^s} mod n^{s+1}`` value (see
-    :func:`encrypt_zero_pool`) so bulk encryption amortizes the modexp.
+    ``randomizer`` may be a pre-computed ``r^{n^s} mod n^{s+1}`` value (an
+    encryption of zero) so bulk encryption amortizes the modexp.
     """
     if randomizer is None:
         rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng
         randomizer = bigint.powmod(_random_unit(public, rng), public.n_s, public.n_s1)
     return powers_of_g(public, plaintext) * randomizer % public.n_s1
-
-
-def encrypt_zero_pool(public: PublicKey, count: int, rng: random.Random) -> list[int]:
-    """Pre-compute ``count`` fresh randomizers ``r^{n^s} mod n^{s+1}``.
-
-    Each is an encryption of zero; multiplying one into a deterministic
-    ``(1+n)^a`` yields a semantically-secure ciphertext.  Devices would do
-    this in idle time — the paper's Fig. 5(a) "Encrypt" cost is dominated by
-    exactly this modexp.
-    """
-    units = [_random_unit(public, rng) for _ in range(count)]
-    return bigint.powmod_batch(units, public.n_s, public.n_s1)
 
 
 class FastEncryptor:

@@ -28,7 +28,6 @@ from . import bigint
 __all__ = [
     "FixedBaseTable",
     "is_probable_prime",
-    "random_prime",
     "random_safe_prime",
     "fixture_safe_primes",
     "modinv",
@@ -215,16 +214,6 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
         else:
             return False
     return True
-
-
-def random_prime(bits: int, rng: random.Random) -> int:
-    """Return a random prime with exactly ``bits`` bits."""
-    if bits < 2:
-        raise ValueError("a prime needs at least 2 bits")
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate, rng=rng):
-            return candidate
 
 
 def random_safe_prime(bits: int, rng: random.Random) -> int:

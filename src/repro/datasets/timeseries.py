@@ -71,18 +71,3 @@ class TimeSeriesSet:
     def joint_sensitivity(self) -> float:
         """Sensitivity of the (sum, count) pair (see privacy.laplace)."""
         return joint_sensitivity(self.n, self.dmin, self.dmax)
-
-    def subsample(self, fraction: float, rng: np.random.Generator) -> "TimeSeriesSet":
-        """Random subset (used by the per-iteration churn model of Sec. 6.1.5)."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        keep = rng.random(self.t) < fraction
-        if not keep.any():
-            keep[rng.integers(self.t)] = True
-        return TimeSeriesSet(
-            values=self.values[keep],
-            dmin=self.dmin,
-            dmax=self.dmax,
-            name=self.name,
-            population_scale=self.population_scale,
-        )

@@ -1,11 +1,11 @@
 """Correlated churn storms — burst outages over both gossip planes.
 
 Sec. 6.1.5's churn model draws disconnections independently per node; a
-:class:`~repro.gossip.churn.BurstChurnProcess` generalizes it to storms
-that take a *correlated* set offline for several consecutive cycles (a
-cell-tower outage, a power cut).  The injector advances one storm process
-per run on its named stream and suppresses every exchange touching the
-affected set, on top of whatever baseline churn the run already models.
+:class:`BurstChurnProcess` generalizes it to storms that take a
+*correlated* set offline for several consecutive cycles (a cell-tower
+outage, a power cut).  The injector advances one storm process per run on
+its named stream and suppresses every exchange touching the affected set,
+on top of whatever baseline churn the run already models.
 
 A storm is environmental, not adversarial, but it is still *observable*:
 the ``availability-monitor`` detector emits one event per storm onset so
@@ -18,11 +18,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# repro-lint: allow=fault-seams -- the storm drives the same churn process the quality plane samples
-from ..gossip.churn import BurstChurnProcess
 from .base import FaultInjector, register_fault
 
 __all__ = ["ChurnStormFault"]
+
+
+class BurstChurnProcess:
+    """Correlated churn storms — bursts knocking out a whole node set at once.
+
+    The gossip engines draw disconnections i.i.d. per node per cycle; real
+    deployments also see *correlated* outages (a cell tower, a power cut, a
+    flash crowd) where a sizeable fraction vanishes together and stays gone
+    for a while.  This process generalizes the Sec. 6.1.5 model: each cycle
+    a storm starts with probability ``rate``; it takes a uniformly drawn
+    ``magnitude`` fraction of the population offline for ``duration``
+    consecutive cycles (the same set — that is the correlation).
+
+    The process is stateful (a storm persists across :meth:`advance` calls)
+    and consumes only the generator it is handed, so a caller owning a named
+    RNG stream gets deterministic storms.
+    """
+
+    def __init__(self, rate: float, magnitude: float, duration: int) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError("rate must be in [0, 1]")
+        if not 0.0 < magnitude <= 1.0:
+            raise ValueError("magnitude must be in (0, 1]")
+        if duration < 1:
+            raise ValueError("duration must be >= 1 cycle")
+        self.rate = float(rate)
+        self.magnitude = float(magnitude)
+        self.duration = int(duration)
+        self._remaining = 0
+        self._offline: np.ndarray | None = None
+
+    @property
+    def storming(self) -> bool:
+        """Whether the last :meth:`advance` fell inside a storm."""
+        return self._offline is not None
+
+    def advance(self, population: int, rng: np.random.Generator) -> np.ndarray:
+        """One cycle tick; returns the boolean offline mask for this cycle."""
+        if self._offline is not None and self._remaining > 0:
+            self._remaining -= 1
+            return self._offline
+        self._offline = None
+        if self.rate and rng.random() < self.rate:
+            size = min(population, max(1, int(round(self.magnitude * population))))
+            offline = np.zeros(population, dtype=bool)
+            offline[rng.choice(population, size=size, replace=False)] = True
+            self._offline = offline
+            self._remaining = self.duration - 1
+            return offline
+        return np.zeros(population, dtype=bool)
 
 
 @register_fault("churn-storm")

@@ -1,11 +1,9 @@
 """Gossip substrate: cycle-driven engine (the Peersim substitution),
 cleartext and encrypted epidemic sums, min-id dissemination, epidemic
-threshold decryption, churn models, and the vectorized large-population
-plane.
+threshold decryption, and the struct-of-arrays large-population engine.
 """
 
 from .aggregation import EpidemicSum
-from .churn import ChurnModel
 from .decryption import (
     DecryptionState,
     EpidemicDecryption,
@@ -21,18 +19,9 @@ from .eesum import (
     VectorizedEESum,
 )
 from .engine import GossipEngine, Node
-from .vectorized import (
-    PushPullSumSimulator,
-    SumErrorTrace,
-    dissemination_cycles,
-    messages_to_reach_error,
-    random_pairing,
-    simulate_sum_error,
-)
 from .vectorized_protocol import VectorizedGossipEngine
 
 __all__ = [
-    "ChurnModel",
     "DecryptionState",
     "EESum",
     "EESumState",
@@ -43,15 +32,9 @@ __all__ = [
     "MinIdDissemination",
     "MockHomomorphicOps",
     "Node",
-    "PushPullSumSimulator",
-    "SumErrorTrace",
     "TokenDecryption",
     "VectorizedEESum",
     "VectorizedGossipEngine",
     "VectorizedMinId",
     "VectorizedShareCollection",
-    "dissemination_cycles",
-    "messages_to_reach_error",
-    "random_pairing",
-    "simulate_sum_error",
 ]

@@ -3,7 +3,9 @@
 Every node holds a local state ``(σ, ω)``; the update rule moves half of
 each to the contact at every exchange, and ``σ/ω`` converges exponentially
 fast to the global sum (one designated node starts with ``ω = 1``, all
-others with ``ω = 0`` — footnote 5 of the paper).
+others with ``ω = 0`` — footnote 5 of the paper).  Which node is immaterial
+to the protocol, so every sum in this package — cleartext, encrypted, array
+— designates node 0.
 
 This protocol is used directly for the cleartext *counter* of the noise
 generation (the ``ctr`` of Alg. 3) and serves as the reference the
@@ -27,19 +29,17 @@ _STATE = "episum"
 class EpidemicSum(GossipProtocol):
     """Push–pull averaging of a per-node vector; ``σ/ω`` estimates the sum.
 
-    ``initial`` maps node id → initial vector (numpy array or float).  The
-    node with id ``weight_holder`` starts with ω = 1.
+    ``initial`` maps node id → initial vector (numpy array or float).
     """
 
-    def __init__(self, initial: dict[int, np.ndarray], weight_holder: int = 0) -> None:
+    def __init__(self, initial: dict[int, np.ndarray]) -> None:
         self.initial = initial
-        self.weight_holder = weight_holder
 
     def setup(self, node: Node, rng: random.Random) -> None:
         value = np.asarray(self.initial.get(node.node_id, 0.0), dtype=float)
         node.state[_STATE] = {
             "sigma": value.copy(),
-            "omega": 1.0 if node.node_id == self.weight_holder else 0.0,
+            "omega": 1.0 if node.node_id == 0 else 0.0,
         }
 
     def exchange(self, initiator: Node, contact: Node, rng: random.Random) -> None:
@@ -58,14 +58,3 @@ class EpidemicSum(GossipProtocol):
         if state["omega"] <= 0:
             return None
         return state["sigma"] / state["omega"]
-
-    def max_relative_error(self, nodes: list[Node], exact: float) -> float:
-        """Largest relative estimation error among nodes with ω > 0."""
-        worst = 0.0
-        for node in nodes:
-            estimate = self.estimate(node)
-            if estimate is None:
-                return float("inf")
-            error = float(np.max(np.abs(estimate - exact))) / max(abs(exact), 1e-300)
-            worst = max(worst, error)
-        return worst

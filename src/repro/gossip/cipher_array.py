@@ -147,16 +147,13 @@ class CipherEESum:
         self,
         public: PublicKey,
         rows: list[list[int]],
-        weight_holder: int = 0,
         backend: CryptoBackend | None = None,
     ) -> None:
         self.array = CipherArray(public, rows, backend)
         self.population = len(rows)
         if self.population < 2:
             raise ValueError("CipherEESum needs a population >= 2")
-        self.clear = VectorizedEESum(
-            np.ones((self.population, 1)), weight_holder, copy=False
-        )
+        self.clear = VectorizedEESum(np.ones((self.population, 1)), copy=False)
         # The clear protocol updates its arrays in place: these stay views.
         self.values = self.clear.values
         self.ctr = self.values[:, 0]

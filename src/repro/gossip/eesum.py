@@ -26,7 +26,6 @@ import numpy as np
 
 from ..blocks import block_rows, row_blocks
 from ..crypto.damgard_jurik import homomorphic_add, homomorphic_scalar_mul
-from ..crypto.encoding import quantize_to_grid
 from ..crypto.keys import PublicKey
 from .engine import GossipProtocol, Node
 
@@ -89,19 +88,17 @@ class EESum(GossipProtocol):
     """Algorithm 2 over a vector of Damgård–Jurik ciphertexts.
 
     ``initial`` maps node id → list of ciphertexts (all nodes must supply
-    vectors of equal length).  ``weight_holder`` starts with ω = 1
-    (footnote 5).  After convergence, a node's estimate of the global sum
-    of element ``j`` is ``decrypt(c_j) / omega`` — both carry the same
-    ``2^{count}`` scale, so the ratio needs no descaling; alternatively
-    callers divide two decrypted elements (sum/count) and the scale cancels
-    likewise, as in Alg. 3.
+    vectors of equal length).  After convergence, a node's estimate of the
+    global sum of element ``j`` is ``decrypt(c_j) / omega`` — both carry
+    the same ``2^{count}`` scale, so the ratio needs no descaling;
+    alternatively callers divide two decrypted elements (sum/count) and the
+    scale cancels likewise, as in Alg. 3.
     """
 
     def __init__(
         self,
         public: PublicKey | None,
         initial: dict[int, list[int]],
-        weight_holder: int = 0,
         ops: HomomorphicOps | MockHomomorphicOps | None = None,
     ) -> None:
         if ops is None:
@@ -111,11 +108,10 @@ class EESum(GossipProtocol):
         self.public = public
         self.ops = ops
         self.initial = initial
-        self.weight_holder = weight_holder
 
     def setup(self, node: Node, rng: random.Random) -> None:
         ciphertexts = list(self.initial[node.node_id])
-        omega = 1 if node.node_id == self.weight_holder else 0
+        omega = 1 if node.node_id == 0 else 0
         node.state[_STATE] = EESumState(ciphertexts, omega)
 
     def state_of(self, node: Node) -> EESumState:
@@ -173,19 +169,9 @@ class VectorizedEESum:
     :meth:`scaled_state` re-materializes those integers bit-for-bit (the
     equivalence tests assert identity against a mock-homomorphic object
     run on the same pairing schedule).
-
-    ``values`` is quantized to the ``2^{-quantize_bits}`` fixed-point grid
-    at construction when ``quantize_bits`` is given, mirroring
-    ``FixedPointCodec.encode``'s round-half-even.
     """
 
-    def __init__(
-        self,
-        values: np.ndarray,
-        weight_holder: int = 0,
-        quantize_bits: int | None = None,
-        copy: bool = True,
-    ) -> None:
+    def __init__(self, values: np.ndarray, copy: bool = True) -> None:
         """``copy=False`` takes ownership of ``values`` without duplicating
         it — the k·(n+1) matrix is the dominant allocation at 10⁵–10⁶
         nodes, and the computation step hands over a buffer it built for
@@ -198,12 +184,10 @@ class VectorizedEESum:
             values = values[:, None]
         if values.ndim != 2 or len(values) < 2:
             raise ValueError("values must be a population × dims matrix (pop >= 2)")
-        if quantize_bits is not None:
-            values = quantize_to_grid(values, quantize_bits)
         self.values = values
         self.population, self.dims = values.shape
         self.omega = np.zeros(self.population)
-        self.omega[weight_holder] = 1.0
+        self.omega[0] = 1.0
         self.count = np.zeros(self.population, dtype=np.int64)
         # The two sides of one exchange block, reused by every cycle.
         self._sides = np.empty(

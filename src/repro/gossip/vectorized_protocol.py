@@ -1,16 +1,16 @@
-"""Struct-of-arrays cycle driver for the full-protocol vectorized plane.
+"""Struct-of-arrays cycle driver — the one array gossip substrate.
 
-:mod:`repro.gossip.vectorized` models only the cleartext push–pull sum; this
-module provides the *full protocol* substrate: a cycle-driven engine whose
-per-node state lives in numpy arrays (online mask, exchange counters) and
-whose protocols — :class:`~repro.gossip.eesum.VectorizedEESum` (Algorithm 2
-with delayed-division counters), :class:`~repro.gossip.dissemination.VectorizedMinId`
-(EpiDis), :class:`~repro.gossip.decryption.VectorizedShareCollection`
-(epidemic decryption collection) — implement one whole-population
+A cycle-driven engine whose per-node state lives in numpy arrays (online
+mask, exchange counters) and whose protocols —
+:class:`~repro.gossip.eesum.VectorizedEESum` (Algorithm 2 with
+delayed-division counters),
+:class:`~repro.gossip.dissemination.VectorizedMinId` (EpiDis),
+:class:`~repro.gossip.decryption.VectorizedShareCollection` (epidemic
+decryption collection) — implement one whole-population
 ``exchange_pairs(left, right)`` per cycle instead of per-node ``exchange``
 calls.  This is what carries the paper's 10⁵–10⁶-participant curves
-(Figs. 3–4) through the *exact* protocol semantics rather than the
-cleartext approximation.
+(Figs. 3–4) through the *exact* protocol semantics; the two figure
+measurements taken on it live in :mod:`repro.analysis.latency`.
 
 Cycle semantics (mirroring :class:`repro.gossip.engine.GossipEngine`):
 
@@ -34,10 +34,19 @@ from typing import Protocol as TypingProtocol
 
 import numpy as np
 
-from .churn import ChurnModel
-from .vectorized import random_pairing
+__all__ = ["VectorizedGossipEngine", "VectorizedProtocol", "random_pairing"]
 
-__all__ = ["VectorizedGossipEngine", "VectorizedProtocol"]
+
+def random_pairing(
+    rng: np.random.Generator, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A uniform random disjoint pairing of ``indices`` (one odd leftover idles).
+
+    The canonical vectorized realization of one gossip initiation round.
+    """
+    shuffled = rng.permutation(indices)
+    half = len(shuffled) // 2
+    return shuffled[:half], shuffled[half : 2 * half]
 
 
 class VectorizedProtocol(TypingProtocol):
@@ -50,22 +59,20 @@ class VectorizedProtocol(TypingProtocol):
 class VectorizedGossipEngine:
     """Cycle-driven engine over array state — the 10⁵–10⁶-node substrate.
 
-    ``churn`` is either the per-exchange disconnection probability (a float,
-    as in :class:`repro.gossip.engine.GossipEngine`) or a
-    :class:`repro.gossip.churn.ChurnModel`, whose ``per_exchange`` surface
-    is applied each cycle.
+    ``churn`` is the per-exchange disconnection probability, as in
+    :class:`repro.gossip.engine.GossipEngine`.
     """
 
     def __init__(
         self,
         population: int,
         seed: int | np.random.Generator = 0,
-        churn: float | ChurnModel = 0.0,
+        churn: float = 0.0,
     ) -> None:
         if population < 2:
             raise ValueError("need at least two nodes to gossip")
-        if not isinstance(churn, ChurnModel):
-            churn = ChurnModel(per_exchange=float(churn))
+        if not 0 <= churn < 1:
+            raise ValueError("churn must be in [0, 1)")
         self.rng = np.random.default_rng(seed)
         self.population = population
         self.churn = churn
@@ -82,7 +89,11 @@ class VectorizedGossipEngine:
         Consumes engine randomness; exposed separately so a shadow test can
         capture the schedule before applying it to both planes.
         """
-        self.online = self.churn.exchange_mask(self.population, self.rng)
+        if self.churn == 0.0:
+            # Draw-free: a churn-free run consumes no RNG stream for the mask.
+            self.online = np.ones(self.population, dtype=bool)
+        else:
+            self.online = self.rng.random(self.population) >= self.churn
         alive = np.flatnonzero(self.online)
         if len(alive) < 2:
             empty = np.empty(0, dtype=np.int64)

@@ -22,7 +22,6 @@ from .laplace import (
 from .noise_shares import (
     gen_noise_share,
     gen_noise_shares,
-    sum_of_shares,
     surplus_correction,
 )
 from .probabilistic import (
@@ -31,7 +30,6 @@ from .probabilistic import (
     lemma2_noise_inflation,
     lemma2_scale,
     newscast_exchanges,
-    newscast_iota,
 )
 
 __all__ = [
@@ -53,9 +51,7 @@ __all__ = [
     "lemma2_noise_inflation",
     "lemma2_scale",
     "newscast_exchanges",
-    "newscast_iota",
     "strategy_from_name",
-    "sum_of_shares",
     "sum_sensitivity",
     "surplus_correction",
 ]

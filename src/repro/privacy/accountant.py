@@ -3,8 +3,8 @@
 (ε, δ)-probabilistic differential privacy composes like the paper states
 (Sec. 3.3.2): ``n`` independent aggregates with budgets ``ε_i`` and
 probability ``δ`` each satisfy ``(Σ ε_i, δ^n)``-probabilistic DP.  The
-accountant enforces a hard ceiling on ``Σ ε_i`` and tracks the δ exponent so
-callers can read off the global guarantee actually spent.
+accountant enforces a hard ceiling on ``Σ ε_i`` and counts the released
+aggregates (``releases``, the δ exponent ``n``).
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ class BudgetOverrun(RuntimeError):
 
 @dataclass
 class PrivacyAccountant:
-    """Tracks ε spending and δ composition across released aggregates.
+    """Tracks ε spending and the release count across released aggregates.
 
     ``tolerance`` absorbs float round-off in schedules that sum to exactly
     ε (e.g. UNIFORM_FAST's ``n · ε/n``).
     """
 
     epsilon_budget: float
-    delta_atom: float = 1.0
     tolerance: float = 1e-9
     spent: float = field(default=0.0, init=False)
     releases: int = field(default=0, init=False)
@@ -84,8 +83,3 @@ class PrivacyAccountant:
     def remaining(self) -> float:
         """Budget still available (never negative)."""
         return max(0.0, self.epsilon_budget - self.spent)
-
-    @property
-    def delta_global(self) -> float:
-        """Composed probability ``δ_atom^releases`` of the guarantee holding."""
-        return self.delta_atom**self.releases

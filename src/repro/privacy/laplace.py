@@ -67,7 +67,3 @@ class LaplaceMechanism:
         """Return ``values`` plus i.i.d. ``Laplace(0, λ)`` noise."""
         values = np.asarray(values, dtype=float)
         return values + rng.laplace(0.0, self.scale, size=values.shape)
-
-    def sample_noise(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        """Draw a noise tensor of the given shape."""
-        return rng.laplace(0.0, self.scale, size=shape)

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..blocks import row_blocks
 
-__all__ = ["gen_noise_share", "gen_noise_shares", "surplus_correction", "sum_of_shares"]
+__all__ = ["gen_noise_share", "gen_noise_shares", "surplus_correction"]
 
 
 def _gamma_shape(n_shares: int, scale: float) -> float:
@@ -81,11 +81,6 @@ def gen_noise_shares(
     for block in blocks:
         block -= rng.gamma(shape, scale, size=block.shape)
     return out
-
-
-def sum_of_shares(shares: np.ndarray) -> np.ndarray:
-    """Dimension-wise sum of a share matrix — the value EESum converges to."""
-    return np.asarray(shares).sum(axis=0)
 
 
 def surplus_correction(

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "newscast_exchanges",
-    "newscast_iota",
     "delta_atom",
     "lemma2_scale",
     "lemma2_noise_inflation",
@@ -61,20 +60,6 @@ def newscast_exchanges(
         + math.log(1.0 / iota)
     )
     return max(1, math.ceil(value))
-
-
-def newscast_iota(
-    population: int, e_max: float, exchanges: int, variance: float = 1.0
-) -> float:
-    """Invert Theorem 3: failure probability ι after ``exchanges`` exchanges."""
-    s = math.sqrt(variance)
-    log_iota = (
-        exchanges / 0.581
-        - math.log(population)
-        - 2.0 * math.log(s)
-        - 2.0 * math.log(1.0 / e_max)
-    )
-    return min(1.0, math.exp(-log_iota))
 
 
 def delta_atom(delta: float, max_iterations: int, series_length: int) -> float:

@@ -157,10 +157,6 @@ class Scheduler:
             proc.close()
         self._workers.clear()
 
-    @property
-    def active_jobs(self) -> list[str]:
-        return sorted(self._workers)
-
     # ------------------------------------------------------------ internals
 
     def _wait(self) -> None:

@@ -225,12 +225,6 @@ class JobStore:
             attempts=job.attempts + 1,
         )
 
-    def claim_next(self) -> Job | None:
-        """Pop the oldest queued job and mark it running."""
-        for job in self.in_state(JobState.QUEUED):
-            return self.claim(job)
-        return None
-
     def recover(self) -> list[Job]:
         """Re-enqueue every job left ``running`` by a crashed server.
 

@@ -32,7 +32,6 @@ CLI: ``repro db ingest|query|stats`` and ``repro report …``::
 from .analytics import (
     bench_trajectory,
     detector_counts,
-    epsilon_spend,
     fig2_trajectories,
     fig3_quality,
     latency_percentiles,
@@ -41,7 +40,7 @@ from .analytics import (
     stats,
     table_counts,
 )
-from .ingest import Ingester, follow_ingest, ingest_paths, read_ndjson_from
+from .ingest import Ingester, follow_ingest, ingest_paths
 from .report import (
     REPORTS,
     render_table,
@@ -62,14 +61,12 @@ __all__ = [
     "connect",
     "connect_readonly",
     "detector_counts",
-    "epsilon_spend",
     "fig2_trajectories",
     "fig3_quality",
     "follow_ingest",
     "ingest_paths",
     "latency_percentiles",
     "lint_trajectory",
-    "read_ndjson_from",
     "render_table",
     "report_attacks",
     "report_bench",

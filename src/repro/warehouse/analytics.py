@@ -17,7 +17,6 @@ from .ingest import table_counts
 __all__ = [
     "bench_trajectory",
     "detector_counts",
-    "epsilon_spend",
     "fig2_trajectories",
     "fig3_quality",
     "latency_percentiles",
@@ -137,34 +136,6 @@ def fig3_quality(
         else:
             row["vs_baseline"] = None
     return rows
-
-
-# -------------------------------------------------------------- epsilon
-
-
-def epsilon_spend(
-    con: sqlite3.Connection, run_key: str | None = None
-) -> list[dict]:
-    """Cumulative ε-spend curve per run (``SUM() OVER`` the iterations).
-
-    The final point of each curve matches the accountant's total charge:
-    abort paths pre-charge the aborted iteration's slice, and that slice
-    is part of the iteration history the records carry.
-    """
-    where = "WHERE run_key = ?" if run_key else ""
-    args = (run_key,) if run_key else ()
-    return _rows(
-        con.execute(
-            f"""
-            SELECT run_key, name, strategy, iteration,
-                   epsilon_spent, epsilon_before, epsilon_spent_total
-            FROM v_epsilon_spend
-            {where}
-            ORDER BY run_key, iteration
-            """,
-            args,
-        )
-    )
 
 
 # -------------------------------------------------------------- latency

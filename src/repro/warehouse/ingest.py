@@ -54,7 +54,6 @@ __all__ = [
     "SHAPES",
     "follow_ingest",
     "ingest_paths",
-    "read_ndjson_from",
     "table_counts",
 ]
 
@@ -140,21 +139,6 @@ def _read_blocks(
                 records.append((line_offset, line, record))
             if lines:
                 yield offset, records
-
-
-def read_ndjson_from(
-    path: pathlib.Path, offset: int
-) -> tuple[list[tuple[int, dict]], int]:
-    """Decodable ``(line_offset, record)`` pairs past ``offset``.
-
-    Returns the pairs plus the new watermark: the offset just past the
-    last *complete* line (see :func:`_read_blocks` for what is skipped
-    and what stays pending).
-    """
-    pairs: list[tuple[int, dict]] = []
-    for offset, records in _read_blocks(path, offset):
-        pairs += [(line_offset, record) for line_offset, _, record in records]
-    return pairs, offset
 
 
 def _fingerprint(path: pathlib.Path) -> str:

@@ -1,8 +1,17 @@
-"""Tests for the Sec. 6.3.2 latency composition."""
+"""Tests for the Sec. 6.3.2 latency composition and the two Fig. 4(a)
+measurements that feed it."""
 
+import numpy as np
 import pytest
 
-from repro.analysis import IterationLatency, LatencyInputs, LocalCostModel, iteration_latency
+from repro.analysis import (
+    IterationLatency,
+    LatencyInputs,
+    LocalCostModel,
+    dissemination_cycles,
+    iteration_latency,
+    messages_to_reach_error,
+)
 from repro.crypto.keys import PublicKey
 
 
@@ -50,3 +59,27 @@ class TestComposition:
     def test_alive_fraction_validation(self, model_1024, paper_inputs):
         with pytest.raises(ValueError):
             iteration_latency(model_1024, paper_inputs, alive_fraction=0.0)
+
+
+class TestGossipMeasurements:
+    def test_messages_to_reach_error_logarithmic(self):
+        """Fig. 4(a): messages grow roughly logarithmically with population."""
+        populations = [1_000, 8_000, 64_000]
+        messages = [
+            messages_to_reach_error(pop, target_abs_error=0.001) for pop in populations
+        ]
+        assert all(np.isfinite(m) for m in messages)
+        assert messages[0] < messages[-1] < 100  # paper: under the hundred
+        fit = np.poly1d(np.polyfit(np.log(populations), messages, 1))
+        # Log fit should predict the middle point decently.
+        assert fit(np.log(8_000)) == pytest.approx(messages[1], rel=0.25)
+
+    def test_unreachable_error_is_inf(self):
+        assert messages_to_reach_error(100, 1e-9, max_cycles=3) == float("inf")
+        assert dissemination_cycles(100, max_cycles=1) == (float("inf"), 1)
+
+    def test_dissemination_latency(self):
+        messages, cycles = dissemination_cycles(10_000, seed=6)
+        assert np.isfinite(messages)
+        assert messages < 50  # paper: < 50 messages for 10⁶ nodes
+        assert cycles < 60

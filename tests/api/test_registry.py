@@ -16,7 +16,7 @@ from repro.api import (
 )
 from repro.core import ChiaroscuroParams
 from repro.datasets import TimeSeriesSet
-from repro.privacy import Greedy, GreedyFloor, UniformFast
+from repro.privacy import Greedy, GreedyFloor, UniformFast, strategy_from_name
 
 
 class TestRegistry:
@@ -91,3 +91,36 @@ class TestStrategyResolution:
     def test_unknown_strategy(self):
         with pytest.raises(KeyError, match="registered"):
             resolve_strategy("Z", self.PARAMS)
+
+    @pytest.mark.parametrize(
+        "label, expected",
+        [
+            ("G", ("G", None)),
+            ("gf", ("GF", None)),
+            ("UF", ("UF7", 7)),
+            ("UF7", ("UF7", 7)),
+            ("UF٣", ("UF3", 3)),  # a decimal digit int() reads
+            ("UF0", None),
+            ("UFx", None),
+            ("UF²", None),  # isdigit, not isdecimal: int() rejects it
+            ("", None),
+        ],
+    )
+    def test_both_entry_points_parse_alike(self, label, expected):
+        """The registry adds lookup, not a second parser: it accepts and
+        rejects what ``strategy_from_name`` does, with the same result."""
+
+        def outcome(build):
+            try:
+                strategy = build()
+            except (KeyError, ValueError):
+                return None
+            return strategy.name, strategy.max_iterations()
+
+        params = self.PARAMS
+        assert outcome(lambda: resolve_strategy(label, params)) == expected
+        assert outcome(
+            lambda: strategy_from_name(
+                label, params.epsilon, params.floor_size, params.uf_iterations
+            )
+        ) == expected

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.clustering import (
-    dba_mean,
     dtw_assign,
     dtw_assign_reference,
     dtw_distance,
@@ -70,19 +69,6 @@ class TestDTWClustering:
         centroids = np.array([flat, peak])
         labels = dtw_assign(series, centroids)
         assert labels.tolist() == [0, 1, 0, 1]
-
-    def test_dba_converges_toward_members(self):
-        rng = np.random.default_rng(4)
-        template = np.sin(np.linspace(0, 2 * np.pi, 16))
-        members = np.array([np.roll(template, s) + rng.normal(0, 0.05, 16) for s in (-1, 0, 1)])
-        barycenter = dba_mean(members, initial=template * 0.5, iterations=4)
-        before = np.mean([dtw_distance(template * 0.5, m) for m in members])
-        after = np.mean([dtw_distance(barycenter, m) for m in members])
-        assert after < before
-
-    def test_dba_empty_set(self):
-        initial = np.ones(5)
-        assert np.allclose(dba_mean(np.empty((0, 5)), initial), initial)
 
 
 class TestWavefrontEquivalence:

@@ -10,7 +10,6 @@ from repro.clustering import (
     assign_to_closest,
     compute_means,
     dataset_inertia,
-    inertia_report,
     inter_inertia,
     intra_inertia,
 )
@@ -73,11 +72,6 @@ class TestHuygensDecomposition:
 
 
 class TestReport:
-    def test_keys(self):
-        series, means, labels = _true_means_setup(seed=4)
-        report = inertia_report(series, means, labels)
-        assert set(report) == {"intra", "inter", "dataset"}
-
     def test_dataset_inertia_constant(self):
         series, _, _ = _true_means_setup(seed=5)
         assert dataset_inertia(series) == pytest.approx(

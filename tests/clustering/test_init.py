@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.clustering import kmeanspp_init, sample_init, template_init, uniform_init
+from repro.clustering import kmeanspp_init, sample_init, uniform_init
 
 
 class TestSampleInit:
@@ -44,20 +44,6 @@ class TestUniformInit:
             uniform_init(3, 4, 1.0, 1.0, np.random.default_rng(0))
 
 
-class TestTemplateInit:
-    def test_delegates_to_generator(self):
-        def generator(k, rng):
-            return np.tile(np.arange(4.0), (k, 1))
-
-        init = template_init(5, generator, np.random.default_rng(4))
-        assert init.shape == (5, 4)
-
-    def test_wrong_count_rejected(self):
-        def bad(k, rng):
-            return np.zeros((k + 1, 3))
-
-        with pytest.raises(ValueError):
-            template_init(2, bad, np.random.default_rng(0))
 
 
 class TestKMeansPP:

@@ -49,7 +49,6 @@ class TestValidation:
             {"tau_fraction": 0.0},
             {"tau_fraction": 1.5},
             {"epsilon": 0.0},
-            {"delta": 0.0},
             {"noise_share_fraction": 0.0},
             {"smoothing_fraction": 1.0},
         ],

@@ -117,12 +117,6 @@ class TestKernelPrimitives:
         with pytest.raises(ValueError):
             bigint.invert_batch([5, 6, 7], 9)  # gcd(6, 9) != 1
 
-    def test_mulmod_reduce(self):
-        rng = random.Random(4)
-        values = [rng.getrandbits(600) for _ in range(21)]
-        assert bigint.mulmod_reduce(values, M) == math.prod(values) % M
-        assert bigint.mulmod_reduce([], M) == 1
-
     @pytest.mark.parametrize("count", [1, 2, 4, 5, 9, 13])
     def test_multi_powmod_matches_product_of_pows(self, count):
         """Counts straddle the Straus group size (4) on both sides."""
@@ -172,7 +166,6 @@ class TestCrossBackendIdentity:
             lambda: bigint.powmod(bases[0], e, M),
             lambda: bigint.powmod_batch(bases, e, M),
             lambda: bigint.invert_batch(bases, M),
-            lambda: bigint.mulmod_reduce(bases, M),
             lambda: bigint.multi_powmod(bases, exps, M),
         ):
             py, gm = self._both(fn)

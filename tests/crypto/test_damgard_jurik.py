@@ -11,7 +11,6 @@ from repro.crypto import (
     decrypt,
     dlog_1_plus_n,
     encrypt,
-    encrypt_zero_pool,
     generate_keypair,
     homomorphic_add,
     homomorphic_scalar_mul,
@@ -128,14 +127,6 @@ class TestInternals:
         pub = keypair_s2.public
         for a in (0, 1, 17, 2**150, pub.n_s - 2):
             assert dlog_1_plus_n(pub, powers_of_g(pub, a)) == a
-
-    def test_zero_pool(self, keypair128, crypto_rng):
-        pub = keypair128.public
-        pool = encrypt_zero_pool(pub, 3, crypto_rng)
-        assert len(pool) == 3
-        for randomizer in pool:
-            c = encrypt(pub, 77, randomizer=randomizer)
-            assert decrypt(keypair128, c) == 77
 
 
 class TestKeyGeneration:

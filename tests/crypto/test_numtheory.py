@@ -15,7 +15,6 @@ from repro.crypto.numtheory import (
     is_probable_prime,
     lcm,
     modinv,
-    random_prime,
     random_safe_prime,
 )
 
@@ -40,16 +39,6 @@ class TestMillerRabin:
 
 
 class TestPrimeGeneration:
-    def test_random_prime_bits(self):
-        rng = random.Random(0)
-        p = random_prime(48, rng)
-        assert p.bit_length() == 48
-        assert is_probable_prime(p)
-
-    def test_random_prime_rejects_tiny(self):
-        with pytest.raises(ValueError):
-            random_prime(1, random.Random(0))
-
     def test_safe_prime_structure(self):
         rng = random.Random(0)
         p = random_safe_prime(32, rng)

@@ -35,15 +35,6 @@ class TestTimeSeriesSet:
         with pytest.raises(ValueError):
             TimeSeriesSet(np.zeros(5), 0.0, 1.0)
 
-    def test_subsample(self, toy_dataset):
-        sub = toy_dataset.subsample(0.5, np.random.default_rng(0))
-        assert 0 < sub.t <= 24
-        assert sub.n == 6
-
-    def test_subsample_never_empty(self, toy_dataset):
-        sub = toy_dataset.subsample(0.01, np.random.default_rng(1))
-        assert sub.t >= 1
-
 
 class TestCER:
     def test_paper_shape(self):

@@ -56,7 +56,7 @@ def _shadow_pair(population: int, churn: float, seed: int, dims: int = 3):
     ids[no_proposal] = VectorizedMinId.NO_PROPOSAL
 
     vec_engine = VectorizedGossipEngine(population, seed=seed + 1, churn=churn)
-    vec_eesum = VectorizedEESum(values, quantize_bits=FRACTIONAL_BITS)
+    vec_eesum = VectorizedEESum(values)
     vec_minid = VectorizedMinId(ids)
 
     encoded = np.round(values * (1 << FRACTIONAL_BITS)).astype(object)
@@ -204,6 +204,94 @@ class TestVectorizedEngine:
         engine = VectorizedGossipEngine(50, seed=5, churn=0.999)
         total = engine.run_cycles(3)
         assert total <= 3  # occasionally two nodes survive a cycle
+
+
+def _relative_error(eesum: VectorizedEESum, exact: float) -> float:
+    """Worst relative error of the first column (inf while some ω is 0)."""
+    estimates = eesum.estimates()[:, 0]
+    if np.isnan(estimates).any():
+        return float("inf")
+    return float(np.abs(estimates - exact).max() / abs(exact))
+
+
+class TestEpidemicSumOnTheEngine:
+    """Push–pull averaging as the engine + :class:`VectorizedEESum` run it
+    (Figs. 3(b), 4(a) are measured on exactly this pair)."""
+
+    def test_converges_to_sum(self):
+        engine = VectorizedGossipEngine(1000, seed=0)
+        eesum = VectorizedEESum(np.ones(1000))
+        engine.run_cycles(60, eesum)
+        assert _relative_error(eesum, 1000) < 1e-6
+
+    def test_error_tail_after_seventy_cycles(self):
+        engine = VectorizedGossipEngine(2000, seed=5)
+        eesum = VectorizedEESum(np.ones(2000))
+        engine.run_cycles(70, eesum)
+        assert _relative_error(eesum, 2000) < 1e-8
+
+    def test_custom_data(self):
+        data = np.arange(100, dtype=float)
+        engine = VectorizedGossipEngine(100, seed=2)
+        eesum = VectorizedEESum(data)
+        engine.run_cycles(60, eesum)
+        assert np.allclose(eesum.estimates(), data.sum(), rtol=1e-6)
+
+    def test_mass_conservation(self):
+        engine = VectorizedGossipEngine(512, seed=1)
+        eesum = VectorizedEESum(np.ones(512))
+        for _ in range(10):
+            engine.run_cycle(eesum)
+            assert eesum.values.sum() == pytest.approx(512.0)
+            assert eesum.omega.sum() == pytest.approx(1.0)
+
+    def test_churn_slows_but_converges(self):
+        clean_engine = VectorizedGossipEngine(1000, seed=3)
+        churned_engine = VectorizedGossipEngine(1000, seed=3, churn=0.5)
+        clean, churned = VectorizedEESum(np.ones(1000)), VectorizedEESum(np.ones(1000))
+        clean_engine.run_cycles(40, clean)
+        churned_engine.run_cycles(40, churned)
+        assert _relative_error(clean, 1000) < _relative_error(churned, 1000)
+        # Fig. 3(b): even 50 % churn keeps the error a negligible fraction.
+        churned_engine.run_cycles(60, churned)
+        assert _relative_error(churned, 1000) < 1e-3
+
+    def test_messages_accounting(self):
+        engine = VectorizedGossipEngine(100, seed=4)
+        engine.run_cycle(VectorizedEESum(np.ones(100)))
+        # Every paired node logs one message per cycle.
+        assert 0 < engine.mean_exchanges_per_node <= 1.0
+
+    @pytest.mark.parametrize(
+        "churn, error, messages",
+        [(0.1, 0.0003676943259622931, 45.019), (0.5, 0.5604575008269568, 25.031)],
+    )
+    def test_pinned_to_the_retired_cleartext_simulator(self, churn, error, messages):
+        """What the cleartext push–pull simulator (10⁴ nodes, seed 3) read after
+        50 cycles at the commit that deleted it: same draws, same bits."""
+        engine = VectorizedGossipEngine(10_000, seed=3, churn=churn)
+        eesum = VectorizedEESum(np.ones(10_000))
+        engine.run_cycles(50, eesum)
+        assert _relative_error(eesum, 10_000) == error
+        assert engine.mean_exchanges_per_node == messages
+
+
+class TestEngineChurn:
+    def test_churn_range_enforced(self):
+        for churn in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                VectorizedGossipEngine(10, churn=churn)
+
+    def test_zero_churn_consumes_no_rng(self):
+        """A churn-free cycle draws the pairing and nothing else: checkpointed
+        engine streams and every protocol digest depend on it."""
+        engine = VectorizedGossipEngine(1000, seed=7)
+        engine.run_cycle()
+        untouched = np.random.default_rng(7)
+        untouched.permutation(np.arange(1000))
+        assert engine.online.all()
+        assert engine.rng.bit_generator.state == untouched.bit_generator.state
+        assert np.array_equal(engine.rng.random(8), untouched.random(8))
 
 
 class TestVectorizedShareCollection:

@@ -74,13 +74,3 @@ class TestChargedSchedule:
         assert acc.spent == 0.5
 
 
-class TestDeltaComposition:
-    def test_delta_power(self):
-        acc = PrivacyAccountant(epsilon_budget=10.0, delta_atom=0.999)
-        acc.charge(1.0, n_values=48)
-        assert acc.delta_global == pytest.approx(0.999**48)
-
-    def test_delta_one_stays_one(self):
-        acc = PrivacyAccountant(epsilon_budget=10.0)
-        acc.charge(1.0, n_values=100)
-        assert acc.delta_global == 1.0

@@ -50,7 +50,7 @@ class TestMechanism:
     def test_noise_statistics(self):
         """Mean ≈ 0 and variance ≈ 2λ² for Laplace(0, λ)."""
         mech = LaplaceMechanism(sensitivity=5.0, epsilon=0.5)
-        noise = mech.sample_noise((200_000,), np.random.default_rng(1))
+        noise = mech.perturb(np.zeros(200_000), np.random.default_rng(1))
         lam = mech.scale
         assert abs(noise.mean()) < 0.1 * lam
         assert noise.var() == pytest.approx(2 * lam * lam, rel=0.05)

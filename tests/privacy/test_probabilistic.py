@@ -11,7 +11,6 @@ from repro.privacy import (
     lemma2_noise_inflation,
     lemma2_scale,
     newscast_exchanges,
-    newscast_iota,
 )
 
 
@@ -46,11 +45,6 @@ class TestTheorem3:
         loose = newscast_exchanges(10**4, 1e-3, 0.01)
         tight = newscast_exchanges(10**4, 1e-9, 0.01)
         assert tight > loose
-
-    def test_iota_inversion_consistent(self):
-        n_e = newscast_exchanges(10**5, 1e-6, 0.02)
-        iota = newscast_iota(10**5, 1e-6, n_e)
-        assert iota <= 0.02 * 1.01
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

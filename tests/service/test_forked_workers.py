@@ -90,7 +90,7 @@ class TestReaping:
         worker_pid = scheduler._workers[long_job.job_id].pid
         assert worker_pid != os.getpid()
         scheduler.shutdown()
-        assert scheduler.active_jobs == []
+        assert scheduler._workers == {}
         assert multiprocessing.active_children() == []
         with pytest.raises(ProcessLookupError):
             os.kill(worker_pid, 0)  # reaped, not a zombie

@@ -47,14 +47,15 @@ class TestQueue:
     def test_claim_order_is_submit_order(self, tmp_path):
         store = JobStore(tmp_path)
         submitted = [store.submit(small_spec(s)) for s in range(3)]
-        claimed = [store.claim_next().job_id for _ in range(3)]
+        claimed = [
+            store.claim(store.in_state(JobState.QUEUED)[0]).job_id for _ in range(3)
+        ]
         assert claimed == [job.job_id for job in submitted]
-        assert store.claim_next() is None
+        assert store.in_state(JobState.QUEUED) == []
 
     def test_claim_marks_running_and_counts_attempts(self, tmp_path):
         store = JobStore(tmp_path)
-        store.submit(small_spec(1))
-        job = store.claim_next()
+        job = store.claim(store.submit(small_spec(1)))
         assert job.state == JobState.RUNNING
         assert job.attempts == 1
         assert job.started_at is not None
@@ -96,7 +97,7 @@ class TestRecovery:
         store = JobStore(tmp_path)
         a = store.submit(small_spec(1))
         b = store.submit(small_spec(2))
-        store.claim_next()  # a → running (then the "server" dies)
+        store.claim(a)  # a → running (then the "server" dies)
         recovered = store.recover()
         assert [job.job_id for job in recovered] == [a.job_id]
         assert store.get(a.job_id).state == JobState.QUEUED

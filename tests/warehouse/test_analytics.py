@@ -9,7 +9,6 @@ from repro.warehouse import (
     bench_trajectory,
     connect,
     detector_counts,
-    epsilon_spend,
     fig2_trajectories,
     fig3_quality,
     latency_percentiles,
@@ -50,11 +49,12 @@ def add_run(con, run_key, name="run", strategy="G", plane="quality",
 class TestTrajectories:
     def test_epsilon_running_sum(self, con):
         add_run(con, "job:a", history=[30.0, 20.0, 10.0])
-        curve = epsilon_spend(con, run_key="job:a")
-        assert [round(row["epsilon_spent_total"], 6) for row in curve] == [
-            0.1, 0.2, 0.3]
-        assert [round(row["epsilon_before"], 6) for row in curve] == [
-            0.0, 0.1, 0.2]
+        curve = con.execute(
+            "SELECT epsilon_spent_total, epsilon_before FROM v_epsilon_spend "
+            "WHERE run_key = 'job:a' ORDER BY iteration"
+        ).fetchall()
+        assert [round(total, 6) for total, _ in curve] == [0.1, 0.2, 0.3]
+        assert [round(before, 6) for _, before in curve] == [0.0, 0.1, 0.2]
 
     def test_sma3_window(self, con):
         add_run(con, "job:a", history=[9.0, 3.0, 3.0, 6.0])

@@ -9,13 +9,8 @@ import pytest
 from _wh_helpers import bench_envelope, populate_job, tiny_spec, write_json
 from repro.api import Experiment, run_record
 from repro.service import JobStore, append_ndjson
-from repro.warehouse import (
-    Ingester,
-    connect,
-    ingest_paths,
-    read_ndjson_from,
-    table_counts,
-)
+from repro.warehouse import Ingester, connect, ingest_paths, table_counts
+from repro.warehouse.ingest import _read_blocks
 
 
 @pytest.fixture()
@@ -23,6 +18,15 @@ def con(tmp_path):
     con = connect(tmp_path / "wh.db")
     yield con
     con.close()
+
+
+def read_ndjson_from(path, offset):
+    """The block reader's ``(line_offset, record)`` pairs past ``offset`` and
+    its new watermark."""
+    pairs = []
+    for offset, records in _read_blocks(path, offset):
+        pairs += [(line_offset, record) for line_offset, _, record in records]
+    return pairs, offset
 
 
 class TestReadNdjsonFrom:
