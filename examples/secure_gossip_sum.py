@@ -17,6 +17,8 @@ device actually sees on the wire.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from repro.api import Experiment, IterationCompleted, RunSpec
@@ -56,7 +58,8 @@ def build_spec() -> RunSpec:
 def main() -> None:
     spec = build_spec()
     print("dealing threshold keys: 24 shares, any 3 decrypt …")
-    keypair = generate_threshold_keypair(256, n_shares=24, threshold=3, s=2)
+    keypair = generate_threshold_keypair(
+        256, n_shares=24, threshold=3, s=2, rng=random.Random(spec.seed))
 
     experiment = Experiment.from_spec(spec, keypair=keypair)
     print("running Algorithm 1 over the gossip engine (real crypto) …")

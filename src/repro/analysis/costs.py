@@ -45,15 +45,14 @@ __all__ = [
 ]
 
 
-def means_set_bytes(public: PublicKey, k: int, series_length: int, with_count: bool = True) -> int:
+def means_set_bytes(public: PublicKey, k: int, series_length: int) -> int:
     """Wire size of one set of encrypted means (Fig. 5(b)).
 
-    ``k`` means × (``series_length`` sum ciphertexts + optionally the count
+    ``k`` means × (``series_length`` sum ciphertexts + the count
     ciphertext), each of ``public.ciphertext_bytes`` bytes, plus the
     cleartext weight/counter envelope (negligible, ignored).
     """
-    per_mean = series_length + (1 if with_count else 0)
-    return k * per_mean * public.ciphertext_bytes
+    return k * (series_length + 1) * public.ciphertext_bytes
 
 
 @dataclass(frozen=True)
@@ -170,14 +169,17 @@ def _threshold_decrypt_all(
     return plaintexts
 
 
+#: The comparison's workload: values drawn in ±1000 on the run's 2⁻²⁴ grid.
+_FRACTIONAL_BITS = 24
+_MAX_ABS_VALUE = 1000.0
+
+
 def compare_scalar_batched_costs(
     keypair: ThresholdKeypair,
     k: int = 50,
     series_length: int = 20,
     repetitions: int = 1,
     rng: random.Random | None = None,
-    fractional_bits: int = 24,
-    max_abs_value: float = 1000.0,
 ) -> dict:
     """Measure the computation-step local cost on both ciphertext planes.
 
@@ -197,13 +199,13 @@ def compare_scalar_batched_costs(
     rng = rng or random.Random(7)
     public = keypair.public
     count = k * (series_length + 1)
-    values = [rng.uniform(-max_abs_value, max_abs_value) for _ in range(count)]
+    values = [rng.uniform(-_MAX_ABS_VALUE, _MAX_ABS_VALUE) for _ in range(count)]
 
-    codec = FixedPointCodec(public, fractional_bits=fractional_bits)
+    codec = FixedPointCodec(public, fractional_bits=_FRACTIONAL_BITS)
     packed = PackedCodec.plan(
         public,
-        fractional_bits=fractional_bits,
-        max_abs_value=max_abs_value,
+        fractional_bits=_FRACTIONAL_BITS,
+        max_abs_value=_MAX_ABS_VALUE,
         population=1,
         exchanges=1,
         terms=2,  # two biased sets are summed before decryption

@@ -20,9 +20,7 @@ Layout
   (determinism, bigint purity, layering, registry hygiene,
   ε-accounting);
 * :mod:`~repro.analysis.lint.engine`    — ``run_lint``: drive every
-  rule over a project, apply suppressions and the baseline;
-* :mod:`~repro.analysis.lint.baseline`  — the committed baseline file
-  (``lint-baseline.json``): load/save/match;
+  rule over a project and apply the inline suppressions;
 * :mod:`~repro.analysis.lint.reporters` — text and JSON renditions
   (the JSON envelope, ``chiaroscuro-lint/v1``, ingests into the
   warehouse's ``lint_findings`` table).
@@ -31,11 +29,9 @@ CLI::
 
     python -m repro lint src/repro
     python -m repro lint src/repro --format json > lint-findings.json
-    python -m repro lint src/repro --write-baseline
     python -m repro lint --list-rules
 """
 
-from .baseline import load_baseline, write_baseline
 from .engine import LintReport, run_lint
 from .findings import Finding
 from .model import Module, Project
@@ -53,10 +49,8 @@ __all__ = [
     "Module",
     "Project",
     "RULES",
-    "load_baseline",
     "register_rule",
     "render_json",
     "render_text",
     "run_lint",
-    "write_baseline",
 ]

@@ -6,9 +6,7 @@ The engine owns the finding lifecycle:
 2. run each selected rule over the shared model;
 3. mark findings covered by an inline ``# repro-lint: allow=`` comment
    as ``suppressed`` (justification attached);
-4. mark findings whose fingerprint appears in the baseline as
-   ``baselined``;
-5. everything else is ``new`` — the set that fails the build.
+4. everything else is ``new`` — the set that fails the build.
 
 Malformed suppression comments (no ``-- justification``) are reported
 under the reserved rule id ``suppression``: an unexplained waiver is
@@ -21,8 +19,8 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass, replace
 
-from .findings import Finding, fingerprint_findings, relative_path
-from .model import Project
+from .findings import STATUSES, Finding, fingerprint_findings, relative_path
+from .model import Module, Project
 from .registry import RULES
 
 __all__ = ["LintReport", "run_lint"]
@@ -47,16 +45,10 @@ class LintReport:
     def suppressed(self) -> list[Finding]:
         return [f for f in self.findings if f.status == "suppressed"]
 
-    @property
-    def baselined(self) -> list[Finding]:
-        return [f for f in self.findings if f.status == "baselined"]
-
     def by_rule(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}
         for finding in self.findings:
-            bucket = out.setdefault(
-                finding.rule, {"new": 0, "suppressed": 0, "baselined": 0}
-            )
+            bucket = out.setdefault(finding.rule, dict.fromkeys(STATUSES, 0))
             bucket[finding.status] += 1
         return out
 
@@ -68,7 +60,6 @@ class LintReport:
 def run_lint(
     paths: list[str | pathlib.Path],
     rules: list[str] | None = None,
-    baseline: dict[str, dict] | None = None,
 ) -> LintReport:
     """Lint ``paths`` with ``rules`` (default: all registered).
 
@@ -86,15 +77,9 @@ def run_lint(
 
     # Anchor each finding to its source line text for the fingerprint
     # and attach inline suppressions.
-    findings = [_classify_inline(project, f) for f in findings]
+    modules = {relative_path(m.path): m for m in project.modules}
+    findings = [_classify_inline(modules.get(f.path), f) for f in findings]
     findings = fingerprint_findings(findings)
-    if baseline:
-        findings = [
-            replace(f, status="baselined")
-            if f.status == "new" and f.fingerprint in baseline
-            else f
-            for f in findings
-        ]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return LintReport(
         findings=findings, files=len(project.modules), rules=selected
@@ -120,9 +105,8 @@ def _suppression_findings(project: Project) -> list[Finding]:
     return out
 
 
-def _classify_inline(project: Project, finding: Finding) -> Finding:
+def _classify_inline(module: Module | None, finding: Finding) -> Finding:
     """Fill the snippet and apply inline suppressions to one finding."""
-    module = _module_for(project, finding.path)
     if module is None:
         return finding
     snippet = finding.snippet or module.line_text(finding.line).strip()
@@ -137,10 +121,3 @@ def _classify_inline(project: Project, finding: Finding) -> Finding:
                 justification=suppression.justification,
             )
     return finding
-
-
-def _module_for(project: Project, path: str):
-    for module in project.modules:
-        if relative_path(module.path) == path:
-            return module
-    return None

@@ -2,21 +2,22 @@
 
 The fingerprint deliberately ignores line *numbers* — it hashes the rule
 id, the file's repo-relative path, the stripped source text of the
-flagged line and an occurrence index (for identical lines) — so a
-baseline entry survives unrelated edits above the finding, exactly like
-the warehouse keys events by content, never by file position alone.
+flagged line and an occurrence index (for identical lines) — so the
+warehouse's ``lint_findings`` rows follow one finding across unrelated
+edits above it, exactly like it keys events by content, never by file
+position alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pathlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 __all__ = ["Finding", "STATUSES", "fingerprint_findings", "relative_path"]
 
 #: Finding lifecycle statuses (what the reporters and warehouse see).
-STATUSES = ("new", "suppressed", "baselined")
+STATUSES = ("new", "suppressed")
 
 
 @dataclass(frozen=True)
@@ -30,24 +31,14 @@ class Finding:
     col: int = 0
     #: flagged line's source text, stripped (fingerprint input + display)
     snippet: str = ""
-    #: 'new' | 'suppressed' | 'baselined' (engine-assigned)
+    #: one of :data:`STATUSES` (engine-assigned)
     status: str = "new"
     #: suppression justification (status == 'suppressed' only)
     justification: str = ""
     fingerprint: str = field(default="", compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-            "status": self.status,
-            "justification": self.justification,
-            "fingerprint": self.fingerprint,
-        }
+        return asdict(self)
 
 
 def relative_path(path: pathlib.Path) -> str:

@@ -29,13 +29,7 @@ import pathlib
 import re
 from dataclasses import dataclass
 
-__all__ = [
-    "ImportRecord",
-    "Module",
-    "Project",
-    "Suppression",
-    "SUPPRESS_RE",
-]
+__all__ = ["Module", "Project"]
 
 #: ``# repro-lint: allow=rule-a,rule-b -- justification``
 SUPPRESS_RE = re.compile(
@@ -49,7 +43,6 @@ _FIXTURE_RE = re.compile(r"#\s*repro-lint-fixture:\s*package=([\w.]+)")
 class Suppression:
     """One parsed ``repro-lint: allow=`` comment."""
 
-    line: int  # the statement line it covers
     rules: tuple[str, ...]
     justification: str
 
@@ -83,7 +76,6 @@ class Module:
 
     def __init__(self, path: pathlib.Path, source: str, package: str) -> None:
         self.path = path
-        self.source = source
         self.lines = source.splitlines()
         #: dotted module path, e.g. ``repro.core.protocol`` ('' if unknown)
         self.package = package
@@ -144,18 +136,10 @@ class Module:
 
 
 class Project:
-    """All modules under the linted paths, parsed once.
-
-    ``by_package`` maps dotted module paths to modules (fixture
-    directives included), so whole-project rules (layering) look peers
-    up without re-walking the filesystem.
-    """
+    """All modules under the linted paths, parsed once."""
 
     def __init__(self, modules: list[Module]) -> None:
         self.modules = modules
-        self.by_package: dict[str, Module] = {
-            m.package: m for m in modules if m.package
-        }
 
     @classmethod
     def load(cls, paths: list[pathlib.Path]) -> "Project":
@@ -230,7 +214,7 @@ def _parse_suppressions(
             r.strip() for r in match.group(1).split(",") if r.strip()
         )
         by_line.setdefault(target, []).append(
-            Suppression(line=target, rules=rules, justification=justification)
+            Suppression(rules=rules, justification=justification)
         )
     return by_line, malformed
 

@@ -15,8 +15,8 @@ a rule feels exactly like registering a dataset or a plane:
 A rule is a class with a ``check(project) -> Iterable[Finding]`` method;
 ``key`` is injected at registration.  Rules see the whole
 :class:`~repro.analysis.lint.model.Project` (single-parse modules), so
-per-module rules iterate ``project.modules`` and whole-program rules
-(layering) can look peers up in ``project.by_package``.
+both per-module and whole-program rules (layering) iterate
+``project.modules``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import subprocess
 import time
 
 from .engine import LintReport
+from .findings import STATUSES
 
 __all__ = ["REPORT_SCHEMA", "render_json", "render_text"]
 
@@ -56,15 +57,14 @@ def render_text(report: LintReport, verbose: bool = False) -> str:
     for rule, counts in sorted(report.by_rule().items()):
         parts = [
             f"{counts[status]} {status}"
-            for status in ("new", "suppressed", "baselined")
+            for status in STATUSES
             if counts[status]
         ]
         out.append(f"{rule}: {', '.join(parts)}")
     new = len(report.new)
     out.append(
         f"{report.files} file(s), {len(report.rules)} rule(s): "
-        f"{new} new, {len(report.suppressed)} suppressed, "
-        f"{len(report.baselined)} baselined"
+        f"{new} new, {len(report.suppressed)} suppressed"
     )
     return "\n".join(out) + "\n"
 
@@ -86,7 +86,6 @@ def render_json(report: LintReport) -> str:
         "counts": {
             "new": len(report.new),
             "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
         },
         "findings": [f.to_dict() for f in report.findings],
     }

@@ -135,7 +135,7 @@ for _label in ("G", "GF", "UF"):
 
 #: ``RunSpec.options`` keys the quality plane forwards to
 #: :class:`~repro.core.perturbed_kmeans.PerturbationOptions`.
-QUALITY_OPTION_KEYS = ("sensitivity_mode", "gossip_e_max", "count_floor")
+QUALITY_OPTION_KEYS = ("sensitivity_mode", "gossip_e_max")
 
 
 @register_plane("quality")
@@ -154,8 +154,7 @@ class QualityPlane(ExecutionPlane):
         del cycle_hook  # no gossip engine on this plane
         spec, params = ctx.spec, ctx.params
         options = PerturbationOptions(
-            smoothing=params.use_smoothing,
-            **{k: spec.options[k] for k in QUALITY_OPTION_KEYS if k in spec.options},
+            **{k: spec.options[k] for k in QUALITY_OPTION_KEYS if k in spec.options}
         )
         rng = np.random.default_rng(spec.seed + 1)
         centroids = ctx.initial_centroids
@@ -170,7 +169,7 @@ class QualityPlane(ExecutionPlane):
             ctx.strategy,
             max_iterations=params.max_iterations,
             theta=params.theta,
-            smoothing_window=params.smoothing_window(ctx.dataset.n),
+            smoothing_window=params.smoothing_plan(ctx.dataset.n)[0],
             options=options,
             churn=spec.churn,
             rng=rng,
@@ -193,7 +192,6 @@ class _ProtocolPlane(ExecutionPlane):
             ctx.strategy,
             ctx.params,
             ctx.initial_centroids,
-            key_bits=ctx.params.key_bits,
             seed=ctx.spec.seed,
             keypair=ctx.keypair,
             cycle_hook=cycle_hook,

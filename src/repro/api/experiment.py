@@ -232,11 +232,6 @@ class Experiment:
         """Whether the SMA post-step applies to this run (all planes agree)."""
         return self.spec.params.smoothing_plan(self.context.dataset.n)[1]
 
-    def label(self) -> str:
-        """Paper-style label for the run (e.g. ``"G_SMA"``)."""
-        suffix = "_SMA" if self.smoothing_active() else ""
-        return f"{self.spec.strategy.upper()}{suffix}"
-
     # ------------------------------------------------------------ execution
 
     def run_iter(
@@ -315,7 +310,7 @@ class Experiment:
 
         yield RunStarted(
             spec=spec,
-            label=self.label(),
+            label=result.label,
             dataset_name=ctx.dataset.name,
             t=ctx.dataset.t,
             n=ctx.dataset.n,

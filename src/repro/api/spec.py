@@ -100,8 +100,7 @@ class RunSpec:
     """One experiment, fully specified and serializable.
 
     ``options`` carries plane-specific knobs outside the Table 1 sheet —
-    the quality plane reads ``sensitivity_mode``, ``gossip_e_max`` and
-    ``count_floor`` (see
+    the quality plane reads ``sensitivity_mode`` and ``gossip_e_max`` (see
     :class:`~repro.core.perturbed_kmeans.PerturbationOptions`).  Keys no
     registered plane declares in its ``option_keys`` are rejected here
     (typo protection); a plane simply ignores *other* planes' keys, so
@@ -238,8 +237,8 @@ class RunSpec:
             faults=d.get("faults", ()),  # __post_init__ builds the blocks
         )
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunSpec":

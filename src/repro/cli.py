@@ -261,19 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run only these rules")
     lint.add_argument("--list-rules", action="store_true",
                       help="list registered rules and exit")
-    lint.add_argument("--baseline", default="lint-baseline.json",
-                      metavar="FILE",
-                      help="known-findings file; matches are reported as "
-                           "'baselined' and don't fail the run "
-                           "(default: lint-baseline.json)")
-    lint.add_argument("--no-baseline", action="store_true",
-                      help="ignore the baseline file entirely")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="snapshot current findings to --baseline and "
-                           "exit 0")
     lint.add_argument("--verbose", action="store_true",
-                      help="text format: also show suppressed and "
-                           "baselined findings")
+                      help="text format: also show suppressed findings")
 
     costs = sub.add_parser("costs", help="Fig. 5 cost/bandwidth sheet")
     costs.set_defaults(handler=_cmd_costs)
@@ -731,14 +720,7 @@ def _cmd_costs(args, out) -> int:
 
 
 def _cmd_lint(args, out) -> int:
-    from .analysis.lint import (
-        RULES,
-        load_baseline,
-        render_json,
-        render_text,
-        run_lint,
-        write_baseline,
-    )
+    from .analysis.lint import RULES, render_json, render_text, run_lint
 
     if args.list_rules:
         for key in RULES:
@@ -747,22 +729,8 @@ def _cmd_lint(args, out) -> int:
     rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            # The *default* baseline is optional; one named explicitly
-            # must exist.
-            if args.baseline != "lint-baseline.json":
-                print(f"error: no baseline file at {args.baseline}",
-                      file=out)
-                return 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
     try:
-        report = run_lint(args.paths, rules=rules, baseline=baseline)
+        report = run_lint(args.paths, rules=rules)
     except FileNotFoundError as exc:
         print(f"error: no such path: {exc}", file=out)
         print("usage: repro lint [PATH ...] [--format text|json] "
@@ -771,10 +739,6 @@ def _cmd_lint(args, out) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=out)
         return 2
-    if args.write_baseline:
-        count = write_baseline(args.baseline, report.findings)
-        print(f"wrote {count} finding(s) to {args.baseline}", file=out)
-        return 0
     if args.fmt == "json":
         out.write(render_json(report))
     else:

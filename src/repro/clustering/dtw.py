@@ -107,13 +107,12 @@ def dtw_distance(a: np.ndarray, b: np.ndarray, window: int | None = None) -> flo
     return float(np.sqrt(_cost_matrix(a, b, window)[len(a), len(b)]))
 
 
-def dtw_path(
-    a: np.ndarray, b: np.ndarray, window: int | None = None
-) -> list[tuple[int, int]]:
-    """Optimal warping path as (i, j) index pairs (0-based, monotone)."""
+def dtw_path(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
+    """Optimal unconstrained warping path as (i, j) index pairs (0-based,
+    monotone)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    cost = _cost_matrix(a, b, window)
+    cost = _cost_matrix(a, b, None)
     i, j = len(a), len(b)
     path = []
     while i > 0 and j > 0:
@@ -263,7 +262,6 @@ def lb_keogh(
     series: np.ndarray,
     centroids: np.ndarray,
     window: int | None = None,
-    chunk_size: int = 2048,
 ) -> np.ndarray:
     """The LB_Keogh lower bound on every ``t × k`` DTW distance.
 
@@ -282,11 +280,12 @@ def lb_keogh(
     upper, lower = _envelopes(centroids, window)
     t = len(series)
     bounds = np.empty((t, len(centroids)))
-    for start in range(0, t, chunk_size):
-        block = series[start : start + chunk_size, None, :]
+    chunk = 2048  # series per t × k × n intermediate
+    for start in range(0, t, chunk):
+        block = series[start : start + chunk, None, :]
         above = np.clip(block - upper[None, :, :], 0.0, None)
         below = np.clip(lower[None, :, :] - block, 0.0, None)
-        bounds[start : start + chunk_size] = (above**2 + below**2).sum(axis=2)
+        bounds[start : start + chunk] = (above**2 + below**2).sum(axis=2)
     return np.sqrt(bounds)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .distance import assign_to_closest
 from .inertia import intra_inertia
 
-__all__ = ["KMeansTrace", "lloyd_kmeans", "compute_means"]
+__all__ = ["KMeansTrace", "lloyd_kmeans", "compress_labels", "compute_means"]
 
 
 @dataclass
@@ -56,6 +56,14 @@ def compute_means(
     with np.errstate(invalid="ignore", divide="ignore"):
         means = sums / counts[:, None]
     return means, counts
+
+
+def compress_labels(labels: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Relabel onto the surviving-cluster index space (dead clusters never
+    hold members when ``alive`` is the non-empty mask, so the mapping is
+    total)."""
+    mapping = np.cumsum(alive) - 1
+    return mapping[labels]
 
 
 def lloyd_kmeans(

@@ -114,7 +114,7 @@ class ChiaroscuroParams:
         return derive_sma_window(series_length, self.smoothing_fraction)
 
     def smoothing_plan(self, series_length: int) -> tuple[int, bool]:
-        """``(window, applies)`` for a series length, via the one gate."""
-        return smoothing_plan(
-            series_length, self.smoothing_window(series_length), self.use_smoothing
-        )
+        """``(window, applies)`` for a series length, via the one gate
+        (window ``0`` when ``use_smoothing`` is off)."""
+        window = self.smoothing_window(series_length) if self.use_smoothing else 0
+        return smoothing_plan(series_length, window)

@@ -95,16 +95,16 @@ def perturbed_em(
     initial: GaussianMixtureState,
     strategy: BudgetStrategy,
     max_iterations: int = 10,
-    min_weight: float = 1e-4,
     rng: np.random.Generator | None = None,
 ) -> EMTrace:
     """Run differentially-private EM with Chiaroscuro's budget machinery.
 
     Each iteration charges its strategy slice and splits it equally across
     the three aggregate families (sums, counts, scatters); components whose
-    perturbed count goes non-positive are lost, mirroring the k-means
-    lost-centroid behaviour.  Perturbation is scaled against the dataset's
-    effective population (``population_scale``), like the k-means plane.
+    perturbed count falls to 10⁻⁴ of the population (or to 1) are lost,
+    mirroring the k-means lost-centroid behaviour.  Perturbation is scaled
+    against the dataset's effective population (``population_scale``), like
+    the k-means plane.
     """
     rng = rng or np.random.default_rng(0)
     series = dataset.values
@@ -137,7 +137,7 @@ def perturbed_em(
         sums = sums + rng.laplace(0, sens["sum"] / eps_part, size=sums.shape)
         scatter = scatter + rng.laplace(0, sens["scatter"] / eps_part, size=scatter.shape)
 
-        alive = counts > max(min_weight * len(series) * scale_factor, 1.0)
+        alive = counts > max(1e-4 * len(series) * scale_factor, 1.0)
         if not alive.any():
             break
         counts, sums, scatter = counts[alive], sums[alive], scatter[alive]

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..clustering.distance import assign_to_closest
 from ..clustering.inertia import intra_inertia
-from ..clustering.kmeans import compute_means
+from ..clustering.kmeans import compress_labels, compute_means
 from ..datasets.timeseries import TimeSeriesSet
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import BudgetStrategy
@@ -77,8 +77,6 @@ class PerturbationOptions:
 
     sensitivity_mode: str = "per-aggregate"
     gossip_e_max: float = 0.0
-    smoothing: bool = True
-    count_floor: float = 0.0  # perturbed counts at or below this are "lost"
 
     def __post_init__(self) -> None:
         if self.sensitivity_mode not in ("per-aggregate", "joint", "split"):
@@ -155,9 +153,7 @@ def iter_perturbed_kmeans(
     series_all = dataset.values
     scale_factor = float(dataset.population_scale)
 
-    smoothing_window, do_smooth = smoothing_plan(
-        dataset.n, smoothing_window, options.smoothing
-    )
+    smoothing_window, do_smooth = smoothing_plan(dataset.n, smoothing_window)
 
     accountant = PrivacyAccountant(epsilon_budget=strategy.epsilon)
     inflation = (
@@ -186,7 +182,7 @@ def iter_perturbed_kmeans(
 
         alive_true = counts > 0
         pre_inertia = intra_inertia(
-            series, means[alive_true], _compress_labels(labels, alive_true)
+            series, means[alive_true], compress_labels(labels, alive_true)
         )
 
         sum_scale, count_scale = _noise_scales(dataset, epsilon_i, options)
@@ -197,7 +193,7 @@ def iter_perturbed_kmeans(
             inflation * rng.laplace(0.0, count_scale, size=counts.shape)
         )
 
-        survive = alive_true & (noisy_counts > options.count_floor)
+        survive = alive_true & (noisy_counts > 0)
         if not survive.any():
             return
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -249,19 +245,18 @@ def perturbed_kmeans(
     """Run the perturbed k-means and return the full iteration trace.
 
     ``smoothing_window`` defaults to 20 % of the series length (Table 2),
-    rounded down to even; pass ``0`` to disable smoothing regardless of
-    ``options.smoothing``.  ``theta = 0`` disables the convergence test so
-    traces always span ``min(max_iterations, strategy bound)`` iterations —
-    the paper's Fig. 2 setting.
+    rounded down to even; pass ``0`` to disable smoothing.  ``theta = 0``
+    disables the convergence test so traces always span
+    ``min(max_iterations, strategy bound)`` iterations — the paper's Fig. 2
+    setting.
 
     A thin driver over :func:`iter_perturbed_kmeans`; use the generator
     directly for streaming progress, early stopping, or checkpointing.
     """
-    options = options or PerturbationOptions()
     result = ClusteringResult(
         centroids=np.asarray(initial_centroids, dtype=float).copy(),
         strategy=strategy.name,
-        smoothing=smoothing_plan(dataset.n, smoothing_window, options.smoothing)[1],
+        smoothing=smoothing_plan(dataset.n, smoothing_window)[1],
     )
     for step in iter_perturbed_kmeans(
         dataset,
@@ -276,14 +271,6 @@ def perturbed_kmeans(
     ):
         result.absorb(step)
     return result
-
-
-def _compress_labels(labels: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Relabel onto the surviving-cluster index space (dead clusters never
-    hold members when ``alive`` is the non-empty mask, so the mapping is
-    total)."""
-    mapping = np.cumsum(alive) - 1
-    return mapping[labels]
 
 
 def _restrict_labels(

@@ -46,6 +46,7 @@ import numpy as np
 
 from ..clustering.distance import assign_to_closest
 from ..clustering.inertia import intra_inertia
+from ..clustering.kmeans import compress_labels, compute_means
 from ..crypto import bigint
 from ..crypto.backend import create_backend
 from ..crypto.damgard_jurik import FastEncryptor
@@ -76,8 +77,8 @@ PROTOCOL_PLANES = ("object", "vectorized", "vectorized-crypto")
 class ChiaroscuroRun:
     """One full protocol execution over a (small) population of devices.
 
-    ``key_bits`` defaults to a test-friendly 256 bits; the Fig. 5 cost
-    benches use 1024.  The Damgård–Jurik expansion ``s`` is
+    The threshold key (dealt here unless ``keypair`` is given) has
+    ``params.key_bits`` and the Damgård–Jurik expansion
     ``params.expansion_s``; a real-crypto run whose plaintext space cannot
     hold one packed slot at the worst-case EESum scaling is refused at
     construction (``PackedCodec.plan`` raises ``ValueError``).  ``plane``
@@ -90,7 +91,6 @@ class ChiaroscuroRun:
         strategy: BudgetStrategy,
         params: ChiaroscuroParams,
         initial_centroids: np.ndarray,
-        key_bits: int = 256,
         seed: int = 0,
         keypair: ThresholdKeypair | None = None,
         cycle_hook: Callable[[int, int], None] | None = None,
@@ -156,7 +156,7 @@ class ChiaroscuroRun:
             # epidemic share-collection protocol still runs against the
             # population's τ for latency parity with the mock plane.
             committee = min(population, 16)
-            self._ensure_keypair(key_bits, committee, min(tau, committee))
+            self._ensure_keypair(committee, min(tau, committee))
             # On the pairing engine a node joins at most one (disjoint)
             # exchange per cycle, so its counter — and with it the packed
             # coefficient mass C = 2^count — is bounded by the cycle
@@ -167,7 +167,7 @@ class ChiaroscuroRun:
             self.packed = self._plan_packed(exchanges=2 * params.exchanges, terms=1)
             self._build_backend(self.packed.packed_length(dims))
         elif plane == "object":
-            self._ensure_keypair(key_bits, population, tau)
+            self._ensure_keypair(population, tau)
             # The EESum exchange counter can *chain* within one cycle (a
             # node that just advanced is contacted again), so the max count
             # grows by roughly 2 + 0.8·log2(t) per cycle empirically;
@@ -188,12 +188,12 @@ class ChiaroscuroRun:
         if self.fault_plan is not None:
             self.fault_plan.bind_run(self)
 
-    def _ensure_keypair(self, key_bits: int, n_shares: int, threshold: int) -> None:
+    def _ensure_keypair(self, n_shares: int, threshold: int) -> None:
         """Deal the run's threshold key unless the caller supplied one."""
         if self.keypair is None:
             with bigint.use_backend(self.bigint_backend):
                 self.keypair = generate_threshold_keypair(
-                    key_bits,
+                    self.params.key_bits,
                     n_shares=n_shares,
                     threshold=threshold,
                     s=self.params.expansion_s,
@@ -435,7 +435,12 @@ class ChiaroscuroRun:
 
         if labels is None:
             labels = assign_to_closest(dataset.values, centroids)
-        true_pre = self._pre_inertia(labels, len(centroids))
+        # Inertia of the current partition against its true (local) means.
+        true_means, true_counts = compute_means(dataset.values, labels, len(centroids))
+        alive = true_counts > 0
+        true_pre = float(intra_inertia(
+            dataset.values, true_means[alive], compress_labels(labels, alive)
+        ))
         post_labels = assign_to_closest(dataset.values, perturbed)
         post = intra_inertia(dataset.values, perturbed, post_labels)
 
@@ -459,14 +464,3 @@ class ChiaroscuroRun:
         a process-pool backend re-creates its executor lazily."""
         if self.backend is not None:
             self.backend.close()
-
-    def _pre_inertia(self, labels: np.ndarray, k: int) -> float:
-        """Inertia of the current partition against its true (local) means."""
-        series = self.dataset.values
-        counts = np.bincount(labels, minlength=k).astype(float)
-        sums = np.zeros((k, series.shape[1]))
-        np.add.at(sums, labels, series)
-        alive = counts > 0
-        means = sums[alive] / counts[alive, None]
-        mapping = np.cumsum(alive) - 1
-        return float(intra_inertia(series, means, mapping[labels]))

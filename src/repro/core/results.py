@@ -5,8 +5,11 @@
 * ``pre_inertia``   — intra-cluster inertia of the partition measured
   against the *unperturbed* means (Figs. 2a/2b "before perturbing");
 * ``post_inertia``  — inertia against the perturbed (and smoothed)
-  centroids without re-assignment, aberrant centroids removed (Figs. 2e/2f
-  "POST");
+  centroids, aberrant centroids removed (Figs. 2e/2f "POST").  Two
+  definitions today: the quality loop keeps each series in its cluster
+  (*without re-assignment*, the paper's); ``ChiaroscuroRun`` re-assigns
+  every series to its closest released centroid (ROADMAP item 1 fixes it
+  in the digest re-pin window);
 * ``n_centroids``   — surviving centroids after the lost-mean effect
   (Figs. 2c/2d);
 * ``epsilon_spent`` — the iteration's budget slice.

@@ -31,19 +31,17 @@ def derive_sma_window(series_length: int, fraction: float = 0.2) -> int:
     return w if w % 2 == 0 else w - 1
 
 
-def smoothing_plan(
-    series_length: int, window: int | None, enabled: bool
-) -> tuple[int, bool]:
+def smoothing_plan(series_length: int, window: int | None) -> tuple[int, bool]:
     """``(window, applies)`` for a run — the single gate every plane uses.
 
-    A ``None`` window derives the Table 2 default (20 % of ``n``); smoothing
-    applies only when enabled *and* ``0 < window < n``, so the quality and
-    distributed planes can never disagree on whether a given series length
-    is smoothable.
+    A ``None`` window derives the Table 2 default (20 % of ``n``) and ``0``
+    is the off switch; smoothing applies only when ``0 < window < n``, so
+    the quality and distributed planes can never disagree on whether a
+    given series length is smoothable.
     """
     if window is None:
         window = derive_sma_window(series_length)
-    return window, enabled and 0 < window < series_length
+    return window, 0 < window < series_length
 
 
 def sma_smooth(means: np.ndarray, window: int) -> np.ndarray:

@@ -95,11 +95,14 @@ class DecryptionCrossCheck:
     population deviating.
     """
 
-    def __init__(self, relative_tolerance: float = 1e-3, absolute_floor: float = 1e-9):
+    #: Coordinates whose reference is nearer zero than this are compared
+    #: against it, so the relative test never divides by zero.
+    ABSOLUTE_FLOOR = 1e-9
+
+    def __init__(self, relative_tolerance: float = 1e-3):
         if relative_tolerance <= 0:
             raise ValueError("relative_tolerance must be positive")
         self.relative_tolerance = relative_tolerance
-        self.absolute_floor = absolute_floor
 
     def check(self, reports: dict[int, np.ndarray]) -> CrossCheckReport:
         """Compare per-participant decrypted vectors; returns the report.
@@ -125,7 +128,7 @@ class DecryptionCrossCheck:
                 f"be established (participants: {shown})"
             )
         reference = np.median(stacked[finite_rows], axis=0)
-        scale = np.maximum(np.abs(reference), self.absolute_floor)
+        scale = np.maximum(np.abs(reference), self.ABSOLUTE_FLOOR)
         with np.errstate(invalid="ignore"):
             deviation = np.abs(stacked - reference) / scale
             worst = np.where(finite_rows, deviation.max(axis=1), np.inf)

@@ -74,24 +74,27 @@ __all__ = [
 def generate_keypair(
     key_bits: int,
     s: int = 1,
-    rng: random.Random | None = None,
+    *,
+    rng: random.Random,
     use_fixtures: bool = True,
 ) -> PrivateKey:
     """Generate an ``s``-expansion Damgård–Jurik keypair with a ``key_bits`` modulus.
 
-    ``use_fixtures`` pulls pre-generated safe primes (fast, deterministic —
-    fine for a reproduction; the paper likewise fixes one 1024-bit key).  Set
-    it to ``False`` to generate fresh safe primes with ``rng``.
+    The one dealer: :func:`repro.crypto.threshold.generate_threshold_keypair`
+    shares the key this returns.  ``use_fixtures`` pulls pre-generated safe
+    primes (fast, deterministic — fine for a reproduction; the paper
+    likewise fixes one 1024-bit key), falling back to ``rng`` for a size
+    that has none.  Set it to ``False`` to always draw fresh safe primes
+    from ``rng``.
     """
-    rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng
     half = key_bits // 2
+    p = q = 0
     if use_fixtures:
         try:
             p, q = fixture_safe_primes(half, count=2)
         except KeyError:
-            p = random_safe_prime(half, rng)
-            q = random_safe_prime(half, rng)
-    else:
+            pass  # no fixture of this size: draw the pair
+    if not p:
         p = random_safe_prime(half, rng)
         q = random_safe_prime(half, rng)
     if p == q:
@@ -131,20 +134,10 @@ def _random_unit(public: PublicKey, rng: random.Random) -> int:
             return r
 
 
-def encrypt(
-    public: PublicKey,
-    plaintext: int,
-    rng: random.Random | None = None,
-    randomizer: int | None = None,
-) -> int:
-    """Encrypt ``plaintext ∈ Z_{n^s}`` under ``public``.
-
-    ``randomizer`` may be a pre-computed ``r^{n^s} mod n^{s+1}`` value (an
-    encryption of zero) so bulk encryption amortizes the modexp.
-    """
-    if randomizer is None:
-        rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng
-        randomizer = bigint.powmod(_random_unit(public, rng), public.n_s, public.n_s1)
+def encrypt(public: PublicKey, plaintext: int, rng: random.Random) -> int:
+    """Encrypt ``plaintext ∈ Z_{n^s}`` under ``public``, one full modexp
+    for the randomizer ``r^{n^s}`` (:class:`FastEncryptor` amortizes it)."""
+    randomizer = bigint.powmod(_random_unit(public, rng), public.n_s, public.n_s1)
     return powers_of_g(public, plaintext) * randomizer % public.n_s1
 
 
@@ -244,7 +237,7 @@ def encrypt_drawn(
 def encrypt_batch(
     public: PublicKey,
     plaintexts: list[int],
-    rng: random.Random | None = None,
+    rng: random.Random,
     encryptor: FastEncryptor | None = None,
 ) -> list[int]:
     """Encrypt a batch of plaintexts, through ``encryptor`` when given.
@@ -253,7 +246,6 @@ def encrypt_batch(
     discipline as the backends in :mod:`repro.crypto.backend`, whose output
     for the same ``rng`` state is therefore bit-identical to this function's.
     """
-    rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng
     drawn = draw_randomness(public, len(plaintexts), rng, encryptor)
     return encrypt_drawn(public, list(plaintexts), drawn, encryptor)
 

@@ -178,20 +178,20 @@ class PackedCodec:
         population: int,
         exchanges: int,
         terms: int = 2,
-        safety_bits: int = 2,
     ) -> "PackedCodec":
         """Size a codec for a protocol run.
 
         ``max_abs_value`` bounds a single encoded value, ``population`` the
         number of contributors, ``exchanges`` the worst-case delayed-division
         scaling ``2^exchanges``, and ``terms`` how many biased vectors are
-        homomorphically summed before unpacking (means + noise = 2).
-        Raises ``ValueError`` when even a single slot cannot fit.
+        homomorphically summed before unpacking (means + noise = 2); two
+        safety bits of headroom ride on top of that mass.  Raises
+        ``ValueError`` when even a single slot cannot fit.
         """
         max_fixed = int(max_abs_value * (1 << fractional_bits) + 1)
         value_bits = max(max_fixed.bit_length() + 1, fractional_bits + 1)
         mass = population * terms * (1 << exchanges)
-        accumulation_bits = mass.bit_length() + safety_bits
+        accumulation_bits = mass.bit_length() + 2
         return cls(
             public=public,
             fractional_bits=fractional_bits,

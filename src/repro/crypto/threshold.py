@@ -22,9 +22,9 @@ import random
 from dataclasses import dataclass
 
 from . import bigint
-from .damgard_jurik import dlog_1_plus_n
+from .damgard_jurik import dlog_1_plus_n, generate_keypair
 from .keys import KeyShare, PrivateKey, PublicKey, ThresholdContext
-from .numtheory import crt_pair, fixture_safe_primes, modinv, random_safe_prime
+from .numtheory import crt_pair, modinv
 from .shamir import lagrange_at_zero, share_secret
 
 __all__ = [
@@ -60,32 +60,21 @@ def generate_threshold_keypair(
     n_shares: int,
     threshold: int,
     s: int = 1,
-    rng: random.Random | None = None,
-    use_fixtures: bool = True,
+    *,
+    rng: random.Random,
 ) -> ThresholdKeypair:
-    """Deal a threshold Damgård–Jurik key: ``n_shares`` shares, any ``threshold`` decrypt."""
-    rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng
-    half = key_bits // 2
-    if use_fixtures:
-        try:
-            p, q = fixture_safe_primes(half, count=2)
-        except KeyError:
-            p = random_safe_prime(half, rng)
-            q = random_safe_prime(half, rng)
-    else:
-        p = random_safe_prime(half, rng)
-        q = random_safe_prime(half, rng)
-    n = p * q
-    public = PublicKey(n=n, s=s)
-    m = (p - 1) // 2 * ((q - 1) // 2)
+    """Deal a threshold Damgård–Jurik key: ``n_shares`` shares, any ``threshold`` decrypt.
+
+    The primes and the plain key are :func:`generate_keypair`'s (its
+    ``d' ≡ 0 mod λ(n) = 2m``); the shared secret is the Shoup exponent
+    ``d ≡ 0 (mod m)``, ``d ≡ 1 (mod n^s)``.
+    """
+    private = generate_keypair(key_bits, s, rng=rng)
+    public = private.public
+    m = (private.p - 1) // 2 * ((private.q - 1) // 2)
     d = crt_pair(0, m, 1, public.n_s)
     context = ThresholdContext(public=public, n_shares=n_shares, threshold=threshold)
     shares = share_secret(d, public.n_s * m, n_shares, threshold, rng)
-    # d ≡ 0 (mod m) also satisfies d·2 ≡ 0 (mod λ = 2m) — for the plain
-    # PrivateKey we need d' ≡ 0 (mod λ(n)), d' ≡ 1 (mod n^s).
-    lam = 2 * m
-    d_plain = crt_pair(0, lam, 1, public.n_s)
-    private = PrivateKey(public=public, p=p, q=q, d=d_plain)
     return ThresholdKeypair(context=context, shares=shares, private=private)
 
 

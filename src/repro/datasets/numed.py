@@ -27,11 +27,10 @@ _WEEKS = np.arange(20, dtype=float)
 _DMIN, _DMAX = 0.0, 50.0
 
 
-def numed_profile(
-    baseline: float, shrink: float, growth: float, weeks: np.ndarray = _WEEKS
-) -> np.ndarray:
-    """Claret-style TGI curve ``y0·(exp(−shrink·t) + growth·t)``."""
-    return baseline * (np.exp(-shrink * weeks) + growth * weeks)
+def numed_profile(baseline: float, shrink: float, growth: float) -> np.ndarray:
+    """Claret-style TGI curve ``y0·(exp(−shrink·t) + growth·t)`` over the
+    20 weekly measures."""
+    return baseline * (np.exp(-shrink * _WEEKS) + growth * _WEEKS)
 
 
 def _archetype_params(rng: np.random.Generator, archetype: int) -> tuple[float, float, float]:

@@ -26,13 +26,12 @@ _DMIN, _DMAX = 0.0, 1000.0
 def generate_a3_like(
     n_clusters: int = 50,
     points_per_cluster: int = 150,
-    spread: float = 18.0,
     seed: int | np.random.Generator = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the base A3-like set: (points, true_centers).
 
     Cluster centers sit on a jittered √k × √k grid inside
-    ``[100, 900]²`` so blobs are well separated at the default spread.
+    ``[100, 900]²`` so blobs (σ = 18) are well separated.
     """
     rng = np.random.default_rng(seed)
     side = int(np.ceil(np.sqrt(n_clusters)))
@@ -41,7 +40,7 @@ def generate_a3_like(
     centers = centers + rng.uniform(-30, 30, size=centers.shape)
     points = np.concatenate(
         [
-            center + rng.normal(0.0, spread, size=(points_per_cluster, 2))
+            center + rng.normal(0.0, 18.0, size=(points_per_cluster, 2))
             for center in centers
         ]
     )

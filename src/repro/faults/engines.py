@@ -78,9 +78,6 @@ class FaultyObjectEngine:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._engine, name)
 
-    def setup(self, *protocols) -> None:
-        self._engine.setup(*protocols)
-
     def run_cycle(self, *protocols) -> int:
         engine, plan = self._engine, self._plan
         phase_key = tuple(id(p) for p in protocols)
@@ -107,11 +104,6 @@ class FaultyObjectEngine:
         for _ in range(cycles):
             total += self.run_cycle(*protocols)
         return total
-
-    def run_pairing_cycle(self, pairs, *protocols) -> int:
-        """Shadow-execution schedules bypass injection (they replay a
-        schedule decided elsewhere); faults apply only to live cycles."""
-        return self._engine.run_pairing_cycle(pairs, *protocols)
 
     # ------------------------------------------------------------- internals
 
@@ -228,10 +220,3 @@ class FaultyVectorizedEngine:
             left, _right = self.run_cycle(*protocols)
             total += len(left)
         return total
-
-    def run_pairing_cycle(self, left, right, *protocols) -> int:
-        """Shadow-execution schedules bypass injection (see object proxy)."""
-        return self._engine.run_pairing_cycle(left, right, *protocols)
-
-    def draw_pairing(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._engine.draw_pairing()

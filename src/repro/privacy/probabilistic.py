@@ -104,7 +104,6 @@ class GossipPrivacyPlan:
     population: int
     max_iterations: int
     series_length: int
-    variance: float = 1.0
 
     @property
     def delta_atom(self) -> float:
@@ -128,7 +127,7 @@ class GossipPrivacyPlan:
     @property
     def exchanges(self) -> int:
         """Newscast exchanges per participant per EESum execution."""
-        return newscast_exchanges(self.population, self.e_max, self.iota, self.variance)
+        return newscast_exchanges(self.population, self.e_max, self.iota)
 
     @property
     def noise_inflation(self) -> float:

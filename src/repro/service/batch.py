@@ -39,7 +39,6 @@ def run_batch(
     specs: Iterable[RunSpec | Mapping],
     root: str | pathlib.Path,
     max_workers: int = 4,
-    poll_interval: float = 0.05,
     timeout: float | None = None,
 ) -> list[dict]:
     """Submit ``specs``, drain a scheduler over them, return the records.
@@ -49,9 +48,9 @@ def run_batch(
     """
     store = JobStore(root)
     jobs = store.submit_batch(specs)
-    scheduler = Scheduler(
-        store, max_workers=max_workers, poll_interval=poll_interval
-    )
+    # Nothing is submitted behind a batch's back: the tick only bounds how
+    # late the drain notices its timeout.
+    scheduler = Scheduler(store, max_workers=max_workers, poll_interval=0.05)
     scheduler.recover()
     scheduler.drain(timeout=timeout)
     # Only the submitted jobs are re-read, not the root's whole history.

@@ -8,8 +8,9 @@ POSIX guarantee that concurrent appenders never interleave within a line
 is what makes the combined feed safe without any locking.
 
 Readers are tolerant by construction: a SIGKILL can truncate the last
-line mid-byte, so every reader goes through :func:`_object_lines` (the
-job's durable state lives in ``job.json``/checkpoints, never in the logs).
+line mid-byte, so every reader — the warehouse's ingest included — goes
+through :func:`read_blocks` (the job's durable state lives in
+``job.json``/checkpoints, never in the logs).
 """
 
 from __future__ import annotations
@@ -25,7 +26,17 @@ from ..api.events import RunEvent, event_to_dict
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import JobStore
 
-__all__ = ["EventBus", "append_ndjson", "next_seq", "read_events", "tail_events"]
+__all__ = [
+    "BLOCK_BYTES",
+    "EventBus",
+    "append_ndjson",
+    "next_seq",
+    "read_blocks",
+    "read_events",
+    "tail_events",
+]
+
+_COMPACT = (",", ":")
 
 
 def append_ndjson(path: str | pathlib.Path, record: dict) -> None:
@@ -35,13 +46,12 @@ def append_ndjson(path: str | pathlib.Path, record: dict) -> None:
     after a degenerate decode) is written as ``null`` — Python's bare
     ``NaN``/``Infinity`` are rejected by ``jq`` and sqlite's JSON functions.
     """
-    compact = (",", ":")
     try:
-        text = json.dumps(record, separators=compact, allow_nan=False)
-    except ValueError:  # a non-finite float: re-read it the way ingest does
-        lenient = json.dumps(record, separators=compact)
+        text = json.dumps(record, separators=_COMPACT, allow_nan=False)
+    except ValueError:  # a non-finite float: re-read it the way the reader does
+        lenient = json.dumps(record, separators=_COMPACT)
         strict = json.loads(lenient, parse_constant=lambda constant: None)
-        text = json.dumps(strict, separators=compact, allow_nan=False)
+        text = json.dumps(strict, separators=_COMPACT, allow_nan=False)
     data = (text + "\n").encode()
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     try:
@@ -50,43 +60,72 @@ def append_ndjson(path: str | pathlib.Path, record: dict) -> None:
         os.close(fd)
 
 
-def _object_lines(
-    path: str | pathlib.Path, offset: int = 0
-) -> Iterator[tuple[int, dict]]:
-    """The one reader: ``(end_offset, record)`` for every complete line past
-    ``offset`` that holds a JSON object.
+#: Bytes per read of an NDJSON log.  One block's complete lines are
+#: parsed and handed on as one batch, so this bounds what a reader holds
+#: in memory whatever the log's length: ~250 event lines, past which
+#: larger batches bought the warehouse ingest no speed and cost resident
+#: memory.
+BLOCK_BYTES = 1 << 16
 
-    The rules every reader below inherits (the warehouse's block reader,
-    ``warehouse.ingest._read_blocks``, keeps the same ones):
 
-    * a line ends at ``b"\n"``; an incomplete tail (a writer is mid-append
-      or was killed there) is never yielded — it stays pending until its
-      newline arrives;
+def read_blocks(
+    path: str | pathlib.Path, offset: int
+) -> Iterator[tuple[int, list[tuple[int, str, dict]]]]:
+    """The one NDJSON reader: ``(watermark, records)`` per block read.
+
+    ``records`` are the ``(line_offset, line, record)`` of the block's
+    complete lines past ``offset`` that hold a JSON object, each parsed
+    exactly once; ``watermark`` is the offset just past the block's last
+    complete line.  The rules every consumer inherits:
+
+    * lines end at ``b"\n"`` only (``bytes.splitlines`` would also break
+      on a bare ``\r``), and an incomplete tail (no newline yet — a
+      writer is mid-append or was killed there) is never yielded: it
+      stays pending until its newline arrives;
     * a complete line that is not UTF-8 JSON, or not an object (a torn
-      write glued to the next append, a foreign writer), is skipped;
-    * a missing file has no lines.
+      write glued to the next append, a foreign writer), is skipped but
+      still advances the watermark (it will never become decodable);
+    * ``line`` is the text as written, which is what the warehouse's
+      ``events.payload`` stores.  Only a line carrying a non-finite
+      constant (``NaN``, ``±Infinity`` — logs older than the writer's
+      ``null`` rule hold them, ``jq`` and sqlite's JSON functions reject
+      them) is re-serialised, with ``null`` in their place;
+    * a missing file has no blocks.
     """
+    nonfinite: list[str] = []  # the constants the current line carried
+    decode = json.JSONDecoder(parse_constant=nonfinite.append).decode
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         return
     with fh:
         fh.seek(offset)
-        for line in fh:
-            if not line.endswith(b"\n"):
-                return
-            offset += len(line)
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                yield offset, record
+        tail = b""
+        while block := fh.read(BLOCK_BYTES):
+            lines = (tail + block).split(b"\n")
+            tail = lines.pop()
+            records = []
+            for raw in lines:
+                line_offset = offset
+                offset += len(raw) + 1
+                nonfinite.clear()
+                try:
+                    line = raw.decode()
+                    record = decode(line)
+                except ValueError:
+                    continue
+                if not isinstance(record, dict):
+                    continue
+                if nonfinite:
+                    line = json.dumps(record, separators=_COMPACT)
+                records.append((line_offset, line, record))
+            if lines:
+                yield offset, records
 
 
 def read_events(path: str | pathlib.Path) -> list[dict]:
     """All records in an NDJSON file (missing file = empty)."""
-    return [record for _, record in _object_lines(path)]
+    return list(tail_events(path))
 
 
 def tail_events(
@@ -102,8 +141,9 @@ def tail_events(
     """
     offset = 0
     while True:
-        for offset, record in _object_lines(path, offset):
-            yield record
+        for offset, records in read_blocks(path, offset):
+            for _, _, record in records:
+                yield record
         if not follow or (should_stop is not None and should_stop()):
             return
         time.sleep(poll_interval)
@@ -119,7 +159,7 @@ def next_seq(path: str | pathlib.Path) -> int:
     """
     highest = max(
         (
-            record["seq"] for _, record in _object_lines(path)
+            record["seq"] for record in tail_events(path)
             if type(record.get("seq")) is int  # not a bool, which is an int
         ),
         default=-1,

@@ -101,7 +101,7 @@ class Scheduler:
         history every poll would make the idle loop O(all jobs ever)).
         """
         self._reap()
-        active = self.store.jobs_except(self._terminal)
+        active = self.store.jobs(skip=self._terminal)
         self._terminal.update(
             job.job_id
             for job in active

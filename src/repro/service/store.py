@@ -31,7 +31,7 @@ import pathlib
 import time
 import uuid
 from dataclasses import asdict, dataclass, replace
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from ..api.checkpoint import atomic_write_text, sweep_stale_tmps
 from ..api.spec import RunSpec
@@ -165,10 +165,19 @@ class JobStore:
             raise KeyError(f"unknown job {job_id!r} in {self.root}")
         return Job.from_dict(json.loads(path.read_text()))
 
-    def jobs(self) -> list[Job]:
-        """All jobs in submit order (``submitted_at``, then id)."""
+    def jobs(self, skip: Collection[str] = ()) -> list[Job]:
+        """Jobs in submit order (``submitted_at``, then id), skipping the
+        ids in ``skip`` without reading their records.
+
+        ``skip`` is the scheduler's poll-loop primitive: terminal jobs never
+        change state, so once observed completed/failed their ``job.json``
+        need not be re-parsed every tick — a long-lived root stays O(active
+        jobs) per poll instead of O(all jobs ever submitted).
+        """
         out = []
         for entry in sorted(self.jobs_dir.iterdir()):
+            if entry.name in skip:
+                continue
             path = entry / "job.json"
             if path.exists():
                 out.append(Job.from_dict(json.loads(path.read_text())))
@@ -177,25 +186,6 @@ class JobStore:
 
     def in_state(self, *states: str) -> list[Job]:
         return [job for job in self.jobs() if job.state in states]
-
-    def jobs_except(self, skip_ids: "set[str] | frozenset[str]") -> list[Job]:
-        """Jobs in submit order, skipping ``skip_ids`` without reading
-        their records.
-
-        The scheduler's poll-loop primitive: terminal jobs never change
-        state, so once observed completed/failed their ``job.json`` need
-        not be re-parsed every tick — a long-lived root stays O(active
-        jobs) per poll instead of O(all jobs ever submitted).
-        """
-        out = []
-        for entry in sorted(self.jobs_dir.iterdir()):
-            if entry.name in skip_ids:
-                continue
-            path = entry / "job.json"
-            if path.exists():
-                out.append(Job.from_dict(json.loads(path.read_text())))
-        out.sort(key=lambda job: (job.submitted_at, job.job_id))
-        return out
 
     def load_result(self, job_id: str) -> dict | None:
         """The job's ``chiaroscuro-run/v1`` record, once the worker wrote it."""

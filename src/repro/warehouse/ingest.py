@@ -36,8 +36,8 @@ files — converges to identical row counts.
 
 One idiom throughout: *a handler builds rows, the ingester writes them*
 with one ``executemany`` per table.  Event logs go through it in bounded
-blocks (:func:`_read_blocks`, the one NDJSON reader), each line parsed
-once and stored as written.
+blocks (:func:`repro.service.bus.read_blocks`, the one NDJSON reader),
+each line parsed once and stored as written.
 """
 
 from __future__ import annotations
@@ -47,7 +47,9 @@ import json
 import pathlib
 import sqlite3
 import time
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
+
+from ..service.bus import read_blocks
 
 __all__ = [
     "Ingester",
@@ -78,67 +80,7 @@ def table_counts(con: sqlite3.Connection) -> dict[str, int]:
     }
 
 
-#: Bytes per read of an NDJSON log.  One block's complete lines are
-#: parsed and written as one batch, so this bounds what an ingest pass
-#: holds in memory whatever the log's length: ~250 event lines, past
-#: which larger batches bought no speed and cost resident memory.
-BLOCK_BYTES = 1 << 16
-
 _COMPACT = (",", ":")  # the separators `append_ndjson` writes with
-
-
-def _read_blocks(
-    path: pathlib.Path, offset: int
-) -> Iterator[tuple[int, list[tuple[int, str, dict]]]]:
-    """The one NDJSON reader: ``(watermark, records)`` per block read.
-
-    ``records`` are the ``(line_offset, line, record)`` of the block's
-    complete lines past ``offset`` that hold a JSON object, each parsed
-    exactly once; ``watermark`` is the offset just past the block's last
-    complete line.  The rules every consumer inherits:
-
-    * lines end at ``b"\n"`` only (``bytes.splitlines`` would also break
-      on a bare ``\r``), and an incomplete tail (no newline yet — a
-      writer is mid-append or was killed there) is never yielded: it
-      stays pending for the next pass, the same torn-tail discipline as
-      :func:`repro.service.bus.tail_events`;
-    * a complete line that is not UTF-8 JSON, or not an object, is
-      skipped but still advances the watermark (it will never become
-      decodable);
-    * ``line`` is the text as written, which is what ``events.payload``
-      stores.  Only a line carrying a non-finite constant (``NaN``,
-      ``±Infinity`` — Python writes them, sqlite's JSON functions reject
-      them) is re-serialised, with ``null`` in their place.
-    """
-    nonfinite: list[str] = []  # the constants the current line carried
-    decode = json.JSONDecoder(parse_constant=nonfinite.append).decode
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        return
-    with fh:
-        fh.seek(offset)
-        tail = b""
-        while block := fh.read(BLOCK_BYTES):
-            lines = (tail + block).split(b"\n")
-            tail = lines.pop()
-            records = []
-            for raw in lines:
-                line_offset = offset
-                offset += len(raw) + 1
-                nonfinite.clear()
-                try:
-                    line = raw.decode()
-                    record = decode(line)
-                except ValueError:
-                    continue
-                if not isinstance(record, dict):
-                    continue
-                if nonfinite:
-                    line = json.dumps(record, separators=_COMPACT)
-                records.append((line_offset, line, record))
-            if lines:
-                yield offset, records
 
 
 def _fingerprint(path: pathlib.Path) -> str:
@@ -384,7 +326,7 @@ class Ingester:
             (str(path),),
         ).fetchone()
         offset = watermark = int(row[0]) if row is not None else 0
-        for watermark, records in _read_blocks(path, offset):
+        for watermark, records in read_blocks(path, offset):
             events, detections, aborted = _event_rows(records, job_id)
             self.con.executemany(
                 "INSERT OR IGNORE INTO events "

@@ -1,4 +1,4 @@
-"""The ``repro lint`` command: exit codes, formats, baseline flags."""
+"""The ``repro lint`` command: exit codes and formats."""
 
 from __future__ import annotations
 
@@ -36,15 +36,6 @@ class TestExitCodes:
         assert main(["lint", GOOD_RNG, "--rules", "bogus"], out=out) == 2
         assert "unknown lint rule" in out.getvalue()
 
-    def test_explicit_missing_baseline_exits_two(self, tmp_path):
-        out = io.StringIO()
-        code = main(
-            ["lint", GOOD_RNG, "--baseline", str(tmp_path / "nope.json")],
-            out=out,
-        )
-        assert code == 2
-        assert "no baseline file" in out.getvalue()
-
 
 class TestFormats:
     def test_list_rules(self):
@@ -73,37 +64,3 @@ class TestFormats:
             ["lint", BAD_RNG, "--rules", "determinism-wall-clock"], out=out
         )
         assert code == 0
-
-
-class TestBaselineFlags:
-    def test_write_baseline_then_clean(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        out = io.StringIO()
-        code = main(
-            ["lint", BAD_RNG, "--write-baseline",
-             "--baseline", str(baseline)],
-            out=out,
-        )
-        assert code == 0
-        assert baseline.exists()
-
-        out = io.StringIO()
-        code = main(
-            ["lint", BAD_RNG, "--baseline", str(baseline)], out=out
-        )
-        assert code == 0
-        assert "3 baselined" in out.getvalue()
-
-    def test_no_baseline_reopens_findings(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        main(
-            ["lint", BAD_RNG, "--write-baseline",
-             "--baseline", str(baseline)],
-            out=io.StringIO(),
-        )
-        out = io.StringIO()
-        code = main(
-            ["lint", BAD_RNG, "--baseline", str(baseline), "--no-baseline"],
-            out=out,
-        )
-        assert code == 1

@@ -134,4 +134,4 @@ class TestProjectLoad:
 
     def test_by_package_indexes_fixture_packages(self):
         project = Project.load([FIXTURES / "determinism" / "bad_rng.py"])
-        assert "repro.core.example" in project.by_package
+        assert [m.package for m in project.modules] == ["repro.core.example"]

@@ -118,3 +118,39 @@ class TestRegistry:
             rules=["determinism-wall-clock"],
         )
         assert report.new == []
+
+
+class TestFingerprints:
+    """The content-based fingerprint the warehouse keys ``lint_findings`` by."""
+
+    def test_stable_across_line_shifts(self, tmp_path):
+        source = (FIXTURES / "determinism" / "bad_rng.py").read_text()
+        path = tmp_path / "v1.py"
+        path.write_text(source)
+        before = run_lint([path], rules=["determinism-rng"])
+
+        lines = source.splitlines()
+        # Insert blank lines after the docstring: every finding moves,
+        # no flagged line changes.
+        path.write_text("\n".join(lines[:3] + ["", "", ""] + lines[3:]) + "\n")
+        after = run_lint([path], rules=["determinism-rng"])
+
+        assert [f.fingerprint for f in before.findings] == [
+            f.fingerprint for f in after.findings
+        ]
+        assert [f.line for f in before.findings] != [
+            f.line for f in after.findings
+        ]
+
+    def test_identical_lines_get_distinct_fingerprints(self, tmp_path):
+        path = tmp_path / "twins.py"
+        path.write_text(
+            "# repro-lint-fixture: package=repro.core.example\n"
+            "import numpy as np\n"
+            "a = np.random.default_rng()\n"
+            "b = np.random.default_rng()\n"
+        )
+        report = run_lint([path], rules=["determinism-rng"])
+        prints = [f.fingerprint for f in report.findings]
+        assert len(prints) == 2
+        assert len(set(prints)) == 2

@@ -15,7 +15,6 @@ from repro.api import (
     run_record,
 )
 from repro.core import ChiaroscuroRun, ClusteringResult, perturbed_kmeans
-from repro.core.perturbed_kmeans import PerturbationOptions
 
 
 def quality_spec(**overrides) -> RunSpec:
@@ -62,8 +61,7 @@ class TestFacadeEquivalence:
             context.strategy,
             max_iterations=spec.params.max_iterations,
             theta=spec.params.theta,
-            smoothing_window=spec.params.smoothing_window(context.dataset.n),
-            options=PerturbationOptions(smoothing=spec.params.use_smoothing),
+            smoothing_window=spec.params.smoothing_plan(context.dataset.n)[0],
             rng=np.random.default_rng(spec.seed + 1),
         )
         assert via_api.iterations == direct.iterations == 3  # UF3 bound
@@ -119,6 +117,17 @@ class TestEvents:
         assert events[0].label == "UF3_SMA"
         assert events[0].population == 300 * 100
         assert events[-1].reason == "budget"  # UF3 bound < max_iterations 5
+
+    @pytest.mark.parametrize(
+        "strategy, label",
+        [("G", "G_SMA"), ("gf", "GF_SMA"), ("UF", "UF5_SMA"), ("uf7", "UF7_SMA")],
+    )
+    def test_a_run_has_one_label(self, strategy, label):
+        """``run_started`` and the result name the *resolved* strategy: a
+        spec saying ``"uf"`` used to start as ``UF_SMA`` and end as
+        ``UF5_SMA``."""
+        events = list(Experiment.from_spec(quality_spec(strategy=strategy)).run_iter())
+        assert events[0].label == events[-1].result.label == label
 
     def test_iteration_events_carry_budget_accounting(self):
         events = [

@@ -231,7 +231,7 @@ class TestProtocolBackendPlumbing:
         run = ChiaroscuroRun(
             tiny_dataset, UniformFast(1e6, 1), params,
             np.array([[10.0, 10, 30, 30], [30, 30, 10, 10]]),
-            key_bits=256, seed=2, keypair=threshold_keypair_s2,
+            seed=2, keypair=threshold_keypair_s2,
         )
         assert run.backend.name == "process"
         assert run.backend.max_workers == 2
@@ -251,7 +251,7 @@ class TestProtocolBackendPlumbing:
         run = ChiaroscuroRun(
             tiny_dataset, UniformFast(1e6, iterations), params,
             np.array([[10.0, 10, 30, 30], [30, 30, 10, 10]]),
-            key_bits=256, seed=2, keypair=threshold_keypair_s2,
+            seed=2, keypair=threshold_keypair_s2,
         )
         assert run.packed.packed_length(2 * 5) == 3
         assert run.encryptor.table.window_bits == window_bits
@@ -303,7 +303,7 @@ class TestProtocolBackendPlumbing:
             )
             run = ChiaroscuroRun(
                 tiny_dataset, UniformFast(5.0, 1), params, centroids,
-                key_bits=256, seed=9, keypair=threshold_keypair_s2,
+                seed=9, keypair=threshold_keypair_s2,
             )
             result, _ = run.run()
             results[backend] = result

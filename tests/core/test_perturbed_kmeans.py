@@ -53,7 +53,7 @@ class TestBasicRun:
         )
         raw = perturbed_kmeans(
             cer_small, cer_init, Greedy(0.69), max_iterations=2,
-            options=PerturbationOptions(smoothing=False),
+            smoothing_window=0,
             rng=np.random.default_rng(3),
         )
         assert smooth.label == "G_SMA"
@@ -63,7 +63,7 @@ class TestBasicRun:
         """With an enormous ε the perturbed run tracks plain Lloyd."""
         result = perturbed_kmeans(
             cer_small, cer_init, UniformFast(1e9, 4), max_iterations=4,
-            options=PerturbationOptions(smoothing=False),
+            smoothing_window=0,
             rng=np.random.default_rng(4),
         )
         baseline = lloyd_kmeans(cer_small.values, cer_init, max_iterations=4)
@@ -97,12 +97,11 @@ class TestPaperShapes:
         for seed in seeds:
             raw = perturbed_kmeans(
                 cer_small, cer_init, Greedy(0.69), max_iterations=8,
-                options=PerturbationOptions(smoothing=False),
+                smoothing_window=0,
                 rng=np.random.default_rng(100 + seed),
             )
             smooth = perturbed_kmeans(
                 cer_small, cer_init, Greedy(0.69), max_iterations=8,
-                options=PerturbationOptions(smoothing=True),
                 rng=np.random.default_rng(100 + seed),
             )
             raw_tail.append(np.mean(raw.pre_inertia_curve[4:]))

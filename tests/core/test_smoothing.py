@@ -116,11 +116,9 @@ class TestDeriveWindow:
         # Bit-for-bit: smoothing on vs off must split exactly at w = 0,
         # i.e. the smoothed run equals an explicitly-unsmoothed run iff
         # the derived window is inapplicable.
-        from repro.core import PerturbationOptions
-
         unsmoothed = perturbed_kmeans(
             dataset, init, UniformFast(100.0, 1), max_iterations=1,
-            options=PerturbationOptions(smoothing=False),
+            smoothing_window=0,
             rng=np.random.default_rng(0),
         )
         same = np.array_equal(result.centroids, unsmoothed.centroids)

@@ -98,3 +98,52 @@ def test_vectorized_plane_under_churn(small_workload):
     # Churned cycles still deliver roughly (1 - churn) exchanges per node
     # per cycle; far more than half the exchange budget must materialize.
     assert steps[0].exchanges_per_node > params.exchanges
+
+
+def _pre_inertia_before_pr24(series, labels, k):
+    """``ChiaroscuroRun._pre_inertia`` as it stood before the loop took the
+    true means from ``compute_means``: the reference for bit-equality."""
+    from repro.clustering import intra_inertia
+
+    counts = np.bincount(labels, minlength=k).astype(float)
+    sums = np.zeros((k, series.shape[1]))
+    np.add.at(sums, labels, series)
+    alive = counts > 0
+    means = sums[alive] / counts[alive, None]
+    mapping = np.cumsum(alive) - 1
+    return float(intra_inertia(series, means, mapping[labels]))
+
+
+@pytest.mark.parametrize("stray_centroid", [False, True])
+def test_pre_inertia_is_bit_equal_to_the_old_true_means(stray_centroid):
+    """The ``vectorized_mock`` perf spec at its toy size — and once more with
+    an eleventh centroid nobody is close to, so a cluster starts empty and
+    the lost-cluster remapping is on the path."""
+    import json
+    import pathlib
+
+    from repro.api import Experiment, RunSpec
+    from repro.clustering import assign_to_closest
+
+    root = pathlib.Path(__file__).resolve().parents[2]
+    spec = json.loads((root / "perf/specs/vectorized_mock.json").read_text())
+    spec["strategy"] = "UF2"
+    spec["dataset"]["params"].update(points_per_cluster=10, duplications=2)
+    spec["params"].update(max_iterations=2, exchanges=6)
+    if stray_centroid:
+        spec["init"]["params"]["values"].append([5000.0, 5000.0])
+        spec["params"]["k"] = 11
+    experiment = Experiment.from_spec(RunSpec.from_dict(spec))
+    values = experiment.context.dataset.values
+    centroids = experiment.context.initial_centroids
+    history = experiment.run().history
+    assert len(history) == 2
+    for stats in history:
+        labels = assign_to_closest(values, centroids)
+        assert (0 in np.bincount(labels, minlength=len(centroids))) == (
+            stray_centroid and stats.iteration == 1
+        )
+        assert stats.pre_inertia == _pre_inertia_before_pr24(
+            values, labels, len(centroids)
+        )
+        centroids = stats.centroids

@@ -286,7 +286,7 @@ class TestRunScopedSelection:
             key_bits=256, epsilon=1e6, bigint_backend="python",
         )
         run = ChiaroscuroRun(
-            ds, Greedy(1e6), params, ds.values[:2].copy(), key_bits=256, seed=0
+            ds, Greedy(1e6), params, ds.values[:2].copy(), seed=0
         )
         assert run.bigint_backend == "python"
         assert bigint.active_backend() == before  # untouched by __init__
@@ -323,7 +323,7 @@ class TestRunScopedSelection:
             )
             run = ChiaroscuroRun(
                 ds, Greedy(1e6), params, ds.values[:2].copy(),
-                key_bits=256, seed=0,
+                seed=0,
             )
             return run.run_iter()
 

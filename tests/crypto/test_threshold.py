@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from repro.crypto import (
     combine_partial_decryptions,
     combine_partial_decryptions_batch,
+    damgard_jurik,
     decrypt,
     encrypt,
+    encrypt_batch,
+    generate_keypair,
     generate_threshold_keypair,
     homomorphic_add,
     partial_decrypt,
@@ -162,4 +165,44 @@ class TestKeyDealing:
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):
-            generate_threshold_keypair(256, n_shares=3, threshold=5)
+            generate_threshold_keypair(
+                256, n_shares=3, threshold=5, rng=random.Random(0)
+            )
+
+
+class TestOneDealer:
+    """``generate_threshold_keypair`` shares the key ``generate_keypair``
+    deals: same primes, same plain key, same checks."""
+
+    @pytest.mark.parametrize(
+        "bits, s", [(128, 1), (256, 2), (512, 2), (96, 2)],
+        ids=["fixture-128", "fixture-256", "fixture-512", "drawn-96"],
+    )
+    def test_the_plain_key_is_the_threshold_keys_private(self, bits, s):
+        """96 bits has no fixture: both draw their primes from the rng."""
+        plain = generate_keypair(bits, s, rng=random.Random(11))
+        dealt = generate_threshold_keypair(bits, 1, 1, s, rng=random.Random(11))
+        assert dealt.private == plain
+
+    @pytest.mark.parametrize("deal", [
+        lambda rng: generate_keypair(96, rng=rng),
+        lambda rng: generate_threshold_keypair(96, 3, 2, rng=rng),
+    ], ids=["plain", "threshold"])
+    def test_equal_primes_are_refused(self, monkeypatch, deal):
+        prime = damgard_jurik.random_safe_prime(48, random.Random(2))
+        monkeypatch.setattr(
+            damgard_jurik, "random_safe_prime", lambda bits, rng: prime
+        )
+        with pytest.raises(ValueError, match="must differ"):
+            deal(random.Random(0))
+
+    @pytest.mark.parametrize("call", [
+        lambda tk: generate_keypair(128),
+        lambda tk: generate_threshold_keypair(128, 3, 2),
+        lambda tk: encrypt(tk.public, 1),
+        lambda tk: encrypt_batch(tk.public, [1]),
+    ], ids=["generate_keypair", "generate_threshold_keypair", "encrypt",
+            "encrypt_batch"])
+    def test_randomness_is_always_injected(self, threshold_keypair, call):
+        with pytest.raises(TypeError, match="rng"):
+            call(threshold_keypair)

@@ -32,7 +32,6 @@ def near_exact_run(toy_dataset, toy_initial_centroids, toy_params, threshold_key
         UniformFast(1e6, 3),
         toy_params,
         toy_initial_centroids,
-        key_bits=256,
         seed=3,
         keypair=threshold_keypair_s2,
     )
@@ -85,7 +84,7 @@ class TestPerturbedRun:
         )
         run = ChiaroscuroRun(
             toy_dataset, Greedy(5.0), params, toy_initial_centroids,
-            key_bits=256, seed=11, keypair=threshold_keypair_s2,
+            seed=11, keypair=threshold_keypair_s2,
         )
         result, _ = run.run()
         assert result.iterations >= 1
@@ -109,7 +108,7 @@ class TestPerturbedRun:
                 k=3, max_iterations=2, exchanges=25, tau_fraction=0.13,
                 epsilon=1e6, expansion_s=2, use_smoothing=False, theta=0.0,
             ),
-            toy_initial_centroids, key_bits=256, seed=5,
+            toy_initial_centroids, seed=5,
             keypair=threshold_keypair_s2,
         )
         result, _ = run.run(churn=0.2)
@@ -147,11 +146,11 @@ class TestRunIterLifecycle:
             params = ChiaroscuroParams(
                 k=3, max_iterations=4, exchanges=8, tau_fraction=0.13,
                 epsilon=1e6, expansion_s=2 if plane == "object" else 1,
-                use_smoothing=False, theta=0.0,
+                use_smoothing=False, theta=0.0, key_bits=256,
             )
             run = ChiaroscuroRun(
                 toy_dataset, Greedy(1e6), params, toy_initial_centroids,
-                key_bits=256, seed=5,
+                seed=5,
                 keypair=threshold_keypair_s2 if plane == "object" else None,
                 fault_plan=fault_plan, plane=plane,
             )

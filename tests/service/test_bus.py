@@ -172,6 +172,25 @@ class TestOneReader:
             assert "run_started" in lines[0] and "job_completed" in lines[1]
 
 
+    def test_a_stored_nan_is_read_and_printed_as_null(self, tmp_path):
+        """Logs written before the writer's ``null`` rule hold bare ``NaN``;
+        the reader hands on strict JSON (``repro tail --raw`` used to print
+        ``{"agreement": NaN}``, which no JSON parser but Python's accepts)."""
+        store = JobStore(tmp_path)
+        store.feed_path.write_bytes(
+            b'{"type":"iteration_completed","job":"j","agreement":NaN,"seq":0}\n'
+        )
+        assert read_events(store.feed_path)[0]["agreement"] is None
+        out = io.StringIO()
+        assert cli_main(["tail", "--root", str(tmp_path), "--raw"], out=out) == 0
+
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant}")
+
+        [line] = out.getvalue().splitlines()
+        assert json.loads(line, parse_constant=refuse)["agreement"] is None
+
+
 class TestEventBus:
     def test_publish_multiplexes_job_log_and_feed(self, tmp_path):
         store = JobStore(tmp_path)

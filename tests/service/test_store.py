@@ -69,6 +69,17 @@ class TestQueue:
         assert updated.attempts == 2
         assert updated.error == "boom"
 
+    def test_jobs_skips_ids_without_reading_their_records(self, tmp_path):
+        """The scheduler's poll primitive: a terminal job's record is not
+        re-parsed — here it could not be."""
+        store = JobStore(tmp_path)
+        first, second, third = (store.submit(small_spec(s)) for s in range(3))
+        (store.jobs_dir / second.job_id / "job.json").write_text("{torn")
+        listed = store.jobs(skip={second.job_id})
+        assert [job.job_id for job in listed] == [first.job_id, third.job_id]
+        with pytest.raises(ValueError):
+            store.jobs()
+
     def test_get_unknown_job(self, tmp_path):
         with pytest.raises(KeyError, match="unknown job"):
             JobStore(tmp_path).get("nope")

@@ -25,12 +25,30 @@ a top-level class, without a leading underscore (so no dunder) — passes when
   another one against — in the short ``TEST_ORACLES`` table, each entry
   with its reason and checked to be needed and still used by a test.
 
+An option — a defaulted parameter of a top-level function or of a method
+of a top-level class, or a defaulted field of a *frozen* dataclass (a
+non-frozen one holds state, not options) — passes when some call under
+``src/``, ``tests/``, ``benchmarks/``, ``examples/`` or ``perf/`` supplies it:
+
+* by keyword or by position, in a call whose callee has the function's bare
+  name (the class's for ``__init__`` — ``super().__init__`` is a call of
+  the bases — and for fields; ``replace(x, field=...)`` too for fields;
+  ``timed("span", f, a, b)`` is a call ``f(a, b)``),
+* or through a ``*`` / ``**`` forward in such a call (not of a dict spelled
+  out in the same file: its keys are read instead),
+* or as a string or JSON key there (spec blocks reach their builders as
+  ``**params``, argparse reaches handlers as ``args.<dest>``).
+
+A test seam is a caller here: an option only a test sets stays.  There is no
+exception table — an option nobody sets becomes a constant.
+
 Matching is by bare name on purpose: ``a.run()`` counts for every ``run``.
 A false pass is acceptable, a false fail is not.
 """
 
 import ast
 import functools
+import json
 import pathlib
 import re
 
@@ -243,3 +261,169 @@ def test_test_oracles_are_needed_and_used():
         assert uncalled[oracle] in in_tests, (
             f"no test uses {oracle} any more: delete it and its entry"
         )
+
+
+# ---------------------------------------------------------- option level
+
+CALLER_ROOTS = ("src", "tests", "benchmarks", "examples", "perf")
+
+
+def _bare(node: ast.AST) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and _bare(d.func) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", False)
+                for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def _function_options(qualified: str, callees: set[str], node, method: bool):
+    """``(qualified.param, callees, param, position)`` per defaulted parameter
+    (``position`` as a caller counts it — no ``self``; ``None``: keyword-only)."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield f"{qualified}.{arg.arg}", callees, arg.arg, index - method
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield f"{qualified}.{arg.arg}", callees, arg.arg, None
+
+
+def _options():
+    for path, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, _DEFS):
+                continue
+            qualified = f"{_dotted(path)}.{node.name}".lstrip(".")
+            if not isinstance(node, ast.ClassDef):
+                yield from _function_options(qualified, {node.name}, node, False)
+                continue
+            fields = 0
+            for item in node.body:
+                if isinstance(item, _DEFS[:2]):
+                    static = any(_bare(d) == "staticmethod" for d in item.decorator_list)
+                    callees = {node.name if item.name == "__init__" else item.name}
+                    yield from _function_options(
+                        f"{qualified}.{item.name}", callees, item, not static
+                    )
+                elif isinstance(item, ast.AnnAssign) and _frozen_dataclass(node):
+                    settable = not (
+                        isinstance(item.value, ast.Call)
+                        and any(k.arg == "init" for k in item.value.keywords)
+                    ) and "ClassVar" not in ast.unparse(item.annotation)
+                    if settable and item.value is not None:
+                        name = item.target.id
+                        yield f"{qualified}.{name}", {node.name, "replace"}, name, fields
+                    fields += settable
+
+
+def _callees(tree: ast.AST):
+    """``(call, positional arguments, callee bare names)`` per call.  Inside
+    a class, ``cls(...)`` is a call of the class and ``super().__init__(...)``
+    one of its bases; a function handed over by name is called with the
+    arguments after it."""
+    inside = {
+        call: [cls.name] if _bare(call.func) == "cls" else list(map(_bare, cls.bases))
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for call in ast.walk(cls)
+        if isinstance(call, ast.Call) and _bare(call.func) in ("cls", "__init__")
+    }
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            yield call, call.args, inside.get(call, [_bare(call.func)])
+            # `recorder.timed("span", f, a, b)` calls `f(a, b)`.
+            for index, arg in enumerate(call.args):
+                if isinstance(arg, (ast.Name, ast.Attribute)):
+                    yield ast.Call(arg, [], []), call.args[index + 1:], [_bare(arg)]
+
+
+def _dict_keys(node: ast.AST) -> set[str] | None:
+    """The keys of a ``{...}`` or ``dict(...)`` expression; ``None`` when it
+    is neither, or holds a ``**`` of its own."""
+    if isinstance(node, ast.Dict):
+        keys = {getattr(key, "value", None) for key in node.keys}
+    elif isinstance(node, ast.Call) and _bare(node.func) == "dict" and not node.args:
+        keys = {k.arg for k in node.keywords}
+    else:
+        return None
+    return None if None in keys else keys
+
+
+def _supplied():
+    """What the calls in the tree supply: keyword names and the positional
+    count per callee bare name, the callees given a ``**`` forward, and every
+    key of a dict display or a JSON file."""
+    keywords: dict[str, set[str]] = {}
+    positions: dict[str, float] = {}
+    forwarded: set[str] = set()
+    strings: set[str] = set()
+
+    def json_keys(value):
+        if isinstance(value, dict):
+            strings.update(value)
+            value = list(value.values())
+        for item in value if isinstance(value, list) else ():
+            json_keys(item)
+
+    for root in map(ROOT.joinpath, CALLER_ROOTS):
+        for path in sorted(root.rglob("*.json")):
+            json_keys(json.loads(path.read_text()))
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            # `**sizing` forwards exactly the keys of `sizing = dict(...)` when
+            # that is all the file does to the name; anything else forwards all.
+            spelled_out: dict[str | None, set[str] | None] = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Dict):
+                    strings.update(k.value for k in node.keys if isinstance(
+                        getattr(k, "value", None), str))
+                elif isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        name = _bare(target)
+                        spelled_out[name] = (
+                            None if name in spelled_out else _dict_keys(node.value)
+                        )
+                elif isinstance(node, ast.Attribute) and node.attr == "update":
+                    spelled_out[_bare(node.value)] = None
+            for call, args, callees in _callees(tree):
+                names = {k.arg for k in call.keywords if k.arg}
+                blanket = False
+                for k in call.keywords:
+                    if k.arg is None:
+                        known = _dict_keys(k.value) or spelled_out.get(_bare(k.value))
+                        names |= known or set()
+                        blanket |= known is None
+                count = float("inf") if any(
+                    isinstance(a, ast.Starred) for a in args) else len(args)
+                for callee in callees:
+                    keywords.setdefault(callee, set()).update(names)
+                    # A field is replaced by name: `replace(x, **changes)`
+                    # forwards the keywords of *its* callers, seen there.
+                    if callee != "replace":
+                        positions[callee] = max(positions.get(callee, 0), count)
+                        forwarded |= {callee} if blanket else set()
+    return keywords, positions, forwarded, strings
+
+
+def test_every_option_is_set_by_some_caller():
+    keywords, positions, forwarded, strings = _supplied()
+    unset = sorted(
+        qualified
+        for qualified, callees, name, position in _options()
+        if name not in strings
+        and not any(
+            name in keywords.get(callee, ())
+            or callee in forwarded
+            or (position is not None and positions.get(callee, 0) > position)
+            for callee in callees
+        )
+    )
+    assert unset == [], (
+        f"no call under {', '.join(CALLER_ROOTS)} sets {unset}: make each "
+        "value a constant (the dead branch goes with it) or delete the field"
+    )
+

@@ -9,8 +9,8 @@ import pytest
 from _wh_helpers import bench_envelope, populate_job, tiny_spec, write_json
 from repro.api import Experiment, run_record
 from repro.service import JobStore, append_ndjson
+from repro.service.bus import read_blocks
 from repro.warehouse import Ingester, connect, ingest_paths, table_counts
-from repro.warehouse.ingest import _read_blocks
 
 
 @pytest.fixture()
@@ -24,7 +24,7 @@ def read_ndjson_from(path, offset):
     """The block reader's ``(line_offset, record)`` pairs past ``offset`` and
     its new watermark."""
     pairs = []
-    for offset, records in _read_blocks(path, offset):
+    for offset, records in read_blocks(path, offset):
         pairs += [(line_offset, record) for line_offset, _, record in records]
     return pairs, offset
 
