@@ -10,17 +10,18 @@ API:
   fresh on-disk warehouse (median of ``REPEATS`` fresh warehouses);
 * **incremental** — the remaining 1 % appended to the live logs, one pass;
 * **no-op** — the pass after that, which must add nothing;
-* **report** — ``report_latency`` over every ingested event (the view
-  that reads every payload through ``json_extract``).
+* **report** — ``report_latency`` over every ingested event: one ordered
+  scan of ``events`` that reads ``crypto_ms`` out of each
+  ``iteration_completed`` payload through ``json_extract``.
 
 Every published line must land as exactly one ``events`` row.
 
 The bench only uses the public API, so the *before* point of a change is
 taken by copying this file and ``conftest.py`` into a checkout of the
-parent revision and running it there; that envelope is committed as
-``BENCH_warehouse_ingest_<rev>.json`` beside the head's
-``BENCH_warehouse_ingest.json`` (same bench name, two ``git_rev`` keys:
-two points of one warehouse trajectory).
+parent revision and running it there.  Only the head's envelope is
+committed (``BENCH_warehouse_ingest.json``, with its provenance); the
+parent's numbers go into ``docs/PERFORMANCE.md`` beside it, not into a
+second root file named after the revision.
 
 ``test_warehouse_ingest_smoke`` is CI's reduced, wall-clock-guarded size;
 run with ``--basetemp`` its root stays on disk for the re-ingest gate.

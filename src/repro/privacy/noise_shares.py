@@ -95,10 +95,11 @@ def surplus_correction(
     It is a sum of ``ctr − n_ν`` freshly-drawn noise-shares (Sec. 4.2.2);
     subtracting it leaves, in distribution, a sum of exactly ``n_ν`` shares,
     i.e. a genuine ``Laplace(0, scale)`` sample.  Returns the zero vector
-    when there is no surplus.
+    when there is no surplus.  The shares are drawn into one matrix
+    (:func:`gen_noise_shares`), so the peak is that matrix plus a block.
     """
     surplus = actual_contributors - n_shares
     if surplus <= 0:
         return np.zeros(dimensions)
-    shares = gen_noise_share(n_shares, scale, rng, size=(surplus, dimensions))
+    shares = gen_noise_shares(surplus, n_shares, scale, rng, dimensions)
     return shares.sum(axis=0)

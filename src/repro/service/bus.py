@@ -39,12 +39,12 @@ __all__ = [
 _COMPACT = (",", ":")
 
 
-def append_ndjson(path: str | pathlib.Path, record: dict) -> None:
-    """Append one JSON object as a single atomic ``O_APPEND`` write.
+def _ndjson_line(record: dict) -> bytes:
+    """``record`` as one newline-terminated line of strict JSON.
 
-    The line is strict JSON: a non-finite float (an ``agreement`` of NaN
-    after a degenerate decode) is written as ``null`` — Python's bare
-    ``NaN``/``Infinity`` are rejected by ``jq`` and sqlite's JSON functions.
+    A non-finite float (an ``agreement`` of NaN after a degenerate
+    decode) is written as ``null`` — Python's bare ``NaN``/``Infinity``
+    are rejected by ``jq`` and sqlite's JSON functions.
     """
     try:
         text = json.dumps(record, separators=_COMPACT, allow_nan=False)
@@ -52,12 +52,21 @@ def append_ndjson(path: str | pathlib.Path, record: dict) -> None:
         lenient = json.dumps(record, separators=_COMPACT)
         strict = json.loads(lenient, parse_constant=lambda constant: None)
         text = json.dumps(strict, separators=_COMPACT, allow_nan=False)
-    data = (text + "\n").encode()
+    return (text + "\n").encode()
+
+
+def _append(path: str | pathlib.Path, data: bytes) -> None:
+    """One atomic ``O_APPEND`` write (opened per write: rotation-safe)."""
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         os.write(fd, data)
     finally:
         os.close(fd)
+
+
+def append_ndjson(path: str | pathlib.Path, record: dict) -> None:
+    """Append one JSON object as a single atomic ``O_APPEND`` write."""
+    _append(path, _ndjson_line(record))
 
 
 #: Bytes per read of an NDJSON log.  One block's complete lines are
@@ -196,8 +205,9 @@ class EventBus:
         return record
 
     def publish_record(self, record: dict) -> None:
-        """Stamp ``seq`` and append (run events and lifecycle markers)."""
+        """Stamp ``seq``, serialise once, append to both logs."""
         record.setdefault("seq", self._seq)
         self._seq = record["seq"] + 1
-        append_ndjson(self.events_path, record)
-        append_ndjson(self.feed_path, record)
+        data = _ndjson_line(record)
+        _append(self.events_path, data)
+        _append(self.feed_path, data)

@@ -3,14 +3,15 @@
 Every function takes an open warehouse connection and returns plain
 list-of-dict rows, so the CLI renderers, tests and any notebook consume
 the same shapes.  The heavy lifting happens inside the migration-2 SQL
-views (``v_inertia_trajectories``, ``v_iteration_latency``,
-``v_bench_trajectory``, …) — sqlite's window functions do the running
-sums, lags and moving averages; Python only shapes the output.
+views (``v_inertia_trajectories``, ``v_bench_trajectory``, …) — sqlite's
+window functions do the running sums, lags and moving averages; Python
+only shapes the output, except for :func:`latency_percentiles`.
 """
 
 from __future__ import annotations
 
 import sqlite3
+from bisect import bisect_left
 
 from .ingest import table_counts
 
@@ -141,12 +142,28 @@ def fig3_quality(
 # -------------------------------------------------------------- latency
 
 
+#: ``v_iteration_latency``'s window order, narrowed before the sort (the
+#: view's ``LAG()`` sorts whole payloads).  The arithmetic stays in SQL,
+#: so a TEXT ``ts`` or ``crypto_ms`` decodes as it does through the view.
+_LATENCY_SCAN = """
+    SELECT e.job_id,
+           COALESCE(r.plane, ''),
+           e.ts + 0,
+           json_extract(e.payload, '$.crypto_ms') / 1000.0
+    FROM events e
+    LEFT JOIN runs r ON r.job_id = e.job_id
+    WHERE e.type = 'iteration_completed'
+    ORDER BY e.job_id, e.ts, COALESCE(e.seq, 0)
+"""
+
+
 def latency_percentiles(con: sqlite3.Connection) -> list[dict]:
     """Per-plane iteration-latency percentiles from the event stream.
 
     Latency is the gap between consecutive ``iteration_completed``
-    timestamps of one job (``LAG() OVER`` in ``v_iteration_latency``);
-    percentiles are read off the ``CUME_DIST() OVER`` distribution.
+    timestamps of one job (``v_iteration_latency``'s ``seconds``), read
+    in one ordered scan off the cursor: no payload is sorted, no row is
+    held.  Percentiles are nearest-rank, the rule ``CUME_DIST() >= q``.
 
     Planes reporting the ``crypto_ms`` split (real-ciphertext planes)
     additionally get ``crypto_p50``/``crypto_mean`` seconds and
@@ -154,47 +171,35 @@ def latency_percentiles(con: sqlite3.Connection) -> list[dict]:
     inside crypto batch calls, i.e. what separates protocol time from
     bigint time.  Planes without the field report ``None`` there.
     """
-    distribution = _rows(
-        con.execute(
-            """
-            SELECT plane,
-                   seconds,
-                   crypto_ms / 1000.0 AS crypto_seconds,
-                   CUME_DIST() OVER (
-                       PARTITION BY plane ORDER BY seconds
-                   ) AS cume
-            FROM v_iteration_latency
-            WHERE seconds IS NOT NULL
-            ORDER BY plane, seconds
-            """
-        )
-    )
+    by_plane: dict[str, tuple[list, list]] = {}
+    previous_job = previous_ts = None
+    for job_id, plane, ts, crypto_seconds in con.execute(_LATENCY_SCAN):
+        if job_id == previous_job and ts is not None and previous_ts is not None:
+            gaps, crypto = by_plane.setdefault(plane, ([], []))
+            gaps.append(ts - previous_ts)
+            if crypto_seconds is not None:
+                crypto.append(crypto_seconds)
+        previous_job, previous_ts = job_id, ts
     out: list[dict] = []
-    by_plane: dict[str, list[dict]] = {}
-    for row in distribution:
-        by_plane.setdefault(row["plane"], []).append(row)
-    for plane, rows in sorted(by_plane.items()):
-        entry = {"plane": plane, "iterations": len(rows)}
+    for plane, (gaps, crypto) in sorted(by_plane.items()):
+        # Sorted before summing: ascending order is the summation order
+        # the report's digits are pinned to (the view's oracle test).
+        gaps.sort()
+        crypto.sort()
+        n = len(gaps)
+        entry = {"plane": plane, "iterations": n}
         for label, quantile in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
-            entry[label] = next(
-                (r["seconds"] for r in rows if r["cume"] >= quantile),
-                rows[-1]["seconds"],
-            )
-        entry["max"] = rows[-1]["seconds"]
-        crypto = sorted(
-            r["crypto_seconds"] for r in rows if r["crypto_seconds"] is not None
-        )
+            # index of the smallest rank k with k / n >= q
+            index = bisect_left(range(1, n + 1), quantile, key=lambda k: k / n)
+            entry[label] = gaps[index]
+        entry["max"] = gaps[-1]
+        entry["crypto_p50"] = entry["crypto_mean"] = entry["crypto_share"] = None
         if crypto:
-            mean_seconds = sum(r["seconds"] for r in rows) / len(rows)
+            mean_seconds = sum(gaps) / n
             entry["crypto_p50"] = crypto[len(crypto) // 2]
             entry["crypto_mean"] = sum(crypto) / len(crypto)
-            entry["crypto_share"] = (
-                entry["crypto_mean"] / mean_seconds if mean_seconds > 0 else None
-            )
-        else:
-            entry["crypto_p50"] = None
-            entry["crypto_mean"] = None
-            entry["crypto_share"] = None
+            if mean_seconds > 0:
+                entry["crypto_share"] = entry["crypto_mean"] / mean_seconds
         out.append(entry)
     return out
 

@@ -147,7 +147,7 @@ def _event_rows(
             seq, event_key = None, f"{job_id}:@{line_offset}"
         kind = str(record.get("type", "?"))
         iteration = record.get("iteration")
-        if not isinstance(iteration, int):
+        if type(iteration) is not int:  # a bool is no iteration either
             iteration = None
         events.append(
             (event_key, job_id, seq, record.get("ts"), kind, iteration, line)

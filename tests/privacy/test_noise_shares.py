@@ -1,5 +1,7 @@
 """Tests for the divisible-Laplace noise shares (Def. 5 / Lemma 1)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -61,6 +63,32 @@ class TestDivisibility:
 
 
 class TestSurplusCorrection:
+    @pytest.mark.parametrize(
+        "surplus, dims", [(1, 7), (3, 211), (1_500, 211), (40_000, 30)]
+    )
+    def test_one_matrix_draw_is_the_two_matrix_draw(self, surplus, dims):
+        """Drawn into one matrix in blocks, the correction is bit-identical
+        to ``G1 − G2`` over two whole matrices, and leaves the same state."""
+        n_nu, lam = 10, 2.5
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        correction = surplus_correction(n_nu + surplus, n_nu, lam, rng, dims)
+        reference = gen_noise_share(
+            n_nu, lam, reference_rng, size=(surplus, dims)
+        ).sum(axis=0)
+        assert correction.tobytes() == reference.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_peak_is_one_share_matrix(self):
+        surplus, dims = 3_000, 211
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            surplus_correction(10 + surplus, 10, 1.0, rng, dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * surplus * dims * 8
+
     def test_no_surplus_is_zero(self):
         rng = np.random.default_rng(0)
         correction = surplus_correction(100, 100, 1.0, rng, dimensions=4)

@@ -212,6 +212,32 @@ class TestEventBus:
             read_events(store.events_path(job_b.job_id))
         )
 
+    def test_both_logs_get_the_same_bytes_serialised_once(self, tmp_path,
+                                                          monkeypatch):
+        """One ``json.dumps`` per finite record, and both logs hold exactly
+        the bytes two ``append_ndjson`` calls wrote — a non-finite float
+        included."""
+        store = JobStore(tmp_path)
+        job = store.submit(small_spec(1))
+        bus = EventBus(store, job.job_id)
+        calls = []
+        real_dumps = json.dumps
+        monkeypatch.setattr(
+            json, "dumps", lambda *a, **kw: calls.append(a) or real_dumps(*a, **kw)
+        )
+        bus.publish_record({"type": "run_started", "job": "jöb", "ts": 1.5})
+        assert len(calls) == 1
+        bus.publish_record({"type": "iteration_completed", "iteration": 1,
+                            "agreement": float("nan"),
+                            "nested": [2.0, float("-inf")]})
+        expected = (
+            b'{"type":"run_started","job":"j\\u00f6b","ts":1.5,"seq":0}\n'
+            b'{"type":"iteration_completed","iteration":1,"agreement":null,'
+            b'"nested":[2.0,null],"seq":1}\n'
+        )
+        assert store.events_path(job.job_id).read_bytes() == expected
+        assert store.feed_path.read_bytes() == expected
+
 
 class TestSeq:
     def test_publish_stamps_monotonic_seq(self, tmp_path):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.warehouse import (
@@ -206,6 +211,147 @@ class TestLatencyAndDetectors:
             ("byzantine", "exchange-guard", 5, 2),
             ("collusion", "coalition-audit", 1, 1),
         ]
+
+    def test_latency_scan_holds_no_rows(self, con):
+        """The report keeps two floats per gap, never the rows: a
+        ``fetchall`` or dict rows would cost several hundred bytes per
+        event here."""
+        events = 20_000
+        for job, plane in (("c", "vectorized-crypto"), ("m", "vectorized")):
+            add_run(con, f"job:{job}", job_id=job, plane=plane)
+        con.executemany(
+            "INSERT INTO events (event_key, job_id, seq, ts, type, payload) "
+            "VALUES (?, ?, ?, ?, 'iteration_completed', ?)",
+            (
+                (f"{job}:{i}", job, i, 0.25 * i + (i % 7) * 0.01,
+                 json.dumps({"crypto_ms": 100.0 + i % 13} if job == "c" else {}))
+                for job in ("c", "m") for i in range(events // 2)
+            ),
+        )
+        con.commit()
+        tracemalloc.start()
+        try:
+            rows = latency_percentiles(con)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [row["iterations"] for row in rows] == [events // 2 - 1] * 2
+        assert peak < 80 * events
+
+
+#: ``latency_percentiles`` as it was when the report sorted
+#: ``v_iteration_latency`` a second time for ``CUME_DIST()``: the oracle.
+ORACLE_SELECT = """
+            SELECT plane,
+                   seconds,
+                   crypto_ms / 1000.0 AS crypto_seconds,
+                   CUME_DIST() OVER (
+                       PARTITION BY plane ORDER BY seconds
+                   ) AS cume
+            FROM v_iteration_latency
+            WHERE seconds IS NOT NULL
+            ORDER BY plane, seconds
+            """
+
+
+def oracle_latency_percentiles(con) -> list[dict]:
+    distribution = run_query(con, ORACLE_SELECT)
+    out: list[dict] = []
+    by_plane: dict[str, list[dict]] = {}
+    for row in distribution:
+        by_plane.setdefault(row["plane"], []).append(row)
+    for plane, rows in sorted(by_plane.items()):
+        entry = {"plane": plane, "iterations": len(rows)}
+        for label, quantile in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            entry[label] = next(
+                (r["seconds"] for r in rows if r["cume"] >= quantile),
+                rows[-1]["seconds"],
+            )
+        entry["max"] = rows[-1]["seconds"]
+        crypto = sorted(
+            r["crypto_seconds"] for r in rows if r["crypto_seconds"] is not None
+        )
+        if crypto:
+            mean_seconds = sum(r["seconds"] for r in rows) / len(rows)
+            entry["crypto_p50"] = crypto[len(crypto) // 2]
+            entry["crypto_mean"] = sum(crypto) / len(crypto)
+            entry["crypto_share"] = (
+                entry["crypto_mean"] / mean_seconds if mean_seconds > 0 else None
+            )
+        else:
+            entry["crypto_p50"] = None
+            entry["crypto_mean"] = None
+            entry["crypto_share"] = None
+        out.append(entry)
+    return out
+
+
+ABSENT = object()
+# Few distinct values, so ties are common; TEXT as a foreign writer
+# would leave it (a numeric-looking TEXT ``ts`` is stored as REAL).
+timestamps = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, 1.0, 1.5, 2.25, 7.125]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from(["tick", "3.5s", "2.5", "12"]),
+)
+crypto_fields = st.one_of(
+    st.just(ABSENT),
+    st.none(),
+    st.integers(0, 5000),
+    st.floats(0, 1e5, allow_nan=False),
+    st.sampled_from(["slow", "250ms"]),
+)
+event_rows = st.tuples(
+    st.sampled_from(["a", "b", "c", "d", "e"]),   # job
+    timestamps,
+    st.one_of(st.none(), st.integers(0, 3)),      # seq (ties allowed)
+    crypto_fields,
+)
+# Jobs a–d may have a runs row (e never does); two planes can share jobs.
+run_planes = st.dictionaries(
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.sampled_from(["vectorized-crypto", "vectorized", "quality", ""]),
+)
+
+
+def build_warehouse(con, planes, rows):
+    for job, plane in planes.items():
+        add_run(con, f"job:{job}", job_id=job, plane=plane)
+    con.executemany(
+        "INSERT INTO events (event_key, job_id, seq, ts, type, payload) "
+        "VALUES (?, ?, ?, ?, 'iteration_completed', ?)",
+        [
+            (f"{job}:{i}", job, seq, ts,
+             json.dumps({} if crypto is ABSENT else {"crypto_ms": crypto}))
+            for i, (job, ts, seq, crypto) in enumerate(rows)
+        ],
+    )
+    # Other event types never count, whatever their timestamps.
+    con.execute(
+        "INSERT INTO events (event_key, job_id, seq, ts, type, payload) "
+        "VALUES ('a:run', 'a', 99, 0.5, 'run_started', '{\"crypto_ms\": 1}')"
+    )
+    con.commit()
+
+
+class TestLatencyAgainstTheWindowSort:
+    @settings(max_examples=200, deadline=None)
+    @given(planes=run_planes, rows=st.lists(event_rows, max_size=40))
+    @example(  # two planes, one with a single gap, a one-event job, no-run job
+        planes={"a": "vectorized-crypto", "b": "quality", "c": "vectorized"},
+        rows=[("a", 1.0, 0, 1500.0), ("a", 3.0, 1, 1500), ("a", 4.0, 2, ABSENT),
+              ("b", 0.0, None, None), ("b", 2.5, None, "slow"),
+              ("c", 5.0, 0, 10.0), ("e", 1.0, 0, 3.0), ("e", "tick", 1, 2.0),
+              ("e", None, 2, 1.0), ("e", 1.0, None, "250ms")],
+    )
+    def test_equal_to_the_cume_dist_oracle(self, planes, rows):
+        con = connect(":memory:")
+        try:
+            build_warehouse(con, planes, rows)
+            assert latency_percentiles(con) == oracle_latency_percentiles(con)
+        finally:
+            con.close()
 
 
 class TestBenchTrajectory:

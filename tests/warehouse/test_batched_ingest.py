@@ -66,7 +66,8 @@ class ReferenceIngester(Ingester):
         key = f"{job_id}:{seq}" if seq is not None else f"{job_id}:@{line_offset}"
         kind = str(record.get("type", "?"))
         iteration = record.get("iteration")
-        iteration = iteration if isinstance(iteration, int) else None
+        if not isinstance(iteration, int) or isinstance(iteration, bool):
+            iteration = None
         self.con.execute(
             "INSERT OR IGNORE INTO events VALUES (?, ?, ?, ?, ?, ?, ?)",
             (key, job_id, seq, record.get("ts"), kind, iteration,
@@ -230,6 +231,29 @@ class TestBatching:
         assert ingest_paths(con, [path])["events"] == 500
         assert [row[0] for row in con.execute(
             "SELECT seq FROM events ORDER BY seq")] == list(range(500))
+
+    def test_a_bool_is_neither_seq_nor_iteration(self, tmp_path):
+        """``true`` is an ``int`` to ``isinstance``; the per-line reference
+        and the batched ingester both store it as NULL, never as 1."""
+        path = tmp_path / "events.ndjson"
+        path.write_bytes(b"".join([
+            bus_line({"type": "iteration_completed", "job": "j", "seq": 0,
+                      "iteration": True}),
+            bus_line({"type": "fault_detected", "job": "j", "seq": True,
+                      "iteration": False}),
+            bus_line({"type": "iteration_completed", "job": "j", "seq": 2,
+                      "iteration": 2}),
+        ]))
+        batched = connect(":memory:")
+        ingest_paths(batched, [path])
+        reference = ReferenceIngester(connect(":memory:"))
+        reference.ingest_path(path)
+        assert dump_tables(batched) == dump_tables(reference.con)
+        assert [tuple(row) for row in batched.execute(
+            "SELECT seq, iteration FROM events ORDER BY event_key")] == [
+            (0, None), (2, 2), (None, None)]  # j:0, j:2, j:@<offset>
+        assert [row[0] for row in batched.execute(
+            "SELECT iteration FROM detections")] == [None]
 
     def test_dropped_watermarks_converge(self, tmp_path):
         store = JobStore(tmp_path / "svc")
