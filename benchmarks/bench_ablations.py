@@ -1,12 +1,12 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for two design choices ``docs/ARCHITECTURE.md`` argues.
 
 1. **Delayed division (Alg. 2)** — the EESum scaling update rule vs the
    cleartext push–pull reference, on the same exchange schedule: identical
    estimates (this is what makes gossip possible under additive
-   homomorphism at all), at a measured per-exchange crypto cost.
-2. **Sensitivity calibration** — per-aggregate vs joint vs split modes of
-   the (sum, count) perturbation on the CER-like quality run.
-3. **Smoothing window** — SMA window sweep (0 %, 10 %, 20 %, 40 % of n).
+   homomorphism at all; "The four planes"), at a measured per-exchange
+   crypto cost.
+2. **Smoothing window** — SMA window sweep (0 %, 10 %, 20 %, 40 % of n) on
+   the CER-like quality run ("Calibration").
 """
 
 from __future__ import annotations
@@ -62,11 +62,10 @@ def test_ablation_eesum_vs_cleartext(benchmark):
     assert max(diffs) < 1e-3
 
 
-def ablation_spec(mode: str = "per-aggregate",
-                  smoothing_fraction: float = 0.2) -> RunSpec:
-    """One CER ablation run; the sweep swaps the spec's options/params."""
+def ablation_spec(smoothing_fraction: float = 0.2) -> RunSpec:
+    """One CER ablation run; the sweep swaps the spec's params."""
     return RunSpec.from_dict({
-        "name": f"ablation-{mode}-w{smoothing_fraction}",
+        "name": f"ablation-w{smoothing_fraction}",
         "plane": "quality",
         "seed": 10,
         "strategy": "G",
@@ -76,7 +75,6 @@ def ablation_spec(mode: str = "per-aggregate",
         "init": {"kind": "courbogen", "params": {"seed": 9}},
         "params": {"k": 30, "max_iterations": 8, "epsilon": 0.69,
                    "smoothing_fraction": smoothing_fraction, "theta": 0.0},
-        "options": {"sensitivity_mode": mode},
     })
 
 
@@ -84,59 +82,6 @@ def ablation_spec(mode: str = "per-aggregate",
 def quality_workload():
     context = Experiment.from_spec(ablation_spec()).context
     return context.dataset, context.initial_centroids
-
-
-def test_ablation_sensitivity_modes(benchmark, quality_workload):
-    data, _ = quality_workload
-    records: list[dict] = []
-
-    def run(mode):
-        spec = ablation_spec(mode=mode)
-        started = time.perf_counter()
-        result = Experiment.from_spec(spec).run()
-        records.append(run_record(
-            spec, result, timings={"wall_seconds": time.perf_counter() - started}
-        ))
-        return result
-
-    benchmark.pedantic(lambda: run("per-aggregate"), rounds=1, iterations=1)
-    records.clear()  # drop the warm-up measurement
-
-    rows = [f"{'mode':<16}{'best PRE':>12}{'final PRE':>12}{'final #cent':>12}"]
-    results = {}
-    for mode in ("per-aggregate", "joint", "split"):
-        result = run(mode)
-        results[mode] = result
-        rows.append(
-            f"{mode:<16}{min(result.pre_inertia_curve):>12.1f}"
-            f"{result.pre_inertia_curve[-1]:>12.1f}{result.n_centroids_curve[-1]:>12d}"
-        )
-    record_report(
-        "ablation_sensitivity",
-        "Ablation: (sum, count) sensitivity calibration",
-        rows,
-    )
-    record_runs(
-        "ablation_sensitivity",
-        records,
-        extra={
-            "population": data.population,
-            "modes": {
-                mode: {
-                    "best_pre": float(min(r.pre_inertia_curve)),
-                    "final_pre": float(r.pre_inertia_curve[-1]),
-                    "final_centroids": int(r.n_centroids_curve[-1]),
-                }
-                for mode, r in results.items()
-            },
-        },
-    )
-    # Joint calibration adds count noise ∝ sum sensitivity → loses more
-    # centroids than the per-aggregate reading.
-    assert (
-        results["joint"].n_centroids_curve[-1]
-        <= results["per-aggregate"].n_centroids_curve[-1]
-    )
 
 
 def test_ablation_smoothing_window(benchmark, quality_workload):

@@ -5,7 +5,8 @@ every budget strategy with and without SMA smoothing.
 Paper setting: 3M daily series × 24 hourly measures in [0, 80], k = 50,
 ε = 0.69, GF floor 4, UF ∈ {5, 10}, averages over repeated runs.  We run
 30K distinct synthetic series with population_scale = 100 (same effective
-3M individuals in the DP arithmetic; see DESIGN.md) and average 3 seeds.
+3M individuals in the DP arithmetic; ``docs/ARCHITECTURE.md``,
+"Calibration") and average 3 seeds.
 
 Every run goes through the unified API: one base ``RunSpec`` dict, with
 strategy/smoothing/seed swapped per variant.  The dataset and init blocks

@@ -34,6 +34,10 @@ SPEC = RunSpec.from_dict({
 })
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "joint calibration: by iteration 6 GREEDY's count noise has lost most "
+    "centroids — docs/ARCHITECTURE.md \"Calibration\""
+))
 def test_fig6_points2d(benchmark):
     experiment = Experiment.from_spec(SPEC)
     data = experiment.context.dataset  # 7.5K × 100 = 750K points

@@ -54,7 +54,6 @@ from .core import (
     ChiaroscuroParams,
     ChiaroscuroRun,
     ClusteringResult,
-    perturbed_kmeans,
 )
 from .privacy import Greedy, GreedyFloor, UniformFast
 
@@ -76,6 +75,5 @@ __all__ = [
     "crypto",
     "datasets",
     "gossip",
-    "perturbed_kmeans",
     "privacy",
 ]

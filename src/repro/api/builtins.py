@@ -13,7 +13,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..clustering.init import kmeanspp_init, sample_init, uniform_init
-from ..core.perturbed_kmeans import PerturbationOptions, iter_perturbed_kmeans
 from ..core.protocol import ChiaroscuroRun
 from ..core.results import IterationRecord
 from ..datasets import (
@@ -133,52 +132,9 @@ for _label in ("G", "GF", "UF"):
 
 # ------------------------------------------------------------------ planes
 
-#: ``RunSpec.options`` keys the quality plane forwards to
-#: :class:`~repro.core.perturbed_kmeans.PerturbationOptions`.
-QUALITY_OPTION_KEYS = ("sensitivity_mode", "gossip_e_max")
-
-
-@register_plane("quality")
-class QualityPlane(ExecutionPlane):
-    """Perturbed centralized k-means — the paper's Sec. 6.1 quality plane."""
-
-    supports_checkpoint = True
-    option_keys = frozenset(QUALITY_OPTION_KEYS)
-
-    def run_iter(
-        self,
-        ctx: RunContext,
-        resume: Checkpoint | None = None,
-        cycle_hook: Callable[[int, int], None] | None = None,
-    ) -> Iterator[IterationRecord]:
-        del cycle_hook  # no gossip engine on this plane
-        spec, params = ctx.spec, ctx.params
-        options = PerturbationOptions(
-            **{k: spec.options[k] for k in QUALITY_OPTION_KEYS if k in spec.options}
-        )
-        rng = np.random.default_rng(spec.seed + 1)
-        centroids = ctx.initial_centroids
-        start = 1
-        if resume is not None:
-            rng.bit_generator.state = resume.rng_state
-            centroids = np.asarray(resume.centroids, dtype=float)
-            start = resume.iteration + 1
-        yield from iter_perturbed_kmeans(
-            ctx.dataset,
-            centroids,
-            ctx.strategy,
-            max_iterations=params.max_iterations,
-            theta=params.theta,
-            smoothing_window=params.smoothing_plan(ctx.dataset.n)[0],
-            options=options,
-            churn=spec.churn,
-            rng=rng,
-            start_iteration=start,
-        )
-
-
 class _ProtocolPlane(ExecutionPlane):
-    """Shared dispatch for the ``ChiaroscuroRun`` substrates."""
+    """Shared dispatch for the ``ChiaroscuroRun`` substrates: the spec's
+    ``options`` keys a plane declares are ``ChiaroscuroRun`` arguments."""
 
     def run_iter(
         self,
@@ -187,6 +143,7 @@ class _ProtocolPlane(ExecutionPlane):
         cycle_hook: Callable[[int, int], None] | None = None,
     ) -> Iterator[IterationRecord]:
         self._reject_resume(resume)
+        options = ctx.spec.options
         run = ChiaroscuroRun(
             ctx.dataset,
             ctx.strategy,
@@ -197,6 +154,7 @@ class _ProtocolPlane(ExecutionPlane):
             cycle_hook=cycle_hook,
             fault_plan=ctx.fault_plan,
             plane=self.key,
+            **{key: options[key] for key in self.option_keys if key in options},
         )
         # Exposed for diagnostics (e.g. wire-format demos) and for the
         # facade's abort-time read of the run's ε ledger.
@@ -207,6 +165,19 @@ class _ProtocolPlane(ExecutionPlane):
             run.initial_centroids = np.asarray(resume.centroids, dtype=float)
             start = resume.iteration + 1
         yield from run.run_iter(churn=ctx.spec.churn, start_iteration=start)
+
+
+@register_plane("quality")
+class QualityPlane(_ProtocolPlane):
+    """Perturbed centralized k-means — the paper's Sec. 6.1 quality plane.
+
+    ``ChiaroscuroRun``'s loop with the central computation step: no gossip,
+    the protocol's noise.  Checkpointable like the vectorized planes: its
+    one RNG, ``noise_rng``, rides in the checkpoint.
+    """
+
+    supports_checkpoint = True
+    option_keys = frozenset({"gossip_e_max"})
 
 
 @register_plane("object")

@@ -21,10 +21,8 @@ Seed discipline (what makes checkpoint/resume bit-identical):
 * dataset generation uses ``dataset.params["seed"]`` if present, else the
   run seed;
 * the initializer draws from ``default_rng(init.params["seed"] | seed)``;
-* the quality plane's perturbation stream is ``default_rng(seed + 1)``
-  (mirroring ``ChiaroscuroRun``'s ``noise_rng``), and the protocol planes
-  seed ``ChiaroscuroRun(seed=spec.seed)`` exactly as before this facade
-  existed.
+* every plane seeds ``ChiaroscuroRun(seed=spec.seed)``, whose
+  ``noise_rng = default_rng(seed + 1)`` is the quality plane's one stream.
 """
 
 from __future__ import annotations

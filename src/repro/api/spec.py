@@ -100,8 +100,8 @@ class RunSpec:
     """One experiment, fully specified and serializable.
 
     ``options`` carries plane-specific knobs outside the Table 1 sheet —
-    the quality plane reads ``sensitivity_mode`` and ``gossip_e_max`` (see
-    :class:`~repro.core.perturbed_kmeans.PerturbationOptions`).  Keys no
+    the quality plane reads ``gossip_e_max``, the Lemma 2 error model of
+    :class:`~repro.core.computation.CentralComputationStep`.  Keys no
     registered plane declares in its ``option_keys`` are rejected here
     (typo protection); a plane simply ignores *other* planes' keys, so
     one spec can still pivot across planes.

@@ -1,6 +1,6 @@
 """Chiaroscuro core: the full distributed execution sequence (Algorithms
 1-3) with real threshold cryptography, and the perturbed centralized
-k-means quality plane.
+k-means quality plane as one more substrate of the same loop.
 """
 
 from .computation import ComputationOutput, ComputationStep
@@ -8,15 +8,10 @@ from .config import ChiaroscuroParams
 from .noise import NoisePlan
 from .participant import Participant
 from .perturbed_em import EMTrace, GaussianMixtureState, em_sensitivities, perturbed_em
-from .perturbed_kmeans import (
-    PerturbationOptions,
-    iter_perturbed_kmeans,
-    perturbed_kmeans,
-)
 from .protocol import ChiaroscuroRun
 from .quality_monitor import QualityMonitor
 from .results import ClusteringResult, IterationRecord, IterationStats
-from .smoothing import derive_sma_window, sma_smooth, smoothing_plan
+from .smoothing import derive_sma_window, sma_smooth
 from .verification import CrossCheckReport, DecryptionCrossCheck, DeviceRegistry
 
 __all__ = [
@@ -34,13 +29,9 @@ __all__ = [
     "IterationStats",
     "NoisePlan",
     "Participant",
-    "PerturbationOptions",
     "QualityMonitor",
     "derive_sma_window",
     "em_sensitivities",
-    "iter_perturbed_kmeans",
     "perturbed_em",
-    "perturbed_kmeans",
     "sma_smooth",
-    "smoothing_plan",
 ]

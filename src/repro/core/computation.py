@@ -15,12 +15,14 @@ One instance executes, for a single k-means iteration:
 The correction vector is public, data-independent material (it travels in
 clear with its identifier); we subtract it right after decryption instead
 of homomorphically re-encoding it beforehand — arithmetically identical
-and noted in DESIGN.md.
+(``docs/ARCHITECTURE.md``, "Calibration").
 
 The output is per-node: each participant ends the step with its own decoded
 ``(sums, counts)`` per cluster; Theorem 1's correctness shows these agree
 across nodes up to the epidemic approximation error, and the integration
-tests measure exactly that agreement.
+tests measure exactly that agreement.  :class:`CentralComputationStep` is
+the quality plane's stand-in for all four phases: one trusted curator
+releasing the same perturbed aggregates (App. B), as one node.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import time
 import numpy as np
 
 from ..blocks import row_blocks
+from ..clustering.kmeans import compute_means
 from ..crypto.backend import CryptoBackend, SerialBackend
 from ..crypto.damgard_jurik import homomorphic_add_batch
 from ..crypto.encoding import PackedCodec
@@ -42,9 +45,11 @@ from ..gossip.dissemination import MinIdDissemination, VectorizedMinId
 from ..gossip.eesum import EESum, VectorizedEESum
 from ..gossip.engine import GossipEngine
 from ..gossip.vectorized_protocol import VectorizedGossipEngine
+from ..privacy.probabilistic import lemma2_perturb
 from .noise import NoisePlan
 
 __all__ = [
+    "CentralComputationStep",
     "ComputationStep",
     "ComputationOutput",
     "VectorizedComputationStep",
@@ -88,6 +93,8 @@ class ComputationStep:
 
     #: This step times none of its crypto (see ``IterationRecord.crypto_ms``).
     crypto_seconds: float | None = None
+    #: Every node takes part: no churn subsample to count.
+    active_series: int | None = None
 
     def __init__(
         self,
@@ -224,6 +231,8 @@ class _ArrayComputationStep:
     #: Wall-clock seconds spent inside crypto batch calls; ``None`` on a
     #: carrier that times nothing.
     crypto_seconds: float | None = None
+    #: Every node takes part: no churn subsample to count.
+    active_series: int | None = None
 
     def __init__(
         self,
@@ -551,3 +560,62 @@ class VectorizedCryptoComputationStep(_ArrayComputationStep):
             values = np.array([v / shift for v in ints], dtype=float)
             opened[int(node)] = values / eesum.omega[node]
         return opened
+
+
+class CentralComputationStep:
+    """Algorithm 3's release by one trusted curator: the quality plane.
+
+    Sec. 6.1 evaluates quality with "a perturbed centralized k-means"; by
+    App. B the protocol releases the same perturbed aggregates, so this step
+    stands in for all four phases.  It owns the churn subsample (each series
+    sits the iteration out with probability ``churn``; one always stays),
+    the true sums and counts, each series counted ``population_scale``
+    times (``docs/ARCHITECTURE.md``, "Calibration"), and the Lemma 2 error
+    model (:func:`~repro.privacy.probabilistic.lemma2_perturb`).  Sums and
+    counts are drawn at ``NoisePlan.scale``, the protocol's joint scale,
+    from ``noise_rng``: churn mask, [sums' error], sums' noise, [counts'
+    error], counts' noise.  The output holds one node, 0.
+    """
+
+    #: This step times no crypto (see ``IterationRecord.crypto_ms``).
+    crypto_seconds: float | None = None
+
+    def __init__(
+        self,
+        noise_plan: NoisePlan,
+        noise_rng: np.random.Generator,
+        churn: float,
+        population_scale: int,
+        gossip_e_max: float,
+    ) -> None:
+        self.noise_plan = noise_plan
+        self.noise_rng = noise_rng
+        self.churn = churn
+        self.population_scale = float(population_scale)
+        self.gossip_e_max = gossip_e_max
+        #: How many series the last release covers (after the churn subsample).
+        self.active_series: int | None = None
+
+    def run(
+        self, engine: None, labels: np.ndarray, series: np.ndarray
+    ) -> ComputationOutput:
+        """Release the perturbed ``(sums, counts)`` of ``labels``' clusters."""
+        del engine  # nothing gossips
+        rng = self.noise_rng
+        if self.churn > 0:
+            keep = rng.random(len(series)) >= self.churn
+            if not keep.any():
+                keep[rng.integers(len(series))] = True
+            labels, series = labels[keep], series[keep]
+        self.active_series = len(series)
+
+        plan = self.noise_plan
+        means, counts = compute_means(series, labels, plan.k)
+        sums = np.nan_to_num(means, nan=0.0) * counts[:, None]
+        sums *= self.population_scale
+        counts *= self.population_scale
+        release = (plan.sensitivity, plan.epsilon, self.gossip_e_max, rng)
+        output = ComputationOutput(plan.k, plan.series_length)
+        output.sums[0] = lemma2_perturb(sums, *release)
+        output.counts[0] = lemma2_perturb(counts, *release)
+        return output

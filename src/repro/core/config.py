@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .smoothing import derive_sma_window, smoothing_plan
+from .smoothing import derive_sma_window
 
 __all__ = ["ChiaroscuroParams"]
 
@@ -114,7 +114,8 @@ class ChiaroscuroParams:
         return derive_sma_window(series_length, self.smoothing_fraction)
 
     def smoothing_plan(self, series_length: int) -> tuple[int, bool]:
-        """``(window, applies)`` for a series length, via the one gate
-        (window ``0`` when ``use_smoothing`` is off)."""
+        """``(window, applies)`` for a series length — the one gate every
+        plane uses: window ``0`` when ``use_smoothing`` is off, and smoothing
+        applies only when ``0 < window < n``."""
         window = self.smoothing_window(series_length) if self.use_smoothing else 0
-        return smoothing_plan(series_length, window)
+        return window, 0 < window < series_length

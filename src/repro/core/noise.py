@@ -26,8 +26,9 @@ __all__ = ["NoisePlan"]
 class NoisePlan:
     """Everything one participant needs to perturb one iteration's Diptych.
 
-    ``dimensions`` is ``k·(n+1)``; ``scale`` is the Laplace scale for the
-    iteration's ε slice using the joint (sum, count) sensitivity.
+    ``dimensions`` is ``k·(n+1)``; ``scale`` is the Laplace scale
+    ``sensitivity / epsilon`` for the iteration's ε slice, with the joint
+    (sum, count) sensitivity.
     """
 
     def __init__(
@@ -46,7 +47,9 @@ class NoisePlan:
         self.k = k
         self.series_length = series_length
         self.dimensions = k * (series_length + 1)
-        self.scale = joint_sensitivity(series_length, dmin, dmax) / epsilon
+        self.sensitivity = joint_sensitivity(series_length, dmin, dmax)
+        self.epsilon = epsilon
+        self.scale = self.sensitivity / epsilon
         self.n_nu = n_nu
 
     def draw_share(self, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The full Chiaroscuro execution sequence (Algorithm 1) — one loop, three substrates.
+"""The full Chiaroscuro execution sequence (Algorithm 1) — one loop, four substrates.
 
 This orchestrates the loop every participant runs:
 
@@ -7,9 +7,13 @@ This orchestrates the loop every participant runs:
         computation step  (Algorithm 3 — ComputationStep)
         convergence step  (local, cleartext)
 
-written once (:meth:`ChiaroscuroRun.run_iter`) over one of three
+written once (:meth:`ChiaroscuroRun.run_iter`) over one of four
 simulation substrates, selected by ``ChiaroscuroRun(..., plane=)``:
 
+* ``"quality"`` — no gossip: Sec. 6.1's "perturbed centralized k-means",
+  whose step (:class:`repro.core.computation.CentralComputationStep`)
+  releases the aggregates App. B says the protocol delivers, at the
+  protocol's noise scale — the plane behind Figs. 2–3;
 * ``"object"`` — the cycle-driven gossip engine with genuine Damgård–Jurik
   threshold cryptography.  The "strong proof of concept" plane: faithful
   down to the ciphertext algebra, sized for populations of
@@ -58,6 +62,7 @@ from ..gossip.vectorized_protocol import VectorizedGossipEngine
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import BudgetStrategy
 from .computation import (
+    CentralComputationStep,
     ComputationStep,
     VectorizedComputationStep,
     VectorizedCryptoComputationStep,
@@ -70,7 +75,7 @@ from .smoothing import sma_smooth
 
 __all__ = ["ChiaroscuroRun", "PROTOCOL_PLANES"]
 
-#: The simulation substrates ``ChiaroscuroRun`` can execute over.
+#: The substrates that gossip — and so the ones a fault plan can attack.
 PROTOCOL_PLANES = ("object", "vectorized", "vectorized-crypto")
 
 
@@ -82,7 +87,9 @@ class ChiaroscuroRun:
     ``params.expansion_s``; a real-crypto run whose plaintext space cannot
     hold one packed slot at the worst-case EESum scaling is refused at
     construction (``PackedCodec.plan`` raises ``ValueError``).  ``plane``
-    is the substrate, one of :data:`PROTOCOL_PLANES` (module docstring).
+    is the substrate, ``"quality"`` or one of :data:`PROTOCOL_PLANES`
+    (module docstring); ``gossip_e_max`` is the quality plane's Lemma 2
+    error model (:class:`~repro.core.computation.CentralComputationStep`).
     """
 
     def __init__(
@@ -96,12 +103,13 @@ class ChiaroscuroRun:
         cycle_hook: Callable[[int, int], None] | None = None,
         fault_plan=None,
         plane: str = "object",
+        gossip_e_max: float = 0.0,
     ) -> None:
-        if plane not in PROTOCOL_PLANES:
-            raise ValueError(
-                f"plane must be one of {', '.join(map(repr, PROTOCOL_PLANES))}"
-            )
+        planes = ("quality", *PROTOCOL_PLANES)
+        if plane not in planes:
+            raise ValueError(f"plane must be one of {', '.join(map(repr, planes))}")
         self.plane = plane
+        self.gossip_e_max = gossip_e_max
         self.dataset = dataset
         self.strategy = strategy
         self.params = params
@@ -278,7 +286,7 @@ class ChiaroscuroRun:
 
         Yields one :class:`IterationRecord` per completed iteration — the
         streaming primitive for progress reporting, early stopping, and
-        (on the vectorized planes) checkpointing.  ``start_iteration``
+        (on every plane but the object one) checkpointing.  ``start_iteration``
         resumes mid-run: budget charges for the prefix are replayed
         (deterministic) and the caller is expected to have restored
         ``initial_centroids`` and the RNG state from a checkpoint.  The
@@ -314,7 +322,7 @@ class ChiaroscuroRun:
                         epsilon=epsilon_i,
                         n_nu=n_nu,
                     )
-                    step = self._computation_step(plan)
+                    step = self._computation_step(plan, churn)
                     output = step.run(engine, *assigned)
                     del assigned
                     if self.fault_plan is not None:
@@ -331,13 +339,17 @@ class ChiaroscuroRun:
                 stats, converged = advanced
                 centroids = stats.centroids
                 seconds = step.crypto_seconds
+                gossiped = engine is not None
                 yield IterationRecord(
                     stats=stats,
                     converged=converged,
                     epsilon_spent_total=accountant.spent,
                     epsilon_remaining=accountant.remaining,
-                    agreement=output.agreement(),
-                    exchanges_per_node=engine.mean_exchanges_per_node,
+                    active_series=step.active_series,
+                    agreement=output.agreement() if gossiped else None,
+                    exchanges_per_node=(
+                        engine.mean_exchanges_per_node if gossiped else None
+                    ),
                     crypto_ms=None if seconds is None else seconds * 1000.0,
                     rng_state=self.noise_rng.bit_generator.state,
                 )
@@ -347,7 +359,10 @@ class ChiaroscuroRun:
             self.close()
 
     def _new_engine(self, iteration: int, churn: float):
-        """The iteration's gossip engine (own seed, so no shared RNG moves)."""
+        """The iteration's gossip engine (own seed, so no shared RNG moves);
+        ``None`` on the quality plane, where nothing gossips."""
+        if self.plane == "quality":
+            return None
         seed = self.seed + 1000 * iteration
         if self.plane == "object":
             engine = GossipEngine(
@@ -364,10 +379,11 @@ class ChiaroscuroRun:
         """Assignment step (Alg. 1 l.5-6): ``(step arguments, labels)``.
 
         Object plane: each participant encrypts its own means vector (node
-        id → ciphertexts) and labels stay private — ``None``.  Array planes:
-        the labels are the assignment; the step writes series i and a count
-        of 1 into the assigned cluster's stripe of row i straight into its
-        payload buffer, so the t × k·(n+1) means matrix is never built.
+        id → ciphertexts) and labels stay private — ``None``.  Every other
+        plane: the labels are the assignment; an array step writes series i
+        and a count of 1 into the assigned cluster's stripe of row i straight
+        into its payload buffer, so the t × k·(n+1) means matrix is never
+        built, and the central step sums each cluster's series.
         """
         if self.plane == "object":
             vectors = {
@@ -378,8 +394,13 @@ class ChiaroscuroRun:
         labels = assign_to_closest(self.dataset.values, centroids)
         return (labels, self.dataset.values), labels
 
-    def _computation_step(self, plan: NoisePlan):
+    def _computation_step(self, plan: NoisePlan, churn: float):
         """The plane's Algorithm 3 implementation for one iteration."""
+        if self.plane == "quality":
+            return CentralComputationStep(
+                plan, self.noise_rng, churn, self.dataset.population_scale,
+                self.gossip_e_max,
+            )
         params = self.params
         common = dict(
             noise_plan=plan, exchanges=params.exchanges, noise_rng=self.noise_rng
@@ -414,16 +435,15 @@ class ChiaroscuroRun:
 
         Shared by every substrate: decode the canonical node's perturbed
         means, drop lost clusters, smooth, measure the iteration's quality
-        stats and apply the θ convergence test.  Returns ``(stats,
-        converged)`` — ``stats.centroids`` are the next centroids — or
-        ``None`` when every cluster was lost (the run ends without a
-        recordable iteration).  ``labels``
-        lets the array planes reuse their assignment-step result instead
-        of recomputing the t × k argmin (the dominant cleartext cost at
-        10⁵–10⁶ participants).
+        stats over the whole dataset and apply the θ convergence test.
+        Returns ``(stats, converged)`` — ``stats.centroids`` are the next
+        centroids — or ``None`` when every cluster was lost (the run ends
+        without a recordable iteration).  ``labels`` lets the array planes
+        reuse their assignment-step result instead of recomputing the t × k
+        argmin (the dominant cleartext cost at 10⁵–10⁶ participants).
         """
         params = self.params
-        dataset = self.dataset
+        values = self.dataset.values
         canonical = min(output.sums)
         means, counts = output.perturbed_means(canonical)
         survive = counts > 0.5  # counts are perturbed reals; lost below
@@ -434,15 +454,22 @@ class ChiaroscuroRun:
             perturbed = sma_smooth(perturbed, window)
 
         if labels is None:
-            labels = assign_to_closest(dataset.values, centroids)
-        # Inertia of the current partition against its true (local) means.
-        true_means, true_counts = compute_means(dataset.values, labels, len(centroids))
+            labels = assign_to_closest(values, centroids)
+        # PRE: the current partition against its true (local) means.
+        true_means, true_counts = compute_means(values, labels, len(centroids))
         alive = true_counts > 0
         true_pre = float(intra_inertia(
-            dataset.values, true_means[alive], compress_labels(labels, alive)
+            values, true_means[alive], compress_labels(labels, alive)
         ))
-        post_labels = assign_to_closest(dataset.values, perturbed)
-        post = intra_inertia(dataset.values, perturbed, post_labels)
+        # POST, without re-assignment: a series keeps its cluster; one whose
+        # cluster was lost — "ignored de facto" (footnote 8) — is measured
+        # against its closest surviving centroid.
+        post_labels = np.where(
+            survive[labels],
+            compress_labels(labels, survive),
+            assign_to_closest(values, perturbed),
+        )
+        post = intra_inertia(values, perturbed, post_labels)
 
         stats = IterationStats(
             iteration=iteration,

@@ -1,21 +1,20 @@
-"""Result containers for Chiaroscuro runs (both planes).
+"""Result containers for Chiaroscuro runs (every plane).
 
-``IterationStats`` captures exactly what the paper plots:
+``IterationStats`` captures exactly what the paper plots, over the whole
+dataset:
 
 * ``pre_inertia``   — intra-cluster inertia of the partition measured
   against the *unperturbed* means (Figs. 2a/2b "before perturbing");
 * ``post_inertia``  — inertia against the perturbed (and smoothed)
-  centroids, aberrant centroids removed (Figs. 2e/2f "POST").  Two
-  definitions today: the quality loop keeps each series in its cluster
-  (*without re-assignment*, the paper's); ``ChiaroscuroRun`` re-assigns
-  every series to its closest released centroid (ROADMAP item 1 fixes it
-  in the digest re-pin window);
+  centroids, aberrant centroids removed, *without re-assignment* (Figs.
+  2e/2f "POST"): each series stays in its cluster, and a series whose
+  cluster was lost is measured against its closest surviving centroid;
 * ``n_centroids``   — surviving centroids after the lost-mean effect
   (Figs. 2c/2d);
 * ``epsilon_spent`` — the iteration's budget slice.
 
-``IterationRecord`` is the one per-iteration record both Algorithm 1 loops
-(``iter_perturbed_kmeans``, ``ChiaroscuroRun.run_iter``) yield.  The record
+``IterationRecord`` is the per-iteration record the one Algorithm 1 loop
+(``ChiaroscuroRun.run_iter``) yields.  The record
 is the event: planes forward it unchanged, ``Experiment.run_iter`` yields it
 as is (``repro.api.IterationCompleted`` is this class) and writes the
 ``Checkpoint`` from it, and ``event_to_dict`` reads the wire form off its
@@ -63,14 +62,14 @@ class IterationStats:
 
 @dataclass
 class IterationRecord:
-    """One completed iteration, as yielded by either Algorithm 1 loop.
+    """One completed iteration, as yielded by the Algorithm 1 loop.
 
     ``epsilon_spent_total`` / ``epsilon_remaining`` are read off the loop's
     :class:`~repro.privacy.accountant.PrivacyAccountant` right after the
     iteration's charge (resumed prefix included) — the single ε ledger.
-    Telemetry a loop does not produce stays ``None``: ``active_series`` is
-    the quality loop's churn-subsample size; ``agreement`` (epidemic
-    spread) and ``exchanges_per_node`` are the protocol loop's; ``crypto_ms``
+    Telemetry a plane does not produce stays ``None``: ``active_series`` is
+    the quality plane's churn-subsample size; ``agreement`` (epidemic
+    spread) and ``exchanges_per_node`` are the gossiping planes'; ``crypto_ms``
     is the wall time inside crypto batch calls, timed by the
     vectorized-crypto step only.  ``rng_state`` is the bit-generator state
     of the loop's one cross-iteration RNG after this iteration (what a

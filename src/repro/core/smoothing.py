@@ -15,33 +15,19 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["derive_sma_window", "sma_smooth", "smoothing_plan"]
+__all__ = ["derive_sma_window", "sma_smooth"]
 
 
 def derive_sma_window(series_length: int, fraction: float = 0.2) -> int:
     """The SMA window ``w`` for a series length (Table 2: 20 % of ``n``).
 
     Rounded to the nearest integer, then down to even so the ±w/2 span is
-    symmetric.  This is the single source of truth for the window size —
-    both :meth:`repro.core.config.ChiaroscuroParams.smoothing_window` and
-    the quality plane derive theirs from here; :func:`smoothing_plan`
-    decides whether it applies.
+    symmetric.  This is the single source of truth for the window size:
+    :meth:`repro.core.config.ChiaroscuroParams.smoothing_plan` derives the
+    window of every plane from here and decides whether it applies.
     """
     w = int(round(fraction * series_length))
     return w if w % 2 == 0 else w - 1
-
-
-def smoothing_plan(series_length: int, window: int | None) -> tuple[int, bool]:
-    """``(window, applies)`` for a run — the single gate every plane uses.
-
-    A ``None`` window derives the Table 2 default (20 % of ``n``) and ``0``
-    is the off switch; smoothing applies only when ``0 < window < n``, so
-    the quality and distributed planes can never disagree on whether a
-    given series length is smoothable.
-    """
-    if window is None:
-        window = derive_sma_window(series_length)
-    return window, 0 < window < series_length
 
 
 def sma_smooth(means: np.ndarray, window: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The paper's real dataset — the Irish CER smart-meter trial [16] — is
 access-restricted; we generate a synthetic stand-in with the same shape
-statistics the experiments depend on (see DESIGN.md substitution table):
+statistics the experiments depend on (``docs/ARCHITECTURE.md``,
+"Calibration"):
 
 * daily load curves of 24 hourly values in ``[0, 80]`` (kWh-scale), so the
   Definition 4 sensitivity is the paper's ``24 · 80 = 1920``;
@@ -12,8 +13,7 @@ statistics the experiments depend on (see DESIGN.md substitution table):
   property the paper invokes to explain CER's behaviour under churn and
   smoothing ("strongly concentrated CER time-series");
 * a heavy-tailed mixture: archetype popularity follows a geometric decay, so
-  there are small clusters that are noise-sensitive — the reason the SMA
-  smoothing visibly helps on CER.
+  there are small clusters that are noise-sensitive.
 
 The module also exports :func:`courbogen_like_centroids`, the substitution
 for EDF's proprietary CourboGen generator used to seed initial centroids

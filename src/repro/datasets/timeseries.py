@@ -6,7 +6,8 @@ metadata Chiaroscuro's privacy arithmetic needs — the value range
 ``[dmin, dmax]`` (which fixes the DP sensitivity) and an optional
 ``population_scale`` recording that each stored series stands for ``scale``
 identical individuals (the duplicate-and-jitter device of Appendix D, used
-here to reach paper-scale populations on one machine; see DESIGN.md).
+here to reach paper-scale populations on one machine; see
+``docs/ARCHITECTURE.md``, "Calibration").
 """
 
 from __future__ import annotations

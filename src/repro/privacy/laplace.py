@@ -9,7 +9,8 @@ the time-series sum being ``n · max(|dmin|, |dmax|)`` for series of length
 The paper does not spell out how the (sum, count) pair shares the budget;
 we use the joint L1 sensitivity ``n·max(|d|) + 1`` as a single scale for
 both components, which upper-bounds the impact of adding/removing one
-individual on the whole released vector (see DESIGN.md, "design choices").
+individual on the whole released vector (``docs/ARCHITECTURE.md``,
+"Calibration").
 """
 
 from __future__ import annotations

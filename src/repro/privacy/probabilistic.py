@@ -26,11 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "newscast_exchanges",
     "delta_atom",
     "lemma2_scale",
     "lemma2_noise_inflation",
+    "lemma2_perturb",
     "GossipPrivacyPlan",
 ]
 
@@ -87,6 +90,27 @@ def lemma2_noise_inflation(e_max: float) -> float:
     if not 0 <= e_max < 1:
         raise ValueError("e_max must be in [0, 1)")
     return 1.0 + e_max / (1.0 - e_max)
+
+
+def lemma2_perturb(
+    values: np.ndarray,
+    sensitivity: float,
+    epsilon: float,
+    e_max: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """A Laplace release of ``values`` as the epidemic protocol delivers it.
+
+    With ``e_max > 0`` each value is first multiplied by ``1 + e``,
+    ``e ~ U(−e_max, e_max)`` (the epidemic approximation error), then the
+    noise is drawn at :func:`lemma2_scale` and inflated by
+    :func:`lemma2_noise_inflation`.  At ``e_max = 0`` nothing is inflated and
+    no error is drawn: the release is ``values + Laplace(sensitivity / ε)``.
+    """
+    if e_max > 0:
+        values = values * (1.0 + rng.uniform(-e_max, e_max, size=values.shape))
+    noise = rng.laplace(0.0, lemma2_scale(sensitivity, epsilon, e_max), size=values.shape)
+    return values + lemma2_noise_inflation(e_max) * noise
 
 
 @dataclass(frozen=True)

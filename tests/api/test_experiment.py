@@ -14,7 +14,7 @@ from repro.api import (
     run_environment,
     run_record,
 )
-from repro.core import ChiaroscuroRun, ClusteringResult, perturbed_kmeans
+from repro.core import ChiaroscuroRun, ClusteringResult
 
 
 def quality_spec(**overrides) -> RunSpec:
@@ -51,19 +51,16 @@ def toy_spec_dict(toy_dataset, toy_initial_centroids) -> dict:
 class TestFacadeEquivalence:
     def test_quality_plane_matches_direct_call(self):
         """The facade adds wiring, not semantics: same seeds → same trace."""
-        spec = quality_spec()
+        spec = quality_spec(options={"gossip_e_max": 1e-3})
         via_api = Experiment.from_spec(spec).run()
 
         context = Experiment.from_spec(spec).context
-        direct = perturbed_kmeans(
-            context.dataset,
-            context.initial_centroids,
-            context.strategy,
-            max_iterations=spec.params.max_iterations,
-            theta=spec.params.theta,
-            smoothing_window=spec.params.smoothing_plan(context.dataset.n)[0],
-            rng=np.random.default_rng(spec.seed + 1),
+        run = ChiaroscuroRun(
+            context.dataset, context.strategy, spec.params,
+            context.initial_centroids, seed=spec.seed, plane="quality",
+            gossip_e_max=1e-3,
         )
+        direct, _ = run.run()
         assert via_api.iterations == direct.iterations == 3  # UF3 bound
         assert np.array_equal(via_api.centroids, direct.centroids)
         for a, b in zip(via_api.history, direct.history):
@@ -203,13 +200,14 @@ class TestEvents:
 class TestOptionsForwarding:
     def test_quality_options_reach_perturbation(self):
         base = quality_spec()
-        joint = quality_spec(options={"sensitivity_mode": "joint"})
+        lemma2 = quality_spec(options={"gossip_e_max": 1e-3})
         a = Experiment.from_spec(base).run()
-        b = Experiment.from_spec(joint).run()
-        # same seed, different calibration → different noise draws
+        b = Experiment.from_spec(lemma2).run()
+        # same seed, the Lemma 2 error model on → different draws
         assert not np.array_equal(a.centroids, b.centroids)
 
     def test_unknown_quality_option_rejected(self):
-        spec = quality_spec(options={"sensitivity_mode": "nope"})
-        with pytest.raises(ValueError, match="sensitivity_mode"):
-            Experiment.from_spec(spec).run()
+        """``sensitivity_mode`` is gone, with no shim: a stored spec that
+        still carries it fails loudly, naming the key."""
+        with pytest.raises(ValueError, match="unknown options key.*'sensitivity_mode'"):
+            quality_spec(options={"sensitivity_mode": "per-aggregate"})

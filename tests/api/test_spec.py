@@ -141,16 +141,16 @@ class TestValidation:
             RunSpec.from_dict(spec_dict(churn=1.0))
 
     def test_typoed_options_key_rejected(self):
-        with pytest.raises(ValueError, match="sensitivty_mode"):
-            RunSpec.from_dict(spec_dict(options={"sensitivty_mode": "joint"}))
+        with pytest.raises(ValueError, match="gossip_emax"):
+            RunSpec.from_dict(spec_dict(options={"gossip_emax": 1e-3}))
 
     def test_known_options_keys_accepted_on_any_plane(self):
         # quality-plane keys stay valid on a protocol plane so one spec
         # can pivot planes; the plane simply ignores them
         spec = RunSpec.from_dict(spec_dict(
-            plane="vectorized", options={"sensitivity_mode": "joint"}
+            plane="vectorized", options={"gossip_e_max": 1e-3}
         ))
-        assert spec.options == {"sensitivity_mode": "joint"}
+        assert spec.options == {"gossip_e_max": 1e-3}
 
     def test_default_strategy_from_params(self):
         """Stored specs: a ``params.budget_strategy`` written while the key

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering import compute_means, lloyd_kmeans, sample_init
 
@@ -24,6 +26,29 @@ class TestComputeMeans:
         assert np.allclose(means[1], [10.0, 10.0])
         assert np.isnan(means[2]).all()  # empty cluster
         assert counts.tolist() == [2.0, 1.0, 0.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 300), st.integers(1, 12), st.integers(1, 9)),
+        magnitude=st.floats(-3, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sums_are_bit_equal_to_add_at(self, shape, magnitude, seed):
+        """The per-column bincount adds each cluster's rows in the order
+        ``np.add.at`` does: the means — and every inertia measured from
+        them — are bit for bit the unbuffered scatter-add's."""
+        t, n, k = shape
+        rng = np.random.default_rng(seed)
+        series = rng.normal(size=(t, n)) * 10.0**magnitude
+        labels = rng.integers(0, k, size=t)
+        sums = np.zeros((k, n))
+        np.add.at(sums, labels, series)
+        counts = np.bincount(labels, minlength=k).astype(float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            expected = sums / counts[:, None]
+        means, got_counts = compute_means(series, labels, k)
+        assert np.array_equal(means, expected, equal_nan=True)
+        assert np.array_equal(got_counts, counts)
 
 
 class TestLloyd:

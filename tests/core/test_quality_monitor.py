@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import assign_to_closest, compute_means, inter_inertia
-from repro.core import QualityMonitor, perturbed_kmeans
+from repro.core import ChiaroscuroParams, ChiaroscuroRun, QualityMonitor
 from repro.datasets import courbogen_like_centroids, generate_cer
 from repro.privacy import Greedy
 
@@ -91,10 +91,10 @@ class TestOnPerturbedRun:
         pre-perturbation inertia curve turns — the footnote-9 behaviour."""
         data = generate_cer(n_series=5000, population_scale=100, seed=21)
         init = courbogen_like_centroids(15, np.random.default_rng(21))
-        result = perturbed_kmeans(
-            data, init, Greedy(0.69), max_iterations=10,
-            rng=np.random.default_rng(22),
-        )
+        params = ChiaroscuroParams(k=15, max_iterations=10, theta=0.0)
+        result, _ = ChiaroscuroRun(
+            data, Greedy(0.69), params, init, seed=21, plane="quality"
+        ).run()
         monitor = QualityMonitor(
             global_centroid=data.values.mean(axis=0),
             total_count=float(data.t) * data.population_scale,

@@ -69,12 +69,12 @@ class TestSMA:
 class TestDeriveWindow:
     """Regression: one shared SMA-window derivation for every plane.
 
-    ``perturbed_kmeans`` used to re-implement the Table 2 window inline
-    with a different guard (``n > window`` vs protocol.py's
-    ``0 < window < n``); both now route through
-    :func:`repro.core.derive_sma_window` and the unified gate.  These
-    tests pin the derivation — and the quality plane's behavior at short
-    series lengths — to the historical values.
+    The quality plane once re-implemented the Table 2 window inline with a
+    different guard (``n > window`` vs the protocol's ``0 < window < n``);
+    every plane now routes through :func:`repro.core.derive_sma_window`
+    and the one gate, ``ChiaroscuroParams.smoothing_plan``.  These tests
+    pin the derivation — and the quality plane's behavior at short series
+    lengths — to the historical values.
     """
 
     def test_matches_historical_inline_derivation(self):
@@ -97,7 +97,7 @@ class TestDeriveWindow:
         """At short lengths the derived window collapses to 0 (< 8) or 2;
         the run must apply smoothing exactly when 0 < w < n — identical to
         the old ``dataset.n > smoothing_window`` guard."""
-        from repro.core import derive_sma_window, perturbed_kmeans
+        from repro.core import ChiaroscuroParams, ChiaroscuroRun, derive_sma_window
         from repro.datasets import TimeSeriesSet
         from repro.privacy import UniformFast
 
@@ -106,20 +106,21 @@ class TestDeriveWindow:
         dataset = TimeSeriesSet(values, 0.0, 20.0)
         init = np.clip(rng.normal(10.0, 2.0, size=(2, n)), 0.0, 20.0)
 
-        result = perturbed_kmeans(
-            dataset, init, UniformFast(100.0, 1), max_iterations=1,
-            rng=np.random.default_rng(0),
-        )
+        def run(use_smoothing):
+            params = ChiaroscuroParams(
+                k=2, max_iterations=1, use_smoothing=use_smoothing
+            )
+            return ChiaroscuroRun(
+                dataset, UniformFast(100.0, 1), params, init, plane="quality"
+            ).run()[0]
+
+        result = run(True)
         window = derive_sma_window(n)
         assert result.smoothing is (0 < window < n)
 
         # Bit-for-bit: smoothing on vs off must split exactly at w = 0,
         # i.e. the smoothed run equals an explicitly-unsmoothed run iff
         # the derived window is inapplicable.
-        unsmoothed = perturbed_kmeans(
-            dataset, init, UniformFast(100.0, 1), max_iterations=1,
-            smoothing_window=0,
-            rng=np.random.default_rng(0),
-        )
+        unsmoothed = run(False)
         same = np.array_equal(result.centroids, unsmoothed.centroids)
         assert same is not (0 < window < n)
