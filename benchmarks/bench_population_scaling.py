@@ -348,7 +348,7 @@ def test_vectorized_crypto_population_sweep(benchmark):
     )
 
 
-PEAK_RSS_CAP_MB = 1.25 * 291.0
+PEAK_RSS_CAP_MB = 1.25 * 238.0
 
 
 def test_population_smoke(benchmark):
@@ -375,9 +375,10 @@ def test_population_smoke(benchmark):
     # Wall-clock guard: 10^5 nodes must stay comfortably interactive; a
     # regression to object-engine-like scaling would blow far past this.
     assert elapsed < 120.0, f"large-population smoke took {elapsed:.0f}s (cap 120s)"
-    # Peak-memory guard: the run measures 291 MB, 169 MB of it the one
-    # 10⁵ × 211 payload matrix; the cap is that + 25 %, so a second matrix
-    # of that size anywhere in the iteration (four of them: 711 MB) fails.
+    # Peak-memory guard: the run measures 238 MB, 169 MB of it the one
+    # 10⁵ × 211 payload matrix (the surplus correction is two Gamma draws
+    # per dimension); the cap is that + 25 %, so a second matrix of that
+    # size anywhere in the iteration fails.
     assert full["peak_rss_mb"] < PEAK_RSS_CAP_MB, (
         f"10^5-node iteration peaked at {full['peak_rss_mb']:.0f} MB "
         f"(cap {PEAK_RSS_CAP_MB:.0f} MB)"

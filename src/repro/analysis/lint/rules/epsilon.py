@@ -9,9 +9,9 @@ smaller ε than it actually consumed.
 
 The check is necessarily module-granular (data flow through numpy is
 out of AST reach): any protocol module containing a noise site — an
-``rng.laplace``/``rng.gamma`` draw or a ``LaplaceMechanism``/
-``NoisePlan`` construction — must also reference the budget flow
-(``PrivacyAccountant``, ``epsilon_for``, ``epsilon_charged``,
+``rng.laplace``/``rng.gamma``/``rng.standard_gamma`` draw or a
+``LaplaceMechanism``/``NoisePlan`` construction — must also reference the
+budget flow (``PrivacyAccountant``, ``epsilon_for``, ``epsilon_charged``,
 ``charge``, ``BudgetExhausted``).  ``repro.privacy`` itself is exempt:
 it *is* the mechanism layer the rest of the tree is charged through.
 """
@@ -34,7 +34,7 @@ SCOPED_PACKAGES = (
 )
 
 #: Attribute draws on an RNG object that inject DP noise.
-_NOISE_ATTRS = frozenset({"laplace", "gamma"})
+_NOISE_ATTRS = frozenset({"laplace", "gamma", "standard_gamma"})
 
 #: Constructions that represent a planned noise draw.
 _NOISE_CONSTRUCTORS = frozenset({"LaplaceMechanism", "NoisePlan"})

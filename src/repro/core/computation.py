@@ -131,12 +131,10 @@ class ComputationStep:
         payload = packed.packed_length(dims)
 
         # --- local noise-share generation (Alg. 3 l.4) -------------------
-        shares = {i: self.noise_plan.draw_share(self.noise_rng) for i in node_ids}
+        shares = self.noise_plan.draw_shares(self.noise_rng, len(node_ids))
         noise_vectors = {
-            i: self.backend.encrypt_batch(
-                public, packed.pack(shares[i]), self.crypto_rng
-            )
-            for i in node_ids
+            i: self.backend.encrypt_batch(public, packed.pack(share), self.crypto_rng)
+            for i, share in zip(node_ids, shares)
         }
 
         # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..privacy.laplace import joint_sensitivity
-from ..privacy.noise_shares import gen_noise_share, gen_noise_shares, surplus_correction
+from ..privacy.noise_shares import gen_noise_shares, surplus_correction
 
 __all__ = ["NoisePlan"]
 
@@ -52,18 +52,14 @@ class NoisePlan:
         self.scale = self.sensitivity / epsilon
         self.n_nu = n_nu
 
-    def draw_share(self, rng: np.random.Generator) -> np.ndarray:
-        """One participant's noise-share vector (Def. 5), length ``dimensions``."""
-        return gen_noise_share(self.n_nu, self.scale, rng, size=self.dimensions)
-
     def draw_shares(
         self, rng: np.random.Generator, count: int, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """All ``count`` participants' share vectors in one batch draw.
+        """``count`` participants' share vectors (Def. 5), one row each.
 
-        The vectorized plane's entry point: a single ``(count, dimensions)``
-        Gamma-difference sample instead of ``count`` per-participant draws,
-        written into ``out`` (and returned) when the caller has the buffer.
+        Every plane's one draw site: a single ``(count, dimensions)``
+        Gamma-difference sample, written into ``out`` (and returned) when
+        the caller has the buffer.
         """
         return gen_noise_shares(
             count, self.n_nu, self.scale, rng, self.dimensions, out=out

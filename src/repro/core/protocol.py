@@ -464,11 +464,14 @@ class ChiaroscuroRun:
         # POST, without re-assignment: a series keeps its cluster; one whose
         # cluster was lost — "ignored de facto" (footnote 8) — is measured
         # against its closest surviving centroid.
-        post_labels = np.where(
-            survive[labels],
-            compress_labels(labels, survive),
-            assign_to_closest(values, perturbed),
-        )
+        if survive.all():
+            post_labels = labels
+        else:
+            post_labels = np.where(
+                survive[labels],
+                compress_labels(labels, survive),
+                assign_to_closest(values, perturbed),
+            )
         post = intra_inertia(values, perturbed, post_labels)
 
         stats = IterationStats(

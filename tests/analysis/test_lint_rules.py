@@ -80,6 +80,15 @@ class TestRuleFixtures:
         assert report.new == [], [f.message for f in report.new]
 
 
+def test_epsilon_rule_sees_standard_gamma():
+    """The share sampler's primitive: ``rng.standard_gamma`` outside
+    ``repro.privacy`` is a noise site like ``rng.gamma``."""
+    report = run_lint(
+        [FIXTURES / "epsilon" / "bad_standard_gamma.py"], rules=["epsilon-accounting"]
+    )
+    assert [f.message.split()[0] for f in report.new] == [".standard_gamma()"]
+
+
 class TestSuppressionFlow:
     def test_justified_suppressions_downgrade_findings(self):
         report = run_lint(

@@ -24,7 +24,7 @@ from repro.api import (
 )
 
 
-def spec_for(plane: str = "quality", seed: int = 13) -> RunSpec:
+def spec_for(plane: str = "quality", seed: int = 15) -> RunSpec:
     return RunSpec.from_dict({
         "plane": plane,
         "seed": seed,
@@ -33,8 +33,10 @@ def spec_for(plane: str = "quality", seed: int = 13) -> RunSpec:
                     "params": {"n_series": 250, "population_scale": 100}},
         "init": {"kind": "courbogen"},
         # ε = 50: generous enough that clusters survive all 5 iterations on
-        # both planes at this 250-node test scale (bit-identity is about
-        # RNG-stream equality, not the paper's privacy calibration)
+        # both planes at this 250-node test scale and seed (bit-identity is
+        # about RNG-stream equality, not the paper's privacy calibration).
+        # Seed 13 did until the sparse share sampler redrew the noise stream;
+        # at 15 both planes complete all 5.
         "params": {"k": 4, "max_iterations": 5, "epsilon": 50.0,
                    "exchanges": 10, "theta": 0.0},
     })

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _stats import ks_pvalue
 from repro.core import NoisePlan
 from repro.core.computation import CentralComputationStep, VectorizedComputationStep
 from repro.gossip import VectorizedGossipEngine
@@ -29,22 +30,6 @@ DMAX = 10.0
 EPSILON = 2.0
 SEEDS = 200
 ALPHA = 1e-3
-
-
-def ks_pvalue(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample KS test, asymptotic p-value (Stephens' small-sample
-    correction of the statistic)."""
-    a, b = np.sort(a), np.sort(b)
-    both = np.concatenate([a, b])
-    gap = np.abs(
-        np.searchsorted(a, both, side="right") / len(a)
-        - np.searchsorted(b, both, side="right") / len(b)
-    ).max()
-    effective = np.sqrt(len(a) * len(b) / (len(a) + len(b)))
-    lam = (effective + 0.12 + 0.11 / effective) * gap
-    j = np.arange(1, 101)
-    p = 2.0 * np.sum((-1.0) ** (j - 1) * np.exp(-2.0 * (j * lam) ** 2))
-    return float(min(max(p, 0.0), 1.0))
 
 
 @pytest.fixture(scope="module")

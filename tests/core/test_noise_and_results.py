@@ -21,14 +21,14 @@ class TestNoisePlan:
 
     def test_share_shape(self):
         plan = NoisePlan(k=3, series_length=4, dmin=0, dmax=1, epsilon=1.0, n_nu=10)
-        share = plan.draw_share(np.random.default_rng(0))
-        assert share.shape == (15,)
+        shares = plan.draw_shares(np.random.default_rng(0), 4)
+        assert shares.shape == (4, 15)
 
     def test_shares_sum_to_laplace_variance(self):
         plan = NoisePlan(k=1, series_length=0 + 1, dmin=0, dmax=1, epsilon=1.0, n_nu=64)
         rng = np.random.default_rng(1)
         totals = np.array(
-            [sum(plan.draw_share(rng)[0] for _ in range(64)) for _ in range(4000)]
+            [plan.draw_shares(rng, 64)[:, 0].sum() for _ in range(4000)]
         )
         assert totals.var() == pytest.approx(2 * plan.scale**2, rel=0.15)
 

@@ -30,7 +30,10 @@ def test_vectorized_plane_runs_full_loop(small_workload):
         k=3, max_iterations=4, exchanges=12,
         tau_fraction=0.01,
     )
-    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=7, plane="vectorized")
+    # Seed 10 since the sparse share sampler redrew the noise stream: at
+    # ε_1 = 0.345 a 400-series cluster survives with p ≈ 0.7, and seed 7's
+    # new draws keep one cluster of three.
+    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=10, plane="vectorized")
     result, steps = run.run()
 
     assert result.iterations >= 1
@@ -92,12 +95,48 @@ def test_vectorized_plane_under_churn(small_workload):
         k=3, max_iterations=2, exchanges=14,
         tau_fraction=0.01,
     )
-    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=3, plane="vectorized")
+    # Seed 5 since the sparse share sampler redrew the noise stream: seed 3's
+    # new draws lose every cluster in iteration 1.
+    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=5, plane="vectorized")
     result, steps = run.run(churn=0.25)
     assert result.iterations >= 1
     # Churned cycles still deliver roughly (1 - churn) exchanges per node
     # per cycle; far more than half the exchange budget must materialize.
     assert steps[0].exchanges_per_node > params.exchanges
+
+
+def test_post_inertia_reassigns_only_the_series_of_lost_clusters(
+    small_workload, monkeypatch
+):
+    """POST needs the t × k re-assignment only when a cluster was lost.
+
+    Seed 0 keeps all three clusters in iteration 1 and loses one in each of
+    iterations 2 and 3, so the loop assigns once (the assignment step), then
+    twice, then twice.  The quality plane's noise is ``rng.laplace``, which
+    the share sampler does not touch: the POST values are pinned as the
+    loop computed them when it evaluated the re-assignment every iteration.
+    """
+    from repro.core import protocol
+
+    data, init = small_workload
+    calls = []
+    assign = protocol.assign_to_closest
+    monkeypatch.setattr(
+        protocol, "assign_to_closest",
+        lambda *args, **kwargs: calls.append(1) or assign(*args, **kwargs),
+    )
+    params = ChiaroscuroParams(k=3, max_iterations=3, tau_fraction=0.01)
+    run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=0, plane="quality")
+    history, per_iteration = [], []
+    for record in run.run_iter():
+        history.append(record.stats)
+        per_iteration.append(len(calls))
+        calls.clear()
+    assert [s.n_centroids for s in history] == [3, 2, 1]
+    assert per_iteration == [1, 2, 2]
+    assert [s.post_inertia for s in history] == [
+        938.2268838531394, 1601.7622870928806, 1037.4354755577967,
+    ]
 
 
 def _pre_inertia_before_pr24(series, labels, k):

@@ -49,7 +49,7 @@ class TestCiphertextIndistinguishability:
 
     def test_noise_shares_travel_encrypted(self, keypair128, packed):
         plan = NoisePlan(k=2, series_length=3, dmin=0, dmax=10, epsilon=1.0, n_nu=10)
-        share = plan.draw_share(np.random.default_rng(0))
+        share = plan.draw_shares(np.random.default_rng(0), 1)[0]
         ciphertexts = encrypt_batch(
             keypair128.public, packed.pack(share), random.Random(1)
         )
