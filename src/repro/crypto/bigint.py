@@ -34,11 +34,18 @@ backend re-select it from the name shipped in their initializer):
 
 Primitives
 ----------
-Beyond :func:`powmod` / :func:`invert`, the kernel exposes the batched
-shapes the protocol actually exhibits:
+Beyond :func:`invert`, the kernel exposes the batched shapes the
+protocol actually exhibits:
 
 * :func:`powmod_batch` — many bases, one shared exponent/modulus (the
-  partial-decryption shape: ``c_i^{2Δd}`` over a whole means vector);
+  partial-decryption shape: ``c_i^{2Δd}`` over a whole means vector).
+  On the python backend, a modulus that is a perfect square ``r²``
+  (``n²`` of an ``s = 1`` key, ``p²`` of its CRT half) with ``r`` of at
+  least 384 bits and an exponent of at least 64 bits runs a sliding-
+  window chain on the two ``r``-adic digits of ``x = x0 + x1·r``: half-
+  width products and divisions where builtin ``pow`` pays full-width
+  ones, ≈ 0.65× its time at 1024-bit roots.  Selected by input size
+  alone, bit-identical, and :func:`powmod` is one item of it;
 * :func:`invert_batch` — Montgomery's batch-inversion trick: ``n``
   inverses for the price of one inversion plus ``3(n−1)``
   multiplications;
@@ -59,6 +66,7 @@ behaviour is identical whichever backend computed a value.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -99,11 +107,6 @@ class _PythonBackend:
     def to_native(value: int) -> int:
         return int(value)
 
-    # ``pow`` already implements negative exponents (modular inverse) and
-    # raises ValueError for non-invertible bases — the contract callers
-    # rely on.
-    powmod = staticmethod(pow)
-
     @staticmethod
     def invert(value: int, modulus: int) -> int:
         return pow(value, -1, modulus)
@@ -117,15 +120,6 @@ class _Gmpy2Backend:
     @staticmethod
     def to_native(value: int):
         return _gmpy2.mpz(value)
-
-    @staticmethod
-    def powmod(base: int, exponent: int, modulus: int) -> int:
-        try:
-            return int(_gmpy2.powmod(base, exponent, modulus))
-        except (ValueError, ZeroDivisionError) as exc:
-            # Negative exponent of a non-invertible base: match pow()'s
-            # error type so both backends fail identically.
-            raise ValueError(f"base is not invertible mod {modulus}") from exc
 
     @staticmethod
     def invert(value: int, modulus: int) -> int:
@@ -220,25 +214,122 @@ def to_native(value: int):
     return _ACTIVE.to_native(value)
 
 
+#: Smallest square root ``r`` (in bits) for which the n-adic chain beats
+#: builtin ``pow`` modulo ``r²``, and the shortest exponent that pays for
+#: the chain's split, window table and join.  Both are read off the
+#: measured grid in ``docs/PERFORMANCE.md`` ("n-adic exponentiation mod
+#: n²"): at 256-bit roots the chain is a wash, from 384 bits it wins on
+#: every exponent past CPython's own 60-bit windowing cutoff, and below
+#: that cutoff sparse ``2^k`` exponents (the gossip scalings) lose.
+_NADIC_MIN_ROOT_BITS = 384
+_NADIC_MIN_EXPONENT_BITS = 64
+
+
+def _nadic_root(exponent: int, modulus: int) -> int:
+    """``r`` with ``modulus == r²`` when the n-adic chain should run, else 0.
+
+    Two comparisons come first: a positive exponent of at least
+    ``_NADIC_MIN_EXPONENT_BITS`` bits, and a modulus no smaller than the
+    square of the smallest ``_NADIC_MIN_ROOT_BITS``-bit root.  ``isqrt``
+    (≈ 4 µs at 2048 bits) runs only on what passes both.
+    """
+    if exponent < 1 << (_NADIC_MIN_EXPONENT_BITS - 1) or modulus < 1 << (
+        2 * _NADIC_MIN_ROOT_BITS - 2
+    ):
+        return 0
+    root = math.isqrt(modulus)
+    return root if root * root == modulus else 0
+
+
+def _sliding_window(exponent: int) -> tuple[int, list[tuple[int, int | None]]]:
+    """A positive exponent's left-to-right sliding-window schedule.
+
+    Returns the window ``w`` and the steps: the first is the leading odd
+    digit (its squaring count is unused), then ``(squarings, digit)``
+    pairs, and a final ``(trailing squarings, None)``.  A digit ``d`` is
+    the index of ``base^(2d+1)`` in the table of odd powers.  ``w``
+    minimises multiplies: ``bits/(w+1)`` in the chain plus ``2^(w−1)`` to
+    build the table.
+    """
+    bits = bin(exponent)[2:]
+    window = min(range(1, 9), key=lambda w: len(bits) // (w + 1) + (1 << (w - 1)))
+    steps: list[tuple[int, int | None]] = []
+    done = 0
+    while (start := bits.find("1", done)) >= 0:
+        stop = bits.rfind("1", start, start + window) + 1
+        steps.append((stop - done, int(bits[start:stop], 2) >> 1))
+        done = stop
+    steps.append((len(bits) - done, None))
+    return window, steps
+
+
+def _nadic_powmod_batch(bases: Sequence[int], exponent: int, root: int) -> list[int]:
+    """``[b**exponent mod root² for b in bases]`` on two ``root``-adic digits.
+
+    ``x = x0 + x1·root`` is held as the pair ``(x0, x1)``; since
+    ``root² ≡ 0``, a squaring is ``x0² + 2·x0·x1·root`` and a multiply by
+    ``(b0, b1)`` is ``x0·b0 + (x0·b1 + x1·b0)·root``.  Each step is two or
+    three half-width products and two half-width reductions where builtin
+    ``pow`` pays one full-width product and one full-width division.
+    Plain ring arithmetic in ``Z/root²Z``: exact for any base (non-units,
+    negatives, values ≥ ``root²``) and any ``exponent ≥ 1``.
+    """
+    square = root * root
+    window, ((_, first), *steps) = _sliding_window(exponent)
+    out = []
+    for base in bases:
+        x1, x0 = divmod(base % square, root)
+        table = [(x0, x1)]
+        if window > 1:
+            q, s0 = divmod(x0 * x0, root)
+            s1 = ((x0 * x1 << 1) + q) % root
+            for _ in range((1 << (window - 1)) - 1):
+                q, y0 = divmod(x0 * s0, root)
+                x1 = (x0 * s1 + x1 * s0 + q) % root
+                x0 = y0
+                table.append((x0, x1))
+        x0, x1 = table[first]
+        for squarings, digit in steps:
+            for _ in range(squarings):
+                q, y0 = divmod(x0 * x0, root)
+                x1 = ((x0 * x1 << 1) + q) % root
+                x0 = y0
+            if digit is not None:
+                b0, b1 = table[digit]
+                q, y0 = divmod(x0 * b0, root)
+                x1 = (x0 * b1 + x1 * b0 + q) % root
+                x0 = y0
+        out.append(x0 + x1 * root)
+    return out
+
+
 def powmod(base: int, exponent: int, modulus: int) -> int:
     """``base**exponent mod modulus``; negative exponents use the modular
     inverse (``ValueError`` when it does not exist)."""
-    return _ACTIVE.powmod(base, exponent, modulus)
+    return powmod_batch([base], exponent, modulus)[0]
 
 
 def powmod_batch(bases: Sequence[int], exponent: int, modulus: int) -> list[int]:
     """``[b**exponent mod modulus for b in bases]`` with one shared
-    exponent — the partial-decryption shape."""
+    exponent — the partial-decryption shape.
+
+    On the python backend a square modulus ``r²`` at or above the
+    crossover, with a long positive exponent, runs the n-adic chain
+    (:func:`_nadic_powmod_batch`); everything else is builtin ``pow``.
+    """
     backend = _ACTIVE
     if backend is _PythonBackend:
+        root = _nadic_root(exponent, modulus)
+        if root:
+            return _nadic_powmod_batch(bases, exponent, root)
         return [pow(b, exponent, modulus) for b in bases]
     e = _gmpy2.mpz(exponent)
     m = _gmpy2.mpz(modulus)
     try:
         return [int(_gmpy2.powmod(b, e, m)) for b in bases]
     except (ValueError, ZeroDivisionError) as exc:
-        # Same normalization as _Gmpy2Backend.powmod: both backends raise
-        # ValueError for a negative exponent of a non-invertible base.
+        # A negative exponent of a non-invertible base: match pow()'s
+        # error type so both backends fail identically.
         raise ValueError(f"base is not invertible mod {modulus}") from exc
 
 

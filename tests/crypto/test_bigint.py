@@ -16,6 +16,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import bigint
 from repro.crypto.backend import SerialBackend
@@ -27,12 +29,14 @@ from repro.crypto.damgard_jurik import (
     homomorphic_add,
     homomorphic_scalar_mul,
 )
-from repro.crypto.numtheory import FixedBaseTable, modinv
+from repro.crypto.numtheory import FixedBaseTable, fixture_safe_primes, modinv
 from repro.crypto.threshold import (
     combine_partial_decryptions,
     generate_threshold_keypair,
     partial_decrypt,
 )
+from repro.gossip.eesum import EESum
+from repro.gossip.engine import Node
 
 GMPY2 = "gmpy2" in bigint.available_backends()
 needs_gmpy2 = pytest.mark.skipif(
@@ -79,12 +83,95 @@ class TestSelection:
         assert bigint.active_backend() == before
 
 
+@st.composite
+def _chain_inputs(draw):
+    """A root ``r`` ≥ 2 (odd, even, prime power), bases at the ring's
+    edges and an exponent of a telling shape, for the n-adic chain."""
+    root = draw(
+        st.one_of(
+            st.integers(2, 1 << 96),
+            st.integers(1, 96).map(lambda k: 1 << k),
+            st.builds(pow, st.sampled_from([3, 5, 251, 65537]), st.integers(1, 5)),
+        )
+    )
+    square = root * root
+    base = st.one_of(
+        st.just(0),
+        st.integers(-3 * square, -1),
+        st.integers(0, 4 * root).map(lambda k: k * root),
+        st.integers(square, 3 * square),
+        st.integers(0, square - 1),
+    )
+    bits = 3 * root.bit_length()
+    k = st.integers(0, bits)
+    exponent = draw(
+        st.one_of(
+            st.just(1),
+            k.map(lambda k: 1 << k),
+            k.map(lambda k: (1 << k) + 1),
+            st.integers(1, bits).map(lambda k: (1 << k) - 1),
+            st.integers(1, bits).flatmap(lambda k: st.integers(1, (1 << k) - 1)),
+        )
+    )
+    return root, draw(st.lists(base, min_size=1, max_size=4)), exponent
+
+
+def _real_size_cases():
+    """Three inputs at the real cutoffs, built on the 1024-bit key's
+    fixture primes: ``n²`` with a partial-decryption-length exponent,
+    ``p²`` (the CRT half, root at 512 bits) and ``n²`` with an exponent
+    exactly at the floor."""
+    p, q = fixture_safe_primes(512, count=2)
+    n = p * q
+    rng = random.Random(5)
+    return [
+        (n, rng.getrandbits(2 * 1024 + 12)),
+        (p, rng.getrandbits(2 * 512) | 1),
+        (n, 1 << (bigint._NADIC_MIN_EXPONENT_BITS - 1)),
+    ]
+
+
 class TestKernelPrimitives:
     def test_powmod_matches_builtin(self):
         rng = random.Random(0)
         for _ in range(10):
             b, e = rng.getrandbits(512), rng.getrandbits(256)
             assert bigint.powmod(b, e, M) == pow(b, e, M)
+        for root, e in _real_size_cases():
+            square = root * root
+            assert bigint._nadic_root(e, square) == root  # the chain runs
+            for b in (rng.randrange(square), -rng.randrange(square), 7 * root):
+                assert bigint.powmod(b, e, square) == pow(b, e, square)
+        # Same size, but not a square / not a positive long exponent:
+        # builtin pow, with its error contract.
+        p, q = fixture_safe_primes(512, count=2)
+        n = p * q
+        e = rng.getrandbits(2 * 1024 + 12)
+        for modulus, exponent in ((n * (n + 2), e), (n * n, 0), (n * n, -e)):
+            assert bigint._nadic_root(exponent, modulus) == 0
+            c = rng.randrange(modulus) | 1
+            assert bigint.powmod(c, exponent, modulus) == pow(c, exponent, modulus)
+        with pytest.raises(ValueError):
+            bigint.powmod(p, -e, n * n)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=_chain_inputs())
+    def test_powmod_chain_matches_builtin(self, monkeypatch, case):
+        """With both cutoffs lowered, every square and positive exponent
+        rides the n-adic chain; it must equal builtin pow bit for bit."""
+        monkeypatch.setattr(bigint, "_NADIC_MIN_ROOT_BITS", 1)
+        monkeypatch.setattr(bigint, "_NADIC_MIN_EXPONENT_BITS", 1)
+        root, bases, e = case
+        square = root * root
+        assert bigint._nadic_root(e, square) == root
+        expected = [pow(b, e, square) for b in bases]
+        with bigint.use_backend("python"):
+            assert bigint.powmod_batch(bases, e, square) == expected
+            assert bigint.powmod(bases[0], e, square) == expected[0]
 
     def test_powmod_negative_exponent(self):
         assert bigint.powmod(3, -5, M) == pow(3, -5, M)
@@ -99,6 +186,12 @@ class TestKernelPrimitives:
         e = rng.getrandbits(300)
         assert bigint.powmod_batch(bases, e, M) == [pow(b, e, M) for b in bases]
         assert bigint.powmod_batch([], e, M) == []
+        for root, e in _real_size_cases():
+            square = root * root
+            bases = [0, -1, root, 3 * square + 5, rng.randrange(square)]
+            expected = [pow(b, e, square) for b in bases]
+            assert bigint.powmod_batch(bases, e, square) == expected
+            assert bigint.powmod_batch([], e, square) == []
 
     def test_invert_matches_modinv(self):
         rng = random.Random(2)
@@ -134,6 +227,82 @@ class TestKernelPrimitives:
         assert bigint.multi_powmod([7], [5], M) == pow(7, 5, M)
         with pytest.raises(ValueError):
             bigint.multi_powmod([1, 2], [3], M)
+
+
+@pytest.fixture(scope="module")
+def key1024():
+    """A 1024-bit threshold key and one ciphertext under it, built before
+    any function-scoped spy is installed."""
+    keypair = generate_threshold_keypair(
+        1024, n_shares=3, threshold=2, rng=random.Random(0)
+    )
+    return keypair, encrypt(keypair.public, 123456789, rng=random.Random(1))
+
+
+class TestNadicEngagement:
+    """Which exponentiations ride the n-adic chain: long positive exponents
+    modulo a square at or above the crossover, on the python backend —
+    never the 256-bit planes, never the gossip ``2^gap`` scalings."""
+
+    @pytest.fixture
+    def chain_calls(self, monkeypatch):
+        calls = []
+        chain = bigint._nadic_powmod_batch
+
+        def spy(bases, exponent, root):
+            calls.append(root.bit_length())
+            return chain(bases, exponent, root)
+
+        monkeypatch.setattr(bigint, "_nadic_powmod_batch", spy)
+        return calls
+
+    def test_toy_vectorized_crypto_run_stays_on_pow(self, chain_calls):
+        from repro.api import Experiment, RunSpec
+
+        spec = RunSpec.from_dict({
+            "plane": "vectorized-crypto",
+            "seed": 5,
+            "strategy": "UF3",
+            "dataset": {"kind": "cer",
+                        "params": {"n_series": 24, "population_scale": 1}},
+            "init": {"kind": "courbogen"},
+            "params": {"k": 3, "max_iterations": 1, "exchanges": 2,
+                       "epsilon": 2000.0, "key_bits": 256, "theta": 0.0,
+                       "bigint_backend": "python"},
+        })
+        assert Experiment.from_spec(spec).run().iterations == 1
+        assert chain_calls == []
+
+    def test_object_plane_gap_scalings_stay_on_pow(self, chain_calls, key1024):
+        """A 1024-bit key clears the root crossover; only the exponent
+        floor keeps ``E(a)^(2^gap)`` on builtin pow."""
+        keypair, ciphertext = key1024
+        eesum = EESum(keypair.public, {i: [ciphertext] for i in range(3)})
+        nodes = [Node(i) for i in range(3)]
+        rng = random.Random(0)
+        for node in nodes:
+            eesum.setup(node, rng)
+        with bigint.use_backend("python"):
+            for _ in range(12):
+                eesum.exchange(nodes[0], nodes[1], rng)
+            eesum.exchange(nodes[2], nodes[0], rng)  # scales node 2 by 2^12
+        assert eesum.state_of(nodes[2]).count == 13
+        assert chain_calls == []
+
+    def test_one_partial_decryption_is_one_chain_call(self, chain_calls, key1024):
+        keypair, ciphertext = key1024
+        with bigint.use_backend("python"):
+            partial = partial_decrypt(keypair.context, keypair.shares[0], ciphertext)
+        assert chain_calls == [1024]
+        exponent = 2 * keypair.context.delta * keypair.shares[0].value
+        assert partial == pow(ciphertext, exponent, keypair.public.n_s1)
+
+    @needs_gmpy2
+    def test_gmpy2_keeps_gmp_powmod(self, chain_calls, key1024):
+        keypair, ciphertext = key1024
+        with bigint.use_backend("gmpy2"):
+            partial_decrypt(keypair.context, keypair.shares[0], ciphertext)
+        assert chain_calls == []
 
 
 def _random_key_material(seed: int):
@@ -223,7 +392,7 @@ class TestCrossBackendIdentity:
         assert decrypt(private, py[1]) == a * scalar % public.n_s
 
     @pytest.mark.parametrize("seed", [40, 41])
-    def test_threshold_decryption_identical(self, seed):
+    def test_threshold_decryption_identical(self, seed, key1024):
         _, keypair = _random_key_material(seed)
         rng = random.Random(seed)
         value = rng.randrange(1 << 80)
@@ -240,6 +409,13 @@ class TestCrossBackendIdentity:
         (py_partials, py_value), (gm_partials, gm_value) = self._both(run)
         assert py_partials == gm_partials
         assert py_value == gm_value == value
+        # At the paper's 1024-bit key the python leg runs the n-adic chain.
+        big, big_ciphertext = key1024
+        share = big.shares[seed % len(big.shares)]
+        py, gm = self._both(
+            lambda: partial_decrypt(big.context, share, big_ciphertext)
+        )
+        assert py == gm
 
     def test_fixed_base_table_identical_and_cache_swaps(self):
         table = FixedBaseTable(3, M, 256)
