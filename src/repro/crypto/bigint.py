@@ -55,9 +55,10 @@ protocol actually exhibits:
 * :func:`mulmod_pairwise` — elementwise products ``a_i·b_i mod m`` over
   two equally long vectors, the homomorphic-add shape of a whole gossip
   exchange round (every pair's ciphertext vectors merge at once);
-* :func:`fixed_base_pow_batch` — one fixed base, many short exponents,
-  walked column-wise over a precomputed byte-digit table (the encryption-
-  randomizer shape: table rows are touched once per batch, not per item).
+* :func:`comb_pow_batch` — one fixed base, many short exponents, walked
+  column-wise over a precomputed Lim–Lee comb (the encryption-randomizer
+  shape: each comb column is gathered and applied once per batch, not
+  per item).
 
 All entry points accept and return plain Python ``int`` — native types
 (``mpz``) never leak to callers, so serialization, hashing and pickling
@@ -72,11 +73,15 @@ import warnings
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
+import numpy as np
+
+from ..blocks import row_blocks
+
 __all__ = [
     "BACKEND_ENV",
     "active_backend",
     "available_backends",
-    "fixed_base_pow_batch",
+    "comb_pow_batch",
     "invert",
     "invert_batch",
     "multi_powmod",
@@ -389,40 +394,51 @@ def mulmod_pairwise(
     ]
 
 
-def fixed_base_pow_batch(
-    rows: Sequence[Sequence], modulus, exponents: bytes, width: int
-) -> list[int]:
-    """Fixed-base powers from a digit table, one table row at a time.
+def _comb_digits(exponents: bytes, width: int, teeth: int, spacing: int):
+    """``out[t, i]``: bits ``t, t + spacing, …, t + (teeth − 1)·spacing`` of
+    the ``i``-th ``width``-byte little-endian exponent in ``exponents``, as
+    one ``uint16`` digit (bits past ``8·width`` read as zero).  Items are
+    unpacked a block at a time: no bit matrix of the whole batch."""
+    count = len(exponents) // width
+    items = np.frombuffer(exponents, np.uint8).reshape(count, width)
+    span = teeth * spacing
+    weights = (1 << np.arange(teeth)).astype(np.uint16)
+    out = np.empty((spacing, count), np.uint16)
+    for block in row_blocks(count, span):
+        bits = np.unpackbits(items[block], axis=1, count=span, bitorder="little")
+        bits = bits.reshape(-1, teeth, spacing)
+        out[:, block] = np.einsum("irt,r->ti", bits, weights)
+    return out
 
-    ``rows[i][d]`` is ``base^(d · 2^(i·w))`` on the active backend's native
-    type, identity at ``d = 0``; ``w`` (read off the row length) divides 8,
-    so an exponent's digits are (fields of) its *bytes*.  ``exponents``
-    holds ``width``-byte little-endian exponents back to back: byte ``j`` of
-    every item is the strided slice ``exponents[j::width]``, split into
-    sub-byte digits by a C-level ``bytes.translate`` when ``w < 8``.  Each
-    row is walked once per batch by one list comprehension — no per-item
-    shift, mask or branch — at ``len(rows) − 1`` multiplies per item.
+
+def comb_pow_batch(
+    rows: Sequence[Sequence], modulus, exponents: bytes, width: int, spacing: int
+) -> list[int]:
+    """Fixed-base powers of ``width``-byte little-endian exponents (back to
+    back in ``exponents``) from a Lim–Lee comb, one column at a time.
+
+    ``rows[j][u]`` is ``base^(Σ_r u_r · 2^(r·spacing + j·rounds))`` on the
+    active backend's native type, ``rounds = ⌈spacing / len(rows)⌉`` (see
+    :class:`~repro.crypto.numtheory.FixedBaseTable`).  Column ``t = j·rounds
+    + k`` multiplies every item by ``rows[j][digit t]``, and each round
+    ``k`` (from ``rounds − 1`` down) opens with a squaring; each column is
+    one list comprehension over the batch, no per-item shift or branch.
     """
-    window_bits = len(rows[0]).bit_length() - 1
-    per_byte = 8 // window_bits
-    if per_byte * window_bits != 8 or len(rows) != width * per_byte:
-        raise ValueError("table rows do not tile `width` exponent bytes")
     if len(exponents) % width:
         raise ValueError(f"exponents must be {width} bytes apiece")
-    mask = (1 << window_bits) - 1
-    fields = [
-        bytes((b >> shift) & mask for b in range(256))
-        for shift in range(0, 8, window_bits)
-    ]
+    rounds = -(-spacing // len(rows))
+    digits = _comb_digits(exponents, width, len(rows[0]).bit_length() - 1, spacing)
     acc: list = []
-    for index, row in enumerate(rows):
-        digits = exponents[index // per_byte :: width]
-        if per_byte > 1:
-            digits = digits.translate(fields[index % per_byte])
-        if index:
-            acc = [a * row[d] % modulus for a, d in zip(acc, digits)]
-        else:
-            acc = [row[d] for d in digits]
+    for k in range(rounds - 1, -1, -1):
+        for t in range(k, spacing, rounds):
+            row = rows[t // rounds]
+            column = digits[t].tolist()
+            if t == rounds - 1:  # the first column: plain lookups
+                acc = [row[d] for d in column]
+            elif t == k:  # a later round opens with its squaring
+                acc = [a * a % modulus * row[d] % modulus for a, d in zip(acc, column)]
+            else:
+                acc = [a * row[d] % modulus for a, d in zip(acc, column)]
     return [int(a) for a in acc]
 
 

@@ -20,15 +20,14 @@ Cost profile (what the batched plane exploits):
   is ``1 + a·n``), *not* a modexp;
 * the randomizer ``r^{n^s} mod n^{s+1}`` is the one genuine modexp per
   encryption and dominates the Fig. 5(a) "Encrypt" bar.
-  :class:`FastEncryptor` amortizes it with a fixed-base digit table over a
-  run-fixed base ``h = r₀^{n^s}`` (an encryption of zero): each fresh
-  randomizer is ``h^t`` for a short random exponent ``t``, costing
-  ``ceil(bits(t)/w) − 1`` multiplications instead of a ``bits(n^s)``-bit
-  square-and-multiply.  The window ``w ∈ {4, 8}`` is chosen from the number
-  of encryptions the table will serve (a ``2^w``-wide table only pays for
-  itself over a few hundred uses), and a batch is evaluated *column-wise*:
-  all exponents come out of the caller's ``rng`` as one byte blob, and each
-  table row is walked once per batch by a single list comprehension.
+  :class:`FastEncryptor` amortizes it with a Lim–Lee comb over a run-fixed
+  base ``h = r₀^{n^s}`` (an encryption of zero): each fresh randomizer is
+  ``h^t`` for a short random exponent ``t`` — 23 products and 2 squarings
+  for a 256-bit ``t`` once the run encrypts a few thousand times (the
+  comb is sized from that count), instead of a ``bits(n^s)``-bit square-
+  and-multiply.  A batch is evaluated *column-wise*: all exponents come
+  out of the caller's ``rng`` as one byte blob, and each comb column is
+  applied once per batch by a single list comprehension.
   This is the classic Damgård–Jurik–Nielsen precomputation trade: semantic
   security then additionally rests on the hardness of discrete logs with
   short exponents in the randomizer subgroup — a fine trade for a
@@ -47,6 +46,7 @@ from . import bigint
 from .keys import PrivateKey, PublicKey
 from .numtheory import (
     FixedBaseTable,
+    comb_shape,
     crt_pair,
     fixture_safe_primes,
     gcd,
@@ -152,10 +152,11 @@ class FastEncryptor:
     run and be shared by every local encryption of that run.
 
     ``expected_uses`` — how many encryptions the run will ask for — sizes
-    the table: a ``w``-bit window costs ``⌈bits/w⌉·(2^w − 1)`` multiplies to
-    build and ``⌈bits/w⌉`` per use, so ``w = 8`` wins past ≈ 225 uses of a
-    256-bit exponent and ``w = 4`` below (the default: an unknown workload
-    gets the cheap table).  Picklable: shipped once to each pool worker.
+    the comb by :func:`~repro.crypto.numtheory.comb_shape` (build cost +
+    uses × per-use cost): ``(11, 8)``, 23 products and 2 squarings, for the
+    thousands of a population-scale run, a smaller table for tens, and no
+    table at all for the default 0 (an unknown workload pays nothing up
+    front).  Picklable: shipped once to each pool worker.
     """
 
     def __init__(
@@ -170,11 +171,9 @@ class FastEncryptor:
         self.public = public
         self.exponent_bits = exponent_bits
         h = bigint.powmod(_random_unit(public, rng), public.n_s, public.n_s1)
-        window_bits = min(
-            (4, 8),
-            key=lambda w: -(-exponent_bits // w) * (expected_uses + (1 << w) - 1),
+        self.table = FixedBaseTable(
+            h, public.n_s1, exponent_bits, comb_shape(exponent_bits, expected_uses)
         )
-        self.table = FixedBaseTable(h, public.n_s1, exponent_bits, window_bits)
 
     def warm(self) -> "FastEncryptor":
         """Build the table's native-row cache for the current bigint backend.

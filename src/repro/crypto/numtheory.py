@@ -7,12 +7,12 @@ module provides:
 * Miller–Rabin probabilistic primality testing,
 * random prime and *safe prime* generation (``p = 2q + 1`` with ``q`` prime),
 * modular inverse / CRT helpers,
-* :class:`FixedBaseTable` — windowed fixed-base modular exponentiation,
-  the amortization primitive behind the batched encryption plane (the
-  randomizer base is fixed for a whole protocol run, so its power table
-  is precomputed once and every randomizer afterwards costs only
-  ``ceil(bits/window)`` multiplications instead of a full square-and-
-  multiply modexp),
+* :class:`FixedBaseTable` — Lim–Lee comb fixed-base modular
+  exponentiation, the amortization primitive behind the batched encryption
+  plane (the randomizer base is fixed for a whole protocol run, so its
+  comb is precomputed once and every randomizer afterwards costs about
+  ``bits/h`` multiplications and a few squarings instead of a full
+  square-and-multiply modexp), sized by :func:`comb_shape`,
 * a fixture table of pre-generated safe primes so that tests and benchmarks
   can build 256-bit to 1024-bit keys instantly (generating 512-bit safe
   primes from scratch in pure Python takes minutes and adds nothing to the
@@ -27,6 +27,7 @@ from . import bigint
 
 __all__ = [
     "FixedBaseTable",
+    "comb_shape",
     "is_probable_prime",
     "random_safe_prime",
     "fixture_safe_primes",
@@ -36,28 +37,78 @@ __all__ = [
 ]
 
 
+#: Most residues a comb may hold (``blocks · 2^teeth``): twice the 8-bit
+#: byte-digit table it replaced, ≈ 1.6 MB of 512-bit residues.
+_COMB_MAX_ENTRIES = 1 << 14
+
+#: A modular squaring's cost in modular products: CPython squares with half
+#: the digit products, then reduces at full price (0.88 measured at a
+#: 512-bit modulus, 0.83 at 2048 bits).
+_SQUARING_COST = 0.88
+
+
+def _comb_layout(exponent_bits: int, teeth: int, blocks: int) -> tuple[int, int, int]:
+    """``(spacing, rounds, blocks)``: bits per exponent row, bits per block,
+    and how many blocks a row fills (never more than asked for)."""
+    spacing = -(-exponent_bits // teeth)
+    rounds = -(-spacing // blocks)
+    return spacing, rounds, -(-spacing // rounds)
+
+
+def comb_shape(exponent_bits: int, uses: int) -> tuple[int, int]:
+    """The comb ``(teeth, blocks)`` of at most :data:`_COMB_MAX_ENTRIES`
+    residues that minimises build + ``uses`` × per-use cost, in products.
+
+    Building costs ``blocks·(2^teeth − teeth − 1)`` products and the
+    ``(teeth − 1)·spacing + (blocks − 1)·rounds`` squarings that reach the
+    generators; a use costs ``spacing − 1`` products and ``rounds − 1``
+    squarings.  0 uses get ``(1, 1)``, no table; thousands of 256-bit
+    exponents get ``(11, 8)``."""
+
+    def cost(shape: tuple[int, int]) -> float:
+        spacing, rounds, blocks = _comb_layout(exponent_bits, *shape)
+        teeth = shape[0]
+        squarings = (teeth - 1) * spacing + (blocks - 1) * rounds
+        build = blocks * ((1 << teeth) - teeth - 1) + _SQUARING_COST * squarings
+        return build + uses * (spacing - 1 + _SQUARING_COST * (rounds - 1))
+
+    # A shape whose last blocks stay empty costs what its trimmed twin
+    # costs and comes after it, so ``min`` never returns it.
+    return min(
+        (
+            (teeth, blocks)
+            for teeth in range(1, _COMB_MAX_ENTRIES.bit_length())
+            for blocks in range(
+                1, min(-(-exponent_bits // teeth), _COMB_MAX_ENTRIES >> teeth) + 1
+            )
+        ),
+        key=cost,
+    )
+
+
 class FixedBaseTable:
-    """Windowed fixed-base exponentiation: ``base^e mod modulus`` in
-    ``ceil(max_exponent_bits / window_bits)`` multiplications.
+    """Lim–Lee comb fixed-base exponentiation (Lim & Lee, "More flexible
+    exponentiation with precomputation", CRYPTO '94): ``base^e mod modulus``
+    for ``0 ≤ e < 2^max_exponent_bits``, a whole number of bytes.
 
-    The exponent is read in radix ``2^window_bits`` digits; for window ``i``
-    and digit ``j`` the table stores ``base^(j · 2^(i·w))`` (the identity at
-    ``j = 0``), so an exponentiation is a product of one table entry per
-    digit — no squarings at all.  Precomputing the table costs roughly
-    ``windows · 2^w`` multiplications, so the right window depends on how
-    many exponentiations it will serve (``FastEncryptor`` sizes it).
-
-    :meth:`pow` takes any window and raises ``ValueError`` for exponents
-    outside ``[0, 2^max_exponent_bits)`` — callers size the table for their
-    exponent distribution up front.  :meth:`pow_batch` is the hot path: a
-    batch of byte-serialized exponents evaluated column-wise by
-    :func:`~repro.crypto.bigint.fixed_base_pow_batch`.
+    A comb of shape ``(teeth, blocks)`` reads an exponent as ``teeth`` rows
+    of ``spacing`` bits, each cut into ``blocks`` blocks of ``rounds`` bits
+    (:func:`_comb_layout`; blocks a row does not fill are not built).  The
+    bits at offset ``t`` of every row form a ``teeth``-bit digit ``u``, and
+    row ``j`` of the table (the block holding ``t``) stores
+    ``base^(Σ_r u_r·2^(r·spacing + j·rounds))``, the identity at ``u = 0``.
+    An exponentiation costs ``spacing − 1`` products and ``rounds − 1``
+    squarings; the table holds ``blocks·2^teeth ≤ 2^14`` residues, sized by
+    :func:`comb_shape` from how many exponentiations it will serve.
+    :meth:`pow_batch`, the hot path, evaluates a batch column-wise by
+    :func:`~repro.crypto.bigint.comb_pow_batch`.
     """
 
     __slots__ = (
         "base",
         "modulus",
-        "window_bits",
+        "shape",
+        "spacing",
         "max_exponent_bits",
         "_rows",
         "_native",
@@ -74,36 +125,38 @@ class FixedBaseTable:
         base: int,
         modulus: int,
         max_exponent_bits: int,
-        window_bits: int = 6,
+        shape: tuple[int, int] = (8, 4),
     ) -> None:
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        if max_exponent_bits < 1:
-            raise ValueError("max_exponent_bits must be >= 1")
-        if not 1 <= window_bits <= 16:
-            raise ValueError("window_bits must be in [1, 16]")
+        if max_exponent_bits < 8 or max_exponent_bits % 8:
+            raise ValueError("max_exponent_bits must be a positive multiple of 8")
+        teeth, blocks = shape
+        if teeth < 1 or blocks < 1 or blocks << teeth > _COMB_MAX_ENTRIES:
+            raise ValueError(
+                f"shape must be >= (1, 1) with <= {_COMB_MAX_ENTRIES} entries"
+            )
+        spacing, rounds, blocks = _comb_layout(max_exponent_bits, teeth, blocks)
         self.base = base % modulus
         self.modulus = modulus
-        self.window_bits = window_bits
+        self.shape = (teeth, blocks)
+        self.spacing = spacing
         self.max_exponent_bits = max_exponent_bits
-        windows = -(-max_exponent_bits // window_bits)  # ceil division
         # Build on the active bigint backend's native representation and
         # keep both forms: plain ints for pickling/serialization, native
         # values as the evaluation cache.
         mod_native = bigint.to_native(modulus)
-        one = bigint.to_native(1)
-        rows: list[list[int]] = []
+        powers = [bigint.to_native(self.base)]  # base^(2^p)
+        for _ in range((teeth - 1) * spacing + (blocks - 1) * rounds):
+            powers.append(powers[-1] * powers[-1] % mod_native)
         native_rows: list[list] = []
-        b = bigint.to_native(self.base)  # base^(2^(i·w)) for window i
-        for _ in range(windows):
-            row = [one, b]
-            for _ in range((1 << window_bits) - 2):
-                row.append(row[-1] * b % mod_native)
+        for j in range(blocks):
+            row = [bigint.to_native(1)]
+            for r in range(teeth):
+                g = powers[r * spacing + j * rounds]
+                row += [g] + [v * g % mod_native for v in row[1:]]
             native_rows.append(row)
-            rows.append([int(v) for v in row])
-            # base^(2^((i+1)·w)) = (b^(2^w - 1)) · b = row[-1] · b
-            b = row[-1] * b % mod_native
-        self._rows = rows
+        self._rows = [[int(v) for v in row] for row in native_rows]
         self._native = (bigint.active_backend(), native_rows, mod_native)
         FixedBaseTable.native_builds += 1
 
@@ -139,7 +192,8 @@ class FixedBaseTable:
         return {
             "base": self.base,
             "modulus": self.modulus,
-            "window_bits": self.window_bits,
+            "shape": self.shape,
+            "spacing": self.spacing,
             "max_exponent_bits": self.max_exponent_bits,
             "_rows": self._rows,
         }
@@ -150,33 +204,19 @@ class FixedBaseTable:
         self._native = None
 
     def pow(self, exponent: int) -> int:
-        """Return ``base^exponent mod modulus`` using the precomputed rows."""
+        """Return ``base^exponent mod modulus`` — a batch of one."""
         if exponent < 0 or exponent.bit_length() > self.max_exponent_bits:
-            raise ValueError(
-                f"exponent must be in [0, 2^{self.max_exponent_bits})"
-            )
-        rows, modulus = self._native_rows()
-        mask = (1 << self.window_bits) - 1
-        result = 1
-        window = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                result = result * rows[window][digit] % modulus
-            exponent >>= self.window_bits
-            window += 1
-        return int(result % modulus)
+            raise ValueError(f"exponent must be in [0, 2^{self.max_exponent_bits})")
+        width = self.max_exponent_bits // 8
+        return self.pow_batch(exponent.to_bytes(width, "little"))[0]
 
     def pow_batch(self, exponents: bytes) -> list[int]:
         """``base^e mod modulus`` for every ``max_exponent_bits / 8``-byte
-        little-endian exponent serialized back to back in ``exponents``.
-        Needs a window that divides 8 and whole exponent bytes (``ValueError``
-        otherwise); the slot width is what bounds each exponent."""
-        if self.max_exponent_bits % 8:
-            raise ValueError("pow_batch needs max_exponent_bits to be a multiple of 8")
+        little-endian exponent serialized back to back in ``exponents``;
+        the slot width is what bounds each exponent."""
         rows, modulus = self._native_rows()
-        return bigint.fixed_base_pow_batch(
-            rows, modulus, exponents, self.max_exponent_bits // 8
+        return bigint.comb_pow_batch(
+            rows, modulus, exponents, self.max_exponent_bits // 8, self.spacing
         )
 
 
@@ -186,8 +226,8 @@ _SMALL_PRIMES = (
 )
 
 
-def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None) -> bool:
-    """Miller–Rabin primality test with ``rounds`` witnesses.
+def is_probable_prime(n: int, rounds: int = 40, *, rng: random.Random) -> bool:
+    """Miller–Rabin primality test with ``rounds`` witnesses drawn from ``rng``.
 
     The error probability is at most ``4**-rounds`` for composite ``n``.
     """
@@ -196,7 +236,6 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    rng = rng or random
     d = n - 1
     r = 0
     while d % 2 == 0:

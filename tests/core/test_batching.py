@@ -237,13 +237,14 @@ class TestProtocolBackendPlumbing:
         assert run.backend.max_workers == 2
         run.close()
 
-    @pytest.mark.parametrize("iterations, window_bits", [(1, 4), (2, 8)])
+    @pytest.mark.parametrize("iterations, blocks", [(1, 4), (2, 8)])
     def test_table_window_sized_from_the_runs_encryption_count(
-        self, tiny_dataset, threshold_keypair_s2, iterations, window_bits
+        self, tiny_dataset, threshold_keypair_s2, iterations, blocks
     ):
         """24 nodes × 2 vectors of 3 packed ciphertexts per iteration: one
-        iteration (144 uses) stays on the cheap w=4 table, two (288) cross
-        the ≈225-use break-even to w=8."""
+        iteration (144 uses) gets an 8-teeth comb of 4 blocks (31 products
+        + 7 squarings per encryption), two (288) double the blocks to cut
+        the squarings to 3."""
         params = ChiaroscuroParams(
             k=2, max_iterations=iterations, exchanges=8, tau_fraction=0.13,
             epsilon=1e6, expansion_s=2, use_smoothing=False, theta=0.0,
@@ -254,7 +255,7 @@ class TestProtocolBackendPlumbing:
             seed=2, keypair=threshold_keypair_s2,
         )
         assert run.packed.packed_length(2 * 5) == 3
-        assert run.encryptor.table.window_bits == window_bits
+        assert run.encryptor.table.shape == (8, blocks)
 
     @pytest.mark.parametrize(
         "strategy, last_fit",

@@ -154,15 +154,16 @@ class TestStreamDiscipline:
         finally:
             pool.close()
 
-    @pytest.mark.parametrize("expected_uses, window_bits", [(0, 4), (10_000, 8)])
+    @pytest.mark.parametrize("expected_uses", [0, 10_000])
     def test_exponents_are_full_width_fresh_and_odd(
-        self, threshold_keypair, monkeypatch, expected_uses, window_bits
+        self, threshold_keypair, monkeypatch, expected_uses
     ):
         public = threshold_keypair.public
         encryptor = FastEncryptor(
             public, random.Random(33), exponent_bits=128, expected_uses=expected_uses
         )
-        assert encryptor.table.window_bits == window_bits
+        # no table (a plain square-and-multiply) and an 11-teeth comb
+        assert encryptor.table.shape == {0: (1, 1), 10_000: (11, 6)}[expected_uses]
         seen = []
         real = FixedBaseTable.pow_batch
         monkeypatch.setattr(
@@ -217,11 +218,19 @@ class TestEncryptorSizing:
         "uses, window_bits", [(0, 4), (224, 4), (226, 8), (12_240, 8)]
     )
     def test_window_follows_expected_uses(self, threshold_keypair, uses, window_bits):
-        """⌈bits/w⌉·(uses + 2^w − 1) is minimal: crossover ≈ 225 at 256 bits."""
+        """Build + uses × per-use cost is minimal: no table for an unknown
+        count, 23 products + 2 squarings per 256-bit exponent at scale.  At
+        every count the comb holds at most twice the ``⌈256/w⌉·2^w``
+        residues of the byte-digit window ``w`` the former rule chose there
+        (``⌈bits/w⌉·(uses + 2^w − 1)`` minimal, crossover ≈ 225)."""
         encryptor = FastEncryptor(
             threshold_keypair.public, random.Random(0), expected_uses=uses
         )
-        assert encryptor.table.window_bits == window_bits
+        teeth, blocks = encryptor.table.shape
+        assert (teeth, blocks) == {
+            0: (1, 1), 224: (8, 4), 226: (8, 4), 12_240: (11, 8)
+        }[uses]
+        assert blocks << teeth <= 2 * (256 // window_bits << window_bits)
 
     def test_window_is_not_a_public_parameter(self):
         import inspect
@@ -233,7 +242,8 @@ class TestEncryptorSizing:
             compare_scalar_batched_costs,
             create_backend,
         ):
-            assert "window_bits" not in inspect.signature(fn).parameters
+            parameters = inspect.signature(fn).parameters
+            assert "window_bits" not in parameters and "shape" not in parameters
 
 
 def _worker_native_builds() -> int:

@@ -423,9 +423,9 @@ class TestCrossBackendIdentity:
         py, gm = self._both(lambda: table.pow(e))
         assert py == gm == pow(3, e, M)
 
-    @pytest.mark.parametrize("window_bits", [4, 8])
-    def test_columnar_table_walks_native_rows_identically(self, window_bits):
-        table = FixedBaseTable(3, M, 256, window_bits=window_bits)
+    @pytest.mark.parametrize("teeth, blocks", [(7, 4), (11, 8)])
+    def test_columnar_table_walks_native_rows_identically(self, teeth, blocks):
+        table = FixedBaseTable(3, M, 256, (teeth, blocks))
         blob = random.Random(51).randbytes(32 * 9)
         exponents = [
             int.from_bytes(blob[i : i + 32], "little") for i in range(0, len(blob), 32)

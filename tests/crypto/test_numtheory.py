@@ -21,39 +21,53 @@ from repro.crypto.numtheory import (
 
 class TestMillerRabin:
     def test_small_primes(self):
+        rng = random.Random(0)
         for p in (2, 3, 5, 7, 11, 101, 7919):
-            assert is_probable_prime(p)
+            assert is_probable_prime(p, rng=rng)
 
     def test_small_composites(self):
+        rng = random.Random(1)
         for c in (0, 1, 4, 9, 15, 91, 7917, 561, 41041):  # incl. Carmichael
-            assert not is_probable_prime(c)
+            assert not is_probable_prime(c, rng=rng)
 
     def test_large_known_prime(self):
-        assert is_probable_prime(2**127 - 1)  # Mersenne prime
+        assert is_probable_prime(2**127 - 1, rng=random.Random(2))  # Mersenne prime
 
     def test_large_known_composite(self):
-        assert not is_probable_prime(2**128 + 1)
+        assert not is_probable_prime(2**128 + 1, rng=random.Random(3))
 
     def test_negative(self):
-        assert not is_probable_prime(-7)
+        assert not is_probable_prime(-7, rng=random.Random(4))
+
+    def test_witnesses_come_from_the_given_stream(self):
+        """No module-global fallback: the witness stream is the caller's,
+        so a run's primality verdicts replay from its seed."""
+        with pytest.raises(TypeError):
+            is_probable_prime(7919)
+        state = random.getstate()
+        rng = random.Random(5)
+        assert is_probable_prime(2**127 - 1, rounds=3, rng=rng)
+        assert rng.getstate() != random.Random(5).getstate()
+        assert random.getstate() == state
 
 
 class TestPrimeGeneration:
     def test_safe_prime_structure(self):
         rng = random.Random(0)
         p = random_safe_prime(32, rng)
-        assert is_probable_prime(p)
-        assert is_probable_prime((p - 1) // 2)
+        assert is_probable_prime(p, rng=rng)
+        assert is_probable_prime((p - 1) // 2, rng=rng)
         assert p.bit_length() == 32
 
 
 class TestFixtures:
     @pytest.mark.parametrize("bits", [64, 96, 128, 192, 256, 512])
     def test_fixture_safe_primes_are_safe(self, bits):
+        rng = random.Random(bits)
         for p in fixture_safe_primes(bits, count=2):
             assert p.bit_length() == bits
-            assert is_probable_prime(p, rounds=10)
-            assert is_probable_prime((p - 1) // 2, rounds=10)
+            assert is_probable_prime(p, rounds=10, rng=rng)
+            assert is_probable_prime((p - 1) // 2, rounds=10, rng=rng)
 
     def test_fixtures_distinct(self):
         primes = fixture_safe_primes(128, count=4)
@@ -74,12 +88,13 @@ class TestFixedBaseTable:
             e = rng.getrandbits(96)
             assert table.pow(e) == pow(base, e, modulus)
 
-    @pytest.mark.parametrize("window_bits", [1, 3, 5, 8])
-    def test_window_sizes_agree(self, window_bits):
+    @pytest.mark.parametrize("teeth", [1, 3, 5, 8])
+    def test_window_sizes_agree(self, teeth):
         modulus = 10**12 + 39
-        table = FixedBaseTable(7, modulus, 64, window_bits=window_bits)
-        for e in (0, 1, 2, 63, 2**40 + 17, 2**64 - 1):
-            assert table.pow(e) == pow(7, e, modulus)
+        for blocks in (1, 2, 5):
+            table = FixedBaseTable(7, modulus, 64, (teeth, blocks))
+            for e in (0, 1, 2, 63, 2**40 + 17, 2**64 - 1):
+                assert table.pow(e) == pow(7, e, modulus)
 
     def test_exponent_zero_and_max(self):
         table = FixedBaseTable(3, 1009, 8)
@@ -98,8 +113,9 @@ class TestFixedBaseTable:
             FixedBaseTable(3, 1, 8)
         with pytest.raises(ValueError):
             FixedBaseTable(3, 1009, 0)
-        with pytest.raises(ValueError):
-            FixedBaseTable(3, 1009, 8, window_bits=0)
+        for shape in ((0, 1), (4, 0), (14, 2), (15, 1)):
+            with pytest.raises(ValueError, match="entries"):
+                FixedBaseTable(3, 1009, 8, shape)
 
 
 BACKENDS = [
@@ -126,17 +142,17 @@ def _blob(exponents, width=8):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("window_bits", [4, 8])
+@pytest.mark.parametrize("teeth", [4, 8])
 class TestColumnarTable:
-    """``pow_batch`` (byte-digit rows walked once per batch) is the same
-    function as ``bigint.powmod`` — for every exponent, at both windows the
-    encryptor picks, on both kernels."""
+    """``pow_batch`` (comb columns applied once per batch) is the same
+    function as ``bigint.powmod`` — for every exponent, at 4- and 8-teeth
+    combs of two blocks, on both kernels."""
 
     MODULUS = fixture_safe_primes(64, count=2)[0] * fixture_safe_primes(64, count=2)[1]
 
-    def test_edge_exponents(self, backend, window_bits):
+    def test_edge_exponents(self, backend, teeth):
         with bigint.use_backend(backend):
-            table = FixedBaseTable(5, self.MODULUS, 64, window_bits=window_bits)
+            table = FixedBaseTable(5, self.MODULUS, 64, (teeth, 2))
             got = table.pow_batch(_blob(EDGE_EXPONENTS))
             assert got == [bigint.powmod(5, e, self.MODULUS) for e in EDGE_EXPONENTS]
             assert all(type(value) is int for value in got)  # no mpz leaks
@@ -152,9 +168,9 @@ class TestColumnarTable:
             max_size=12,
         ),
     )
-    def test_matches_powmod_property(self, backend, window_bits, base, exponents):
+    def test_matches_powmod_property(self, backend, teeth, base, exponents):
         with bigint.use_backend(backend):
-            table = FixedBaseTable(base, self.MODULUS, 64, window_bits=window_bits)
+            table = FixedBaseTable(base, self.MODULUS, 64, (teeth, 2))
             assert table.pow_batch(_blob(exponents)) == [
                 bigint.powmod(base, e, self.MODULUS) for e in exponents
             ]
@@ -162,9 +178,9 @@ class TestColumnarTable:
                 _blob(exponents)
             )
 
-    def test_ragged_blob_rejected(self, backend, window_bits):
+    def test_ragged_blob_rejected(self, backend, teeth):
         with bigint.use_backend(backend):
-            table = FixedBaseTable(5, self.MODULUS, 64, window_bits=window_bits)
+            table = FixedBaseTable(5, self.MODULUS, 64, (teeth, 2))
             with pytest.raises(ValueError, match="8 bytes apiece"):
                 table.pow_batch(bytes(12))
             with pytest.raises(ValueError):
@@ -172,18 +188,29 @@ class TestColumnarTable:
 
 
 class TestColumnarTableShape:
-    def test_window_must_divide_eight(self):
-        with pytest.raises(ValueError, match="tile"):
-            FixedBaseTable(3, 1009, 16, window_bits=6).pow_batch(bytes(2))
+    def test_teeth_need_not_divide_eight(self):
+        """A comb digit gathers bits, not bytes: any tooth count reads the
+        same byte blob (the byte-digit table it replaced refused a 6-bit
+        window)."""
+        table = FixedBaseTable(3, 1009, 16, (6, 2))
+        exponents = [0, 1, 0xBEEF, 0xFFFF]
+        blob = b"".join(e.to_bytes(2, "little") for e in exponents)
+        assert table.pow_batch(blob) == [pow(3, e, 1009) for e in exponents]
 
     def test_exponent_bits_must_fill_bytes(self):
         with pytest.raises(ValueError, match="multiple of 8"):
-            FixedBaseTable(3, 1009, 12, window_bits=4).pow_batch(bytes(2))
+            FixedBaseTable(3, 1009, 12, (4, 1)).pow_batch(bytes(2))
 
     def test_rows_carry_the_identity_at_digit_zero(self):
-        table = FixedBaseTable(3, 1009, 16, window_bits=4)
+        table = FixedBaseTable(3, 1009, 16, (4, 4))
         assert all(row[0] == 1 and len(row) == 16 for row in table._rows)
         assert len(table._rows) == 4
+
+    def test_blocks_the_exponent_does_not_fill_are_not_built(self):
+        # 16 bits over 5 teeth: rows of 4 bits, so 7 blocks of 1 bit are 4.
+        table = FixedBaseTable(3, 1009, 16, (5, 7))
+        assert table.shape == (5, 4) and len(table._rows) == 4
+        assert table.pow(0xFFFF) == pow(3, 0xFFFF, 1009)
 
 
 class TestModularArithmetic:

@@ -147,7 +147,7 @@ class TestBatchPipeline:
 
         def init(encryptor, *args, **kwargs):
             real_init(encryptor, *args, **kwargs)
-            sized.append((kwargs["expected_uses"], encryptor.table.window_bits))
+            sized.append((kwargs["expected_uses"], encryptor.table.shape))
 
         monkeypatch.setattr(PackedCodec, "pack", pack)
         monkeypatch.setattr(SerialBackend, "encrypt_batch", encrypt_batch)
@@ -158,7 +158,7 @@ class TestBatchPipeline:
         assert all(shape[0] == 24 and len(shape) == 2 for shape in packs)
         # Sized for all k centroids surviving every iteration (an upper
         # bound: this run loses a cluster after the first).
-        assert sized == [(3 * batches[0], 8)]
+        assert sized == [(3 * batches[0], (10, 4))]
         assert sum(batches) <= 3 * batches[0]
 
 
