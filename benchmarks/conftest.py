@@ -7,7 +7,8 @@ pytest terminal summary (so they survive output capture) and written to
 
 Machine-readable telemetry rides along: :func:`record_json` writes
 ``benchmarks/out/BENCH_<name>.json`` with the bench's structured results
-wrapped in a common envelope (git revision, python version, timestamp), so
+wrapped in a common envelope (git revision, a hash of the measured
+``src/`` tree, python version, timestamp), so
 the perf trajectory is trackable across PRs by diffing the JSON files.
 Each file is *also* mirrored to ``BENCH_<name>.json`` at the repository
 root — the copy that gets committed/uploaded, so the perf trajectory is
@@ -17,6 +18,7 @@ into CI artifacts.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -63,6 +65,20 @@ def _git_rev(short: bool = True) -> str:
     return rev
 
 
+def _src_tree() -> str:
+    """sha256 over the sorted ``(path, bytes)`` of ``src/**/*.py`` as they
+    are on disk, uncommitted edits included.  ``git_rev`` names a commit —
+    for a point measured on edits, its parent; this names the code that
+    was measured."""
+    src = _REPO_ROOT / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        name = path.relative_to(src).as_posix().encode()
+        data = path.read_bytes()
+        digest.update(b"%d:%s%d:%s" % (len(name), name, len(data), data))
+    return digest.hexdigest()
+
+
 def record_json(name: str, data: dict) -> None:
     """Write ``out/BENCH_<name>.json``: the bench's results + envelope.
 
@@ -92,6 +108,7 @@ def record_json(name: str, data: dict) -> None:
         "provenance": {
             "git_rev": git_rev,
             "git_rev_full": _git_rev(short=False),
+            "src_tree": _src_tree(),
             "timestamp": timestamp,
             "unix_time": round(now, 3),
         },

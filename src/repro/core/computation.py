@@ -520,9 +520,7 @@ class VectorizedCryptoComputationStep(_ArrayComputationStep):
         )
         self.crypto_seconds += time.perf_counter() - started
         del flat_plaintexts
-        rows = [
-            ciphertexts[i * width : (i + 1) * width] for i in range(population)
-        ]
+        rows = np.array(ciphertexts, dtype=object).reshape(population, width)
         del ciphertexts
         return CipherEESum(self.keypair.public, rows, backend=self.backend)
 
@@ -531,7 +529,7 @@ class VectorizedCryptoComputationStep(_ArrayComputationStep):
         decode_nodes = sample[: max(1, self.decode_sample)]
         context = self.keypair.context
         committee = self.keypair.shares[: context.threshold]
-        flat = [c for node in decode_nodes for c in eesum.row(node)]
+        flat = eesum.array.rows[decode_nodes].ravel()
         started = time.perf_counter()
         partials = {
             share.index: self.backend.partial_decrypt_batch(

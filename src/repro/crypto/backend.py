@@ -34,6 +34,8 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import bigint
 from .damgard_jurik import (
     FastEncryptor,
@@ -89,7 +91,7 @@ def _pow_chunk(exponent: int, modulus: int, chunk: list[int]) -> list[int]:
     return bigint.powmod_batch(chunk, exponent, modulus)
 
 
-def _mulmod_chunk(modulus: int, lefts: list[int], rights: list[int]) -> list[int]:
+def _mulmod_chunk(modulus: int, lefts, rights) -> np.ndarray:
     return bigint.mulmod_pairwise(lefts, rights, modulus)
 
 
@@ -116,11 +118,10 @@ class CryptoBackend:
         lagging pair side scales its vector by the same ``2^d``)."""
         raise NotImplementedError
 
-    def mulmod_batch(
-        self, lefts: list[int], rights: list[int], modulus: int
-    ) -> list[int]:
-        """Elementwise ``lefts[i]·rights[i] mod modulus`` — the
-        homomorphic-add shape of a whole exchange round."""
+    def mulmod_batch(self, lefts, rights, modulus: int) -> np.ndarray:
+        """Elementwise ``lefts[i]·rights[i] mod modulus`` over two 1-D
+        batches (lists or object ndarrays) — the homomorphic-add shape of a
+        whole exchange round — as a 1-D ``dtype=object`` ndarray of ``int``."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -151,9 +152,7 @@ class SerialBackend(CryptoBackend):
     ) -> list[int]:
         return bigint.powmod_batch(bases, exponent, modulus)
 
-    def mulmod_batch(
-        self, lefts: list[int], rights: list[int], modulus: int
-    ) -> list[int]:
+    def mulmod_batch(self, lefts, rights, modulus: int) -> np.ndarray:
         return bigint.mulmod_pairwise(lefts, rights, modulus)
 
 
@@ -236,15 +235,14 @@ class ProcessPoolBackend(CryptoBackend):
             return self._serial.pow_batch(bases, exponent, modulus)
         return self._map(_pow_chunk, (exponent, modulus), list(bases))
 
-    def mulmod_batch(
-        self, lefts: list[int], rights: list[int], modulus: int
-    ) -> list[int]:
+    def mulmod_batch(self, lefts, rights, modulus: int) -> np.ndarray:
         # Per-element work is one multiply — far cheaper than a powmod —
         # so sharding only pays beyond a much larger floor (pickling two
         # ciphertexts per element is the dominant dispatch cost).
         if len(lefts) < max(self.min_batch, 512) or len(lefts) != len(rights):
             return self._serial.mulmod_batch(lefts, rights, modulus)
-        return self._map(_mulmod_chunk, (modulus,), list(lefts), list(rights))
+        merged = self._map(_mulmod_chunk, (modulus,), lefts, rights)
+        return np.array(merged, dtype=object)
 
     def close(self) -> None:
         if self._executor is not None:

@@ -54,15 +54,21 @@ protocol actually exhibits:
   Lagrange-combination shape;
 * :func:`mulmod_pairwise` — elementwise products ``a_i·b_i mod m`` over
   two equally long vectors, the homomorphic-add shape of a whole gossip
-  exchange round (every pair's ciphertext vectors merge at once);
+  exchange round (every pair's ciphertext vectors merge at once).  On the
+  python kernel it is one ``np.multiply`` and one in-place ``np.remainder``
+  over 1-D ``dtype=object`` arrays — the same two integer operations per
+  element, dispatched from C instead of a per-item Python loop — and it
+  returns a 1-D object ndarray;
 * :func:`comb_pow_batch` — one fixed base, many short exponents, walked
   column-wise over a precomputed Lim–Lee comb (the encryption-randomizer
-  shape: each comb column is gathered and applied once per batch, not
-  per item).
+  shape).  The comb rows are object ndarrays; a column is one C-level
+  gather ``row[digits[t]]`` by its ``uint16`` digit column and two in-place
+  object-ufunc passes over the batch, never a per-item Python loop.
 
-All entry points accept and return plain Python ``int`` — native types
-(``mpz``) never leak to callers, so serialization, hashing and pickling
-behaviour is identical whichever backend computed a value.
+Every entry point returns plain Python ``int`` values (a list, or an
+object ndarray of them) — native types (``mpz``) never leak to callers,
+so serialization, hashing and pickling behaviour is identical whichever
+backend computed a value.
 """
 
 from __future__ import annotations
@@ -374,24 +380,33 @@ def invert_batch(values: Sequence[int], modulus: int) -> list[int]:
 
 def mulmod_pairwise(
     lefts: Sequence[int], rights: Sequence[int], modulus: int
-) -> list[int]:
-    """Elementwise ``lefts[i]·rights[i] mod modulus`` over two vectors.
+) -> np.ndarray:
+    """Elementwise ``lefts[i]·rights[i] mod modulus`` over two vectors, as a
+    1-D ``dtype=object`` ndarray of ``int``.
 
     The homomorphic-add shape of one vectorized gossip round: every
     scheduled pair merges its whole ciphertext vector in a single batched
-    call.  Native conversion happens once per operand (not per operation),
-    which is where the gmpy2 backend recovers its per-element overhead.
+    call.  On the python kernel the batch is one ``np.multiply`` and one
+    in-place ``np.remainder`` over object arrays (lists are converted, object
+    ndarrays used as they are); on gmpy2 native conversion happens once per
+    operand (not per operation), which is where it recovers its per-element
+    overhead.
     """
     if len(lefts) != len(rights):
         raise ValueError("mulmod_pairwise needs equally long vectors")
     backend = _ACTIVE
     if backend is _PythonBackend:
-        return [a * b % modulus for a, b in zip(lefts, rights)]
+        out = np.asarray(lefts, dtype=object) * np.asarray(rights, dtype=object)
+        out %= np.array(modulus, dtype=object)
+        return out
     m = backend.to_native(modulus)
-    return [
-        int(backend.to_native(a) * backend.to_native(b) % m)
-        for a, b in zip(lefts, rights)
-    ]
+    return np.array(
+        [
+            int(backend.to_native(a) * backend.to_native(b) % m)
+            for a, b in zip(lefts, rights)
+        ],
+        dtype=object,
+    )
 
 
 def _comb_digits(exponents: bytes, width: int, teeth: int, spacing: int):
@@ -412,33 +427,37 @@ def _comb_digits(exponents: bytes, width: int, teeth: int, spacing: int):
 
 
 def comb_pow_batch(
-    rows: Sequence[Sequence], modulus, exponents: bytes, width: int, spacing: int
+    rows: Sequence[np.ndarray], modulus, exponents: bytes, width: int, spacing: int
 ) -> list[int]:
     """Fixed-base powers of ``width``-byte little-endian exponents (back to
     back in ``exponents``) from a Lim–Lee comb, one column at a time.
 
-    ``rows[j][u]`` is ``base^(Σ_r u_r · 2^(r·spacing + j·rounds))`` on the
-    active backend's native type, ``rounds = ⌈spacing / len(rows)⌉`` (see
+    ``rows[j]`` is a 1-D object ndarray whose entry ``u`` is
+    ``base^(Σ_r u_r · 2^(r·spacing + j·rounds))`` on the active backend's
+    native type, ``rounds = ⌈spacing / len(rows)⌉`` (see
     :class:`~repro.crypto.numtheory.FixedBaseTable`).  Column ``t = j·rounds
     + k`` multiplies every item by ``rows[j][digit t]``, and each round
-    ``k`` (from ``rounds − 1`` down) opens with a squaring; each column is
-    one list comprehension over the batch, no per-item shift or branch.
+    ``k`` (from ``rounds − 1`` down) opens with a squaring.  A column is one
+    C-level gather ``rows[j][digits[t]]`` and in-place ``np.multiply`` /
+    ``np.remainder`` passes over the batch's accumulator array.
     """
     if len(exponents) % width:
         raise ValueError(f"exponents must be {width} bytes apiece")
     rounds = -(-spacing // len(rows))
     digits = _comb_digits(exponents, width, len(rows[0]).bit_length() - 1, spacing)
-    acc: list = []
+    modulus = np.array(modulus, dtype=object)  # 0-d: no per-pass conversion
+    acc = None
     for k in range(rounds - 1, -1, -1):
         for t in range(k, spacing, rounds):
-            row = rows[t // rounds]
-            column = digits[t].tolist()
-            if t == rounds - 1:  # the first column: plain lookups
-                acc = [row[d] for d in column]
-            elif t == k:  # a later round opens with its squaring
-                acc = [a * a % modulus * row[d] % modulus for a, d in zip(acc, column)]
-            else:
-                acc = [a * row[d] % modulus for a, d in zip(acc, column)]
+            column = rows[t // rounds][digits[t]]
+            if acc is None:  # the first column: plain lookups
+                acc = column
+                continue
+            if t == k:  # a later round opens with its squaring
+                acc *= acc
+                acc %= modulus
+            acc *= column
+            acc %= modulus
     return [int(a) for a in acc]
 
 

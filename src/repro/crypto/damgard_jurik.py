@@ -27,7 +27,8 @@ Cost profile (what the batched plane exploits):
   comb is sized from that count), instead of a ``bits(n^s)``-bit square-
   and-multiply.  A batch is evaluated *column-wise*: all exponents come
   out of the caller's ``rng`` as one byte blob, and each comb column is
-  applied once per batch by a single list comprehension.
+  applied once per batch as a gather and two object-ufunc passes; the
+  finish ``g^m · r mod n^{s+1}`` is object-ufunc passes over the batch too.
   This is the classic Damgård–Jurik–Nielsen precomputation trade: semantic
   security then additionally rests on the hardness of discrete logs with
   short exponents in the randomizer subgroup — a fine trade for a
@@ -41,6 +42,8 @@ from __future__ import annotations
 
 import math
 import random
+
+import numpy as np
 
 from . import bigint
 from .keys import PrivateKey, PublicKey
@@ -108,7 +111,7 @@ def generate_keypair(
     return PrivateKey(public=public, p=p, q=q, d=d)
 
 
-def powers_of_g(public: PublicKey, a: int) -> int:
+def powers_of_g(public: PublicKey, a: int | np.ndarray) -> int | np.ndarray:
     """Compute ``(1+n)^a mod n^{s+1}`` via binomial expansion.
 
     ``(1+n)^a = Σ_{i=0}^{s} C(a, i)·n^i (mod n^{s+1})`` — only ``s + 1``
@@ -116,9 +119,14 @@ def powers_of_g(public: PublicKey, a: int) -> int:
     dominant reason Paillier-family encryption is practical on a device.
     ``C(a, i)·n^i`` is the falling factorial ``a(a−1)…(a−i+1)`` times the
     per-key constant ``n^i / i!``; for ``s = 1`` the loop is ``1 + a·n``.
+
+    ``a`` may be one ``int`` or a ``dtype=object`` ndarray of them: the same
+    loop then runs elementwise as object-ufunc passes over the whole batch
+    (every element sees the scalar's integer operations in the same order)
+    and returns a new array; the input is never mutated.
     """
     n_s1 = public.n_s1
-    a %= public.n_s
+    a = a % public.n_s
     result = falling = 1
     for i, coefficient in enumerate(public.g_coefficients):
         falling = falling * (a - i) % n_s1
@@ -227,10 +235,9 @@ def encrypt_drawn(
         randomizers = bigint.powmod_batch(drawn, public.n_s, public.n_s1)
     if len(randomizers) != len(plaintexts):
         raise ValueError("need one drawn randomizer per plaintext")
-    n_s1 = public.n_s1
-    return [
-        powers_of_g(public, m) * r % n_s1 for m, r in zip(plaintexts, randomizers)
-    ]
+    out = powers_of_g(public, np.asarray(plaintexts, dtype=object))
+    np.multiply(out, np.asarray(randomizers, dtype=object), out=out)
+    return np.remainder(out, public.n_s1, out=out).tolist()
 
 
 def encrypt_batch(

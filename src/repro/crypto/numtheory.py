@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from . import bigint
 
 __all__ = [
@@ -144,7 +146,8 @@ class FixedBaseTable:
         self.max_exponent_bits = max_exponent_bits
         # Build on the active bigint backend's native representation and
         # keep both forms: plain ints for pickling/serialization, native
-        # values as the evaluation cache.
+        # values (one object ndarray per row, the comb's gather source) as
+        # the evaluation cache.
         mod_native = bigint.to_native(modulus)
         powers = [bigint.to_native(self.base)]  # base^(2^p)
         for _ in range((teeth - 1) * spacing + (blocks - 1) * rounds):
@@ -157,20 +160,29 @@ class FixedBaseTable:
                 row += [g] + [v * g % mod_native for v in row[1:]]
             native_rows.append(row)
         self._rows = [[int(v) for v in row] for row in native_rows]
-        self._native = (bigint.active_backend(), native_rows, mod_native)
+        self._native = (
+            bigint.active_backend(),
+            [np.array(row, dtype=object) for row in native_rows],
+            mod_native,
+        )
         FixedBaseTable.native_builds += 1
 
-    def _native_rows(self) -> tuple[list[list], object]:
-        """The rows/modulus on the *current* backend's native type.
+    def _native_rows(self) -> tuple[list[np.ndarray], object]:
+        """The rows (1-D object ndarrays) and modulus on the *current*
+        backend's native type.
 
         Rebuilt lazily when the process-global bigint backend changed since
-        construction (or after unpickling, which drops the cache).
+        construction (or after unpickling, which drops the cache) — never
+        per batch.
         """
         backend = bigint.active_backend()
         if self._native is None or self._native[0] != backend:
             self._native = (
                 backend,
-                [[bigint.to_native(v) for v in row] for row in self._rows],
+                [
+                    np.array([bigint.to_native(v) for v in row], dtype=object)
+                    for row in self._rows
+                ],
                 bigint.to_native(self.modulus),
             )
             FixedBaseTable.native_builds += 1

@@ -11,13 +11,16 @@ process-pool crypto backend.
 
 Two layers:
 
-* :class:`CipherArray` — the batch container: one equal-width ciphertext
-  vector per node, plus the two whole-round operations Algorithm 2 needs
-  (scale lagging rows by a shared ``2^d``; merge all scheduled pairs
-  elementwise).  Per-round cost is **one** ``pow_batch`` call per distinct
-  counter gap (a handful of small values) plus **one** ``mulmod_batch``
-  over every ciphertext of every pair — no per-ciphertext Python-level
-  modexp loop.
+* :class:`CipherArray` — the batch container: the whole population's
+  ciphertexts as **one** ``(P, W)`` ``dtype=object`` ndarray (row ``i`` is
+  node ``i``'s packed vector of ``W`` ciphertexts), plus the two
+  whole-round operations Algorithm 2 needs (scale lagging rows by a shared
+  ``2^d``; merge all scheduled pairs elementwise).  A merge round is two
+  C-level gathers (``rows[left]``, ``rows[right]``), **one**
+  ``mulmod_batch`` over every ciphertext of every pair, and two scatters
+  of the merged block back to both sides; the alignment step is a gather,
+  one ``pow_batch`` and a scatter per distinct counter gap (a handful of
+  small values).  No per-node or per-ciphertext Python loop.
 * :class:`CipherEESum` — Algorithm 2 over a CipherArray, drop-in for the
   vectorized engine's protocol slot (it implements ``exchange_pairs``).
   The weight ω and the epidemic counter column stay cleartext (exactly as
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +54,9 @@ __all__ = ["CipherArray", "CipherEESum"]
 class CipherArray:
     """Equal-width Damgård–Jurik ciphertext vectors for a whole population.
 
-    ``rows[i]`` is node ``i``'s packed ciphertext vector (plain ints mod
-    ``n^{s+1}``).  All homomorphic arithmetic goes through ``backend`` so a
+    ``rows`` is one ``(population, width)`` ``dtype=object`` ndarray of
+    plain ints mod ``n^{s+1}``; row ``i`` is node ``i``'s packed ciphertext
+    vector.  All homomorphic arithmetic goes through ``backend`` so a
     process pool shards rounds transparently; results are independent of
     worker count and bigint backend (the operations are deterministic
     integer arithmetic — no randomness is consumed here).
@@ -60,17 +65,17 @@ class CipherArray:
     def __init__(
         self,
         public: PublicKey,
-        rows: list[list[int]],
+        rows: Sequence[Sequence[int]] | np.ndarray,
         backend: CryptoBackend | None = None,
     ) -> None:
-        if not rows:
+        # Lists are copied; an object ndarray is adopted as is.
+        self.rows = np.asarray(rows, dtype=object)
+        if len(self.rows) == 0:
             raise ValueError("CipherArray needs at least one row")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
+        if self.rows.ndim != 2:
             raise ValueError("CipherArray rows must have equal width")
         self.public = public
-        self.rows = [list(row) for row in rows]
-        self.width = width
+        self.width = self.rows.shape[1]
         self.backend = backend or SerialBackend()
         #: Accumulated wall-clock seconds spent inside backend batch calls.
         self.crypto_seconds = 0.0
@@ -79,19 +84,20 @@ class CipherArray:
         return len(self.rows)
 
     def row(self, node: int) -> list[int]:
-        """Node ``node``'s ciphertext vector (a copy — rows are immutable
-        from the caller's perspective)."""
-        return list(self.rows[int(node)])
+        """Node ``node``'s ciphertext vector as a list of ``int`` (a copy —
+        rows are immutable from the caller's perspective)."""
+        return self.rows[int(node)].tolist()
 
     # ------------------------------------------------------ round batches
 
     def scale_rows(self, nodes: np.ndarray, log2_factors: np.ndarray) -> None:
         """Homomorphic scalar-multiply each row by its ``2^d`` (Alg. 2 l.1-5).
 
-        Rows are grouped by distinct ``d`` so each group is one shared-
-        exponent ``pow_batch`` — within a gossip round the counter gaps
-        take only a handful of small values, so the whole alignment step
-        is a few batched calls regardless of population.
+        Rows are grouped by distinct ``d`` so each group is one gather, one
+        shared-exponent ``pow_batch`` and one scatter — within a gossip
+        round the counter gaps take only a handful of small values, so the
+        whole alignment step is a few batched calls regardless of
+        population.
         """
         nodes = np.asarray(nodes)
         log2_factors = np.asarray(log2_factors)
@@ -101,34 +107,33 @@ class CipherArray:
         started = time.perf_counter()
         for gap in np.unique(log2_factors):
             group = nodes[log2_factors == gap]
-            flat = [c for node in group for c in self.rows[node]]
-            powed = self.backend.pow_batch(flat, 1 << int(gap), n_s1)
-            for slot, node in enumerate(group):
-                start = slot * self.width
-                self.rows[node] = powed[start : start + self.width]
+            powed = self.backend.pow_batch(
+                self.rows[group].ravel(), 1 << int(gap), n_s1
+            )
+            self.rows[group] = np.reshape(
+                np.array(powed, dtype=object), (len(group), self.width)
+            )
         self.crypto_seconds += time.perf_counter() - started
 
     def merge_pairs(self, left: np.ndarray, right: np.ndarray) -> None:
-        """Homomorphic-add every scheduled pair's vectors in one batch.
+        """Homomorphic-add every scheduled (disjoint) pair's vectors in one
+        batch.
 
         Both sides of each pair end up holding the merged vector, exactly
         as the object protocol assigns ``side.ciphertexts = list(merged)``
-        to initiator and contact alike.
+        to initiator and contact alike; ints are immutable, so both rows
+        may hold the same objects.
         """
         left = np.asarray(left)
         right = np.asarray(right)
         if len(left) == 0:
             return
-        n_s1 = self.public.n_s1
         started = time.perf_counter()
-        flat_left = [c for node in left for c in self.rows[node]]
-        flat_right = [c for node in right for c in self.rows[node]]
-        merged = self.backend.mulmod_batch(flat_left, flat_right, n_s1)
-        for slot, (l, r) in enumerate(zip(left, right)):
-            start = slot * self.width
-            row = merged[start : start + self.width]
-            self.rows[l] = row
-            self.rows[r] = list(row)
+        merged = self.backend.mulmod_batch(
+            self.rows[left].ravel(), self.rows[right].ravel(), self.public.n_s1
+        ).reshape(len(left), self.width)
+        self.rows[left] = merged
+        self.rows[right] = merged
         self.crypto_seconds += time.perf_counter() - started
 
 
@@ -146,11 +151,11 @@ class CipherEESum:
     def __init__(
         self,
         public: PublicKey,
-        rows: list[list[int]],
+        rows: Sequence[Sequence[int]] | np.ndarray,
         backend: CryptoBackend | None = None,
     ) -> None:
         self.array = CipherArray(public, rows, backend)
-        self.population = len(rows)
+        self.population = len(self.array)
         if self.population < 2:
             raise ValueError("CipherEESum needs a population >= 2")
         self.clear = VectorizedEESum(np.ones((self.population, 1)), copy=False)

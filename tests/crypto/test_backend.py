@@ -9,9 +9,11 @@ stream drawn from the master RNG before dispatch).
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import ChiaroscuroParams
+from repro.crypto import bigint
 from repro.crypto import (
     FastEncryptor,
     FixedBaseTable,
@@ -102,6 +104,32 @@ class TestProcessPoolBackend:
             assert pool.partial_decrypt_batch(
                 threshold_keypair.context, share, cts
             ) == serial.partial_decrypt_batch(threshold_keypair.context, share, cts)
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize("length", [0, 3, 700])  # 700: past the pool floor
+    def test_mulmod_batch_returns_an_object_vector(self, threshold_keypair, length):
+        """Serial and pooled merges return one 1-D ``dtype=object`` ndarray
+        of plain ``int`` (the pool concatenates its chunks), from list and
+        object-array operands alike."""
+        modulus = threshold_keypair.public.n_s1
+        rng = random.Random(length)
+        lefts = [rng.randrange(modulus) for _ in range(length)]
+        rights = [rng.randrange(modulus) for _ in range(length)]
+        expected = [a * b % modulus for a, b in zip(lefts, rights)]
+        pool = ProcessPoolBackend(max_workers=2, min_batch=1)
+        try:
+            for backend in (SerialBackend(), pool):
+                for operands in (
+                    (lefts, rights),
+                    (np.array(lefts, dtype=object), np.array(rights, dtype=object)),
+                ):
+                    got = backend.mulmod_batch(*operands, modulus)
+                    assert isinstance(got, np.ndarray)
+                    assert got.dtype == object and got.shape == (length,)
+                    assert got.tolist() == expected
+                    assert all(type(value) is int for value in got)
+            assert (pool._executor is not None) == (length >= 512)
         finally:
             pool.close()
 
@@ -287,6 +315,32 @@ class TestWarmup:
                 threshold_keypair.public, [4, 5, 6], random.Random(round_no)
             )
         assert FixedBaseTable.native_builds == before + 1
+
+    def test_comb_batches_build_object_rows_once_per_backend(self):
+        """N one- and two-item comb batches (the object plane's encryptions)
+        pay one object-row build per table and backend — at construction,
+        or on the first batch after a backend switch — never one per call."""
+        blob = random.Random(29).randbytes(16 * 2)
+        before = FixedBaseTable.native_builds
+        with bigint.use_backend("python"):
+            table = FixedBaseTable(3, (1 << 127) - 1, 128, (6, 3))
+            for _ in range(8):
+                table.pow_batch(blob[:16])
+                table.pow_batch(blob)
+        builds = before + 1
+        assert FixedBaseTable.native_builds == builds
+        for name in bigint.available_backends():
+            with bigint.use_backend(name):
+                for _ in range(8):
+                    table.pow_batch(blob[:16])
+                    table.pow_batch(blob)
+                builds += name != "python"  # the cache holds one backend's rows
+                assert FixedBaseTable.native_builds == builds
+                rows, _ = table._native_rows()
+                assert all(
+                    isinstance(row, np.ndarray) and row.dtype == object
+                    for row in rows
+                )
 
     def test_pool_worker_builds_do_not_scale_with_rounds(
         self, threshold_keypair, plaintexts

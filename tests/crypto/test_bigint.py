@@ -15,6 +15,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -227,6 +228,52 @@ class TestKernelPrimitives:
         assert bigint.multi_powmod([7], [5], M) == pow(7, 5, M)
         with pytest.raises(ValueError):
             bigint.multi_powmod([1, 2], [3], M)
+
+
+def _square_of_fixture_key(prime_bits: int) -> int:
+    p, q = fixture_safe_primes(prime_bits, count=2)
+    return (p * q) ** 2
+
+
+#: ``n²`` of the fixture keys: 512 bits (the ``vcrypto_*`` 256-bit key) and
+#: 2048 bits (the paper's 1024-bit key).
+MERGE_MODULI = (_square_of_fixture_key(128), _square_of_fixture_key(512))
+
+
+@st.composite
+def _merge_batches(draw):
+    modulus = draw(st.sampled_from(MERGE_MODULI))
+    length = draw(st.integers(0, 64))
+    operands = st.lists(
+        st.integers(0, 2 * modulus - 1), min_size=length, max_size=length
+    )
+    return modulus, draw(operands), draw(operands)
+
+
+@pytest.mark.parametrize("backend", bigint.available_backends())
+@settings(max_examples=60, deadline=None)
+@given(batch=_merge_batches())
+def test_mulmod_pairwise_is_the_per_item_product(backend, batch):
+    """Over lists and 1-D object arrays alike, the merge kernel is
+    ``[a·b mod m]``, as a 1-D object ndarray of plain ``int``, and leaves
+    its operands as they were."""
+    modulus, lefts, rights = batch
+    expected = [a * b % modulus for a, b in zip(lefts, rights)]
+    left_array = np.array(lefts, dtype=object)
+    right_array = np.array(rights, dtype=object)
+    with bigint.use_backend(backend):
+        for operands in ((lefts, rights), (left_array, right_array)):
+            got = bigint.mulmod_pairwise(*operands, modulus)
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == object and got.shape == (len(lefts),)
+            assert got.tolist() == expected
+            assert all(type(value) is int for value in got)
+    assert left_array.tolist() == lefts and right_array.tolist() == rights
+
+
+def test_mulmod_pairwise_needs_equal_lengths():
+    with pytest.raises(ValueError, match="equally long"):
+        bigint.mulmod_pairwise([1, 2], [3], M)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,12 +117,19 @@ class TestInternals:
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_powers_of_g_hoisted_constants_every_s(self, keypair128, s):
         """One code path for every ``s``: falling factorials times the
-        per-key ``n^i / i!`` constants."""
+        per-key ``n^i / i!`` constants — for one ``int`` and, elementwise,
+        for an object array of them (whose input is left as it was)."""
         pub = PublicKey(n=keypair128.public.n, s=s)
         assert len(pub.g_coefficients) == s
         assert pub.g_coefficients[0] == pub.n
-        for a in (0, 1, 2, s, pub.n - 1, pub.n + 1, 2**200 + 5, pub.n_s - 1, pub.n_s):
+        values = [0, 1, 2, s, pub.n - 1, pub.n + 1, 2**200 + 5, pub.n_s - 1, pub.n_s]
+        for a in values:
             assert powers_of_g(pub, a) == pow(pub.g, a, pub.n_s1)
+        batch = np.array(values, dtype=object)
+        got = powers_of_g(pub, batch)
+        assert got.dtype == object
+        assert got.tolist() == [pow(pub.g, a, pub.n_s1) for a in values]
+        assert batch.tolist() == values
 
     def test_dlog_inverts_powers(self, keypair_s2):
         pub = keypair_s2.public

@@ -125,7 +125,7 @@ def test_process_pool_backend_is_bit_identical(threshold_keypair):
         )
     finally:
         pool_backend.close()
-    assert pooled.array.rows == serial.array.rows
+    assert np.array_equal(pooled.array.rows, serial.array.rows)
     assert np.array_equal(pooled.omega, serial.omega)
 
 
@@ -136,7 +136,7 @@ def test_bigint_kernels_are_bit_identical(threshold_keypair):
         py, *_ = _shadow_run(threshold_keypair.public, 64, 0.0, seed=464)
     with bigint.use_backend("gmpy2"):
         gm, *_ = _shadow_run(threshold_keypair.public, 64, 0.0, seed=464)
-    assert py.array.rows == gm.array.rows
+    assert np.array_equal(py.array.rows, gm.array.rows)
 
 
 def test_crypto_seconds_accumulates(threshold_keypair):
@@ -175,5 +175,5 @@ def test_fault_engine_wrap_is_transparent(threshold_keypair):
     )
     engine_a.run_cycles(CYCLES, plain)
     engine_b.run_cycles(CYCLES, wrapped)
-    assert wrapped.array.rows == plain.array.rows
+    assert np.array_equal(wrapped.array.rows, plain.array.rows)
     assert np.array_equal(wrapped.omega, plain.omega)

@@ -1,6 +1,7 @@
-"""Satellite: BENCH_*.json envelopes carry an ingestion-ready
-provenance block (git_rev + ISO timestamp + numeric epoch), so the
-warehouse can order the bench trajectory without filesystem mtimes."""
+"""BENCH_*.json envelopes carry an ingestion-ready provenance block
+(git_rev + ISO timestamp + numeric epoch), so the warehouse can order the
+bench trajectory without filesystem mtimes, and a ``src_tree`` hash that
+names the code a point measured."""
 
 from __future__ import annotations
 
@@ -52,6 +53,34 @@ def test_record_json_envelope_has_provenance(bench_conftest, tmp_path):
     assert (tmp_path / "out" / "BENCH_probe.json").read_text() == (
         mirror.read_text()
     )
+
+
+def test_src_tree_names_the_measured_code(bench_conftest, tmp_path):
+    """``provenance.src_tree`` hashes ``src/**/*.py`` as on disk: it moves
+    when a source file's bytes or path change, and nothing else moves it."""
+    package = tmp_path / "root" / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n")
+    (package / "b.py").write_text("y = 2\n")
+
+    def src_tree() -> str:
+        bench_conftest.record_json("probe", {"metric": 1.0})
+        envelope = json.loads((tmp_path / "root" / "BENCH_probe.json").read_text())
+        return envelope["provenance"]["src_tree"]
+
+    first = src_tree()
+    assert len(first) == 64 and int(first, 16) >= 0
+    assert src_tree() == first
+    (package / "notes.txt").write_text("not code")
+    (tmp_path / "root" / "README.py").write_text("outside src/")
+    assert src_tree() == first
+    (package / "a.py").write_text("x = 2\n")
+    edited = src_tree()
+    assert edited != first
+    (package / "a.py").write_text("x = 1\n")
+    assert src_tree() == first
+    (package / "a.py").rename(package / "c.py")
+    assert src_tree() not in (first, edited)
 
 
 def test_record_runs_mirror_is_warehouse_ingestible(bench_conftest, tmp_path):
