@@ -10,8 +10,9 @@ repo root) so the python↔gmpy2 gap is tracked across PRs.
 Workload per (key size, backend): the Fig. 5(a) computation-step shape —
 encrypt one set of means, homomorphically add two sets, threshold-decrypt
 the result (τ partial decryptions + Straus-combined Lagrange
-recombination per ciphertext) — via :func:`measure_crypto_costs`, which
-runs the exact protocol code paths.
+recombination) — timed by :func:`conftest.time_run_calls` on the calls a
+vectorized-crypto run makes: packed sets, the run's table-backed
+encryptor, batched partial decryption.
 
 gmpy2 is a soft dependency: when it is absent (the default CI leg), the
 python path is still measured and the record says
@@ -19,7 +20,9 @@ python path is still measured and the record says
 diffable either way.
 
 Pure-python leg, python 3.11.7 on a 2-core x86-64 VM, two alternating
-runs per side, seconds (encrypt / decrypt / total):
+runs per side, seconds (encrypt / decrypt / total), measured with the
+former per-value stopwatch (one plain ``encrypt`` and one
+``partial_decrypt`` per value, no packing):
 
 * before the n-adic chain (``18aac14``): 1024-bit 0.79–0.92 / 5.01–5.04 /
   5.79–5.96; 2048-bit 1.83–1.86 / 10.87–11.15 / 12.70–13.02;
@@ -31,24 +34,23 @@ The python leg's 1024-bit computation step got 1.46× faster and the
 gmpy2 leg runs none of that code, so the GMP advantage that cleared the
 old 3× floor reads ≈ 3 / 1.46 ≈ 2.05× now: the floor is restated as 2×.
 The gmpy2 leg runs in CI only; its ratio at this revision is unmeasured
-here.
+here, and so is how the floor fares on the run's calls.
 """
 
 from __future__ import annotations
 
 import random
 
-from conftest import record_json, record_report
-from repro.analysis import measure_crypto_costs
+from conftest import record_json, record_report, time_run_calls
 from repro.crypto import bigint, encrypt, generate_threshold_keypair
 from repro.crypto.threshold import combine_partial_decryptions, partial_decrypt
 
-#: Per-key-size workload: k means × (series_length + 1) ciphertexts.  Sized
-#: so the pure-python leg stays tens of seconds (2048-bit pure-python
-#: modexps cost ~100 ms each).
+#: Per-key-size workload: k means × (series_length + 1) values, packed
+#: as a run packs them.  Sized so the pure-python leg stays seconds
+#: (2048-bit pure-python modexps cost ~100 ms each).
 WORKLOADS = {
-    1024: {"k": 6, "series_length": 9, "repetitions": 1},
-    2048: {"k": 3, "series_length": 5, "repetitions": 1},
+    1024: {"k": 6, "series_length": 9},
+    2048: {"k": 3, "series_length": 5},
 }
 
 OPS = ("encrypt", "add", "decrypt")
@@ -60,10 +62,11 @@ def _keypair(bits: int):
     )
 
 
-def _measure(keypair, backend: str, workload: dict) -> dict:
+def _measure(bits: int, backend: str, workload: dict) -> tuple[dict, int]:
+    """Seconds per op and the run's ciphertexts per set."""
     with bigint.use_backend(backend):
-        costs = measure_crypto_costs(keypair, rng=random.Random(7), **workload)
-    return {op: float(costs[op].average) for op in OPS}
+        costs = time_run_calls(bits, **workload)
+    return {op: float(costs.seconds[op]) for op in OPS}, costs.ciphertexts
 
 
 def _identity_probe(keypair, backend: str) -> tuple[list[int], list[int], int]:
@@ -95,7 +98,7 @@ def test_crypto_backend_comparison():
         keypair = _keypair(bits)
         per_backend: dict[str, dict | None] = {"python": None, "gmpy2": None}
         for backend in backends:
-            seconds = _measure(keypair, backend, workload)
+            seconds, ciphertexts = _measure(bits, backend, workload)
             seconds["computation_step"] = sum(seconds[op] for op in OPS)
             per_backend[backend] = seconds
             rows.append(
@@ -127,7 +130,7 @@ def test_crypto_backend_comparison():
 
         results[str(bits)] = {
             "workload": dict(workload),
-            "ciphertexts": workload["k"] * (workload["series_length"] + 1),
+            "ciphertexts": ciphertexts,
             "seconds": per_backend,
             "speedup": speedup,
             "bit_identical_across_backends": identical,

@@ -1,185 +1,126 @@
 """Figure 5 — unitary local costs for a set of 50 means, 20 measures per
 mean, and a 1024-bit encryption key.
 
-(a) MIN/MAX/AVG wall-times for encrypting a set of means, adding two
-    encrypted sets, and threshold-decrypting a set;
-(b) bandwidth for transferring one set of encrypted means;
-(c) [extension] the same computation-step workload on the batched
-    ciphertext plane (slot packing + fixed-base randomizer tables) vs the
-    scalar plane: reported speedup, with decoded outputs checked to be
-    bit-identical.
+(a) wall-times for encrypting a set of means, adding two encrypted sets,
+    and threshold-decrypting a set, timed on the calls a vectorized-crypto
+    run makes (:func:`conftest.time_run_calls`): packed sets, the run's
+    table-backed encryptor, batched τ-share decryption;
+(b) bandwidth for transferring one set of encrypted means: the paper's
+    one-ciphertext-per-value layout beside the packed set a run sends.
 
 Absolute times differ from the paper's Java measurements (pure-Python
 big-int arithmetic); the *ordering* — add ≪ encrypt < decrypt, with
 decrypt the dominant per-iteration cost — and the bandwidth arithmetic are
 the reproduced shapes.
 
-``test_fig5_batched_smoke`` is the fast CI subset: a small key and few
-means, seconds instead of minutes.
+``test_fig5_run_smoke`` is the fast CI subset: a small key and few means,
+seconds instead of minutes.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from conftest import record_json, record_report
-from repro.analysis import (
-    LocalCostModel,
-    compare_scalar_batched_costs,
-    measure_crypto_costs,
-)
-from repro.crypto import encrypt, generate_threshold_keypair, homomorphic_add
+from conftest import record_json, record_report, time_run_calls
 
 K = 50
 MEASURES = 20
 KEY_BITS = 1024
 
 
-def _speedup_rows(res: dict) -> list[str]:
-    rows = [
-        f"{'plane':<10}{'ciphertexts':>12}{'encrypt':>10}{'add':>10}"
-        f"{'decrypt':>10}{'total':>10}"
-    ]
-    for plane, n_cts in (
-        ("scalar", res["scalar_ciphertexts"]),
-        ("batched", res["batched_ciphertexts"]),
-    ):
-        samples = res[plane]
-        total = sum(s.average for s in samples.values())
-        rows.append(
-            f"{plane:<10}{n_cts:>12}"
-            f"{samples['encrypt'].average:>10.3f}{samples['add'].average:>10.3f}"
-            f"{samples['decrypt'].average:>10.3f}{total:>10.3f}"
-        )
-    rows.append(
-        f"slots/ciphertext: {res['slots']}   one-time table build: "
-        f"{res['precompute_seconds']:.3f} s"
+def _set_bytes(costs, k: int, series_length: int) -> tuple[int, int]:
+    """One means set on the wire: the paper's ``k·(n+1)`` ciphertexts and
+    the run's ``packed_length(k·(n+1))``."""
+    ciphertext_bytes = costs.run.keypair.public.ciphertext_bytes
+    values = k * (series_length + 1)
+    return (
+        values * ciphertext_bytes,
+        costs.run.packed.packed_length(values) * ciphertext_bytes,
     )
+
+
+def _rows(costs) -> list[str]:
+    packed = costs.run.packed
+    rows = [f"{'operation':<10}{'seconds':>12}"]
+    rows += [f"{op:<10}{s:>12.3f}" for op, s in costs.seconds.items()]
     rows.append(
-        f"computation-step speedup: {res['speedup']:.1f}x   "
-        f"bit-identical post-decode: {res['identical']}"
+        f"{costs.ciphertexts} ciphertexts per set ({packed.slots} slots of "
+        f"{packed.slot_bits} bits), τ = {costs.run.keypair.context.threshold}"
     )
     return rows
 
 
 @pytest.fixture(scope="module")
-def keypair_1024():
-    return generate_threshold_keypair(
-        KEY_BITS, n_shares=5, threshold=3, s=1, rng=random.Random(0)
-    )
+def costs_1024():
+    return time_run_calls(KEY_BITS, K, MEASURES)
 
 
-def test_fig5a_crypto_times(benchmark, keypair_1024):
-    pub = keypair_1024.public
-    rng = random.Random(1)
-    c1 = encrypt(pub, 123456, rng=rng)
-    c2 = encrypt(pub, 654321, rng=rng)
-    benchmark(lambda: homomorphic_add(pub, c1, c2))
-
-    costs = measure_crypto_costs(
-        keypair_1024, k=K, series_length=MEASURES, repetitions=1, rng=rng
-    )
-    rows = [f"{'operation':<10}{'MIN (s)':>12}{'MAX (s)':>12}{'AVG (s)':>12}"]
-    for op in ("encrypt", "add", "decrypt"):
-        sample = costs[op]
-        rows.append(
-            f"{op:<10}{sample.minimum:>12.3f}{sample.maximum:>12.3f}{sample.average:>12.3f}"
-        )
+def test_fig5a_crypto_times(costs_1024):
+    seconds = costs_1024.seconds
     record_report(
         "fig5a_local_times",
-        f"Fig 5(a): times for one set of {K} means × {MEASURES} measures, {KEY_BITS}-bit key",
-        rows,
+        f"Fig 5(a): times for one set of {K} means × {MEASURES} measures, "
+        f"{KEY_BITS}-bit key",
+        _rows(costs_1024),
     )
-
     record_json(
         "fig5a_local_times",
         {
             "k": K,
             "series_length": MEASURES,
             "key_bits": KEY_BITS,
-            "seconds": {
-                op: {
-                    "min": float(costs[op].minimum),
-                    "max": float(costs[op].maximum),
-                    "avg": float(costs[op].average),
-                }
-                for op in ("encrypt", "add", "decrypt")
-            },
+            "exchanges": costs_1024.run.params.exchanges,
+            "threshold": costs_1024.run.keypair.context.threshold,
+            "ciphertexts_per_set": costs_1024.ciphertexts,
+            "seconds": {op: float(s) for op, s in seconds.items()},
         },
     )
-    assert costs["add"].average < costs["encrypt"].average
-    assert costs["add"].average < costs["decrypt"].average
-    assert costs["decrypt"].average == max(s.average for s in costs.values())
+    assert seconds["add"] < seconds["encrypt"]
+    assert seconds["add"] < seconds["decrypt"]
+    assert seconds["decrypt"] == max(seconds.values())
 
 
-def test_fig5c_batched_speedup(keypair_1024):
-    """Acceptance: ≥ 5× on the computation-step local cost at the paper's
-    default key size, bit-identical decoded outputs."""
-    res = compare_scalar_batched_costs(
-        keypair_1024, k=K, series_length=MEASURES, repetitions=1,
-        rng=random.Random(2),
-    )
+def test_fig5_run_smoke():
+    """CI smoke: the same calls at a 512-bit key, in seconds."""
+    k, measures = 10, 8
+    costs = time_run_calls(512, k, measures)
     record_report(
-        "fig5c_batched_speedup",
-        f"Fig 5(c) extension: batched vs scalar plane, {K} means × "
-        f"{MEASURES} measures, {KEY_BITS}-bit key",
-        _speedup_rows(res),
+        "fig5_run_smoke",
+        f"Fig 5 smoke: {k} means × {measures} measures, 512-bit key",
+        _rows(costs),
     )
     record_json(
-        "fig5c_batched_speedup",
+        "fig5_run_smoke",
         {
-            "k": K,
-            "series_length": MEASURES,
-            "key_bits": KEY_BITS,
-            "speedup": float(res["speedup"]),
-            "slots_per_ciphertext": int(res["slots"]),
-            "identical": bool(res["identical"]),
+            "k": k,
+            "series_length": measures,
+            "key_bits": 512,
+            "ciphertexts_per_set": costs.ciphertexts,
+            "seconds": {op: float(s) for op, s in costs.seconds.items()},
         },
     )
-    assert res["identical"], "batched plane must decode bit-identically"
-    assert res["speedup"] >= 5.0, f"speedup {res['speedup']:.1f}x < 5x"
+    seconds = costs.seconds
+    assert seconds["add"] < seconds["encrypt"] < seconds["decrypt"]
+    ciphertext_bytes = costs.run.keypair.public.ciphertext_bytes
+    assert costs.ciphertexts * ciphertext_bytes == _set_bytes(costs, k, measures)[1]
 
 
-def test_fig5_batched_smoke():
-    """CI smoke: same comparison at a small key size, runs in seconds."""
-    keypair = generate_threshold_keypair(
-        512, n_shares=5, threshold=3, s=1, rng=random.Random(3)
-    )
-    res = compare_scalar_batched_costs(
-        keypair, k=10, series_length=8, repetitions=1, rng=random.Random(4)
-    )
-    record_report(
-        "fig5_batched_smoke",
-        "Fig 5 smoke: batched vs scalar plane, 10 means × 8 measures, 512-bit key",
-        _speedup_rows(res),
-    )
-    record_json(
-        "fig5_batched_smoke",
-        {"k": 10, "series_length": 8, "key_bits": 512, "speedup": float(res["speedup"])},
-    )
-    assert res["identical"]
-    assert res["speedup"] > 1.5
-
-
-def test_fig5b_bandwidth(benchmark, keypair_1024):
-    model = LocalCostModel(keypair_1024.public, k=K, series_length=MEASURES)
-    benchmark(lambda: model.transfer_bytes)
-
-    kb = model.transfer_bytes / 1024
+def test_fig5b_bandwidth(costs_1024):
+    paper_bytes, packed_bytes = _set_bytes(costs_1024, K, MEASURES)
+    kb, packed_kb = paper_bytes / 1024, packed_bytes / 1024
+    transfer_seconds = paper_bytes * 8 / 1e6
     rows = [
-        f"one means set transfer: {kb:.1f} kB",
-        f"epidemic-sum exchange (2 sets): {model.exchange_bytes() / 1024:.1f} kB",
-        f"decryption exchange (4 sets): {model.decryption_exchange_bytes() / 1024:.1f} kB",
-        f"transfer time at 1 Mb/s: {model.transfer_seconds():.2f} s",
+        f"one means set, one ciphertext per value: {kb:.1f} kB",
+        f"one means set as a run packs it: {packed_kb:.1f} kB",
+        f"epidemic-sum exchange (2 sets): {2 * kb:.1f} kB",
+        f"decryption exchange (4 sets): {4 * kb:.1f} kB",
+        f"transfer time at 1 Mb/s: {transfer_seconds:.2f} s",
     ]
     record_report(
         "fig5b_bandwidth",
         f"Fig 5(b): bandwidth for one set of {K} encrypted means ({KEY_BITS}-bit key)",
         rows,
     )
-
     record_json(
         "fig5b_bandwidth",
         {
@@ -187,7 +128,8 @@ def test_fig5b_bandwidth(benchmark, keypair_1024):
             "series_length": MEASURES,
             "key_bits": KEY_BITS,
             "means_set_kb": float(kb),
-            "transfer_seconds_at_1mbps": float(model.transfer_seconds()),
+            "packed_means_set_kb": float(packed_kb),
+            "transfer_seconds_at_1mbps": float(transfer_seconds),
         },
     )
     # Paper: "a hundredth of kilo-bytes per transfer", ~1 s at 1 Mb/s.
@@ -195,21 +137,23 @@ def test_fig5b_bandwidth(benchmark, keypair_1024):
     # ciphertexts × 256 B = 262.5 kB vs the paper's ~135 kB for 50 × 20 ×
     # 1024-bit ciphertext halves — same order of magnitude.
     assert 100 <= kb <= 400
-    assert model.transfer_seconds() < 5.0
+    assert transfer_seconds < 5.0
 
 
-def test_fig5_crt_split_decrypt(keypair_1024):
+def test_fig5_crt_split_decrypt(costs_1024):
     """CRT-split decryption vs the single-modexp reference (Fig. 5(a)
     "Decrypt" bar).  Interleaved best-of-rounds so transient CI stalls
     cannot flip the ratio; correctness (bit-identity) is asserted in
     tests/crypto, this bench tracks the speedup."""
+    import random
     import time
 
     from repro.crypto.damgard_jurik import _decrypt_reference, decrypt, encrypt
 
-    private = keypair_1024.private
+    keypair = costs_1024.run.keypair
+    private = keypair.private
     rng = random.Random(6)
-    ciphertexts = [encrypt(keypair_1024.public, v, rng=rng) for v in range(20)]
+    ciphertexts = [encrypt(keypair.public, v, rng=rng) for v in range(20)]
     fast_best, slow_best = float("inf"), float("inf")
     for _ in range(3):
         start = time.perf_counter()

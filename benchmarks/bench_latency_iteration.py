@@ -9,46 +9,39 @@ measurements of the same building blocks.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from conftest import record_json, record_report
+from conftest import record_json, record_report, time_run_calls
 from latency_composition import (
     LatencyInputs,
     dissemination_cycles,
     iteration_latency,
     messages_to_reach_error,
 )
-from repro.analysis import LocalCostModel, measure_crypto_costs
-from repro.crypto import generate_threshold_keypair
 
 
 def test_iteration_latency_composition(benchmark):
-    keypair = generate_threshold_keypair(
-        1024, n_shares=5, threshold=3, s=1, rng=random.Random(0)
-    )
-    model = LocalCostModel(keypair.public, k=50, series_length=20)
-
     # Live building blocks (scaled-down measurement, paper-sized model).
     sum_messages = messages_to_reach_error(100_000, 0.001)
     dis_messages, _ = dissemination_cycles(100_000)
-    costs = measure_crypto_costs(keypair, k=10, series_length=20, repetitions=1)
+    costs = time_run_calls(1024, k=10, series_length=20)
+    public = costs.run.keypair.public
+    set_bytes = 50 * (20 + 1) * public.ciphertext_bytes  # the paper's layout
     scale = 50 / 10  # linear in k (Sec. 6.1.2)
 
     inputs = LatencyInputs(
         sum_messages_per_node=sum_messages,
         dissemination_messages_per_node=dis_messages,
         decryption_messages_per_node=100.0,  # τ = 0.01 % of 1M (Fig. 4b)
-        encrypt_seconds=costs["encrypt"].average * scale,
-        add_seconds=costs["add"].average * scale,
-        decrypt_seconds=costs["decrypt"].average * scale,
+        encrypt_seconds=costs.seconds["encrypt"] * scale,
+        add_seconds=costs.seconds["add"] * scale,
+        decrypt_seconds=costs.seconds["decrypt"] * scale,
     )
 
-    benchmark(lambda: iteration_latency(model, inputs))
+    benchmark(lambda: iteration_latency(set_bytes, inputs))
 
-    first = iteration_latency(model, inputs, alive_fraction=1.0)
-    fifth = iteration_latency(model, inputs, alive_fraction=0.4)  # 60 % lost
+    first = iteration_latency(set_bytes, inputs, alive_fraction=1.0)
+    fifth = iteration_latency(set_bytes, inputs, alive_fraction=0.4)  # 60 % lost
 
     rows = [
         f"{'iteration':<12}{'messages/node':>16}{'transfer (min)':>16}{'compute (min)':>16}{'total (min)':>14}",
@@ -73,7 +66,7 @@ def test_iteration_latency_composition(benchmark):
         "sec632_iteration_latency",
         {
             "population": 1_000_000,
-            "key_bits": keypair.public.key_bits,
+            "key_bits": public.key_bits,
             "first_iteration_minutes": float(first.total_minutes),
             "fifth_iteration_minutes": float(fifth.total_minutes),
             "messages_per_node": float(first.messages_per_node),

@@ -14,6 +14,10 @@ Each file is *also* mirrored to ``BENCH_<name>.json`` at the repository
 root — the copy that gets committed/uploaded, so the perf trajectory is
 visible in the tree itself (and diffable between PRs) without digging
 into CI artifacts.
+
+:func:`time_run_calls` is the one stopwatch for the paper's local costs
+(Fig. 5(a), and the benches that reuse them): it times the calls a
+vectorized-crypto run makes on one set of means.
 """
 
 from __future__ import annotations
@@ -24,6 +28,14 @@ import pathlib
 import subprocess
 import sys
 import time
+from typing import NamedTuple
+
+import numpy as np
+
+from repro.core import ChiaroscuroParams, ChiaroscuroRun
+from repro.crypto import bigint, combine_partial_decryptions_batch
+from repro.datasets import TimeSeriesSet
+from repro.privacy import Greedy
 
 _REPORTS: list[tuple[str, list[str]]] = []
 _OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -132,6 +144,71 @@ def record_runs(name: str, runs: list[dict], extra: dict | None = None) -> None:
     if extra:
         payload.update(extra)
     record_json(name, payload)
+
+
+class RunCosts(NamedTuple):
+    """One means set through a run's own calls."""
+
+    run: ChiaroscuroRun
+    ciphertexts: int  # what the run packs one set of k·(n+1) values into
+    seconds: dict[str, float]  # encrypt / add / decrypt
+
+
+def time_run_calls(key_bits: int, k: int, series_length: int) -> RunCosts:
+    """Time one set of ``k·(series_length+1)`` means values through the
+    calls a ``plane="vectorized-crypto"`` run makes, with its own
+    ``packed`` codec, ``backend`` and ``keypair``:
+
+    * encrypt: ``backend.encrypt_batch`` of ``packed.pack(set)`` (the
+      packing stays outside the stopwatch, as outside the run's
+      ``crypto_ms``);
+    * add: one ``backend.mulmod_batch`` of two encrypted sets, a gossip
+      merge;
+    * decrypt: τ ``partial_decrypt_batch`` calls, then
+      ``combine_partial_decryptions_batch``.
+
+    The run is paper-shaped — n_e = 30 and ε = 0.69 over 10 GREEDY
+    iterations, so the slot plan is a real run's — with 5 devices and
+    τ = 3.  The decrypted sum is checked against the packed values.
+    """
+    rng = np.random.default_rng(0)
+    population, tau = 5, 3
+    params = ChiaroscuroParams(
+        k=k, key_bits=key_bits, tau_fraction=tau / population
+    )
+    dataset = TimeSeriesSet(
+        rng.uniform(0.0, 80.0, (population, series_length)), 0.0, 80.0
+    )
+    run = ChiaroscuroRun(
+        dataset, Greedy(params.epsilon), params,
+        rng.uniform(0.0, 80.0, (k, series_length)), plane="vectorized-crypto",
+    )
+    packed, backend, keypair = run.packed, run.backend, run.keypair
+    public, context = keypair.public, keypair.context
+    sets = rng.uniform(0.0, 80.0, (2, k * (series_length + 1)))
+    seconds = {}
+    with bigint.use_backend(run.bigint_backend):
+        plaintexts = packed.pack(sets)
+        start = time.perf_counter()
+        left = backend.encrypt_batch(public, plaintexts[0], run.crypto_rng)
+        seconds["encrypt"] = time.perf_counter() - start
+        right = backend.encrypt_batch(public, plaintexts[1], run.crypto_rng)
+        start = time.perf_counter()
+        added = backend.mulmod_batch(left, right, public.n_s1)
+        seconds["add"] = time.perf_counter() - start
+        start = time.perf_counter()
+        partials = {
+            share.index: backend.partial_decrypt_batch(context, share, added)
+            for share in keypair.shares[: context.threshold]
+        }
+        summed = combine_partial_decryptions_batch(context, partials)
+        seconds["decrypt"] = time.perf_counter() - start
+    assert context.threshold == tau
+    fixed = np.rint(sets * packed.scale).astype(np.int64).sum(axis=0)
+    assert packed.unpack_integers(summed, sets.shape[1], bias_multiplier=2) == (
+        fixed.tolist()
+    )
+    return RunCosts(run, len(left), seconds)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

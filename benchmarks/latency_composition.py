@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.analysis import LocalCostModel
 from repro.crypto.keys import PublicKey
 from repro.gossip.dissemination import VectorizedMinId
 from repro.gossip.eesum import VectorizedEESum
@@ -113,10 +112,12 @@ class IterationLatency:
 
 
 def iteration_latency(
-    cost_model: LocalCostModel, inputs: LatencyInputs, alive_fraction: float = 1.0
+    set_bytes: int, inputs: LatencyInputs, alive_fraction: float = 1.0
 ) -> IterationLatency:
     """Compose one iteration's latency for a given surviving-centroid fraction.
 
+    ``set_bytes`` is one means set on the wire; the paper's layout is
+    ``k·(n+1)`` ciphertexts of ``ciphertext_bytes`` each.
     ``alive_fraction`` scales the means-set size: by the fifth iteration the
     paper observed 60 % of centroids lost, i.e. ``alive_fraction = 0.4``,
     which is what shrinks 26 min to ~10 min.
@@ -128,8 +129,8 @@ def iteration_latency(
         + inputs.dissemination_messages_per_node
         + inputs.decryption_messages_per_node
     )
-    set_bytes = cost_model.transfer_bytes * alive_fraction
-    per_message_bytes = 2.0 * set_bytes  # push–pull moves a set each way
+    # push–pull moves a set each way
+    per_message_bytes = 2.0 * set_bytes * alive_fraction
     transfer = messages * per_message_bytes * 8 / inputs.bandwidth_bits_per_s
 
     compute = alive_fraction * (
@@ -149,7 +150,7 @@ def iteration_latency(
 
 @pytest.fixture()
 def model_1024():
-    return LocalCostModel(PublicKey(n=(1 << 1023) + 1, s=1), k=50, series_length=20)
+    return 50 * (20 + 1) * PublicKey(n=(1 << 1023) + 1, s=1).ciphertext_bytes
 
 
 @pytest.fixture()

@@ -32,7 +32,7 @@ Subpackages
     CER-like electricity curves, NUMED-like tumor-growth series, and the
     Appendix D 2-D points workload.
 ``repro.analysis``
-    Cost/bandwidth model and the invariant analyzer (``repro lint``).
+    The invariant analyzer (``repro lint``).
 
 Quickstart
 ----------

@@ -1,19 +1,1 @@
-"""Evaluation helpers: local cost/bandwidth accounting (Fig. 5) and the
-invariant analyzer (``repro.analysis.lint``).
-"""
-
-from .costs import (
-    CostSample,
-    LocalCostModel,
-    compare_scalar_batched_costs,
-    means_set_bytes,
-    measure_crypto_costs,
-)
-
-__all__ = [
-    "CostSample",
-    "LocalCostModel",
-    "compare_scalar_batched_costs",
-    "means_set_bytes",
-    "measure_crypto_costs",
-]
+"""The invariant analyzer (``repro.analysis.lint``)."""

@@ -18,10 +18,6 @@ form)::
     python -m repro plan --delta 0.995 --e-max 1e-12 --population 1000000 \
         --iterations 10 --length 24
 
-``costs``     the Fig. 5 cost/bandwidth sheet for a key size::
-
-    python -m repro costs --key-bits 1024 --k 50 --length 20
-
 ``serve``/``submit``/``jobs``/``tail``   the experiment service: a durable
 job queue under ``--root``, executed by a concurrent scheduler that
 survives kills by resuming from checkpoints::
@@ -263,17 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="list registered rules and exit")
     lint.add_argument("--verbose", action="store_true",
                       help="text format: also show suppressed findings")
-
-    costs = sub.add_parser("costs", help="Fig. 5 cost/bandwidth sheet")
-    costs.set_defaults(handler=_cmd_costs)
-    costs.add_argument("--key-bits", type=int, default=1024)
-    costs.add_argument("--k", type=int, default=50)
-    costs.add_argument("--length", type=int, default=20)
-    costs.add_argument("--measure", action="store_true",
-                       help="also measure real crypto wall-times (slow)")
-    costs.add_argument("--bigint-backend", choices=("auto", "python", "gmpy2"),
-                       default="auto",
-                       help="modular-arithmetic kernel for --measure")
     return parser
 
 
@@ -680,42 +665,6 @@ def _cmd_plan(args, out) -> int:
           file=out)
     print(f"exchanges per participant per EESum (Thm 3): n_e = {plan.exchanges}", file=out)
     print(f"Lemma-2 noise inflation factor: {plan.noise_inflation:.12f}", file=out)
-    return 0
-
-
-def _cmd_costs(args, out) -> int:
-    import random
-
-    from .analysis import LocalCostModel, measure_crypto_costs
-    from .crypto import bigint, generate_threshold_keypair
-
-    try:
-        backend = bigint.resolve_backend(args.bigint_backend)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    # Scoped selection (restored on exit) — a `costs` invocation must not
-    # flip the process-global kernel for whatever runs next.
-    with bigint.use_backend(backend):
-        keypair = generate_threshold_keypair(
-            args.key_bits, n_shares=5, threshold=3, rng=random.Random(0)
-        )
-        model = LocalCostModel(keypair.public, k=args.k, series_length=args.length)
-        print(f"key: {args.key_bits} bits, ciphertext {keypair.public.ciphertext_bytes} B",
-              file=out)
-        print(f"means set ({args.k} × ({args.length}+1) ciphertexts): "
-              f"{model.transfer_bytes / 1024:.1f} kB", file=out)
-        print(f"sum exchange: {model.exchange_bytes() / 1024:.1f} kB; "
-              f"decryption exchange: {model.decryption_exchange_bytes() / 1024:.1f} kB",
-              file=out)
-        print(f"transfer at 1 Mb/s: {model.transfer_seconds():.2f} s", file=out)
-        if args.measure:
-            print(f"measuring with bigint backend: {backend}", file=out)
-            costs = measure_crypto_costs(keypair, k=args.k,
-                                         series_length=args.length,
-                                         repetitions=1)
-            for op, sample in costs.items():
-                print(f"{op:>8}: avg {sample.average:.3f} s", file=out)
     return 0
 
 

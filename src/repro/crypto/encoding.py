@@ -46,8 +46,8 @@ total is ``2^count`` for its cleartext exchange counter ``count``.
 This is the one ciphertext layout of both real-crypto planes:
 ``PackedCodec.plan`` → :meth:`~PackedCodec.pack` → ``encrypt_batch`` →
 gossip → threshold decryption → :meth:`~PackedCodec.unpack`.
-:class:`FixedPointCodec` stays as the scalar reference encoding (the
-Fig. 5 scalar-vs-batched cost sheet and the bit-identity tests).
+:class:`FixedPointCodec` stays as the scalar reference encoding the
+bit-identity tests check packed decoding against.
 
 ``accumulation_bits`` must bound ``log2`` of the worst-case accumulated
 coefficient mass ``terms · C_max`` — the caller supplies the exchange-

@@ -263,11 +263,8 @@ class TestEncryptorSizing:
     def test_window_is_not_a_public_parameter(self):
         import inspect
 
-        from repro.analysis.costs import compare_scalar_batched_costs
-
         for fn in (
             FastEncryptor.__init__,
-            compare_scalar_batched_costs,
             create_backend,
         ):
             parameters = inspect.signature(fn).parameters

@@ -38,7 +38,7 @@ class TestParser:
         assert code == 2
         text = out.getvalue()
         assert "usage: repro" in text
-        assert "cluster" in text and "plan" in text and "costs" in text
+        assert "cluster" in text and "plan" in text
 
 
 class TestCommands:
@@ -55,14 +55,6 @@ class TestCommands:
         assert code == 0
         assert "n_e = 47" in text
         assert "480-th root" in text
-
-    def test_costs_sheet(self):
-        out = io.StringIO()
-        code = main(["costs", "--key-bits", "256", "--k", "5", "--length", "8"], out=out)
-        text = out.getvalue()
-        assert code == 0
-        assert "means set" in text
-        assert "kB" in text
 
     def test_cluster_small_run(self):
         out = io.StringIO()
