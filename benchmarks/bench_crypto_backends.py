@@ -19,22 +19,27 @@ python path is still measured and the record says
 ``"gmpy2": null`` / ``"speedup": null`` — the file stays emitted and
 diffable either way.
 
-Pure-python leg, python 3.11.7 on a 2-core x86-64 VM, two alternating
-runs per side, seconds (encrypt / decrypt / total), measured with the
-former per-value stopwatch (one plain ``encrypt`` and one
-``partial_decrypt`` per value, no packing):
+Pure-python leg, python 3.11.7 on a 2-core x86-64 VM, three alternating
+runs per side, seconds (encrypt / decrypt / computation step) on the
+run's calls:
 
-* before the n-adic chain (``18aac14``): 1024-bit 0.79–0.92 / 5.01–5.04 /
-  5.79–5.96; 2048-bit 1.83–1.86 / 10.87–11.15 / 12.70–13.02;
-* with it (the python kernel exponentiates modulo ``n²`` on two
-  ``n``-adic digits): 1024-bit 0.57–0.59 / 3.40–3.48 / 3.97–4.07;
-  2048-bit 1.13–1.14 / 6.62–6.70 / 7.76–7.83.
+* before the exponent split (``ddbcee7``): 1024-bit 0.006–0.007 /
+  0.59–0.74 / 0.59–0.74; 2048-bit 0.005–0.006 / 1.02–1.21 / 1.03–1.21;
+* with it (the n-adic chain squares once per bit of ``n`` instead of
+  once per bit of the ``≈ 2·bits(n)`` exponent): 1024-bit 0.006–0.007 /
+  0.43–0.64 / 0.44–0.65; 2048-bit 0.004–0.007 / 0.70–0.97 / 0.70–0.98.
 
-The python leg's 1024-bit computation step got 1.46× faster and the
-gmpy2 leg runs none of that code, so the GMP advantage that cleared the
-old 3× floor reads ≈ 3 / 1.46 ≈ 2.05× now: the floor is restated as 2×.
-The gmpy2 leg runs in CI only; its ratio at this revision is unmeasured
-here, and so is how the floor fares on the run's calls.
+Before ``ddbcee7`` the bench timed a per-value stopwatch (one plain ``encrypt``
+and one ``partial_decrypt`` per value, no packing).  On it the n-adic
+chain took the 1024-bit total from 5.79–5.96 s to 3.97–4.07 s and the
+2048-bit total from 12.70–13.02 s to 7.76–7.83 s.
+
+The python leg's 1024-bit computation step got 1.46× faster then, and
+≈ 1.1–1.5× faster again with the split (per alternating pair).  The gmpy2 leg runs none of that
+code, so the GMP advantage that cleared the old 3× floor read ≈ 3 / 1.46
+≈ 2.05× after the chain and reads less again now: the 2× floor is left
+as it is.  The gmpy2 leg runs in CI only; its ratio at this revision is
+unmeasured here, and so is how the floor fares on the run's calls.
 """
 
 from __future__ import annotations

@@ -228,8 +228,9 @@ def to_native(value: int):
 #: Smallest square root ``r`` (in bits) for which the n-adic chain beats
 #: builtin ``pow`` modulo ``r²``, and the shortest exponent that pays for
 #: the chain's split, window table and join.  Both are read off the
-#: measured grid in ``docs/PERFORMANCE.md`` ("n-adic exponentiation mod
-#: n²"): at 256-bit roots the chain is a wash, from 384 bits it wins on
+#: measured grids in ``docs/PERFORMANCE.md`` ("n-adic exponentiation mod
+#: n²", re-checked under "Exponent split at n"): at 256-bit roots the
+#: chain is a wash, from 384 bits it wins on
 #: every exponent past CPython's own 60-bit windowing cutoff, and below
 #: that cutoff sparse ``2^k`` exponents (the gossip scalings) lose.
 _NADIC_MIN_ROOT_BITS = 384
@@ -252,26 +253,39 @@ def _nadic_root(exponent: int, modulus: int) -> int:
     return root if root * root == modulus else 0
 
 
-def _sliding_window(exponent: int) -> tuple[int, list[tuple[int, int | None]]]:
-    """A positive exponent's left-to-right sliding-window schedule.
+def _sliding_window(exponent: int) -> tuple[int, list[tuple[int, int]]]:
+    """A positive exponent's left-to-right sliding-window digits.
 
-    Returns the window ``w`` and the steps: the first is the leading odd
-    digit (its squaring count is unused), then ``(squarings, digit)``
-    pairs, and a final ``(trailing squarings, None)``.  A digit ``d`` is
-    the index of ``base^(2d+1)`` in the table of odd powers.  ``w``
-    minimises multiplies: ``bits/(w+1)`` in the chain plus ``2^(w−1)`` to
-    build the table.
+    Returns the window ``w`` and ``(position, digit)`` pairs, highest
+    first: digit ``d`` is the index of ``base^(2d+1)`` in the table of odd
+    powers, multiplied in once the chain has squared down to bit
+    ``position`` (the window's lowest bit).  ``w`` minimises multiplies:
+    ``bits/(w+1)`` in the chain plus ``2^(w−1)`` to build the table.
     """
     bits = bin(exponent)[2:]
     window = min(range(1, 9), key=lambda w: len(bits) // (w + 1) + (1 << (w - 1)))
-    steps: list[tuple[int, int | None]] = []
+    digits = []
     done = 0
     while (start := bits.find("1", done)) >= 0:
         stop = bits.rfind("1", start, start + window) + 1
-        steps.append((stop - done, int(bits[start:stop], 2) >> 1))
+        digits.append((len(bits) - stop, int(bits[start:stop], 2) >> 1))
         done = stop
-    steps.append((len(bits) - done, None))
-    return window, steps
+    return window, digits
+
+
+def _nadic_odd_powers(x0: int, x1: int, root: int, window: int) -> list[tuple[int, int]]:
+    """``[x^1, x^3, …, x^(2^w − 1)]`` of ``x = x0 + x1·root`` mod ``root²``,
+    as digit pairs."""
+    table = [(x0, x1)]
+    if window > 1:
+        q, s0 = divmod(x0 * x0, root)
+        s1 = ((x0 * x1 << 1) + q) % root
+        for _ in range((1 << (window - 1)) - 1):
+            q, y0 = divmod(x0 * s0, root)
+            x1 = (x0 * s1 + x1 * s0 + q) % root
+            x0 = y0
+            table.append((x0, x1))
+    return table
 
 
 def _nadic_powmod_batch(bases: Sequence[int], exponent: int, root: int) -> list[int]:
@@ -282,23 +296,42 @@ def _nadic_powmod_batch(bases: Sequence[int], exponent: int, root: int) -> list[
     ``(b0, b1)`` is ``x0·b0 + (x0·b1 + x1·b0)·root``.  Each step is two or
     three half-width products and two half-width reductions where builtin
     ``pow`` pays one full-width product and one full-width division.
-    Plain ring arithmetic in ``Z/root²Z``: exact for any base (non-units,
-    negatives, values ≥ ``root²``) and any ``exponent ≥ 1``.
+
+    The exponent is split at the root, ``e = E·root + e0``: since
+    ``(a + k·root)^root ≡ a^root (mod root²)`` (every later binomial term
+    carries ``root²``), ``b^(E·root) ≡ z^root`` with ``z = (b mod root)^E
+    mod root``, one half-width builtin ``pow``.  One interleaved (Straus)
+    chain then runs ``b^e0 · z^root``, squaring once per bit of
+    ``max(e0, root)`` instead of once per bit of ``e``.  Plain ring
+    arithmetic in ``Z/root²Z``: exact for any base (non-units, negatives,
+    values ≥ ``root²``), any root ≥ 2 and any ``exponent ≥ 1``.
     """
     square = root * root
-    window, ((_, first), *steps) = _sliding_window(exponent)
+    high, low = divmod(exponent, root)
+    # One schedule for the batch: both parts' windows merged by bit
+    # position, each digit an index into the concatenated odd-power tables.
+    moves: list[tuple[int, int]] = []
+    if low:
+        low_window, moves = _sliding_window(low)
+    if high:
+        root_window, digits = _sliding_window(root)
+        offset = 1 << (low_window - 1) if low else 0
+        moves += [(position, offset + digit) for position, digit in digits]
+    moves.sort(reverse=True)
+    above, first = moves[0]
+    steps: list[tuple[int, int | None]] = []
+    for position, index in moves[1:]:
+        steps.append((above - position, index))
+        above = position
+    steps.append((above, None))
     out = []
     for base in bases:
         x1, x0 = divmod(base % square, root)
-        table = [(x0, x1)]
-        if window > 1:
-            q, s0 = divmod(x0 * x0, root)
-            s1 = ((x0 * x1 << 1) + q) % root
-            for _ in range((1 << (window - 1)) - 1):
-                q, y0 = divmod(x0 * s0, root)
-                x1 = (x0 * s1 + x1 * s0 + q) % root
-                x0 = y0
-                table.append((x0, x1))
+        table = []
+        if low:
+            table += _nadic_odd_powers(x0, x1, root, low_window)
+        if high:
+            table += _nadic_odd_powers(pow(x0, high, root), 0, root, root_window)
         x0, x1 = table[first]
         for squarings, digit in steps:
             for _ in range(squarings):

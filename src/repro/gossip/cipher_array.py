@@ -97,7 +97,8 @@ class CipherArray:
         shared-exponent ``pow_batch`` and one scatter — within a gossip
         round the counter gaps take only a handful of small values, so the
         whole alignment step is a few batched calls regardless of
-        population.
+        population.  The gaps are grouped with a plain ``set``:
+        ``np.unique`` would import ``numpy.ma`` on the first round.
         """
         nodes = np.asarray(nodes)
         log2_factors = np.asarray(log2_factors)
@@ -105,10 +106,10 @@ class CipherArray:
             return
         n_s1 = self.public.n_s1
         started = time.perf_counter()
-        for gap in np.unique(log2_factors):
+        for gap in sorted(set(log2_factors.tolist())):
             group = nodes[log2_factors == gap]
             powed = self.backend.pow_batch(
-                self.rows[group].ravel(), 1 << int(gap), n_s1
+                self.rows[group].ravel(), 1 << gap, n_s1
             )
             self.rows[group] = np.reshape(
                 np.array(powed, dtype=object), (len(group), self.width)

@@ -24,6 +24,7 @@ from repro.crypto import bigint
 from repro.crypto.backend import SerialBackend
 from repro.crypto.damgard_jurik import (
     FastEncryptor,
+    _random_unit,
     decrypt,
     encrypt,
     generate_keypair,
@@ -97,7 +98,7 @@ def _chain_inputs(draw):
     )
     square = root * root
     base = st.one_of(
-        st.just(0),
+        st.sampled_from([0, 1, -1]),
         st.integers(-3 * square, -1),
         st.integers(0, 4 * root).map(lambda k: k * root),
         st.integers(square, 3 * square),
@@ -105,6 +106,10 @@ def _chain_inputs(draw):
     )
     bits = 3 * root.bit_length()
     k = st.integers(0, bits)
+    # Around the split ``e = E·root + e0``: ``E = 0`` (below the root, and
+    # from the real 2⁶³ floor up when the root allows), ``e0 = 0`` and
+    # ``e0 = 1``; ``e = root`` is FastEncryptor's ``h = r₀^n``.
+    multiple = st.integers(1, 2 * root).map(lambda k: k * root)
     exponent = draw(
         st.one_of(
             st.just(1),
@@ -112,6 +117,11 @@ def _chain_inputs(draw):
             k.map(lambda k: (1 << k) + 1),
             st.integers(1, bits).map(lambda k: (1 << k) - 1),
             st.integers(1, bits).flatmap(lambda k: st.integers(1, (1 << k) - 1)),
+            st.integers(min(1 << 63, root - 1), root - 1),
+            st.integers(1, root - 1),
+            st.just(root),
+            multiple,
+            multiple.map(lambda e: e + 1),
         )
     )
     return root, draw(st.lists(base, min_size=1, max_size=4)), exponent
@@ -156,14 +166,15 @@ class TestKernelPrimitives:
             bigint.powmod(p, -e, n * n)
 
     @settings(
-        max_examples=150,
+        max_examples=250,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(case=_chain_inputs())
     def test_powmod_chain_matches_builtin(self, monkeypatch, case):
         """With both cutoffs lowered, every square and positive exponent
-        rides the n-adic chain; it must equal builtin pow bit for bit."""
+        rides the n-adic chain and its split at the root; it must equal
+        builtin pow bit for bit."""
         monkeypatch.setattr(bigint, "_NADIC_MIN_ROOT_BITS", 1)
         monkeypatch.setattr(bigint, "_NADIC_MIN_EXPONENT_BITS", 1)
         root, bases, e = case
@@ -350,6 +361,31 @@ class TestNadicEngagement:
         with bigint.use_backend("gmpy2"):
             partial_decrypt(keypair.context, keypair.shares[0], ciphertext)
         assert chain_calls == []
+
+
+class TestExponentSplit:
+    """The 1024-bit shapes the split serves, against builtin pow: every
+    share's partial decryption (``E ≥ 1``, ``e0 ≠ 0``) and FastEncryptor's
+    base ``h = r₀^n`` (``E = 1``, ``e0 = 0``)."""
+
+    def test_every_partial_decryption_matches_pow(self, key1024):
+        keypair, ciphertext = key1024
+        n = keypair.public.n
+        with bigint.use_backend("python"):
+            for share in keypair.shares:
+                exponent = 2 * keypair.context.delta * share.value
+                assert exponent // n >= 1 and exponent % n
+                expected = pow(ciphertext, exponent, keypair.public.n_s1)
+                assert partial_decrypt(keypair.context, share, ciphertext) == expected
+
+    def test_fast_encryptor_base_matches_pow(self, key1024):
+        keypair, _ = key1024
+        public = keypair.public
+        assert bigint._nadic_root(public.n_s, public.n_s1) == public.n
+        with bigint.use_backend("python"):
+            encryptor = FastEncryptor(public, rng=random.Random(3))
+        r0 = _random_unit(public, random.Random(3))
+        assert encryptor.table.base == pow(r0, public.n, public.n_s1)
 
 
 def _random_key_material(seed: int):
