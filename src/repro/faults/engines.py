@@ -188,7 +188,7 @@ class FaultyVectorizedEngine:
             self._delayed.clear()  # delayed past the phase boundary: lost
         for injector in plan.injectors:
             injector.begin_cycle(self, protocols, self._iteration)
-        left, right = engine.draw_pairing()
+        left, right, _idle = engine.draw_pairing()
         extras: list[tuple[np.ndarray, np.ndarray]] = []
         newly_delayed: list[tuple[int, np.ndarray, np.ndarray]] = []
         for injector in plan.injectors:

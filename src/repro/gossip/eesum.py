@@ -175,15 +175,19 @@ class VectorizedEESum:
         """``copy=False`` takes ownership of ``values`` without duplicating
         it — the k·(n+1) matrix is the dominant allocation at 10⁵–10⁶
         nodes, and the computation step hands over a buffer it built for
-        exactly this purpose."""
+        exactly this purpose.  The exchange moves whole rows as single
+        items, so the matrix must be C-contiguous: ``copy=False`` on any
+        other layout raises instead of copying behind the caller's back."""
         if copy:
-            values = np.array(values, dtype=float, copy=True)
+            values = np.array(values, dtype=float, order="C")
         else:
             values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
         if values.ndim != 2 or len(values) < 2:
             raise ValueError("values must be a population × dims matrix (pop >= 2)")
+        if not values.flags.c_contiguous:
+            raise ValueError("copy=False needs a C-contiguous values matrix")
         self.values = values
         self.population, self.dims = values.shape
         self.omega = np.zeros(self.population)
@@ -202,22 +206,30 @@ class VectorizedEESum:
         simultaneous point-to-point exchanges.  The pairing is walked in
         cache-sized blocks: the arithmetic per element is that of
         ``(values[left] + values[right]) * 0.5`` on the whole batch, but no
-        pairs × dims temporary ever exists.
+        pairs × dims temporary ever exists.  Gathers and scatters see each
+        row as one opaque item (a 1-D array of ``dims·8``-byte voids),
+        which fancy indexing moves faster than the rows of a 2-D array
+        (docs/PERFORMANCE.md, "Row-item exchanges").
         """
-        values = self.values
+        row_bytes = self.dims * self.values.itemsize
+        row = np.dtype((np.void, row_bytes))
+        rows = self.values.view(row)[:, 0]
         side_l, side_r = self._sides
-        for pairs in row_blocks(len(left), self.dims * values.itemsize):
+        rows_l, rows_r = side_l.view(row)[:, 0], side_r.view(row)[:, 0]
+        for pairs in row_blocks(len(left), row_bytes):
             l, r = left[pairs], right[pairs]
+            n = len(l)
             # mode="wrap" is the unbuffered gather (``raise`` stages ``out``
             # through a copy); it reads negative indices the way the
             # scatters below do, and those still raise on a node that does
             # not exist.
-            merged = np.take(values, l, axis=0, out=side_l[: len(l)], mode="wrap")
-            other = np.take(values, r, axis=0, out=side_r[: len(r)], mode="wrap")
-            merged += other
+            np.take(rows, l, out=rows_l[:n], mode="wrap")
+            np.take(rows, r, out=rows_r[:n], mode="wrap")
+            merged = side_l[:n]
+            merged += side_r[:n]
             merged *= 0.5
-            values[l] = merged
-            values[r] = merged
+            rows[l] = rows_l[:n]
+            rows[r] = rows_l[:n]
         for pairs in row_blocks(len(left), self.omega.itemsize):
             l, r = left[pairs], right[pairs]
             omega = (self.omega[l] + self.omega[r]) * 0.5

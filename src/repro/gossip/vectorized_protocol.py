@@ -39,15 +39,17 @@ __all__ = ["VectorizedGossipEngine", "VectorizedProtocol", "random_pairing"]
 
 
 def random_pairing(
-    rng: np.random.Generator, indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    rng: np.random.Generator, indices: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A uniform random disjoint pairing of ``indices`` (one odd leftover idles).
 
     The canonical vectorized realization of one gossip initiation round.
+    An int ``indices`` means ``arange(indices)`` (same draw, same output).
+    Returns ``(left, right, idle)``; ``idle`` holds the leftover, if any.
     """
     shuffled = rng.permutation(indices)
     half = len(shuffled) // 2
-    return shuffled[:half], shuffled[half : 2 * half]
+    return shuffled[:half], shuffled[half : 2 * half], shuffled[2 * half :]
 
 
 class VectorizedProtocol(TypingProtocol):
@@ -84,21 +86,23 @@ class VectorizedGossipEngine:
         # (cycle_index, exchanges_in_cycle); must not consume engine RNG.
         self.on_cycle = None
 
-    def draw_pairing(self) -> tuple[np.ndarray, np.ndarray]:
+    def draw_pairing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Redraw the online mask, then pair the online nodes uniformly.
 
-        Consumes engine randomness; exposed separately so a shadow test can
-        capture the schedule before applying it to both planes.
+        Returns ``(left, right, idle)``: the pairs, and the online nodes
+        left out of them.  Consumes engine randomness; exposed separately
+        so a shadow test can capture the schedule before applying it to
+        both planes.
         """
         if self.churn == 0.0:
-            # Draw-free: a churn-free run consumes no RNG stream for the mask.
-            self.online = np.ones(self.population, dtype=bool)
-        else:
-            self.online = self.rng.random(self.population) >= self.churn
+            # Draw-free: a churn-free run consumes no RNG stream for the
+            # mask and keeps the all-True one it was built with.
+            return random_pairing(self.rng, self.population)
+        self.online = self.rng.random(self.population) >= self.churn
         alive = np.flatnonzero(self.online)
         if len(alive) < 2:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+            return empty, empty, alive
         return random_pairing(self.rng, alive)
 
     def run_pairing_cycle(
@@ -118,9 +122,18 @@ class VectorizedGossipEngine:
     def run_cycle(
         self, *protocols: VectorizedProtocol
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One cycle: churn redraw, pairing, exchanges.  Returns the pairing."""
-        left, right = self.draw_pairing()
-        self.run_pairing_cycle(left, right, *protocols)
+        """One cycle: churn redraw, pairing, exchanges.  Returns the pairing.
+
+        The draw pairs every online node but ``idle``, so the counters
+        advance by the online mask minus the idle node rather than by two
+        scatters over the pairs.
+        """
+        left, right, idle = self.draw_pairing()
+        if len(left):
+            for protocol in protocols:
+                protocol.exchange_pairs(left, right)
+            self.exchanges += self.online
+            self.exchanges[idle] -= 1
         self.cycles += 1
         if self.on_cycle is not None:
             self.on_cycle(self.cycles, len(left))

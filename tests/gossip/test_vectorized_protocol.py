@@ -185,20 +185,65 @@ class TestVectorizedEngine:
     def test_pairing_is_disjoint(self):
         engine = VectorizedGossipEngine(1001, seed=3, churn=0.2)
         for _ in range(5):
-            left, right = engine.draw_pairing()
+            left, right, idle = engine.draw_pairing()
             both = np.concatenate([left, right])
             assert len(np.unique(both)) == len(both)
             assert engine.online[both].all()
+            # The idle node is the online one the pairing left out.
+            assert len(idle) == engine.online.sum() % 2
+            assert np.array_equal(
+                np.sort(np.concatenate([both, idle])), np.flatnonzero(engine.online)
+            )
 
     def test_rejects_tiny_population(self):
         with pytest.raises(ValueError):
             VectorizedGossipEngine(1)
 
     def test_exchange_counting(self):
-        engine = VectorizedGossipEngine(100, seed=4)
-        total = engine.run_cycles(6)
-        assert total == 6 * 50
-        assert engine.exchanges.sum() == 2 * total
+        """Every node is counted once per pair it joined: an odd population
+        leaves one idle node per cycle, churn leaves the offline ones out."""
+        cases = [(100, 0.0), (101, 0.0), (3, 0.0), (100, 0.3), (101, 0.3)]
+        for population, churn in cases:
+            engine = VectorizedGossipEngine(population, seed=4, churn=churn)
+            paired = []
+            for _ in range(6):
+                left, right = engine.run_cycle()
+                paired += [left, right]
+            total = sum(len(side) for side in paired) // 2
+            if churn == 0.0:
+                assert total == 6 * (population // 2)
+            assert engine.exchanges.sum() == 2 * total
+            assert np.array_equal(
+                engine.exchanges,
+                np.bincount(np.concatenate(paired), minlength=population),
+            )
+
+    def test_exchange_counting_counts_the_pairs_a_faulty_network_ran(self):
+        """Under a lossy network the engine counts the pairs actually run,
+        not the pairs drawn."""
+        from repro.faults import NetworkFault
+        from repro.faults.engines import FaultyVectorizedEngine
+        from repro.faults.plan import FaultPlan
+
+        class Recorder:
+            def __init__(self):
+                self.pairs = []
+
+            def exchange_pairs(self, left, right):
+                self.pairs += [left, right]
+
+        config = NetworkFault(loss=0.3)
+        plan = FaultPlan([("network", config)], seed=4)
+        plan.injectors = [config.build(np.random.default_rng(4))]
+        engine = FaultyVectorizedEngine(
+            VectorizedGossipEngine(101, seed=4, churn=0.3), plan, iteration=1
+        )
+        recorder = Recorder()
+        total = engine.run_cycles(6, recorder)
+        ran = np.concatenate(recorder.pairs)
+        assert 0 < len(ran) < 2 * 6 * 50
+        assert engine.exchanges.sum() == len(ran) == 2 * total
+        assert np.array_equal(engine.exchanges, np.bincount(ran, minlength=101))
 
     def test_full_churn_cycle_is_empty(self):
         engine = VectorizedGossipEngine(50, seed=5, churn=0.999)

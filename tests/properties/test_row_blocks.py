@@ -8,6 +8,7 @@ block boundaries happen to fall.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -66,15 +67,46 @@ def _pairings(draw):
 def test_blocked_exchange_is_the_whole_batch_exchange(case):
     dims, population, rng, rounds = case
     initial = rng.uniform(-40.0, 40.0, size=(population, dims))
-    initial[rng.random(initial.shape) < 0.2] = -0.0
+    # Rows move as opaque byte blocks: NaN payloads, infinities (whose sum
+    # is a NaN) and signed zeros must land exactly where the float
+    # arithmetic puts them.
+    special = rng.random(initial.shape)
+    initial[special < 0.2] = -0.0
+    initial[(0.2 <= special) & (special < 0.23)] = np.nan
+    initial[(0.23 <= special) & (special < 0.26)] = np.inf
+    initial[(0.26 <= special) & (special < 0.29)] = -np.inf
     eesum = VectorizedEESum(initial)
     values, omega, count = initial.copy(), eesum.omega.copy(), eesum.count.copy()
     for left, right in rounds:
-        eesum.exchange_pairs(left, right)
-        _reference_exchange(values, omega, count, left, right)
-        assert _same_bits(eesum.values, values)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            eesum.exchange_pairs(left, right)
+            _reference_exchange(values, omega, count, left, right)
+        assert np.array_equal(eesum.values.view(np.uint64), values.view(np.uint64))
         assert _same_bits(eesum.omega, omega)
         assert np.array_equal(eesum.count, count)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        np.asfortranarray,
+        lambda m: np.concatenate([m, m], axis=1)[:, :3],
+        lambda m: m[::2],
+    ],
+    ids=["fortran", "column-slice", "row-stride"],
+)
+def test_taking_ownership_of_a_strided_matrix_raises(layout):
+    """Rows are copied as contiguous byte blocks, so ``copy=False`` refuses a
+    matrix that is not C-contiguous rather than copying it silently; the
+    default copy takes any layout."""
+    matrix = layout(np.arange(24.0).reshape(8, 3))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        VectorizedEESum(matrix, copy=False)
+    eesum = VectorizedEESum(matrix)
+    eesum.exchange_pairs(np.array([0]), np.array([1]))
+    expected = np.array(matrix)
+    expected[[0, 1]] = (matrix[0] + matrix[1]) * 0.5
+    assert np.array_equal(eesum.values, expected)
 
 
 def test_estimates_are_nan_exactly_where_no_weight_arrived():
