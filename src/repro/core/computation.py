@@ -238,7 +238,6 @@ class _ArrayComputationStep:
         exchanges: int,
         threshold: int,
         noise_rng: np.random.Generator,
-        fractional_bits: int = 24,
         agreement_sample: int = 64,
     ) -> None:
         if exchanges < 1:
@@ -249,8 +248,9 @@ class _ArrayComputationStep:
         self.exchanges = exchanges
         self.threshold = threshold
         self.noise_rng = noise_rng
-        self.fractional_bits = fractional_bits
         self.agreement_sample = agreement_sample
+        #: The fixed-point grid the payload is staged on: the plan's.
+        self.fractional_bits = noise_plan.fractional_bits
 
     def _aggregate(self, payload: np.ndarray):
         """The EESum protocol (``exchange_pairs`` plus ``values`` / ``omega``
@@ -484,18 +484,14 @@ class VectorizedCryptoComputationStep(_ArrayComputationStep):
         crypto_rng: random.Random,
         noise_rng: np.random.Generator,
         backend: CryptoBackend | None = None,
-        fractional_bits: int = 24,
         agreement_sample: int = 64,
         decode_sample: int = 8,
     ) -> None:
         super().__init__(
-            noise_plan, exchanges, threshold, noise_rng, fractional_bits,
-            agreement_sample,
+            noise_plan, exchanges, threshold, noise_rng, agreement_sample
         )
-        if packed.fractional_bits != fractional_bits:
-            raise ValueError(
-                "packed codec and step must agree on fractional_bits"
-            )
+        # Staged and decoded on the grid of the codec the plan built.
+        self.fractional_bits = packed.fractional_bits
         self.keypair = keypair
         self.packed = packed
         self.crypto_rng = crypto_rng

@@ -1,4 +1,4 @@
-"""Epidemic noise generation — the participant-side half (Sec. 4.2.2).
+"""The release plan: what a run releases, at what scale and precision.
 
 Each iteration needs ``k·(n+1)`` Laplace random variables (one per mean
 dimension plus one per count), generated so that **no single participant
@@ -8,49 +8,85 @@ the surplus over the assumed ``n_ν`` contributors is cancelled by the
 min-identifier correction (Lemma 3 guarantees the surplus itself never
 endangers privacy).
 
-This module packages the per-participant arithmetic: scale computation for
-an iteration's budget slice, share generation, and the correction proposal
-(the computation step packs and encrypts the shares).
+:class:`NoisePlan` makes every decision that release depends on, once, from
+public parameters: the Laplace scale of an ε slice, the fixed-point grid of
+every plane, the worst slice's slot bound and the packed codec sized from
+it — plus share generation and the correction proposal.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import ClassVar
+
 import numpy as np
 
-from ..privacy.laplace import joint_sensitivity
+from ..crypto.encoding import PackedCodec
+from ..crypto.keys import PublicKey
+from ..privacy.laplace import joint_sensitivity, laplace_scale
 from ..privacy.noise_shares import gen_noise_shares, surplus_correction
 
 __all__ = ["NoisePlan"]
 
 
+@dataclass(frozen=True)
 class NoisePlan:
-    """Everything one participant needs to perturb one iteration's Diptych.
+    """Everything a run needs to perturb, quantize and pack its Diptych.
 
-    ``dimensions`` is ``k·(n+1)``; ``scale`` is the Laplace scale
-    ``sensitivity / epsilon`` for the iteration's ε slice, with the joint
-    (sum, count) sensitivity.
+    ``scale`` is the Laplace scale ``sensitivity / epsilon`` of the ε slice,
+    with the joint (sum, count) sensitivity.  The run builds one plan; an
+    iteration's is ``dataclasses.replace(plan, k=…, epsilon=ε_i)``.
+    ``slices`` is the run's ε schedule (default: ``epsilon`` alone), so
+    every iteration's plan sizes the same codec, at the worst slice.
     """
 
-    def __init__(
-        self,
-        k: int,
-        series_length: int,
-        dmin: float,
-        dmax: float,
-        epsilon: float,
-        n_nu: int,
-    ) -> None:
-        if k < 1:
+    #: Width f of the fixed-point grid ``2^-f`` every plane quantizes on.
+    fractional_bits: ClassVar[int] = 24
+
+    k: int
+    series_length: int
+    dmin: float
+    dmax: float
+    epsilon: float
+    n_nu: int
+    slices: tuple[float, ...] = ()
+    scale: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
             raise ValueError("k must be >= 1")
-        if n_nu < 1:
+        if self.n_nu < 1:
             raise ValueError("n_nu must be >= 1")
-        self.k = k
-        self.series_length = series_length
-        self.dimensions = k * (series_length + 1)
-        self.sensitivity = joint_sensitivity(series_length, dmin, dmax)
-        self.epsilon = epsilon
-        self.scale = self.sensitivity / epsilon
-        self.n_nu = n_nu
+        scale = laplace_scale(self.sensitivity, self.epsilon)  # refuses ε ≤ 0
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def dimensions(self) -> int:
+        """Released values per iteration: ``k`` sums of ``n`` and ``k`` counts."""
+        return self.k * (self.series_length + 1)
+
+    @property
+    def sensitivity(self) -> float:
+        """Sensitivity of one (sum, count) release (``privacy.laplace``)."""
+        return joint_sensitivity(self.series_length, self.dmin, self.dmax)
+
+    @property
+    def max_slot_value(self) -> float:
+        """Largest magnitude one packed slot must hold: a data value plus a
+        noise share, at the worst slice's scale and an exponential-tail
+        quantile (P[|share| > 60λ] ~ e⁻⁶⁰ per element: never in practice).
+        The scale grows without bound as slices shrink, so no fixed
+        multiple of the sensitivity would do."""
+        worst = min(self.slices, default=self.epsilon)
+        return max(abs(self.dmin), abs(self.dmax)) + 60.0 * self.sensitivity / worst
+
+    def codec(self, public: PublicKey, exchanges: int, terms: int) -> PackedCodec:
+        """The run's ciphertext layout on the plan's grid, for ``2^exchanges``
+        of delayed-division scaling over ``terms`` summed vectors (see
+        :meth:`PackedCodec.plan`: ``ValueError`` when no slot fits)."""
+        return PackedCodec.plan(
+            public, self.fractional_bits, self.max_slot_value, exchanges, terms
+        )
 
     def draw_shares(
         self, rng: np.random.Generator, count: int, out: np.ndarray | None = None
@@ -70,4 +106,3 @@ class NoisePlan:
         return surplus_correction(
             contributors, self.n_nu, self.scale, rng, self.dimensions
         )
-

@@ -44,6 +44,7 @@ strategy's own bound.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Callable, Iterator
 
 import numpy as np
@@ -54,7 +55,6 @@ from ..clustering.kmeans import compress_labels, compute_means
 from ..crypto import bigint
 from ..crypto.backend import create_backend
 from ..crypto.damgard_jurik import FastEncryptor
-from ..crypto.encoding import PackedCodec
 from ..crypto.threshold import ThresholdKeypair, generate_threshold_keypair
 from ..datasets.timeseries import TimeSeriesSet
 from ..gossip.engine import GossipEngine
@@ -86,7 +86,7 @@ class ChiaroscuroRun:
     ``params.key_bits`` and the Damgård–Jurik expansion
     ``params.expansion_s``; a real-crypto run whose plaintext space cannot
     hold one packed slot at the worst-case EESum scaling is refused at
-    construction (``PackedCodec.plan`` raises ``ValueError``).  ``plane``
+    construction (``NoisePlan.codec`` raises ``ValueError``).  ``plane``
     is the substrate, ``"quality"`` or one of :data:`PROTOCOL_PLANES`
     (module docstring); ``gossip_e_max`` is the quality plane's Lemma 2
     error model (:class:`~repro.core.computation.CentralComputationStep`).
@@ -140,10 +140,8 @@ class ChiaroscuroRun:
 
         # Defaults are the mock-homomorphic substrate's ("vectorized"): no
         # key material, no per-device objects — the whole population lives
-        # in arrays.  The fixed-point grid matches the object plane's codec
-        # resolution so all planes quantize inputs identically.
+        # in arrays.
         self.keypair = keypair
-        self.fractional_bits = 24
         self.packed = None
         self.encryptor = None
         self.backend = None
@@ -153,7 +151,20 @@ class ChiaroscuroRun:
 
         population = dataset.t
         tau = params.tau_count(population)
-        dims = params.k * (dataset.n + 1)
+        # The run's one release plan, from public parameters only: every
+        # plane quantizes on its grid, and the codec holds its worst slice.
+        bound = strategy.max_iterations() or params.max_iterations
+        slices = tuple(strategy.schedule(min(params.max_iterations, bound)))
+        self.noise_plan = NoisePlan(
+            k=params.k,
+            series_length=dataset.n,
+            dmin=dataset.dmin,
+            dmax=dataset.dmax,
+            epsilon=slices[0],
+            n_nu=params.noise_share_count(population),
+            slices=slices,
+        )
+        dims = self.noise_plan.dimensions
         if plane == "vectorized-crypto":
             # Real packed Damgård–Jurik ciphertexts over the struct-of-
             # arrays engine.  Key material is committee-sized, not
@@ -172,7 +183,9 @@ class ChiaroscuroRun:
             # tighter than the object engine's chaining growth model.
             # terms=1 because means and noise are summed in clear on the
             # fixed-point grid before the single packed encryption.
-            self.packed = self._plan_packed(exchanges=2 * params.exchanges, terms=1)
+            self.packed = self.noise_plan.codec(
+                self.keypair.public, exchanges=2 * params.exchanges, terms=1
+            )
             self._build_backend(self.packed.packed_length(dims))
         elif plane == "object":
             self._ensure_keypair(population, tau)
@@ -184,8 +197,10 @@ class ChiaroscuroRun:
             # excessive actual mass.  terms=2: means + noise are the biased
             # vectors summed homomorphically before decryption.
             growth_per_cycle = 4 + max(1, population - 1).bit_length()
-            self.packed = self._plan_packed(
-                exchanges=params.exchanges * growth_per_cycle + 2, terms=2
+            self.packed = self.noise_plan.codec(
+                self.keypair.public,
+                exchanges=params.exchanges * growth_per_cycle + 2,
+                terms=2,
             )
             # Per node and iteration: a means and a noise vector.
             self._build_backend(2 * self.packed.packed_length(dims))
@@ -207,41 +222,6 @@ class ChiaroscuroRun:
                     s=self.params.expansion_s,
                     rng=self.crypto_rng,
                 )
-
-    def _plan_packed(self, exchanges: int, terms: int) -> PackedCodec:
-        """The run's one ciphertext layout, sized for ``2^exchanges`` of
-        delayed-division scaling over ``terms`` homomorphically summed
-        vectors — or ``ValueError`` when the key's plaintext space has no
-        room for even one such slot.  A slot must hold every *individual*
-        encoded value, noise shares included (see :meth:`_max_slot_value`);
-        population=1 because a slot holds < 2·B·terms·C and C = 2^count
-        already *is* the whole coefficient total."""
-        return PackedCodec.plan(
-            self.keypair.public,
-            fractional_bits=self.fractional_bits,
-            max_abs_value=self._max_slot_value(),
-            population=1,
-            exchanges=exchanges,
-            terms=terms,
-        )
-
-    def _max_slot_value(self) -> float:
-        """Largest magnitude one packed slot must hold: a data value plus a
-        noise share.  The Laplace scale is ε-dependent, blowing past any
-        fixed multiple of the sensitivity once the per-iteration budget
-        slice gets small — so the bound is the worst slice's scale at an
-        exponential-tail quantile (P[|share| > 60λ] ~ e⁻⁶⁰ per element:
-        never in practice)."""
-        n_slices = self.params.max_iterations
-        bound = self.strategy.max_iterations()
-        if bound is not None:
-            n_slices = min(n_slices, bound)
-        dataset = self.dataset
-        return (
-            max(abs(dataset.dmin), abs(dataset.dmax))
-            + 60.0 * dataset.joint_sensitivity
-            / min(self.strategy.schedule(n_slices))
-        )
 
     def _build_backend(self, ciphertexts_per_node: int) -> None:
         """The run's table-backed encryptor behind the configured execution
@@ -299,7 +279,6 @@ class ChiaroscuroRun:
         )
         centroids = self.initial_centroids.copy()
         window, do_smooth = params.smoothing_plan(dataset.n)
-        n_nu = params.noise_share_count(dataset.t)
 
         try:
             for iteration, epsilon_i in accountant.charged_schedule(
@@ -314,13 +293,8 @@ class ChiaroscuroRun:
                     assigned, labels = self._assign(centroids)
 
                     # Computation step (Algorithm 3).
-                    plan = NoisePlan(
-                        k=len(centroids),
-                        series_length=dataset.n,
-                        dmin=dataset.dmin,
-                        dmax=dataset.dmax,
-                        epsilon=epsilon_i,
-                        n_nu=n_nu,
+                    plan = replace(
+                        self.noise_plan, k=len(centroids), epsilon=epsilon_i
                     )
                     step = self._computation_step(plan, churn)
                     output = step.run(engine, *assigned)
@@ -413,10 +387,7 @@ class ChiaroscuroRun:
         )
         if self.plane == "object":
             return ComputationStep(**crypto, **common)
-        common.update(
-            threshold=params.tau_count(self.dataset.t),
-            fractional_bits=self.fractional_bits,
-        )
+        common.update(threshold=params.tau_count(self.dataset.t))
         if self.plane == "vectorized":
             return VectorizedComputationStep(**common)
         return VectorizedCryptoComputationStep(**crypto, **common)

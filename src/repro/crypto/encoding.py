@@ -175,22 +175,22 @@ class PackedCodec:
         public: PublicKey,
         fractional_bits: int,
         max_abs_value: float,
-        population: int,
         exchanges: int,
         terms: int = 2,
     ) -> "PackedCodec":
         """Size a codec for a protocol run.
 
-        ``max_abs_value`` bounds a single encoded value, ``population`` the
-        number of contributors, ``exchanges`` the worst-case delayed-division
-        scaling ``2^exchanges``, and ``terms`` how many biased vectors are
-        homomorphically summed before unpacking (means + noise = 2); two
-        safety bits of headroom ride on top of that mass.  Raises
-        ``ValueError`` when even a single slot cannot fit.
+        ``max_abs_value`` bounds a single encoded value, ``exchanges`` the
+        worst-case delayed-division scaling ``2^exchanges`` — the whole
+        coefficient total ``C = 2^count``, however many contributors it
+        covers — and ``terms`` how many biased vectors are homomorphically
+        summed before unpacking (means + noise = 2); two safety bits of
+        headroom ride on top of that mass.  Raises ``ValueError`` when even
+        a single slot cannot fit.
         """
         max_fixed = int(max_abs_value * (1 << fractional_bits) + 1)
         value_bits = max(max_fixed.bit_length() + 1, fractional_bits + 1)
-        mass = population * terms * (1 << exchanges)
+        mass = terms * (1 << exchanges)
         accumulation_bits = mass.bit_length() + 2
         return cls(
             public=public,

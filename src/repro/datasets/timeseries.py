@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..privacy.laplace import joint_sensitivity, sum_sensitivity
+from ..privacy.laplace import sum_sensitivity
 
 __all__ = ["TimeSeriesSet"]
 
@@ -67,8 +67,3 @@ class TimeSeriesSet:
     def sum_sensitivity(self) -> float:
         """Definition 4 sensitivity ``n · max(|dmin|, |dmax|)``."""
         return sum_sensitivity(self.n, self.dmin, self.dmax)
-
-    @property
-    def joint_sensitivity(self) -> float:
-        """Sensitivity of the (sum, count) pair (see privacy.laplace)."""
-        return joint_sensitivity(self.n, self.dmin, self.dmax)

@@ -24,7 +24,7 @@ def tiny_setup(threshold_keypair_s2):
     # unpacking; data ≤ 30 plus a negligible noise share (ε = 1e9).
     packed = PackedCodec.plan(
         keypair.public, fractional_bits=20, max_abs_value=31.0,
-        population=1, exchanges=15 * 7 + 2, terms=2,
+        exchanges=15 * 7 + 2, terms=2,
     )
     crypto_rng = random.Random(0)
     series = np.array(
@@ -96,14 +96,7 @@ def _run_array_steps(keypair, churn, seed=3, decode_sample=8, **step_kwargs):
     data_rng = np.random.default_rng(seed)
     labels = data_rng.integers(0, 2, size=POPULATION)
     series = np.array([data_rng.uniform(0, 30, 3) for _ in labels])
-    packed = PackedCodec.plan(
-        keypair.public,
-        fractional_bits=24,
-        max_abs_value=1e4,
-        population=1,
-        exchanges=2 * EXCHANGES,
-        terms=1,
-    )
+    packed = plan.codec(keypair.public, exchanges=2 * EXCHANGES, terms=1)
     common = dict(
         noise_plan=plan, exchanges=EXCHANGES, threshold=3, **step_kwargs
     )

@@ -1,13 +1,15 @@
 """Tests for the NoisePlan, result containers, and participant-local steps."""
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import NoisePlan, Participant
+from repro.core import ChiaroscuroParams, ChiaroscuroRun, NoisePlan, Participant
 from repro.core.results import ClusteringResult, IterationStats
-from repro.crypto import PackedCodec, decrypt
+from repro.crypto import PackedCodec, PublicKey, decrypt
+from repro.privacy import Greedy, UniformFast
 
 
 class TestNoisePlan:
@@ -46,6 +48,81 @@ class TestNoisePlan:
             NoisePlan(k=0, series_length=2, dmin=0, dmax=1, epsilon=1.0, n_nu=5)
         with pytest.raises(ValueError):
             NoisePlan(k=1, series_length=2, dmin=0, dmax=1, epsilon=1.0, n_nu=0)
+
+    def test_sensitivity_is_the_joint_one(self, toy_dataset):
+        """One series moves each of the n sums by at most max|d| and its
+        cluster's count by 1."""
+        plan = NoisePlan(
+            k=3, series_length=toy_dataset.n, dmin=toy_dataset.dmin,
+            dmax=toy_dataset.dmax, epsilon=1.0, n_nu=24,
+        )
+        assert plan.sensitivity == 6 * 60 + 1
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5])
+    def test_non_positive_epsilon_is_refused_at_the_plan(self, epsilon):
+        plan = NoisePlan(k=1, series_length=2, dmin=0, dmax=1, epsilon=1.0, n_nu=5)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            replace(plan, epsilon=epsilon)
+
+    def test_an_iteration_plan_keeps_the_runs_slot_bound(self):
+        """Only k and ε_i change per iteration: every iteration's plan
+        sizes the codec the run sized, at the schedule's worst slice."""
+        slices = tuple(Greedy(1.0).schedule(4))
+        run_plan = NoisePlan(
+            k=5, series_length=24, dmin=0, dmax=80, epsilon=slices[0], n_nu=100,
+            slices=slices,
+        )
+        last = replace(run_plan, k=3, epsilon=slices[-1])
+        assert (last.k, last.dimensions, last.slices) == (3, 75, slices)
+        assert last.scale == (24 * 80 + 1) / slices[-1]
+        assert last.max_slot_value == run_plan.max_slot_value == (
+            80 + 60.0 * (24 * 80 + 1) / slices[-1]
+        )
+        # Without a schedule the plan stands for its own slice alone.
+        assert replace(last, slices=()).max_slot_value == last.max_slot_value
+
+    def test_codec_at_the_fig5_shape(self):
+        """k = 50 series of n = 20 on [0, 80], GREEDY at ε = 0.69 over 10
+        iterations, n_e = 30 on the vectorized-crypto bound (2·n_e, one
+        term), 1024-bit key — a modulus of that width is all the layout
+        reads, so no key is generated."""
+        slices = tuple(Greedy(0.69).schedule(10))
+        plan = NoisePlan(
+            k=50, series_length=20, dmin=0.0, dmax=80.0, epsilon=slices[0],
+            n_nu=1000, slices=slices,
+        )
+        codec = plan.codec(PublicKey((1 << 1023) + 1), exchanges=2 * 30, terms=1)
+        assert codec.fractional_bits == NoisePlan.fractional_bits == 24
+        assert (codec.value_bits, codec.accumulation_bits) == (53, 63)
+        assert codec.slot_bits == 53 + 1 + 63 == 117
+        assert codec.slots == 8
+        assert codec.packed_length(plan.dimensions) == 132
+
+    def test_both_array_planes_quantize_on_the_plans_grid(
+        self, monkeypatch, toy_dataset, toy_initial_centroids, threshold_keypair
+    ):
+        """The mock plane's step and the crypto plane's codec both take f
+        from the plan: move it, and both move together — still decoding to
+        identical floats, and no longer to the 2^-24 grid's."""
+        params = ChiaroscuroParams(
+            k=3, max_iterations=1, exchanges=3, epsilon=1e6,
+            use_smoothing=False, theta=0.0,
+        )
+
+        def build(plane):
+            return ChiaroscuroRun(
+                toy_dataset, UniformFast(1e6, 1), params, toy_initial_centroids,
+                seed=4, keypair=threshold_keypair, plane=plane,
+            )
+
+        on_24 = build("vectorized").run()[0].centroids
+        monkeypatch.setattr(NoisePlan, "fractional_bits", 20)
+        mock, crypto = build("vectorized"), build("vectorized-crypto")
+        step = mock._computation_step(mock.noise_plan, churn=0.0)
+        assert step.fractional_bits == crypto.packed.fractional_bits == 20
+        on_20 = mock.run()[0].centroids
+        assert np.array_equal(on_20, crypto.run()[0].centroids)
+        assert not np.array_equal(on_20, on_24)
 
 
 @pytest.fixture()

@@ -63,7 +63,7 @@ class TestCapacity:
         """The refusal names its remedies, and the expansion ``s`` is one:
         a slot the s=1 plaintext cannot hold plans at s=2."""
         sizing = dict(
-            fractional_bits=48, max_abs_value=1e9, population=1, exchanges=200
+            fractional_bits=48, max_abs_value=1e9, exchanges=200
         )
         with pytest.raises(ValueError, match="key size or the expansion s"):
             PackedCodec.plan(keypair128.public, **sizing)
@@ -261,13 +261,12 @@ class TestPackedPlanning:
             keypair128.public,
             fractional_bits=16,
             max_abs_value=100.0,
-            population=50,
-            exchanges=30,
+            exchanges=36,  # 2^36 ≥ 50 contributors × 2^30
             terms=2,
         )
         assert codec.slots >= 1
         # planned accumulation covers the declared coefficient mass
-        assert 2 * codec.bias * (50 * 2 * (1 << 30)) <= 1 << codec.slot_bits
+        assert 2 * codec.bias * (2 * (1 << 36)) <= 1 << codec.slot_bits
 
     def test_plan_rejects_impossible(self, keypair128):
         with pytest.raises(ValueError, match="plaintext space too small"):
@@ -275,8 +274,7 @@ class TestPackedPlanning:
                 keypair128.public,
                 fractional_bits=16,
                 max_abs_value=100.0,
-                population=10**6,
-                exchanges=400,
+                exchanges=420,  # 2^420 ≥ 10⁶ contributors × 2^400
             )
 
     def test_packs_several_slots_at_modest_accumulation(self, keypair128):
@@ -284,7 +282,6 @@ class TestPackedPlanning:
             keypair128.public,
             fractional_bits=16,
             max_abs_value=100.0,
-            population=1,
             exchanges=1,
             terms=2,
         )

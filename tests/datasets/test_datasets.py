@@ -21,7 +21,6 @@ class TestTimeSeriesSet:
 
     def test_sensitivities(self, toy_dataset):
         assert toy_dataset.sum_sensitivity == 6 * 60
-        assert toy_dataset.joint_sensitivity == 6 * 60 + 1
 
     def test_population_scale(self):
         ds = TimeSeriesSet(np.zeros((10, 4)), 0.0, 1.0, population_scale=100)

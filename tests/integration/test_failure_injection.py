@@ -131,5 +131,5 @@ class TestMalformedProtocolInputs:
         with pytest.raises(ValueError, match="plaintext space too small"):
             PackedCodec.plan(
                 keypair128.public, fractional_bits=40, max_abs_value=1e6,
-                population=1, exchanges=220,
+                exchanges=220,
             )

@@ -168,7 +168,7 @@ class _PayloadSpy(VectorizedComputationStep):
         return super()._aggregate(payload)
 
 
-def _dense_payload(plan, noise_rng, labels, series, fractional_bits):
+def _dense_payload(plan, noise_rng, labels, series):
     """Algorithm 3's staging as it was first written: the dense one-hot
     ``population × dims`` means matrix, quantized, plus the quantized
     shares."""
@@ -181,7 +181,7 @@ def _dense_payload(plan, noise_rng, labels, series, fractional_bits):
     shares = gen_noise_share(
         plan.n_nu, plan.scale, noise_rng, size=(population, plan.dimensions)
     )
-    scale = float(1 << fractional_bits)
+    scale = float(1 << plan.fractional_bits)
     body = np.round(mean_matrix * scale)
     body += np.round(shares * scale)
     body /= scale
@@ -199,7 +199,7 @@ def test_staged_payload_is_the_dense_formula(seed, population, epsilon):
     rounds to −0.0 must come out as the dense formula leaves it: ``+0.0``
     under a ``+0.0`` mean, ``−0.0`` only under a mean that is ``−0.0``
     too."""
-    k, n, fractional_bits = 10, 2, 24
+    k, n = 10, 2
     data_rng = np.random.default_rng(seed)
     labels = data_rng.integers(0, k, size=population)
     series = data_rng.choice(
@@ -209,9 +209,7 @@ def test_staged_payload_is_the_dense_formula(seed, population, epsilon):
     plan = NoisePlan(
         k=k, series_length=n, dmin=-40.0, dmax=40.0, epsilon=epsilon, n_nu=3
     )
-    expected = _dense_payload(
-        plan, np.random.default_rng(seed), labels, series, fractional_bits
-    )
+    expected = _dense_payload(plan, np.random.default_rng(seed), labels, series)
     if epsilon > 5.0:
         zeros = expected[:, :-1] == 0
         assume(np.signbit(expected[:, :-1][zeros]).any())
@@ -220,7 +218,6 @@ def test_staged_payload_is_the_dense_formula(seed, population, epsilon):
     noise_rng = np.random.default_rng(seed)
     step = _PayloadSpy(
         noise_plan=plan, exchanges=1, threshold=1, noise_rng=noise_rng,
-        fractional_bits=fractional_bits,
     )
     step.run(VectorizedGossipEngine(population, seed=seed % 1000), labels, series)
     assert _same_bits(step.staged, expected)
