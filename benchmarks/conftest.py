@@ -17,7 +17,9 @@ into CI artifacts.
 
 :func:`time_run_calls` is the one stopwatch for the paper's local costs
 (Fig. 5(a), and the benches that reuse them): it times the calls a
-vectorized-crypto run makes on one set of means.
+vectorized-crypto run makes on one set of means.  :func:`time_threshold`
+times threshold decryption at any τ and share subset, per ciphertext (the
+τ-sweep and the Sec. 6.3.2 composition).
 """
 
 from __future__ import annotations
@@ -25,15 +27,23 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import time
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
 from repro.core import ChiaroscuroParams, ChiaroscuroRun
-from repro.crypto import bigint, combine_partial_decryptions_batch
+from repro.crypto import (
+    SerialBackend,
+    bigint,
+    combine_partial_decryptions_batch,
+    encrypt,
+    generate_threshold_keypair,
+)
 from repro.datasets import TimeSeriesSet
 from repro.privacy import Greedy
 
@@ -209,6 +219,70 @@ def time_run_calls(key_bits: int, k: int, series_length: int) -> RunCosts:
         fixed.tolist()
     )
     return RunCosts(run, len(left), seconds)
+
+
+class ThresholdCosts(NamedTuple):
+    """One share subset's threshold decryption, per ciphertext."""
+
+    partial_seconds: float  # one partial decryption, with one share
+    combine_seconds: float  # one combination of the subset's partials
+    exponent_bits: int  # the largest combination exponent
+
+
+#: ciphertexts each :func:`time_threshold` call decrypts
+THRESHOLD_CIPHERTEXTS = 2
+
+
+def time_threshold(
+    key_bits: int, n_shares: int, threshold: int, subset: list[int] | None = None
+) -> ThresholdCosts:
+    """Time threshold decryption under a fresh ``key_bits``-bit key (s = 1,
+    the python kernel) dealt as ``n_shares`` shares, any ``threshold`` of
+    which decrypt, on the calls a run makes:
+
+    * partial: ``SerialBackend.partial_decrypt_batch`` with every share of
+      ``subset`` (default: the first ``threshold`` indices), per share and
+      ciphertext;
+    * combine: ``combine_partial_decryptions_batch`` of those partials,
+      per ciphertext.
+
+    The largest exponent is read off the ``bigint.multi_powmod`` calls of
+    one more, untimed, combination.  The plaintexts are checked.
+    """
+    rng = random.Random(0)
+    keypair = generate_threshold_keypair(key_bits, n_shares, threshold, rng=rng)
+    public, context = keypair.public, keypair.context
+    subset = subset or list(range(1, threshold + 1))
+    values = [rng.randrange(public.n_s) for _ in range(THRESHOLD_CIPHERTEXTS)]
+    ciphertexts = [encrypt(public, value, rng=rng) for value in values]
+    backend = SerialBackend()
+    with bigint.use_backend("python"):
+        start = time.perf_counter()
+        partials = {
+            index: backend.partial_decrypt_batch(
+                context, keypair.shares[index - 1], ciphertexts
+            )
+            for index in subset
+        }
+        partial_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        combined = combine_partial_decryptions_batch(context, partials)
+        combine_seconds = time.perf_counter() - start
+        widths = []
+        multi_powmod = bigint.multi_powmod
+
+        def spy(bases, exponents, modulus):
+            widths.extend(abs(e).bit_length() for e in exponents)
+            return multi_powmod(bases, exponents, modulus)
+
+        with mock.patch.object(bigint, "multi_powmod", spy):
+            combine_partial_decryptions_batch(context, partials)
+    assert combined == values
+    return ThresholdCosts(
+        partial_seconds / (len(subset) * len(values)),
+        combine_seconds / len(values),
+        max(widths),
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

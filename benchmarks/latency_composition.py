@@ -15,6 +15,11 @@ set.  :func:`iteration_latency` reproduces that composition;
 :func:`messages_to_reach_error` and :func:`dissemination_cycles` measure its
 first two terms (Fig. 4(a)) on the array gossip engine.
 
+Decryption is charged as the protocol reads here: a node computes one
+partial decryption of the set, with its own key-share, and combines the τ
+partials it received; it forwards the partials of others as it got them,
+it does not recompute them.
+
 ``bench_fig4_latency.py`` and ``bench_latency_iteration.py`` import it; its
 own checks are the ``test_*`` functions at the end:
 
@@ -90,7 +95,8 @@ class LatencyInputs:
     decryption_messages_per_node: float
     encrypt_seconds: float  # one means set
     add_seconds: float  # one homomorphic set addition
-    decrypt_seconds: float  # one threshold decryption of a set
+    partial_seconds: float  # one set's partial decryption, own key-share
+    combine_seconds: float  # one set's combination of τ received partials
     bandwidth_bits_per_s: float = 1e6
 
 
@@ -136,7 +142,8 @@ def iteration_latency(
     compute = alive_fraction * (
         inputs.encrypt_seconds  # once per iteration (assignment step)
         + inputs.add_seconds * 2.0 * inputs.sum_messages_per_node
-        + inputs.decrypt_seconds  # once per iteration
+        + inputs.partial_seconds  # once per iteration
+        + inputs.combine_seconds  # once per iteration
     )
     return IterationLatency(
         transfer_seconds=transfer,
@@ -162,7 +169,8 @@ def paper_inputs():
         decryption_messages_per_node=100.0,
         encrypt_seconds=2.0,
         add_seconds=0.08,
-        decrypt_seconds=8.0,
+        partial_seconds=2.0,
+        combine_seconds=6.0,
         bandwidth_bits_per_s=1e6,
     )
 

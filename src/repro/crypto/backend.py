@@ -53,11 +53,6 @@ __all__ = [
 ]
 
 
-def _partial_decrypt_exponent(context: ThresholdContext, share: KeyShare) -> int:
-    """The exponent ``2Δ·d_i`` of one participant's partial decryption."""
-    return 2 * context.delta * share.value
-
-
 # --- process-pool worker side -------------------------------------------
 # The (potentially table-backed) encryptor ships once per worker through the
 # pool initializer, together with the parent's resolved bigint backend name
@@ -144,7 +139,7 @@ class SerialBackend(CryptoBackend):
     def partial_decrypt_batch(
         self, context: ThresholdContext, share: KeyShare, ciphertexts: list[int]
     ) -> list[int]:
-        exponent = _partial_decrypt_exponent(context, share)
+        exponent = context.partial_exponent(share)
         return bigint.powmod_batch(ciphertexts, exponent, context.public.n_s1)
 
     def pow_batch(
@@ -223,7 +218,7 @@ class ProcessPoolBackend(CryptoBackend):
     ) -> list[int]:
         if len(ciphertexts) < self.min_batch:
             return self._serial.partial_decrypt_batch(context, share, ciphertexts)
-        exponent = _partial_decrypt_exponent(context, share)
+        exponent = context.partial_exponent(share)
         return self._map(
             _pow_chunk, (exponent, context.public.n_s1), list(ciphertexts)
         )

@@ -126,7 +126,9 @@ class ThresholdContext:
 
     ``n_shares`` is the paper's ``n_κ`` and ``threshold`` its ``τ``: at least
     ``τ`` distinct partial decryptions are needed to recover a plaintext.
-    ``delta`` is Shoup's ``Δ = n_shares!`` used to clear Lagrange denominators.
+    ``delta`` is Shoup's ``Δ = n_shares!``: it rides every partial
+    decryption, made before the combining subset ``S`` is known; the
+    combiner clears the Lagrange denominators with ``D_S``, a divisor of Δ.
     """
 
     public: PublicKey
@@ -138,3 +140,7 @@ class ThresholdContext:
         if not 1 <= self.threshold <= self.n_shares:
             raise ValueError("need 1 <= threshold <= n_shares")
         object.__setattr__(self, "delta", math.factorial(self.n_shares))
+
+    def partial_exponent(self, share: KeyShare) -> int:
+        """The exponent ``2Δ·d_i`` of ``share``'s partial decryption."""
+        return 2 * self.delta * share.value

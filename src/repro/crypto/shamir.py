@@ -5,9 +5,10 @@ key is split into ``n_κ`` key-shares such that any ``τ`` of them suffice.
 The secret exponent ``d`` is shared with a random polynomial of degree
 ``τ - 1`` over ``Z_{n^s·m}``; each share is one evaluation point.
 
-Reconstruction in the exponent cannot divide, so combination uses the
-integer Lagrange coefficients ``λ^S_{0,i} = Δ·∏_{j≠i} j/(j-i)`` with
-``Δ = n_κ!`` (Shoup's trick); :func:`lagrange_at_zero` computes them exactly.
+Reconstruction uses Shoup's integer Lagrange coefficients
+``λ^S_{0,i} = Δ·∏_{j≠i} j/(j-i)`` with ``Δ = n_κ!`` (:func:`lagrange_at_zero`).
+Threshold decryption does not: Δ rides the partial decryptions, and the
+combiner clears the denominators with the subset's own ``D_S``.
 """
 
 from __future__ import annotations

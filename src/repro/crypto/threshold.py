@@ -11,13 +11,16 @@ The construction is the standard Shoup-style one from the Damgård–Jurik
 paper: with safe primes ``p = 2p' + 1`` and ``q = 2q' + 1``, the secret
 exponent ``d`` satisfies ``d ≡ 0 (mod m)`` and ``d ≡ 1 (mod n^s)`` where
 ``m = p'q'``; it is Shamir-shared over ``Z_{n^s·m}``.  A partial decryption
-is ``c_i = c^{2Δd_i}``, and combining ``τ`` of them with integer Lagrange
-coefficients yields ``c^{4Δ²d} = (1+n)^{4Δ²·a}``, from which ``a`` is
-extracted.
+is ``c_i = c^{2Δd_i}`` with ``Δ = n_κ!``: Δ rides the partials, made
+before the combining subset ``S`` is known.  The combiner clears the
+denominators of ``L_i = ∏_{j∈S, j≠i} j/(j−i)`` with their lcm ``D_S``, a
+divisor of Δ; the partials raised to ``2·D_S·L_i`` multiply to
+``c^{4Δ·D_S·d} = (1+n)^{4Δ·D_S·a}``, from which ``a`` is extracted.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -25,12 +28,14 @@ from . import bigint
 from .damgard_jurik import dlog_1_plus_n, generate_keypair
 from .keys import KeyShare, PrivateKey, PublicKey, ThresholdContext
 from .numtheory import crt_pair, modinv
-from .shamir import lagrange_at_zero, share_secret
+from .shamir import share_secret
 
 __all__ = [
     "ThresholdKeypair",
     "generate_threshold_keypair",
     "partial_decrypt",
+    "subset_combination",
+    "combine_subset",
     "combine_partial_decryptions",
     "combine_partial_decryptions_batch",
 ]
@@ -80,87 +85,84 @@ def generate_threshold_keypair(
 
 def partial_decrypt(context: ThresholdContext, share: KeyShare, ciphertext: int) -> int:
     """One participant's partial decryption ``c_i = c^{2Δ·d_i} mod n^{s+1}``."""
-    exponent = 2 * context.delta * share.value
+    exponent = context.partial_exponent(share)
     return bigint.powmod(ciphertext, exponent, context.public.n_s1)
 
 
-def combine_partial_decryptions(
-    context: ThresholdContext, partials: dict[int, int]
-) -> int:
-    """Combine ``τ`` (or more) partial decryptions into the plaintext.
-
-    ``partials`` maps share index → partial decryption of the *same*
-    ciphertext.  Any subset of size ``τ`` suffices; extras are ignored.
-    """
-    if len(partials) < context.threshold:
-        raise ValueError(
-            f"need {context.threshold} distinct partial decryptions, "
-            f"got {len(partials)}"
-        )
-    indices = sorted(partials)[: context.threshold]
-    coefficients = lagrange_at_zero(indices, context.delta)
-    public = context.public
-    # One Straus interleaved multi-exponentiation instead of τ independent
-    # square-and-multiply passes (negative Lagrange exponents are batch-
-    # inverted inside): the squaring chain over the Δ-sized exponents is
-    # paid once for the whole combination.
-    combined = bigint.multi_powmod(
-        [partials[index] for index in indices],
-        [2 * coefficients[index] for index in indices],
-        public.n_s1,
-    )
-    # combined == (1+n)^{4Δ²·a}; strip the 4Δ² factor in the exponent group.
-    raw = dlog_1_plus_n(public, combined)
-    return raw * modinv(4 * context.delta**2, public.n_s) % public.n_s
+def subset_combination(
+    context: ThresholdContext, indices: list[int]
+) -> tuple[list[int], int]:
+    """The exponents ``2·D_S·L_i`` (aligned with ``indices``) and the
+    constant ``(4·Δ·D_S)⁻¹ mod n^s`` that combine the partials of ``S``:
+    each ``L_i`` is one fraction reduced by one ``gcd``, ``D_S`` the lcm of
+    their denominators (1 for ``S = {1..τ}``, where ``L_i`` are binomials)."""
+    fractions = []
+    for i in indices:
+        numerator = denominator = 1
+        for j in indices:
+            if j != i:
+                numerator *= j
+                denominator *= j - i
+        common = math.gcd(numerator, denominator)
+        fractions.append((numerator // common, denominator // common))
+    d_s = math.lcm(*(denominator for _, denominator in fractions))
+    exponents = [
+        2 * numerator * (d_s // denominator) for numerator, denominator in fractions
+    ]
+    return exponents, modinv(4 * context.delta * d_s, context.public.n_s)
 
 
-def combine_partial_decryptions_batch(
+def combine_subset(
     context: ThresholdContext, partials: dict[int, list[int]]
 ) -> list[int]:
-    """Combine the partial decryptions of a whole ciphertext batch at once.
-
-    ``partials`` maps share index → the list of that share's partial
-    decryptions, elementwise-aligned across shares (``partials[i][j]`` is
-    share ``i`` applied to ciphertext ``j``).  The fusion over the batch:
-    Lagrange coefficients are computed **once**; every base whose
-    coefficient is negative is inverted across the *entire* batch with a
-    single Montgomery batch inversion (:func:`repro.crypto.bigint.
-    invert_batch` — one modular inversion total instead of one per
-    element); each element then pays exactly one Straus
-    :func:`~repro.crypto.bigint.multi_powmod` with non-negative exponents.
-    Bit-identical to mapping :func:`combine_partial_decryptions` over the
-    batch (pinned by tests), just without the per-element inversions.
-    """
-    if len(partials) < context.threshold:
-        raise ValueError(
-            f"need {context.threshold} distinct partial decryptions, "
-            f"got {len(partials)}"
-        )
-    indices = sorted(partials)[: context.threshold]
-    lengths = {len(partials[index]) for index in indices}
-    if len(lengths) != 1:
+    """Combine *every* share of ``partials`` (share index → its partial
+    decryptions of a ciphertext batch) with no threshold check: below ``τ``
+    shares the result is garbage.  Bases with a negative exponent are
+    inverted in one Montgomery batch inversion over the whole batch; each
+    element then pays one Straus :func:`~repro.crypto.bigint.multi_powmod`."""
+    indices = sorted(partials)
+    columns = [list(partials[index]) for index in indices]
+    if len({len(column) for column in columns}) > 1:
         raise ValueError("partial-decryption batches must be equally long")
-    (count,) = lengths
-    if count == 0:
-        return []
-    coefficients = lagrange_at_zero(indices, context.delta)
-    exponents = [2 * coefficients[index] for index in indices]
+    exponents, constant = subset_combination(context, indices)
     public = context.public
     n_s1 = public.n_s1
-    columns = [list(partials[index]) for index in indices]
     negative_rows = [row for row, e in enumerate(exponents) if e < 0]
     if negative_rows:
+        count = len(columns[0])
         flat = [c for row in negative_rows for c in columns[row]]
         inverted = bigint.invert_batch(flat, n_s1)
         for slot, row in enumerate(negative_rows):
             columns[row] = inverted[slot * count : (slot + 1) * count]
         exponents = [abs(e) for e in exponents]
-    inv_const = modinv(4 * context.delta**2, public.n_s)
-    out: list[int] = []
-    for j in range(count):
-        combined = bigint.multi_powmod(
-            [column[j] for column in columns], exponents, n_s1
+    return [
+        dlog_1_plus_n(public, bigint.multi_powmod(bases, exponents, n_s1))
+        * constant
+        % public.n_s
+        for bases in zip(*columns)
+    ]
+
+
+def combine_partial_decryptions_batch(
+    context: ThresholdContext, partials: dict[int, list[int]]
+) -> list[int]:
+    """:func:`combine_subset` of the ``τ`` smallest share indices of
+    ``partials``; fewer than ``τ`` shares raise ``ValueError``."""
+    if len(partials) < context.threshold:
+        raise ValueError(
+            f"need {context.threshold} distinct partial decryptions, "
+            f"got {len(partials)}"
         )
-        raw = dlog_1_plus_n(public, combined)
-        out.append(raw * inv_const % public.n_s)
-    return out
+    indices = sorted(partials)[: context.threshold]
+    return combine_subset(context, {index: partials[index] for index in indices})
+
+
+def combine_partial_decryptions(
+    context: ThresholdContext, partials: dict[int, int]
+) -> int:
+    """Combine ``τ`` (or more) partial decryptions of one ciphertext into
+    its plaintext: :func:`combine_partial_decryptions_batch` on a batch of
+    one.  ``partials`` maps share index → partial decryption."""
+    batch = {index: [partial] for index, partial in partials.items()}
+    (plaintext,) = combine_partial_decryptions_batch(context, batch)
+    return plaintext

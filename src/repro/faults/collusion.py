@@ -33,11 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..crypto import bigint
-from ..crypto.damgard_jurik import dlog_1_plus_n, encrypt
-from ..crypto.numtheory import modinv
-from ..crypto.shamir import lagrange_at_zero
-from ..crypto.threshold import combine_partial_decryptions, partial_decrypt
+from ..crypto.damgard_jurik import encrypt
+from ..crypto.threshold import combine_subset, partial_decrypt
 from ..privacy.collusion import CollusionAnalysis
 from .base import FaultInjector, register_fault
 
@@ -126,34 +123,20 @@ class CollusionInjector(FaultInjector):
     def _attempt_decryption(self, keypair) -> bool:
         """The controller's best decryption attempt with ``c`` shares."""
         context = keypair.context
-        public = keypair.public
         canary = 1 + int(self.rng.integers(0, 1 << 20))
         crypto_rng = random.Random(int(self.rng.integers(0, 1 << 62)))
-        ciphertext = encrypt(public, canary, rng=crypto_rng)
-        shares = keypair.shares[: self.coalition]
+        ciphertext = encrypt(keypair.public, canary, rng=crypto_rng)
+        # Bypass the honest API's share-count guard: interpolate with the
+        # coalition's first τ points (all of them below τ), exactly as an
+        # attacker would.
         partials = {
-            share.index: partial_decrypt(context, share, ciphertext)
-            for share in shares
+            share.index: [partial_decrypt(context, share, ciphertext)]
+            for share in keypair.shares[: min(self.coalition, context.threshold)]
         }
         if not partials:
             return False
         try:
-            if len(partials) >= context.threshold:
-                recovered = combine_partial_decryptions(context, partials)
-            else:
-                # Bypass the honest API's share-count guard: interpolate
-                # with the coalition's points, exactly as an attacker would.
-                indices = sorted(partials)
-                coefficients = lagrange_at_zero(indices, context.delta)
-                combined = bigint.multi_powmod(
-                    [partials[i] for i in indices],
-                    [2 * coefficients[i] for i in indices],
-                    public.n_s1,
-                )
-                raw = dlog_1_plus_n(public, combined)
-                recovered = (
-                    raw * modinv(4 * context.delta**2, public.n_s) % public.n_s
-                )
-        except (ValueError, ZeroDivisionError):
+            (recovered,) = combine_subset(context, partials)
+        except ValueError:
             return False
         return recovered == canary

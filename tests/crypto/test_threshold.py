@@ -1,5 +1,6 @@
 """Tests for non-interactive threshold decryption."""
 
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
+    bigint,
     combine_partial_decryptions,
     combine_partial_decryptions_batch,
     damgard_jurik,
@@ -17,7 +19,27 @@ from repro.crypto import (
     generate_threshold_keypair,
     homomorphic_add,
     partial_decrypt,
+    ThresholdContext,
 )
+from repro.crypto.numtheory import modinv
+from repro.crypto.shamir import lagrange_at_zero
+from repro.crypto.threshold import combine_subset, subset_combination
+
+
+def _delta_form_combine(context, partials):
+    """Shoup's combination with Δ-sized exponents ``2·Δ·L_i`` and the
+    constant ``(4Δ²)⁻¹``, as the combiner read before it sized its
+    exponents from the share subset: the oracle for every subset."""
+    indices = sorted(partials)
+    coefficients = lagrange_at_zero(indices, context.delta)
+    public = context.public
+    combined = bigint.multi_powmod(
+        [partials[i] for i in indices],
+        [2 * coefficients[i] for i in indices],
+        public.n_s1,
+    )
+    raw = damgard_jurik.dlog_1_plus_n(public, combined)
+    return raw * modinv(4 * context.delta**2, public.n_s) % public.n_s
 
 
 class TestThresholdDecryption:
@@ -95,6 +117,66 @@ class TestThresholdDecryption:
         picked = rng.sample(tk.shares, tk.context.threshold)
         partials = {s.index: partial_decrypt(tk.context, s, c) for s in picked}
         assert combine_partial_decryptions(tk.context, partials) == value
+
+
+class TestSubsetSizedCombination:
+    """The combiner clears Lagrange denominators with the subset's ``D_S``
+    instead of ``Δ``: the same plaintexts from far shorter exponents."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_subset_matches_the_delta_form(self, data):
+        n_shares = data.draw(st.integers(1, 20), label="l")
+        threshold = data.draw(st.integers(1, n_shares), label="tau")
+        subset = data.draw(
+            st.lists(
+                st.integers(1, n_shares), min_size=threshold, unique=True
+            ),
+            label="S",
+        )
+        s = data.draw(st.sampled_from([1, 2]), label="s")
+        rng = random.Random(data.draw(st.integers(0, 2**31), label="seed"))
+        tk = generate_threshold_keypair(128, n_shares, threshold, s, rng=rng)
+        value = data.draw(st.integers(0, tk.public.n_s - 1), label="plaintext")
+        c = encrypt(tk.public, value, rng=rng)
+        partials = {
+            i: partial_decrypt(tk.context, tk.shares[i - 1], c) for i in subset
+        }
+        first = {i: partials[i] for i in sorted(subset)[:threshold]}
+        assert combine_partial_decryptions(tk.context, partials) == value
+        assert _delta_form_combine(tk.context, first) == value
+        everything = {i: [p] for i, p in partials.items()}
+        assert combine_subset(tk.context, everything) == [value]
+        assert _delta_form_combine(tk.context, partials) == value
+
+    def test_tau_100(self):
+        """The paper's τ = 100 (0.01 % of 10⁶ participants), every share."""
+        rng = random.Random(100)
+        tk = generate_threshold_keypair(256, 100, 100, rng=rng)
+        values = [tk.public.n_s - 1, rng.randrange(tk.public.n_s)]
+        cts = [encrypt(tk.public, v, rng=rng) for v in values]
+        partials = {
+            s.index: [partial_decrypt(tk.context, s, c) for c in cts]
+            for s in tk.shares
+        }
+        assert combine_partial_decryptions_batch(tk.context, partials) == values
+        for j, value in enumerate(values):
+            column = {i: partials[i][j] for i in partials}
+            assert _delta_form_combine(tk.context, column) == value
+
+    @pytest.mark.parametrize("tau", [1, 2, 3, 16, 50, 100])
+    def test_first_shares_combine_with_binomial_exponents(
+        self, threshold_keypair, tau
+    ):
+        """For ``S = {1..τ}`` the ``L_i`` are signed binomials, ``D_S = 1``:
+        the largest exponent is ``2·C(τ, ⌊τ/2⌋)`` at most, where the Δ form
+        carried ``log₂ τ!`` bits more."""
+        public = threshold_keypair.public
+        context = ThresholdContext(public=public, n_shares=tau, threshold=tau)
+        exponents, constant = subset_combination(context, list(range(1, tau + 1)))
+        largest = max(abs(e) for e in exponents).bit_length()
+        assert largest <= math.comb(tau, tau // 2).bit_length() + 2
+        assert constant == modinv(4 * context.delta, public.n_s)
 
 
 class TestBatchCombination:
