@@ -9,8 +9,9 @@ own always-on gossip deployment:
 * :class:`JobStore` — durable on-disk queue (``queued → running →
   completed/failed``), one directory per job with its own checkpoint
   store, event log and run record;
-* :class:`Scheduler` — executes up to ``max_workers`` jobs concurrently,
-  one worker *process* per job, forked from the warm scheduler (the crypto
+* :class:`Scheduler` — executes up to ``max_workers`` jobs concurrently
+  in worker *processes* forked from the warm scheduler, one per slot for
+  a busy period, each running the jobs handed to it in turn (the crypto
   planes parallelize across cores, and each job makes its own
   backend/bigint selection);
 * the NDJSON event bus (:mod:`repro.service.bus`) — every job's

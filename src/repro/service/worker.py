@@ -1,10 +1,12 @@
-"""Worker: execute one claimed job in its own process.
+"""Worker: execute claimed jobs, one at a time, in a process of their own.
 
-The scheduler forks itself once per job and the child runs :func:`main`,
-so concurrent jobs parallelize across cores (each process makes its own
+The scheduler forks itself once per slot and the child runs :func:`main`,
+which executes the jobs the scheduler hands it over a pipe in turn, so
+concurrent jobs parallelize across cores (each job makes its own
 backend/bigint selection from the spec's params, exactly like an inline
 run), a crashing experiment can never take the server down, and no job
-pays an interpreter start or an ``import repro``.
+pays an interpreter start, an ``import repro`` or — past a slot's first
+job — a fork.
 
 The worker drives :meth:`repro.api.Experiment.run_iter` with the job's
 checkpoint directory, publishes every event to the NDJSON bus, writes the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 import traceback
+from multiprocessing.connection import Connection
 
 from ..api import (
     PLANES,
@@ -104,6 +107,19 @@ def execute_job(store: JobStore, job: Job) -> int:
     return 0
 
 
-def main(store: JobStore, job: Job) -> None:
-    """Entry of a forked worker: run ``job``, exit with its code."""
-    raise SystemExit(execute_job(store, job))
+def main(store: JobStore, conn: Connection) -> None:
+    """Entry of a forked worker: run each :class:`Job` received on
+    ``conn`` and answer with its exit code; return on ``None`` or once the
+    scheduler's end of the pipe is closed."""
+    while True:
+        try:
+            job = conn.recv()
+        except (EOFError, ConnectionError):
+            return
+        if job is None:
+            return
+        code = execute_job(store, job)
+        try:
+            conn.send(code)
+        except ConnectionError:
+            return  # the scheduler is gone; the outcome is in job.json

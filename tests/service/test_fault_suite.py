@@ -1,6 +1,6 @@
 """Attack-grid smoke through the service scheduler (the CI fault-suite).
 
-One spec per fault class runs through the real process-per-job path; the
+One spec per fault class runs through the real forked-worker path; the
 suite asserts detection events land on the NDJSON bus, aborted runs
 complete *cleanly* (job COMPLETED, exit 0 — an attack is a result, not a
 crash), and records come back for every hostile spec.

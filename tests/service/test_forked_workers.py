@@ -1,20 +1,25 @@
 """Forked workers: what the scheduler promises about the processes it
 forks from itself — a finished job is reaped at once (not at the next
 poll tick), a killed worker is named and its job requeued, no child
-outlives ``drain``/``shutdown``, and nothing the parent process happens to
-hold (bigint selection, global RNG state) reaches a job's result.
+outlives ``drain``/``shutdown`` (nor, idle, the scheduler itself), a
+worker forked once serves its slot's jobs in turn without handing a job
+to a dead one, and nothing the parent process or an earlier job happens
+to hold (bigint selection, global RNG state) reaches a job's result.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.context
 import os
 import random
 import signal
 import subprocess
 import sys
 import time
+
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from repro.api import Experiment, RunSpec, run_record
 from repro.crypto import bigint
 from repro.crypto.backend import ProcessPoolBackend
 from repro.service import JobState, JobStore, Scheduler, read_events, run_batch
+from repro.service import scheduler as scheduler_module
 
 DRAIN_TIMEOUT = 120.0
 
@@ -95,6 +101,216 @@ class TestReaping:
         with pytest.raises(ProcessLookupError):
             os.kill(worker_pid, 0)  # reaped, not a zombie
         assert store.get(long_job.job_id).state == JobState.RUNNING
+
+
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (an orphan's corpse
+    waits for whoever reaps it, which need not be this process)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Patch ``ForkProcess.start`` to record each fork's pid."""
+    pids: list[int] = []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(self):
+        real_start(self)
+        pids.append(self.pid)
+
+    monkeypatch.setattr(
+        multiprocessing.context.ForkProcess, "start", counting_start
+    )
+    return pids
+
+
+def step_until(scheduler: Scheduler, done, timeout: float = DRAIN_TIMEOUT):
+    deadline = time.monotonic() + timeout
+    while not done():
+        assert time.monotonic() < deadline, "scheduler made no progress"
+        scheduler._wait()
+        scheduler.step()
+
+
+@pytest.fixture
+def idle_after_short_job(tmp_path):
+    """Two slots, a long and a short job, stepped until the short job has
+    answered: one worker busy, one idle.  Yields the pieces; a test that
+    fails mid-way leaves no worker behind to block the session's exit."""
+    store = JobStore(tmp_path / "root")
+    long_job = store.submit(long_spec(11))
+    short_job = store.submit(small_spec(12))
+    scheduler = Scheduler(store, max_workers=2, poll_interval=0.05)
+    try:
+        assert scheduler.step()
+        step_until(
+            scheduler, lambda: short_job.job_id not in scheduler._workers
+        )
+        assert long_job.job_id in scheduler._workers, "the long job ended early"
+        busy = scheduler._workers[long_job.job_id]
+        [idle] = [
+            p for p in multiprocessing.active_children() if p is not busy
+        ]
+        yield store, scheduler, long_job, idle
+    finally:
+        scheduler.shutdown()
+
+
+class TestWorkerSlots:
+    def test_one_fork_serves_a_slot_and_leaves_no_state_behind(
+        self, tmp_path, monkeypatch
+    ):
+        """Three jobs, one slot, one fork: the quality, vectorized and
+        128-bit object planes in turn each equal their inline run."""
+        specs = [
+            small_spec(21),
+            small_spec(22, plane="vectorized"),
+            crypto_spec("object", 12),
+        ]
+        expected = [inline_result(spec) for spec in specs]
+        forks = count_forks(monkeypatch)
+        records = run_batch(
+            specs, tmp_path / "root", max_workers=1, timeout=DRAIN_TIMEOUT
+        )
+        assert len(forks) == 1
+        assert [record["result"] for record in records] == expected
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_job_frees_its_slot_for_the_same_worker(self, tmp_path):
+        store = JobStore(tmp_path / "root")
+        bad_dict = small_spec(23).to_dict()
+        bad_dict["dataset"]["params"]["bogus_knob"] = 1
+        bad = store.submit(RunSpec.from_dict(bad_dict))
+        good = store.submit(small_spec(24))
+        scheduler = Scheduler(store, max_workers=1, poll_interval=0.05)
+        try:
+            assert scheduler.step()
+            pid = scheduler._workers[bad.job_id].pid
+            step_until(scheduler, lambda: good.job_id in scheduler._workers)
+            assert scheduler._workers[good.job_id].pid == pid
+            scheduler.drain(timeout=DRAIN_TIMEOUT)
+        finally:
+            scheduler.shutdown()
+        failed = store.get(bad.job_id)
+        assert (failed.state, failed.attempts) == (JobState.FAILED, 1)
+        assert "bogus_knob" in failed.error
+        assert store.get(good.job_id).state == JobState.COMPLETED
+        assert multiprocessing.active_children() == []
+
+    def test_drain_steps_once_per_answer_not_per_spin(
+        self, tmp_path, monkeypatch
+    ):
+        """Each pass is woken by an answer: at most two per job plus two,
+        however long the tick."""
+        store = JobStore(tmp_path / "root")
+        jobs = [store.submit(small_spec(seed)) for seed in range(3)]
+        scheduler = Scheduler(store, max_workers=1, poll_interval=5)
+        steps = []
+        real_step = scheduler.step
+
+        def counting_step():
+            steps.append(time.monotonic())
+            return real_step()
+
+        monkeypatch.setattr(scheduler, "step", counting_step)
+        scheduler.drain(timeout=DRAIN_TIMEOUT)
+        assert [store.get(job.job_id).state for job in jobs] == (
+            [JobState.COMPLETED] * 3
+        )
+        assert len(steps) <= 2 * len(jobs) + 2
+
+
+class TestDeadIdleWorker:
+    def test_a_killed_idle_worker_is_never_handed_a_job(
+        self, idle_after_short_job
+    ):
+        store, scheduler, long_job, idle = idle_after_short_job
+        os.kill(idle.pid, signal.SIGKILL)
+        assert wait([idle.sentinel], timeout=10)
+        third = store.submit(small_spec(13))
+        scheduler.drain(timeout=DRAIN_TIMEOUT)
+        done = store.get(third.job_id)
+        assert (done.state, done.attempts) == (JobState.COMPLETED, 1)
+        assert store.get(long_job.job_id).state == JobState.COMPLETED
+        assert multiprocessing.active_children() == []
+
+    def test_a_hand_off_to_a_worker_that_just_died_is_a_crash(
+        self, idle_after_short_job, monkeypatch
+    ):
+        """The worker dies after the reap looked: the failed send takes the
+        job through the crash path (requeued, the attempt counted)."""
+        store, scheduler, long_job, idle = idle_after_short_job
+        corpse = idle.sentinel
+        os.kill(idle.pid, signal.SIGKILL)
+        assert wait([corpse], timeout=10)
+        real_wait = scheduler_module.wait
+
+        def blind_to_the_corpse(handles, timeout=None):
+            return real_wait([h for h in handles if h != corpse], timeout)
+
+        monkeypatch.setattr(scheduler_module, "wait", blind_to_the_corpse)
+        third = store.submit(small_spec(13))
+        assert scheduler.step()
+        monkeypatch.undo()  # the corpse's fd number is free for reuse now
+        requeued = store.get(third.job_id)
+        assert (requeued.state, requeued.attempts) == (JobState.QUEUED, 1)
+        scheduler.drain(timeout=DRAIN_TIMEOUT)
+        done = store.get(third.job_id)
+        assert (done.state, done.attempts) == (JobState.COMPLETED, 2)
+        assert store.get(long_job.job_id).state == JobState.COMPLETED
+        assert multiprocessing.active_children() == []
+
+
+ORPHAN_SCHEDULER = """
+import multiprocessing, pathlib, sys, time
+from repro.service import JobStore, Scheduler
+root, short_id, pid_file = sys.argv[1:]
+scheduler = Scheduler(JobStore(root), max_workers=2, poll_interval=0.05)
+scheduler.step()
+while short_id in scheduler._workers:
+    scheduler._wait()
+    scheduler.step()
+pids = [proc.pid for proc in multiprocessing.active_children()]
+pathlib.Path(pid_file).write_text(" ".join(map(str, pids)))
+time.sleep(600)
+"""
+
+
+def test_workers_exit_once_their_scheduler_is_killed_alone(tmp_path):
+    """SIGKILL the scheduler, not its process group: the idle worker reads
+    EOF and exits, the busy one finishes its job, then exits too."""
+    store = JobStore(tmp_path / "root")
+    long_job = store.submit(long_spec(14))
+    short_job = store.submit(small_spec(15))
+    pid_file = tmp_path / "worker-pids"
+    server = subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_SCHEDULER, str(store.root),
+         short_job.job_id, str(pid_file)],
+        env=dict(os.environ),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + DRAIN_TIMEOUT
+        while not pid_file.exists() or not pid_file.read_text():
+            assert server.poll() is None, "the scheduler exited early"
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        workers = [int(pid) for pid in pid_file.read_text().split()]
+        assert len(workers) == 2
+    finally:
+        server.kill()
+        server.wait()
+    deadline = time.monotonic() + DRAIN_TIMEOUT
+    while any(running(pid) for pid in workers):
+        assert time.monotonic() < deadline, "a worker outlived its scheduler"
+        time.sleep(0.02)
+    assert store.get(short_job.job_id).state == JobState.COMPLETED
+    assert store.get(long_job.job_id).state == JobState.COMPLETED
 
 
 class TestKilledWorker:

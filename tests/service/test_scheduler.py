@@ -1,8 +1,9 @@
 """Scheduler: concurrent execution, failure isolation, bit-identity.
 
-These tests drive the real process-per-job path (the scheduler forks one
-``repro.service.worker`` process per job), just in-process from pytest via
-``drain()`` instead of ``repro serve``.
+These tests drive the real forked-worker path (the scheduler forks up to
+``max_workers`` ``repro.service.worker`` processes and hands them the
+jobs), just in-process from pytest via ``drain()`` instead of
+``repro serve``.
 """
 
 from __future__ import annotations
