@@ -27,9 +27,9 @@ Components:
   ``ClusteringResult``; ``run_iter()`` streams
   :class:`~repro.api.events.RunEvent` objects for progress reporting and
   early stopping;
-* :class:`Checkpoint` / :class:`CheckpointStore` — per-iteration JSON
-  checkpoints; a killed run on a checkpointing plane (all but ``object``)
-  resumes bit-identically.
+* :class:`Checkpoint` / :class:`CheckpointStore` — the append-only state
+  log, one record per iteration; a killed run on any plane resumes
+  bit-identically.
 """
 
 from .checkpoint import Checkpoint, CheckpointStore, atomic_write_text

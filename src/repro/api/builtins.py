@@ -142,7 +142,6 @@ class _ProtocolPlane(ExecutionPlane):
         resume: Checkpoint | None = None,
         cycle_hook: Callable[[int, int], None] | None = None,
     ) -> Iterator[IterationRecord]:
-        self._reject_resume(resume)
         options = ctx.spec.options
         run = ChiaroscuroRun(
             ctx.dataset,
@@ -162,8 +161,10 @@ class _ProtocolPlane(ExecutionPlane):
         start = 1
         if resume is not None:
             run.noise_rng.bit_generator.state = resume.rng_state
-            run.initial_centroids = np.asarray(resume.centroids, dtype=float)
-            start = resume.iteration + 1
+            if resume.crypto_state is not None:  # a legacy checkpoint has none
+                run.crypto_rng.setstate(resume.crypto_state)
+            run.initial_centroids = resume.stats.centroids
+            start = resume.stats.iteration + 1
         yield from run.run_iter(churn=ctx.spec.churn, start_iteration=start)
 
 
@@ -172,11 +173,9 @@ class QualityPlane(_ProtocolPlane):
     """Perturbed centralized k-means — the paper's Sec. 6.1 quality plane.
 
     ``ChiaroscuroRun``'s loop with the central computation step: no gossip,
-    the protocol's noise.  Checkpointable like the vectorized planes: its
-    one RNG, ``noise_rng``, rides in the checkpoint.
+    the protocol's noise.
     """
 
-    supports_checkpoint = True
     option_keys = frozenset({"gossip_e_max"})
 
 
@@ -184,13 +183,11 @@ class QualityPlane(_ProtocolPlane):
 class ObjectPlane(_ProtocolPlane):
     """Cycle-driven engine with genuine Damgård–Jurik ciphertexts.
 
-    Not checkpointable: resuming would need the full keypair plus the
-    ``random.Random`` crypto stream serialized; at this plane's
-    tens-to-hundreds-of-devices reach, re-running is cheaper than that
-    machinery.
+    Resumes like every plane: the keypair and the fixed-base table are
+    re-derived from the seed, and ``crypto_rng`` continues from the state
+    log, so a resumed run's ciphertexts equal the uninterrupted run's.
     """
 
-    supports_checkpoint = False
     uses_real_crypto = True
 
 
@@ -198,12 +195,10 @@ class ObjectPlane(_ProtocolPlane):
 class VectorizedPlane(_ProtocolPlane):
     """Struct-of-arrays full-protocol plane (10⁵–10⁶ participants).
 
-    Checkpointable: per-iteration gossip engines are seeded from
-    ``seed + 1000·iteration`` and the only cross-iteration RNG is
-    ``noise_rng``, whose bit-generator state rides in the checkpoint.
+    Per-iteration gossip engines are seeded from ``seed + 1000·iteration``,
+    so ``noise_rng`` is the only stream that shapes its results across
+    iterations.
     """
-
-    supports_checkpoint = True
 
 
 @register_plane("vectorized-crypto")
@@ -214,12 +209,9 @@ class VectorizedCryptoPlane(_ProtocolPlane):
     round bigint batches; decoded per-iteration centroids are bit-identical
     to the mock ``vectorized`` plane at the same seed.
 
-    Checkpointable exactly like :class:`VectorizedPlane`: the keypair and
-    fixed-base table rebuild deterministically from the spec seed, the only
-    cross-iteration RNG that shapes *decoded results* is ``noise_rng``
-    (riding in the checkpoint), and the crypto stream's post-resume
-    divergence only changes randomizers, which decryption removes exactly.
+    The keypair and fixed-base table rebuild deterministically from the
+    spec seed and both streams continue from the state log, so a resumed
+    run is exact down to the randomizers.
     """
 
-    supports_checkpoint = True
     uses_real_crypto = True

@@ -1,19 +1,19 @@
-"""Checkpoint/resume: survive a killed run without losing iterations.
+"""Checkpoint/resume: one append-only state log per run.
 
-After every completed iteration on a checkpointable plane, the
-:class:`~repro.api.experiment.Experiment` serializes everything the next
-iteration depends on — the released centroids, the iteration index, the
-spent budget, the plane RNG state and the full per-iteration history — as
-one JSON file in a checkpoint directory.  Resuming replays nothing: the
-loop re-enters at ``iteration + 1`` with the restored RNG state, so a
-resumed seeded run is bit-identical to an uninterrupted one (asserted by
-``tests/api/test_checkpoint.py``).
+After every completed iteration the :class:`~repro.api.experiment.Experiment`
+appends one line to ``<checkpoint_dir>/state.ndjson``: the iteration's
+``IterationStats`` (its index and released centroids), the spent budget,
+``converged`` and the state of the run's two cross-iteration streams
+(``noise_rng``'s bit-generator state, ``crypto_rng.getstate()``).  The spec
+rides in the first line and is compared on resume.  A line holds one
+iteration, so the log grows linearly.
 
-RNG state travels as the ``numpy`` bit-generator state dict (PCG64: two
-128-bit integers — JSON handles Python's arbitrary-precision ints
-exactly).  The spec rides inside the checkpoint and is compared on
-resume, so a checkpoint can never silently continue a *different*
-experiment.
+Resuming replays nothing: ``ChiaroscuroRun`` re-derives the keypair and the
+fixed-base table from the seed, both streams are restored from the last
+complete line (a torn tail means the previous iteration), and the loop
+re-enters at ``iteration + 1`` — bit-identical to an uninterrupted run on
+every plane, ciphertexts included.  A directory without a log is read in
+the older layout, one ``checkpoint_<iteration>.json`` per iteration.
 """
 
 from __future__ import annotations
@@ -21,16 +21,17 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..core.results import IterationStats
 
 __all__ = [
     "Checkpoint",
     "CheckpointStore",
+    "STATE_LOG",
     "atomic_write_text",
     "sweep_stale_tmps",
 ]
-
-_PREFIX = "checkpoint_"
 
 
 def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
@@ -40,8 +41,8 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
     directory never race on the same tmp path; the data is fsynced before
     the rename (and the directory after it), so a crash right after
     ``atomic_write_text`` returns cannot lose the new contents — the
-    invariant the checkpoint store and the service job store both build
-    their kill-safety on.
+    invariant the service job store builds its kill-safety on, and the one
+    that starts a checkpoint state log.
     """
     path = pathlib.Path(path)
     tmp = path.parent / f"{path.name}.{os.getpid()}.tmp"
@@ -88,7 +89,7 @@ def sweep_stale_tmps(
     With ``only_stale`` a tmp whose embedded pid is still alive is kept —
     its writer may be mid-write in a shared directory.  Returns the number
     of files removed.  Every store built on :func:`atomic_write_text`
-    (checkpoints, service job records) sweeps through here.
+    (checkpoint state logs, service job records) sweeps through here.
     """
     removed = 0
     for entry in pathlib.Path(directory).glob(pattern):
@@ -102,85 +103,97 @@ def sweep_stale_tmps(
     return removed
 
 
+#: The state log's file name inside a checkpoint directory.
+STATE_LOG = "state.ndjson"
+_FORMAT = "chiaroscuro-state/v1"
+
+
 @dataclass
 class Checkpoint:
-    """The complete resumable state after one iteration."""
+    """The resumable state after one iteration: one line of the state log.
 
-    spec: dict  # RunSpec.to_dict() of the run that wrote it
-    plane: str
-    iteration: int  # last *completed* iteration (1-indexed)
-    centroids: list  # released centroids after that iteration
-    epsilon_spent: float
-    rng_state: dict  # numpy bit-generator state (plane-specific stream)
-    history: list = field(default_factory=list)  # IterationStats.to_dict() each
-    converged: bool = False  # θ-test fired at this iteration: do not resume past it
+    Records converted from a legacy directory have no ``crypto_state``, and
+    those before its last one no ``epsilon_spent`` or ``rng_state`` either.
+    """
 
-    def to_json(self) -> str:
-        """The format tag, then every field under its own name, in order."""
-        return json.dumps({"format": "chiaroscuro-checkpoint/v1", **vars(self)})
+    stats: IterationStats  # the iteration's: its index and released centroids
+    epsilon_spent: float | None  # the run's total after it
+    converged: bool  # θ-test fired at this iteration: do not resume past it
+    rng_state: dict | None  # noise_rng's bit-generator state
+    crypto_state: tuple | None  # crypto_rng.getstate()
+    spec: dict | None = None  # RunSpec.to_dict(), in the log's first record
+
+    def to_line(self) -> str:
+        record = {"format": _FORMAT, **vars(self), "stats": self.stats.to_dict()}
+        if self.spec is None:
+            del record["spec"]
+        return json.dumps(record, separators=(",", ":")) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "Checkpoint":
-        d = json.loads(text)
-        fmt = d.get("format", "chiaroscuro-checkpoint/v1")
-        if fmt != "chiaroscuro-checkpoint/v1":
-            raise ValueError(f"unsupported checkpoint format {fmt!r}")
+    def from_dict(cls, d: dict) -> "Checkpoint":
+        if d.get("format") != _FORMAT:
+            raise ValueError(f"unsupported state record format {d.get('format')!r}")
+        crypto = d["crypto_state"]
+        if crypto is not None:  # JSON made the state's tuples lists
+            crypto = (crypto[0], tuple(crypto[1]), crypto[2])
         return cls(
-            spec=d["spec"],
-            plane=d["plane"],
-            iteration=int(d["iteration"]),
-            centroids=d["centroids"],
-            epsilon_spent=float(d["epsilon_spent"]),
+            stats=IterationStats.from_dict(d["stats"]),
+            epsilon_spent=d["epsilon_spent"],
+            converged=d["converged"],
             rng_state=d["rng_state"],
-            history=d.get("history", []),
-            converged=bool(d.get("converged", False)),
+            crypto_state=crypto,
+            spec=d.get("spec"),
         )
 
 
 class CheckpointStore:
-    """One directory of ``checkpoint_<iteration>.json`` files."""
+    """One run's append-only state log in ``directory``."""
 
     def __init__(self, directory: str | pathlib.Path) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.sweep_tmps()
+        self.path = self.directory / STATE_LOG
 
-    def path_for(self, iteration: int) -> pathlib.Path:
-        return self.directory / f"{_PREFIX}{iteration:06d}.json"
+    def records(self) -> list[Checkpoint]:
+        """The run so far, one record per completed iteration.
+
+        Every complete line of the log (a torn tail is left out); with no
+        log, the newest legacy ``checkpoint_<iteration>.json`` converted.
+        """
+        from ..service.bus import read_events  # repro.service imports repro.api
+
+        if not self.path.exists():
+            return self._legacy_records()
+        return [Checkpoint.from_dict(record) for record in read_events(self.path)]
+
+    def _legacy_records(self) -> list[Checkpoint]:
+        """The newest ``checkpoint_<iteration>.json`` as log records: its
+        history, with the saved state on the last entry."""
+        newest = max(self.directory.glob("checkpoint_*.json"), default=None)
+        if newest is None:
+            return []
+        saved = json.loads(newest.read_text())
+        records = [
+            Checkpoint(IterationStats.from_dict(stats), None, False, None, None)
+            for stats in saved["history"]
+        ]
+        last = records[-1]
+        last.epsilon_spent = saved["epsilon_spent"]
+        last.converged = saved.get("converged", False)
+        last.rng_state = saved["rng_state"]
+        records[0].spec = saved["spec"]
+        return records
+
+    def start(self, records: list[Checkpoint]) -> None:
+        """Replace the log by ``records`` (none: a fresh run) in one atomic
+        write, so a kill here leaves the old log or the new one — never a
+        torn tail or another run's records ahead of this run's."""
+        sweep_stale_tmps(self.directory)
+        atomic_write_text(self.path, "".join(r.to_line() for r in records))
 
     def save(self, checkpoint: Checkpoint) -> pathlib.Path:
-        """Write atomically and durably: a kill mid-write never corrupts
-        the latest resumable state (pid-unique tmp + fsync + rename)."""
-        return atomic_write_text(
-            self.path_for(checkpoint.iteration), checkpoint.to_json() + "\n"
-        )
+        """Append one record, durable (fsynced) before this returns."""
+        from ..service.bus import _append
 
-    def sweep_tmps(self, only_stale: bool = True) -> int:
-        """Remove leftover ``checkpoint_*.tmp`` files from killed writers.
-
-        With ``only_stale`` (the init-time default) a tmp whose embedded
-        pid is still a live process is left alone — another run may be
-        mid-write in a shared directory; ``clear()`` sweeps everything.
-        """
-        return sweep_stale_tmps(
-            self.directory, f"{_PREFIX}*.tmp", only_stale=only_stale
-        )
-
-    def iterations(self) -> list[int]:
-        out = []
-        for entry in self.directory.glob(f"{_PREFIX}*.json"):
-            stem = entry.stem[len(_PREFIX) :]
-            if stem.isdigit():
-                out.append(int(stem))
-        return sorted(out)
-
-    def latest(self) -> Checkpoint | None:
-        iterations = self.iterations()
-        if not iterations:
-            return None
-        return Checkpoint.from_json(self.path_for(iterations[-1]).read_text())
-
-    def clear(self) -> None:
-        for iteration in self.iterations():
-            self.path_for(iteration).unlink()
-        self.sweep_tmps(only_stale=False)
+        _append(self.path, checkpoint.to_line().encode(), durable=True)
+        return self.path

@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ..core.config import ChiaroscuroParams
-from ..core.results import ClusteringResult, IterationRecord, IterationStats
+from ..core.results import ClusteringResult, IterationRecord
 from ..crypto import bigint
 from ..datasets.timeseries import TimeSeriesSet
 from ..privacy.budget import BudgetStrategy
@@ -108,7 +108,9 @@ class ExecutionPlane:
     """Base class for registry-registered execution planes."""
 
     key: str = ""
-    supports_checkpoint: bool = False
+    #: Every plane resumes from the state log; the reference benchmark's
+    #: ``service_batch`` workload (``perf/workloads.py``) reads this name.
+    supports_checkpoint = True
     #: Whether runs on this plane build genuine ciphertexts (and therefore
     #: a threshold key of ``params.key_bits``); drives the ``key_bits``
     #: field of :func:`run_environment`.
@@ -124,14 +126,9 @@ class ExecutionPlane:
         resume: Checkpoint | None = None,
         cycle_hook: Callable[[int, int], None] | None = None,
     ) -> Iterator[IterationRecord]:
-        """Yield the loop's per-iteration records, unchanged."""
+        """Yield the loop's per-iteration records, unchanged; ``resume`` is
+        the last record of the state log to continue after."""
         raise NotImplementedError
-
-    def _reject_resume(self, resume: Checkpoint | None) -> None:
-        if resume is not None and not self.supports_checkpoint:
-            raise ValueError(
-                f"plane {self.key!r} does not support checkpoint/resume"
-            )
 
 
 #: ``params`` keys :func:`_spec_identity` ignores: the result-neutral
@@ -244,11 +241,11 @@ class Experiment:
         :class:`~repro.core.results.IterationRecord` the plane's loop
         yielded, passed on as is.
 
-        With ``checkpoint_dir``, a :class:`Checkpoint` is written after
-        every iteration (on planes that support it) and, when ``resume``
-        is true and the directory already holds a checkpoint *of the same
-        spec*, the run continues after its last completed iteration.
-        Consumers may stop iterating at any time (early stopping).
+        With ``checkpoint_dir``, a :class:`Checkpoint` is appended to the
+        directory's state log after every iteration and, when ``resume`` is
+        true and the log was written by *the same spec*, the run continues
+        after its last completed iteration; otherwise a new log replaces
+        it.  Consumers may stop iterating at any time (early stopping).
 
         A spec declaring ``faults`` runs under a
         :class:`~repro.faults.FaultPlan`: :class:`FaultDetected` events
@@ -274,25 +271,21 @@ class Experiment:
             checkpoint_dir = None  # documented: faulted runs re-run, not resume
 
         store: CheckpointStore | None = None
-        checkpoint: Checkpoint | None = None
+        records: list[Checkpoint] = []
         if checkpoint_dir is not None:
-            if not plane.supports_checkpoint:
-                capable = [k for k in PLANES if PLANES.get(k).supports_checkpoint]
-                raise ValueError(
-                    f"plane {spec.plane!r} does not support checkpointing; "
-                    f"drop checkpoint_dir or use one of {capable}"
-                )
             store = CheckpointStore(checkpoint_dir)
             if resume:
-                checkpoint = store.latest()
-                if checkpoint is not None and _spec_identity(
-                    checkpoint.spec
+                records = store.records()
+                if records and _spec_identity(
+                    records[0].spec
                 ) != _spec_identity(spec.to_dict()):
                     raise ValueError(
                         f"checkpoint in {store.directory} was written by a "
                         "different spec; refusing to resume (clear the "
                         "directory or pass resume=False)"
                     )
+            store.start(records)
+        checkpoint = records[-1] if records else None
 
         result = ClusteringResult(
             centroids=ctx.initial_centroids.copy(),
@@ -300,10 +293,8 @@ class Experiment:
             smoothing=self.smoothing_active(),
         )
         if checkpoint is not None:
-            result.history = [
-                IterationStats.from_dict(s) for s in checkpoint.history
-            ]
-            result.centroids = np.asarray(checkpoint.centroids, dtype=float)
+            result.history = [record.stats for record in records]
+            result.centroids = checkpoint.stats.centroids
             result.converged = checkpoint.converged
 
         yield RunStarted(
@@ -314,7 +305,7 @@ class Experiment:
             n=ctx.dataset.n,
             population=ctx.dataset.population,
             sum_sensitivity=ctx.dataset.sum_sensitivity,
-            resumed_iteration=checkpoint.iteration if checkpoint else 0,
+            resumed_iteration=checkpoint.stats.iteration if checkpoint else 0,
             **run_environment(spec),
         )
 
@@ -332,17 +323,16 @@ class Experiment:
                     # completion event.
                     yield from fault_plan.drain_events()
                 yield step  # the record is the IterationCompleted event
-                if store is not None and step.rng_state is not None:
+                if store is not None:
                     path = store.save(
                         Checkpoint(
-                            spec=spec.to_dict(),
-                            plane=spec.plane,
-                            iteration=step.stats.iteration,
-                            centroids=step.centroids.tolist(),
+                            stats=step.stats,
                             epsilon_spent=step.epsilon_spent_total,
-                            rng_state=step.rng_state,
-                            history=[s.to_dict() for s in result.history],
                             converged=step.converged,
+                            rng_state=step.rng_state,
+                            crypto_state=step.crypto_state,
+                            # the history mirrors the log, one entry a record
+                            spec=None if len(result.history) > 1 else spec.to_dict(),
                         )
                     )
                     yield CheckpointSaved(

@@ -266,11 +266,11 @@ class ChiaroscuroRun:
 
         Yields one :class:`IterationRecord` per completed iteration — the
         streaming primitive for progress reporting, early stopping, and
-        (on every plane but the object one) checkpointing.  ``start_iteration``
-        resumes mid-run: budget charges for the prefix are replayed
-        (deterministic) and the caller is expected to have restored
-        ``initial_centroids`` and the RNG state from a checkpoint.  The
-        backend is released when the generator finishes or is closed.
+        checkpointing.  ``start_iteration`` resumes mid-run: budget charges
+        for the prefix are replayed (deterministic) and the caller is
+        expected to have restored ``initial_centroids`` and both streams
+        from a checkpoint.  The backend is released when the generator
+        finishes or is closed.
         """
         params = self.params
         dataset = self.dataset
@@ -326,6 +326,7 @@ class ChiaroscuroRun:
                     ),
                     crypto_ms=None if seconds is None else seconds * 1000.0,
                     rng_state=self.noise_rng.bit_generator.state,
+                    crypto_state=self.crypto_rng.getstate(),
                 )
                 if converged:
                     return

@@ -16,9 +16,9 @@ dataset:
 ``IterationRecord`` is the per-iteration record the one Algorithm 1 loop
 (``ChiaroscuroRun.run_iter``) yields.  The record
 is the event: planes forward it unchanged, ``Experiment.run_iter`` yields it
-as is (``repro.api.IterationCompleted`` is this class) and writes the
-``Checkpoint`` from it, and ``event_to_dict`` reads the wire form off its
-fields — so a new per-iteration fact is one new field here.  A field
+as is (``repro.api.IterationCompleted`` is this class) and appends the state
+log's ``Checkpoint`` from it, and ``event_to_dict`` reads the wire form off
+its fields — so a new per-iteration fact is one new field here.  A field
 declared with ``metadata={"wire": False}`` stays off the wire.
 """
 
@@ -71,9 +71,10 @@ class IterationRecord:
     the quality plane's churn-subsample size; ``agreement`` (epidemic
     spread) and ``exchanges_per_node`` are the gossiping planes'; ``crypto_ms``
     is the wall time inside crypto batch calls, timed by the
-    vectorized-crypto step only.  ``rng_state`` is the bit-generator state
-    of the loop's one cross-iteration RNG after this iteration (what a
-    checkpoint restores).
+    vectorized-crypto step only.  ``rng_state`` (the ``noise_rng``
+    bit-generator state) and ``crypto_state`` (``crypto_rng.getstate()``)
+    are the loop's two cross-iteration streams after this iteration: what
+    a checkpoint restores.
     """
 
     stats: IterationStats
@@ -85,8 +86,10 @@ class IterationRecord:
     agreement: float | None = None
     exchanges_per_node: float | None = None
     crypto_ms: float | None = None
-    # resume state, two 128-bit integers: only a checkpoint has a use for it
+    # resume state, two 128-bit integers and 625 Mersenne-Twister words:
+    # only a checkpoint has a use for it
     rng_state: dict | None = field(default=None, metadata={"wire": False})
+    crypto_state: tuple | None = field(default=None, metadata={"wire": False})
 
     @property
     def centroids(self) -> np.ndarray:

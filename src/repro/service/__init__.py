@@ -2,13 +2,13 @@
 
 PR 3 gave every frontend one declarative substrate: a :class:`RunSpec`
 executed by :class:`~repro.api.Experiment`, streaming typed run events
-and writing bit-identically-resumable checkpoints.  This package turns
+and appending a bit-identically-resumable state log.  This package turns
 that substrate into a long-lived service, in the spirit of the paper's
 own always-on gossip deployment:
 
 * :class:`JobStore` — durable on-disk queue (``queued → running →
-  completed/failed``), one directory per job with its own checkpoint
-  store, event log and run record;
+  completed/failed``), one directory per job with its own state log,
+  event log and run record;
 * :class:`Scheduler` — executes up to ``max_workers`` jobs concurrently
   in worker *processes* forked from the warm scheduler, one per slot for
   a busy period, each running the jobs handed to it in turn (the crypto
@@ -18,7 +18,7 @@ own always-on gossip deployment:
   ``RunStarted``/``IterationCompleted``/``CheckpointSaved``/``RunCompleted``
   stream multiplexed to per-job logs and one tailable combined feed;
 * crash recovery — any job found ``running`` at startup is re-enqueued
-  and resumed from its latest checkpoint, so a SIGKILL-ed server replays
+  and resumed from its state log, so a SIGKILL-ed server replays
   nothing and loses nothing.
 
 CLI: ``repro serve`` / ``repro submit`` / ``repro jobs`` / ``repro tail``.

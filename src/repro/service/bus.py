@@ -10,7 +10,7 @@ is what makes the combined feed safe without any locking.
 Readers are tolerant by construction: a SIGKILL can truncate the last
 line mid-byte, so every reader — the warehouse's ingest included — goes
 through :func:`read_blocks` (the job's durable state lives in
-``job.json``/checkpoints, never in the logs).
+``job.json`` and its checkpoint state log, never in the event logs).
 """
 
 from __future__ import annotations
@@ -55,11 +55,14 @@ def _ndjson_line(record: dict) -> bytes:
     return (text + "\n").encode()
 
 
-def _append(path: str | pathlib.Path, data: bytes) -> None:
-    """One atomic ``O_APPEND`` write (opened per write: rotation-safe)."""
+def _append(path: str | pathlib.Path, data: bytes, durable: bool = False) -> None:
+    """One atomic ``O_APPEND`` write (opened per write: rotation-safe);
+    ``durable`` fsyncs it before returning (the checkpoint state log)."""
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
     try:
         os.write(fd, data)
+        if durable:
+            os.fsync(fd)
     finally:
         os.close(fd)
 

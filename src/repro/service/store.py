@@ -3,17 +3,17 @@
 One service root directory holds everything the server knows::
 
     <root>/
-      feed.ndjson               combined event feed (all jobs, multiplexed)
+      feed.ndjson                 combined event feed (all jobs, multiplexed)
       jobs/<job_id>/
-        job.json                Job record: spec + state + timestamps
-        checkpoints/            per-job CheckpointStore directory
-        events.ndjson           the job's own RunEvent stream
-        result.json             chiaroscuro-run/v1 record (once completed)
+        job.json                  Job record: spec + state + timestamps
+        checkpoints/state.ndjson  checkpoint state log, one line an iteration
+        events.ndjson             the job's own RunEvent stream
+        result.json               chiaroscuro-run/v1 record (once completed)
 
 States move ``queued → running → completed | failed``; a ``running`` job
 found at startup is a crash marker — :meth:`JobStore.recover` re-enqueues
-it and the worker resumes from the job's latest checkpoint (bit-identical
-on checkpointable planes).
+it and the worker resumes from the job's state log (bit-identical on
+every plane).
 
 Every ``job.json`` write goes through
 :func:`repro.api.checkpoint.atomic_write_text` (pid-unique tmp + fsync +
@@ -94,8 +94,8 @@ class JobStore:
         self.root = pathlib.Path(root)
         self.jobs_dir = self.root / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        # Kill-mid-write hygiene, same contract as CheckpointStore: tmps
-        # whose writer pid is dead are leftovers of a crashed server.
+        # Kill-mid-write hygiene: tmps whose writer pid is dead are
+        # leftovers of a crashed server.
         sweep_stale_tmps(self.jobs_dir, "*/*.tmp")
 
     # ------------------------------------------------------------- layout
@@ -220,7 +220,7 @@ class JobStore:
 
         The job's checkpoint directory is kept untouched, so the next
         worker resumes after the last completed iteration — bit-identical
-        to an uninterrupted run on checkpointable planes.
+        to an uninterrupted run on every plane.
         """
         recovered = []
         for job in self.in_state(JobState.RUNNING):

@@ -12,10 +12,10 @@ The worker drives :meth:`repro.api.Experiment.run_iter` with the job's
 checkpoint directory, publishes every event to the NDJSON bus, writes the
 ``chiaroscuro-run/v1`` record to ``result.json``, and flips the job to
 ``completed``/``failed``.  A kill at any point leaves the job ``running``
-with its checkpoints intact — the crash marker
+with its state log intact — the crash marker
 :meth:`~repro.service.store.JobStore.recover` turns back into ``queued``,
-and the next worker resumes after the last completed iteration
-(bit-identical on checkpointable planes; non-checkpointable planes rerun
+and the next worker resumes after the last completed iteration,
+bit-identically on every plane (a faulted run writes no log and reruns
 from scratch, which is deterministic for a seeded spec anyway).
 """
 
@@ -27,7 +27,6 @@ import traceback
 from multiprocessing.connection import Connection
 
 from ..api import (
-    PLANES,
     Experiment,
     RunCompleted,
     RunSpec,
@@ -66,14 +65,9 @@ def execute_job(store: JobStore, job: Job) -> int:
         # fail here (e.g. a registry divergence) and must fail the *job*,
         # not just the worker process.
         spec = RunSpec.from_dict(job.spec)
-        checkpoint_dir = (
-            str(store.checkpoint_dir(job.job_id))
-            if PLANES.get(spec.plane).supports_checkpoint
-            else None
-        )
         experiment = Experiment.from_spec(spec)
         for event in experiment.run_iter(
-            checkpoint_dir=checkpoint_dir, resume=True
+            checkpoint_dir=str(store.checkpoint_dir(job.job_id)), resume=True
         ):
             bus.publish(event)
             if isinstance(event, RunStarted):

@@ -1,16 +1,24 @@
 """Checkpoint/resume: kill-and-resume must be bit-identical to an
 uninterrupted seeded run (the acceptance criterion of the checkpoint
-subsystem), on both checkpointable planes."""
+subsystem), on every plane, from one append-only state log."""
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
+import hashlib
+import json
 import os
+import pathlib
+import random
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     Checkpoint,
@@ -18,13 +26,34 @@ from repro.api import (
     CheckpointStore,
     Experiment,
     IterationCompleted,
-    RunCompleted,
     RunSpec,
+    atomic_write_text,
     event_to_dict,
 )
+from repro.api.checkpoint import STATE_LOG, sweep_stale_tmps
+from repro.core.results import IterationStats
+from repro.service import JobStore
+from repro.service.bus import read_blocks
+
+CRYPTO_PLANES = ("object", "vectorized-crypto")
 
 
-def spec_for(plane: str = "quality", seed: int = 15) -> RunSpec:
+def spec_for(plane: str = "quality", seed: int = 15, **params) -> RunSpec:
+    if plane in CRYPTO_PLANES:
+        # 16 devices and a 128-bit key keep a real-crypto run well under a
+        # second; ε = 10⁵ keeps both clusters alive for all 5 iterations.
+        return RunSpec.from_dict({
+            "plane": plane,
+            "seed": 5,
+            "strategy": "UF5",
+            "dataset": {"kind": "points2d",
+                        "params": {"n_clusters": 2, "points_per_cluster": 8,
+                                   "duplications": 1}},
+            "init": {"kind": "sample"},
+            "params": {"k": 2, "max_iterations": 5, "exchanges": 8,
+                       "key_bits": 128, "tau_fraction": 0.2,
+                       "epsilon": 1e5, "theta": 0.0, **params},
+        })
     return RunSpec.from_dict({
         "plane": plane,
         "seed": seed,
@@ -38,29 +67,47 @@ def spec_for(plane: str = "quality", seed: int = 15) -> RunSpec:
         # Seed 13 did until the sparse share sampler redrew the noise stream;
         # at 15 both planes complete all 5.
         "params": {"k": 4, "max_iterations": 5, "epsilon": 50.0,
-                   "exchanges": 10, "theta": 0.0},
+                   "exchanges": 10, "theta": 0.0, **params},
     })
 
 
-def run_interrupted(spec, directory, kill_after: int):
+def run_interrupted(spec, directory, kill_after: int, resume: bool = True):
     """Drive run_iter and abandon it after ``kill_after`` checkpoints."""
     saved = 0
-    for event in Experiment.from_spec(spec).run_iter(checkpoint_dir=directory):
+    for event in Experiment.from_spec(spec).run_iter(
+        checkpoint_dir=directory, resume=resume
+    ):
         if isinstance(event, CheckpointSaved):
             saved += 1
             if saved >= kill_after:
                 return  # the "kill": generator is simply dropped
 
 
-def _save_many(args):
-    """Worker for the concurrent-save test (module-level: picklable)."""
+def log_lines(directory) -> list[bytes]:
+    return (pathlib.Path(directory) / STATE_LOG).read_bytes().splitlines()
+
+
+def digest(result) -> str:
+    return hashlib.sha256(
+        json.dumps(result.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _record(worker: int, iteration: int) -> Checkpoint:
+    return Checkpoint(
+        stats=IterationStats(iteration, 0.0, 0.0, 1, 0.0,
+                             np.full((1, 1), float(worker))),
+        epsilon_spent=0.0, converged=False, rng_state={}, crypto_state=None,
+        spec={"worker": worker} if iteration == 1 else None,
+    )
+
+
+def _append_many(args):
+    """Worker for the concurrent-append test (module-level: picklable)."""
     directory, worker = args
     store = CheckpointStore(directory)
     for iteration in range(1, 9):
-        store.save(Checkpoint(
-            spec={"worker": worker}, plane="quality", iteration=iteration,
-            centroids=[[float(worker)]], epsilon_spent=0.0, rng_state={},
-        ))
+        store.save(_record(worker, iteration))
     return worker
 
 
@@ -78,21 +125,30 @@ def assert_bit_identical(a, b):
 
 
 class TestKillAndResume:
-    @pytest.mark.parametrize("plane", ["quality", "vectorized"])
-    @pytest.mark.parametrize("kill_after", [1, 3])
+    @pytest.mark.parametrize(
+        "plane", ["quality", "vectorized", *CRYPTO_PLANES]
+    )
+    @pytest.mark.parametrize("kill_after", [1, 2, 3, 4])
     def test_resume_bit_identical(self, tmp_path, plane, kill_after):
+        """Centroids, history and the crypto stream's final state: a
+        resumed object-plane run re-encrypts with the very randomizers the
+        uninterrupted run drew."""
         spec = spec_for(plane)
-        uninterrupted = Experiment.from_spec(spec).run()
+        experiment = Experiment.from_spec(spec)
+        uninterrupted = experiment.run()
         assert uninterrupted.iterations == 5
 
         directory = str(tmp_path / f"{plane}-{kill_after}")
         run_interrupted(spec, directory, kill_after)
-        assert len(CheckpointStore(directory).iterations()) == kill_after
+        assert len(CheckpointStore(directory).records()) == kill_after
 
-        resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
+        again = Experiment.from_spec(spec)
+        resumed = again.run(checkpoint_dir=directory)
         assert_bit_identical(resumed, uninterrupted)
+        assert (again.context.runtime.crypto_rng.getstate()
+                == experiment.context.runtime.crypto_rng.getstate())
 
-    @pytest.mark.parametrize("plane", ["quality", "vectorized"])
+    @pytest.mark.parametrize("plane", ["quality", "vectorized", "object"])
     def test_resumed_iteration_events_equal_the_uninterrupted_tail(
         self, tmp_path, plane
     ):
@@ -147,18 +203,99 @@ class TestKillAndResume:
         resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
         assert_bit_identical(resumed, full)
 
+    def test_restart_is_not_resumed_past_by_another_runs_records(self, tmp_path):
+        """A 5-iteration run of one spec, then ``resume=False`` of another
+        killed after 2 records, then a resume of the second: it continues
+        its own 2 records (the older run's later iterations are gone)."""
+        directory = str(tmp_path / "reused")
+        first = spec_for("quality", seed=13)
+        Experiment.from_spec(first).run(checkpoint_dir=directory)
+        second = spec_for("quality", seed=14)
+        run_interrupted(second, directory, 2, resume=False)
+        resumed = list(
+            Experiment.from_spec(second).run_iter(checkpoint_dir=directory)
+        )
+        assert resumed[0].resumed_iteration == 2
+        assert_bit_identical(
+            resumed[-1].result, Experiment.from_spec(second).run()
+        )
+
+    def test_a_kill_during_a_restart_leaves_the_old_log(
+        self, tmp_path, monkeypatch
+    ):
+        directory = str(tmp_path / "restart-kill")
+        spec = spec_for("quality")
+        run_interrupted(spec, directory, 2)
+        before = log_lines(directory)
+
+        def killed(src, dst):
+            raise KeyboardInterrupt  # dies before the rename lands
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            run_interrupted(spec, directory, 1, resume=False)
+        monkeypatch.undo()
+        assert log_lines(directory) == before
+
+    def test_state_bytes_grow_linearly(self, tmp_path):
+        """Every record holds one iteration: records 2…I are the same size
+        (±5 %) and none carries earlier iterations' history."""
+        spec = spec_for("quality", epsilon=1e6, max_iterations=8)
+        directory = str(tmp_path / "linear")
+        result = Experiment.from_spec(spec).run(checkpoint_dir=directory)
+        assert result.iterations == 8
+        assert len(set(result.n_centroids_curve)) == 1  # same-sized releases
+        lines = log_lines(directory)
+        assert len(lines) == 8
+        sizes = [len(line) for line in lines[1:]]
+        assert max(sizes) <= 1.05 * min(sizes)
+        records = [json.loads(line) for line in lines]
+        assert ["spec" in r for r in records] == [True] + [False] * 7
+        assert not any("history" in r for r in records)
+
+
+@functools.lru_cache(maxsize=1)
+def _torn_reference() -> tuple[bytes, str]:
+    """A 3-iteration run's complete state log and its result digest."""
+    spec = spec_for("quality", max_iterations=3)
+    with tempfile.TemporaryDirectory() as directory:
+        result = Experiment.from_spec(spec).run(checkpoint_dir=directory)
+        log = (pathlib.Path(directory) / STATE_LOG).read_bytes()
+    return log, digest(result)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_torn_log_resumes_from_its_last_complete_line(data):
+    """Cut the log at any byte: a cut inside record i resumes after
+    iteration i − 1 (before the first newline: from scratch), and every
+    cut ends at the uninterrupted run's digest."""
+    log, expected = _torn_reference()
+    assert log.count(b"\n") == 3
+    cut = data.draw(st.integers(0, len(log)), label="cut")
+    with tempfile.TemporaryDirectory() as directory:
+        (pathlib.Path(directory) / STATE_LOG).write_bytes(log[:cut])
+        events = list(
+            Experiment.from_spec(spec_for("quality", max_iterations=3))
+            .run_iter(checkpoint_dir=directory)
+        )
+        assert events[0].resumed_iteration == log[:cut].count(b"\n")
+        assert digest(events[-1].result) == expected
+        # the torn tail is gone: the log is whole lines again
+        assert (pathlib.Path(directory) / STATE_LOG).read_bytes() == log
+
 
 class TestCheckpointHygiene:
     def test_checkpoint_json_round_trip(self, tmp_path):
         spec = spec_for("quality")
         directory = str(tmp_path / "rt")
         run_interrupted(spec, directory, 2)
-        store = CheckpointStore(directory)
-        checkpoint = store.latest()
-        assert checkpoint.iteration == 2
-        assert checkpoint.spec == spec.to_dict()
-        again = Checkpoint.from_json(checkpoint.to_json())
-        assert again == checkpoint
+        records = CheckpointStore(directory).records()
+        assert [r.stats.iteration for r in records] == [1, 2]
+        assert records[0].spec == spec.to_dict()
+        assert [r.to_line().encode() for r in records] == [
+            line + b"\n" for line in log_lines(directory)
+        ]
 
     def test_spec_mismatch_refuses_resume(self, tmp_path):
         directory = str(tmp_path / "mismatch")
@@ -191,36 +328,37 @@ class TestCheckpointHygiene:
         resumed = Experiment.from_spec(swapped).run(checkpoint_dir=directory)
         assert_bit_identical(resumed, Experiment.from_spec(spec).run())
 
-    def test_resume_checkpoint_written_before_bigint_knob_existed(self, tmp_path):
-        """Pre-PR checkpoints (params dict without 'bigint_backend') must
-        keep resuming."""
-        import json
+    @staticmethod
+    def _edit_logged_spec(directory, edit) -> None:
+        """Rewrite the spec the log's first record carries."""
+        lines = log_lines(directory)
+        first = json.loads(lines[0])
+        edit(first["spec"]["params"])
+        lines[0] = json.dumps(first).encode()
+        (pathlib.Path(directory) / STATE_LOG).write_bytes(
+            b"".join(line + b"\n" for line in lines)
+        )
 
+    def test_resume_checkpoint_written_before_bigint_knob_existed(self, tmp_path):
+        """Specs written before the knob existed (params without
+        'bigint_backend') must keep resuming."""
         spec = spec_for("quality")
         directory = str(tmp_path / "pre-knob")
         run_interrupted(spec, directory, 2)
-        store = CheckpointStore(directory)
-        # Age the newest checkpoint in place: drop the knob from its spec.
-        path = max(store.directory.glob("checkpoint_*.json"))
-        payload = json.loads(path.read_text())
-        del payload["spec"]["params"]["bigint_backend"]
-        path.write_text(json.dumps(payload))
+        self._edit_logged_spec(directory, lambda p: p.pop("bigint_backend"))
         resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
         assert_bit_identical(resumed, Experiment.from_spec(spec).run())
 
     def test_resume_checkpoint_carrying_the_retired_use_packing_key(self, tmp_path):
-        """Checkpoints written before the knob was removed carry
-        ``"use_packing": true`` in their spec; it never had an effect on a
-        checkpointable plane, so they keep resuming."""
-        import json
-
+        """Specs written before the knob was removed carry
+        ``"use_packing": true``; it never had an effect on a resumable
+        plane, so they keep resuming."""
         spec = spec_for("vectorized")
         directory = str(tmp_path / "retired-knob")
         run_interrupted(spec, directory, 2)
-        path = max(CheckpointStore(directory).directory.glob("checkpoint_*.json"))
-        payload = json.loads(path.read_text())
-        payload["spec"]["params"]["use_packing"] = True
-        path.write_text(json.dumps(payload))
+        self._edit_logged_spec(
+            directory, lambda p: p.update(use_packing=True)
+        )
         resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
         assert_bit_identical(resumed, Experiment.from_spec(spec).run())
 
@@ -231,59 +369,46 @@ class TestCheckpointHygiene:
         fresh = Experiment.from_spec(spec).run(checkpoint_dir=directory, resume=False)
         assert_bit_identical(fresh, Experiment.from_spec(spec).run())
 
-    def test_object_plane_rejects_checkpointing(self, tmp_path):
-        spec = RunSpec.from_dict({
-            **spec_for("quality").to_dict(), "plane": "object",
-        })
-        with pytest.raises(ValueError, match="does not support checkpoint"):
-            list(Experiment.from_spec(spec).run_iter(
-                checkpoint_dir=str(tmp_path / "obj")
-            ))
-
     def test_save_leaves_no_tmp_behind(self, tmp_path):
-        spec = spec_for("quality")
+        path = atomic_write_text(tmp_path / "record.json", "{}\n")
+        assert path.read_text() == "{}\n"
         directory = tmp_path / "tidy"
-        run_interrupted(spec, str(directory), 2)
-        assert not list(directory.glob("*.tmp"))
+        run_interrupted(spec_for("quality"), str(directory), 2)
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_init_sweeps_stale_tmps(self, tmp_path):
-        """A kill mid-write leaves a tmp; the next store construction in a
-        fresh process must sweep it (the writer pid is dead)."""
-        directory = tmp_path / "stale"
-        directory.mkdir()
+        """A kill mid-write leaves a tmp; the next job store construction
+        in a fresh process must sweep it (the writer pid is dead)."""
+        job_dir = tmp_path / "jobs" / "job-1"
+        job_dir.mkdir(parents=True)
         # A dead writer: a subprocess that exits before we look at its pid.
         proc = subprocess.run(
             [sys.executable, "-c", "import os; print(os.getpid())"],
             capture_output=True, text=True, check=True,
         )
         dead_pid = int(proc.stdout)
-        stale = directory / f"checkpoint_000003.json.{dead_pid}.tmp"
+        stale = job_dir / f"job.json.{dead_pid}.tmp"
         stale.write_text("{torn")
-        legacy = directory / "checkpoint_000004.json.tmp"  # pre-fix naming
+        legacy = job_dir / "job.json.tmp"  # pre-pid naming
         legacy.write_text("{torn")
-        CheckpointStore(directory)
+        JobStore(tmp_path)
         assert not stale.exists() and not legacy.exists()
 
     def test_init_keeps_live_writers_tmp(self, tmp_path):
-        """A tmp owned by a live process (another run sharing the
+        """A tmp owned by a live process (another writer sharing the
         directory, mid-write) must survive the only-stale sweep."""
-        directory = tmp_path / "live"
-        directory.mkdir()
-        live = directory / f"checkpoint_000001.json.{os.getpid()}.tmp"
+        job_dir = tmp_path / "jobs" / "job-1"
+        job_dir.mkdir(parents=True)
+        live = job_dir / f"job.json.{os.getpid()}.tmp"
         live.write_text("mid-write")
-        CheckpointStore(directory)
+        JobStore(tmp_path)
         assert live.exists()
-        CheckpointStore(directory).clear()  # clear sweeps unconditionally
+        sweep_stale_tmps(job_dir, only_stale=False)  # sweeps unconditionally
         assert not live.exists()
 
     def test_tmp_name_is_per_process_unique(self, tmp_path):
         """Two processes sharing a directory must not race on one tmp
         path: the name embeds the writer's pid."""
-        store = CheckpointStore(tmp_path / "pid")
-        checkpoint = Checkpoint(
-            spec={}, plane="quality", iteration=1, centroids=[[0.0]],
-            epsilon_spent=0.0, rng_state={},
-        )
         seen = []
         original_replace = os.replace
 
@@ -293,36 +418,46 @@ class TestCheckpointHygiene:
 
         os.replace = spy
         try:
-            store.save(checkpoint)
+            atomic_write_text(tmp_path / "job.json", "{}")
         finally:
             os.replace = original_replace
         assert seen and f".{os.getpid()}.tmp" in seen[0]
 
     def test_concurrent_saves_from_processes(self, tmp_path):
-        """Many processes hammering one directory: every final checkpoint
-        file parses (no torn writes, no cross-process tmp clobbering)."""
+        """Four processes appending to one state log: every line parses
+        (one ``O_APPEND`` write a record, so no two interleave)."""
         directory = str(tmp_path / "concurrent")
+        CheckpointStore(directory).start([])
         with concurrent.futures.ProcessPoolExecutor(max_workers=4) as pool:
             list(pool.map(
-                _save_many, [(directory, worker) for worker in range(4)]
+                _append_many, [(directory, worker) for worker in range(4)]
             ))
-        store = CheckpointStore(directory)
-        assert store.iterations() == list(range(1, 9))
-        for iteration in store.iterations():
-            loaded = Checkpoint.from_json(
-                store.path_for(iteration).read_text()
+        lines = log_lines(directory)
+        records = [
+            record
+            for _, block in read_blocks(pathlib.Path(directory) / STATE_LOG, 0)
+            for _, _, record in block
+        ]
+        assert len(records) == len(lines) == 32
+        by_worker: dict[float, list[int]] = {}
+        for record in CheckpointStore(directory).records():
+            by_worker.setdefault(record.stats.centroids[0, 0], []).append(
+                record.stats.iteration
             )
-            assert loaded.iteration == iteration
-        assert not list(store.directory.glob("*.tmp"))
+        assert by_worker == {float(w): list(range(1, 9)) for w in range(4)}
 
     def test_rng_state_survives_json_exactly(self, tmp_path):
-        """PCG64 state ints are 128-bit; JSON must carry them exactly."""
+        """PCG64 state ints are 128-bit and the Mersenne-Twister state is
+        625 words; JSON must carry both exactly."""
         spec = spec_for("quality")
         directory = str(tmp_path / "state")
         run_interrupted(spec, directory, 1)
-        checkpoint = CheckpointStore(directory).latest()
-        state = checkpoint.rng_state
+        record = CheckpointStore(directory).records()[-1]
+        state = record.rng_state
         assert state["bit_generator"] == "PCG64"
         rng = np.random.default_rng(0)
         rng.bit_generator.state = state  # restoring must be lossless
         assert rng.bit_generator.state["state"] == state["state"]
+        crypto = random.Random()
+        crypto.setstate(record.crypto_state)
+        assert crypto.getstate() == random.Random(spec.seed).getstate()

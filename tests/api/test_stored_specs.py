@@ -19,7 +19,7 @@ from typing import Iterator
 
 import pytest
 
-from repro.api import DATASETS, RunSpec
+from repro.api import DATASETS, CheckpointSaved, Experiment, RunSpec
 from repro.service import JobState, JobStore, read_events
 from repro.service.worker import execute_job
 
@@ -87,4 +87,21 @@ def test_parent_written_job_and_checkpoint_resume_bit_identically(tmp_path):
     # checkpoint carries iteration 1 as the dense sampler drew it, so the
     # resumed run now differs from a fresh one from iteration 2 on (until
     # then this was also the uninterrupted run's digest).
+    assert digest == (STORED / "result.sha256").read_text().strip()
+
+
+def test_a_second_kill_after_the_legacy_resume_resumes_from_the_log(tmp_path):
+    """The legacy resume starts a state log holding the stored history; a
+    kill after its first new record and a second resume read that log (it
+    wins over the old file still beside it) and end at the same digest."""
+    stored_job = json.loads((STORED / "job.json").read_text())
+    spec = RunSpec.from_dict(stored_job["spec"])
+    shutil.copy(STORED / "checkpoint_000001.json", tmp_path)
+    for event in Experiment.from_spec(spec).run_iter(checkpoint_dir=tmp_path):
+        if isinstance(event, CheckpointSaved):
+            break  # killed right after iteration 2's record
+    events = list(Experiment.from_spec(spec).run_iter(checkpoint_dir=tmp_path))
+    assert events[0].resumed_iteration == 2
+    result = events[-1].result.to_dict()
+    digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode()).hexdigest()
     assert digest == (STORED / "result.sha256").read_text().strip()

@@ -135,8 +135,8 @@ class TestSpecDrivenRuns:
             out=out,
         )
         assert code == 0
-        checkpoints = sorted(ckpt_dir.glob("checkpoint_*.json"))
-        assert len(checkpoints) == 2  # UF2 bound
+        records = (ckpt_dir / "state.ndjson").read_text().splitlines()
+        assert len(records) == 2  # UF2 bound
 
         record = json.loads(json_out.read_text())
         assert record["schema"] == "chiaroscuro-run/v1"
