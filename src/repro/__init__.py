@@ -31,8 +31,10 @@ Subpackages
 ``repro.datasets``
     CER-like electricity curves, NUMED-like tumor-growth series, and the
     Appendix D 2-D points workload.
-``repro.analysis``
-    The invariant analyzer (``repro lint``).
+
+The structural invariants these packages keep (seeded randomness, the
+layering DAG, ε accounting) are checked by the tier-1 tests under
+``tests/invariants``.
 
 Quickstart
 ----------
@@ -48,7 +50,7 @@ Quickstart
 True
 """
 
-from . import analysis, api, clustering, core, crypto, datasets, gossip, privacy
+from . import api, clustering, core, crypto, datasets, gossip, privacy
 from .api import Experiment, RunSpec
 from .core import (
     ChiaroscuroParams,
@@ -68,7 +70,6 @@ __all__ = [
     "GreedyFloor",
     "RunSpec",
     "UniformFast",
-    "analysis",
     "api",
     "clustering",
     "core",

@@ -37,16 +37,8 @@ then reproduce the paper's comparisons from stored runs (no re-run)::
     python -m repro db query "SELECT * FROM v_detector_counts" --db wh.db
     python -m repro jobs --db wh.db                          # store offline
 
-``lint``      the AST-based invariant analyzer (determinism, layering,
-ε-accounting; see docs/ARCHITECTURE.md): exit 0 clean, 1 on new
-findings, 2 on usage errors.  ``--format json`` emits the
-``chiaroscuro-lint/v1`` envelope the warehouse ingests, and
-``report lint`` plots the violation trajectory over revisions::
-
-    python -m repro lint src/repro
-    python -m repro lint src/repro --format json > lint-findings.json
-    python -m repro lint --list-rules
-    python -m repro report lint --db wh.db
+The tree's structural invariants (determinism, layering, ε-accounting) are
+checked by the tier-1 tests under ``tests/invariants``, not by a subcommand.
 """
 
 from __future__ import annotations
@@ -240,25 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
             leaf.add_argument(f"--{keyword}", default=None, **options)
         leaf.add_argument("--format", choices=("text", "markdown"),
                           default="text", dest="fmt")
-
-    lint = sub.add_parser(
-        "lint",
-        help="AST-based invariant analyzer (determinism, layering, "
-             "ε-accounting contracts)",
-    )
-    lint.set_defaults(handler=_cmd_lint)
-    lint.add_argument("paths", nargs="*", default=["src"], metavar="PATH",
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--format", choices=("text", "json"), default="text",
-                      dest="fmt",
-                      help="json emits the chiaroscuro-lint/v1 envelope "
-                           "the warehouse ingests")
-    lint.add_argument("--rules", default=None, metavar="RULE[,RULE...]",
-                      help="run only these rules")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="list registered rules and exit")
-    lint.add_argument("--verbose", action="store_true",
-                      help="text format: also show suppressed findings")
     return parser
 
 
@@ -666,33 +639,6 @@ def _cmd_plan(args, out) -> int:
     print(f"exchanges per participant per EESum (Thm 3): n_e = {plan.exchanges}", file=out)
     print(f"Lemma-2 noise inflation factor: {plan.noise_inflation:.12f}", file=out)
     return 0
-
-
-def _cmd_lint(args, out) -> int:
-    from .analysis.lint import RULES, render_json, render_text, run_lint
-
-    if args.list_rules:
-        for key in RULES:
-            print(f"{key:<24} {RULES.get(key).description}", file=out)
-        return 0
-    rules = None
-    if args.rules:
-        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    try:
-        report = run_lint(args.paths, rules=rules)
-    except FileNotFoundError as exc:
-        print(f"error: no such path: {exc}", file=out)
-        print("usage: repro lint [PATH ...] [--format text|json] "
-              "[--rules RULE,...]", file=out)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=out)
-        return 2
-    if args.fmt == "json":
-        out.write(render_json(report))
-    else:
-        out.write(render_text(report, verbose=args.verbose))
-    return report.exit_code
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

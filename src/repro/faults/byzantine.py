@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.verification import DecryptionCrossCheck, DeviceRegistry
-# repro-lint: allow=fault-seams -- forging EESum shares requires the real message type, not a seam
 from ..gossip.eesum import EESum
 from .base import FaultInjector, register_fault
 

@@ -37,7 +37,7 @@ semantics — under four properties:
 * results depend neither on inherited state nor on the jobs a worker ran
   before: each job makes its own bigint/crypto-backend selection from the
   spec, and no module-global RNG is consulted (the ``determinism-rng``
-  lint rule);
+  check in ``tests/invariants``);
 * a worker closes the scheduler's ends of every pipe it inherited, so
   when the scheduler dies its pipes close and idle workers exit;
 * the scheduler process is single-threaded when it forks — ``repro

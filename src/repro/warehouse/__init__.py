@@ -8,7 +8,7 @@ This package makes all of it *queryable*:
 
 * :mod:`~repro.warehouse.schema` — a versioned sqlite schema
   (``PRAGMA user_version`` migrations) of runs, iterations, events,
-  detections, jobs, bench points and lint findings, plus
+  detections, jobs and bench points, plus
   window-function views;
 * :mod:`~repro.warehouse.ingest` — incremental, idempotent ingestion:
   per-file byte-offset watermarks, torn-tail tolerance, stable event
@@ -18,7 +18,7 @@ This package makes all of it *queryable*:
   curves, per-plane iteration-latency percentiles, detector counts, and
   the bench trajectory across git revisions;
 * :mod:`~repro.warehouse.report` — the table renderers behind
-  ``repro report fig2|fig3|attacks|latency|bench|lint``, listed once in
+  ``repro report fig2|fig3|attacks|latency|bench``, listed once in
   its ``REPORTS`` table.
 
 CLI: ``repro db ingest|query|stats`` and ``repro report …``::
@@ -35,7 +35,6 @@ from .analytics import (
     fig2_trajectories,
     fig3_quality,
     latency_percentiles,
-    lint_trajectory,
     run_query,
     stats,
     table_counts,
@@ -49,7 +48,6 @@ from .report import (
     report_fig2,
     report_fig3,
     report_latency,
-    report_lint,
 )
 from .schema import MIGRATIONS, connect, connect_readonly, schema_version
 
@@ -66,14 +64,12 @@ __all__ = [
     "follow_ingest",
     "ingest_paths",
     "latency_percentiles",
-    "lint_trajectory",
     "render_table",
     "report_attacks",
     "report_bench",
     "report_fig2",
     "report_fig3",
     "report_latency",
-    "report_lint",
     "run_query",
     "schema_version",
     "stats",

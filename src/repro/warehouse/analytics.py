@@ -21,7 +21,6 @@ __all__ = [
     "fig2_trajectories",
     "fig3_quality",
     "latency_percentiles",
-    "lint_trajectory",
     "run_query",
     "stats",
     "table_counts",
@@ -255,43 +254,6 @@ def bench_trajectory(
             ) spans ON spans.bench = t.bench AND spans.metric = t.metric
             WHERE {' AND '.join(where)}
             ORDER BY t.bench, t.metric
-            """,
-            args,
-        )
-    )
-
-
-# ------------------------------------------------------------------ lint
-
-
-def lint_trajectory(
-    con: sqlite3.Connection, rule: str | None = None
-) -> list[dict]:
-    """Per-rule lint finding counts at the latest ingested report.
-
-    Same shape as :func:`bench_trajectory`: the newest point per rule
-    with the previous report's total for a delta, ordered by the lint
-    envelope's provenance timestamp.  ``new``/``suppressed``/
-    ``baselined`` split the latest count by finding status.
-    """
-    where = ["point_index = spans.n"]
-    args: list = []
-    if rule:
-        where.append("t.rule = ?")
-        args.append(rule)
-    return _rows(
-        con.execute(
-            f"""
-            SELECT t.rule, t.git_rev, t.recorded_at,
-                   t.findings, t.new, t.suppressed, t.baselined,
-                   t.delta, spans.n AS points
-            FROM v_lint_trajectory t
-            JOIN (
-                SELECT rule, COUNT(DISTINCT report_key) AS n
-                FROM lint_findings GROUP BY rule
-            ) spans ON spans.rule = t.rule
-            WHERE {' AND '.join(where)}
-            ORDER BY t.rule
             """,
             args,
         )

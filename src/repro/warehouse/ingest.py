@@ -16,11 +16,10 @@ Source shapes that feed the warehouse:
   - ``chiaroscuro-bench/v1`` (root ``BENCH_*.json`` mirrors): scalar
     metrics → ``bench_points`` (the cross-PR perf trajectory); any
     embedded ``chiaroscuro-run/v1`` runs → ``runs``/``iterations``; any
-    ``summary`` detection aggregates → ``detections``;
-  - ``chiaroscuro-lint/v1`` (``repro lint --format json``): one
-    ``lint_findings`` row per finding, keyed by the report's provenance
-    plus the finding's content fingerprint — the structural-quality
-    trajectory next to the perf one.
+    ``summary`` detection aggregates → ``detections``.
+
+  A file of any other shape is skipped inside a scanned directory and
+  refused when named on its own.
 
 Ingestion is a *delta*, never a rescan (the Berkholz-style discipline of
 answering under updates): each NDJSON source keeps a byte-offset
@@ -67,7 +66,6 @@ TABLES = (
     "events",
     "detections",
     "bench_points",
-    "lint_findings",
     "ingest_files",
 )
 
@@ -98,7 +96,7 @@ def _parse_iso(timestamp: str) -> float | None:
 
 
 def _provenance(envelope: dict) -> tuple[str, str, float | None]:
-    """``(git_rev, recorded_at, unix_time)`` of a bench or lint envelope.
+    """``(git_rev, recorded_at, unix_time)`` of a bench envelope.
 
     Read from the ``provenance`` block, else from the top-level fields
     envelopes carried before it existed; a missing ``unix_time`` is
@@ -197,7 +195,7 @@ class Ingester:
             if not any(found):
                 raise ValueError(
                     f"{path}: not a service root (no jobs/) and no "
-                    f"BENCH_*.json, run-record or lint-report files inside"
+                    f"BENCH_*.json or run-record files inside"
                 )
         elif not path.exists():
             raise FileNotFoundError(str(path))
@@ -206,8 +204,8 @@ class Ingester:
         elif not self._ingest_json_once(path, self._ingest_shaped):
             raise ValueError(
                 f"{path}: unrecognized telemetry file (expected a service "
-                f"root, *.ndjson log, BENCH_*.json, chiaroscuro-run/v1 "
-                f"record, or chiaroscuro-lint/v1 report)"
+                f"root, *.ndjson log, BENCH_*.json or chiaroscuro-run/v1 "
+                f"record)"
             )
         self.con.commit()
 
@@ -437,41 +435,6 @@ class Ingester:
             ],
         )
 
-    # ------------------------------------------------------------ lint runs
-
-    def _ingest_lint(self, path: pathlib.Path, envelope: dict) -> None:
-        git_rev, recorded_at, unix_time = _provenance(envelope)
-        # One report = one (git_rev, timestamp) identity; re-ingesting the
-        # same file (or a byte-identical copy elsewhere) lands on the same
-        # primary keys and stays a no-op.
-        report_key = f"{git_rev}@{recorded_at}"
-        rows = []
-        for finding in envelope.get("findings", []):
-            if not isinstance(finding, dict) or not finding.get("fingerprint"):
-                continue
-            line = finding.get("line")
-            rows.append((
-                report_key,
-                str(finding["fingerprint"]),
-                git_rev,
-                recorded_at,
-                unix_time,
-                str(finding.get("rule", "")),
-                str(finding.get("path", "")),
-                int(line) if isinstance(line, int) else 0,
-                str(finding.get("status", "new")),
-                str(finding.get("message", "")),
-                str(finding.get("snippet", "")),
-                str(finding.get("justification", "")),
-            ))
-        self.con.executemany(
-            "INSERT OR REPLACE INTO lint_findings (report_key, "
-            "fingerprint, git_rev, recorded_at, unix_time, rule, path, "
-            "line, status, message, snippet, justification) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            rows,
-        )
-
     # -------------------------------------------------------------- benches
 
     def _ingest_bench(self, path: pathlib.Path, envelope: dict) -> None:
@@ -595,7 +558,6 @@ class Ingester:
 SHAPES: dict[str, Callable[[Ingester, pathlib.Path, dict], None]] = {
     "chiaroscuro-bench/v1": Ingester._ingest_bench,
     "chiaroscuro-run/v1": Ingester._ingest_run_record,
-    "chiaroscuro-lint/v1": Ingester._ingest_lint,
 }
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "report_fig2",
     "report_fig3",
     "report_latency",
-    "report_lint",
 ]
 
 
@@ -190,24 +189,6 @@ REPORTS: dict[str, Report] = {
          "metric": {"metavar": "PATTERN",
                     "help": "only metrics matching this SQL LIKE pattern"}},
     ),
-    # Lint-finding trajectory: per-rule counts at the latest report.
-    "lint": Report(
-        analytics.lint_trajectory,
-        "no lint findings ingested — ingest a "
-        "`repro lint --format json` report",
-        (
-            ("rule", "rule"),
-            ("rev", "git_rev"),
-            ("findings", "findings"),
-            ("new", "new"),
-            ("suppressed", "suppressed"),
-            ("baselined", "baselined"),
-            ("delta", "delta", 0),
-            ("reports", "points"),
-        ),
-        "lint-finding trajectory over git revisions",
-        {"rule": {"help": "only this lint rule (e.g. determinism-rng)"}},
-    ),
 }
 
 report_fig2 = REPORTS["fig2"].render
@@ -215,4 +196,3 @@ report_fig3 = REPORTS["fig3"].render
 report_attacks = REPORTS["attacks"].render
 report_latency = REPORTS["latency"].render
 report_bench = REPORTS["bench"].render
-report_lint = REPORTS["lint"].render

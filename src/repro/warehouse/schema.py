@@ -44,14 +44,9 @@ Views (migration 2) — the window-function analytics surface
 ``v_bench_trajectory``      each bench metric over git revisions with its
                             previous value (``LAG() OVER``) for deltas.
 
-Static analysis (migration 4)
------------------------------
-``lint_findings``      one row per finding per ``chiaroscuro-lint/v1``
-                       report, keyed (report, fingerprint) so re-ingesting
-                       the same report is a no-op.
-``v_lint_trajectory``  per-rule finding counts over git revisions with
-                       deltas — the structural-quality ratchet, shaped
-                       like ``v_bench_trajectory``.
+Migration 4 added ``lint_findings`` and ``v_lint_trajectory`` for
+``chiaroscuro-lint/v1`` reports; migration 5 drops both, because the
+invariants those reports tracked are tier-1 tests (``tests/invariants``).
 """
 
 from __future__ import annotations
@@ -287,6 +282,12 @@ WINDOW w AS (
 );
 """
 
+_MIGRATION_5 = """
+DROP VIEW v_lint_trajectory;
+DROP INDEX idx_lint_rule;
+DROP TABLE lint_findings;
+"""
+
 #: Ordered migration scripts; ``PRAGMA user_version`` counts how many of
 #: these the database has applied.  Append-only — never edit a shipped one.
 #: Migration 3 rebuilds ``v_iteration_latency`` with the per-iteration
@@ -296,11 +297,13 @@ WINDOW w AS (
 #: ``chiaroscuro-lint/v1`` envelopes and ``v_lint_trajectory``, the
 #: per-rule violation count over revisions (same LAG shape as
 #: ``v_bench_trajectory`` — the quality ratchet next to the perf one).
+#: Migration 5 drops that plane again, rows included.
 MIGRATIONS: tuple[str, ...] = (
     _MIGRATION_1,
     _MIGRATION_2,
     _MIGRATION_3,
     _MIGRATION_4,
+    _MIGRATION_5,
 )
 
 

@@ -22,17 +22,12 @@ BENCH = pathlib.Path(__file__).resolve().parents[2] / (
     "BENCH_fig3_attack_quality.json"
 )
 
-LINT_REPORT = {
-    "schema": "chiaroscuro-lint/v1",
-    "provenance": {"git_rev": "abc1234",
-                   "timestamp": "2026-08-07T10:00:00Z", "unix_time": 1e9},
-    "findings": [
-        {"rule": "determinism-rng", "path": "src/x.py", "line": 7,
-         "message": "unseeded rng", "status": "new",
-         "fingerprint": fingerprint}
-        for fingerprint in ("aa" * 8, "bb" * 8)
-    ],
-}
+@pytest.fixture(scope="module")
+def other_record():
+    """A ``chiaroscuro-run/v1`` record of a different spec than the
+    directory test's copies."""
+    spec = tiny_spec(6, name="other")
+    return run_record(spec, Experiment.from_spec(spec).run())
 
 
 @pytest.fixture()
@@ -60,23 +55,27 @@ def parsed(monkeypatch):
 class TestParseOnce:
     N = 5
 
-    def test_directory_of_standalone_files(self, con, tmp_path, parsed):
+    def test_directory_of_standalone_files(
+        self, con, tmp_path, parsed, other_record
+    ):
         spec = tiny_spec(5, name="standalone")
         record = run_record(spec, Experiment.from_spec(spec).run())
         directory = tmp_path / "records"
         directory.mkdir()
         for index in range(self.N):
             write_json(directory / f"run-{index}.json", record)
-        write_json(directory / "lint-findings.json", LINT_REPORT)
+        write_json(directory / "other.json", other_record)
         write_json(directory / "package.json", {"name": "foreign"})
 
         delta = ingest_paths(con, [directory])
         assert len(parsed) == self.N + 2  # bulk: one parse per file
         history = len(record["result"]["history"])
+        other_history = len(other_record["result"]["history"])
         assert delta == {
-            "jobs": 0, "runs": self.N, "iterations": self.N * history,
+            "jobs": 0, "runs": self.N + 1,
+            "iterations": self.N * history + other_history,
             "events": 0, "detections": 0, "bench_points": 0,
-            "lint_findings": 2, "ingest_files": self.N + 1,
+            "ingest_files": self.N + 1,
         }
 
         del parsed[:]
@@ -86,12 +85,25 @@ class TestParseOnce:
         assert parsed == [{"name": "foreign"}]
         assert not any(delta.values()), delta
 
-    def test_bench_named_file_must_be_a_bench_envelope(self, con, tmp_path):
-        path = write_json(tmp_path / "BENCH_x.json", LINT_REPORT)
+    def test_bench_named_file_must_be_a_bench_envelope(
+        self, con, tmp_path, other_record
+    ):
+        path = write_json(tmp_path / "BENCH_x.json", other_record)
         with pytest.raises(ValueError, match="not a chiaroscuro-bench/v1"):
             ingest_paths(con, [path])
         with pytest.raises(ValueError, match="not a chiaroscuro-bench/v1"):
             ingest_paths(con, [tmp_path])
+
+
+def test_a_lint_report_is_an_unknown_shape(con, tmp_path):
+    """``chiaroscuro-lint/v1`` files are no longer telemetry: refused when
+    named on their own, skipped inside a scanned directory."""
+    path = write_json(tmp_path / "lint-findings.json",
+                      {"schema": "chiaroscuro-lint/v1", "findings": []})
+    with pytest.raises(ValueError, match="unrecognized telemetry file"):
+        ingest_paths(con, [path])
+    with pytest.raises(ValueError, match="no BENCH_"):
+        ingest_paths(con, [tmp_path])
 
 
 def test_adding_an_ingest_shape_is_one_registered_function(
@@ -111,25 +123,25 @@ def test_adding_an_ingest_shape_is_one_registered_function(
 
 
 def test_follow_interrupted_reports_new_rows_not_table_sizes(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, other_record
 ):
     """Ctrl-C out of ``--follow`` sums up what the follow added."""
     db = str(tmp_path / "wh.db")
-    first = dict(LINT_REPORT, findings=LINT_REPORT["findings"][:1])
-    second = dict(LINT_REPORT, provenance={
-        "git_rev": "def5678", "timestamp": "2026-08-08T10:00:00Z"})
-    assert main(["db", "ingest", str(write_json(tmp_path / "a.json", first)),
-                 "--db", db], out=io.StringIO()) == 0
+    first = write_json(tmp_path / "a.json", other_record)
+    assert main(["db", "ingest", str(first), "--db", db],
+                out=io.StringIO()) == 0
 
     def interrupt(seconds):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(time, "sleep", interrupt)  # the poll sleep
     out = io.StringIO()
-    assert main(["db", "ingest", str(write_json(tmp_path / "b.json", second)),
-                 "--db", db, "--follow"], out=out) == 0
+    second = write_json(tmp_path / "b.json", other_record)
+    assert main(["db", "ingest", str(second), "--db", db, "--follow"],
+                out=out) == 0
+    history = len(other_record["result"]["history"])
     assert out.getvalue().endswith(
-        f"ingested into {db}: +2 lint_findings, +1 ingest_files\n"
+        f"ingested into {db}: +1 runs, +{history} iterations, +1 ingest_files\n"
     )
 
 

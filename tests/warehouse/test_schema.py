@@ -6,10 +6,15 @@ import sqlite3
 
 import pytest
 
+from _wh_helpers import populate_job, tiny_spec
+from repro.service import JobStore
 from repro.warehouse import (
     MIGRATIONS,
+    REPORTS,
+    Ingester,
     connect,
     connect_readonly,
+    ingest_paths,
     schema_version,
 )
 
@@ -80,6 +85,35 @@ class TestMigrations:
             "ORDER BY ts"
         ).fetchall()
         assert [tuple(row) for row in rows] == [(None, None), (2.5, 2000.0)]
+        con.close()
+
+    def test_migration_5_drops_the_lint_plane_rows_and_all(self, tmp_path):
+        """A migration-4 warehouse holding lint rows and a service root
+        upgrades in place: the lint plane goes, the rest stays queryable."""
+        root = tmp_path / "svc"
+        populate_job(JobStore(root), tiny_spec(4))
+        path = tmp_path / "wh.db"
+        old = sqlite3.connect(path)
+        for script in MIGRATIONS[:4]:
+            old.executescript(script)
+        old.execute("PRAGMA user_version = 4")
+        old.execute(
+            "INSERT INTO lint_findings (report_key, fingerprint, git_rev, "
+            "recorded_at, rule, path, status) VALUES ('r@t', 'aa', 'r', 't', "
+            "'determinism-rng', 'src/x.py', 'new')"
+        )
+        Ingester(old).ingest_path(root)
+        old.close()
+
+        con = connect(path)
+        assert schema_version(con) == 5 == len(MIGRATIONS)
+        assert not con.execute(
+            "SELECT name FROM sqlite_master WHERE name IN "
+            "('lint_findings', 'v_lint_trajectory', 'idx_lint_rule')"
+        ).fetchall()
+        assert not any(ingest_paths(con, [root]).values())
+        for name, report in REPORTS.items():
+            assert report.render(con).strip(), name
         con.close()
 
     def test_future_version_refused(self, tmp_path):
