@@ -50,31 +50,16 @@ Quickstart
 True
 """
 
-from . import api, clustering, core, crypto, datasets, gossip, privacy
-from .api import Experiment, RunSpec
-from .core import (
-    ChiaroscuroParams,
-    ChiaroscuroRun,
-    ClusteringResult,
-)
-from .privacy import Greedy, GreedyFloor, UniformFast
+from . import lazy
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "ChiaroscuroParams",
-    "ChiaroscuroRun",
-    "ClusteringResult",
-    "Experiment",
-    "Greedy",
-    "GreedyFloor",
-    "RunSpec",
-    "UniformFast",
-    "api",
-    "clustering",
-    "core",
-    "crypto",
-    "datasets",
-    "gossip",
-    "privacy",
-]
+__all__, __getattr__ = lazy.exports(__name__, {
+    ".api": ("api", "Experiment", "RunSpec"),
+    ".clustering": ("clustering",),
+    ".core": ("core", "ChiaroscuroParams", "ChiaroscuroRun", "ClusteringResult"),
+    ".crypto": ("crypto",),
+    ".datasets": ("datasets",),
+    ".gossip": ("gossip",),
+    ".privacy": ("privacy", "Greedy", "GreedyFloor", "UniformFast"),
+})

@@ -113,7 +113,8 @@ class ExecutionPlane:
     supports_checkpoint = True
     #: Whether runs on this plane build genuine ciphertexts (and therefore
     #: a threshold key of ``params.key_bits``); drives the ``key_bits``
-    #: field of :func:`run_environment`.
+    #: field of :func:`run_environment`, and a spec naming the plane loads
+    #: the real-ciphertext substrate while it resolves (:mod:`repro.lazy`).
     uses_real_crypto: bool = False
     #: ``RunSpec.options`` keys this plane consumes.  Spec validation
     #: rejects keys no registered plane declares (typo protection), while
@@ -260,15 +261,15 @@ class Experiment:
         ctx = self.context
         plane: ExecutionPlane = PLANES.get(spec.plane)
 
-        # Deferred import — repro.faults imports repro.api for the registry
-        # and event types, so a module-level binding would deadlock
-        # package initialization.
-        from ..faults import FaultAbort, FaultPlan
+        fault_plan = None
+        aborts = ()  # the exceptions that abort a run cleanly: a fault's only
+        if spec.faults:
+            # Loaded already: resolving the spec built its faults.
+            from ..faults import FaultAbort, FaultPlan
 
-        fault_plan = FaultPlan.from_spec(spec)
-        ctx.fault_plan = fault_plan
-        if fault_plan is not None:
+            fault_plan, aborts = FaultPlan.from_spec(spec), (FaultAbort,)
             checkpoint_dir = None  # documented: faulted runs re-run, not resume
+        ctx.fault_plan = fault_plan
 
         store: CheckpointStore | None = None
         records: list[Checkpoint] = []
@@ -338,7 +339,7 @@ class Experiment:
                     yield CheckpointSaved(
                         iteration=step.stats.iteration, path=path
                     )
-        except FaultAbort as abort:
+        except aborts as abort:
             aborted = True
             yield from fault_plan.drain_events()
             yield RunAborted(

@@ -22,6 +22,7 @@ from typing import Any, Mapping, Self
 
 import numpy as np
 
+from .. import lazy
 from ..core.config import ChiaroscuroParams
 from ..core.protocol import PROTOCOL_PLANES  # the planes a fault block may run on
 from .registry import DATASETS, INITIALIZERS, PLANES, resolve_strategy
@@ -139,9 +140,9 @@ class RunSpec:
                     f"({' or '.join(map(repr, PROTOCOL_PLANES))}); the "
                     f"{self.plane!r} plane runs no live adversary"
                 )
-            # Deferred import: repro.faults itself imports repro.api (for
-            # the registry and event types), so binding it at module level
-            # would deadlock package initialization.
+            # The fault plane loads only for a spec that declares faults
+            # (repro.lazy); repro.faults imports repro.api besides, so a
+            # module-level import would cycle.
             from ..faults import build_fault
 
             for fault in faults:
@@ -165,6 +166,11 @@ class RunSpec:
                 f"unknown initializer {self.init.kind!r}; registered: "
                 f"{', '.join(INITIALIZERS.keys())}"
             )
+        # The real-ciphertext substrate loads while a spec naming it
+        # resolves (repro.lazy): never inside a run, and never in a worker
+        # forked after the spec was built.
+        if PLANES.get(self.plane).uses_real_crypto:
+            lazy.load()
         try:
             resolve_strategy(self.strategy, self.params)
         except KeyError as exc:

@@ -3,28 +3,15 @@
 k-means quality plane as one more substrate of the same loop.
 """
 
-from .computation import ComputationOutput, ComputationStep
-from .config import ChiaroscuroParams
-from .noise import NoisePlan
-from .participant import Participant
-from .protocol import ChiaroscuroRun
-from .results import ClusteringResult, IterationRecord, IterationStats
-from .smoothing import derive_sma_window, sma_smooth
-from .verification import CrossCheckReport, DecryptionCrossCheck, DeviceRegistry
+from .. import lazy
 
-__all__ = [
-    "ChiaroscuroParams",
-    "ChiaroscuroRun",
-    "ClusteringResult",
-    "ComputationOutput",
-    "ComputationStep",
-    "CrossCheckReport",
-    "DecryptionCrossCheck",
-    "DeviceRegistry",
-    "IterationRecord",
-    "IterationStats",
-    "NoisePlan",
-    "Participant",
-    "derive_sma_window",
-    "sma_smooth",
-]
+__all__, __getattr__ = lazy.exports(__name__, {
+    ".computation": ("ComputationOutput", "ComputationStep"),
+    ".config": ("ChiaroscuroParams",),
+    ".noise": ("NoisePlan",),
+    ".participant": ("Participant",),
+    ".protocol": ("ChiaroscuroRun",),
+    ".results": ("ClusteringResult", "IterationRecord", "IterationStats"),
+    ".smoothing": ("derive_sma_window", "sma_smooth"),
+    ".verification": ("CrossCheckReport", "DecryptionCrossCheck", "DeviceRegistry"),
+})

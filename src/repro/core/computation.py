@@ -29,24 +29,36 @@ from __future__ import annotations
 
 import random
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import lazy
 from ..blocks import row_blocks
 from ..clustering.kmeans import compute_means
-from ..crypto.backend import CryptoBackend, SerialBackend
-from ..crypto.damgard_jurik import homomorphic_add_batch
-from ..crypto.encoding import PackedCodec
-from ..crypto.threshold import ThresholdKeypair, combine_partial_decryptions_batch
-from ..gossip.aggregation import EpidemicSum
-from ..gossip.cipher_array import CipherEESum
 from ..gossip.decryption import EpidemicDecryption, VectorizedShareCollection
 from ..gossip.dissemination import MinIdDissemination, VectorizedMinId
 from ..gossip.eesum import EESum, VectorizedEESum
-from ..gossip.engine import GossipEngine
 from ..gossip.vectorized_protocol import VectorizedGossipEngine
 from ..privacy.probabilistic import lemma2_perturb
 from .noise import NoisePlan
+
+if TYPE_CHECKING:
+    from ..crypto.backend import CryptoBackend
+    from ..crypto.encoding import PackedCodec
+    from ..crypto.threshold import ThresholdKeypair
+    from ..gossip.engine import GossipEngine
+
+# The real-ciphertext planes' names (repro.lazy): the mock loop imports none.
+SerialBackend = lazy.defer(__name__, "..crypto.backend", "SerialBackend")
+homomorphic_add_batch = lazy.defer(
+    __name__, "..crypto.damgard_jurik", "homomorphic_add_batch"
+)
+combine_partial_decryptions_batch = lazy.defer(
+    __name__, "..crypto.threshold", "combine_partial_decryptions_batch"
+)
+EpidemicSum = lazy.defer(__name__, "..gossip.aggregation", "EpidemicSum")
+CipherEESum = lazy.defer(__name__, "..gossip.cipher_array", "CipherEESum")
 
 __all__ = [
     "CentralComputationStep",

@@ -17,16 +17,21 @@ it — plus share generation and the correction proposal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from ..crypto.encoding import PackedCodec
-from ..crypto.keys import PublicKey
+from .. import lazy
 from ..privacy.laplace import joint_sensitivity, laplace_scale
 from ..privacy.noise_shares import gen_noise_shares, surplus_correction
 
+if TYPE_CHECKING:
+    from ..crypto.keys import PublicKey
+
 __all__ = ["NoisePlan"]
+
+# The real-ciphertext planes' codec (repro.lazy): the mock loop imports none.
+PackedCodec = lazy.defer(__name__, "..crypto.encoding", "PackedCodec")
 
 
 @dataclass(frozen=True)

@@ -45,19 +45,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
+from .. import lazy
 from ..clustering.distance import assign_to_closest
 from ..clustering.inertia import intra_inertia
 from ..clustering.kmeans import compress_labels, compute_means
 from ..crypto import bigint
-from ..crypto.backend import create_backend
-from ..crypto.damgard_jurik import FastEncryptor
-from ..crypto.threshold import ThresholdKeypair, generate_threshold_keypair
 from ..datasets.timeseries import TimeSeriesSet
-from ..gossip.engine import GossipEngine
 from ..gossip.vectorized_protocol import VectorizedGossipEngine
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import BudgetStrategy
@@ -69,9 +66,20 @@ from .computation import (
 )
 from .config import ChiaroscuroParams
 from .noise import NoisePlan
-from .participant import Participant
 from .results import ClusteringResult, IterationRecord, IterationStats
 from .smoothing import sma_smooth
+
+if TYPE_CHECKING:
+    from ..crypto.threshold import ThresholdKeypair
+
+# The real-ciphertext planes' names (repro.lazy): the mock loop imports none.
+create_backend = lazy.defer(__name__, "..crypto.backend", "create_backend")
+FastEncryptor = lazy.defer(__name__, "..crypto.damgard_jurik", "FastEncryptor")
+generate_threshold_keypair = lazy.defer(
+    __name__, "..crypto.threshold", "generate_threshold_keypair"
+)
+GossipEngine = lazy.defer(__name__, "..gossip.engine", "GossipEngine")
+Participant = lazy.defer(__name__, ".participant", "Participant")
 
 __all__ = ["ChiaroscuroRun", "PROTOCOL_PLANES"]
 

@@ -18,67 +18,32 @@ an optional, bit-identical fast path selected via the
 field, or the ``--bigint-backend`` CLI flag.
 """
 
-from . import bigint
-from .backend import (
-    CryptoBackend,
-    ProcessPoolBackend,
-    SerialBackend,
-    create_backend,
-)
-from .damgard_jurik import (
-    FastEncryptor,
-    decrypt,
-    dlog_1_plus_n,
-    encrypt,
-    encrypt_batch,
-    generate_keypair,
-    homomorphic_add,
-    homomorphic_add_batch,
-    homomorphic_scalar_mul,
-    powers_of_g,
-)
-from .encoding import FixedPointCodec, PackedCodec, quantize_to_grid
-from .numtheory import FixedBaseTable
-from .keys import KeyShare, PrivateKey, PublicKey, ThresholdContext
-from .shamir import lagrange_at_zero, reconstruct_at_zero, share_secret
-from .threshold import (
-    ThresholdKeypair,
-    combine_partial_decryptions,
-    combine_partial_decryptions_batch,
-    generate_threshold_keypair,
-    partial_decrypt,
-)
+from .. import lazy
 
-__all__ = [
-    "bigint",
-    "CryptoBackend",
-    "FastEncryptor",
-    "FixedBaseTable",
-    "FixedPointCodec",
-    "KeyShare",
-    "PackedCodec",
-    "quantize_to_grid",
-    "PrivateKey",
-    "ProcessPoolBackend",
-    "PublicKey",
-    "SerialBackend",
-    "ThresholdContext",
-    "ThresholdKeypair",
-    "combine_partial_decryptions",
-    "combine_partial_decryptions_batch",
-    "create_backend",
-    "decrypt",
-    "dlog_1_plus_n",
-    "encrypt",
-    "encrypt_batch",
-    "generate_keypair",
-    "generate_threshold_keypair",
-    "homomorphic_add",
-    "homomorphic_add_batch",
-    "homomorphic_scalar_mul",
-    "lagrange_at_zero",
-    "partial_decrypt",
-    "powers_of_g",
-    "reconstruct_at_zero",
-    "share_secret",
-]
+__all__, __getattr__ = lazy.exports(__name__, {
+    ".bigint": ("bigint",),
+    ".backend": ("CryptoBackend", "ProcessPoolBackend", "SerialBackend", "create_backend"),
+    ".damgard_jurik": (
+        "FastEncryptor",
+        "decrypt",
+        "dlog_1_plus_n",
+        "encrypt",
+        "encrypt_batch",
+        "generate_keypair",
+        "homomorphic_add",
+        "homomorphic_add_batch",
+        "homomorphic_scalar_mul",
+        "powers_of_g",
+    ),
+    ".encoding": ("FixedPointCodec", "PackedCodec", "quantize_to_grid"),
+    ".numtheory": ("FixedBaseTable",),
+    ".keys": ("KeyShare", "PrivateKey", "PublicKey", "ThresholdContext"),
+    ".shamir": ("lagrange_at_zero", "reconstruct_at_zero", "share_secret"),
+    ".threshold": (
+        "ThresholdKeypair",
+        "combine_partial_decryptions",
+        "combine_partial_decryptions_batch",
+        "generate_threshold_keypair",
+        "partial_decrypt",
+    ),
+})

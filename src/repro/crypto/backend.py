@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,6 +44,9 @@ from .damgard_jurik import (
     encrypt_drawn,
 )
 from .keys import KeyShare, PublicKey, ThresholdContext
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "CryptoBackend",
@@ -176,6 +179,9 @@ class ProcessPoolBackend(CryptoBackend):
 
     def _pool(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # Imported on first use: a serial run never loads the pool.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_init_worker,

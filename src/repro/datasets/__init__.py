@@ -2,18 +2,11 @@
 series, the Appendix D 2-D points, and the TimeSeriesSet container.
 """
 
-from .cer import ARCHETYPE_BUILDERS, courbogen_like_centroids, generate_cer
-from .numed import generate_numed, numed_profile
-from .points2d import generate_a3_like, generate_points2d
-from .timeseries import TimeSeriesSet
+from .. import lazy
 
-__all__ = [
-    "ARCHETYPE_BUILDERS",
-    "TimeSeriesSet",
-    "courbogen_like_centroids",
-    "generate_a3_like",
-    "generate_cer",
-    "generate_numed",
-    "generate_points2d",
-    "numed_profile",
-]
+__all__, __getattr__ = lazy.exports(__name__, {
+    ".cer": ("ARCHETYPE_BUILDERS", "courbogen_like_centroids", "generate_cer"),
+    ".numed": ("generate_numed", "numed_profile"),
+    ".points2d": ("generate_a3_like", "generate_points2d"),
+    ".timeseries": ("TimeSeriesSet",),
+})

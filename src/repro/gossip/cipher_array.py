@@ -39,7 +39,6 @@ computation step can report a per-iteration ``crypto_ms`` split.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -195,17 +194,3 @@ class CipherEESum:
     def row(self, node: int) -> list[int]:
         """Node ``node``'s current ciphertext vector."""
         return self.array.row(node)
-
-    def scaled_omega(self, node: int) -> int:
-        """The object-plane integer ``ω·2^{count}`` this node denotes.
-
-        Exact materialization via ``Fraction`` — raises if the normalized
-        float has left the dyadic grid (mantissa exhausted), mirroring
-        :meth:`~.VectorizedEESum.scaled_state`.
-        """
-        exact = Fraction(float(self.omega[node])) * (
-            1 << int(self.count[node])
-        )
-        if exact.denominator != 1:
-            raise ValueError("omega is no longer dyadic — mantissa exhausted")
-        return int(exact)

@@ -29,13 +29,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..crypto.backend import CryptoBackend, SerialBackend
-from ..crypto.keys import KeyShare, ThresholdContext
-from ..crypto.threshold import combine_partial_decryptions
-from .engine import GossipProtocol, Node
+from .. import lazy
+
+if TYPE_CHECKING:
+    from ..crypto.backend import CryptoBackend
+    from ..crypto.keys import KeyShare, ThresholdContext
+    from .engine import Node
 
 __all__ = [
     "DecryptionState",
@@ -43,6 +46,12 @@ __all__ = [
     "TokenDecryption",
     "VectorizedShareCollection",
 ]
+
+# The real-ciphertext planes' names (repro.lazy): the mock loop imports none.
+SerialBackend = lazy.defer(__name__, "..crypto.backend", "SerialBackend")
+combine_partial_decryptions = lazy.defer(
+    __name__, "..crypto.threshold", "combine_partial_decryptions"
+)
 
 _STATE = "eedec"
 
@@ -62,7 +71,7 @@ class DecryptionState:
         return len(self.partials)
 
 
-class EpidemicDecryption(GossipProtocol):
+class EpidemicDecryption:
     """Real threshold decryption over the gossip stream.
 
     ``bundles`` maps node id → (ciphertext vector, scaled weight ω,
@@ -140,7 +149,7 @@ class EpidemicDecryption(GossipProtocol):
         return plaintexts, state.omega, state.count
 
 
-class TokenDecryption(GossipProtocol):
+class TokenDecryption:
     """Crypto-free twin for latency sweeps: moves identifier sets only.
 
     Each node's key-share identifier is its node id; states are plain sets.

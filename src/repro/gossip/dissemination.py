@@ -12,18 +12,19 @@ one million nodes).
 from __future__ import annotations
 
 import random
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .engine import GossipProtocol, Node
+if TYPE_CHECKING:
+    from .engine import Node
 
 __all__ = ["MinIdDissemination", "VectorizedMinId"]
 
 _STATE = "epidis"
 
 
-class MinIdDissemination(GossipProtocol):
+class MinIdDissemination:
     """Keep-the-smallest-identifier flooding of (identifier, payload) pairs.
 
     ``proposals`` maps node id → (identifier, payload); nodes without a

@@ -20,14 +20,16 @@ encrypted noise to the encrypted means at the end.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .. import lazy
 from ..blocks import block_rows, row_blocks
-from ..crypto.damgard_jurik import homomorphic_add, homomorphic_scalar_mul
-from ..crypto.keys import PublicKey
-from .engine import GossipProtocol, Node
+
+if TYPE_CHECKING:
+    from ..crypto.keys import PublicKey
+    from .engine import Node
 
 __all__ = [
     "EESum",
@@ -38,6 +40,12 @@ __all__ = [
 ]
 
 _STATE = "eesum"
+
+# The real ciphertext algebra (repro.lazy): the mock loop imports none.
+homomorphic_add = lazy.defer(__name__, "..crypto.damgard_jurik", "homomorphic_add")
+homomorphic_scalar_mul = lazy.defer(
+    __name__, "..crypto.damgard_jurik", "homomorphic_scalar_mul"
+)
 
 
 class HomomorphicOps:
@@ -84,7 +92,7 @@ class EESumState:
         self.count = 0
 
 
-class EESum(GossipProtocol):
+class EESum:
     """Algorithm 2 over a vector of Damgård–Jurik ciphertexts.
 
     ``initial`` maps node id → list of ciphertexts (all nodes must supply
@@ -165,10 +173,9 @@ class VectorizedEESum:
     i.e. the delayed divisions cancel the alignment scalings *exactly* (a
     restatement of the App. C.2.1 equivalence).  Both representations are
     dyadic-rational–exact: as long as numerators fit a float64 mantissa the
-    arrays hold the same numbers the object plane's integers denote, and
-    :meth:`scaled_state` re-materializes those integers bit-for-bit (the
-    equivalence tests assert identity against a mock-homomorphic object
-    run on the same pairing schedule).
+    arrays hold the same numbers the object plane's integers denote (the
+    equivalence tests re-materialize those integers and assert identity
+    against a mock-homomorphic object run on the same pairing schedule).
     """
 
     def __init__(self, values: np.ndarray, copy: bool = True) -> None:
@@ -247,27 +254,3 @@ class VectorizedEESum:
         estimates = np.full(values.shape, np.nan)
         np.divide(values, weights, out=estimates, where=weights > 0)
         return estimates
-
-    def scaled_state(self, node: int, fractional_bits: int = 0) -> tuple[list[int], int]:
-        """The node's object-plane integers ``(v·2^{count+f}, ω·2^count)``.
-
-        Exact big-int materialization (via ``Fraction``) of the delayed-
-        division integers the object engine would hold — the equivalence
-        proofs compare these for identity.  Raises if the normalized floats
-        have left the dyadic grid (i.e. float64 rounding occurred and the
-        two planes are no longer bit-comparable).
-        """
-        shift = 1 << (int(self.count[node]) + fractional_bits)
-        scaled = []
-        for value in self.values[node]:
-            exact = Fraction(value) * shift
-            if exact.denominator != 1:
-                raise ValueError(
-                    "normalized value is no longer dyadic at this scale — "
-                    "float64 mantissa exhausted, exact comparison impossible"
-                )
-            scaled.append(int(exact))
-        omega_exact = Fraction(self.omega[node]) * (1 << int(self.count[node]))
-        if omega_exact.denominator != 1:
-            raise ValueError("omega is no longer dyadic — mantissa exhausted")
-        return scaled, int(omega_exact)

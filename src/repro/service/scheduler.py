@@ -52,10 +52,12 @@ import time
 from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 
-# Imported here, once, because every job would otherwise import them
-# lazily in its own child (~20 ms per job): a fork repeats no import.
+# numpy loads numpy.random on first use, which every run makes: imported
+# here, once, so no forked worker pays it.  Nothing of repro is preloaded:
+# a spec imports what it names while it resolves (repro.lazy), and _fork()
+# resolves a job's spec before forking its worker.
 import numpy.random  # noqa: F401
-from .. import faults  # noqa: F401
+from ..api import RunSpec
 from . import worker
 from .bus import EventBus
 from .store import Job, JobState, JobStore
@@ -138,7 +140,7 @@ class Scheduler:
         for job in queued:
             if len(self._workers) >= self.max_workers:
                 break
-            proc = self._idle.pop() if self._idle else self._fork()
+            proc = self._idle.pop() if self._idle else self._fork(job)
             claimed = self.store.claim(job)
             self._workers[claimed.job_id] = proc
             try:
@@ -195,7 +197,15 @@ class Scheduler:
 
     # ------------------------------------------------------------ internals
 
-    def _fork(self) -> BaseProcess:
+    def _fork(self, job: Job) -> BaseProcess:
+        """Fork a worker for ``job``.  Its spec is resolved here first, so
+        the worker inherits what the spec imports (repro.lazy) and this
+        long-lived process pays each substrate once; a worker forked
+        earlier imports it on its first such job."""
+        try:
+            RunSpec.from_dict(job.spec)
+        except Exception:  # noqa: BLE001 - the worker fails the job with it
+            pass
         ours, theirs = multiprocessing.Pipe()
         proc = multiprocessing.get_context("fork").Process(
             target=_serve,

@@ -327,9 +327,19 @@ def connect(path: str | pathlib.Path) -> sqlite3.Connection:
             f"understands at most {len(MIGRATIONS)} — refusing to write"
         )
     for number in range(version, len(MIGRATIONS)):
-        with con:  # one transaction per migration
-            con.executescript(MIGRATIONS[number])
-            con.execute(f"PRAGMA user_version = {number + 1}")
+        # ``executescript`` commits first and runs its script in autocommit,
+        # so the transaction is opened and committed inside the script; a
+        # statement that fails leaves it open, and it is rolled back.
+        try:
+            con.executescript(
+                f"BEGIN;\n{MIGRATIONS[number]}\n"
+                f"PRAGMA user_version = {number + 1};\nCOMMIT;"
+            )
+        except BaseException:
+            if con.in_transaction:
+                con.rollback()
+            con.close()
+            raise
     return con
 
 

@@ -15,11 +15,12 @@ assert identity of:
 under churn, at n ∈ {64, 256}.  Inputs sit on a coarse fixed-point grid
 and cycle counts stay small enough that every dyadic numerator fits a
 float64 mantissa — the regime where both planes are exactly comparable
-(``VectorizedEESum.scaled_state`` raises loudly if that ever stops being
-true).
+(:func:`scaled_state` raises loudly if that ever stops being true).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,32 @@ from repro.gossip import (
 
 FRACTIONAL_BITS = 8
 CYCLES = 20
+
+
+def scaled_state(
+    eesum: VectorizedEESum, node: int, fractional_bits: int = 0
+) -> tuple[list[int], int]:
+    """The node's object-plane integers ``(v·2^{count+f}, ω·2^count)``.
+
+    Exact big-int materialization (via ``Fraction``) of the delayed-division
+    integers the object engine would hold.  Raises if the normalized floats
+    have left the dyadic grid (float64 rounding occurred and the two planes
+    are no longer bit-comparable).
+    """
+    count = int(eesum.count[node])
+    scaled = []
+    for value in eesum.values[node]:
+        exact = Fraction(value) * (1 << (count + fractional_bits))
+        if exact.denominator != 1:
+            raise ValueError(
+                "normalized value is no longer dyadic at this scale — "
+                "float64 mantissa exhausted, exact comparison impossible"
+            )
+        scaled.append(int(exact))
+    omega = Fraction(eesum.omega[node]) * (1 << count)
+    if omega.denominator != 1:
+        raise ValueError("omega is no longer dyadic — mantissa exhausted")
+    return scaled, int(omega)
 
 
 def _shadow_pair(population: int, churn: float, seed: int, dims: int = 3):
@@ -109,7 +136,7 @@ def test_eesum_dissemination_churn_equivalence(population, churn):
 
         # The delayed-division integers themselves are identical: the
         # vectorized plane re-materializes v·2^{count+f} exactly.
-        scaled_values, scaled_omega = vec_eesum.scaled_state(i, FRACTIONAL_BITS)
+        scaled_values, scaled_omega = scaled_state(vec_eesum, i, FRACTIONAL_BITS)
         assert scaled_values == state.ciphertexts
         assert scaled_omega == state.omega
 

@@ -1,10 +1,10 @@
 """One parse of each ``src/repro`` file, shared by every invariant check.
 
 Pure ``ast``: nothing is imported.  A :class:`Module` holds the file's
-dotted name, its imports resolved to absolute modules (relative ones too,
-``TYPE_CHECKING`` ones marked) and the alias map that turns a call's
-spelling into its target (``np.random.default_rng`` →
-``numpy.random.default_rng``).
+dotted name, its imports resolved to absolute modules (relative ones and
+those ``repro.lazy`` defers too, ``TYPE_CHECKING`` ones marked) and the
+alias map that turns a call's spelling into its target
+(``np.random.default_rng`` → ``numpy.random.default_rng``).
 """
 
 from __future__ import annotations
@@ -70,6 +70,21 @@ def module_name(path: pathlib.Path) -> str:
     return ".".join(dotted[:-1] if dotted[-1] == "__init__" else dotted)
 
 
+def _lazy_imports(node: ast.AST):
+    """``(source, names, bound)`` per import ``repro.lazy`` defers: the
+    assignment ``bound = lazy.defer(__name__, source, name)``, or each entry
+    of a package's ``lazy.exports(__name__, {source: names})`` table
+    (``bound`` empty: the names bind on first read)."""
+    value = node.value if isinstance(node, ast.Assign) else None
+    func = getattr(getattr(value, "func", None), "attr", None)
+    if func == "defer" and len(value.args) == 3:
+        source, name = (arg.value for arg in value.args[1:])
+        yield source, (name,), getattr(node.targets[0], "id", "")
+    elif func == "exports" and isinstance(value.args[1], ast.Dict):
+        for source, names in zip(value.args[1].keys, value.args[1].values):
+            yield source.value, tuple(name.value for name in names.elts), ""
+
+
 @functools.cache
 def parse(path: pathlib.Path) -> Module:
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -85,7 +100,20 @@ def parse(path: pathlib.Path) -> Module:
         for line in range(node.lineno, node.end_lineno + 1)
     }
     imports, aliases = [], {}
+
+    def absolute(level: int, module: str) -> str:
+        base = package.split(".") if package else []
+        base = base[: max(len(base) - level + 1, 0)]
+        return ".".join(base + ([module] if module else []))
+
     for node in ast.walk(tree):
+        for source, names, bound in _lazy_imports(node):
+            module = source.lstrip(".")
+            if len(module) < len(source):
+                module = absolute(len(source) - len(module), module)
+            imports.append(Import(module, names, node.lineno, node.lineno in gated))
+            if bound:
+                aliases[bound] = f"{module}.{names[0]}"
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imports.append(Import(alias.name, (), node.lineno, node.lineno in gated))
@@ -94,9 +122,7 @@ def parse(path: pathlib.Path) -> Module:
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level:
-                base = package.split(".") if package else []
-                base = base[: max(len(base) - node.level + 1, 0)]
-                module = ".".join(base + ([module] if module else []))
+                module = absolute(node.level, module)
             names = tuple(alias.name for alias in node.names)
             imports.append(Import(module, names, node.lineno, node.lineno in gated))
             for alias in node.names:

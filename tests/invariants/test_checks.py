@@ -236,6 +236,12 @@ def test_epsilon_check_sees_standard_gamma():
     assert [message.split()[0] for _, message in found] == [".standard_gamma()"]
 
 
+def test_layering_sees_deferred_imports():
+    """An import ``repro.lazy`` defers is an import like any other."""
+    found = run("layering-dag", FIXTURES / "core/bad_deferred_upward.py")
+    assert [message.split()[0] for _, message in found] == ["repro.api.experiment"]
+
+
 def test_src_tree_holds_its_invariants():
     left = [
         f"{file}:{line}: {check}: {message}"

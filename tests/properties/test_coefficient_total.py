@@ -11,6 +11,7 @@ threshold-decryption witness is ``test_tracker_counts_coefficient_mass`` in
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
@@ -69,5 +70,6 @@ def test_coefficient_total_is_two_to_the_count(
         for node in range(population):
             count = mock.state_of(engine.nodes[node]).count
             assert vectorized.count[node] == cipher.count[node] == count
-            assert vectorized.scaled_state(node)[0] == [1 << count]
+            # The normalized float, re-scaled exactly: the object-plane integer.
+            assert Fraction(vectorized.values[node, 0]) * (1 << count) == 1 << count
             assert decrypt(keypair128, cipher.row(node)[0]) == 1 << count

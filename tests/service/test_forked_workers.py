@@ -400,12 +400,16 @@ class TestInheritedStateDoesNotLeak:
 
 
 def test_scheduler_import_preloads_what_jobs_import_lazily():
-    """Imported once in the parent, so no forked worker repeats it."""
+    """Imported once in the parent, so no forked worker repeats it.  The
+    fault plane is not among them: a spec that declares faults loads it
+    while it resolves, which the scheduler does before forking the job's
+    worker."""
     code = (
         "import repro.service.scheduler, sys; "
-        "missing = {'numpy.random', 'repro.faults', 'repro.service.worker'}"
-        " - set(sys.modules); "
-        "sys.exit(f'not preloaded: {sorted(missing)}' if missing else 0)"
+        "missing = {'numpy.random', 'repro.service.worker'} - set(sys.modules); "
+        "eager = {'repro.faults'} & set(sys.modules); "
+        "sys.exit(f'not preloaded: {sorted(missing)}' if missing else "
+        "f'preloaded: {sorted(eager)}' if eager else 0)"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ),

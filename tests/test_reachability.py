@@ -74,8 +74,6 @@ TEST_ORACLES = {
         "shadow-execution tests put both planes' inputs on",
     "crypto.shamir.reconstruct_at_zero":
         "plain Lagrange reconstruction the dealt shares are checked with",
-    "gossip.cipher_array.CipherEESum.scaled_omega":
-        "the object plane's integer ω, for the plane-equivalence tests",
 }
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -92,10 +90,32 @@ PACKAGES = {_dotted(p): t for p, t in TREES.items() if p.name == "__init__.py"}
 MODULES = {_dotted(p): t for p, t in TREES.items() if p.name != "__init__.py"}
 
 
+def _relative(package: str, level: int, module: str | None) -> str:
+    """``from <level dots><module>`` inside ``package``, dotted relative to
+    ``repro``."""
+    parts = package.split(".") if package else []
+    parts = parts[: len(parts) - (level - 1)]
+    return ".".join(parts + (module or "").split(".")).strip(".")
+
+
+def _deferred(node: ast.AST):
+    """``(source, names)`` per lazy import (``repro.lazy``): a
+    ``lazy.defer(__name__, source, name)`` call, or each entry of a
+    ``lazy.exports(__name__, {source: names})`` table."""
+    if not isinstance(node, ast.Call) or _bare(node.func) not in ("defer", "exports"):
+        return
+    args = node.args[1:]
+    if _bare(node.func) == "defer" and len(args) == 2:
+        yield args[0].value, [args[1].value]
+    elif _bare(node.func) == "exports" and isinstance(args[0], ast.Dict):
+        for source, names in zip(args[0].keys, args[0].values):
+            yield source.value, [name.value for name in names.elts]
+
+
 def _imports(tree: ast.AST, package: str):
     """``(base, name)`` per imported name, ``base`` dotted relative to
     ``repro`` (``None`` for imports from outside it); ``name`` is ``None``
-    for a plain ``import a.b``."""
+    for a plain ``import a.b``.  A lazy import counts as an import."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -103,15 +123,18 @@ def _imports(tree: ast.AST, package: str):
                     yield alias.name.partition(".")[2], None
         elif isinstance(node, ast.ImportFrom):
             if node.level:
-                parts = package.split(".") if package else []
-                parts = parts[: len(parts) - (node.level - 1)]
-                base = ".".join(parts + (node.module or "").split(".")).strip(".")
+                base = _relative(package, node.level, node.module)
             elif (node.module or "").split(".")[0] == "repro":
                 base = node.module.partition(".")[2]
             else:
                 continue
             for alias in node.names:
                 yield base, alias.name
+        for source, names in _deferred(node):
+            module = source.lstrip(".")
+            base = _relative(package, len(source) - len(module), module)
+            for name in names:
+                yield base, name
 
 
 def _resolve(base: str, name: str | None, seen=()) -> str | None:

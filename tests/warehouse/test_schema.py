@@ -125,6 +125,36 @@ class TestMigrations:
         with pytest.raises(ValueError, match="refusing to write"):
             connect(path)
 
+    def test_a_failed_migration_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        """A script that fails on its second statement is rolled back whole:
+        ``user_version`` and ``sqlite_master`` read as before, and the next
+        connect applies the fixed script."""
+        from repro.warehouse import schema
+
+        path = tmp_path / "wh.db"
+        connect(path).close()
+
+        def master():
+            with sqlite3.connect(path) as con:
+                return (
+                    con.execute("PRAGMA user_version").fetchone()[0],
+                    con.execute("SELECT * FROM sqlite_master ORDER BY name").fetchall(),
+                )
+
+        before = master()
+        broken = "CREATE TABLE extra (x INTEGER);\nCREATE TABLE extra (y INTEGER);"
+        monkeypatch.setattr(schema, "MIGRATIONS", (*MIGRATIONS, broken))
+        with pytest.raises(sqlite3.OperationalError, match="already exists"):
+            connect(path)
+        assert master() == before
+
+        fixed = "CREATE TABLE extra (x INTEGER);\nCREATE INDEX extra_x ON extra (x);"
+        monkeypatch.setattr(schema, "MIGRATIONS", (*MIGRATIONS, fixed))
+        con = connect(path)
+        assert schema_version(con) == len(MIGRATIONS) + 1
+        assert con.execute("SELECT COUNT(*) FROM extra").fetchone()[0] == 0
+        con.close()
+
     def test_reconnect_is_a_noop(self, tmp_path):
         path = tmp_path / "wh.db"
         connect(path).close()
