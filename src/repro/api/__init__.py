@@ -20,9 +20,10 @@ Components:
   (dataset block, init block, ``ChiaroscuroParams``, strategy, seed,
   plane);
 * registries + ``@register_*`` decorators — datasets (``cer``, ``numed``,
-  ``points2d``, ``timeseries``), initializers, budget strategies and
-  execution planes (``quality``, ``object``, ``vectorized``,
-  ``vectorized-crypto``); new scenarios are one registration away;
+  ``points2d``, ``timeseries``), initializers and budget strategies, each
+  a new one a registration away; and the execution planes (``quality``,
+  ``object``, ``vectorized``, ``vectorized-crypto``), the substrates of
+  :class:`~repro.core.protocol.ChiaroscuroRun`'s one loop;
 * :class:`Experiment` — the facade: ``run()`` returns a
   ``ClusteringResult``; ``run_iter()`` streams
   :class:`~repro.api.events.RunEvent` objects for progress reporting and
@@ -59,7 +60,6 @@ from .registry import (
     Registry,
     register_dataset,
     register_initializer,
-    register_plane,
     register_strategy,
     resolve_strategy,
 )
@@ -94,7 +94,6 @@ __all__ = [
     "event_to_dict",
     "register_dataset",
     "register_initializer",
-    "register_plane",
     "register_strategy",
     "resolve_strategy",
     "run_environment",

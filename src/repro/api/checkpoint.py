@@ -12,18 +12,17 @@ Resuming replays nothing: ``ChiaroscuroRun`` re-derives the keypair and the
 fixed-base table from the seed, both streams are restored from the last
 complete line (a torn tail means the previous iteration), and the loop
 re-enters at ``iteration + 1`` — bit-identical to an uninterrupted run on
-every plane, ciphertexts included.  A directory without a log is read in
-the older layout, one ``checkpoint_<iteration>.json`` per iteration.
+every plane, ciphertexts included.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 from dataclasses import dataclass
 
 from ..core.results import IterationStats
+from ..ndjson import append, dumps_line, read_events
 
 __all__ = [
     "Checkpoint",
@@ -110,38 +109,32 @@ _FORMAT = "chiaroscuro-state/v1"
 
 @dataclass
 class Checkpoint:
-    """The resumable state after one iteration: one line of the state log.
-
-    Records converted from a legacy directory have no ``crypto_state``, and
-    those before its last one no ``epsilon_spent`` or ``rng_state`` either.
-    """
+    """The resumable state after one iteration: one line of the state log."""
 
     stats: IterationStats  # the iteration's: its index and released centroids
-    epsilon_spent: float | None  # the run's total after it
+    epsilon_spent: float  # the run's total after it
     converged: bool  # θ-test fired at this iteration: do not resume past it
-    rng_state: dict | None  # noise_rng's bit-generator state
-    crypto_state: tuple | None  # crypto_rng.getstate()
+    rng_state: dict  # noise_rng's bit-generator state
+    crypto_state: tuple  # crypto_rng.getstate()
     spec: dict | None = None  # RunSpec.to_dict(), in the log's first record
 
     def to_line(self) -> str:
         record = {"format": _FORMAT, **vars(self), "stats": self.stats.to_dict()}
         if self.spec is None:
             del record["spec"]
-        return json.dumps(record, separators=(",", ":")) + "\n"
+        return dumps_line(record)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Checkpoint":
         if d.get("format") != _FORMAT:
             raise ValueError(f"unsupported state record format {d.get('format')!r}")
-        crypto = d["crypto_state"]
-        if crypto is not None:  # JSON made the state's tuples lists
-            crypto = (crypto[0], tuple(crypto[1]), crypto[2])
+        version, words, gauss = d["crypto_state"]  # JSON made its tuples lists
         return cls(
             stats=IterationStats.from_dict(d["stats"]),
             epsilon_spent=d["epsilon_spent"],
             converged=d["converged"],
             rng_state=d["rng_state"],
-            crypto_state=crypto,
+            crypto_state=(version, tuple(words), gauss),
             spec=d.get("spec"),
         )
 
@@ -155,34 +148,9 @@ class CheckpointStore:
         self.path = self.directory / STATE_LOG
 
     def records(self) -> list[Checkpoint]:
-        """The run so far, one record per completed iteration.
-
-        Every complete line of the log (a torn tail is left out); with no
-        log, the newest legacy ``checkpoint_<iteration>.json`` converted.
-        """
-        from ..service.bus import read_events  # repro.service imports repro.api
-
-        if not self.path.exists():
-            return self._legacy_records()
+        """The run so far, one record per completed iteration: every
+        complete line of the log (a torn tail is left out; no log, none)."""
         return [Checkpoint.from_dict(record) for record in read_events(self.path)]
-
-    def _legacy_records(self) -> list[Checkpoint]:
-        """The newest ``checkpoint_<iteration>.json`` as log records: its
-        history, with the saved state on the last entry."""
-        newest = max(self.directory.glob("checkpoint_*.json"), default=None)
-        if newest is None:
-            return []
-        saved = json.loads(newest.read_text())
-        records = [
-            Checkpoint(IterationStats.from_dict(stats), None, False, None, None)
-            for stats in saved["history"]
-        ]
-        last = records[-1]
-        last.epsilon_spent = saved["epsilon_spent"]
-        last.converged = saved.get("converged", False)
-        last.rng_state = saved["rng_state"]
-        records[0].spec = saved["spec"]
-        return records
 
     def start(self, records: list[Checkpoint]) -> None:
         """Replace the log by ``records`` (none: a fresh run) in one atomic
@@ -193,7 +161,5 @@ class CheckpointStore:
 
     def save(self, checkpoint: Checkpoint) -> pathlib.Path:
         """Append one record, durable (fsynced) before this returns."""
-        from ..service.bus import _append
-
-        _append(self.path, checkpoint.to_line().encode(), durable=True)
+        append(self.path, checkpoint.to_line().encode(), durable=True)
         return self.path

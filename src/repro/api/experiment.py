@@ -9,12 +9,12 @@ or, streaming with checkpointing:
         ...
 
 ``Experiment`` resolves the spec's registry keys (dataset, initializer,
-strategy, plane), builds the workload, and dispatches to the plane's
-runner.  Planes are :class:`ExecutionPlane` instances in the
-:data:`~repro.api.registry.PLANES` registry — the four built-ins
-(``quality``, ``object``, ``vectorized``, ``vectorized-crypto``) are
-registered by :mod:`repro.api.builtins`, and a new plane is one
-``@register_plane`` away.
+strategy), builds the workload, and runs Algorithm 1's one loop,
+:class:`~repro.core.protocol.ChiaroscuroRun`, on the spec's plane — a
+substrate of that loop (``quality``, ``object``, ``vectorized``,
+``vectorized-crypto``; ``core/protocol.py`` describes each).  The
+:data:`~repro.api.registry.PLANES` registry holds what the API needs to
+know of each: an :class:`ExecutionPlane` of facts, no code.
 
 Seed discipline (what makes checkpoint/resume bit-identical):
 
@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from ..core.config import ChiaroscuroParams
+from ..core.protocol import ChiaroscuroRun
 from ..core.results import ClusteringResult, IterationRecord
 from ..crypto import bigint
 from ..datasets.timeseries import TimeSeriesSet
@@ -92,22 +92,19 @@ def run_environment(spec: RunSpec) -> dict:
 
 @dataclass
 class RunContext:
-    """Everything a plane needs, resolved once per experiment."""
+    """The spec's resolved workload, built once per experiment."""
 
     spec: RunSpec
     dataset: TimeSeriesSet
     initial_centroids: np.ndarray
     strategy: BudgetStrategy
-    params: ChiaroscuroParams
-    keypair: Any = None  # optional pre-built ThresholdKeypair (object plane)
-    runtime: Any = None  # plane-owned engine object, exposed for diagnostics
-    fault_plan: Any = None  # FaultPlan when the spec declares faults
+    runtime: ChiaroscuroRun | None = None  # the run, exposed for diagnostics
 
 
+@dataclass(frozen=True)
 class ExecutionPlane:
-    """Base class for registry-registered execution planes."""
+    """What the API knows of one ``ChiaroscuroRun`` substrate."""
 
-    key: str = ""
     #: Every plane resumes from the state log; the reference benchmark's
     #: ``service_batch`` workload (``perf/workloads.py``) reads this name.
     supports_checkpoint = True
@@ -116,47 +113,30 @@ class ExecutionPlane:
     #: field of :func:`run_environment`, and a spec naming the plane loads
     #: the real-ciphertext substrate while it resolves (:mod:`repro.lazy`).
     uses_real_crypto: bool = False
-    #: ``RunSpec.options`` keys this plane consumes.  Spec validation
-    #: rejects keys no registered plane declares (typo protection), while
-    #: a plane ignores other planes' keys so one spec can pivot planes.
+    #: ``RunSpec.options`` keys this plane passes to ``ChiaroscuroRun``.
+    #: Spec validation rejects keys no registered plane declares (typo
+    #: protection), while a plane ignores other planes' keys so one spec
+    #: can pivot planes.
     option_keys: frozenset = frozenset()
 
-    def run_iter(
-        self,
-        ctx: RunContext,
-        resume: Checkpoint | None = None,
-        cycle_hook: Callable[[int, int], None] | None = None,
-    ) -> Iterator[IterationRecord]:
-        """Yield the loop's per-iteration records, unchanged; ``resume`` is
-        the last record of the state log to continue after."""
-        raise NotImplementedError
 
-
-#: ``params`` keys :func:`_spec_identity` ignores: the result-neutral
-#: execution knobs, then keys retired since older checkpoints were written —
-#: ``use_packing`` never had an effect on a checkpointable plane;
-#: ``protocol_plane`` and ``budget_strategy`` restated the spec's ``plane``
-#: and ``strategy``, which are compared; nothing ever read ``delta``.
-_RESULT_NEUTRAL_PARAMS = frozenset({
-    "bigint_backend", "crypto_backend", "backend_workers",
-    "use_packing", "protocol_plane", "budget_strategy", "delta",
-})
+#: The result-neutral execution knobs :func:`_spec_identity` ignores.
+_RESULT_NEUTRAL_PARAMS = ("bigint_backend", "crypto_backend", "backend_workers")
 
 
 def _spec_identity(spec_dict: dict) -> dict:
-    """A spec dict with result-neutral knobs stripped, for checkpoint
-    compatibility checks.
+    """A spec dict as :meth:`RunSpec.from_dict` reads it, with the
+    result-neutral knobs stripped, for checkpoint compatibility checks.
 
     The bigint kernel and the execution backend are pure speed knobs
     (bit-identical outputs), so a run may legitimately resume its own
-    checkpoint under a different kernel/backend/worker count — and
-    checkpoints written before a knob existed must keep resuming.
+    checkpoint under a different kernel/backend/worker count; keys retired
+    or added since a checkpoint was written read as ``from_dict`` reads
+    them, so it keeps resuming.
     """
-    identity = dict(spec_dict)
-    identity["params"] = {
-        k: v for k, v in spec_dict.get("params", {}).items()
-        if k not in _RESULT_NEUTRAL_PARAMS
-    }
+    identity = RunSpec.from_dict(spec_dict).to_dict()
+    for key in _RESULT_NEUTRAL_PARAMS:
+        del identity["params"][key]
     return identity
 
 
@@ -216,12 +196,7 @@ class Experiment:
         initial = np.asarray(initial, dtype=float)
         strategy = resolve_strategy(spec.strategy, spec.params)
         return RunContext(
-            spec=spec,
-            dataset=dataset,
-            initial_centroids=initial,
-            strategy=strategy,
-            params=spec.params,
-            keypair=self._keypair,
+            spec=spec, dataset=dataset, initial_centroids=initial, strategy=strategy
         )
 
     def smoothing_active(self) -> bool:
@@ -239,7 +214,7 @@ class Experiment:
         """Execute the spec, yielding typed :class:`RunEvent` objects.
 
         The record is the event: each ``IterationCompleted`` is the very
-        :class:`~repro.core.results.IterationRecord` the plane's loop
+        :class:`~repro.core.results.IterationRecord` the run's loop
         yielded, passed on as is.
 
         With ``checkpoint_dir``, a :class:`Checkpoint` is appended to the
@@ -259,7 +234,6 @@ class Experiment:
         """
         spec = self.spec
         ctx = self.context
-        plane: ExecutionPlane = PLANES.get(spec.plane)
 
         fault_plan = None
         aborts = ()  # the exceptions that abort a run cleanly: a fault's only
@@ -269,7 +243,6 @@ class Experiment:
 
             fault_plan, aborts = FaultPlan.from_spec(spec), (FaultAbort,)
             checkpoint_dir = None  # documented: faulted runs re-run, not resume
-        ctx.fault_plan = fault_plan
 
         store: CheckpointStore | None = None
         records: list[Checkpoint] = []
@@ -310,11 +283,25 @@ class Experiment:
             **run_environment(spec),
         )
 
-        steps: Iterator[IterationRecord] = (
-            iter(())  # the checkpointed run already converged: nothing to do
-            if result.converged
-            else plane.run_iter(ctx, resume=checkpoint, cycle_hook=cycle_hook)
-        )
+        steps: Iterator[IterationRecord] = iter(())  # a converged log: done
+        if not result.converged:
+            run = ctx.runtime = ChiaroscuroRun(
+                ctx.dataset,
+                ctx.strategy,
+                spec.params,
+                ctx.initial_centroids,
+                seed=spec.seed,
+                keypair=self._keypair,
+                cycle_hook=cycle_hook,
+                fault_plan=fault_plan,
+                plane=spec.plane,
+                **{
+                    key: spec.options[key]
+                    for key in PLANES.get(spec.plane).option_keys
+                    if key in spec.options
+                },
+            )
+            steps = run.run_iter(spec.churn, resume=checkpoint)
         aborted = False
         try:
             for step in steps:

@@ -1,9 +1,10 @@
 """String-keyed component registries — the extension surface of the API.
 
-Every pluggable piece of an experiment (dataset generator, centroid
+Every named piece of an experiment (dataset generator, centroid
 initializer, budget strategy, execution plane) lives in a
 :class:`Registry`, so a :class:`~repro.api.spec.RunSpec` can name it by a
-stable string and a new scenario is one ``@register_*`` decoration away:
+stable string.  A new dataset, initializer or strategy is one
+``@register_*`` decoration away:
 
 >>> from repro.api import register_dataset
 >>> @register_dataset("my-workload")
@@ -16,7 +17,9 @@ reflection — keep them boring):
 * dataset builder:      ``build(seed: int, **params) -> TimeSeriesSet``
 * initializer:          ``build(dataset, k, rng, **params) -> np.ndarray``
 * strategy factory:     ``build(params: ChiaroscuroParams, label: str) -> BudgetStrategy``
-* plane:                an :class:`~repro.api.experiment.ExecutionPlane` instance
+* plane:                an :class:`~repro.api.experiment.ExecutionPlane` of facts
+  about one substrate of ``ChiaroscuroRun`` (a new plane is a substrate
+  there, not a registration here)
 
 The built-in keys are registered by :mod:`repro.api.builtins` when
 ``repro.api`` is imported.
@@ -35,7 +38,6 @@ __all__ = [
     "STRATEGIES",
     "register_dataset",
     "register_initializer",
-    "register_plane",
     "register_strategy",
     "resolve_strategy",
 ]
@@ -67,18 +69,6 @@ class Registry:
             raise ValueError(f"{self.kind} key {key!r} is already registered")
         self._items[key] = obj
         return obj
-
-    def register_instance(self, key: str) -> Callable:
-        """Decorator: register an instance of the decorated class under
-        ``key``, with the key injected as its ``key`` attribute."""
-
-        def decorator(target: Any) -> Any:
-            instance = target() if isinstance(target, type) else target
-            instance.key = key
-            self.register(key, instance)
-            return target
-
-        return decorator
 
     def get(self, key: str) -> Any:
         try:
@@ -120,12 +110,6 @@ def register_initializer(key: str) -> Callable:
 def register_strategy(key: str) -> Callable:
     """Decorator: register a ``build(params, label) -> BudgetStrategy``."""
     return STRATEGIES.register(key)
-
-
-def register_plane(key: str) -> Callable:
-    """Decorator: register an :class:`ExecutionPlane` (class is instantiated)."""
-
-    return PLANES.register_instance(key)
 
 
 def resolve_strategy(name: str, params) -> Any:

@@ -66,10 +66,11 @@ from .computation import (
 )
 from .config import ChiaroscuroParams
 from .noise import NoisePlan
-from .results import ClusteringResult, IterationRecord, IterationStats
+from .results import IterationRecord, IterationStats
 from .smoothing import sma_smooth
 
 if TYPE_CHECKING:
+    from ..api.checkpoint import Checkpoint
     from ..crypto.threshold import ThresholdKeypair
 
 # The real-ciphertext planes' names (repro.lazy): the mock loop imports none.
@@ -247,39 +248,25 @@ class ChiaroscuroRun:
             encryptor=self.encryptor,
         )
 
-    def run(
-        self, churn: float = 0.0
-    ) -> tuple[ClusteringResult, list[IterationRecord]]:
-        """Execute Algorithm 1; returns the canonical trace plus the
-        per-iteration records (``agreement``, ``exchanges_per_node``, …).
-
-        Backend resources are released on every exit path; the run object
-        stays reusable (a process-pool backend re-creates its executor
-        lazily).  A thin driver over :meth:`run_iter`.
-        """
-        result = ClusteringResult(
-            centroids=self.initial_centroids.copy(),
-            strategy=self.strategy.name,
-            smoothing=self.params.smoothing_plan(self.dataset.n)[1],
-        )
-        steps = list(self.run_iter(churn))
-        for step in steps:
-            result.absorb(step)
-        return result, steps
-
     def run_iter(
-        self, churn: float = 0.0, start_iteration: int = 1
+        self, churn: float = 0.0, resume: Checkpoint | None = None
     ) -> Iterator[IterationRecord]:
         """Algorithm 1 as a generator of per-iteration steps (every plane).
 
         Yields one :class:`IterationRecord` per completed iteration — the
         streaming primitive for progress reporting, early stopping, and
-        checkpointing.  ``start_iteration`` resumes mid-run: budget charges
-        for the prefix are replayed (deterministic) and the caller is
-        expected to have restored ``initial_centroids`` and both streams
-        from a checkpoint.  The backend is released when the generator
+        checkpointing.  ``resume`` is the state log's last record: both
+        streams and the centroids are restored from it, budget charges for
+        the prefix are replayed (deterministic) and the loop continues
+        after its iteration.  The backend is released when the generator
         finishes or is closed.
         """
+        first = 1
+        if resume is not None:
+            self.noise_rng.bit_generator.state = resume.rng_state
+            self.crypto_rng.setstate(resume.crypto_state)
+            self.initial_centroids = resume.stats.centroids
+            first = resume.stats.iteration + 1
         params = self.params
         dataset = self.dataset
         accountant = self.accountant = PrivacyAccountant(
@@ -290,7 +277,7 @@ class ChiaroscuroRun:
 
         try:
             for iteration, epsilon_i in accountant.charged_schedule(
-                self.strategy, params.max_iterations, start_iteration
+                self.strategy, params.max_iterations, first
             ):
                 # The run's bigint kernel is active only while this iteration
                 # computes and is restored before every yield — interleaved

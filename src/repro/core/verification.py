@@ -79,10 +79,6 @@ class CrossCheckReport:
     max_benign_spread: float
     non_finite: list[int] = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not self.deviating
-
 
 class DecryptionCrossCheck:
     """Flag participants whose decrypted values deviate beyond the benign spread.

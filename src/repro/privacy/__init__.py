@@ -17,7 +17,6 @@ __all__, __getattr__ = lazy.exports(__name__, {
     ),
     ".collusion": ("CollusionAnalysis",),
     ".laplace": (
-        "LaplaceMechanism",
         "joint_sensitivity",
         "laplace_scale",
         "sum_sensitivity",

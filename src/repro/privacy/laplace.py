@@ -15,11 +15,7 @@ individual on the whole released vector (``docs/ARCHITECTURE.md``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-__all__ = ["sum_sensitivity", "joint_sensitivity", "laplace_scale", "LaplaceMechanism"]
+__all__ = ["sum_sensitivity", "joint_sensitivity", "laplace_scale"]
 
 
 def sum_sensitivity(series_length: int, dmin: float, dmax: float) -> float:
@@ -46,25 +42,3 @@ def laplace_scale(sensitivity: float, epsilon: float) -> float:
     if sensitivity < 0:
         raise ValueError("sensitivity must be non-negative")
     return sensitivity / epsilon
-
-
-@dataclass(frozen=True)
-class LaplaceMechanism:
-    """Centralized Laplace perturbation, the trusted-curator reference.
-
-    The distributed protocol reproduces exactly this distribution through
-    noise-shares (Lemma 1); tests assert the distributional match.
-    """
-
-    sensitivity: float
-    epsilon: float
-
-    @property
-    def scale(self) -> float:
-        """The Laplace scale ``λ``."""
-        return laplace_scale(self.sensitivity, self.epsilon)
-
-    def perturb(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Return ``values`` plus i.i.d. ``Laplace(0, λ)`` noise."""
-        values = np.asarray(values, dtype=float)
-        return values + rng.laplace(0.0, self.scale, size=values.shape)

@@ -35,7 +35,7 @@ files — converges to identical row counts.
 
 One idiom throughout: *a handler builds rows, the ingester writes them*
 with one ``executemany`` per table.  Event logs go through it in bounded
-blocks (:func:`repro.service.bus.read_blocks`, the one NDJSON reader),
+blocks (:func:`repro.ndjson.read_blocks`, the one NDJSON reader),
 each line parsed once and stored as written.
 """
 
@@ -48,7 +48,7 @@ import sqlite3
 import time
 from typing import Callable, Iterable
 
-from ..service.bus import read_blocks
+from ..ndjson import read_blocks
 
 __all__ = [
     "Ingester",

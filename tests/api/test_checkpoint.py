@@ -33,7 +33,7 @@ from repro.api import (
 from repro.api.checkpoint import STATE_LOG, sweep_stale_tmps
 from repro.core.results import IterationStats
 from repro.service import JobStore
-from repro.service.bus import read_blocks
+from repro.ndjson import read_blocks
 
 CRYPTO_PLANES = ("object", "vectorized-crypto")
 
@@ -97,7 +97,8 @@ def _record(worker: int, iteration: int) -> Checkpoint:
     return Checkpoint(
         stats=IterationStats(iteration, 0.0, 0.0, 1, 0.0,
                              np.full((1, 1), float(worker))),
-        epsilon_spent=0.0, converged=False, rng_state={}, crypto_state=None,
+        epsilon_spent=0.0, converged=False, rng_state={},
+        crypto_state=random.Random(worker).getstate(),
         spec={"worker": worker} if iteration == 1 else None,
     )
 
@@ -333,7 +334,7 @@ class TestCheckpointHygiene:
         """Rewrite the spec the log's first record carries."""
         lines = log_lines(directory)
         first = json.loads(lines[0])
-        edit(first["spec"]["params"])
+        edit(first["spec"])
         lines[0] = json.dumps(first).encode()
         (pathlib.Path(directory) / STATE_LOG).write_bytes(
             b"".join(line + b"\n" for line in lines)
@@ -345,7 +346,7 @@ class TestCheckpointHygiene:
         spec = spec_for("quality")
         directory = str(tmp_path / "pre-knob")
         run_interrupted(spec, directory, 2)
-        self._edit_logged_spec(directory, lambda p: p.pop("bigint_backend"))
+        self._edit_logged_spec(directory, lambda s: s["params"].pop("bigint_backend"))
         resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
         assert_bit_identical(resumed, Experiment.from_spec(spec).run())
 
@@ -357,8 +358,27 @@ class TestCheckpointHygiene:
         directory = str(tmp_path / "retired-knob")
         run_interrupted(spec, directory, 2)
         self._edit_logged_spec(
-            directory, lambda p: p.update(use_packing=True)
+            directory, lambda s: s["params"].update(use_packing=True)
         )
+        resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
+        assert_bit_identical(resumed, Experiment.from_spec(spec).run())
+
+    def test_resume_a_log_whose_spec_states_the_strategy_the_retired_way(
+        self, tmp_path
+    ):
+        """A spec stored before ``strategy`` was a spec field carries it as
+        ``params.budget_strategy``; ``RunSpec.from_dict`` reads it as the
+        same spec, so resuming its log is no "different spec"."""
+        spec = spec_for("quality").replace(strategy="UF3")
+        directory = str(tmp_path / "retired-strategy")
+        run_interrupted(spec, directory, 2)
+
+        def retire(stored):
+            del stored["strategy"]
+            stored["params"]["budget_strategy"] = "UF3"
+            assert RunSpec.from_dict(stored) == spec
+
+        self._edit_logged_spec(directory, retire)
         resumed = Experiment.from_spec(spec).run(checkpoint_dir=directory)
         assert_bit_identical(resumed, Experiment.from_spec(spec).run())
 

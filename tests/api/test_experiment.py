@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _runs import fold
 from repro.api import (
     Experiment,
     IterationCompleted,
@@ -60,7 +61,7 @@ class TestFacadeEquivalence:
             context.initial_centroids, seed=spec.seed, plane="quality",
             gossip_e_max=1e-3,
         )
-        direct, _ = run.run()
+        direct, _ = fold(run)
         assert via_api.iterations == direct.iterations == 3  # UF3 bound
         assert np.array_equal(via_api.centroids, direct.centroids)
         for a, b in zip(via_api.history, direct.history):
@@ -76,7 +77,7 @@ class TestFacadeEquivalence:
             context.dataset, context.strategy, spec.params,
             context.initial_centroids, seed=spec.seed, plane=spec.plane,
         )
-        direct, _ = run.run()
+        direct, _ = fold(run)
         assert via_api.iterations == direct.iterations
         assert np.array_equal(via_api.centroids, direct.centroids)
 

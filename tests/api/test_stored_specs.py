@@ -6,7 +6,10 @@ record of the root ``BENCH_*.json`` files, in job stores and checkpoints —
 so a ``RunSpec``/``ChiaroscuroParams`` key that is retired must keep being
 read.  The fixture directory holds a ``job.json`` and a vectorized
 checkpoint written at ``101c385``, when ``params`` still carried
-``protocol_plane`` and ``budget_strategy``.
+``protocol_plane`` and ``budget_strategy``; the checkpoint, first stored in
+the per-iteration ``checkpoint_000001.json`` layout, is kept as the state
+log line that layout converts to (its ``crypto_state`` is a fresh
+``random.Random(5)``'s: the vectorized plane never draws from that stream).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Iterator
 import pytest
 
 from repro.api import DATASETS, CheckpointSaved, Experiment, RunSpec
+from repro.api.checkpoint import STATE_LOG
 from repro.service import JobState, JobStore, read_events
 from repro.service.worker import execute_job
 
@@ -75,7 +79,7 @@ def test_parent_written_job_and_checkpoint_resume_bit_identically(tmp_path):
     job_id = stored_job["job_id"]
     store.checkpoint_dir(job_id).mkdir(parents=True)
     shutil.copy(STORED / "job.json", store.job_path(job_id))
-    shutil.copy(STORED / "checkpoint_000001.json", store.checkpoint_dir(job_id))
+    shutil.copy(STORED / STATE_LOG, store.checkpoint_dir(job_id))
 
     assert execute_job(store, store.get(job_id)) == 0
     assert store.get(job_id).state == JobState.COMPLETED
@@ -90,13 +94,12 @@ def test_parent_written_job_and_checkpoint_resume_bit_identically(tmp_path):
     assert digest == (STORED / "result.sha256").read_text().strip()
 
 
-def test_a_second_kill_after_the_legacy_resume_resumes_from_the_log(tmp_path):
-    """The legacy resume starts a state log holding the stored history; a
-    kill after its first new record and a second resume read that log (it
-    wins over the old file still beside it) and end at the same digest."""
+def test_a_second_kill_after_resuming_the_stored_log_resumes_from_it(tmp_path):
+    """A kill after the stored log's first new record and a second resume
+    read the grown log and end at the same digest."""
     stored_job = json.loads((STORED / "job.json").read_text())
     spec = RunSpec.from_dict(stored_job["spec"])
-    shutil.copy(STORED / "checkpoint_000001.json", tmp_path)
+    shutil.copy(STORED / STATE_LOG, tmp_path)
     for event in Experiment.from_spec(spec).run_iter(checkpoint_dir=tmp_path):
         if isinstance(event, CheckpointSaved):
             break  # killed right after iteration 2's record

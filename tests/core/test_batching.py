@@ -16,6 +16,7 @@ import random
 import numpy as np
 import pytest
 
+from _runs import fold
 from repro.core import (
     ChiaroscuroParams,
     ChiaroscuroRun,
@@ -306,7 +307,7 @@ class TestProtocolBackendPlumbing:
                 tiny_dataset, UniformFast(5.0, 1), params, centroids,
                 seed=9, keypair=threshold_keypair_s2,
             )
-            result, _ = run.run()
+            result, _ = fold(run)
             results[backend] = result
         serial, process = results["serial"], results["process"]
         assert len(serial.history) == len(process.history) == 1

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from _runs import fold
 from repro.core import ChiaroscuroParams, ChiaroscuroRun, NoisePlan, Participant
 from repro.core.results import ClusteringResult, IterationStats
 from repro.crypto import PackedCodec, PublicKey, decrypt
@@ -115,13 +116,13 @@ class TestNoisePlan:
                 seed=4, keypair=threshold_keypair, plane=plane,
             )
 
-        on_24 = build("vectorized").run()[0].centroids
+        on_24 = fold(build("vectorized"))[0].centroids
         monkeypatch.setattr(NoisePlan, "fractional_bits", 20)
         mock, crypto = build("vectorized"), build("vectorized-crypto")
         step = mock._computation_step(mock.noise_plan, churn=0.0)
         assert step.fractional_bits == crypto.packed.fractional_bits == 20
-        on_20 = mock.run()[0].centroids
-        assert np.array_equal(on_20, crypto.run()[0].centroids)
+        on_20 = fold(mock)[0].centroids
+        assert np.array_equal(on_20, fold(crypto)[0].centroids)
         assert not np.array_equal(on_20, on_24)
 
 

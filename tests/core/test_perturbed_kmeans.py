@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _runs import fold
 from repro.clustering import lloyd_kmeans
 from repro.core import ChiaroscuroParams, ChiaroscuroRun
 from repro.datasets import TimeSeriesSet, courbogen_like_centroids, generate_cer
@@ -32,7 +33,7 @@ def perturbed_kmeans(
         dataset, strategy, params, init, seed=seed, plane="quality",
         gossip_e_max=gossip_e_max,
     )
-    return run.run(churn)[0]
+    return fold(run, churn)[0]
 
 
 class TestBasicRun:

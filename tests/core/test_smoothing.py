@@ -97,6 +97,7 @@ class TestDeriveWindow:
         """At short lengths the derived window collapses to 0 (< 8) or 2;
         the run must apply smoothing exactly when 0 < w < n — identical to
         the old ``dataset.n > smoothing_window`` guard."""
+        from _runs import fold
         from repro.core import ChiaroscuroParams, ChiaroscuroRun, derive_sma_window
         from repro.datasets import TimeSeriesSet
         from repro.privacy import UniformFast
@@ -110,9 +111,9 @@ class TestDeriveWindow:
             params = ChiaroscuroParams(
                 k=2, max_iterations=1, use_smoothing=use_smoothing
             )
-            return ChiaroscuroRun(
+            return fold(ChiaroscuroRun(
                 dataset, UniformFast(100.0, 1), params, init, plane="quality"
-            ).run()[0]
+            ))[0]
 
         result = run(True)
         window = derive_sma_window(n)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _runs import fold
 from repro.core import ChiaroscuroParams, ChiaroscuroRun
 from repro.datasets import TimeSeriesSet
 from repro.privacy import Greedy
@@ -34,7 +35,7 @@ def test_vectorized_plane_runs_full_loop(small_workload):
     # ε_1 = 0.345 a 400-series cluster survives with p ≈ 0.7, and seed 7's
     # new draws keep one cluster of three.
     run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=10, plane="vectorized")
-    result, steps = run.run()
+    result, steps = fold(run)
 
     assert result.iterations >= 1
     assert len(steps) == result.iterations
@@ -53,7 +54,7 @@ def test_vectorized_plane_respects_budget_and_smoothing_flags(small_workload):
         use_smoothing=False, tau_fraction=0.01,
     )
     run = ChiaroscuroRun(data, Greedy(0.5), params, init, seed=9, plane="vectorized")
-    result, _ = run.run()
+    result, _ = fold(run)
     assert result.smoothing is False
     assert sum(s.epsilon_spent for s in result.history) <= 0.5 + 1e-9
 
@@ -67,7 +68,7 @@ def test_vectorized_plane_is_seed_reproducible(small_workload):
     results = []
     for _ in range(2):
         run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=11, plane="vectorized")
-        result, _ = run.run()
+        result, _ = fold(run)
         results.append(result)
     assert results[0].iterations == results[1].iterations
     for a, b in zip(results[0].history, results[1].history):
@@ -98,7 +99,7 @@ def test_vectorized_plane_under_churn(small_workload):
     # Seed 5 since the sparse share sampler redrew the noise stream: seed 3's
     # new draws lose every cluster in iteration 1.
     run = ChiaroscuroRun(data, Greedy(0.69), params, init, seed=5, plane="vectorized")
-    result, steps = run.run(churn=0.25)
+    result, steps = fold(run, churn=0.25)
     assert result.iterations >= 1
     # Churned cycles still deliver roughly (1 - churn) exchanges per node
     # per cycle; far more than half the exchange budget must materialize.

@@ -82,7 +82,7 @@ class TestDecryptionCrossCheck:
         truth = rng.normal(size=6) * 100
         reports = {i: truth * (1 + rng.uniform(-1e-6, 1e-6, 6)) for i in range(10)}
         report = DecryptionCrossCheck(relative_tolerance=1e-4).check(reports)
-        assert report.clean
+        assert not report.deviating
         assert len(report.agreeing) == 10
 
     def test_single_liar_flagged(self):
@@ -113,7 +113,7 @@ class TestDecryptionCrossCheck:
             i: truth * (1 + rng.uniform(-e_max, e_max, 2)) for i in range(20)
         }
         report = DecryptionCrossCheck(relative_tolerance=1e-3).check(reports)
-        assert report.clean
+        assert not report.deviating
         assert report.max_benign_spread <= 2 * e_max
 
     def test_empty_rejected(self):
@@ -137,7 +137,6 @@ class TestNonFiniteDigests:
         assert report.deviating == [3]
         assert report.non_finite == [3]
         assert 3 not in report.agreeing
-        assert not report.clean
 
     def test_inf_report_flagged_as_deviating(self):
         truth = np.array([10.0, 20.0])

@@ -4,6 +4,7 @@
 import numpy as np
 import pytest
 
+from _runs import fold
 from repro.core import ChiaroscuroParams, ChiaroscuroRun
 from repro.crypto import bigint
 from repro.privacy import Greedy, UniformFast
@@ -35,7 +36,7 @@ def near_exact_run(toy_dataset, toy_initial_centroids, toy_params, threshold_key
         seed=3,
         keypair=threshold_keypair_s2,
     )
-    return run.run()
+    return fold(run)
 
 
 class TestCorrectness:
@@ -86,7 +87,7 @@ class TestPerturbedRun:
             toy_dataset, Greedy(5.0), params, toy_initial_centroids,
             seed=11, keypair=threshold_keypair_s2,
         )
-        result, _ = run.run()
+        result, _ = fold(run)
         assert result.iterations >= 1
         assert len(result.centroids) >= 1
         values = toy_dataset.values
@@ -111,7 +112,7 @@ class TestPerturbedRun:
             toy_initial_centroids, seed=5,
             keypair=threshold_keypair_s2,
         )
-        result, _ = run.run(churn=0.2)
+        result, _ = fold(run, churn=0.2)
         assert result.iterations >= 1
         assert len(result.centroids) >= 1
 
@@ -188,6 +189,11 @@ class TestRunIterLifecycle:
         assert bigint.active_backend() == kernel
 
     def test_resume_replays_the_epsilon_prefix(self, make_run, monkeypatch):
+        """Resumed from iteration 2's record (it carries what a state log
+        line does), a run charges the same four slices and releases the
+        uninterrupted run's iterations 3 and 4."""
+        run, _ = make_run()
+        uninterrupted = list(run.run_iter())
         charged = []
         charge = PrivacyAccountant.charge
 
@@ -197,9 +203,11 @@ class TestRunIterLifecycle:
 
         monkeypatch.setattr(PrivacyAccountant, "charge", spy)
         run, closes = make_run()
-        steps = list(run.run_iter(start_iteration=3))
+        steps = list(run.run_iter(resume=uninterrupted[1]))
         schedule = Greedy(1e6).schedule(4)
         assert charged == schedule  # same four charges on every plane
         assert [s.stats.iteration for s in steps] == [3, 4]
         assert [s.stats.epsilon_spent for s in steps] == schedule[2:]
+        for resumed, original in zip(steps, uninterrupted[2:]):
+            assert np.array_equal(resumed.centroids, original.centroids)
         assert closes == [1]

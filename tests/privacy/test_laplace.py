@@ -1,9 +1,8 @@
-"""Tests for the Laplace mechanism and the Def. 4 sensitivities."""
+"""Tests for the Laplace scale and the Def. 4 sensitivities."""
 
-import numpy as np
 import pytest
 
-from repro.privacy import LaplaceMechanism, joint_sensitivity, laplace_scale, sum_sensitivity
+from repro.privacy import joint_sensitivity, laplace_scale, sum_sensitivity
 
 
 class TestSensitivity:
@@ -38,22 +37,3 @@ class TestScale:
         with pytest.raises(ValueError):
             laplace_scale(-1.0, 1.0)
 
-
-class TestMechanism:
-    def test_perturb_preserves_shape(self):
-        mech = LaplaceMechanism(sensitivity=10.0, epsilon=1.0)
-        values = np.zeros((5, 7))
-        out = mech.perturb(values, np.random.default_rng(0))
-        assert out.shape == (5, 7)
-        assert not np.allclose(out, 0.0)
-
-    def test_noise_statistics(self):
-        """Mean ≈ 0 and variance ≈ 2λ² for Laplace(0, λ)."""
-        mech = LaplaceMechanism(sensitivity=5.0, epsilon=0.5)
-        noise = mech.perturb(np.zeros(200_000), np.random.default_rng(1))
-        lam = mech.scale
-        assert abs(noise.mean()) < 0.1 * lam
-        assert noise.var() == pytest.approx(2 * lam * lam, rel=0.05)
-
-    def test_scale_property(self):
-        assert LaplaceMechanism(1920.0, 0.69).scale == pytest.approx(1920 / 0.69)

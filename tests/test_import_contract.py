@@ -117,3 +117,20 @@ assert all(job.state == JobState.COMPLETED for job in store.jobs())
 print(json.dumps(open({str(tmp_path / "added")!r}).read().splitlines()))
 """)
     assert [json.loads(line) for line in added] == [[], []]
+
+
+def test_a_checkpointing_run_loads_no_service_and_no_multiprocessing(tmp_path):
+    """The state log's line format lives outside ``repro.service``, so a
+    run that checkpoints loads neither the job service nor the process
+    machinery its workers use."""
+    loaded = _fresh(f"""
+import json, sys
+from repro.api import Experiment, RunSpec
+spec = RunSpec.from_dict({{**{SPEC!r}, "plane": "quality"}})
+events = list(Experiment.from_spec(spec).run_iter(checkpoint_dir={str(tmp_path)!r}))
+assert type(events[-1]).__name__ == "RunCompleted", events[-1]
+assert (type(events[-2]).__name__, events[-2].iteration) == ("CheckpointSaved", 2)
+print(json.dumps(sorted(sys.modules)))
+""")
+    assert [m for m in loaded if m.startswith("repro.service")] == []
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []

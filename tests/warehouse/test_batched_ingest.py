@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _wh_helpers import populate_job, tiny_spec
-from repro.service import JobStore, append_ndjson, bus
+from repro import ndjson
+from repro.service import JobStore, append_ndjson
 from repro.warehouse import (
     Ingester,
     connect,
@@ -213,7 +214,7 @@ class TestBatching:
         assert len(expected["detections"]) == 1
         assert expected["ingest_files"][0][2] == self.LOG.rindex(b"\n") + 1
         for block_bytes in range(1, 48):
-            monkeypatch.setattr(bus, "BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(ndjson, "BLOCK_BYTES", block_bytes)
             assert self.ingest_log(tmp_path) == expected, block_bytes
 
     def test_a_long_log_is_read_block_by_block(self, tmp_path, monkeypatch):
@@ -223,8 +224,8 @@ class TestBatching:
         for seq in range(500):
             append_ndjson(path, {"type": "iteration_completed", "job": "j",
                                  "seq": seq, "iteration": seq})
-        monkeypatch.setattr(bus, "BLOCK_BYTES", 4096)
-        blocks = list(bus.read_blocks(path, 0))
+        monkeypatch.setattr(ndjson, "BLOCK_BYTES", 4096)
+        blocks = list(ndjson.read_blocks(path, 0))
         assert len(blocks) == -(-path.stat().st_size // 4096)
         assert max(len(records) for _, records in blocks) < 100
         con = connect(":memory:")

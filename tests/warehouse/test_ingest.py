@@ -9,7 +9,7 @@ import pytest
 from _wh_helpers import bench_envelope, populate_job, tiny_spec, write_json
 from repro.api import Experiment, run_record
 from repro.service import JobStore, append_ndjson
-from repro.service.bus import read_blocks
+from repro.ndjson import read_blocks
 from repro.warehouse import Ingester, connect, ingest_paths, table_counts
 
 
