@@ -72,14 +72,20 @@ def _git(*args: str) -> subprocess.CompletedProcess | None:
         return None
 
 
+#: Both revision fields of a point measured where no work tree answers
+#: ``git rev-parse`` (a tree exported with ``git archive``, no git).
+NO_HISTORY = "no-git-history"
+
+
 def _git_rev(short: bool = True) -> str:
     """HEAD, ``-dirty``-suffixed (short form only) when ``src/`` carries
     uncommitted edits: a point measured before its commit exists must not
-    pass for a point of the parent revision."""
+    pass for a point of the parent revision.  :data:`NO_HISTORY` without
+    a work tree."""
     done = _git("rev-parse", *(["--short"] if short else []), "HEAD")
-    rev = done.stdout.strip() if done else ""
+    rev = done.stdout.strip() if done and done.returncode == 0 else ""
     if not rev:
-        return "unknown"
+        return NO_HISTORY
     if short:
         dirty = _git("diff", "--quiet", "HEAD", "--", ":/src")
         if dirty is not None and dirty.returncode == 1:

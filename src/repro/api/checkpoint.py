@@ -22,7 +22,7 @@ import pathlib
 from dataclasses import dataclass
 
 from ..core.results import IterationStats
-from ..ndjson import append, dumps_line, read_events
+from ..ndjson import append, dumps_line, fsync_dir, read_events
 
 __all__ = [
     "Checkpoint",
@@ -40,8 +40,8 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
     directory never race on the same tmp path; the data is fsynced before
     the rename (and the directory after it), so a crash right after
     ``atomic_write_text`` returns cannot lose the new contents — the
-    invariant the service job store builds its kill-safety on, and the one
-    that starts a checkpoint state log.
+    invariant a service job's ``result.json`` and a rewritten checkpoint
+    state log build their kill-safety on.
     """
     path = pathlib.Path(path)
     tmp = path.parent / f"{path.name}.{os.getpid()}.tmp"
@@ -50,14 +50,7 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> pathlib.Path:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    try:  # make the rename itself durable; best-effort off POSIX
-        dir_fd = os.open(path.parent, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir open
-        return path
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    fsync_dir(path.parent)  # make the rename itself durable
     return path
 
 
@@ -88,7 +81,7 @@ def sweep_stale_tmps(
     With ``only_stale`` a tmp whose embedded pid is still alive is kept —
     its writer may be mid-write in a shared directory.  Returns the number
     of files removed.  Every store built on :func:`atomic_write_text`
-    (checkpoint state logs, service job records) sweeps through here.
+    (checkpoint state logs, service job results) sweeps through here.
     """
     removed = 0
     for entry in pathlib.Path(directory).glob(pattern):
@@ -153,13 +146,25 @@ class CheckpointStore:
         return [Checkpoint.from_dict(record) for record in read_events(self.path)]
 
     def start(self, records: list[Checkpoint]) -> None:
-        """Replace the log by ``records`` (none: a fresh run) in one atomic
-        write, so a kill here leaves the old log or the new one — never a
-        torn tail or another run's records ahead of this run's."""
+        """Make the log hold exactly ``records`` (none: a fresh run).
+
+        A log that already does — or no log for a fresh run, which its
+        first :meth:`save` creates — is left as it is.  Anything else (a
+        torn tail, another run's records) is replaced in one atomic write,
+        so a kill here leaves the old log or the new one, never a torn
+        tail or another run's records ahead of this run's."""
         sweep_stale_tmps(self.directory)
-        atomic_write_text(self.path, "".join(r.to_line() for r in records))
+        text = "".join(r.to_line() for r in records)
+        try:
+            if self.path.read_bytes() == text.encode():
+                return
+        except FileNotFoundError:
+            if not records:
+                return
+        atomic_write_text(self.path, text)
 
     def save(self, checkpoint: Checkpoint) -> pathlib.Path:
-        """Append one record, durable (fsynced) before this returns."""
+        """Append one record, durable (fsynced, with the log's directory
+        entry when this save created it) before this returns."""
         append(self.path, checkpoint.to_line().encode(), durable=True)
         return self.path

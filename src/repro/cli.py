@@ -171,12 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None, help="only jobs in this state")
 
     tail = sub.add_parser(
-        "tail", help="print a job's event log (or the combined feed)",
+        "tail", help="print a job's event log (or every job's, merged)",
         parents=[root],
     )
     tail.set_defaults(handler=_cmd_tail)
     tail.add_argument("job", nargs="?", default=None,
-                      help="job id (omit for the combined feed)")
+                      help="job id (omit for every job's events, merged "
+                           "by time)")
     tail.add_argument("--follow", action="store_true",
                       help="keep following appends (Ctrl-C to stop)")
     tail.add_argument("--raw", action="store_true",
@@ -603,7 +604,7 @@ def _render_detail(kind: str, record: dict) -> str:
 
 
 def _cmd_tail(args, out) -> int:
-    from .service import JobStore, tail_events
+    from .service import JobStore, tail_events, tail_jobs
 
     store = JobStore(args.root)
     if args.job:
@@ -612,11 +613,11 @@ def _cmd_tail(args, out) -> int:
         except KeyError as exc:
             print(f"error: {exc}", file=out)
             return 2
-        path = store.events_path(args.job)
+        records = tail_events(store.events_path(args.job), follow=args.follow)
     else:
-        path = store.feed_path
+        records = tail_jobs(store, follow=args.follow)
     try:
-        for record in tail_events(path, follow=args.follow):
+        for record in records:
             print(json.dumps(record) if args.raw else _render_event(record),
                   file=out)
     except KeyboardInterrupt:

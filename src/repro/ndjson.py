@@ -1,8 +1,9 @@
 """The NDJSON line format every log of the repo shares.
 
 One newline-terminated JSON object per line, appended with a single
-``os.write`` on an ``O_APPEND`` descriptor: the service's event logs and
-combined feed (:mod:`repro.service.bus`), a run's checkpoint state log
+``os.write`` on an ``O_APPEND`` descriptor: the service's job lifecycle
+logs (:mod:`repro.service.store`) and event logs
+(:mod:`repro.service.bus`), a run's checkpoint state log
 (:mod:`repro.api.checkpoint`) and the warehouse's ingest
 (:mod:`repro.warehouse.ingest`) write and read through here, so the
 writer's ``null`` rule and the reader's torn-tail rule hold for all of
@@ -18,7 +19,8 @@ import time
 from typing import Callable, Iterator
 
 __all__ = [
-    "BLOCK_BYTES", "append", "dumps_line", "read_blocks", "read_events", "tail_events",
+    "BLOCK_BYTES", "append", "dumps_line", "fold", "fsync_dir", "read_blocks",
+    "read_events", "tail_events", "torn",
 ]
 
 _COMPACT = (",", ":")
@@ -40,16 +42,51 @@ def dumps_line(record: dict) -> str:
     return text + "\n"
 
 
+def fsync_dir(directory: str | pathlib.Path) -> None:
+    """Make the entries of ``directory`` durable (a file created or renamed
+    into it); best-effort off POSIX."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir open
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def append(path: str | pathlib.Path, data: bytes, durable: bool = False) -> None:
-    """One atomic ``O_APPEND`` write (opened per write: rotation-safe);
-    ``durable`` fsyncs it before returning (the checkpoint state log)."""
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    """One atomic ``O_APPEND`` write (opened per write: rotation-safe).
+
+    ``durable`` fsyncs it before returning, and the directory too when
+    this write created the file (job lifecycle logs, checkpoint state
+    logs): once it returns, a crash can lose neither the line nor the file.
+    """
+    flags = os.O_WRONLY | os.O_APPEND
+    try:
+        fd, created = os.open(path, flags), False
+    except FileNotFoundError:
+        fd, created = os.open(path, flags | os.O_CREAT, 0o644), True
     try:
         os.write(fd, data)
         if durable:
             os.fsync(fd)
     finally:
         os.close(fd)
+    if durable and created:
+        fsync_dir(pathlib.Path(path).parent)
+
+
+def torn(path: str | pathlib.Path) -> bool:
+    """Whether ``path`` ends inside a line: the tail of a writer killed
+    mid-append, which readers skip.  The next writer ends it (a leading
+    ``\n``) rather than glue its own line to it."""
+    try:
+        with open(path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            return size > 0 and os.pread(fh.fileno(), 1, size - 1) != b"\n"
+    except FileNotFoundError:
+        return False
 
 
 #: Bytes per read of an NDJSON log.  One block's complete lines are
@@ -113,6 +150,28 @@ def read_blocks(
                 records.append((line_offset, line, record))
             if lines:
                 yield offset, records
+
+
+def fold(
+    path: str | pathlib.Path, legacy: str | pathlib.Path | None = None
+) -> dict | None:
+    """A lifecycle log's state: its first record with every later complete
+    record's keys laid over it, in order (``None``: no record yet).
+
+    ``legacy`` names a JSON document read, when it exists, as the first
+    record: state written whole before its log existed, which the log's
+    lines then change.  The torn-tail rule is :func:`read_blocks`'s.
+    """
+    state = None
+    if legacy is not None:
+        try:
+            state = json.loads(pathlib.Path(legacy).read_bytes())
+        except FileNotFoundError:
+            pass
+    for _, records in read_blocks(path, 0):
+        for _, _, record in records:
+            state = record if state is None else state | record
+    return state
 
 
 def read_events(path: str | pathlib.Path) -> list[dict]:

@@ -7,8 +7,8 @@ that substrate into a long-lived service, in the spirit of the paper's
 own always-on gossip deployment:
 
 * :class:`JobStore` — durable on-disk queue (``queued → running →
-  completed/failed``), one directory per job with its own state log,
-  event log and run record;
+  completed/failed``), one directory per job with its lifecycle log,
+  state log, event log and run record;
 * :class:`Scheduler` — executes up to ``max_workers`` jobs concurrently
   in worker *processes* forked from the warm scheduler, one per slot for
   a busy period, each running the jobs handed to it in turn (the crypto
@@ -16,7 +16,7 @@ own always-on gossip deployment:
   backend/bigint selection);
 * the NDJSON event bus (:mod:`repro.service.bus`) — every job's
   ``RunStarted``/``IterationCompleted``/``CheckpointSaved``/``RunCompleted``
-  stream multiplexed to per-job logs and one tailable combined feed;
+  stream in its own log, merged across jobs on read (:func:`tail_jobs`);
 * crash recovery — any job found ``running`` at startup is re-enqueued
   and resumed from its state log, so a SIGKILL-ed server replays
   nothing and loses nothing.
@@ -30,7 +30,14 @@ Programmatic sweeps go through :func:`run_batch`::
 """
 
 from .batch import load_specs, run_batch
-from .bus import EventBus, append_ndjson, next_seq, read_events, tail_events
+from .bus import (
+    EventBus,
+    append_ndjson,
+    next_seq,
+    read_events,
+    tail_events,
+    tail_jobs,
+)
 from .scheduler import Scheduler
 from .store import Job, JobState, JobStore
 
@@ -46,4 +53,5 @@ __all__ = [
     "read_events",
     "run_batch",
     "tail_events",
+    "tail_jobs",
 ]

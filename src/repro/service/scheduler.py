@@ -9,7 +9,7 @@ The control loop is deliberately small — the durable truth lives in the
    to an idle worker process (:func:`repro.service.worker.main`), forking
    one only when none is idle and fewer than ``max_workers`` exist;
 3. **reap**: when a busy worker dies without answering (killed, OOM,
-   segfault — ``job.json`` still says ``running``), either re-enqueue its
+   segfault — the job's log still says ``running``), either re-enqueue its
    job for another attempt or fail it once ``max_attempts`` is exhausted
    (a hard-crashing spec must not loop forever); an idle worker that died
    is dropped, and once nothing is queued or running the idle workers
@@ -258,7 +258,7 @@ class Scheduler:
             conn = self._pipes[proc]
             if conn in ready:
                 try:
-                    conn.recv()  # the exit code; the outcome is in job.json
+                    conn.recv()  # the exit code; the outcome is in the job's log
                 except (EOFError, ConnectionError):  # died before answering
                     self._crashed(job_id)
                 else:

@@ -3,9 +3,9 @@
 One service root directory holds everything the server knows::
 
     <root>/
-      feed.ndjson                 combined event feed (all jobs, multiplexed)
       jobs/<job_id>/
-        job.json                  Job record: spec + state + timestamps
+        job.ndjson                lifecycle log: the Job record, then one
+                                  line per state change
         checkpoints/state.ndjson  checkpoint state log, one line an iteration
         events.ndjson             the job's own RunEvent stream
         result.json               chiaroscuro-run/v1 record (once completed)
@@ -15,13 +15,19 @@ found at startup is a crash marker — :meth:`JobStore.recover` re-enqueues
 it and the worker resumes from the job's state log (bit-identical on
 every plane).
 
-Every ``job.json`` write goes through
-:func:`repro.api.checkpoint.atomic_write_text` (pid-unique tmp + fsync +
-rename), so a SIGKILL at any instant leaves either the old record or the
-new one, never a torn file.  Queue ordering is submit order
-(``submitted_at``, then ``job_id``).  Claiming is *not* multi-scheduler
-safe: one scheduler process owns a root at a time (the deployment model —
-``repro serve`` — matches).
+A job is the fold of its lifecycle log (:func:`repro.ndjson.fold`): the
+first line is :meth:`Job.to_dict`, and :meth:`JobStore.submit`,
+:meth:`~JobStore.claim`, :meth:`~JobStore.update` and
+:meth:`~JobStore.recover` each append one line holding only the fields
+they change — one fsynced ``O_APPEND`` write before they return (the
+directory too when the line creates the log).  A SIGKILL at any instant
+leaves a state the job really passed through: a torn last line is not
+read.  Updates from two processes both land; neither rewrites the other.
+A ``job.json`` left by a root written before the log existed is read as
+the fold's first record and never written.  Queue ordering is submit
+order (``submitted_at``, then ``job_id``).  Claiming is *not*
+multi-scheduler safe: one scheduler process owns a root at a time (the
+deployment model — ``repro serve`` — matches).
 """
 
 from __future__ import annotations
@@ -33,14 +39,15 @@ import uuid
 from dataclasses import asdict, dataclass, replace
 from typing import Collection, Iterable, Mapping
 
-from ..api.checkpoint import atomic_write_text, sweep_stale_tmps
+from ..api.checkpoint import sweep_stale_tmps
 from ..api.spec import RunSpec
+from ..ndjson import append, dumps_line, fold, torn
 
 __all__ = ["Job", "JobState", "JobStore"]
 
 
 class JobState:
-    """The four job states (plain strings so job.json stays obvious)."""
+    """The four job states (plain strings so job logs stay obvious)."""
 
     QUEUED = "queued"
     RUNNING = "running"
@@ -100,15 +107,17 @@ class JobStore:
 
     # ------------------------------------------------------------- layout
 
-    @property
-    def feed_path(self) -> pathlib.Path:
-        return self.root / "feed.ndjson"
-
     def job_dir(self, job_id: str) -> pathlib.Path:
         return self.jobs_dir / job_id
 
     def job_path(self, job_id: str) -> pathlib.Path:
+        """The record of a job submitted before lifecycle logs: read as
+        the fold's first record, never written."""
         return self.job_dir(job_id) / "job.json"
+
+    def log_path(self, job_id: str) -> pathlib.Path:
+        """The job's lifecycle log."""
+        return self.job_dir(job_id) / "job.ndjson"
 
     def checkpoint_dir(self, job_id: str) -> pathlib.Path:
         return self.job_dir(job_id) / "checkpoints"
@@ -137,7 +146,7 @@ class JobStore:
             submitted_at=time.time(),
         )
         self.job_dir(job.job_id).mkdir(parents=True)
-        self._write(job)
+        self._append(job.job_id, job.to_dict())
         return job
 
     def submit_batch(
@@ -160,29 +169,35 @@ class JobStore:
     # -------------------------------------------------------------- reads
 
     def get(self, job_id: str) -> Job:
-        path = self.job_path(job_id)
-        if not path.exists():
+        job = self._read(job_id)
+        if job is None:
             raise KeyError(f"unknown job {job_id!r} in {self.root}")
-        return Job.from_dict(json.loads(path.read_text()))
+        return job
 
     def jobs(self, skip: Collection[str] = ()) -> list[Job]:
         """Jobs in submit order (``submitted_at``, then id), skipping the
         ids in ``skip`` without reading their records.
 
         ``skip`` is the scheduler's poll-loop primitive: terminal jobs never
-        change state, so once observed completed/failed their ``job.json``
-        need not be re-parsed every tick — a long-lived root stays O(active
-        jobs) per poll instead of O(all jobs ever submitted).
+        change state, so once observed completed/failed their logs need not
+        be re-folded every tick — a long-lived root stays O(active jobs)
+        per poll instead of O(all jobs ever submitted).
         """
         out = []
         for entry in sorted(self.jobs_dir.iterdir()):
-            if entry.name in skip:
+            if entry.name in skip or not entry.is_dir():
                 continue
-            path = entry / "job.json"
-            if path.exists():
-                out.append(Job.from_dict(json.loads(path.read_text())))
+            job = self._read(entry.name)
+            if job is not None:
+                out.append(job)
         out.sort(key=lambda job: (job.submitted_at, job.job_id))
         return out
+
+    def _read(self, job_id: str) -> Job | None:
+        """The fold of the job's lifecycle log (``None``: no record yet —
+        a directory whose first line a kill tore, or no job at all)."""
+        record = fold(self.log_path(job_id), legacy=self.job_path(job_id))
+        return None if record is None else Job.from_dict(record)
 
     def in_state(self, *states: str) -> list[Job]:
         return [job for job in self.jobs() if job.state in states]
@@ -197,16 +212,17 @@ class JobStore:
     # ------------------------------------------------------------- writes
 
     def update(self, job_id: str, **changes) -> Job:
-        """Read-modify-write the job record atomically (fresh read first)."""
-        job = replace(self.get(job_id), **changes)
-        self._write(job)
+        """Append one state change (durable before this returns); returns
+        the job as the log read before it, with ``changes`` applied."""
+        job = replace(self.get(job_id), **changes)  # an unknown job or field raises
+        self._append(job_id, changes)
         return job
 
     def claim(self, job: Job) -> Job:
         """Mark a queued job running (one attempt counted).
 
         Single-scheduler discipline (see module docstring): the claim is
-        atomic against crashes, not against a second scheduler.
+        durable against crashes, not exclusive against a second scheduler.
         """
         return self.update(
             job.job_id,
@@ -227,7 +243,8 @@ class JobStore:
             recovered.append(self.update(job.job_id, state=JobState.QUEUED))
         return recovered
 
-    def _write(self, job: Job) -> None:
-        atomic_write_text(
-            self.job_path(job.job_id), json.dumps(job.to_dict(), indent=2) + "\n"
-        )
+    def _append(self, job_id: str, record: dict) -> None:
+        """One durable line, never glued to a killed writer's torn one."""
+        path = self.log_path(job_id)
+        line = dumps_line(record).encode()
+        append(path, b"\n" + line if torn(path) else line, durable=True)

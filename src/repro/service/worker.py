@@ -41,8 +41,8 @@ __all__ = ["execute_job", "fail_job", "main"]
 
 
 def fail_job(store: JobStore, bus: EventBus, error: str) -> None:
-    """Record a terminal failure: ``job.json``, then the bus marker a
-    tailing consumer needs to see the stream end."""
+    """Record a terminal failure: the job's lifecycle log, then the bus
+    marker a tailing consumer needs to see the stream end."""
     store.update(
         bus.job_id, state=JobState.FAILED, finished_at=time.time(), error=error
     )
@@ -86,9 +86,7 @@ def execute_job(store: JobStore, job: Job) -> int:
         timings={"wall_seconds": elapsed},
         environment=environment,
     )
-    atomic_write_text(
-        store.result_path(job.job_id), json.dumps(record, indent=2) + "\n"
-    )
+    atomic_write_text(store.result_path(job.job_id), json.dumps(record) + "\n")
     store.update(job.job_id, state=JobState.COMPLETED, finished_at=time.time())
     bus.publish_record(
         {
@@ -116,4 +114,4 @@ def main(store: JobStore, conn: Connection) -> None:
         try:
             conn.send(code)
         except ConnectionError:
-            return  # the scheduler is gone; the outcome is in job.json
+            return  # the scheduler is gone; the outcome is in the job's log

@@ -3,10 +3,12 @@
 Source shapes that feed the warehouse:
 
 * **service roots** (``repro serve``'s ``--root``): every ``jobs/<id>/``
-  contributes its ``job.json`` (→ ``jobs``), ``events.ndjson``
+  contributes the fold of its lifecycle log ``job.ndjson`` (a legacy
+  ``job.json`` as its first record; → ``jobs``), ``events.ndjson``
   (→ ``events`` + ``detections``) and ``result.json`` (→ ``runs`` +
-  ``iterations``).  The combined ``feed.ndjson`` is deliberately skipped —
-  it multiplexes the same records the per-job logs already carry.
+  ``iterations``).  A root-level ``feed.ndjson`` (written by older
+  servers) is skipped — it multiplexes the records the per-job logs
+  already carry.
 * **standalone JSON files**, dispatched on their ``schema`` field through
   the :data:`SHAPES` table (adding a shape is one handler function and
   its row there):
@@ -48,7 +50,7 @@ import sqlite3
 import time
 from typing import Callable, Iterable
 
-from ..ndjson import read_blocks
+from ..ndjson import fold, read_blocks
 
 __all__ = [
     "Ingester",
@@ -242,10 +244,13 @@ class Ingester:
         jobs_dir = root / "jobs"
         for job_dir in sorted(p for p in jobs_dir.iterdir() if p.is_dir()):
             job_id = job_dir.name
-            job_path = job_dir / "job.json"
-            if job_path.exists():
+            # The log changes with every state change, a legacy job.json
+            # never: the log's fingerprint gates the fold once it exists.
+            log_path, legacy = job_dir / "job.ndjson", job_dir / "job.json"
+            gate = next((p for p in (log_path, legacy) if p.exists()), None)
+            if gate is not None:
                 self._ingest_json_once(
-                    job_path, lambda p: self._ingest_job_json(p, root)
+                    gate, lambda p: self._ingest_job(log_path, legacy, root)
                 )
             self.ingest_events_file(job_dir / "events.ndjson", job_id=job_id)
             result_path = job_dir / "result.json"
@@ -280,8 +285,12 @@ class Ingester:
         )
         return True
 
-    def _ingest_job_json(self, path: pathlib.Path, root: pathlib.Path) -> None:
-        record = json.loads(path.read_text())
+    def _ingest_job(
+        self, log_path: pathlib.Path, legacy: pathlib.Path, root: pathlib.Path
+    ) -> bool:
+        record = fold(log_path, legacy=legacy)
+        if record is None:  # no complete first line yet: stays pending
+            return False
         spec = record.get("spec", {})
         self.con.execute(
             "INSERT OR REPLACE INTO jobs (job_id, root, name, state, plane, "
@@ -301,6 +310,7 @@ class Ingester:
                 record.get("error", ""),
             ),
         )
+        return True
 
     def _ingest_result_json(self, path: pathlib.Path, job_id: str) -> None:
         record = json.loads(path.read_text())

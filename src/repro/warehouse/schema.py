@@ -9,11 +9,13 @@ rows survive the upgrade.
 
 Tables (migration 1)
 --------------------
-``ingest_files``   per-source watermarks: NDJSON byte offsets and JSON
-                   size/mtime fingerprints — the incremental-ingestion
+``ingest_files``   per-source watermarks: event-log byte offsets, and
+                   size/mtime fingerprints of JSON documents and job
+                   lifecycle logs — the incremental-ingestion
                    cursor (re-ingestion starts where the last one ended,
                    never from byte 0).
-``jobs``           mirrors of ``job.json`` records from service roots.
+``jobs``           one row per service job: the fold of its lifecycle
+                   log (``job.ndjson``, or a legacy ``job.json``).
 ``runs``           one row per ``chiaroscuro-run/v1`` record, whatever
                    emitted it (service ``result.json``, a standalone
                    ``--json-out`` file, or a run embedded in a

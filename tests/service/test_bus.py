@@ -24,6 +24,7 @@ from repro.service import (
     next_seq,
     read_events,
     tail_events,
+    tail_jobs,
 )
 
 
@@ -157,10 +158,11 @@ class TestOneReader:
 
     @pytest.mark.parametrize("raw", [False, True], ids=["rendered", "raw"])
     def test_repro_tail_prints_the_object_lines_and_exits_zero(self, tmp_path, raw):
-        """``repro tail`` used to die on a feed line holding ``3``
+        """``repro tail`` used to die on a log line holding ``3``
         (``'int' object has no attribute 'get'``)."""
         store = JobStore(tmp_path)
-        store.feed_path.write_bytes(HOSTILE_LOG)
+        store.job_dir("j").mkdir()
+        store.events_path("j").write_bytes(HOSTILE_LOG)
         out = io.StringIO()
         argv = ["tail", "--root", str(tmp_path)] + (["--raw"] if raw else [])
         assert cli_main(argv, out=out) == 0
@@ -172,15 +174,34 @@ class TestOneReader:
             assert "run_started" in lines[0] and "job_completed" in lines[1]
 
 
+    def test_a_resumed_attempt_ends_the_torn_line_before_its_first_event(
+        self, tmp_path
+    ):
+        """A worker killed mid-append leaves a torn last line; the next
+        attempt's first event was glued to it, and every reader skipped
+        both (the resumed ``run_started`` was lost)."""
+        store = JobStore(tmp_path)
+        store.job_dir("j").mkdir()
+        store.events_path("j").write_bytes(
+            b'{"type":"run_started","job":"j","seq":0}\n{"type":"iteration_compl'
+        )
+        bus = EventBus(store, "j")
+        bus.publish_record({"type": "run_started", "job": "j", "ts": 1.0})
+        bus.publish_record({"type": "job_completed", "job": "j", "ts": 2.0})
+        assert [
+            (r["type"], r["seq"]) for r in read_events(store.events_path("j"))
+        ] == [("run_started", 0), ("run_started", 1), ("job_completed", 2)]
+
     def test_a_stored_nan_is_read_and_printed_as_null(self, tmp_path):
         """Logs written before the writer's ``null`` rule hold bare ``NaN``;
         the reader hands on strict JSON (``repro tail --raw`` used to print
         ``{"agreement": NaN}``, which no JSON parser but Python's accepts)."""
         store = JobStore(tmp_path)
-        store.feed_path.write_bytes(
+        store.job_dir("j").mkdir()
+        store.events_path("j").write_bytes(
             b'{"type":"iteration_completed","job":"j","agreement":NaN,"seq":0}\n'
         )
-        assert read_events(store.feed_path)[0]["agreement"] is None
+        assert read_events(store.events_path("j"))[0]["agreement"] is None
         out = io.StringIO()
         assert cli_main(["tail", "--root", str(tmp_path), "--raw"], out=out) == 0
 
@@ -192,7 +213,7 @@ class TestOneReader:
 
 
 class TestEventBus:
-    def test_publish_multiplexes_job_log_and_feed(self, tmp_path):
+    def test_publish_writes_each_job_log_and_the_merged_tail(self, tmp_path):
         store = JobStore(tmp_path)
         job_a = store.submit(small_spec(1))
         job_b = store.submit(small_spec(2))
@@ -206,17 +227,18 @@ class TestEventBus:
                 assert "ts" in record
         own = read_events(store.events_path(job_a.job_id))
         assert {r["job"] for r in own} == {job_a.job_id}
-        feed = read_events(store.feed_path)
-        assert {r["job"] for r in feed} == {job_a.job_id, job_b.job_id}
-        assert len(feed) == len(own) + len(
+        merged = list(tail_jobs(store))
+        assert {r["job"] for r in merged} == {job_a.job_id, job_b.job_id}
+        assert len(merged) == len(own) + len(
             read_events(store.events_path(job_b.job_id))
         )
+        assert not (tmp_path / "feed.ndjson").exists()  # one write an event
 
-    def test_both_logs_get_the_same_bytes_serialised_once(self, tmp_path,
-                                                          monkeypatch):
-        """One ``json.dumps`` per finite record, and both logs hold exactly
-        the bytes two ``append_ndjson`` calls wrote — a non-finite float
-        included."""
+    def test_the_job_log_gets_the_bytes_serialised_once(self, tmp_path,
+                                                        monkeypatch):
+        """One ``json.dumps`` per finite record, and the job's log holds
+        exactly the bytes one ``append_ndjson`` call wrote — a non-finite
+        float included."""
         store = JobStore(tmp_path)
         job = store.submit(small_spec(1))
         bus = EventBus(store, job.job_id)
@@ -236,7 +258,55 @@ class TestEventBus:
             b'"nested":[2.0,null],"seq":1}\n'
         )
         assert store.events_path(job.job_id).read_bytes() == expected
-        assert store.feed_path.read_bytes() == expected
+
+
+class TestMergedTail:
+    """``tail_jobs``: every job's log, merged by ``(ts, job, seq)``."""
+
+    def test_records_merge_by_time_then_job_then_seq(self, tmp_path):
+        store = JobStore(tmp_path)
+        for job, stamps in (("b", (1.0, 3.0)), ("a", (2.0, 3.0))):
+            store.job_dir(job).mkdir()
+            for seq, ts in enumerate(stamps):
+                append_ndjson(store.events_path(job),
+                              {"type": "x", "job": job, "ts": ts, "seq": seq})
+        assert [(r["job"], r["seq"]) for r in tail_jobs(store)] == [
+            ("b", 0), ("a", 0), ("a", 1), ("b", 1),
+        ]
+
+    def test_follow_reads_new_jobs_and_stops_polling_terminal_ones(
+        self, tmp_path, monkeypatch
+    ):
+        store = JobStore(tmp_path)
+        store.job_dir("a").mkdir()
+        append_ndjson(store.events_path("a"),
+                      {"type": "job_completed", "job": "a", "ts": 1.0, "seq": 0})
+        polls = []
+        read = []
+        import repro.service.bus as bus_module
+
+        real_read_blocks = bus_module.read_blocks
+
+        def spy(path, offset):
+            read.append(pathlib.Path(path).parent.name)
+            return real_read_blocks(path, offset)
+
+        monkeypatch.setattr(bus_module, "read_blocks", spy)
+
+        def submit_one_then_stop():
+            polls.append(1)
+            if len(polls) == 1:
+                store.job_dir("b").mkdir()
+                append_ndjson(store.events_path("b"),
+                              {"type": "run_started", "job": "b", "ts": 2.0,
+                               "seq": 0})
+                return False
+            return True
+
+        records = list(tail_jobs(store, follow=True, poll_interval=0.0,
+                                 should_stop=submit_one_then_stop))
+        assert [r["job"] for r in records] == ["a", "b"]
+        assert read == ["a", "b"]  # "a" ended: its log is not polled again
 
 
 class TestSeq:

@@ -21,7 +21,7 @@ import pytest
 
 from _helpers import small_spec
 from repro.api import Experiment, run_record
-from repro.service import JobState, JobStore, read_events
+from repro.service import JobState, JobStore, read_events, tail_jobs
 
 N_JOBS = 8
 SERVE_TIMEOUT = 300.0
@@ -52,13 +52,13 @@ def test_sigkill_mid_iteration_then_restart_completes_bit_identical(tmp_path):
     store.submit_batch(specs)
 
     server = spawn_server(root)
-    pre_kill_feed: list[dict] = []
+    pre_kill_events: list[dict] = []
     try:
         deadline = time.monotonic() + SERVE_TIMEOUT
         while time.monotonic() < deadline:
-            pre_kill_feed = read_events(store.feed_path)
+            pre_kill_events = list(tail_jobs(store))
             if sum(
-                r["type"] == "iteration_completed" for r in pre_kill_feed
+                r["type"] == "iteration_completed" for r in pre_kill_events
             ) >= 2:
                 break
             time.sleep(0.02)
@@ -91,12 +91,12 @@ def test_sigkill_mid_iteration_then_restart_completes_bit_identical(tmp_path):
     # A checkpointed job killed mid-run must have *resumed*, not
     # restarted: its post-kill run_started reports the checkpoint.  (Jobs
     # killed before their first checkpoint legitimately restart at 0, so
-    # the assertion only applies when the pre-kill feed shows a save.)
+    # the assertion only applies when the pre-kill events show a save.)
     resumed_markers = [
         r
         for job in resumed
         for r in read_events(store.events_path(job.job_id))
         if r["type"] == "run_started" and r["resumed_iteration"] > 0
     ]
-    if any(r["type"] == "checkpoint_saved" for r in pre_kill_feed):
+    if any(r["type"] == "checkpoint_saved" for r in pre_kill_events):
         assert resumed_markers, "no job resumed from its checkpoint"

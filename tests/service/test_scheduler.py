@@ -14,7 +14,14 @@ import pytest
 
 from _helpers import small_spec
 from repro.api import Experiment, RunSpec, run_record
-from repro.service import JobState, JobStore, Scheduler, read_events, run_batch
+from repro.service import (
+    JobState,
+    JobStore,
+    Scheduler,
+    read_events,
+    run_batch,
+    tail_jobs,
+)
 
 DRAIN_TIMEOUT = 300.0  # a hang guard, not a budget: a batch here takes < 1 s
 
@@ -56,8 +63,8 @@ class TestScheduler:
         failed = store.get(bad.job_id)
         assert failed.state == JobState.FAILED
         assert "bogus_knob" in failed.error
-        feed = read_events(store.feed_path)
-        assert any(r["type"] == "job_failed" for r in feed)
+        events = list(tail_jobs(store))
+        assert any(r["type"] == "job_failed" for r in events)
 
     def test_run_batch_raises_on_failure(self, tmp_path):
         bad_dict = small_spec(2).to_dict()
@@ -81,8 +88,11 @@ class TestScheduler:
             assert kinds[-1] == "job_completed"
             assert "checkpoint_saved" in kinds
             assert {r["job"] for r in own} == {job.job_id}
-        feed = read_events(store.feed_path)
-        assert {r["job"] for r in feed} == {job.job_id for job in jobs}
+        merged = list(tail_jobs(store))
+        assert {r["job"] for r in merged} == {job.job_id for job in jobs}
+        assert merged == sorted(
+            merged, key=lambda r: (r["ts"], r["job"], r["seq"])
+        )
 
     def test_validates_max_workers(self, tmp_path):
         with pytest.raises(ValueError, match="max_workers"):

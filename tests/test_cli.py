@@ -302,15 +302,16 @@ class TestServiceCommands:
         assert "unknown job" in out.getvalue()
 
     def test_tail_renders_foreign_records_without_crashing(self, tmp_path):
-        """A feed line of a known type but missing numeric fields (e.g.
+        """A log line of a known type but missing numeric fields (e.g.
         written by another version) must not abort the tail."""
         root = str(tmp_path / "root")
         from repro.service import JobStore, append_ndjson
 
         store = JobStore(root)
-        append_ndjson(store.feed_path,
+        store.job_dir("j1").mkdir()
+        append_ndjson(store.events_path("j1"),
                       {"type": "iteration_completed", "job": "j1"})
-        append_ndjson(store.feed_path,
+        append_ndjson(store.events_path("j1"),
                       {"type": "job_completed", "job": "j1",
                        "wall_seconds": 1.0})
         out = io.StringIO()
@@ -320,18 +321,19 @@ class TestServiceCommands:
         assert "iteration_completed" in lines[0]
 
     def test_tail_renders_fault_and_abort_details(self, tmp_path):
-        """A faulted job's feed says what fired and what the abort cost —
+        """A faulted job's events say what fired and what the abort cost —
         not a bare ``[job] fault_detected`` / ``[job] run_aborted``."""
         root = str(tmp_path / "root")
         from repro.service import JobStore, append_ndjson
 
         store = JobStore(root)
-        append_ndjson(store.feed_path,
+        store.job_dir("j1").mkdir()
+        append_ndjson(store.events_path("j1"),
                       {"type": "fault_detected", "job": "j1", "iteration": 2,
                        "fault": "byzantine",
                        "detector": "decryption-cross-check",
                        "participants": [4], "detail": {}})
-        append_ndjson(store.feed_path,
+        append_ndjson(store.events_path("j1"),
                       {"type": "run_aborted", "job": "j1", "iteration": 2,
                        "fault": "byzantine", "reason": "cross-check failed",
                        "epsilon_charged": 0.75})

@@ -40,7 +40,7 @@ def tiny_spec(seed: int = 0, name: str = "", plane: str = "quality",
 
 def populate_job(store: JobStore, spec: RunSpec) -> str:
     """Run ``spec`` inline and lay down a completed job's full on-disk
-    shape (job.json, events.ndjson with seq, result.json) — what a
+    shape (job.ndjson, events.ndjson with seq, result.json) — what a
     worker process would have produced, without the process."""
     job = store.submit(spec)
     store.claim(job)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -40,9 +41,15 @@ def test_record_json_envelope_has_provenance(bench_conftest, tmp_path):
     assert envelope["schema"] == "chiaroscuro-bench/v1"
     prov = envelope["provenance"]
     assert prov["git_rev"] == envelope["git_rev"]  # legacy key kept
-    # (the short form says so when it was measured on uncommitted edits)
-    assert prov["git_rev_full"].startswith(prov["git_rev"].removesuffix("-dirty"))
-    assert len(prov["git_rev_full"]) == 40
+    head = bench_conftest._git("rev-parse", "HEAD")
+    if head is not None and head.returncode == 0:
+        # (the short form says so when it was measured on uncommitted edits)
+        assert prov["git_rev_full"].startswith(
+            prov["git_rev"].removesuffix("-dirty")
+        )
+        assert re.fullmatch("[0-9a-f]{40}", prov["git_rev_full"])
+    else:  # an export without history says so, in both fields
+        assert prov["git_rev"] == prov["git_rev_full"] == bench_conftest.NO_HISTORY
     assert isinstance(prov["unix_time"], float)
     assert prov["unix_time"] > 1_700_000_000  # a real epoch, not a stub
     # ISO-8601 Zulu, second precision — matches the ingester's parser.

@@ -103,6 +103,46 @@ class TestServiceRootIngestion:
             "SELECT * FROM runs ORDER BY run_key"
         ).fetchall() == dump
 
+    def test_jobs_row_is_the_fold_of_the_lifecycle_log(
+        self, con, tmp_path, monkeypatch
+    ):
+        """``jobs`` mirrors the fold of ``job.ndjson``, re-folded only when
+        the log's fingerprint moves; a torn last line is not read, and a
+        legacy ``job.json`` is the fold's first record."""
+        import repro.warehouse.ingest as ingest_module
+
+        store = JobStore(tmp_path / "svc")
+        job_id = populate_job(store, tiny_spec(1))
+        folds = []
+        real_fold = ingest_module.fold
+        monkeypatch.setattr(ingest_module, "fold",
+                            lambda *a, **kw: folds.append(a) or real_fold(*a, **kw))
+
+        def row(job):
+            return con.execute(
+                "SELECT state, attempts, finished_at, error FROM jobs "
+                "WHERE job_id = ?", (job,),
+            ).fetchone()
+
+        ingest_paths(con, [store.root])
+        assert tuple(row(job_id)) == ("completed", 1, 1.0, "")
+        ingest_paths(con, [store.root])
+        assert len(folds) == 1  # unchanged log: not re-read
+        store.update(job_id, error="noted later")
+        with open(store.log_path(job_id), "ab") as fh:
+            fh.write(b'{"state":"fai')  # a killed writer's torn line
+        ingest_paths(con, [store.root])
+        assert tuple(row(job_id)) == ("completed", 1, 1.0, "noted later")
+
+        legacy = store.get(job_id).to_dict() | {"job_id": "legacy"}
+        store.job_dir("legacy").mkdir()
+        write_json(store.job_path("legacy"), legacy)
+        ingest_paths(con, [store.root])
+        assert tuple(row("legacy")) == ("completed", 1, 1.0, "noted later")
+        store.update("legacy", state="failed", error="replayed")
+        ingest_paths(con, [store.root])
+        assert tuple(row("legacy")) == ("failed", 1, 1.0, "replayed")
+
     def test_rescan_without_watermarks_adds_nothing(self, con, tmp_path):
         """Even a from-scratch re-read (watermarks dropped) converges:
         the stable event keys refuse duplicates."""
