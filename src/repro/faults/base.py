@@ -7,8 +7,10 @@ plane reaches them through exactly two neutral seams in
 :class:`~repro.core.protocol.ChiaroscuroRun`:
 
 1. ``engine = plan.wrap_engine(engine, iteration)`` — the per-iteration
-   gossip engine is wrapped in a proxy that intercepts the *exchange
-   boundary* (message loss, duplication, delay, storms, malformed batches);
+   gossip engine, on either plane, is wrapped in the one proxy
+   (:mod:`repro.faults.engines`) that judges each cycle's drawn schedule
+   at the *exchange boundary* (message loss, duplication, delay, storms,
+   malformed batches);
 2. ``output = plan.observe_output(output, iteration)`` — the decoded
    per-node reports pass through the plane, which injects byzantine
    reports, runs the Sec. 4.4 detection machinery
@@ -127,9 +129,9 @@ class FaultInjector:
     """Base class: every hook is a no-op so injectors override only theirs.
 
     Lifecycle per run: ``bind`` once (after key material exists), then per
-    iteration ``begin_iteration``, per gossip cycle ``begin_cycle`` /
-    ``transform_pairs`` / corruption hooks, and ``observe_output`` once
-    the step's decoded reports exist.
+    gossip cycle ``begin_cycle`` / ``transform_pairs`` / corruption hooks,
+    and ``observe_output`` once per iteration, when the step's decoded
+    reports exist.
     """
 
     #: registry key, filled by the config's ``build``
@@ -137,9 +139,6 @@ class FaultInjector:
 
     def bind(self, binding: RunBinding, plan: "FaultPlan") -> None:
         """Called once per run, before the first iteration."""
-
-    def begin_iteration(self, iteration: int) -> None:
-        """Called at the top of every protocol iteration."""
 
     # ------------------------------------------------------- exchange level
 
@@ -154,8 +153,9 @@ class FaultInjector:
     ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]], list[tuple[int, np.ndarray, np.ndarray]]]:
         """The network-level verdict over a batch of scheduled exchanges.
 
-        The array planes pass a cycle's whole pairing, the object plane
-        each scheduled exchange as length-1 arrays.  Returns
+        Both planes pass a cycle's whole drawn schedule (the object plane's
+        initiators and contacts, an array plane's disjoint pairing); every
+        pair in it was already counted as a send.  Returns
         ``(keep_left, keep_right, extra_batches, delayed)`` where
         ``extra_batches`` are delivered this cycle *in addition* (duplicated
         messages) and ``delayed`` entries are ``(cycles_from_now, l, r)``.

@@ -33,12 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..crypto.damgard_jurik import encrypt
-from ..crypto.threshold import combine_subset, partial_decrypt
+from .. import lazy
 from ..privacy.collusion import CollusionAnalysis
 from .base import FaultInjector, register_fault
 
 __all__ = ["CollusionFault"]
+
+# The key leg's ciphertext machinery (repro.lazy): only an object-plane run
+# holds key material, so a faulted array spec imports none of it.
+encrypt = lazy.defer(__name__, "..crypto.damgard_jurik", "encrypt")
+partial_decrypt = lazy.defer(__name__, "..crypto.threshold", "partial_decrypt")
+combine_subset = lazy.defer(__name__, "..crypto.threshold", "combine_subset")
 
 
 @register_fault("collusion")

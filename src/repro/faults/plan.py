@@ -7,8 +7,8 @@ An :class:`~repro.api.experiment.Experiment` builds one plan per run from
 
 * instantiates **fresh** injectors with fresh named RNG streams on every
   ``bind_run`` — re-running an experiment object replays identical faults;
-* wraps each per-iteration gossip engine in the matching proxy
-  (:mod:`repro.faults.engines`);
+* wraps each per-iteration gossip engine, on either plane, in the one
+  fault proxy (:class:`~repro.faults.engines.FaultyEngine`);
 * chains the injectors' report-level hooks after every computation step;
 * buffers :class:`~repro.api.events.FaultDetected` events for the facade
   to drain into the run's event stream.
@@ -20,10 +20,8 @@ from typing import Any, Iterable
 
 from ..api.events import FaultDetected
 from ..api.spec import jsonify
-from ..gossip.engine import GossipEngine
-from ..gossip.vectorized_protocol import VectorizedGossipEngine
 from .base import FaultAbort, RunBinding, build_fault, fault_rng
-from .engines import FaultyObjectEngine, FaultyVectorizedEngine
+from .engines import FaultyEngine
 
 __all__ = ["FaultPlan"]
 
@@ -38,7 +36,6 @@ class FaultPlan:
         self.injectors: list = []
         self.binding: RunBinding | None = None
         self._events: list[FaultDetected] = []
-        self._iteration: int | None = None
 
     @classmethod
     def from_spec(cls, spec: Any) -> "FaultPlan | None":
@@ -62,7 +59,6 @@ class FaultPlan:
         self.binding = RunBinding(run)
         self.injectors = []
         self._events = []
-        self._iteration = None
         for index, (kind, config) in enumerate(self.entries):
             injector = config.build(fault_rng(self.binding.seed, kind, index))
             injector.kind = kind
@@ -70,19 +66,9 @@ class FaultPlan:
         for injector in self.injectors:
             injector.bind(self.binding, self)
 
-    def wrap_engine(self, engine: Any, iteration: int) -> Any:
-        """The per-iteration engine seam: wrap in the matching proxy."""
-        if iteration != self._iteration:
-            self._iteration = iteration
-            for injector in self.injectors:
-                injector.begin_iteration(iteration)
-        if isinstance(engine, GossipEngine):
-            return FaultyObjectEngine(engine, self, iteration)
-        if isinstance(engine, VectorizedGossipEngine):
-            return FaultyVectorizedEngine(engine, self, iteration)
-        raise TypeError(
-            f"no fault proxy for engine type {type(engine).__name__}"
-        )
+    def wrap_engine(self, engine: Any, iteration: int) -> FaultyEngine:
+        """The per-iteration engine seam: wrap in the fault proxy."""
+        return FaultyEngine(engine, self, iteration)
 
     def observe_output(self, output: Any, iteration: int) -> Any:
         """The report seam: chain every injector's report-level hook."""

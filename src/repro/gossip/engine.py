@@ -13,7 +13,11 @@ Design notes:
   (the paper runs the means-EESum and the noise-EESum on the same gossip
   stream);
 * the engine counts *exchanges per node* — the unit in which Theorem 3 and
-  all the Fig. 4 latency plots are expressed.
+  all the Fig. 4 latency plots are expressed;
+* a cycle is drawn whole (:meth:`GossipEngine.draw_pairing`), then
+  delivered (:meth:`GossipEngine.run_pairing_cycle`) — the vectorized
+  engine's cycle shape, so the fault plane judges either plane's schedule
+  the same way.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Protocol as TypingProtocol
+
+import numpy as np
 
 __all__ = ["Node", "GossipProtocol", "GossipEngine"]
 
@@ -81,61 +87,61 @@ class GossipEngine:
             for protocol in protocols:
                 protocol.setup(node, self.rng)
 
-    def _draw_contact(self, initiator: Node, online_ids: list[int]) -> Node | None:
-        candidates = self.rng.sample(online_ids, min(self.view_size, len(online_ids)))
-        for candidate in candidates:
-            if candidate != initiator.node_id:
-                return self.nodes[candidate]
-        return None
+    def draw_pairing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Redraw the online flags, then the cycle's exchange schedule.
+
+        Every online node, in a shuffled order, initiates once with the
+        first other node of a view drawn uniformly from the online ones.
+        Returns ``(initiators, contacts, idle)`` as int arrays in delivery
+        order; ``idle`` is empty (no online node sits a cycle out here).
+        All of the cycle's engine randomness is drawn here, none during
+        delivery.
+        """
+        rng = self.rng
+        for node in self.nodes:
+            node.online = rng.random() >= self.churn
+        online_ids = [node.node_id for node in self.nodes if node.online]
+        schedule = []
+        if len(online_ids) >= 2:
+            order = online_ids[:]
+            rng.shuffle(order)
+            view_size = min(self.view_size, len(online_ids))
+            for initiator in order:
+                view = rng.sample(online_ids, view_size)
+                contact = next((c for c in view if c != initiator), None)
+                if contact is not None:
+                    schedule.append((initiator, contact))
+        left, right = np.array(schedule, dtype=np.int64).reshape(-1, 2).T.copy()
+        return left, right, np.empty(0, dtype=np.int64)
+
+    def run_pairing_cycle(
+        self, left: np.ndarray, right: np.ndarray, *protocols: GossipProtocol
+    ) -> int:
+        """Deliver a schedule: pair ``i`` is ``left[i]`` initiating with
+        ``right[i]``, in order.  Returns #exchanges.
+
+        The engine's one delivery loop: :meth:`run_cycle` hands it the
+        schedule it drew, and a shadow test hands it a pairing the
+        vectorized plane drew, so both planes land on the same decoded
+        sums, ω-weights and exchange counters.  Online flags are not
+        redrawn (the schedule already encodes who was online).
+        """
+        nodes, rng = self.nodes, self.rng
+        for initiator_id, contact_id in zip(left.tolist(), right.tolist()):
+            initiator, contact = nodes[initiator_id], nodes[contact_id]
+            for protocol in protocols:
+                protocol.exchange(initiator, contact, rng)
+            initiator.exchanges += 1
+            contact.exchanges += 1
+        return len(left)
 
     def run_cycle(self, *protocols: GossipProtocol) -> int:
         """One cycle: every online node initiates once.  Returns #exchanges."""
-        for node in self.nodes:
-            node.online = self.rng.random() >= self.churn
-        online_ids = [node.node_id for node in self.nodes if node.online]
-        exchanges = 0
-        if len(online_ids) >= 2:
-            order = online_ids[:]
-            self.rng.shuffle(order)
-            for node_id in order:
-                initiator = self.nodes[node_id]
-                if not initiator.online:
-                    continue
-                contact = self._draw_contact(initiator, online_ids)
-                if contact is None:
-                    continue
-                for protocol in protocols:
-                    protocol.exchange(initiator, contact, self.rng)
-                initiator.exchanges += 1
-                contact.exchanges += 1
-                exchanges += 1
+        left, right, _idle = self.draw_pairing()
+        exchanges = self.run_pairing_cycle(left, right, *protocols)
         self.cycles += 1
         if self.on_cycle is not None:
             self.on_cycle(self.cycles, exchanges)
-        return exchanges
-
-    def run_pairing_cycle(
-        self,
-        pairs: "list[tuple[int, int]] | zip",
-        *protocols: GossipProtocol,
-    ) -> int:
-        """Execute an externally-supplied exchange schedule for one cycle.
-
-        The shadow-execution hook: the vectorized plane draws a pairing
-        (``VectorizedGossipEngine.run_cycle`` returns it) and this engine
-        replays the identical schedule, so the equivalence tests can assert
-        both planes land on the same decoded sums, ω-weights and exchange
-        counters.  Pairs are applied in order; node online flags are not
-        redrawn (the schedule already encodes who was online).
-        """
-        exchanges = 0
-        for initiator_id, contact_id in pairs:
-            initiator, contact = self.nodes[initiator_id], self.nodes[contact_id]
-            for protocol in protocols:
-                protocol.exchange(initiator, contact, self.rng)
-            initiator.exchanges += 1
-            contact.exchanges += 1
-            exchanges += 1
         return exchanges
 
     def run_cycles(self, cycles: int, *protocols: GossipProtocol) -> int:

@@ -8,6 +8,9 @@ an empty faults block is bit-identical to no fault plane at all.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -274,14 +277,14 @@ class TestCollusion:
 
 
 
-def test_object_proxy_applies_the_network_policy_exchange_by_exchange():
-    """The object proxy puts each scheduled exchange to ``transform_pairs``
-    as a length-1 pairing: every verdict becomes exactly the deliveries it
+def test_object_proxy_applies_the_network_policy_cycle_by_cycle():
+    """The object proxy puts each cycle's whole drawn schedule to
+    ``transform_pairs``: every verdict becomes exactly the deliveries it
     stands for, and the verdicts occur at the configured rates."""
     from collections import Counter
 
     from repro.faults.base import fault_rng
-    from repro.faults.engines import FaultyObjectEngine
+    from repro.faults.engines import FaultyEngine
     from repro.faults.network import NetworkFault, NetworkInjector
     from repro.faults.plan import FaultPlan
     from repro.gossip import GossipEngine
@@ -293,17 +296,20 @@ def test_object_proxy_applies_the_network_policy_exchange_by_exchange():
     class Recording(NetworkInjector):
         def transform_pairs(self, iteration, left, right):
             verdict = super().transform_pairs(iteration, left, right)
-            kept, _, extras, delayed = verdict
-            pair = (int(left[0]), int(right[0]))
-            if delayed:
-                ((lag, _, _),) = delayed
-                verdicts["delayed"] += 1
-                expected[(engine.cycles + lag, *pair)] += 1
-            elif len(kept):
-                verdicts["duplicated" if extras else "delivered"] += 1
-                expected[(engine.cycles, *pair)] += 2 if extras else 1
-            else:
-                verdicts["dropped"] += 1
+            kept_left, kept_right, extras, delayed = verdict
+            now = engine.cycles
+            # Each online node initiates once a cycle: its id names the pair.
+            duplicated = {i for extra, _ in extras for i in extra.tolist()}
+            for pair in zip(kept_left.tolist(), kept_right.tolist()):
+                copies = 2 if pair[0] in duplicated else 1
+                verdicts["duplicated" if copies == 2 else "delivered"] += 1
+                expected[(now, *pair)] += copies
+            for lag, late_left, late_right in delayed:
+                for pair in zip(late_left.tolist(), late_right.tolist()):
+                    verdicts["delayed"] += 1
+                    expected[(now + lag, *pair)] += 1
+            late = sum(len(late_left) for _, late_left, _ in delayed)
+            verdicts["dropped"] += len(left) - len(kept_left) - late
             return verdict
 
     class Deliveries:
@@ -316,7 +322,7 @@ def test_object_proxy_applies_the_network_policy_exchange_by_exchange():
     injector = Recording(config, fault_rng(4, "network", 0))
     plan = FaultPlan([("network", config)], seed=4)
     plan.injectors = [injector]
-    engine = FaultyObjectEngine(GossipEngine(100, seed=4), plan, iteration=1)
+    engine = FaultyEngine(GossipEngine(100, seed=4), plan, iteration=1)
     protocol = Deliveries()
     scheduled = engine.run_cycles(40, protocol)
     judged = Counter(verdicts)
@@ -334,3 +340,107 @@ def test_object_proxy_applies_the_network_policy_exchange_by_exchange():
     for verdict, rate in rates.items():
         sigma = (scheduled * rate * (1 - rate)) ** 0.5
         assert abs(judged[verdict] - scheduled * rate) < 4.5 * sigma, verdict
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.5])
+@pytest.mark.parametrize("plane", ["object", "vectorized"])
+def test_both_planes_count_each_drawn_pair_once(plane, loss):
+    """A faulted cycle counts every pair it drew, as one attempted send, on
+    either plane — whether the network delivered it or not."""
+    from repro.faults.base import FaultInjector, fault_rng
+    from repro.faults.network import NetworkFault
+    from repro.faults.plan import FaultPlan
+    from repro.gossip import GossipEngine, VectorizedGossipEngine
+
+    class Drawn(FaultInjector):
+        """First in the chain, so it sees each schedule as drawn."""
+
+        def __init__(self):
+            self.pairs = []
+
+        def transform_pairs(self, iteration, left, right):
+            self.pairs += [left, right]
+            return left, right, [], []
+
+    population = 41
+    config = NetworkFault(loss=loss)
+    plan = FaultPlan([("network", config)], seed=4)
+    drawn = Drawn()
+    plan.injectors = [drawn, config.build(fault_rng(4, "network", 0))]
+    if plane == "object":
+        engine = GossipEngine(population, seed=4, churn=0.2)
+    else:
+        engine = VectorizedGossipEngine(population, seed=4, churn=0.2)
+    plan.wrap_engine(engine, iteration=1).run_cycles(20)
+    if plane == "object":
+        counted = np.array([node.exchanges for node in engine.nodes])
+    else:
+        counted = engine.exchanges
+    expected = np.bincount(np.concatenate(drawn.pairs), minlength=population)
+    assert expected.sum() > 0
+    assert np.array_equal(counted, expected)
+
+
+#: Faulted toy runs whose decoded results a restructured engine or fault
+#: proxy must not move: sha256 of ``Experiment.run().to_dict()`` as sorted
+#: JSON (the form ``tests/api/test_spec_digests.py`` pins).  The object
+#: plane's ``network`` fault has no pin: how its verdicts are batched (one
+#: draw over each cycle's whole schedule) is itself what such a change sets.
+_BYZANTINE = {
+    "tamper": {"nodes": [0], "mode": "tamper", "scale": 0.5},
+    "replay": {"nodes": [2, 3], "mode": "replay"},
+    "malformed": {"nodes": [5], "mode": "malformed", "rate": 0.5},
+    "unenrolled": {"nodes": [7, 11], "mode": "unenrolled"},
+}
+_FAULTS = {
+    "network": {"kind": "network", "params": {
+        "loss": 0.3, "duplicate": 0.1, "delay": 0.1, "max_delay": 2}},
+    **{f"byzantine-{mode}": {"kind": "byzantine", "params": params}
+       for mode, params in _BYZANTINE.items()},
+    "collusion": {"kind": "collusion", "params": {"collusions": 3}},
+    "churn-storm": {"kind": "churn-storm", "params": {
+        "rate": 0.3, "magnitude": 0.25, "duration": 2}},
+}
+FAULTED_DIGESTS = {
+    ("vectorized", "network"):
+        "9a1bebb2066d1926642b00cef94619a2a39f173057e8a87010ec29554cae750e",
+    ("vectorized", "byzantine-tamper"):
+        "32e7748f52fe33dfcd828f5d3b734e430cb9164481407abd7be14ad3b692a406",
+    ("vectorized", "byzantine-replay"):
+        "8d6f434d24c0dc002551903f136608acf33252fcd817e8d163e2dfc07304ce60",
+    ("vectorized", "byzantine-malformed"):
+        "3f718a3bffeb69975b74cbe4cb87018a24a3f6350ade6dfcc68e5f809dba9fe9",
+    ("vectorized", "byzantine-unenrolled"):
+        "27030196c8f34ffd929ede35d1ac35a84f8a7c9e2e89d281e13d100582c1e22c",
+    ("vectorized", "collusion"):
+        "8d6f434d24c0dc002551903f136608acf33252fcd817e8d163e2dfc07304ce60",
+    ("vectorized", "churn-storm"):
+        "60e6dfc33f1d6824b67aa020d4c74148ef0e2aff31f49dae87993e676e1a7e05",
+    ("object", "byzantine-tamper"):
+        "14d976d366330ffc466f114d20f214a99df0f5adaf0ab2b3f3c0a2f9c4a4a91e",
+    ("object", "byzantine-replay"):
+        "9c2cf46039d41b78592a9a0710972724bf53df4a7f8b2bd69a1b009f0f8ea2cb",
+    ("object", "byzantine-malformed"):
+        "7f4327fa22fe846fa556bbaf5bbac9e6a5d3450484307015fb3f50c9a5b8c50e",
+    ("object", "byzantine-unenrolled"):
+        "ba9b6f2a2e8e32d45b762dc8f358a6d29d0487b847225b9d1331b2d34abc9eff",
+    ("object", "collusion"):
+        "9c2cf46039d41b78592a9a0710972724bf53df4a7f8b2bd69a1b009f0f8ea2cb",
+    ("object", "churn-storm"):
+        "c82d4c400e270b903bdff8b64f9b73deb1fce7b54b6753d0b8a4c80feaacf7d2",
+}
+
+
+@pytest.mark.parametrize(
+    "plane, fault", sorted(FAULTED_DIGESTS), ids=lambda value: str(value)
+)
+def test_faulted_run_result_digest(
+    plane, fault, toy_dataset, toy_initial_centroids, threshold_keypair_s2
+):
+    spec = toy_spec(
+        toy_dataset, toy_initial_centroids, plane, faults=[_FAULTS[fault]],
+        max_iterations=3,
+    ).replace(strategy="UF3")
+    result = Experiment.from_spec(spec, keypair=threshold_keypair_s2).run()
+    record = json.dumps(result.to_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(record).hexdigest() == FAULTED_DIGESTS[plane, fault]

@@ -72,9 +72,7 @@ def _shadow_run(public, population: int, churn: float, seed: int, backend=None):
     vec_engine = VectorizedGossipEngine(population, seed=seed + 1, churn=churn)
     for _ in range(CYCLES):
         left, right = vec_engine.run_cycle(cipher, mock)
-        obj_engine.run_pairing_cycle(
-            zip(left.tolist(), right.tolist()), obj_eesum
-        )
+        obj_engine.run_pairing_cycle(left, right, obj_eesum)
     return cipher, mock, obj_engine, obj_eesum
 
 
@@ -171,7 +169,7 @@ class TestCipherArrayValidation:
 def test_fault_engine_wrap_is_transparent(threshold_keypair):
     """The fault plane's vectorized wrapper drives CipherEESum unchanged:
     with no faults configured the wrapped run is bit-identical."""
-    from repro.faults.engines import FaultyVectorizedEngine
+    from repro.faults.engines import FaultyEngine
     from repro.faults.plan import FaultPlan
 
     public = threshold_keypair.public
@@ -180,7 +178,7 @@ def test_fault_engine_wrap_is_transparent(threshold_keypair):
     wrapped = CipherEESum(public, [list(r) for r in rows])
 
     engine_a = VectorizedGossipEngine(32, seed=9)
-    engine_b = FaultyVectorizedEngine(
+    engine_b = FaultyEngine(
         VectorizedGossipEngine(32, seed=9), FaultPlan((), seed=9), iteration=1
     )
     engine_a.run_cycles(CYCLES, plain)

@@ -19,7 +19,8 @@ import pytest
 
 from repro.api import PLANES
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SPEC = {
     "seed": 3,
@@ -60,6 +61,25 @@ print(json.dumps(sorted(sys.modules)))
     assert crypto == ["repro.crypto.bigint"]
     assert [m for m in loaded if m.startswith("repro.faults")] == []
     assert [m for m in ("fractions", "decimal") if m in loaded] == []
+
+
+def test_a_faulted_array_spec_loads_no_ciphertext_module():
+    """A vectorized spec with a fault block (the benchmark's
+    ``warehouse_ingest``, byzantine) resolves without the real-ciphertext
+    substrate or the object engine: the fault proxy serves either engine
+    unimported, and the collusion audit defers its key leg."""
+    spec = ROOT / "perf" / "specs" / "warehouse_ingest.json"
+    loaded = _fresh(f"""
+import json, sys
+from repro.api import Experiment, RunSpec
+spec = RunSpec.from_dict(json.load(open({str(spec)!r})))
+Experiment.from_spec(spec).context
+print(json.dumps(sorted(sys.modules)))
+""")
+    crypto = [m for m in loaded if m.startswith("repro.crypto.")]
+    assert crypto == ["repro.crypto.bigint"]
+    assert "repro.gossip.engine" not in loaded
+    assert "repro.faults.engines" in loaded
 
 
 @pytest.mark.parametrize(
