@@ -29,6 +29,7 @@ import numpy as np
 from conftest import record_report, record_json
 from repro.api import Experiment, IterationCompleted, RunSpec, run_record
 from repro.crypto import bigint
+from repro.gossip.vectorized_protocol import pairing_cycles
 
 GMPY2 = "gmpy2" in bigint.available_backends()
 
@@ -95,7 +96,7 @@ def _run_frontier(population: int) -> dict:
     dims = spec.params.k * (run.dataset.n + 1)
     ciphertexts_per_node = packed.packed_length(dims)
     actual_population = run.dataset.t
-    cycles = 2 * spec.params.exchanges
+    cycles = pairing_cycles(spec.params.exchanges)
     # Exchange volume: each EESum cycle multiplies ~population/2 merged
     # rows of `ciphertexts_per_node` ciphertexts on both pair sides.
     exchange_ciphertexts = actual_population * cycles * ciphertexts_per_node

@@ -215,9 +215,11 @@ class RunSpec:
         # strategy are the spec's own fields now: a stored protocol_plane is
         # dropped, a stored budget_strategy speaks only where "strategy" is
         # absent (it was that default's source); a stored delta was read by
-        # nothing.
+        # nothing, and a stored view_size only moved the object engine's
+        # stream (both engines now draw one uniform pairing).
         params_dict.pop("protocol_plane", None)
         params_dict.pop("delta", None)
+        params_dict.pop("view_size", None)
         stored_strategy = params_dict.pop("budget_strategy", "G")
         # Packing is the only ciphertext layout; stored specs carry True.
         if params_dict.pop("use_packing", True) is not True:

@@ -39,7 +39,7 @@ from ..clustering.kmeans import compute_means
 from ..gossip.decryption import EpidemicDecryption, VectorizedShareCollection
 from ..gossip.dissemination import MinIdDissemination, VectorizedMinId
 from ..gossip.eesum import EESum, VectorizedEESum
-from ..gossip.vectorized_protocol import VectorizedGossipEngine
+from ..gossip.vectorized_protocol import VectorizedGossipEngine, pairing_cycles
 from ..privacy.probabilistic import lemma2_perturb
 from .noise import NoisePlan
 
@@ -138,12 +138,14 @@ class ComputationStep:
         """
         public = self.keypair.public
         packed = self.packed
+        plan = self.noise_plan
         node_ids = [node.node_id for node in engine.nodes]
-        dims = self.noise_plan.dimensions
+        dims = plan.dimensions
         payload = packed.packed_length(dims)
+        cycles = pairing_cycles(self.exchanges)
 
         # --- local noise-share generation (Alg. 3 l.4) -------------------
-        shares = self.noise_plan.draw_shares(self.noise_rng, len(node_ids))
+        shares = plan.draw_shares(self.noise_rng, len(node_ids))
         noise_vectors = {
             i: self.backend.encrypt_batch(public, packed.pack(share), self.crypto_rng)
             for i, share in zip(node_ids, shares)
@@ -158,20 +160,20 @@ class ComputationStep:
         eesum = EESum(public, combined)
         counter = EpidemicSum({i: np.array([1.0]) for i in node_ids})
         engine.setup(eesum, counter)
-        engine.run_cycles(self.exchanges, eesum, counter)
+        engine.run_cycles(cycles, eesum, counter)
 
         # --- epidemic noise correction (Alg. 3 l.6) ----------------------
-        proposals: dict[int, tuple[int, np.ndarray]] = {}
-        for node in engine.nodes:
-            estimate = counter.estimate(node)
-            if estimate is None:
-                continue
-            contributors = int(round(float(estimate[0])))
-            correction = self.noise_plan.correction(contributors, self.noise_rng)
-            proposals[node.node_id] = (self.crypto_rng.getrandbits(63), correction)
-        dissemination = MinIdDissemination(proposals)
+        # The array planes' walk: every counter holder proposes an
+        # identifier from the engine stream, with its own id as payload,
+        # and only the winning proposer's correction is drawn, at decode.
+        estimates = {node.node_id: counter.estimate(node) for node in engine.nodes}
+        holders = [i for i, estimate in estimates.items() if estimate is not None]
+        ids = engine.rng.integers(0, 1 << 62, size=len(holders), dtype=np.int64)
+        dissemination = MinIdDissemination(
+            {i: (proposal, i) for i, proposal in zip(holders, ids.tolist())}
+        )
         engine.setup(dissemination)
-        engine.run_cycles(self.exchanges, dissemination)
+        engine.run_cycles(cycles, dissemination)
 
         # --- encrypted perturbation (Alg. 3 l.7) --------------------------
         # Batched: one element-wise homomorphic add of the means half and
@@ -192,15 +194,21 @@ class ComputationStep:
             self.keypair.context, bundles, key_shares, backend=self.backend
         )
         engine.setup(decryption)
-        for _ in range(10 * self.exchanges):
+        for _ in range(10 * cycles):
             engine.run_cycle(decryption)
             if decryption.all_done(engine.nodes):
                 break
 
         # --- decode (Alg. 3 l.10-11) ---------------------------------------
-        output = ComputationOutput(self.noise_plan.k, self.noise_plan.series_length)
-        stride = self.noise_plan.series_length + 1
-        for node in engine.nodes:
+        output = ComputationOutput(plan.k, plan.series_length)
+        stride = plan.series_length + 1
+        corrections: dict[int, np.ndarray] = {}
+        for node_id in holders:
+            node = engine.nodes[node_id]
+            entry = dissemination.value_of(node)
+            if entry is not None and entry[0] not in corrections:
+                contributors = int(round(float(estimates[entry[1]][0])))
+                corrections[entry[0]] = plan.correction(contributors, self.noise_rng)
             if not decryption.is_done(node):
                 # A node that never collected τ key-shares (isolated by
                 # churn or a partition for the whole window) holds no
@@ -215,10 +223,9 @@ class ComputationStep:
                 packed.unpack(plaintexts, dims, bias_multiplier=2 << count)
             )
             values /= float(omega)  # σ/ω — the epidemic sum estimate
-            correction_entry = dissemination.value_of(node)
-            if correction_entry is not None:
-                values -= correction_entry[1]
-            grid = values.reshape(self.noise_plan.k, stride)
+            if entry is not None:
+                values -= corrections[entry[0]]
+            grid = values.reshape(plan.k, stride)
             output.sums[node.node_id] = grid[:, :-1]
             output.counts[node.node_id] = grid[:, -1]
         return output
@@ -353,11 +360,7 @@ class _ArrayComputationStep:
         payload[:, -1] = 1.0
         eesum = self._aggregate(payload)
         del payload, body
-        # One object-engine cycle yields ~2 exchange participations per node
-        # (every online node initiates once and is contacted ~once); one
-        # pairing cycle yields ~1.  The paper's n_e budget is *per-node
-        # exchanges*, so the pairing plane runs twice the cycles.
-        cycles = 2 * self.exchanges
+        cycles = pairing_cycles(self.exchanges)
         engine.run_cycles(cycles, eesum)
 
         # --- epidemic noise correction (Alg. 3 l.6) ----------------------
@@ -431,9 +434,6 @@ class VectorizedComputationStep(_ArrayComputationStep):
     * the cleartext counter ``ctr`` travels as one extra column of the
       EESum matrix (push–pull averaging and Alg. 2's delayed division are
       the same rule, App. C.2.1);
-    * the min-id dissemination gossips identifiers and resolves payloads by
-      identifier at decode time (exact — an identifier uniquely names its
-      proposal);
     * the decryption phase models the share-collection latency
       (:class:`VectorizedShareCollection`); the mock plane's "decryption"
       itself is the identity.

@@ -22,9 +22,8 @@ class ChiaroscuroParams:
     (mean squared centroid displacement), and the ``n_it^max`` cap that
     guarantees termination (Sec. 4.2.4).
 
-    Epidemic block: local-view size and the exchange count ``n_e`` required
-    for the epidemic sums to converge (derivable from
-    :class:`repro.privacy.GossipPrivacyPlan`).
+    Epidemic block: the exchange count ``n_e`` required for the epidemic
+    sums to converge (derivable from :class:`repro.privacy.GossipPrivacyPlan`).
 
     Crypto/privacy block: key size, key-share threshold ``tau`` (fraction of
     the population), privacy level ``epsilon`` (Table 2 uses ln 2 ≈ 0.69),
@@ -54,7 +53,6 @@ class ChiaroscuroParams:
     max_iterations: int = 10
 
     # epidemic
-    view_size: int = 30
     exchanges: int = 30
 
     # crypto / privacy

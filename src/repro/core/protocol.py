@@ -55,7 +55,7 @@ from ..clustering.inertia import intra_inertia
 from ..clustering.kmeans import compress_labels, compute_means
 from ..crypto import bigint
 from ..datasets.timeseries import TimeSeriesSet
-from ..gossip.vectorized_protocol import VectorizedGossipEngine
+from ..gossip.vectorized_protocol import VectorizedGossipEngine, pairing_cycles
 from ..privacy.accountant import PrivacyAccountant
 from ..privacy.budget import BudgetStrategy
 from .computation import (
@@ -173,46 +173,36 @@ class ChiaroscuroRun:
             n_nu=params.noise_share_count(population),
             slices=slices,
         )
-        dims = self.noise_plan.dimensions
-        if plane == "vectorized-crypto":
-            # Real packed Damgård–Jurik ciphertexts over the struct-of-
-            # arrays engine.  Key material is committee-sized, not
-            # population-sized: Shoup combination carries Δ = n_shares! in
-            # its exponents, which explodes past a few dozen shares — and
-            # decoded plaintexts are keypair-independent, so a small
-            # committee dealing the key changes nothing downstream.  The
-            # epidemic share-collection protocol still runs against the
-            # population's τ for latency parity with the mock plane.
-            committee = min(population, 16)
-            self._ensure_keypair(committee, min(tau, committee))
-            # On the pairing engine a node joins at most one (disjoint)
-            # exchange per cycle, so its counter — and with it the packed
-            # coefficient mass C = 2^count — is bounded by the cycle
-            # count: accumulation headroom is cycles + safety bits, far
-            # tighter than the object engine's chaining growth model.
-            # terms=1 because means and noise are summed in clear on the
-            # fixed-point grid before the single packed encryption.
-            self.packed = self.noise_plan.codec(
-                self.keypair.public, exchanges=2 * params.exchanges, terms=1
-            )
-            self._build_backend(self.packed.packed_length(dims))
-        elif plane == "object":
-            self._ensure_keypair(population, tau)
-            # The EESum exchange counter can *chain* within one cycle (a
-            # node that just advanced is contacted again), so the max count
-            # grows by roughly 2 + 0.8·log2(t) per cycle empirically;
-            # 4 + ceil(log2 t) bounds it with ≥1.6× margin.  Undershooting
-            # is loud, not silent: the PackedCodec decode gate raises on an
-            # excessive actual mass.  terms=2: means + noise are the biased
-            # vectors summed homomorphically before decryption.
-            growth_per_cycle = 4 + max(1, population - 1).bit_length()
+        if plane in ("object", "vectorized-crypto"):
+            # Real packed Damgård–Jurik ciphertexts.  On vectorized-crypto
+            # the key material is committee-sized, not population-sized:
+            # Shoup combination carries Δ = n_shares! in its exponents,
+            # which explodes past a few dozen shares — and decoded
+            # plaintexts are keypair-independent, so a small committee
+            # dealing the key changes nothing downstream.  The epidemic
+            # share collection still runs against the population's τ.
+            shares = population if plane == "object" else min(population, 16)
+            self._ensure_keypair(shares, min(tau, shares))
+            # A node takes part in at most one exchange per delivered batch
+            # of disjoint pairs, so Alg. 2's counter — and with it the
+            # packed coefficient mass C = 2^count — is at most the phase's
+            # cycles times the batches a cycle delivers (one, unless a
+            # fault plan duplicates or delays messages).  The object plane
+            # encrypts means and noise apart and sums the two vectors
+            # homomorphically (terms=2); vectorized-crypto sums them on the
+            # fixed-point grid before its one encryption (terms=1).
+            batches = 1 if fault_plan is None else fault_plan.batches_per_cycle
+            terms = 2 if plane == "object" else 1
             self.packed = self.noise_plan.codec(
                 self.keypair.public,
-                exchanges=params.exchanges * growth_per_cycle + 2,
-                terms=2,
+                exchanges=pairing_cycles(params.exchanges) * batches,
+                terms=terms,
             )
-            # Per node and iteration: a means and a noise vector.
-            self._build_backend(2 * self.packed.packed_length(dims))
+            # Per node and iteration: one vector per term.
+            self._build_backend(
+                terms * self.packed.packed_length(self.noise_plan.dimensions)
+            )
+        if plane == "object":
             self.participants = [
                 Participant(i, dataset.values[i], self.packed, self.backend)
                 for i in range(population)
@@ -334,12 +324,8 @@ class ChiaroscuroRun:
         if self.plane == "quality":
             return None
         seed = self.seed + 1000 * iteration
-        if self.plane == "object":
-            engine = GossipEngine(
-                self.dataset.t, seed=seed, view_size=self.params.view_size, churn=churn
-            )
-        else:
-            engine = VectorizedGossipEngine(self.dataset.t, seed=seed, churn=churn)
+        engine_class = GossipEngine if self.plane == "object" else VectorizedGossipEngine
+        engine = engine_class(self.dataset.t, seed=seed, churn=churn)
         engine.on_cycle = self.cycle_hook
         if self.fault_plan is not None:
             engine = self.fault_plan.wrap_engine(engine, iteration)

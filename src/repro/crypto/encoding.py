@@ -51,10 +51,10 @@ bit-identity tests check packed decoding against.
 
 ``accumulation_bits`` must bound ``log2`` of the worst-case accumulated
 coefficient mass ``terms · C_max`` — the caller supplies the exchange-
-scaling exponent to :meth:`PackedCodec.plan` (the EESum counter chains
-within a gossip cycle, so the protocol layer sizes it from a measured
-per-cycle growth model, not from the cycle count alone).  As a backstop,
-:meth:`PackedCodec.unpack` re-checks the *actual* accumulated mass (known
+scaling exponent to :meth:`PackedCodec.plan` (the protocol layer passes
+the proved counter bound: a node exchanges at most once per delivered
+batch of disjoint pairs, so ``count`` is at most cycles × batches).  As a
+backstop, :meth:`PackedCodec.unpack` re-checks the *actual* accumulated mass (known
 exactly at decode time as ``2^count``) against the slot capacity and
 raises instead of returning silently corrupted values.
 """

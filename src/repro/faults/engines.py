@@ -128,7 +128,7 @@ class FaultyEngine:
                 corruptions.append((injector, undo))
         try:
             for protocol in protocols:
-                protocol.exchange(initiator, contact, self._engine.rng)
+                protocol.exchange(initiator, contact)
         except ValueError as exc:
             if not corruptions:
                 raise  # a genuine protocol failure, not our injection

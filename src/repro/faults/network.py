@@ -50,6 +50,12 @@ class NetworkFault:
         if self.max_delay < 1:
             raise ValueError("max_delay must be >= 1 cycle")
 
+    @property
+    def extra_batches(self) -> int:
+        """Most batches this fault adds to a cycle's delivery: one of
+        duplicates, and one per lag of the delayed pairs coming due."""
+        return (1 if self.duplicate else 0) + (self.max_delay if self.delay else 0)
+
     def build(self, rng: np.random.Generator) -> "NetworkInjector":
         return NetworkInjector(self, rng)
 

@@ -22,6 +22,7 @@ from ..api.events import FaultDetected
 from ..api.spec import jsonify
 from .base import FaultAbort, RunBinding, build_fault, fault_rng
 from .engines import FaultyEngine
+from .network import NetworkFault
 
 __all__ = ["FaultPlan"]
 
@@ -45,6 +46,20 @@ class FaultPlan:
             return None
         entries = [(f.kind, build_fault(f.kind, f.params)) for f in faults]
         return cls(entries, spec.seed)
+
+    @property
+    def batches_per_cycle(self) -> int:
+        """Most batches of disjoint pairs the proxy delivers in one cycle.
+
+        The kept pairs are one batch; only network faults add more.  A node
+        takes part in at most one exchange per batch, so a phase of ``c``
+        cycles raises Alg. 2's counter by at most ``c`` times this.
+        """
+        return 1 + sum(
+            config.extra_batches
+            for _, config in self.entries
+            if isinstance(config, NetworkFault)
+        )
 
     # ------------------------------------------------------------- lifecycle
 

@@ -15,8 +15,6 @@ arithmetically equivalent in App. C.2.1).
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 from .engine import GossipProtocol, Node
@@ -35,14 +33,14 @@ class EpidemicSum(GossipProtocol):
     def __init__(self, initial: dict[int, np.ndarray]) -> None:
         self.initial = initial
 
-    def setup(self, node: Node, rng: random.Random) -> None:
+    def setup(self, node: Node) -> None:
         value = np.asarray(self.initial.get(node.node_id, 0.0), dtype=float)
         node.state[_STATE] = {
             "sigma": value.copy(),
             "omega": 1.0 if node.node_id == 0 else 0.0,
         }
 
-    def exchange(self, initiator: Node, contact: Node, rng: random.Random) -> None:
+    def exchange(self, initiator: Node, contact: Node) -> None:
         a = initiator.state[_STATE]
         b = contact.state[_STATE]
         sigma = (a["sigma"] + b["sigma"]) / 2.0

@@ -27,7 +27,6 @@ Three planes share this module:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -99,7 +98,7 @@ class EpidemicDecryption:
         self.shares = shares
         self.backend = backend or SerialBackend()
 
-    def setup(self, node: Node, rng: random.Random) -> None:
+    def setup(self, node: Node) -> None:
         ciphertexts, omega, count = self.bundles[node.node_id]
         state = DecryptionState(list(ciphertexts), omega, count)
         self._apply_share(state, self.shares[node.node_id])
@@ -117,7 +116,7 @@ class EpidemicDecryption:
             self.context, share, state.ciphertexts
         )
 
-    def exchange(self, initiator: Node, contact: Node, rng: random.Random) -> None:
+    def exchange(self, initiator: Node, contact: Node) -> None:
         a, b = self.state_of(initiator), self.state_of(contact)
         # Replacement: the laggard adopts the leader's bundle wholesale.
         if a.n_shares_applied != b.n_shares_applied:
@@ -161,10 +160,10 @@ class TokenDecryption:
             raise ValueError("threshold_count must be >= 1")
         self.threshold_count = threshold_count
 
-    def setup(self, node: Node, rng: random.Random) -> None:
+    def setup(self, node: Node) -> None:
         node.state[_STATE] = {node.node_id}
 
-    def exchange(self, initiator: Node, contact: Node, rng: random.Random) -> None:
+    def exchange(self, initiator: Node, contact: Node) -> None:
         a: set[int] = initiator.state[_STATE]
         b: set[int] = contact.state[_STATE]
         if len(a) != len(b):

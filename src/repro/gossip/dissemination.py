@@ -11,7 +11,6 @@ one million nodes).
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -34,14 +33,14 @@ class MinIdDissemination:
     def __init__(self, proposals: dict[int, tuple[int, Any]]) -> None:
         self.proposals = proposals
 
-    def setup(self, node: Node, rng: random.Random) -> None:
+    def setup(self, node: Node) -> None:
         node.state[_STATE] = self.proposals.get(node.node_id)
 
     def value_of(self, node: Node) -> tuple[int, Any] | None:
         """The node's current (identifier, payload) belief."""
         return node.state[_STATE]
 
-    def exchange(self, initiator: Node, contact: Node, rng: random.Random) -> None:
+    def exchange(self, initiator: Node, contact: Node) -> None:
         a = initiator.state[_STATE]
         b = contact.state[_STATE]
         proposals = [x for x in (a, b) if x is not None]

@@ -19,7 +19,6 @@ encrypted noise to the encrypted means at the end.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -117,7 +116,7 @@ class EESum:
         self.ops = ops
         self.initial = initial
 
-    def setup(self, node: Node, rng: random.Random) -> None:
+    def setup(self, node: Node) -> None:
         ciphertexts = list(self.initial[node.node_id])
         omega = 1 if node.node_id == 0 else 0
         node.state[_STATE] = EESumState(ciphertexts, omega)
@@ -126,7 +125,7 @@ class EESum:
         """Access a node's EESum state."""
         return node.state[_STATE]
 
-    def exchange(self, initiator: Node, contact: Node, rng: random.Random) -> None:
+    def exchange(self, initiator: Node, contact: Node) -> None:
         a = self.state_of(initiator)
         b = self.state_of(contact)
         if len(a.ciphertexts) != len(b.ciphertexts):

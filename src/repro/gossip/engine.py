@@ -1,157 +1,93 @@
-"""Cycle-driven gossip simulator (the Peersim substitution).
+"""The object gossip engine: per-node protocol objects on the array schedule.
 
-The engine reproduces Peersim's cycle-driven mode, which is what the paper
-used: in each cycle every *online* node initiates one exchange with a peer
-drawn from its local view, and a pluggable :class:`Protocol` mutates the two
-node states.  Churn is modelled exactly as Sec. 6.1.5 describes — a uniform
-per-cycle disconnection probability.
+The engine keeps each participant as a :class:`Node` whose state a
+pluggable :class:`GossipProtocol` mutates one exchange at a time — the
+plane that carries genuine per-device ciphertexts.  Its schedule is the
+array engine's (:class:`~repro.gossip.vectorized_protocol.
+VectorizedGossipEngine`, which it extends): per cycle, every node redraws
+its online flag with the churn probability of Sec. 6.1.5, and the online
+nodes are paired uniformly and disjointly.  At the same seed both engines
+draw the same pairings, so the object and array planes gossip the same
+schedule.
 
-Design notes:
+The pairing drops one property of Peersim's cycle-driven mode, which the
+paper used: there every online node initiates once per cycle and the
+exchanges run one after another, so a node contacted by several initiators
+takes part in several exchanges of one cycle and a value can travel many
+hops per cycle.  On a disjoint pairing a node takes part in at most one
+exchange per cycle (about one on average, against about two), so the run
+gossips twice the cycles for the paper's ``n_e`` per-node exchanges
+(:func:`~repro.gossip.vectorized_protocol.pairing_cycles`), and Alg. 2's
+exchange counter rises by at most one per cycle — the proved bound the
+packed codec is sized from.  What the lost chaining costs in epidemic
+error at a given ``n_e`` is ROADMAP item 22's measurement.
 
-* node states are plain dicts owned by the protocol, keyed by protocol
-  name, so several protocols can run "in parallel" over the same exchanges
-  (the paper runs the means-EESum and the noise-EESum on the same gossip
-  stream);
-* the engine counts *exchanges per node* — the unit in which Theorem 3 and
-  all the Fig. 4 latency plots are expressed;
-* a cycle is drawn whole (:meth:`GossipEngine.draw_pairing`), then
-  delivered (:meth:`GossipEngine.run_pairing_cycle`) — the vectorized
-  engine's cycle shape, so the fault plane judges either plane's schedule
-  the same way.
+Node states are plain dicts owned by the protocols, keyed by protocol
+name, so several protocols can run "in parallel" over the same exchanges
+(the paper runs the means-EESum and the noise-EESum on the same gossip
+stream).  The per-node facts the schedule owns — the online mask and the
+exchange counters, the unit of Theorem 3 and the Fig. 4 latency plots —
+live once, in the engine's arrays.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Protocol as TypingProtocol
 
 import numpy as np
+
+from .vectorized_protocol import VectorizedGossipEngine
 
 __all__ = ["Node", "GossipProtocol", "GossipEngine"]
 
 
 @dataclass
 class Node:
-    """One simulated participant."""
+    """One simulated participant: its id and its protocols' states."""
 
     node_id: int
-    online: bool = True
     state: dict = field(default_factory=dict)
-    exchanges: int = 0
 
 
 class GossipProtocol(TypingProtocol):
     """Anything that can react to a pairwise gossip exchange."""
 
-    def setup(self, node: Node, rng: random.Random) -> None:
+    def setup(self, node: Node) -> None:
         """Initialize the per-node state before the first cycle."""
 
-    def exchange(self, initiator: Node, contact: Node, rng: random.Random) -> None:
+    def exchange(self, initiator: Node, contact: Node) -> None:
         """Perform one point-to-point exchange (mutates both states)."""
 
 
-class GossipEngine:
-    """Cycle-driven engine over ``n_nodes`` with uniform peer sampling.
+class GossipEngine(VectorizedGossipEngine):
+    """The array engine's schedule, delivered to per-node protocol objects."""
 
-    ``view_size`` bounds the per-cycle candidate set the initiator draws its
-    contact from (a fresh uniform sample each cycle — the standard
-    approximation of a converged Newscast view).
-    """
-
-    def __init__(
-        self,
-        n_nodes: int,
-        seed: int = 0,
-        view_size: int = 30,
-        churn: float = 0.0,
-    ) -> None:
-        if n_nodes < 2:
-            raise ValueError("need at least two nodes to gossip")
-        if not 0 <= churn < 1:
-            raise ValueError("churn must be in [0, 1)")
-        self.rng = random.Random(seed)
-        self.view_size = view_size
-        self.churn = churn
+    def __init__(self, n_nodes: int, seed: int = 0, churn: float = 0.0) -> None:
+        super().__init__(n_nodes, seed=seed, churn=churn)
         self.nodes = [Node(node_id=i) for i in range(n_nodes)]
-        self.cycles = 0
-        # Observability hook: called after every cycle with
-        # (cycle_index, exchanges_in_cycle).  Must not mutate engine state —
-        # it exists so streaming frontends (repro.api events) can report
-        # epidemic progress without changing the exchange schedule.
-        self.on_cycle = None
 
     def setup(self, *protocols: GossipProtocol) -> None:
         """Run every protocol's per-node initialization."""
         for node in self.nodes:
             for protocol in protocols:
-                protocol.setup(node, self.rng)
+                protocol.setup(node)
 
-    def draw_pairing(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Redraw the online flags, then the cycle's exchange schedule.
-
-        Every online node, in a shuffled order, initiates once with the
-        first other node of a view drawn uniformly from the online ones.
-        Returns ``(initiators, contacts, idle)`` as int arrays in delivery
-        order; ``idle`` is empty (no online node sits a cycle out here).
-        All of the cycle's engine randomness is drawn here, none during
-        delivery.
-        """
-        rng = self.rng
-        for node in self.nodes:
-            node.online = rng.random() >= self.churn
-        online_ids = [node.node_id for node in self.nodes if node.online]
-        schedule = []
-        if len(online_ids) >= 2:
-            order = online_ids[:]
-            rng.shuffle(order)
-            view_size = min(self.view_size, len(online_ids))
-            for initiator in order:
-                view = rng.sample(online_ids, view_size)
-                contact = next((c for c in view if c != initiator), None)
-                if contact is not None:
-                    schedule.append((initiator, contact))
-        left, right = np.array(schedule, dtype=np.int64).reshape(-1, 2).T.copy()
-        return left, right, np.empty(0, dtype=np.int64)
-
-    def run_pairing_cycle(
-        self, left: np.ndarray, right: np.ndarray, *protocols: GossipProtocol
-    ) -> int:
-        """Deliver a schedule: pair ``i`` is ``left[i]`` initiating with
-        ``right[i]``, in order.  Returns #exchanges.
-
-        The engine's one delivery loop: :meth:`run_cycle` hands it the
-        schedule it drew, and a shadow test hands it a pairing the
-        vectorized plane drew, so both planes land on the same decoded
-        sums, ω-weights and exchange counters.  Online flags are not
-        redrawn (the schedule already encodes who was online).
-        """
-        nodes, rng = self.nodes, self.rng
+    def _deliver(
+        self, left: np.ndarray, right: np.ndarray, protocols: tuple
+    ) -> None:
+        """Pair ``i`` is ``left[i]`` initiating with ``right[i]``, in order."""
+        nodes = self.nodes
         for initiator_id, contact_id in zip(left.tolist(), right.tolist()):
             initiator, contact = nodes[initiator_id], nodes[contact_id]
             for protocol in protocols:
-                protocol.exchange(initiator, contact, rng)
-            initiator.exchanges += 1
-            contact.exchanges += 1
-        return len(left)
+                protocol.exchange(initiator, contact)
 
     def run_cycle(self, *protocols: GossipProtocol) -> int:
-        """One cycle: every online node initiates once.  Returns #exchanges."""
-        left, right, _idle = self.draw_pairing()
-        exchanges = self.run_pairing_cycle(left, right, *protocols)
-        self.cycles += 1
-        if self.on_cycle is not None:
-            self.on_cycle(self.cycles, exchanges)
-        return exchanges
+        """One cycle: churn redraw, pairing, exchanges.  Returns #exchanges."""
+        left, _right = super().run_cycle(*protocols)
+        return len(left)
 
     def run_cycles(self, cycles: int, *protocols: GossipProtocol) -> int:
         """Run ``cycles`` full cycles; returns the total exchange count."""
-        total = 0
-        for _ in range(cycles):
-            total += self.run_cycle(*protocols)
-        return total
-
-    @property
-    def mean_exchanges_per_node(self) -> float:
-        """Average number of exchange participations per node so far."""
-        return sum(node.exchanges for node in self.nodes) / len(self.nodes)
+        return sum(self.run_cycle(*protocols) for _ in range(cycles))

@@ -1,4 +1,4 @@
-"""Struct-of-arrays cycle driver — the one array gossip substrate.
+"""Struct-of-arrays cycle driver — the one gossip schedule.
 
 A cycle-driven engine whose per-node state lives in numpy arrays (online
 mask, exchange counters) and whose protocols —
@@ -13,20 +13,25 @@ calls.  This is what carries the paper's 10⁵–10⁶-participant curves
 measurements taken on it live beside their benches, in
 ``benchmarks/latency_composition.py``.
 
-Cycle semantics (mirroring :class:`repro.gossip.engine.GossipEngine`):
+Cycle semantics, shared by the object engine
+(:class:`repro.gossip.engine.GossipEngine` extends this one and only
+delivers each pair to per-node protocol objects instead):
 
 * every node redraws its online flag with the per-exchange churn
   probability of Sec. 6.1.5;
-* one initiation round is realized as a uniform random disjoint pairing of
-  the online nodes (each node participates in ≤ 1 exchange per cycle; the
-  object engine's initiator/contact roles average to ~2 — message
-  accounting is per participation in both cases, so latency comparisons
-  normalize per exchange);
-* the pairing is *exposed* (``run_cycle`` returns it), so the object engine
-  can shadow-execute the identical schedule via
-  :meth:`repro.gossip.engine.GossipEngine.run_pairing_cycle` — the
-  equivalence tests in ``tests/gossip`` prove both planes produce identical
-  decoded sums, ω-weights, counters and exchange counts on shared schedules.
+* one initiation round is a uniform random disjoint pairing of the online
+  nodes (:func:`random_pairing`; an odd node out idles), so a node takes
+  part in at most one exchange per cycle;
+* a phase runs :func:`pairing_cycles` cycles for the paper's ``n_e``
+  per-node exchanges — the one cycle rule of every gossiping plane.
+
+This drops Peersim's within-cycle chaining (a node contacted by several
+initiators exchanges several times in one cycle), which is what makes
+Alg. 2's counter rise by at most one per cycle; ROADMAP item 22 owns the
+comparison of epidemic error between the two schedules.  The pairing is
+*exposed* (``draw_pairing``, ``run_pairing_cycle``), so the fault proxy
+can judge it and the equivalence tests in ``tests/gossip`` can hand one
+drawn schedule to both planes.
 """
 
 from __future__ import annotations
@@ -35,7 +40,23 @@ from typing import Protocol as TypingProtocol
 
 import numpy as np
 
-__all__ = ["VectorizedGossipEngine", "VectorizedProtocol", "random_pairing"]
+__all__ = [
+    "VectorizedGossipEngine",
+    "VectorizedProtocol",
+    "pairing_cycles",
+    "random_pairing",
+]
+
+
+def pairing_cycles(exchanges: int) -> int:
+    """Cycles per gossip phase for ``exchanges`` (the paper's ``n_e``).
+
+    ``n_e`` counts exchanges per node; a Peersim cycle gives a node about
+    two (it initiates once and is contacted about once), a disjoint
+    pairing at most one.  So a phase runs ``2·n_e`` cycles, which is also
+    the proved bound on a fault-free phase's Alg. 2 counter.
+    """
+    return 2 * exchanges
 
 
 def random_pairing(
@@ -62,8 +83,7 @@ class VectorizedProtocol(TypingProtocol):
 class VectorizedGossipEngine:
     """Cycle-driven engine over array state — the 10⁵–10⁶-node substrate.
 
-    ``churn`` is the per-exchange disconnection probability, as in
-    :class:`repro.gossip.engine.GossipEngine`.
+    ``churn`` is the per-exchange disconnection probability of Sec. 6.1.5.
     """
 
     def __init__(
@@ -105,16 +125,23 @@ class VectorizedGossipEngine:
             return empty, empty, alive
         return random_pairing(self.rng, alive)
 
+    def _deliver(
+        self, left: np.ndarray, right: np.ndarray, protocols: tuple
+    ) -> None:
+        """Hand one batch of disjoint pairs to the protocols."""
+        for protocol in protocols:
+            protocol.exchange_pairs(left, right)
+
     def run_pairing_cycle(
         self,
         left: np.ndarray,
         right: np.ndarray,
         *protocols: VectorizedProtocol,
     ) -> int:
-        """Execute an externally-supplied pairing (shadow-execution hook)."""
+        """Execute an externally-supplied pairing and count it (the fault
+        proxy's and the shadow tests' hook).  Returns #exchanges."""
         if len(left):
-            for protocol in protocols:
-                protocol.exchange_pairs(left, right)
+            self._deliver(left, right, protocols)
             self.exchanges[left] += 1
             self.exchanges[right] += 1
         return len(left)
@@ -130,8 +157,7 @@ class VectorizedGossipEngine:
         """
         left, right, idle = self.draw_pairing()
         if len(left):
-            for protocol in protocols:
-                protocol.exchange_pairs(left, right)
+            self._deliver(left, right, protocols)
             self.exchanges += self.online
             self.exchanges[idle] -= 1
         self.cycles += 1

@@ -30,9 +30,9 @@ DIGESTS = {
     ("vcrypto_gossip", 0): "2aee07428bd61f096a1f6b906359e3630319c394a3636d1eefdabcbf5418b550",
     ("vcrypto_gossip", 1): "f226ddb1b4ba1d27a56fdb4c63b0f0887574b36604e93f993ea6bfc00c37621e",
     ("vcrypto_gossip", 2): "03bcce776754b6f082339c3dc4d65b6ecabe6afed1fbf6ca8223d1da13d1649d",
-    ("object_decrypt", 0): "392134af3563bce742d101bec65ad8330b44e255b3564f21938dd46e95538778",
-    ("object_decrypt", 1): "c5fea860c2b7589cac9560382fc002879ad639dcfa680222b2f442516bfe3d38",
-    ("object_decrypt", 2): "2a5cca4025223a92d9b2dd4c864b152af2ab5d4cc45f83882daf80ffbd8cfab1",
+    ("object_decrypt", 0): "663b4a72750df52e220187133a21c1c8bd6defe0f7bdb587e218d1c700d36186",
+    ("object_decrypt", 1): "2bcbdd00cb71e88c8fed717ecabe06a65ad7de7302984004ff451de750268dac",
+    ("object_decrypt", 2): "f530574daf7f628facd02f6aceb71f1606c3048d1d77838128b92a5502d82d87",
     ("vectorized_mock", 0): "4138a57e43ba80825d02a15ce8818c21866dbd9c6a98aa3e96d44c43382ad37a",
     ("vectorized_mock", 1): "0e0c74bd6e78b1410a88fef8c8a9760768bce2d8857cb01378a48f050bf6a413",
     ("vectorized_mock", 2): "1b2199369a88618cc4a1de0af87f43eb1e14788237b07605ea126e32ad186368",

@@ -1,5 +1,8 @@
 """Shared fixtures: session-scoped key material (key generation dominates
-test runtime otherwise) and small canonical datasets."""
+test runtime otherwise) and small canonical datasets — plus the Hypothesis
+profiles: ``tier1`` (the default) is derandomized, so two runs on one tree
+draw the same examples; ``explore`` (``--hypothesis-profile=explore``)
+draws fresh ones and keeps failures in ``.hypothesis/``."""
 
 from __future__ import annotations
 
@@ -7,10 +10,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.crypto import generate_keypair, generate_threshold_keypair
 from repro.crypto.backend import SerialBackend
 from repro.datasets import TimeSeriesSet
+
+# Neither profile sets max_examples: each test keeps the count its own
+# @settings gives.  tier1 is Hypothesis' "ci" profile (derandomized, no
+# deadline, no example database), whatever the environment says.
+settings.register_profile("tier1", parent=settings.get_profile("ci"))
+settings.register_profile("explore", derandomize=False, deadline=None)
+
+
+def pytest_configure(config):
+    if config.getoption("hypothesis_profile", None) is None:
+        settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

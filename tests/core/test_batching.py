@@ -238,13 +238,13 @@ class TestProtocolBackendPlumbing:
         assert run.backend.max_workers == 2
         run.close()
 
-    @pytest.mark.parametrize("iterations, blocks", [(1, 4), (2, 8)])
+    @pytest.mark.parametrize("iterations, blocks", [(1, 4), (3, 8)])
     def test_table_window_sized_from_the_runs_encryption_count(
         self, tiny_dataset, threshold_keypair_s2, iterations, blocks
     ):
-        """24 nodes × 2 vectors of 3 packed ciphertexts per iteration: one
-        iteration (144 uses) gets an 8-teeth comb of 4 blocks (31 products
-        + 7 squarings per encryption), two (288) double the blocks to cut
+        """24 nodes × 2 vectors of 2 packed ciphertexts per iteration: one
+        iteration (96 uses) gets an 8-teeth comb of 4 blocks (31 products
+        + 7 squarings per encryption), three (288) double the blocks to cut
         the squarings to 3."""
         params = ChiaroscuroParams(
             k=2, max_iterations=iterations, exchanges=8, tau_fraction=0.13,
@@ -255,23 +255,23 @@ class TestProtocolBackendPlumbing:
             np.array([[10.0, 10, 30, 30], [30, 30, 10, 10]]),
             seed=2, keypair=threshold_keypair_s2,
         )
-        assert run.packed.packed_length(2 * 5) == 3
+        assert run.packed.packed_length(2 * 5) == 2
         assert run.encryptor.table.shape == (8, blocks)
 
     @pytest.mark.parametrize(
         "strategy, last_fit",
-        [(Greedy(0.69), 24), (UniformFast(0.69, 5), 25)],
+        [(Greedy(0.69), 100), (UniformFast(0.69, 5), 104)],
         ids=["G", "UF5"],
     )
     def test_refusal_boundary(
         self, tiny_dataset, threshold_keypair, strategy, last_fit
     ):
         """9 devices on a 256-bit s=1 key, 10 iterations: the accumulation
-        headroom grows 8 bits per exchange, so there is a last ``n_e`` whose
-        single slot still fits the 255-bit plaintext — and the next one is
-        refused at construction, naming the way out (the smaller worst ε
-        slice of GREEDY costs it one exchange).  No other ciphertext layout
-        takes over past the boundary."""
+        headroom grows 2 bits per exchange (two pairing cycles), so there is
+        a last ``n_e`` whose single slot still fits the 255-bit plaintext —
+        and the next one is refused at construction, naming the way out
+        (the smaller worst ε slice of GREEDY costs it four exchanges).  No
+        other ciphertext layout takes over past the boundary."""
         nine = TimeSeriesSet(tiny_dataset.values[:9], dmin=0.0, dmax=60.0)
 
         def build(exchanges):
@@ -285,7 +285,7 @@ class TestProtocolBackendPlumbing:
 
         packed = build(last_fit).packed
         assert packed.slots == 1
-        assert packed.slot_bits + 8 > threshold_keypair.public.plaintext_bits
+        assert packed.slot_bits + 2 > threshold_keypair.public.plaintext_bits
         with pytest.raises(ValueError, match="key size or the expansion s"):
             build(last_fit + 1)
 

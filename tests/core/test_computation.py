@@ -19,12 +19,12 @@ from repro.gossip import GossipEngine, VectorizedGossipEngine
 def tiny_setup(threshold_keypair_s2):
     """8 nodes, k = 2, series length 3, negligible noise."""
     keypair = threshold_keypair_s2
-    # Sized the way ChiaroscuroRun sizes the object plane: 15 exchanges of
-    # chaining growth 4 + ⌈log2 8⌉ = 7 per cycle, means + noise summed before
-    # unpacking; data ≤ 30 plus a negligible noise share (ε = 1e9).
+    # Room for 107 exchanges, beyond the step's 2·15 cycles, so that a
+    # vector spans two plaintexts; means + noise summed before unpacking;
+    # data ≤ 30 plus a negligible noise share (ε = 1e9).
     packed = PackedCodec.plan(
         keypair.public, fractional_bits=20, max_abs_value=31.0,
-        exchanges=15 * 7 + 2, terms=2,
+        exchanges=107, terms=2,
     )
     crypto_rng = random.Random(0)
     series = np.array(

@@ -12,7 +12,7 @@ class TestTable2Defaults:
         assert params.key_bits == 1024
         assert params.epsilon == 0.69  # ln 2
         assert params.noise_share_fraction == 1.0  # n_ν = 100 %
-        assert params.view_size == 30
+        assert params.exchanges == 30  # n_e
         assert params.max_iterations == 10
         assert params.floor_size == 4
         assert params.uf_iterations == 5

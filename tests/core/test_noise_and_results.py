@@ -10,6 +10,7 @@ from _runs import fold
 from repro.core import ChiaroscuroParams, ChiaroscuroRun, NoisePlan, Participant
 from repro.core.results import ClusteringResult, IterationStats
 from repro.crypto import PackedCodec, PublicKey, decrypt
+from repro.gossip.vectorized_protocol import pairing_cycles
 from repro.privacy import Greedy, UniformFast
 
 
@@ -84,20 +85,29 @@ class TestNoisePlan:
 
     def test_codec_at_the_fig5_shape(self):
         """k = 50 series of n = 20 on [0, 80], GREEDY at ε = 0.69 over 10
-        iterations, n_e = 30 on the vectorized-crypto bound (2·n_e, one
-        term), 1024-bit key — a modulus of that width is all the layout
-        reads, so no key is generated."""
+        iterations, n_e = 30 on the counter bound of both real-ciphertext
+        planes (2·n_e cycles), 1024-bit key — a modulus of that width is all
+        the layout reads, so no key is generated.  Vectorized-crypto packs
+        one term; the object plane sums two (means and noise), one bit
+        more per slot, and encrypts both vectors."""
         slices = tuple(Greedy(0.69).schedule(10))
         plan = NoisePlan(
             k=50, series_length=20, dmin=0.0, dmax=80.0, epsilon=slices[0],
             n_nu=1000, slices=slices,
         )
-        codec = plan.codec(PublicKey((1 << 1023) + 1), exchanges=2 * 30, terms=1)
+        public = PublicKey((1 << 1023) + 1)
+        codec = plan.codec(public, exchanges=pairing_cycles(30), terms=1)
         assert codec.fractional_bits == NoisePlan.fractional_bits == 24
         assert (codec.value_bits, codec.accumulation_bits) == (53, 63)
         assert codec.slot_bits == 53 + 1 + 63 == 117
         assert codec.slots == 8
         assert codec.packed_length(plan.dimensions) == 132
+
+        objects = plan.codec(public, exchanges=pairing_cycles(30), terms=2)
+        assert objects.slot_bits == 53 + 1 + 64
+        assert objects.slots == 8
+        assert objects.packed_length(plan.dimensions) == 132  # per vector
+        assert 2 * objects.packed_length(plan.dimensions) == 264  # per node
 
     def test_both_array_planes_quantize_on_the_plans_grid(
         self, monkeypatch, toy_dataset, toy_initial_centroids, threshold_keypair

@@ -337,13 +337,12 @@ class TestNadicEngagement:
         keypair, ciphertext = key1024
         eesum = EESum(keypair.public, {i: [ciphertext] for i in range(3)})
         nodes = [Node(i) for i in range(3)]
-        rng = random.Random(0)
         for node in nodes:
-            eesum.setup(node, rng)
+            eesum.setup(node)
         with bigint.use_backend("python"):
             for _ in range(12):
-                eesum.exchange(nodes[0], nodes[1], rng)
-            eesum.exchange(nodes[2], nodes[0], rng)  # scales node 2 by 2^12
+                eesum.exchange(nodes[0], nodes[1])
+            eesum.exchange(nodes[2], nodes[0])  # scales node 2 by 2^12
         assert eesum.state_of(nodes[2]).count == 13
         assert chain_calls == []
 
@@ -541,7 +540,7 @@ class TestRunScopedSelection:
             values=rng.uniform(0, 2, size=(6, 4)), dmin=0, dmax=2, name="toy"
         )
         params = ChiaroscuroParams(
-            k=2, max_iterations=1, theta=0.0, view_size=2, exchanges=3,
+            k=2, max_iterations=1, theta=0.0, exchanges=3,
             key_bits=256, epsilon=1e6, bigint_backend="python",
         )
         run = ChiaroscuroRun(
@@ -577,7 +576,7 @@ class TestRunScopedSelection:
 
         def start(kernel):
             params = ChiaroscuroParams(
-                k=2, max_iterations=2, theta=0.0, view_size=2, exchanges=3,
+                k=2, max_iterations=2, theta=0.0, exchanges=3,
                 key_bits=256, epsilon=1e6, bigint_backend=kernel,
             )
             run = ChiaroscuroRun(

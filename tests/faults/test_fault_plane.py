@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from repro.api import (
     RunCompleted,
     RunSpec,
 )
+from repro.faults.plan import FaultPlan
+
+SPECS = pathlib.Path(__file__).resolve().parents[2] / "perf" / "specs"
 
 
 def toy_spec(toy_dataset, toy_initial_centroids, plane, faults=None,
@@ -286,7 +290,6 @@ def test_object_proxy_applies_the_network_policy_cycle_by_cycle():
     from repro.faults.base import fault_rng
     from repro.faults.engines import FaultyEngine
     from repro.faults.network import NetworkFault, NetworkInjector
-    from repro.faults.plan import FaultPlan
     from repro.gossip import GossipEngine
 
     config = NetworkFault(loss=0.2, duplicate=0.25, delay=0.3, max_delay=3)
@@ -298,7 +301,7 @@ def test_object_proxy_applies_the_network_policy_cycle_by_cycle():
             verdict = super().transform_pairs(iteration, left, right)
             kept_left, kept_right, extras, delayed = verdict
             now = engine.cycles
-            # Each online node initiates once a cycle: its id names the pair.
+            # A node is in at most one pair a cycle: its id names the pair.
             duplicated = {i for extra, _ in extras for i in extra.tolist()}
             for pair in zip(kept_left.tolist(), kept_right.tolist()):
                 copies = 2 if pair[0] in duplicated else 1
@@ -316,7 +319,7 @@ def test_object_proxy_applies_the_network_policy_cycle_by_cycle():
         def __init__(self):
             self.seen = Counter()
 
-        def exchange(self, initiator, contact, rng):
+        def exchange(self, initiator, contact):
             self.seen[(engine.cycles, initiator.node_id, contact.node_id)] += 1
 
     injector = Recording(config, fault_rng(4, "network", 0))
@@ -324,7 +327,7 @@ def test_object_proxy_applies_the_network_policy_cycle_by_cycle():
     plan.injectors = [injector]
     engine = FaultyEngine(GossipEngine(100, seed=4), plan, iteration=1)
     protocol = Deliveries()
-    scheduled = engine.run_cycles(40, protocol)
+    scheduled = engine.run_cycles(80, protocol)
     judged = Counter(verdicts)
     injector.config = NetworkFault()  # calm network: the late messages land
     engine.run_cycles(config.max_delay, protocol)
@@ -349,7 +352,6 @@ def test_both_planes_count_each_drawn_pair_once(plane, loss):
     either plane — whether the network delivered it or not."""
     from repro.faults.base import FaultInjector, fault_rng
     from repro.faults.network import NetworkFault
-    from repro.faults.plan import FaultPlan
     from repro.gossip import GossipEngine, VectorizedGossipEngine
 
     class Drawn(FaultInjector):
@@ -372,20 +374,17 @@ def test_both_planes_count_each_drawn_pair_once(plane, loss):
     else:
         engine = VectorizedGossipEngine(population, seed=4, churn=0.2)
     plan.wrap_engine(engine, iteration=1).run_cycles(20)
-    if plane == "object":
-        counted = np.array([node.exchanges for node in engine.nodes])
-    else:
-        counted = engine.exchanges
     expected = np.bincount(np.concatenate(drawn.pairs), minlength=population)
     assert expected.sum() > 0
-    assert np.array_equal(counted, expected)
+    assert np.array_equal(engine.exchanges, expected)
 
 
 #: Faulted toy runs whose decoded results a restructured engine or fault
 #: proxy must not move: sha256 of ``Experiment.run().to_dict()`` as sorted
-#: JSON (the form ``tests/api/test_spec_digests.py`` pins).  The object
-#: plane's ``network`` fault has no pin: how its verdicts are batched (one
-#: draw over each cycle's whole schedule) is itself what such a change sets.
+#: JSON (the form ``tests/api/test_spec_digests.py`` pins).  Both engines
+#: draw one schedule, so where the object plane's epidemic decryption
+#: finishes in the cycles the array plane's share collection does (tamper,
+#: replay, collusion) the two planes' pins are one digest.
 _BYZANTINE = {
     "tamper": {"nodes": [0], "mode": "tamper", "scale": 0.5},
     "replay": {"nodes": [2, 3], "mode": "replay"},
@@ -416,18 +415,20 @@ FAULTED_DIGESTS = {
         "8d6f434d24c0dc002551903f136608acf33252fcd817e8d163e2dfc07304ce60",
     ("vectorized", "churn-storm"):
         "60e6dfc33f1d6824b67aa020d4c74148ef0e2aff31f49dae87993e676e1a7e05",
+    ("object", "network"):
+        "515b8777e6f0327cd796d0908633e9dfcc8add9b260c0cbb1259aee5870455e2",
     ("object", "byzantine-tamper"):
-        "14d976d366330ffc466f114d20f214a99df0f5adaf0ab2b3f3c0a2f9c4a4a91e",
+        "32e7748f52fe33dfcd828f5d3b734e430cb9164481407abd7be14ad3b692a406",
     ("object", "byzantine-replay"):
-        "9c2cf46039d41b78592a9a0710972724bf53df4a7f8b2bd69a1b009f0f8ea2cb",
+        "8d6f434d24c0dc002551903f136608acf33252fcd817e8d163e2dfc07304ce60",
     ("object", "byzantine-malformed"):
-        "7f4327fa22fe846fa556bbaf5bbac9e6a5d3450484307015fb3f50c9a5b8c50e",
+        "2bb42c21ac8062160a0f61951355b1d58ad417dcf9994b984e6e7f3c81fd243c",
     ("object", "byzantine-unenrolled"):
-        "ba9b6f2a2e8e32d45b762dc8f358a6d29d0487b847225b9d1331b2d34abc9eff",
+        "a35672298a0e5d6692be134a2fcebc7c557762e9202628faeb339189b68a49b0",
     ("object", "collusion"):
-        "9c2cf46039d41b78592a9a0710972724bf53df4a7f8b2bd69a1b009f0f8ea2cb",
+        "8d6f434d24c0dc002551903f136608acf33252fcd817e8d163e2dfc07304ce60",
     ("object", "churn-storm"):
-        "c82d4c400e270b903bdff8b64f9b73deb1fce7b54b6753d0b8a4c80feaacf7d2",
+        "8197d6128fd21149f084120dccabcbf28fd5e34a5bec60cb5c84f3ea98980413",
 }
 
 
@@ -444,3 +445,44 @@ def test_faulted_run_result_digest(
     result = Experiment.from_spec(spec, keypair=threshold_keypair_s2).run()
     record = json.dumps(result.to_dict(), sort_keys=True).encode()
     assert hashlib.sha256(record).hexdigest() == FAULTED_DIGESTS[plane, fault]
+
+
+_DUPLICATE_AND_DELAY = {
+    "kind": "network",
+    "params": {"duplicate": 0.3, "delay": 0.3, "max_delay": 3},
+}
+
+
+@pytest.mark.parametrize("plane", ["object", "vectorized-crypto"])
+def test_real_ciphertext_planes_decode_under_duplicate_and_delay(
+    plane, toy_dataset, toy_initial_centroids, threshold_keypair_s2
+):
+    """Duplicated and delayed pairs are delivered as extra batches of a
+    cycle, each of which can advance a counter once more: the codec holds
+    ``cycles × batches_per_cycle`` (here 24 × 5), so the run decodes."""
+    spec = toy_spec(
+        toy_dataset, toy_initial_centroids, plane, faults=[_DUPLICATE_AND_DELAY]
+    )
+    assert FaultPlan.from_spec(spec).batches_per_cycle == 5
+    result = Experiment.from_spec(spec, keypair=threshold_keypair_s2).run()
+    assert result.iterations == 2
+    assert np.isfinite(result.centroids).all()
+
+
+def test_a_fault_plan_beyond_the_key_is_refused_before_encrypting(monkeypatch):
+    """``vcrypto_gossip`` at 60 cycles × 4 batches needs a 240-bit
+    accumulation room its 256-bit key lacks: construction refuses it with
+    the codec's way out, and nothing is encrypted first."""
+    from repro.crypto.backend import SerialBackend
+
+    def encrypt_batch(*args, **kwargs):
+        raise AssertionError("encrypted before the codec refused")
+
+    monkeypatch.setattr(SerialBackend, "encrypt_batch", encrypt_batch)
+    spec = json.loads((SPECS / "vcrypto_gossip.json").read_text())
+    spec["params"]["max_iterations"] = 1
+    spec["faults"] = [
+        {"kind": "network", "params": {"delay": 0.2, "max_delay": 3}}
+    ]
+    with pytest.raises(ValueError, match="key size or the expansion s"):
+        Experiment.from_spec(RunSpec.from_dict(spec)).run()

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.gossip import EpidemicSum, GossipEngine
+from repro.gossip.vectorized_protocol import pairing_cycles
 
 
-def run_sum(values, cycles=40, seed=0, churn=0.0):
+def run_sum(values, cycles=pairing_cycles(40), seed=0, churn=0.0):
     engine = GossipEngine(len(values), seed=seed, churn=churn)
     protocol = EpidemicSum({i: np.array([v], dtype=float) for i, v in enumerate(values)})
     engine.setup(protocol)

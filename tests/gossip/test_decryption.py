@@ -78,9 +78,9 @@ class TestEpidemicDecryption:
         protocol = EpidemicDecryption(tk.context, bundles, shares)
         engine.setup(protocol)
         nodes = engine.nodes
-        protocol.exchange(nodes[0], nodes[1], rng)  # both now hold 2 shares
-        protocol.exchange(nodes[0], nodes[2], rng)  # 2 adopts 0's bundle
-        protocol.exchange(nodes[2], nodes[3], rng)  # 3 adopts it from 2
+        protocol.exchange(nodes[0], nodes[1])  # both now hold 2 shares
+        protocol.exchange(nodes[0], nodes[2])  # 2 adopts 0's bundle
+        protocol.exchange(nodes[2], nodes[3])  # 3 adopts it from 2
         for node in (nodes[2], nodes[3]):
             plaintexts, omega, count = protocol.plaintexts_of(node)
             assert (omega, count) == (8, 3)

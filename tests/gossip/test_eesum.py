@@ -8,6 +8,7 @@ import pytest
 
 from repro.crypto import FixedPointCodec, decrypt, encrypt
 from repro.gossip import EESum, EpidemicSum, GossipEngine
+from repro.gossip.vectorized_protocol import pairing_cycles
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,9 @@ def setup_eesum(request):
 class TestEESumConvergence:
     def test_estimates_global_sum(self, keypair_s2, setup_eesum):
         values = [1.5, -2.0, 3.25, 10.0, 0.0, 4.75, -1.5, 8.0]
-        engine, protocol, codec = setup_eesum(keypair_s2, values, cycles=15)
+        engine, protocol, codec = setup_eesum(
+            keypair_s2, values, cycles=pairing_cycles(15)
+        )
         exact = sum(values)
         for node in engine.nodes:
             state = protocol.state_of(node)
@@ -64,7 +67,7 @@ class TestEESumConvergence:
         engine = GossipEngine(8, seed=1)
         protocol = EESum(pub, initial)
         engine.setup(protocol)
-        engine.run_cycles(15, protocol)
+        engine.run_cycles(pairing_cycles(15), protocol)
         node = engine.nodes[3]
         state = protocol.state_of(node)
         first = codec.decode(decrypt(keypair_s2, state.ciphertexts[0])) / state.omega
@@ -80,7 +83,7 @@ class TestEESumConvergence:
         protocol = EESum(pub, initial)
         engine.setup(protocol)
         with pytest.raises(ValueError):
-            protocol.exchange(engine.nodes[0], engine.nodes[1], random.Random(0))
+            protocol.exchange(engine.nodes[0], engine.nodes[1])
 
 
 class TestAppendixCEquivalence:

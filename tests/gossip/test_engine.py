@@ -1,10 +1,9 @@
-"""Tests for the cycle-driven gossip engine."""
+"""Tests for the object gossip engine (the array engine's schedule)."""
 
-import random
-
+import numpy as np
 import pytest
 
-from repro.gossip import GossipEngine, Node
+from repro.gossip import GossipEngine, VectorizedGossipEngine
 from repro.gossip.engine import GossipProtocol
 
 
@@ -14,10 +13,10 @@ class CountingProtocol(GossipProtocol):
     def __init__(self):
         self.pairs = []
 
-    def setup(self, node, rng):
+    def setup(self, node):
         node.state["touched"] = True
 
-    def exchange(self, initiator, contact, rng):
+    def exchange(self, initiator, contact):
         self.pairs.append((initiator.node_id, contact.node_id))
 
 
@@ -28,14 +27,30 @@ class TestEngineBasics:
         engine.setup(protocol)
         assert all(node.state.get("touched") for node in engine.nodes)
 
-    def test_each_online_node_initiates_once(self):
+    def test_each_online_node_exchanges_once(self):
+        """A cycle is a disjoint pairing: every node in exactly one pair."""
         engine = GossipEngine(20, seed=1)
         protocol = CountingProtocol()
         engine.setup(protocol)
         exchanges = engine.run_cycle(protocol)
-        assert exchanges == 20
-        initiators = [pair[0] for pair in protocol.pairs]
-        assert sorted(initiators) == list(range(20))
+        assert exchanges == 10
+        members = [node for pair in protocol.pairs for node in pair]
+        assert sorted(members) == list(range(20))
+
+    @pytest.mark.parametrize("churn", [0.0, 0.3])
+    def test_draws_the_array_engines_pairing(self, churn):
+        """At one seed both engines gossip the same schedule."""
+        engine = GossipEngine(31, seed=5, churn=churn)
+        twin = VectorizedGossipEngine(31, seed=5, churn=churn)
+        protocol = CountingProtocol()
+        engine.setup(protocol)
+        for _ in range(4):
+            protocol.pairs.clear()
+            engine.run_cycle(protocol)
+            left, right = twin.run_cycle()
+            assert protocol.pairs == list(zip(left.tolist(), right.tolist()))
+        assert np.array_equal(engine.online, twin.online)
+        assert np.array_equal(engine.exchanges, twin.exchanges)
 
     def test_no_self_exchange(self):
         engine = GossipEngine(5, seed=2)
@@ -49,9 +64,9 @@ class TestEngineBasics:
         protocol = CountingProtocol()
         engine.setup(protocol)
         total = engine.run_cycles(5, protocol)
-        assert total == 40
+        assert total == 20
         # Each exchange counts for both participants.
-        assert engine.mean_exchanges_per_node == pytest.approx(2 * 40 / 8)
+        assert engine.mean_exchanges_per_node == pytest.approx(2 * 20 / 8)
 
     def test_needs_two_nodes(self):
         with pytest.raises(ValueError):
@@ -83,7 +98,7 @@ class TestChurn:
         protocol = CountingProtocol()
         engine.setup(protocol)
         engine.run_cycle(protocol)
-        offline = {node.node_id for node in engine.nodes if not node.online}
+        offline = set(np.flatnonzero(~engine.online).tolist())
         for a, b in protocol.pairs:
             assert a not in offline and b not in offline
 

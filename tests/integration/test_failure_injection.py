@@ -106,7 +106,7 @@ class TestMalformedProtocolInputs:
         protocol = EESum(pub, initial)
         engine.setup(protocol)
         with pytest.raises(ValueError):
-            protocol.exchange(engine.nodes[0], engine.nodes[1], rng)
+            protocol.exchange(engine.nodes[0], engine.nodes[1])
 
     def test_decryption_stalls_without_enough_distinct_shares(self, threshold_keypair):
         """If the population holds fewer distinct key-shares than τ, the

@@ -121,8 +121,11 @@ PLANES = ("object", "vectorized", "vectorized-crypto")
 
 
 class _RaisingFaultPlan:
-    """The three seams ``ChiaroscuroRun`` calls, with an output observer
-    that fails the iteration from inside the ``use_backend`` block."""
+    """What ``ChiaroscuroRun`` reads of a fault plan — the codec's batch
+    bound and three seams — with an output observer that fails the
+    iteration from inside the ``use_backend`` block."""
+
+    batches_per_cycle = 1
 
     def bind_run(self, run):
         pass

@@ -208,3 +208,42 @@ class TestPlaneWiring:
         faulty = Experiment.from_spec(faulty_spec).run()
         assert faulty.iterations >= 1
         assert not np.array_equal(faulty.centroids, clean.centroids)
+
+
+class TestObjectPlaneParity:
+    def test_object_plane_gossips_the_same_schedule(
+        self, toy_dataset, toy_initial_centroids
+    ):
+        """At churn 0 and τ = 1 the object plane's per-node ciphertexts and
+        vectorized-crypto's arrays gossip one pairing, walk one surplus
+        correction and finish decryption in one cycle: every iteration's
+        exchanges per node are equal and the decoded centroids are
+        bit-identical."""
+
+        def spec(plane):
+            return RunSpec.from_dict({
+                "plane": plane,
+                "seed": 2,
+                "strategy": "UF3",
+                "dataset": {"kind": "timeseries",
+                            "params": {"values": toy_dataset.values.tolist(),
+                                       "dmin": 0.0, "dmax": 60.0}},
+                "init": {"kind": "matrix",
+                         "params": {"values": toy_initial_centroids.tolist()}},
+                "params": {"k": 3, "max_iterations": 3, "exchanges": 6,
+                           "epsilon": 2000.0, "key_bits": 256, "expansion_s": 2,
+                           "use_smoothing": False, "theta": 0.0},
+            })
+
+        runs = {
+            plane: [
+                event for event in Experiment.from_spec(spec(plane)).run_iter()
+                if isinstance(event, IterationCompleted)
+            ]
+            for plane in ("object", "vectorized-crypto")
+        }
+        objects, arrays = runs["object"], runs["vectorized-crypto"]
+        assert len(objects) == len(arrays) == 3
+        for ours, theirs in zip(objects, arrays):
+            assert ours.exchanges_per_node == theirs.exchanges_per_node
+            assert np.array_equal(ours.stats.centroids, theirs.stats.centroids)

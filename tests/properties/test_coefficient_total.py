@@ -60,7 +60,7 @@ def test_coefficient_total_is_two_to_the_count(
 
     for pairs in _schedule(rng, population, rounds, churn):
         for a, b in pairs:
-            mock.exchange(engine.nodes[a], engine.nodes[b], rng)
+            mock.exchange(engine.nodes[a], engine.nodes[b])
             for node in engine.nodes:
                 state = mock.state_of(node)
                 assert state.ciphertexts == [1 << state.count]
