@@ -91,7 +91,10 @@ def main() -> None:
     # The plane exposes its engine (the ChiaroscuroRun) for diagnostics.
     run = experiment.context.runtime
     init = experiment.context.initial_centroids
-    sample = run.participants[0].encrypted_means_vector(init, run.crypto_rng)
+    means = run.participants[0].means_vector(init)  # + its noise share, in a run
+    sample = run.backend.encrypt_batch(
+        keypair.public, run.packed.pack(means), run.crypto_rng
+    )
     print(f"\none device exports {len(sample)} ciphertexts per iteration "
           f"(k·(n+1) = 3·7 values, {run.packed.slots} to a ciphertext), "
           f"each ≈ {keypair.public.ciphertext_bytes} bytes; "

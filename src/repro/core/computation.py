@@ -4,12 +4,15 @@ One instance executes, for a single k-means iteration:
 
 1. **Epidemic computation of the encrypted means** — the EESum protocol
    over every participant's flattened ``k·(n+1)`` ciphertext vector;
-2. **Epidemic noise generation** — the noise-share EESum (carried in the
-   *same* exchange stream so scales stay aligned), the cleartext epidemic
-   counter ``ctr``, and the min-identifier surplus-correction
-   dissemination;
-3. **Encrypted perturbation** — homomorphic addition of the converged
-   noise to the converged means;
+2. **Epidemic noise generation** — the noise shares (carried in the *same*
+   EESum stream as the means), the cleartext epidemic counter ``ctr``, and
+   the min-identifier surplus-correction dissemination;
+3. **Encrypted perturbation** — folded into each participant's one
+   encryption: its means and its noise share are quantized apart and summed
+   on the fixed-point grid, then packed and encrypted as one vector.  EESum
+   is linear, so the converged ciphertexts are exactly what homomorphically
+   adding the converged noise to the converged means would give — on both
+   ciphertext planes;
 4. **Epidemic decryption** — the threshold protocol of Sec. 4.2.3.
 
 The correction vector is public, data-independent material (it travels in
@@ -51,9 +54,6 @@ if TYPE_CHECKING:
 
 # The real-ciphertext planes' names (repro.lazy): the mock loop imports none.
 SerialBackend = lazy.defer(__name__, "..crypto.backend", "SerialBackend")
-homomorphic_add_batch = lazy.defer(
-    __name__, "..crypto.damgard_jurik", "homomorphic_add_batch"
-)
 combine_partial_decryptions_batch = lazy.defer(
     __name__, "..crypto.threshold", "combine_partial_decryptions_batch"
 )
@@ -94,13 +94,33 @@ class ComputationOutput:
         return float((spread / magnitude).max())
 
 
+def stage_on_grid(
+    means: np.ndarray, shares: np.ndarray, fractional_bits: int
+) -> np.ndarray:
+    """Sum ``means`` and ``shares`` entry by entry on the ``2^-f`` grid.
+
+    Each is quantized separately (round-half-even, as ``quantize_to_grid``)
+    and the two are summed: every entry ends as
+    ``(round(mean·2^f) + round(share·2^f)) / 2^f`` — bit for bit the array
+    planes' staged payload row, signed zeros included.  ``shares`` is
+    overwritten and returned.
+    """
+    scale = float(1 << fractional_bits)
+    shares *= scale
+    np.round(shares, out=shares)
+    shares += np.round(means * scale)
+    shares /= scale
+    return shares
+
+
 class ComputationStep:
     """Algorithm 3, parameterized by the crypto material and epidemic knobs.
 
     Ciphertexts are laid out by ``packed`` (the slot layout of
     :mod:`repro.crypto.encoding`) and every bulk crypto operation goes
-    through ``backend`` as a batch.  The supplied ``mean_vectors`` must be
-    laid out by the *same* codec (``Participant`` takes one).
+    through ``backend`` as a batch: each iteration encrypts the whole
+    population's staged vectors in one ``encrypt_batch`` call, in node
+    order.
     """
 
     #: This step times none of its crypto (see ``IterationRecord.crypto_ms``).
@@ -129,12 +149,14 @@ class ComputationStep:
     def run(
         self,
         engine: GossipEngine,
-        mean_vectors: dict[int, list[int]],
+        mean_vectors: dict[int, np.ndarray],
     ) -> ComputationOutput:
         """Execute the computation step for every node of ``engine``.
 
-        ``mean_vectors`` maps node id → flattened encrypted means (the
-        Alg. 1 l.6 initialization): ``packed_length(k·(n+1))`` ciphertexts.
+        ``mean_vectors`` maps node id → its cleartext flattened ``k·(n+1)``
+        means vector (the Alg. 1 l.6 initialization); each participant's
+        noise share is added to it on the grid and the sum is encrypted as
+        ``packed_length(k·(n+1))`` ciphertexts.
         """
         public = self.keypair.public
         packed = self.packed
@@ -146,18 +168,25 @@ class ComputationStep:
 
         # --- local noise-share generation (Alg. 3 l.4) -------------------
         shares = plan.draw_shares(self.noise_rng, len(node_ids))
-        noise_vectors = {
-            i: self.backend.encrypt_batch(public, packed.pack(share), self.crypto_rng)
-            for i, share in zip(node_ids, shares)
+
+        # --- encrypted perturbation (Alg. 3 l.7), folded in --------------
+        # Means and share are summed on the grid before the one encryption
+        # per node; EESum is linear, so the converged state is the
+        # perturbed bundle the homomorphic addition would have produced.
+        means = np.array([mean_vectors[i] for i in node_ids])
+        staged = stage_on_grid(means, shares, packed.fractional_bits)
+        plaintexts = [p for row in packed.pack(staged) for p in row]
+        ciphertexts = self.backend.encrypt_batch(public, plaintexts, self.crypto_rng)
+        initial = {
+            i: ciphertexts[row * payload : (row + 1) * payload]
+            for row, i in enumerate(node_ids)
         }
 
         # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------
-        # Means and noise ride the same EESum instance so their delayed-
-        # division scales stay aligned; the cleartext counter gossips on
-        # the same exchange stream.  The EESum coefficient total exact
-        # unpacking needs is 2^count, read off the state's clear counter.
-        combined = {i: mean_vectors[i] + noise_vectors[i] for i in node_ids}
-        eesum = EESum(public, combined)
+        # The cleartext counter gossips on the same exchange stream.  The
+        # EESum coefficient total exact unpacking needs is 2^count, read
+        # off the state's clear counter.
+        eesum = EESum(public, initial)
         counter = EpidemicSum({i: np.array([1.0]) for i in node_ids})
         engine.setup(eesum, counter)
         engine.run_cycles(cycles, eesum, counter)
@@ -175,18 +204,13 @@ class ComputationStep:
         engine.setup(dissemination)
         engine.run_cycles(cycles, dissemination)
 
-        # --- encrypted perturbation (Alg. 3 l.7) --------------------------
-        # Batched: one element-wise homomorphic add of the means half and
-        # the noise half; ω and the counter travel on in clear.
-        bundles: dict[int, tuple[list[int], int, int]] = {}
+        # --- epidemic decryption (Alg. 3 l.8-10) ---------------------------
+        # The converged EESum state is the perturbed bundle; ω and the
+        # counter travel on in clear.
+        bundles = {}
         for node in engine.nodes:
             state = eesum.state_of(node)
-            perturbed = homomorphic_add_batch(
-                public, state.ciphertexts[:payload], state.ciphertexts[payload:]
-            )
-            bundles[node.node_id] = (perturbed, state.omega, state.count)
-
-        # --- epidemic decryption (Alg. 3 l.8-10) ---------------------------
+            bundles[node.node_id] = (state.ciphertexts, state.omega, state.count)
         key_shares = {
             i: self.keypair.shares[i % len(self.keypair.shares)] for i in node_ids
         }
@@ -218,9 +242,9 @@ class ComputationStep:
             plaintexts, omega, count = decryption.plaintexts_of(node)
             if omega <= 0:
                 continue
-            # Bias mass: two biased vectors (means + noise) × C = 2^count.
+            # Bias mass: one biased vector × C = 2^count.
             values = np.array(
-                packed.unpack(plaintexts, dims, bias_multiplier=2 << count)
+                packed.unpack(plaintexts, dims, bias_multiplier=1 << count)
             )
             values /= float(omega)  # σ/ω — the epidemic sum estimate
             if entry is not None:
@@ -288,15 +312,15 @@ class _ArrayComputationStep:
     ) -> None:
         """Turn the noise shares in ``body`` into the gossiped values.
 
-        Means and noise are quantized separately (matching the two
-        independent encryptions, same round-half-even as
+        Means and noise are quantized separately (same round-half-even as
         ``quantize_to_grid``) and summed on the grid: every entry ends as
         ``(round(mean·2^f) + round(share·2^f)) / 2^f`` — bit for bit what
-        the dense ``population × dims`` means matrix would give, which is
-        never built.  A participant's means are its own ``n + 1`` entries
-        (its series and a count of 1 in its cluster's stripe); everywhere
-        else the mean is ``+0.0``, which only matters to a share that
-        rounded to ``−0.0``.  Row blocks keep the five passes in cache.
+        :func:`stage_on_grid` gives the object step from the dense
+        ``population × dims`` means matrix, which is never built here.  A
+        participant's means are its own ``n + 1`` entries (its series and a
+        count of 1 in its cluster's stripe); everywhere else the mean is
+        ``+0.0``, which only matters to a share that rounded to ``−0.0``.
+        Row blocks keep the five passes in cache.
         """
         scale = float(1 << self.fractional_bits)
         stride = series.shape[1] + 1
@@ -427,10 +451,6 @@ class VectorizedComputationStep(_ArrayComputationStep):
     affordable.  Semantic deltas versus the object step, all documented and
     all validated or bounded:
 
-    * means and noise are summed *before* the gossip instead of
-      homomorphically after it — EESum is linear, so the converged result
-      is identical (the object step itself relies on the same linearity
-      when it rides both vectors on one exchange stream);
     * the cleartext counter ``ctr`` travels as one extra column of the
       EESum matrix (push–pull averaging and Alg. 2's delayed division are
       the same rule, App. C.2.1);

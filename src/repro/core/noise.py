@@ -3,7 +3,8 @@
 Each iteration needs ``k·(n+1)`` Laplace random variables (one per mean
 dimension plus one per count), generated so that **no single participant
 knows the total noise**.  Participants draw *noise-shares* (Def. 5)
-locally, encrypt them, and feed them to the same EESum stream as the means;
+locally, add them to their means on the fixed-point grid and encrypt the
+sum, so the shares ride the same EESum stream as the means;
 the surplus over the assumed ``n_ν`` contributors is cancelled by the
 min-identifier correction (Lemma 3 guarantees the surplus itself never
 endangers privacy).
@@ -85,12 +86,13 @@ class NoisePlan:
         worst = min(self.slices, default=self.epsilon)
         return max(abs(self.dmin), abs(self.dmax)) + 60.0 * self.sensitivity / worst
 
-    def codec(self, public: PublicKey, exchanges: int, terms: int) -> PackedCodec:
+    def codec(self, public: PublicKey, exchanges: int) -> PackedCodec:
         """The run's ciphertext layout on the plan's grid, for ``2^exchanges``
-        of delayed-division scaling over ``terms`` summed vectors (see
-        :meth:`PackedCodec.plan`: ``ValueError`` when no slot fits)."""
+        of delayed-division scaling over one vector per node — its means and
+        noise share summed on the grid (see :meth:`PackedCodec.plan`:
+        ``ValueError`` when no slot fits)."""
         return PackedCodec.plan(
-            public, self.fractional_bits, self.max_slot_value, exchanges, terms
+            public, self.fractional_bits, self.max_slot_value, exchanges
         )
 
     def draw_shares(

@@ -187,25 +187,19 @@ class ChiaroscuroRun:
             # of disjoint pairs, so Alg. 2's counter — and with it the
             # packed coefficient mass C = 2^count — is at most the phase's
             # cycles times the batches a cycle delivers (one, unless a
-            # fault plan duplicates or delays messages).  The object plane
-            # encrypts means and noise apart and sums the two vectors
-            # homomorphically (terms=2); vectorized-crypto sums them on the
-            # fixed-point grid before its one encryption (terms=1).
+            # fault plan duplicates or delays messages).  Both planes sum a
+            # node's means and noise share on the fixed-point grid before
+            # its one encryption, so one biased vector carries that mass.
             batches = 1 if fault_plan is None else fault_plan.batches_per_cycle
-            terms = 2 if plane == "object" else 1
             self.packed = self.noise_plan.codec(
                 self.keypair.public,
                 exchanges=pairing_cycles(params.exchanges) * batches,
-                terms=terms,
             )
-            # Per node and iteration: one vector per term.
-            self._build_backend(
-                terms * self.packed.packed_length(self.noise_plan.dimensions)
-            )
+            # Per node and iteration: one packed vector.
+            self._build_backend(self.packed.packed_length(self.noise_plan.dimensions))
         if plane == "object":
             self.participants = [
-                Participant(i, dataset.values[i], self.packed, self.backend)
-                for i in range(population)
+                Participant(i, dataset.values[i]) for i in range(population)
             ]
         if self.fault_plan is not None:
             self.fault_plan.bind_run(self)
@@ -334,18 +328,16 @@ class ChiaroscuroRun:
     def _assign(self, centroids: np.ndarray):
         """Assignment step (Alg. 1 l.5-6): ``(step arguments, labels)``.
 
-        Object plane: each participant encrypts its own means vector (node
-        id → ciphertexts) and labels stay private — ``None``.  Every other
+        Object plane: each participant initializes its own cleartext means
+        vector (node id → vector; the step adds its noise share and encrypts
+        the sum) and labels stay private — ``None``.  Every other
         plane: the labels are the assignment; an array step writes series i
         and a count of 1 into the assigned cluster's stripe of row i straight
         into its payload buffer, so the t × k·(n+1) means matrix is never
         built, and the central step sums each cluster's series.
         """
         if self.plane == "object":
-            vectors = {
-                p.node_id: p.encrypted_means_vector(centroids, self.crypto_rng)
-                for p in self.participants
-            }
+            vectors = {p.node_id: p.means_vector(centroids) for p in self.participants}
             return (vectors,), None
         labels = assign_to_closest(self.dataset.values, centroids)
         return (labels, self.dataset.values), labels

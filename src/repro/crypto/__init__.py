@@ -31,7 +31,6 @@ __all__, __getattr__ = lazy.exports(__name__, {
         "encrypt_batch",
         "generate_keypair",
         "homomorphic_add",
-        "homomorphic_add_batch",
         "homomorphic_scalar_mul",
         "powers_of_g",
     ),

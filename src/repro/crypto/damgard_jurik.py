@@ -67,7 +67,6 @@ __all__ = [
     "encrypt_drawn",
     "decrypt",
     "homomorphic_add",
-    "homomorphic_add_batch",
     "homomorphic_scalar_mul",
     "powers_of_g",
     "dlog_1_plus_n",
@@ -259,16 +258,6 @@ def encrypt_batch(
 def homomorphic_add(public: PublicKey, c1: int, c2: int) -> int:
     """``E(a) +_h E(b) = E(a)·E(b) mod n^{s+1}`` (paper Sec. 3.3.1, item 4)."""
     return c1 * c2 % public.n_s1
-
-
-def homomorphic_add_batch(
-    public: PublicKey, batch1: list[int], batch2: list[int]
-) -> list[int]:
-    """Element-wise homomorphic addition of two equal-length batches."""
-    if len(batch1) != len(batch2):
-        raise ValueError("batches must have equal length")
-    n_s1 = public.n_s1
-    return [a * b % n_s1 for a, b in zip(batch1, batch2)]
 
 
 def homomorphic_scalar_mul(public: PublicKey, ciphertext: int, scalar: int) -> int:

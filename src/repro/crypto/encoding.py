@@ -176,7 +176,7 @@ class PackedCodec:
         fractional_bits: int,
         max_abs_value: float,
         exchanges: int,
-        terms: int = 2,
+        terms: int = 1,
     ) -> "PackedCodec":
         """Size a codec for a protocol run.
 
@@ -184,9 +184,10 @@ class PackedCodec:
         worst-case delayed-division scaling ``2^exchanges`` — the whole
         coefficient total ``C = 2^count``, however many contributors it
         covers — and ``terms`` how many biased vectors are homomorphically
-        summed before unpacking (means + noise = 2); two safety bits of
-        headroom ride on top of that mass.  Raises ``ValueError`` when even
-        a single slot cannot fit.
+        summed before unpacking (the protocol planes sum means and noise on
+        the grid and encrypt one); two safety bits of headroom ride on top
+        of that mass.  Raises ``ValueError`` when even a single slot cannot
+        fit.
         """
         max_fixed = int(max_abs_value * (1 << fractional_bits) + 1)
         value_bits = max(max_fixed.bit_length() + 1, fractional_bits + 1)

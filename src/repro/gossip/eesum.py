@@ -12,9 +12,10 @@ equivalent to the cleartext rule; ``tests/gossip`` re-proves it by shadow
 execution.
 
 The protocol carries a whole *vector* of ciphertexts (the k×(n+1) Diptych
-means plus, optionally, the noise vector) under a single shared counter, so
-parallel sums stay scale-aligned — which is what lets Alg. 3 add the
-encrypted noise to the encrypted means at the end.
+means, each participant's noise share already summed into them) under a
+single shared counter, so parallel sums stay scale-aligned.  The sum is
+linear, so folding the share in before the gossip gives what Alg. 3's
+homomorphic addition of the converged noise at the end would.
 """
 
 from __future__ import annotations

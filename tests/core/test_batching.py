@@ -27,6 +27,7 @@ from repro.core import (
 from repro.crypto import (
     FixedPointCodec,
     PackedCodec,
+    SerialBackend,
     combine_partial_decryptions,
     decrypt,
     encrypt,
@@ -152,9 +153,7 @@ class TestComputationStepPacked:
         )
         centroids = np.array([[1.0, 2, 3], [10, 20, 30]])
         vectors = {
-            node: Participant(node, row, packed).encrypted_means_vector(
-                centroids, crypto_rng
-            )
+            node: Participant(node, row).means_vector(centroids)
             for node, row in enumerate(series)
         }
         plan = NoisePlan(
@@ -172,6 +171,51 @@ class TestComputationStepPacked:
             assert counts[1] == pytest.approx(4.0, abs=0.05)
             assert np.allclose(means[0], [1.0, 2.0, 3.0], atol=0.1)
             assert np.allclose(means[1], [10.0, 20.0, 30.0], atol=0.3)
+
+
+class TestObjectEncryptionTraffic:
+    def test_one_population_batch_per_iteration(
+        self, monkeypatch, toy_dataset, toy_initial_centroids,
+        threshold_keypair_s2,
+    ):
+        """The object step encrypts once per iteration: one
+        ``encrypt_batch`` call over ``t × packed_length(dims)`` plaintexts,
+        every node's means + noise share in node order.  The ciphertexts
+        are the ones per-node calls would give from the same stream — one
+        ``getrandbits`` covers the concatenated draw."""
+        original = SerialBackend.encrypt_batch
+        calls = []
+
+        def spy(backend, public, plaintexts, rng):
+            state = rng.getstate()
+            ciphertexts = original(backend, public, plaintexts, rng)
+            calls.append((backend, public, list(plaintexts), state, ciphertexts))
+            return ciphertexts
+
+        monkeypatch.setattr(SerialBackend, "encrypt_batch", spy)
+        params = ChiaroscuroParams(
+            k=3, max_iterations=2, exchanges=4, tau_fraction=0.13,
+            epsilon=1e3, expansion_s=2, use_smoothing=False, theta=0.0,
+        )
+        run = ChiaroscuroRun(
+            toy_dataset, UniformFast(1e3, 2), params, toy_initial_centroids,
+            seed=3, keypair=threshold_keypair_s2,
+        )
+        records = list(run.run_iter())
+        assert len(records) == len(calls) == 2
+        width = run.packed.packed_length(run.noise_plan.dimensions)
+        for backend, public, plaintexts, state, ciphertexts in calls:
+            assert len(plaintexts) == len(ciphertexts) == toy_dataset.t * width
+            rng = random.Random()
+            rng.setstate(state)
+            per_node = [
+                ciphertext
+                for first in range(0, len(plaintexts), width)
+                for ciphertext in original(
+                    backend, public, plaintexts[first : first + width], rng
+                )
+            ]
+            assert per_node == list(ciphertexts)
 
 
 class TestExponentiationsAreCounted:
@@ -194,14 +238,7 @@ class TestExponentiationsAreCounted:
             k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=1e9, n_nu=nodes
         )
         crypto_rng = random.Random(0)
-        vectors = {
-            i: encrypt_batch(
-                keypair.public,
-                packed.pack(np.full(plan.dimensions, float(i))),
-                crypto_rng,
-            )
-            for i in range(nodes)
-        }
+        vectors = {i: np.full(plan.dimensions, float(i)) for i in range(nodes)}
         step = ComputationStep(
             keypair=keypair, packed=packed, noise_plan=plan, exchanges=6,
             crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1),
@@ -238,14 +275,15 @@ class TestProtocolBackendPlumbing:
         assert run.backend.max_workers == 2
         run.close()
 
-    @pytest.mark.parametrize("iterations, blocks", [(1, 4), (3, 8)])
+    @pytest.mark.parametrize("iterations, shape", [(1, (6, 4)), (3, (8, 3))])
     def test_table_window_sized_from_the_runs_encryption_count(
-        self, tiny_dataset, threshold_keypair_s2, iterations, blocks
+        self, tiny_dataset, threshold_keypair_s2, iterations, shape
     ):
-        """24 nodes × 2 vectors of 2 packed ciphertexts per iteration: one
-        iteration (96 uses) gets an 8-teeth comb of 4 blocks (31 products
-        + 7 squarings per encryption), three (288) double the blocks to cut
-        the squarings to 3."""
+        """24 nodes × one vector (means + noise share) of one packed
+        ciphertext per iteration — the 10 values fill one plaintext's 10
+        slots: one iteration (24 uses) gets a 6-teeth comb of 4 blocks (42
+        products + 10 squarings per encryption), three (72) widen it to 8
+        teeth of 3 blocks to cut the products to 31."""
         params = ChiaroscuroParams(
             k=2, max_iterations=iterations, exchanges=8, tau_fraction=0.13,
             epsilon=1e6, expansion_s=2, use_smoothing=False, theta=0.0,
@@ -255,8 +293,8 @@ class TestProtocolBackendPlumbing:
             np.array([[10.0, 10, 30, 30], [30, 30, 10, 10]]),
             seed=2, keypair=threshold_keypair_s2,
         )
-        assert run.packed.packed_length(2 * 5) == 2
-        assert run.encryptor.table.shape == (8, blocks)
+        assert run.packed.packed_length(2 * 5) == 1
+        assert run.encryptor.table.shape == shape
 
     @pytest.mark.parametrize(
         "strategy, last_fit",

@@ -10,6 +10,7 @@ from repro.core import ComputationStep, NoisePlan, Participant
 from repro.core.computation import (
     VectorizedComputationStep,
     VectorizedCryptoComputationStep,
+    stage_on_grid,
 )
 from repro.crypto.encoding import PackedCodec
 from repro.gossip import GossipEngine, VectorizedGossipEngine
@@ -20,11 +21,10 @@ def tiny_setup(threshold_keypair_s2):
     """8 nodes, k = 2, series length 3, negligible noise."""
     keypair = threshold_keypair_s2
     # Room for 107 exchanges, beyond the step's 2·15 cycles, so that a
-    # vector spans two plaintexts; means + noise summed before unpacking;
-    # data ≤ 30 plus a negligible noise share (ε = 1e9).
+    # vector spans two plaintexts; one vector (means + noise on the grid)
+    # per node; data ≤ 30 plus a negligible noise share (ε = 1e9).
     packed = PackedCodec.plan(
-        keypair.public, fractional_bits=20, max_abs_value=31.0,
-        exchanges=107, terms=2,
+        keypair.public, fractional_bits=20, max_abs_value=31.0, exchanges=107
     )
     crypto_rng = random.Random(0)
     series = np.array(
@@ -33,9 +33,7 @@ def tiny_setup(threshold_keypair_s2):
     )
     centroids = np.array([[1.0, 2, 3], [10, 20, 30]])
     vectors = {
-        node: Participant(node, row, packed).encrypted_means_vector(
-            centroids, crypto_rng
-        )
+        node: Participant(node, row).means_vector(centroids)
         for node, row in enumerate(series)
     }
     plan = NoisePlan(
@@ -74,9 +72,47 @@ class TestComputationStep:
 
     def test_noise_plan_dimensions_respected(self, tiny_setup):
         step, vectors, _ = tiny_setup
-        payload = step.packed.packed_length(step.noise_plan.dimensions)
-        assert 1 < payload < step.noise_plan.dimensions
-        assert all(len(v) == payload for v in vectors.values())
+        dims = step.noise_plan.dimensions
+        assert 1 < step.packed.packed_length(dims) < dims
+        assert all(len(v) == dims for v in vectors.values())
+
+
+class TestObjectStaging:
+    def test_staged_vector_is_the_array_payload_row(self, threshold_keypair):
+        """One node, one share row: the object step's staged means + share
+        equals the vectorized-crypto step's payload row byte for byte.  A
+        share that rounds to −0.0 becomes +0.0 off the assigned stripe and
+        keeps its sign on a mean that rounded to −0.0; ties round half-even,
+        mean and share apart."""
+        plan = NoisePlan(
+            k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=5.0, n_nu=4
+        )
+        packed = plan.codec(threshold_keypair.public, exchanges=2 * EXCHANGES)
+        step = VectorizedCryptoComputationStep(
+            keypair=threshold_keypair, packed=packed, noise_plan=plan,
+            exchanges=EXCHANGES, threshold=3, crypto_rng=random.Random(0),
+            noise_rng=np.random.default_rng(0),
+        )
+        ulp = 1.0 / packed.scale
+        series = np.array([1.0, -1e-12, 0.5 * ulp])
+        centroids = np.array([[1.0, 0.0, 0.0], [50.0, 50.0, 50.0]])
+        participant = Participant(0, series)
+        assigned = participant.closest_centroid(centroids)
+        share = np.array(
+            [2.5 * ulp, -1e-12, 0.5 * ulp, 3.5 * ulp, -1e-12, -0.0, 0.7, -2.5 * ulp]
+        )
+
+        payload = share[None, :].copy()
+        step._add_means(payload, np.array([assigned]), series[None, :])
+        staged = stage_on_grid(
+            participant.means_vector(centroids), share.copy(),
+            packed.fractional_bits,
+        )
+        assert staged.tobytes() == payload[0].tobytes()
+        assert np.signbit(staged[1]) and staged[1] == 0.0  # −0.0 + −0.0
+        assert not np.signbit(staged[4:6]).any()  # +0.0 mean off the stripe
+        assert staged[0] == 1.0 + 2 * ulp and staged[7] == -2 * ulp
+        assert staged[2] == 0.0  # two ½-ulp ties, not one whole ulp
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +132,7 @@ def _run_array_steps(keypair, churn, seed=3, decode_sample=8, **step_kwargs):
     data_rng = np.random.default_rng(seed)
     labels = data_rng.integers(0, 2, size=POPULATION)
     series = np.array([data_rng.uniform(0, 30, 3) for _ in labels])
-    packed = plan.codec(keypair.public, exchanges=2 * EXCHANGES, terms=1)
+    packed = plan.codec(keypair.public, exchanges=2 * EXCHANGES)
     common = dict(
         noise_plan=plan, exchanges=EXCHANGES, threshold=3, **step_kwargs
     )

@@ -1,6 +1,5 @@
 """Tests for the NoisePlan, result containers, and participant-local steps."""
 
-import random
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from _runs import fold
 from repro.core import ChiaroscuroParams, ChiaroscuroRun, NoisePlan, Participant
 from repro.core.results import ClusteringResult, IterationStats
-from repro.crypto import PackedCodec, PublicKey, decrypt
+from repro.crypto import PublicKey
 from repro.gossip.vectorized_protocol import pairing_cycles
 from repro.privacy import Greedy, UniformFast
 
@@ -87,27 +86,21 @@ class TestNoisePlan:
         """k = 50 series of n = 20 on [0, 80], GREEDY at ε = 0.69 over 10
         iterations, n_e = 30 on the counter bound of both real-ciphertext
         planes (2·n_e cycles), 1024-bit key — a modulus of that width is all
-        the layout reads, so no key is generated.  Vectorized-crypto packs
-        one term; the object plane sums two (means and noise), one bit
-        more per slot, and encrypts both vectors."""
+        the layout reads, so no key is generated.  Both planes pack one
+        term: a node's means and noise share are summed on the grid and
+        encrypted as one vector of 132 ciphertexts."""
         slices = tuple(Greedy(0.69).schedule(10))
         plan = NoisePlan(
             k=50, series_length=20, dmin=0.0, dmax=80.0, epsilon=slices[0],
             n_nu=1000, slices=slices,
         )
         public = PublicKey((1 << 1023) + 1)
-        codec = plan.codec(public, exchanges=pairing_cycles(30), terms=1)
+        codec = plan.codec(public, exchanges=pairing_cycles(30))
         assert codec.fractional_bits == NoisePlan.fractional_bits == 24
         assert (codec.value_bits, codec.accumulation_bits) == (53, 63)
         assert codec.slot_bits == 53 + 1 + 63 == 117
         assert codec.slots == 8
-        assert codec.packed_length(plan.dimensions) == 132
-
-        objects = plan.codec(public, exchanges=pairing_cycles(30), terms=2)
-        assert objects.slot_bits == 53 + 1 + 64
-        assert objects.slots == 8
-        assert objects.packed_length(plan.dimensions) == 132  # per vector
-        assert 2 * objects.packed_length(plan.dimensions) == 264  # per node
+        assert codec.packed_length(plan.dimensions) == 132  # per node
 
     def test_both_array_planes_quantize_on_the_plans_grid(
         self, monkeypatch, toy_dataset, toy_initial_centroids, threshold_keypair
@@ -136,31 +129,19 @@ class TestNoisePlan:
         assert not np.array_equal(on_20, on_24)
 
 
-@pytest.fixture()
-def packed(keypair128):
-    return PackedCodec(
-        keypair128.public, fractional_bits=16, value_bits=24, accumulation_bits=12
-    )
-
-
 class TestParticipant:
-    def test_closest_centroid(self, packed):
-        participant = Participant(0, np.array([10.0, 10.0]), packed)
+    def test_closest_centroid(self):
+        participant = Participant(0, np.array([10.0, 10.0]))
         centroids = np.array([[0.0, 0.0], [9.0, 11.0], [30.0, 30.0]])
         assert participant.closest_centroid(centroids) == 1
 
-    def test_encrypted_means_vector_length(self, keypair128, packed):
-        """``packed_length(k·(n+1))`` ciphertexts that decrypt to the series
-        and a count of 1 in the assigned stripe, zeros elsewhere."""
-        participant = Participant(0, np.array([1.0, 2.0, 3.0]), packed)
+    def test_means_vector(self):
+        """The series and a count of 1 in the assigned stripe, zeros
+        elsewhere: ``k·(n+1)`` cleartext values."""
+        participant = Participant(0, np.array([1.0, 2.0, 3.0]))
         centroids = np.array([[9.0, 9, 9], [1, 2, 2], [5, 5, 5], [0, 0, 0]])
-        vector = participant.encrypted_means_vector(centroids, random.Random(0))
-        dims = 4 * (3 + 1)
-        assert packed.slots < dims  # more than one ciphertext
-        assert len(vector) == packed.packed_length(dims)
-        plaintexts = [decrypt(keypair128, c) for c in vector]
         expected = [0.0] * 4 + [1.0, 2.0, 3.0, 1.0] + [0.0] * 8
-        assert packed.unpack(plaintexts, dims) == expected
+        assert participant.means_vector(centroids).tolist() == expected
 
 
 class TestResultContainers:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import ChiaroscuroParams, NoisePlan, Participant
+from repro.core.computation import stage_on_grid
 from repro.crypto import FixedPointCodec, PackedCodec, decrypt, encrypt_batch
 from repro.gossip import EESum, GossipEngine
 
@@ -24,6 +25,16 @@ def packed(keypair128):
     )
 
 
+def _encrypted_vector(participant, centroids, share, packed, rng):
+    """What a participant puts on the wire in the object step: its means
+    vector plus its noise share, summed on the grid, packed and encrypted
+    as one vector."""
+    staged = stage_on_grid(
+        participant.means_vector(centroids), share, packed.fractional_bits
+    )
+    return encrypt_batch(packed.public, packed.pack(staged), rng)
+
+
 class TestCiphertextIndistinguishability:
     def test_assigned_and_unassigned_slots_look_alike(self, keypair128, packed):
         """An observer of the encrypted means must not tell which cluster a
@@ -31,33 +42,40 @@ class TestCiphertextIndistinguishability:
         are identical across the packed vector, whichever stripe holds the
         series (semantic security provides the rest — the scheme is
         probabilistic, tested in crypto/)."""
-        participant = Participant(0, np.array([42.0, 17.0]), packed)
+        participant = Participant(0, np.array([42.0, 17.0]))
+        plan = NoisePlan(k=3, series_length=2, dmin=0, dmax=50, epsilon=1e3, n_nu=10)
+        shares = plan.draw_shares(np.random.default_rng(0), 3)
         rng = random.Random(0)
         centroids = np.zeros((3, 2))
-        vector = participant.encrypted_means_vector(centroids, rng)
+        vector = _encrypted_vector(participant, centroids, shares[0], packed, rng)
         assert len(vector) == packed.packed_length(3 * 3) > 1
         n_s1 = keypair128.public.n_s1
         assert all(0 < c < n_s1 for c in vector)
         # Re-encrypting yields entirely different ciphertexts (probabilistic).
-        vector2 = participant.encrypted_means_vector(centroids, rng)
+        vector2 = _encrypted_vector(participant, centroids, shares[1], packed, rng)
         assert all(a != b for a, b in zip(vector, vector2))
         # Assigned elsewhere: same count, same range.
         centroids[0] = 1e3
-        moved = participant.encrypted_means_vector(centroids, rng)
+        moved = _encrypted_vector(participant, centroids, shares[2], packed, rng)
         assert len(moved) == len(vector)
         assert all(0 < c < n_s1 for c in moved)
 
     def test_noise_shares_travel_encrypted(self, keypair128, packed):
+        """The share is folded into the participant's one encryption: what
+        goes on the wire is the ciphertext of means + share, never the share
+        itself."""
+        participant = Participant(0, np.array([4.0, 5.0, 6.0]))
         plan = NoisePlan(k=2, series_length=3, dmin=0, dmax=10, epsilon=1.0, n_nu=10)
         share = plan.draw_shares(np.random.default_rng(0), 1)[0]
-        ciphertexts = encrypt_batch(
-            keypair128.public, packed.pack(share), random.Random(1)
+        centroids = np.array([[0.0, 0, 0], [5, 5, 5]])
+        means = participant.means_vector(centroids)
+        ciphertexts = _encrypted_vector(
+            participant, centroids, share.copy(), packed, random.Random(1)
         )
-        # What goes on the wire is the ciphertext, never the share itself.
         assert all(isinstance(c, int) for c in ciphertexts)
         plaintexts = [decrypt(keypair128, c) for c in ciphertexts]
         decoded = np.array(packed.unpack(plaintexts, plan.dimensions))
-        assert np.allclose(decoded, share, atol=1e-4)
+        assert np.allclose(decoded, means + share, atol=1e-4)
 
 
 class TestExchangeSurface:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import PackedCodec, decrypt, encrypt_batch
-from repro.crypto.damgard_jurik import homomorphic_add_batch
+from repro.crypto.damgard_jurik import homomorphic_add
 from repro.faults.base import fault_rng
 from repro.faults.network import NetworkFault
 from repro.faults.plan import FaultPlan
@@ -80,8 +80,9 @@ def test_a_codec_at_the_bound_decodes_it_and_one_exchange_less_refuses(
 ):
     """Two nodes pair in every cycle, so both counters reach the bound.  Each
     node holds ``terms`` vectors of the extreme values a slot admits, which
-    are summed homomorphically after the gossip, as the object plane sums
-    means and noise.  The codec with exactly ``terms · 2^bound`` of room
+    are summed homomorphically after the gossip; the protocol planes sum
+    means and noise on the grid instead and encrypt one vector (``terms``
+    = 1).  The codec with exactly ``terms · 2^bound`` of room
     decodes the mass exactly; with room for one exchange less the decode
     gate refuses it.  ``NoisePlan.codec`` reserves at least that room."""
     public = keypair128.public
@@ -119,9 +120,12 @@ def test_a_codec_at_the_bound_decodes_it_and_one_exchange_less_refuses(
         width = codec.packed_length(dims)
         summed = state.ciphertexts[:width]
         for term in range(1, terms):
-            summed = homomorphic_add_batch(
-                public, summed, state.ciphertexts[term * width:(term + 1) * width]
-            )
+            summed = [
+                homomorphic_add(public, a, b)
+                for a, b in zip(
+                    summed, state.ciphertexts[term * width:(term + 1) * width]
+                )
+            ]
         plaintexts = [decrypt(keypair128, c) for c in summed]
         fixed = np.rint(np.array(vectors) * codec.scale).astype(np.int64)
         # Two nodes with equal counters: each holds 2^(count − 1) of both.
