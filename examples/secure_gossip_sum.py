@@ -22,6 +22,8 @@ import random
 import numpy as np
 
 from repro.api import Experiment, IterationCompleted, RunSpec
+from repro.clustering.distance import assign_to_closest
+from repro.core.computation import add_means
 from repro.crypto import generate_threshold_keypair
 from repro.privacy import CollusionAnalysis
 
@@ -89,11 +91,15 @@ def main() -> None:
 
     # What the wire carries: ciphertexts and data-independent envelopes.
     # The plane exposes its engine (the ChiaroscuroRun) for diagnostics.
+    # Device 0 stages its series and a count of 1 in its closest cluster's
+    # stripe onto a zero share (a run adds its drawn noise share there).
     run = experiment.context.runtime
     init = experiment.context.initial_centroids
-    means = run.participants[0].means_vector(init)  # + its noise share, in a run
+    own = values[:1]
+    staged = np.zeros((1, run.noise_plan.dimensions))
+    add_means(staged, assign_to_closest(own, init), own, run.packed.fractional_bits)
     sample = run.backend.encrypt_batch(
-        keypair.public, run.packed.pack(means), run.crypto_rng
+        keypair.public, run.packed.pack(staged[0]), run.crypto_rng
     )
     print(f"\none device exports {len(sample)} ciphertexts per iteration "
           f"(k·(n+1) = 3·7 values, {run.packed.slots} to a ciphertext), "

@@ -9,7 +9,6 @@ __all__, __getattr__ = lazy.exports(__name__, {
     ".computation": ("ComputationOutput", "ComputationStep"),
     ".config": ("ChiaroscuroParams",),
     ".noise": ("NoisePlan",),
-    ".participant": ("Participant",),
     ".protocol": ("ChiaroscuroRun",),
     ".results": ("ClusteringResult", "IterationRecord", "IterationStats"),
     ".smoothing": ("derive_sma_window", "sma_smooth"),

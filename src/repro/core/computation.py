@@ -1,9 +1,9 @@
-"""The computation step (Algorithm 3) over the gossip engine.
+"""The computation step (Algorithm 3) over the gossip engines.
 
 One instance executes, for a single k-means iteration:
 
 1. **Epidemic computation of the encrypted means** — the EESum protocol
-   over every participant's flattened ``k·(n+1)`` ciphertext vector;
+   over every participant's flattened ``k·(n+1)`` vector;
 2. **Epidemic noise generation** — the noise shares (carried in the *same*
    EESum stream as the means), the cleartext epidemic counter ``ctr``, and
    the min-identifier surplus-correction dissemination;
@@ -20,7 +20,12 @@ clear with its identifier); we subtract it right after decryption instead
 of homomorphically re-encoding it beforehand — arithmetically identical
 (``docs/ARCHITECTURE.md``, "Calibration").
 
-The output is per-node: each participant ends the step with its own decoded
+The four phases are written once, in the private pipeline every gossiping
+plane inherits; its three carriers differ only in what they gossip:
+:class:`ComputationStep` per-node ciphertext objects on the object engine,
+:class:`VectorizedComputationStep` mock-homomorphic arrays and
+:class:`VectorizedCryptoComputationStep` packed ciphertext arrays.  The
+output is per-node: each participant ends the step with its own decoded
 ``(sums, counts)`` per cluster; Theorem 1's correctness shows these agree
 across nodes up to the epidemic approximation error, and the integration
 tests measure exactly that agreement.  :class:`CentralComputationStep` is
@@ -49,6 +54,7 @@ from .noise import NoisePlan
 if TYPE_CHECKING:
     from ..crypto.backend import CryptoBackend
     from ..crypto.encoding import PackedCodec
+    from ..crypto.keys import PublicKey
     from ..crypto.threshold import ThresholdKeypair
     from ..gossip.engine import GossipEngine
 
@@ -66,6 +72,7 @@ __all__ = [
     "ComputationOutput",
     "VectorizedComputationStep",
     "VectorizedCryptoComputationStep",
+    "add_means",
 ]
 
 
@@ -94,179 +101,75 @@ class ComputationOutput:
         return float((spread / magnitude).max())
 
 
-def stage_on_grid(
-    means: np.ndarray, shares: np.ndarray, fractional_bits: int
-) -> np.ndarray:
-    """Sum ``means`` and ``shares`` entry by entry on the ``2^-f`` grid.
+def _encrypt_rows(
+    backend: CryptoBackend,
+    public: PublicKey,
+    packed: PackedCodec,
+    values: np.ndarray,
+    rng: random.Random,
+) -> tuple[np.ndarray, float]:
+    """Pack ``values`` (one row per node) and encrypt every row in one
+    ``encrypt_batch`` call, in node order.  Returns the ``(rows,
+    packed_length(dims))`` object array of ciphertexts and the seconds the
+    batch call took."""
+    width = packed.packed_length(values.shape[1])
+    plaintexts = [p for stripes in packed.pack(values) for p in stripes]
+    started = time.perf_counter()
+    ciphertexts = backend.encrypt_batch(public, plaintexts, rng)
+    seconds = time.perf_counter() - started
+    del plaintexts
+    return np.array(ciphertexts, dtype=object).reshape(len(values), width), seconds
 
-    Each is quantized separately (round-half-even, as ``quantize_to_grid``)
-    and the two are summed: every entry ends as
-    ``(round(mean·2^f) + round(share·2^f)) / 2^f`` — bit for bit the array
-    planes' staged payload row, signed zeros included.  ``shares`` is
-    overwritten and returned.
+
+def add_means(
+    body: np.ndarray, labels: np.ndarray, series: np.ndarray, fractional_bits: int
+) -> None:
+    """Turn the noise shares in ``body`` into the gossiped values, in place.
+
+    Means and noise are quantized separately (same round-half-even as
+    ``quantize_to_grid``) and summed on the ``2^-fractional_bits`` grid:
+    every entry ends as ``(round(mean·2^f) + round(share·2^f)) / 2^f``,
+    with the dense ``population × dims`` means matrix never built.  A
+    participant's means are its own ``n + 1`` entries (its series and a
+    count of 1 in cluster ``labels[i]``'s stripe); everywhere else the mean
+    is ``+0.0``, which only matters to a share that rounded to ``−0.0``.
+    Row blocks keep the five passes in cache.
     """
     scale = float(1 << fractional_bits)
-    shares *= scale
-    np.round(shares, out=shares)
-    shares += np.round(means * scale)
-    shares /= scale
-    return shares
-
-
-class ComputationStep:
-    """Algorithm 3, parameterized by the crypto material and epidemic knobs.
-
-    Ciphertexts are laid out by ``packed`` (the slot layout of
-    :mod:`repro.crypto.encoding`) and every bulk crypto operation goes
-    through ``backend`` as a batch: each iteration encrypts the whole
-    population's staged vectors in one ``encrypt_batch`` call, in node
-    order.
-    """
-
-    #: This step times none of its crypto (see ``IterationRecord.crypto_ms``).
-    crypto_seconds: float | None = None
-    #: Every node takes part: no churn subsample to count.
-    active_series: int | None = None
-
-    def __init__(
-        self,
-        keypair: ThresholdKeypair,
-        packed: PackedCodec,
-        noise_plan: NoisePlan,
-        exchanges: int,
-        crypto_rng: random.Random,
-        noise_rng: np.random.Generator,
-        backend: CryptoBackend | None = None,
-    ) -> None:
-        self.keypair = keypair
-        self.packed = packed
-        self.noise_plan = noise_plan
-        self.exchanges = exchanges
-        self.crypto_rng = crypto_rng
-        self.noise_rng = noise_rng
-        self.backend = backend or SerialBackend()
-
-    def run(
-        self,
-        engine: GossipEngine,
-        mean_vectors: dict[int, np.ndarray],
-    ) -> ComputationOutput:
-        """Execute the computation step for every node of ``engine``.
-
-        ``mean_vectors`` maps node id → its cleartext flattened ``k·(n+1)``
-        means vector (the Alg. 1 l.6 initialization); each participant's
-        noise share is added to it on the grid and the sum is encrypted as
-        ``packed_length(k·(n+1))`` ciphertexts.
-        """
-        public = self.keypair.public
-        packed = self.packed
-        plan = self.noise_plan
-        node_ids = [node.node_id for node in engine.nodes]
-        dims = plan.dimensions
-        payload = packed.packed_length(dims)
-        cycles = pairing_cycles(self.exchanges)
-
-        # --- local noise-share generation (Alg. 3 l.4) -------------------
-        shares = plan.draw_shares(self.noise_rng, len(node_ids))
-
-        # --- encrypted perturbation (Alg. 3 l.7), folded in --------------
-        # Means and share are summed on the grid before the one encryption
-        # per node; EESum is linear, so the converged state is the
-        # perturbed bundle the homomorphic addition would have produced.
-        means = np.array([mean_vectors[i] for i in node_ids])
-        staged = stage_on_grid(means, shares, packed.fractional_bits)
-        plaintexts = [p for row in packed.pack(staged) for p in row]
-        ciphertexts = self.backend.encrypt_batch(public, plaintexts, self.crypto_rng)
-        initial = {
-            i: ciphertexts[row * payload : (row + 1) * payload]
-            for row, i in enumerate(node_ids)
-        }
-
-        # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------
-        # The cleartext counter gossips on the same exchange stream.  The
-        # EESum coefficient total exact unpacking needs is 2^count, read
-        # off the state's clear counter.
-        eesum = EESum(public, initial)
-        counter = EpidemicSum({i: np.array([1.0]) for i in node_ids})
-        engine.setup(eesum, counter)
-        engine.run_cycles(cycles, eesum, counter)
-
-        # --- epidemic noise correction (Alg. 3 l.6) ----------------------
-        # The array planes' walk: every counter holder proposes an
-        # identifier from the engine stream, with its own id as payload,
-        # and only the winning proposer's correction is drawn, at decode.
-        estimates = {node.node_id: counter.estimate(node) for node in engine.nodes}
-        holders = [i for i, estimate in estimates.items() if estimate is not None]
-        ids = engine.rng.integers(0, 1 << 62, size=len(holders), dtype=np.int64)
-        dissemination = MinIdDissemination(
-            {i: (proposal, i) for i, proposal in zip(holders, ids.tolist())}
+    stride = series.shape[1] + 1
+    stripe = np.arange(stride)
+    for rows in row_blocks(len(body), body.shape[1] * body.itemsize):
+        block = body[rows]
+        block *= scale
+        np.round(block, out=block)
+        means = np.empty((len(block), stride))
+        np.multiply(series[rows], scale, out=means[:, :-1])
+        np.round(means[:, :-1], out=means[:, :-1])
+        means[:, -1] = scale  # the count of 1, on the grid
+        own = (
+            np.arange(len(block))[:, None],
+            labels[rows, None] * stride + stripe,
         )
-        engine.setup(dissemination)
-        engine.run_cycles(cycles, dissemination)
-
-        # --- epidemic decryption (Alg. 3 l.8-10) ---------------------------
-        # The converged EESum state is the perturbed bundle; ω and the
-        # counter travel on in clear.
-        bundles = {}
-        for node in engine.nodes:
-            state = eesum.state_of(node)
-            bundles[node.node_id] = (state.ciphertexts, state.omega, state.count)
-        key_shares = {
-            i: self.keypair.shares[i % len(self.keypair.shares)] for i in node_ids
-        }
-        decryption = EpidemicDecryption(
-            self.keypair.context, bundles, key_shares, backend=self.backend
-        )
-        engine.setup(decryption)
-        for _ in range(10 * cycles):
-            engine.run_cycle(decryption)
-            if decryption.all_done(engine.nodes):
-                break
-
-        # --- decode (Alg. 3 l.10-11) ---------------------------------------
-        output = ComputationOutput(plan.k, plan.series_length)
-        stride = plan.series_length + 1
-        corrections: dict[int, np.ndarray] = {}
-        for node_id in holders:
-            node = engine.nodes[node_id]
-            entry = dissemination.value_of(node)
-            if entry is not None and entry[0] not in corrections:
-                contributors = int(round(float(estimates[entry[1]][0])))
-                corrections[entry[0]] = plan.correction(contributors, self.noise_rng)
-            if not decryption.is_done(node):
-                # A node that never collected τ key-shares (isolated by
-                # churn or a partition for the whole window) holds no
-                # decrypted result — it reports nothing, exactly like the
-                # vectorized step's holders mask.
-                continue
-            plaintexts, omega, count = decryption.plaintexts_of(node)
-            if omega <= 0:
-                continue
-            # Bias mass: one biased vector × C = 2^count.
-            values = np.array(
-                packed.unpack(plaintexts, dims, bias_multiplier=1 << count)
-            )
-            values /= float(omega)  # σ/ω — the epidemic sum estimate
-            if entry is not None:
-                values -= corrections[entry[0]]
-            grid = values.reshape(plan.k, stride)
-            output.sums[node.node_id] = grid[:, :-1]
-            output.counts[node.node_id] = grid[:, -1]
-        return output
+        means += block[own]  # while the share's zero still has its sign
+        block += 0.0  # mean +0.0 everywhere else: −0.0 shares become +0.0
+        block[own] = means
+        block /= scale
 
 
-class _ArrayComputationStep:
-    """Algorithm 3 over the struct-of-arrays engine, written once.
+class _GossipComputationStep:
+    """Algorithm 3 over a gossip engine, written once for every carrier.
 
     The pipeline — noise shares, fixed-point staging, the three epidemic
     phases, the surplus-correction walk — is the same whatever carries the
-    payload; a carrier supplies two hooks: :meth:`_aggregate` (turn the
-    staged payload into the EESum protocol that gossips it) and
-    :meth:`_open` (read ``σ/ω`` back out of it for a node sample).
+    payload.  A carrier supplies :meth:`_aggregate` (turn the staged payload
+    into the EESum protocol that gossips it) and :meth:`_open` (read
+    ``σ/ω`` back out for a node sample).  The phase hooks :meth:`_sum`,
+    :meth:`_disseminate` and :meth:`_decryption` run the struct-of-arrays
+    protocols; the object carrier overrides them with its per-node ones.
 
     The working set of a step is one ``(population, dims + 1)`` payload
     plus O(block) (:mod:`repro.blocks`): shares are drawn into the payload,
-    the assignment is added into it, the gossip merges it in place.
+    the assignment is added into it, and the carrier takes it over.
     """
 
     #: Wall-clock seconds spent inside crypto batch calls; ``None`` on a
@@ -281,7 +184,7 @@ class _ArrayComputationStep:
         exchanges: int,
         threshold: int,
         noise_rng: np.random.Generator,
-        agreement_sample: int = 64,
+        agreement_sample: int | None = 64,
     ) -> None:
         if exchanges < 1:
             raise ValueError("exchanges must be >= 1")
@@ -291,56 +194,50 @@ class _ArrayComputationStep:
         self.exchanges = exchanges
         self.threshold = threshold
         self.noise_rng = noise_rng
+        #: How many leading holders are decoded; ``None`` decodes them all.
         self.agreement_sample = agreement_sample
         #: The fixed-point grid the payload is staged on: the plan's.
         self.fractional_bits = noise_plan.fractional_bits
 
     def _aggregate(self, payload: np.ndarray):
-        """The EESum protocol (``exchange_pairs`` plus ``values`` / ``omega``
-        / ``count`` arrays, the counter in ``values[:, -1]``) over the staged
-        ``(population, dims + 1)`` payload, whose last column is the
-        cleartext counter.  The carrier owns the buffer from here on."""
+        """The EESum protocol over the staged ``(population, dims + 1)``
+        payload, whose last column is the cleartext counter.  The carrier
+        owns the buffer from here on."""
         raise NotImplementedError
 
-    def _open(self, eesum, sample: np.ndarray) -> dict[int, np.ndarray]:
-        """Node → its ``σ/ω`` estimate vector (``dims`` long), for as many
-        leading nodes of ``sample`` as the carrier decodes."""
+    def _open(
+        self, engine, eesum, decryption, sample: np.ndarray
+    ) -> dict[int, np.ndarray]:
+        """Node → its ``σ/ω`` estimate vector (``dims`` long), for the nodes
+        of ``sample`` the carrier decodes."""
         raise NotImplementedError
 
-    def _add_means(
-        self, body: np.ndarray, labels: np.ndarray, series: np.ndarray
-    ) -> None:
-        """Turn the noise shares in ``body`` into the gossiped values.
-
-        Means and noise are quantized separately (same round-half-even as
-        ``quantize_to_grid``) and summed on the grid: every entry ends as
-        ``(round(mean·2^f) + round(share·2^f)) / 2^f`` — bit for bit what
-        :func:`stage_on_grid` gives the object step from the dense
-        ``population × dims`` means matrix, which is never built here.  A
-        participant's means are its own ``n + 1`` entries (its series and a
-        count of 1 in its cluster's stripe); everywhere else the mean is
-        ``+0.0``, which only matters to a share that rounded to ``−0.0``.
-        Row blocks keep the five passes in cache.
-        """
-        scale = float(1 << self.fractional_bits)
-        stride = series.shape[1] + 1
-        stripe = np.arange(stride)
-        for rows in row_blocks(len(body), body.shape[1] * body.itemsize):
-            block = body[rows]
-            block *= scale
-            np.round(block, out=block)
-            means = np.empty((len(block), stride))
-            np.multiply(series[rows], scale, out=means[:, :-1])
-            np.round(means[:, :-1], out=means[:, :-1])
-            means[:, -1] = scale  # the count of 1, on the grid
-            own = (
-                np.arange(len(block))[:, None],
-                labels[rows, None] * stride + stripe,
+    def _sum(self, engine, eesum, cycles: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gossip the EESum phase.  Returns the holders mask (ω > 0) and each
+        node's counter estimate ``ctr/ω`` (NaN off the holders); the counter
+        is the last column of the protocol's ``values``."""
+        engine.run_cycles(cycles, eesum)
+        holders = eesum.omega > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ctr_estimates = np.where(
+                holders, eesum.values[:, -1] / eesum.omega, np.nan
             )
-            means += block[own]  # while the share's zero still has its sign
-            block += 0.0  # mean +0.0 everywhere else: −0.0 shares become +0.0
-            block[own] = means
-            block /= scale
+        return holders, ctr_estimates
+
+    def _disseminate(
+        self, engine, proposal_ids: np.ndarray, cycles: int
+    ) -> np.ndarray:
+        """Gossip EpiDis over ``proposal_ids``; returns each node's final
+        identifier (:attr:`VectorizedMinId.NO_PROPOSAL` where none arrived)."""
+        dissemination = VectorizedMinId(proposal_ids)
+        engine.run_cycles(cycles, dissemination)
+        return dissemination.ids
+
+    def _decryption(self, engine, eesum):
+        """The decryption phase's protocol and its stopping test: here the
+        share-collection latency, counted by cardinality."""
+        collection = VectorizedShareCollection(engine.population, self.threshold)
+        return collection, collection.all_done
 
     def run(
         self,
@@ -348,7 +245,7 @@ class _ArrayComputationStep:
         labels: np.ndarray,
         series: np.ndarray,
     ) -> ComputationOutput:
-        """Execute the computation step for the whole population at once.
+        """Execute the computation step for every node of ``engine``.
 
         ``labels`` and ``series`` are the cleartext Diptych initialization
         (Alg. 1 l.6) in its sparse form: participant ``i``'s flattened
@@ -380,33 +277,32 @@ class _ArrayComputationStep:
         plan.draw_shares(self.noise_rng, population, out=body)
 
         # --- background epidemic sums (Alg. 3 l.2 & l.5) -----------------
-        self._add_means(body, labels, series)
+        # Means and share are summed on the grid before the carrier's one
+        # encryption per node; EESum is linear, so the converged state is
+        # the perturbed bundle the homomorphic addition would have produced.
+        add_means(body, labels, series, self.fractional_bits)
         payload[:, -1] = 1.0
         eesum = self._aggregate(payload)
         del payload, body
         cycles = pairing_cycles(self.exchanges)
-        engine.run_cycles(cycles, eesum)
+        holders, ctr_estimates = self._sum(engine, eesum, cycles)
 
         # --- epidemic noise correction (Alg. 3 l.6) ----------------------
-        holders = eesum.omega > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ctr_estimates = np.where(
-                holders, eesum.values[:, -1] / eesum.omega, np.nan
-            )
+        # Every counter holder proposes an identifier from the engine
+        # stream; only the winning proposer's correction is drawn, at decode.
         proposal_ids = np.full(population, VectorizedMinId.NO_PROPOSAL, dtype=np.int64)
         n_holders = int(holders.sum())
         if n_holders:
             proposal_ids[holders] = engine.rng.integers(
                 0, 1 << 62, size=n_holders, dtype=np.int64
             )
-        dissemination = VectorizedMinId(proposal_ids)
-        engine.run_cycles(cycles, dissemination)
+        final_ids = self._disseminate(engine, proposal_ids, cycles)
 
-        # --- epidemic decryption collection (Alg. 3 l.8-10) ---------------
-        collection = VectorizedShareCollection(population, self.threshold)
+        # --- epidemic decryption (Alg. 3 l.8-10) ---------------------------
+        decryption, done = self._decryption(engine, eesum)
         for _ in range(10 * cycles):
-            engine.run_cycle(collection)
-            if collection.all_done():
+            engine.run_cycle(decryption)
+            if done():
                 break
 
         # --- decode (Alg. 3 l.10-11) ---------------------------------------
@@ -414,7 +310,7 @@ class _ArrayComputationStep:
         sample = np.flatnonzero(holders)[: self.agreement_sample]
         if len(sample) == 0:
             return output
-        opened = self._open(eesum, sample)
+        opened = self._open(engine, eesum, decryption, sample)
         # Correction payloads, materialized lazily per surviving identifier
         # (the winner's everywhere after a converged dissemination).  The
         # proposer of an identifier is resolved by a numpy scan — only one
@@ -425,7 +321,7 @@ class _ArrayComputationStep:
         corrections: dict[int, np.ndarray] = {}
         stride = plan.series_length + 1
         for node in sample:
-            final_id = int(dissemination.ids[node])
+            final_id = int(final_ids[node])
             if final_id != VectorizedMinId.NO_PROPOSAL and final_id not in corrections:
                 proposer = int(np.flatnonzero(proposal_ids == final_id)[0])
                 contributors = int(round(float(ctr_estimates[proposer])))
@@ -441,22 +337,140 @@ class _ArrayComputationStep:
         return output
 
 
-class VectorizedComputationStep(_ArrayComputationStep):
+class ComputationStep(_GossipComputationStep):
+    """Algorithm 3 on the object engine: per-node Damgård–Jurik ciphertexts.
+
+    The pipeline's third carrier, and the plane whose protocols run
+    independently of the array ones: every node keeps its own packed
+    ciphertext vector in an :class:`~repro.gossip.eesum.EESum` state and
+    gossips it by Alg. 2 over :class:`~repro.gossip.eesum.HomomorphicOps`,
+    its cleartext counter in an :class:`~repro.gossip.aggregation.
+    EpidemicSum` on the same exchanges; min-id proposals travel as
+    :class:`~repro.gossip.dissemination.MinIdDissemination` pairs; and
+    :class:`~repro.gossip.decryption.EpidemicDecryption` moves real
+    partial decryptions, laggards adopting the leader's bundle, with the
+    population's dealt key shares (node ``i`` holds share ``i mod
+    n_shares``).  Each exchange is one delivery the fault proxy can guard.
+
+    Staging and encryption are the vectorized-crypto carrier's: each
+    iteration packs the whole population's staged vectors and encrypts them
+    in one ``encrypt_batch`` call, in node order.  Every holder that
+    collected τ key shares is decoded (``agreement_sample`` unlimited).
+    """
+
+    def __init__(
+        self,
+        keypair: ThresholdKeypair,
+        packed: PackedCodec,
+        noise_plan: NoisePlan,
+        exchanges: int,
+        crypto_rng: random.Random,
+        noise_rng: np.random.Generator,
+        backend: CryptoBackend | None = None,
+    ) -> None:
+        super().__init__(
+            noise_plan, exchanges, keypair.context.threshold, noise_rng,
+            agreement_sample=None,
+        )
+        self.fractional_bits = packed.fractional_bits
+        self.keypair = keypair
+        self.packed = packed
+        self.crypto_rng = crypto_rng
+        self.backend = backend or SerialBackend()
+
+    def _aggregate(self, payload: np.ndarray) -> EESum:
+        """One packed ciphertext vector per node, each in its own EESum
+        state; the counter column gossips apart, in clear (:meth:`_sum`)."""
+        public = self.keypair.public
+        rows, _seconds = _encrypt_rows(
+            self.backend, public, self.packed, payload[:, :-1], self.crypto_rng
+        )
+        return EESum(public, dict(enumerate(rows.tolist())))
+
+    def _sum(self, engine: GossipEngine, eesum: EESum, cycles: int):
+        counter = EpidemicSum({i: np.array([1.0]) for i in range(engine.population)})
+        engine.setup(eesum, counter)
+        engine.run_cycles(cycles, eesum, counter)
+        estimates = [counter.estimate(node) for node in engine.nodes]
+        holders = np.array([estimate is not None for estimate in estimates])
+        ctr_estimates = np.array(
+            [np.nan if estimate is None else estimate[0] for estimate in estimates]
+        )
+        return holders, ctr_estimates
+
+    def _disseminate(
+        self, engine: GossipEngine, proposal_ids: np.ndarray, cycles: int
+    ) -> np.ndarray:
+        proposers = np.flatnonzero(proposal_ids != VectorizedMinId.NO_PROPOSAL)
+        dissemination = MinIdDissemination(
+            {i: (proposal, i) for i, proposal in
+             zip(proposers.tolist(), proposal_ids[proposers].tolist())}
+        )
+        engine.setup(dissemination)
+        engine.run_cycles(cycles, dissemination)
+        beliefs = [dissemination.value_of(node) for node in engine.nodes]
+        return np.array(
+            [VectorizedMinId.NO_PROPOSAL if b is None else b[0] for b in beliefs],
+            dtype=np.int64,
+        )
+
+    def _decryption(self, engine: GossipEngine, eesum: EESum):
+        # The converged EESum state is the perturbed bundle; ω and the
+        # counter travel on in clear.
+        bundles = {}
+        for node in engine.nodes:
+            state = eesum.state_of(node)
+            bundles[node.node_id] = (state.ciphertexts, state.omega, state.count)
+        shares = self.keypair.shares
+        key_shares = {i: shares[i % len(shares)] for i in bundles}
+        decryption = EpidemicDecryption(
+            self.keypair.context, bundles, key_shares, backend=self.backend
+        )
+        engine.setup(decryption)
+        return decryption, lambda: decryption.all_done(engine.nodes)
+
+    def _open(
+        self,
+        engine: GossipEngine,
+        eesum: EESum,
+        decryption: EpidemicDecryption,
+        sample: np.ndarray,
+    ) -> dict[int, np.ndarray]:
+        """Combine each node's own partials, with the ω and counter of the
+        bundle it ended holding."""
+        dims = self.noise_plan.dimensions
+        opened: dict[int, np.ndarray] = {}
+        for node_id in sample.tolist():
+            node = engine.nodes[node_id]
+            if not decryption.is_done(node):
+                # Never collected τ key-shares (isolated by churn or a
+                # partition for the whole window): no decrypted result.
+                continue
+            plaintexts, omega, count = decryption.plaintexts_of(node)
+            if omega <= 0:
+                continue
+            # Bias mass: one biased vector × C = 2^count.
+            values = np.array(
+                self.packed.unpack(plaintexts, dims, bias_multiplier=1 << count)
+            )
+            opened[node_id] = values / float(omega)  # σ/ω, the sum estimate
+        return opened
+
+
+class VectorizedComputationStep(_GossipComputationStep):
     """Algorithm 3 over the struct-of-arrays plane (mock-homomorphic).
 
-    Executes the same four phases as :class:`ComputationStep` — epidemic
-    encrypted means, epidemic noise, min-id surplus correction, epidemic
-    decryption — but as whole-population array operations on the integer
-    plane (``E(a) = a``), which is what makes 10⁵–10⁶ participants
-    affordable.  Semantic deltas versus the object step, all documented and
-    all validated or bounded:
+    The pipeline's four phases as whole-population array operations on the
+    integer plane (``E(a) = a``), which is what makes 10⁵–10⁶ participants
+    affordable.  Semantic deltas versus the object carrier, all documented
+    and all validated or bounded:
 
     * the cleartext counter ``ctr`` travels as one extra column of the
       EESum matrix (push–pull averaging and Alg. 2's delayed division are
       the same rule, App. C.2.1);
     * the decryption phase models the share-collection latency
-      (:class:`VectorizedShareCollection`); the mock plane's "decryption"
-      itself is the identity.
+      (:class:`VectorizedShareCollection`, by cardinality, not share ids);
+      the mock plane's "decryption" itself is the identity.
 
     Decoding every node at 10⁶ × k·(n+1) would be pure waste; the step
     decodes the canonical node plus an ``agreement_sample`` of nodes so
@@ -467,7 +481,7 @@ class VectorizedComputationStep(_ArrayComputationStep):
         return VectorizedEESum(payload, copy=False)
 
     def _open(
-        self, eesum: VectorizedEESum, sample: np.ndarray
+        self, engine, eesum: VectorizedEESum, decryption, sample: np.ndarray
     ) -> dict[int, np.ndarray]:
         return {
             int(node): eesum.values[node, :-1] / eesum.omega[node]
@@ -475,7 +489,7 @@ class VectorizedComputationStep(_ArrayComputationStep):
         }
 
 
-class VectorizedCryptoComputationStep(_ArrayComputationStep):
+class VectorizedCryptoComputationStep(_GossipComputationStep):
     """Algorithm 3 over the struct-of-arrays plane with *real* ciphertexts.
 
     The missing quadrant: the vectorized engine's scaling with the object
@@ -535,24 +549,16 @@ class VectorizedCryptoComputationStep(_ArrayComputationStep):
         """Pack and encrypt the staged rows (Alg. 1 l.6 / Alg. 3 l.4 in one
         pass).  The counter column stays cleartext (the object plane's
         EpidemicSum is cleartext too); CipherEESum carries its own."""
-        population, dims = payload.shape[0], payload.shape[1] - 1
-        width = self.packed.packed_length(dims)
-        flat_plaintexts = [
-            plaintext
-            for stripes in self.packed.pack(payload[:, :dims])
-            for plaintext in stripes
-        ]
-        started = time.perf_counter()
-        ciphertexts = self.backend.encrypt_batch(
-            self.keypair.public, flat_plaintexts, self.crypto_rng
+        rows, seconds = _encrypt_rows(
+            self.backend, self.keypair.public, self.packed, payload[:, :-1],
+            self.crypto_rng,
         )
-        self.crypto_seconds += time.perf_counter() - started
-        del flat_plaintexts
-        rows = np.array(ciphertexts, dtype=object).reshape(population, width)
-        del ciphertexts
+        self.crypto_seconds += seconds
         return CipherEESum(self.keypair.public, rows, backend=self.backend)
 
-    def _open(self, eesum: CipherEESum, sample: np.ndarray) -> dict[int, np.ndarray]:
+    def _open(
+        self, engine, eesum: CipherEESum, decryption, sample: np.ndarray
+    ) -> dict[int, np.ndarray]:
         """Real threshold decryption of the first ``decode_sample`` nodes."""
         decode_nodes = sample[: max(1, self.decode_sample)]
         context = self.keypair.context

@@ -3,8 +3,8 @@
 This orchestrates the loop every participant runs:
 
     while not converged and n_it ≤ n_it^max:
-        assignment step   (local, cleartext — Participant)
-        computation step  (Algorithm 3 — ComputationStep)
+        assignment step   (local, cleartext)
+        computation step  (Algorithm 3 — one pipeline, a carrier per plane)
         convergence step  (local, cleartext)
 
 written once (:meth:`ChiaroscuroRun.run_iter`) over one of four
@@ -15,10 +15,11 @@ simulation substrates, selected by ``ChiaroscuroRun(..., plane=)``:
   releases the aggregates App. B says the protocol delivers, at the
   protocol's noise scale — the plane behind Figs. 2–3;
 * ``"object"`` — the cycle-driven gossip engine with genuine Damgård–Jurik
-  threshold cryptography.  The "strong proof of concept" plane: faithful
-  down to the ciphertext algebra, sized for populations of
-  tens-to-hundreds of devices (the paper's Peersim plane had the same
-  reach);
+  threshold cryptography (:class:`repro.core.computation.ComputationStep`,
+  the Algorithm 3 pipeline carrying per-node ciphertext objects).  The
+  "strong proof of concept" plane: faithful down to the ciphertext algebra,
+  sized for populations of tens-to-hundreds of devices (the paper's
+  Peersim plane had the same reach);
 * ``"vectorized"`` — the struct-of-arrays engine over the mock-homomorphic
   integer plane (:class:`repro.core.computation.VectorizedComputationStep`).
   Full Algorithm 2/EpiDis/collection semantics as whole-population array
@@ -80,7 +81,6 @@ generate_threshold_keypair = lazy.defer(
     __name__, "..crypto.threshold", "generate_threshold_keypair"
 )
 GossipEngine = lazy.defer(__name__, "..gossip.engine", "GossipEngine")
-Participant = lazy.defer(__name__, ".participant", "Participant")
 
 __all__ = ["ChiaroscuroRun", "PROTOCOL_PLANES"]
 
@@ -148,13 +148,11 @@ class ChiaroscuroRun:
         self.fault_plan = fault_plan
 
         # Defaults are the mock-homomorphic substrate's ("vectorized"): no
-        # key material, no per-device objects — the whole population lives
-        # in arrays.
+        # key material — the whole population lives in arrays.
         self.keypair = keypair
         self.packed = None
         self.encryptor = None
         self.backend = None
-        self.participants = []
         #: The ε ledger of the current (or latest) ``run_iter``.
         self.accountant = PrivacyAccountant(epsilon_budget=strategy.epsilon)
 
@@ -197,10 +195,6 @@ class ChiaroscuroRun:
             )
             # Per node and iteration: one packed vector.
             self._build_backend(self.packed.packed_length(self.noise_plan.dimensions))
-        if plane == "object":
-            self.participants = [
-                Participant(i, dataset.values[i]) for i in range(population)
-            ]
         if self.fault_plan is not None:
             self.fault_plan.bind_run(self)
 
@@ -269,23 +263,27 @@ class ChiaroscuroRun:
                 # other's selection, and nothing leaks into later runs.
                 with bigint.use_backend(self.bigint_backend):
                     engine = self._new_engine(iteration, churn)
-                    assigned, labels = self._assign(centroids)
+                    # Assignment step (Alg. 1 l.5-6): the labels *are* the
+                    # cleartext initialization — a gossiping step stages
+                    # series i and a count of 1 in its cluster's stripe, the
+                    # central step sums each cluster's series — so the
+                    # t × k·(n+1) means matrix is never built.
+                    labels = assign_to_closest(dataset.values, centroids)
 
                     # Computation step (Algorithm 3).
                     plan = replace(
                         self.noise_plan, k=len(centroids), epsilon=epsilon_i
                     )
                     step = self._computation_step(plan, churn)
-                    output = step.run(engine, *assigned)
-                    del assigned
+                    output = step.run(engine, labels, dataset.values)
                     if self.fault_plan is not None:
                         output = self.fault_plan.observe_output(output, iteration)
                     if not output.sums:
                         return
 
                     advanced = self._advance_centroids(
-                        output, centroids, iteration, epsilon_i, do_smooth, window,
-                        labels=labels,
+                        output, centroids, labels, iteration, epsilon_i,
+                        do_smooth, window,
                     )
                 if advanced is None:
                     return
@@ -325,23 +323,6 @@ class ChiaroscuroRun:
             engine = self.fault_plan.wrap_engine(engine, iteration)
         return engine
 
-    def _assign(self, centroids: np.ndarray):
-        """Assignment step (Alg. 1 l.5-6): ``(step arguments, labels)``.
-
-        Object plane: each participant initializes its own cleartext means
-        vector (node id → vector; the step adds its noise share and encrypts
-        the sum) and labels stay private — ``None``.  Every other
-        plane: the labels are the assignment; an array step writes series i
-        and a count of 1 into the assigned cluster's stripe of row i straight
-        into its payload buffer, so the t × k·(n+1) means matrix is never
-        built, and the central step sums each cluster's series.
-        """
-        if self.plane == "object":
-            vectors = {p.node_id: p.means_vector(centroids) for p in self.participants}
-            return (vectors,), None
-        labels = assign_to_closest(self.dataset.values, centroids)
-        return (labels, self.dataset.values), labels
-
     def _computation_step(self, plan: NoisePlan, churn: float):
         """The plane's Algorithm 3 implementation for one iteration."""
         if self.plane == "quality":
@@ -370,11 +351,11 @@ class ChiaroscuroRun:
         self,
         output,
         centroids: np.ndarray,
+        labels: np.ndarray,
         iteration: int,
         epsilon_i: float,
         do_smooth: bool,
         window: int,
-        labels: np.ndarray | None = None,
     ) -> tuple[IterationStats, bool] | None:
         """Canonical post-processing (every node does the same locally).
 
@@ -383,9 +364,9 @@ class ChiaroscuroRun:
         stats over the whole dataset and apply the θ convergence test.
         Returns ``(stats, converged)`` — ``stats.centroids`` are the next
         centroids — or ``None`` when every cluster was lost (the run ends
-        without a recordable iteration).  ``labels`` lets the array planes
-        reuse their assignment-step result instead of recomputing the t × k
-        argmin (the dominant cleartext cost at 10⁵–10⁶ participants).
+        without a recordable iteration).  ``labels`` is the assignment
+        step's result, so the t × k argmin (the dominant cleartext cost at
+        10⁵–10⁶ participants) runs once per iteration.
         """
         params = self.params
         values = self.dataset.values
@@ -398,8 +379,6 @@ class ChiaroscuroRun:
         if do_smooth:
             perturbed = sma_smooth(perturbed, window)
 
-        if labels is None:
-            labels = assign_to_closest(values, centroids)
         # PRE: the current partition against its true (local) means.
         true_means, true_counts = compute_means(values, labels, len(centroids))
         alive = true_counts > 0

@@ -31,13 +31,13 @@ vector.  **Slot layout** (LSB first)::
 Each slot stores its signed fixed-point value *offset by the bias B*, so
 slot contents are always non-negative and additions never borrow across
 slot boundaries.  Homomorphic sums then work slot-wise: after summing
-contributions with (public, integer) coefficients ``c_j`` from ``terms``
-biased vectors, slot ``i`` holds
+biased vectors with (public, integer) coefficients ``c_j``, slot ``i``
+holds
 
-    raw_i = Σ_j c_j · f_{i,j}  +  B · (terms · C),     C = Σ_j c_j,
+    raw_i = Σ_j c_j · f_{i,j}  +  B · C,     C = Σ_j c_j,
 
 and :meth:`PackedCodec.unpack` subtracts ``B · bias_multiplier`` with
-``bias_multiplier = terms · C`` to recover the exact signed integer sum —
+``bias_multiplier = C`` to recover the exact signed integer sum —
 bit-identical to what a one-value-per-ciphertext :class:`FixedPointCodec`
 residue would decode to.  The EESum protocols know ``C`` in clear:
 Algorithm 2 scales the lagging side and adds, so a vector's coefficient
@@ -50,7 +50,7 @@ gossip → threshold decryption → :meth:`~PackedCodec.unpack`.
 bit-identity tests check packed decoding against.
 
 ``accumulation_bits`` must bound ``log2`` of the worst-case accumulated
-coefficient mass ``terms · C_max`` — the caller supplies the exchange-
+coefficient mass ``C_max`` — the caller supplies the exchange-
 scaling exponent to :meth:`PackedCodec.plan` (the protocol layer passes
 the proved counter bound: a node exchanges at most once per delivered
 batch of disjoint pairs, so ``count`` is at most cycles × batches).  As a
@@ -176,23 +176,19 @@ class PackedCodec:
         fractional_bits: int,
         max_abs_value: float,
         exchanges: int,
-        terms: int = 1,
     ) -> "PackedCodec":
         """Size a codec for a protocol run.
 
         ``max_abs_value`` bounds a single encoded value, ``exchanges`` the
         worst-case delayed-division scaling ``2^exchanges`` — the whole
-        coefficient total ``C = 2^count``, however many contributors it
-        covers — and ``terms`` how many biased vectors are homomorphically
-        summed before unpacking (the protocol planes sum means and noise on
-        the grid and encrypt one); two safety bits of headroom ride on top
-        of that mass.  Raises ``ValueError`` when even a single slot cannot
-        fit.
+        coefficient total ``C = 2^count`` of one biased vector per node,
+        however many contributors it covers; two safety bits of headroom
+        ride on top of that mass.  Raises ``ValueError`` when even a single
+        slot cannot fit.
         """
         max_fixed = int(max_abs_value * (1 << fractional_bits) + 1)
         value_bits = max(max_fixed.bit_length() + 1, fractional_bits + 1)
-        mass = terms * (1 << exchanges)
-        accumulation_bits = mass.bit_length() + 2
+        accumulation_bits = exchanges + 3  # 2^exchanges, plus two safety bits
         return cls(
             public=public,
             fractional_bits=fractional_bits,
@@ -253,9 +249,9 @@ class PackedCodec:
     ) -> list[int]:
         """Recover the exact signed integer content of the first ``count`` slots.
 
-        ``bias_multiplier`` is the total bias mass accumulated per slot:
-        ``terms · C`` after a homomorphic sum with coefficient total ``C``
-        over ``terms`` biased vectors (1 for a plain round-trip).
+        ``bias_multiplier`` is the total bias mass accumulated per slot: the
+        coefficient total ``C`` of a homomorphic sum of biased vectors (1
+        for a plain round-trip).
         """
         if self.packed_length(count) > len(plaintexts):
             raise ValueError("not enough plaintexts for the requested count")

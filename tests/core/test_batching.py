@@ -22,7 +22,6 @@ from repro.core import (
     ChiaroscuroRun,
     ComputationStep,
     NoisePlan,
-    Participant,
 )
 from repro.crypto import (
     FixedPointCodec,
@@ -151,11 +150,7 @@ class TestComputationStepPacked:
             [[1.0, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3],
              [10, 20, 30], [10, 20, 30], [10, 20, 30], [10, 20, 30]]
         )
-        centroids = np.array([[1.0, 2, 3], [10, 20, 30]])
-        vectors = {
-            node: Participant(node, row).means_vector(centroids)
-            for node, row in enumerate(series)
-        }
+        labels = np.repeat([0, 1], 4)
         plan = NoisePlan(
             k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=1e9, n_nu=8
         )
@@ -163,7 +158,7 @@ class TestComputationStepPacked:
             keypair=keypair, packed=packed, noise_plan=plan, exchanges=15,
             crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1),
         )
-        output = step.run(GossipEngine(8, seed=8), vectors)
+        output = step.run(GossipEngine(8, seed=8), labels, series)
         assert set(output.sums) == set(range(8))
         for node in range(8):
             means, counts = output.perturbed_means(node)
@@ -238,13 +233,14 @@ class TestExponentiationsAreCounted:
             k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=1e9, n_nu=nodes
         )
         crypto_rng = random.Random(0)
-        vectors = {i: np.full(plan.dimensions, float(i)) for i in range(nodes)}
+        labels = np.arange(nodes) % plan.k
+        series = np.repeat(np.arange(nodes, dtype=float)[:, None], 3, axis=1)
         step = ComputationStep(
             keypair=keypair, packed=packed, noise_plan=plan, exchanges=6,
             crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1),
             backend=counting_backend,
         )
-        output = step.run(GossipEngine(nodes, seed=3), vectors)
+        output = step.run(GossipEngine(nodes, seed=3), labels, series)
         assert len(output.sums) == nodes
         assert counting_backend.partials_computed == nodes * packed.packed_length(
             plan.dimensions

@@ -1,16 +1,17 @@
 """Direct unit tests of the Algorithm 3 computation step."""
 
+import itertools
 import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core import ComputationStep, NoisePlan, Participant
+from repro.core import ComputationStep, NoisePlan
 from repro.core.computation import (
     VectorizedComputationStep,
     VectorizedCryptoComputationStep,
-    stage_on_grid,
+    add_means,
 )
 from repro.crypto.encoding import PackedCodec
 from repro.gossip import GossipEngine, VectorizedGossipEngine
@@ -31,11 +32,7 @@ def tiny_setup(threshold_keypair_s2):
         [[1.0, 2, 3], [1, 2, 3], [1, 2, 3], [1, 2, 3],
          [10, 20, 30], [10, 20, 30], [10, 20, 30], [10, 20, 30]]
     )
-    centroids = np.array([[1.0, 2, 3], [10, 20, 30]])
-    vectors = {
-        node: Participant(node, row).means_vector(centroids)
-        for node, row in enumerate(series)
-    }
+    labels = np.repeat([0, 1], 4)
     plan = NoisePlan(
         k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=1e9, n_nu=8
     )
@@ -43,20 +40,20 @@ def tiny_setup(threshold_keypair_s2):
         keypair=keypair, packed=packed, noise_plan=plan, exchanges=15,
         crypto_rng=crypto_rng, noise_rng=np.random.default_rng(1),
     )
-    return step, vectors, series
+    return step, labels, series
 
 
 class TestComputationStep:
     def test_every_node_decodes(self, tiny_setup):
-        step, vectors, _ = tiny_setup
+        step, labels, series = tiny_setup
         engine = GossipEngine(8, seed=7)
-        output = step.run(engine, vectors)
+        output = step.run(engine, labels, series)
         assert set(output.sums) == set(range(8))
 
     def test_sums_and_counts_match_truth(self, tiny_setup):
-        step, vectors, series = tiny_setup
+        step, labels, series = tiny_setup
         engine = GossipEngine(8, seed=8)
-        output = step.run(engine, vectors)
+        output = step.run(engine, labels, series)
         for node in range(8):
             means, counts = output.perturbed_means(node)
             assert counts[0] == pytest.approx(4.0, abs=0.05)
@@ -65,50 +62,40 @@ class TestComputationStep:
             assert np.allclose(means[1], [10.0, 20.0, 30.0], atol=0.3)
 
     def test_agreement_small(self, tiny_setup):
-        step, vectors, _ = tiny_setup
+        step, labels, series = tiny_setup
         engine = GossipEngine(8, seed=9)
-        output = step.run(engine, vectors)
+        output = step.run(engine, labels, series)
         assert output.agreement() < 1e-2
 
     def test_noise_plan_dimensions_respected(self, tiny_setup):
-        step, vectors, _ = tiny_setup
+        step, _, _ = tiny_setup
         dims = step.noise_plan.dimensions
         assert 1 < step.packed.packed_length(dims) < dims
-        assert all(len(v) == dims for v in vectors.values())
 
 
-class TestObjectStaging:
-    def test_staged_vector_is_the_array_payload_row(self, threshold_keypair):
-        """One node, one share row: the object step's staged means + share
-        equals the vectorized-crypto step's payload row byte for byte.  A
-        share that rounds to −0.0 becomes +0.0 off the assigned stripe and
-        keeps its sign on a mean that rounded to −0.0; ties round half-even,
-        mean and share apart."""
-        plan = NoisePlan(
-            k=2, series_length=3, dmin=0.0, dmax=30.0, epsilon=5.0, n_nu=4
-        )
-        packed = plan.codec(threshold_keypair.public, exchanges=2 * EXCHANGES)
-        step = VectorizedCryptoComputationStep(
-            keypair=threshold_keypair, packed=packed, noise_plan=plan,
-            exchanges=EXCHANGES, threshold=3, crypto_rng=random.Random(0),
-            noise_rng=np.random.default_rng(0),
-        )
-        ulp = 1.0 / packed.scale
+class TestStaging:
+    def test_means_and_share_meet_on_the_grid(self):
+        """One node, one share row: the one staging function quantizes the
+        mean and the share apart and sums them on the grid, entry by entry
+        ``(round(mean·2^f) + round(share·2^f)) / 2^f`` of the dense means
+        vector, byte for byte.  A share that rounds to −0.0 becomes +0.0
+        off the assigned stripe and keeps its sign on a mean that rounded
+        to −0.0; ties round half-even, mean and share apart."""
+        fractional_bits = NoisePlan.fractional_bits
+        scale = float(1 << fractional_bits)
+        ulp = 1.0 / scale
         series = np.array([1.0, -1e-12, 0.5 * ulp])
-        centroids = np.array([[1.0, 0.0, 0.0], [50.0, 50.0, 50.0]])
-        participant = Participant(0, series)
-        assigned = participant.closest_centroid(centroids)
         share = np.array(
             [2.5 * ulp, -1e-12, 0.5 * ulp, 3.5 * ulp, -1e-12, -0.0, 0.7, -2.5 * ulp]
         )
+        means = np.zeros(8)  # k = 2 stripes of n + 1; cluster 0 holds the node
+        means[:3], means[3] = series, 1.0
 
         payload = share[None, :].copy()
-        step._add_means(payload, np.array([assigned]), series[None, :])
-        staged = stage_on_grid(
-            participant.means_vector(centroids), share.copy(),
-            packed.fractional_bits,
-        )
-        assert staged.tobytes() == payload[0].tobytes()
+        add_means(payload, np.array([0]), series[None, :], fractional_bits)
+        staged = payload[0]
+        expected = (np.round(means * scale) + np.round(share * scale)) / scale
+        assert staged.tobytes() == expected.tobytes()
         assert np.signbit(staged[1]) and staged[1] == 0.0  # −0.0 + −0.0
         assert not np.signbit(staged[4:6]).any()  # +0.0 mean off the stripe
         assert staged[0] == 1.0 + 2 * ulp and staged[7] == -2 * ulp
@@ -201,12 +188,14 @@ class TestArrayCarrierParity:
         _assert_same_rng_states(mock, cipher)
 
     def test_vectorized_steps_are_siblings(self):
-        """perf/spans.py wraps each class's ``run`` by name: were one step a
-        subclass of the other, the second wrapper would wrap the first and
-        every call would be counted twice."""
-        assert not issubclass(
-            VectorizedCryptoComputationStep, VectorizedComputationStep
+        """The three gossiping carriers inherit one ``run`` and are
+        siblings: perf/spans.py wraps each class's ``run`` by name, and
+        were one step a subclass of another, the second wrapper would wrap
+        the first and every call would be counted twice."""
+        steps = (
+            ComputationStep, VectorizedComputationStep,
+            VectorizedCryptoComputationStep,
         )
-        assert not issubclass(
-            VectorizedComputationStep, VectorizedCryptoComputationStep
-        )
+        for step, other in itertools.permutations(steps, 2):
+            assert not issubclass(step, other)
+        assert len({step.run for step in steps}) == 1

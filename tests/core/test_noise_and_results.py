@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from _runs import fold
-from repro.core import ChiaroscuroParams, ChiaroscuroRun, NoisePlan, Participant
+from repro.core import ChiaroscuroParams, ChiaroscuroRun, NoisePlan
 from repro.core.results import ClusteringResult, IterationStats
 from repro.crypto import PublicKey
 from repro.gossip.vectorized_protocol import pairing_cycles
@@ -127,21 +127,6 @@ class TestNoisePlan:
         on_20 = fold(mock)[0].centroids
         assert np.array_equal(on_20, fold(crypto)[0].centroids)
         assert not np.array_equal(on_20, on_24)
-
-
-class TestParticipant:
-    def test_closest_centroid(self):
-        participant = Participant(0, np.array([10.0, 10.0]))
-        centroids = np.array([[0.0, 0.0], [9.0, 11.0], [30.0, 30.0]])
-        assert participant.closest_centroid(centroids) == 1
-
-    def test_means_vector(self):
-        """The series and a count of 1 in the assigned stripe, zeros
-        elsewhere: ``k·(n+1)`` cleartext values."""
-        participant = Participant(0, np.array([1.0, 2.0, 3.0]))
-        centroids = np.array([[9.0, 9, 9], [1, 2, 2], [5, 5, 5], [0, 0, 0]])
-        expected = [0.0] * 4 + [1.0, 2.0, 3.0, 1.0] + [0.0] * 8
-        assert participant.means_vector(centroids).tolist() == expected
 
 
 class TestResultContainers:

@@ -262,11 +262,10 @@ class TestPackedPlanning:
             fractional_bits=16,
             max_abs_value=100.0,
             exchanges=36,  # 2^36 ≥ 50 contributors × 2^30
-            terms=2,
         )
         assert codec.slots >= 1
         # planned accumulation covers the declared coefficient mass
-        assert 2 * codec.bias * (2 * (1 << 36)) <= 1 << codec.slot_bits
+        assert 2 * codec.bias * (1 << 36) <= 1 << codec.slot_bits
 
     def test_plan_rejects_impossible(self, keypair128):
         with pytest.raises(ValueError, match="plaintext space too small"):
@@ -283,7 +282,6 @@ class TestPackedPlanning:
             fractional_bits=16,
             max_abs_value=100.0,
             exchanges=1,
-            terms=2,
         )
         assert codec.slots >= 4  # a 255-bit plaintext carries several slots
 

@@ -12,8 +12,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import ChiaroscuroParams, NoisePlan, Participant
-from repro.core.computation import stage_on_grid
+from repro.core import NoisePlan
+from repro.core.computation import add_means
 from repro.crypto import FixedPointCodec, PackedCodec, decrypt, encrypt_batch
 from repro.gossip import EESum, GossipEngine
 
@@ -25,14 +25,14 @@ def packed(keypair128):
     )
 
 
-def _encrypted_vector(participant, centroids, share, packed, rng):
-    """What a participant puts on the wire in the object step: its means
-    vector plus its noise share, summed on the grid, packed and encrypted
-    as one vector."""
-    staged = stage_on_grid(
-        participant.means_vector(centroids), share, packed.fractional_bits
-    )
-    return encrypt_batch(packed.public, packed.pack(staged), rng)
+def _encrypted_vector(series, label, share, packed, rng):
+    """What a participant puts on the wire on a ciphertext plane: its noise
+    share plus its means vector (its series and a count of 1 in cluster
+    ``label``'s stripe), summed on the grid, packed and encrypted as one
+    vector."""
+    staged = share[None, :].copy()
+    add_means(staged, np.array([label]), series[None, :], packed.fractional_bits)
+    return encrypt_batch(packed.public, packed.pack(staged[0]), rng)
 
 
 class TestCiphertextIndistinguishability:
@@ -42,21 +42,19 @@ class TestCiphertextIndistinguishability:
         are identical across the packed vector, whichever stripe holds the
         series (semantic security provides the rest — the scheme is
         probabilistic, tested in crypto/)."""
-        participant = Participant(0, np.array([42.0, 17.0]))
+        series = np.array([42.0, 17.0])
         plan = NoisePlan(k=3, series_length=2, dmin=0, dmax=50, epsilon=1e3, n_nu=10)
         shares = plan.draw_shares(np.random.default_rng(0), 3)
         rng = random.Random(0)
-        centroids = np.zeros((3, 2))
-        vector = _encrypted_vector(participant, centroids, shares[0], packed, rng)
+        vector = _encrypted_vector(series, 0, shares[0], packed, rng)
         assert len(vector) == packed.packed_length(3 * 3) > 1
         n_s1 = keypair128.public.n_s1
         assert all(0 < c < n_s1 for c in vector)
         # Re-encrypting yields entirely different ciphertexts (probabilistic).
-        vector2 = _encrypted_vector(participant, centroids, shares[1], packed, rng)
+        vector2 = _encrypted_vector(series, 0, shares[1], packed, rng)
         assert all(a != b for a, b in zip(vector, vector2))
         # Assigned elsewhere: same count, same range.
-        centroids[0] = 1e3
-        moved = _encrypted_vector(participant, centroids, shares[2], packed, rng)
+        moved = _encrypted_vector(series, 2, shares[2], packed, rng)
         assert len(moved) == len(vector)
         assert all(0 < c < n_s1 for c in moved)
 
@@ -64,14 +62,11 @@ class TestCiphertextIndistinguishability:
         """The share is folded into the participant's one encryption: what
         goes on the wire is the ciphertext of means + share, never the share
         itself."""
-        participant = Participant(0, np.array([4.0, 5.0, 6.0]))
+        series = np.array([4.0, 5.0, 6.0])
         plan = NoisePlan(k=2, series_length=3, dmin=0, dmax=10, epsilon=1.0, n_nu=10)
         share = plan.draw_shares(np.random.default_rng(0), 1)[0]
-        centroids = np.array([[0.0, 0, 0], [5, 5, 5]])
-        means = participant.means_vector(centroids)
-        ciphertexts = _encrypted_vector(
-            participant, centroids, share.copy(), packed, random.Random(1)
-        )
+        means = np.concatenate([np.zeros(4), series, [1.0]])  # cluster 1's stripe
+        ciphertexts = _encrypted_vector(series, 1, share, packed, random.Random(1))
         assert all(isinstance(c, int) for c in ciphertexts)
         plaintexts = [decrypt(keypair128, c) for c in ciphertexts]
         decoded = np.array(packed.unpack(plaintexts, plan.dimensions))

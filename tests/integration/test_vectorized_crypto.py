@@ -247,3 +247,50 @@ class TestObjectPlaneParity:
         for ours, theirs in zip(objects, arrays):
             assert ours.exchanges_per_node == theirs.exchanges_per_node
             assert np.array_equal(ours.stats.centroids, theirs.stats.centroids)
+
+
+class TestCrossPlaneAtTauAboveOne:
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_planes_agree_within_the_epidemic_spread(
+        self, toy_dataset, toy_initial_centroids, seed
+    ):
+        """At τ = 3 (``tau_fraction`` 0.125 of 24) a node needs key shares
+        from others, so the object plane's epidemic decryption — real share
+        ids, the laggard adopting the leader's bundle — and the array
+        planes' cardinality collector can finish on different cycles and
+        decode different bundles.  Every iteration's centroids must still
+        agree within the larger of the two planes' cross-node spread:
+        ``max |object − array| / max |array|`` ≤ that ``agreement``.
+        ``exchanges_per_node`` may differ (the collector is not exact share
+        ids)."""
+
+        def spec(plane):
+            return RunSpec.from_dict({
+                "plane": plane,
+                "seed": seed,
+                "strategy": "UF3",
+                "dataset": {"kind": "timeseries",
+                            "params": {"values": toy_dataset.values.tolist(),
+                                       "dmin": 0.0, "dmax": 60.0}},
+                "init": {"kind": "matrix",
+                         "params": {"values": toy_initial_centroids.tolist()}},
+                "params": {"k": 3, "max_iterations": 3, "exchanges": 6,
+                           "epsilon": 2000.0, "key_bits": 256, "expansion_s": 2,
+                           "use_smoothing": False, "theta": 0.0,
+                           "tau_fraction": 0.125},
+            })
+
+        runs = {
+            plane: [
+                event for event in Experiment.from_spec(spec(plane)).run_iter()
+                if isinstance(event, IterationCompleted)
+            ]
+            for plane in ("object", "vectorized-crypto")
+        }
+        objects, arrays = runs["object"], runs["vectorized-crypto"]
+        assert len(objects) == len(arrays) == 3
+        for ours, theirs in zip(objects, arrays):
+            ours_c, theirs_c = ours.stats.centroids, theirs.stats.centroids
+            assert ours_c.shape == theirs_c.shape
+            gap = np.abs(ours_c - theirs_c).max() / np.abs(theirs_c).max()
+            assert gap <= max(ours.agreement, theirs.agreement)

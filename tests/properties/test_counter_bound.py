@@ -7,7 +7,8 @@ after a phase of ``c`` cycles every counter is at most
 fault duplicates or delays messages.  The bound is checked here on both
 engines over schedules nobody hand-picked, and then *decoded*: a codec with
 exactly the accumulation room of a mass at the bound decodes it exactly,
-and one exchange less is refused by the decode gate.
+and one exchange less is refused by the decode gate.  The slot's value
+bound — the noise tail ``NoisePlan.codec`` sizes — is decoded the same way.
 """
 
 import random
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import NoisePlan
 from repro.crypto import PackedCodec, decrypt, encrypt_batch
-from repro.crypto.damgard_jurik import homomorphic_add
 from repro.faults.base import fault_rng
 from repro.faults.network import NetworkFault
 from repro.faults.plan import FaultPlan
@@ -74,66 +75,75 @@ def test_every_counter_stays_within_cycles_times_batches(
         assert counts == [cycles, cycles]  # the bound is reached
 
 
-@pytest.mark.parametrize("terms", [1, 2])
+def _gossip_and_decode(keypair, codec, vectors, cycles):
+    """Encrypt each of two nodes' vectors under ``codec``, pair them for
+    ``cycles`` cycles so both counters reach ``cycles``, and unpack node 0's
+    decrypted sum at the ``2^count`` mass.  Returns ``(decoded, expected)``
+    signed slot integers."""
+    public = keypair.public
+    rng = random.Random(7)
+    initial = {
+        node: encrypt_batch(public, codec.pack(vector), rng)
+        for node, vector in enumerate(vectors)
+    }
+    engine = GossipEngine(2, seed=1)
+    eesum = EESum(public, initial)
+    engine.setup(eesum)
+    engine.run_cycles(cycles, eesum)
+    state = eesum.state_of(engine.nodes[0])
+    assert state.count == cycles
+    plaintexts = [decrypt(keypair, c) for c in state.ciphertexts]
+    fixed = np.rint(np.array(vectors) * codec.scale).astype(np.int64)
+    # Two nodes with equal counters: each holds 2^(count − 1) of both.
+    expected = (fixed.sum(axis=0) << (state.count - 1)).tolist()
+    decoded = codec.unpack_integers(plaintexts, len(vectors[0]), 1 << state.count)
+    return decoded, expected
+
+
 def test_a_codec_at_the_bound_decodes_it_and_one_exchange_less_refuses(
-    keypair128, terms
+    keypair128,
 ):
     """Two nodes pair in every cycle, so both counters reach the bound.  Each
-    node holds ``terms`` vectors of the extreme values a slot admits, which
-    are summed homomorphically after the gossip; the protocol planes sum
-    means and noise on the grid instead and encrypt one vector (``terms``
-    = 1).  The codec with exactly ``terms · 2^bound`` of room
+    node holds one vector of the extreme values a slot admits, as the
+    protocol planes encrypt one vector per node (its means and noise share
+    summed on the grid).  The codec with exactly ``2^bound`` of room
     decodes the mass exactly; with room for one exchange less the decode
     gate refuses it.  ``NoisePlan.codec`` reserves at least that room."""
-    public = keypair128.public
     cycles = pairing_cycles(3)
-    dims = 5
-    planned = PackedCodec.plan(public, 16, 100.0, exchanges=cycles, terms=terms)
-    exact = replace(
-        planned, accumulation_bits=((terms << cycles) - 1).bit_length()
-    )
+    planned = PackedCodec.plan(keypair128.public, 16, 100.0, exchanges=cycles)
+    exact = replace(planned, accumulation_bits=((1 << cycles) - 1).bit_length())
     assert exact.accumulation_bits <= planned.accumulation_bits
     narrow = replace(exact, accumulation_bits=exact.accumulation_bits - 1)
 
-    def decode(codec):
+    def extremes(codec):
         top = (codec.bias - 1) / codec.scale  # the largest value pack admits
-        vectors = [
-            [np.array([top, -top, top, -top, 0.5 * node - term])
-             for term in range(terms)]
-            for node in range(2)
-        ]
-        rng = random.Random(7)
-        initial = {
-            node: [
-                c
-                for vector in vectors[node]
-                for c in encrypt_batch(public, codec.pack(vector), rng)
-            ]
-            for node in range(2)
-        }
-        engine = GossipEngine(2, seed=1)
-        eesum = EESum(public, initial)
-        engine.setup(eesum)
-        engine.run_cycles(cycles, eesum)
-        state = eesum.state_of(engine.nodes[0])
-        assert state.count == cycles
-        width = codec.packed_length(dims)
-        summed = state.ciphertexts[:width]
-        for term in range(1, terms):
-            summed = [
-                homomorphic_add(public, a, b)
-                for a, b in zip(
-                    summed, state.ciphertexts[term * width:(term + 1) * width]
-                )
-            ]
-        plaintexts = [decrypt(keypair128, c) for c in summed]
-        fixed = np.rint(np.array(vectors) * codec.scale).astype(np.int64)
-        # Two nodes with equal counters: each holds 2^(count − 1) of both.
-        expected = (fixed.sum(axis=(0, 1)) << (state.count - 1)).tolist()
-        mass = terms << state.count
-        return codec.unpack_integers(plaintexts, dims, mass), expected
+        return [np.array([top, -top, top, -top, 0.5 * node]) for node in range(2)]
 
-    decoded, expected = decode(exact)
+    decoded, expected = _gossip_and_decode(keypair128, exact, extremes(exact), cycles)
     assert decoded == expected
     with pytest.raises(ValueError, match="coefficient mass exceeds"):
-        decode(narrow)
+        _gossip_and_decode(keypair128, narrow, extremes(narrow), cycles)
+
+
+def test_the_slot_tail_decodes_and_one_value_bit_less_refuses(keypair128):
+    """A slot holds a data value plus a noise share out to the exponential
+    tail, ``max(|dmin|, |dmax|) + 60·sensitivity / min(slices)`` (computed
+    here, not read off the plan).  A vector at ± that value, gossiped to the
+    counter bound, decodes exactly through ``NoisePlan.codec``'s codec; a
+    codec one value bit narrower than that value needs refuses it."""
+    plan = NoisePlan(
+        k=2, series_length=3, dmin=-40.0, dmax=30.0, epsilon=0.5, n_nu=2,
+        slices=(0.5, 0.25),
+    )
+    tail = max(abs(plan.dmin), abs(plan.dmax)) + 60.0 * plan.sensitivity / 0.25
+    cycles = pairing_cycles(3)
+    codec = plan.codec(keypair128.public, exchanges=cycles)
+    vector = tail * np.resize([1.0, -1.0], plan.dimensions)
+
+    decoded, expected = _gossip_and_decode(keypair128, codec, [vector] * 2, cycles)
+    assert decoded == expected
+    needed = int(np.rint(tail * codec.scale)).bit_length()  # |f| < 2^value_bits
+    assert codec.value_bits >= needed
+    narrow = replace(codec, value_bits=needed - 1)
+    with pytest.raises(ValueError, match="capacity"):
+        _gossip_and_decode(keypair128, narrow, [vector] * 2, cycles)
